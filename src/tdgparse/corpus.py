@@ -121,12 +121,6 @@ class Document:
     def events(self) -> list[Mention]:
         return [m for m in self._ordered if m.kind == EVENT]
 
-    def gold_parent(self, child: str, slot: str) -> str | None:
-        for edge in self.gold_edges:
-            if edge.child == child and edge.slot == slot:
-                return edge.parent
-        return None
-
 
 Corpus = list[Document]
 

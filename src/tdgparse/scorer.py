@@ -12,8 +12,12 @@ Three variants share this machinery:
   linear discourse-profile head over sentence representations that training
   can supervise alongside the ranking objective.
 
-All arithmetic is float64 numpy, gradients are computed analytically, and
-``finite_difference_check`` verifies them with central differences.
+Each document is indexed once into flat arrays (token ids of every mention
+and sentence, and every slot's candidates with their packed scalar
+features). A batch of documents is scored by one embedding gather with
+segment means, one matrix product for the MLP's hidden layer and a softmax
+per slot segment; gradients run the same arrays backwards. All arithmetic is
+float64 numpy and gradients are computed analytically.
 """
 
 from __future__ import annotations
@@ -28,8 +32,13 @@ from .corpus import (
     CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
     DCT,
+    EVENT,
+    EVENT_REF,
+    META_NODES,
     NO_EVENT,
     ROOT,
+    TIMEX,
+    TIMEX_REF,
     ContentType,
     Corpus,
     Document,
@@ -56,11 +65,15 @@ CHILD_MARK_INDEX = 1
 CAND_MARK_INDEX = 2
 MARKER_BASE_INDEX = 3
 
-_META_ROW = {DCT: 0, ROOT: 1, NO_EVENT: 2}
+# rows of meta_embeddings, which head the candidate table before the mentions
+N_META = len(META_NODES)
+_META_ROW = {name: i for i, name in enumerate(META_NODES)}
 
-# scalar feature block: 5 sentence-distance buckets (0, 1, 2, 3-5, >=6),
-# child-precedes-candidate, same-sentence, is-DCT, is-ROOT, is-NO_EVENT
+# scalar feature block, one bit each in a candidate's packed features:
+# 0-4 sentence-distance bucket (0, 1, 2, 3-5, >=6), 5 child precedes
+# candidate, 6 same sentence, 7-9 the candidate is DCT, ROOT or NO_EVENT
 N_SCALAR_FEATURES = 10
+_PRECEDES_BIT, _SAME_SENTENCE_BIT, _META_BIT = 5, 6, 7
 
 PARAM_ORDER = ("embeddings", "meta_embeddings", "w1", "b1", "w2", "b2",
                "dp_weight", "dp_bias")
@@ -68,14 +81,6 @@ PARAM_ORDER = ("embeddings", "meta_embeddings", "w1", "b1", "w2", "b2",
 
 def feature_dim(dim: int) -> int:
     return 5 * dim + N_SCALAR_FEATURES
-
-
-def _distance_bucket(delta: int) -> int:
-    if delta <= 2:
-        return delta
-    if delta <= 5:
-        return 3
-    return 4
 
 
 @dataclass(frozen=True)
@@ -160,102 +165,185 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class _SlotIndex:
-    """Integer-indexed view of one slot's candidates for fast gather/scatter."""
-
-    __slots__ = ("slot", "candidates", "child_row", "child_sent", "is_meta",
-                 "cand_row", "cand_sent", "scalars", "gold")
-
-    def __init__(self, doc: Document, slot: Slot, mention_row: dict[str, int],
-                 order_pos: dict[str, int]):
-        self.slot = slot
-        self.candidates = candidate_set(doc, slot)
-        child = doc.mention(slot.child)
-        self.child_row = mention_row[slot.child]
-        self.child_sent = child.sentence
-        k = len(self.candidates)
-        self.is_meta = np.zeros(k, dtype=bool)
-        self.cand_row = np.zeros(k, dtype=np.int64)
-        self.cand_sent = np.full(k, -1, dtype=np.int64)
-        self.scalars = np.zeros((k, N_SCALAR_FEATURES))
-        for i, cand in enumerate(self.candidates):
-            if cand in _META_ROW:
-                self.is_meta[i] = True
-                self.cand_row[i] = _META_ROW[cand]
-                self.scalars[i, 7 + _META_ROW[cand]] = 1.0
-            else:
-                other = doc.mention(cand)
-                self.cand_row[i] = mention_row[cand]
-                self.cand_sent[i] = other.sentence
-                self.scalars[i, _distance_bucket(abs(child.sentence - other.sentence))] = 1.0
-                if order_pos[slot.child] < order_pos[cand]:
-                    self.scalars[i, 5] = 1.0
-                if child.sentence == other.sentence:
-                    self.scalars[i, 6] = 1.0
-        gold = doc.gold_parent(slot.child, slot.slot)
-        self.gold = self.candidates.index(gold) if gold in self.candidates else -1
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Offset of each segment when segments of these lengths lie end to end."""
+    starts = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
 
 
-class _DocIndex:
-    """Per-document token/candidate index tables, independent of parameters."""
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sum each ``rows[i]`` into row ``index[i]`` of an (n, width) zero array.
 
-    __slots__ = ("doc", "dp_labels", "sent_tokens", "sent_base_tokens",
-                 "mention_tokens", "mention_row", "slots")
+    One bincount over (row, column) cells: it adds in input order, as
+    ``np.add.at`` does, for a fraction of the cost.
+    """
+    width = rows.shape[1]
+    cells = np.asarray(index, dtype=np.int64)[:, None] * width + np.arange(width)
+    return np.bincount(cells.ravel(), weights=rows.ravel(),
+                       minlength=n * width).reshape(n, width)
 
-    def __init__(self, doc: Document, vocab: Vocabulary, variant: str,
-                 dp_labels: DpLabelMap | None):
+
+def _segment_means(table: np.ndarray, tokens: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
+    """Mean table row of each token segment (one segment per mention or sentence)."""
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    return _scatter_rows(segment, table[tokens], len(lengths)) / lengths[:, None]
+
+
+def _token_grads(n_vocab: int, segments) -> np.ndarray:
+    """Embedding-table gradient of segment means.
+
+    ``segments`` holds (tokens, lengths, gradient) triples, one gradient row
+    per segment; each row is split evenly over the segment's tokens.
+    """
+    tokens = np.concatenate([tok for tok, _, _ in segments])
+    rows = np.concatenate([np.repeat(g / lengths[:, None], lengths, axis=0)
+                           for _, lengths, g in segments])
+    return _scatter_rows(tokens, rows, n_vocab)
+
+
+class _FlatIndex:
+    """Token and candidate tables of one document, or of a batch laid end to end.
+
+    Mentions are rows in document order. Token ids are in CSR form: flat ids
+    plus one length per mention or sentence. ``sent_tok`` holds the plain
+    sentence tokens and ``phi_tok`` the ones the ranking scorer averages;
+    they are the same arrays unless ``add_markers`` appended the dp_feature
+    content markers of ``dp_labels``.
+
+    Slots follow ``slot_instances`` order. Per slot: ``starts``, the position
+    of its first candidate, and ``gold``, the position of its gold candidate
+    or -1 when the gold parent is not a candidate. Candidates lie end to end
+    in ``candidate_set`` order. Per candidate: ``slot``; ``child`` and
+    ``child_sent``, the child mention's row and sentence; ``cand``, its row
+    in the candidate table, whose rows are the META_NODES and then the
+    mentions (mention i at N_META + i); ``cand_sent``, 1 + its sentence, or 0
+    for a meta node; and ``feat``, its scalar features as bits.
+    """
+
+    __slots__ = ("doc", "dp_labels", "mention_tok", "mention_len", "sent_tok",
+                 "sent_len", "phi_tok", "phi_len", "starts", "gold", "slot",
+                 "child", "child_sent", "cand", "cand_sent", "feat")
+
+    def __init__(self, doc: Document | None, **arrays: np.ndarray):
         self.doc = doc
+        self.dp_labels = None
+        for name, array in arrays.items():
+            setattr(self, name, array)
+
+    def add_markers(self, vocab: Vocabulary, dp_labels: DpLabelMap) -> None:
+        """Append each sentence's content-type marker to the tokens the ranking scorer averages."""
+        doc = self.doc
+        markers = [vocab.marker_index(dp_labels[(doc.id, s.index)]) for s in doc.sentences]
+        self.phi_tok = np.insert(self.sent_tok, np.cumsum(self.sent_len), markers)
+        self.phi_len = self.sent_len + 1
         self.dp_labels = dp_labels
-        self.sent_base_tokens = [
-            np.array([vocab.lookup(t) for t in s.tokens], dtype=np.int64)
-            for s in doc.sentences
-        ]
-        if variant == "dp_feature":
-            if dp_labels is None:
-                raise ScorerError(
-                    "variant dp_feature requires discourse labels to score"
-                )
-            self.sent_tokens = []
-            for s in doc.sentences:
-                marker = vocab.marker_index(dp_labels[(doc.id, s.index)])
-                base = self.sent_base_tokens[s.index]
-                self.sent_tokens.append(np.append(base, marker))
-        else:
-            self.sent_tokens = self.sent_base_tokens
-        ordered = doc.ordered_mentions()
-        self.mention_row = {m.id: i for i, m in enumerate(ordered)}
-        order_pos = {m.id: i for i, m in enumerate(ordered)}
-        self.mention_tokens = [
-            np.array([vocab.lookup(t)
-                      for t in doc.sentences[m.sentence].tokens[m.start:m.end]],
-                     dtype=np.int64)
-            for m in ordered
-        ]
-        self.slots = [_SlotIndex(doc, slot, self.mention_row, order_pos)
-                      for slot in slot_instances(doc)]
 
 
-class _DocReprs:
-    """Parameter-dependent representation tables for one document."""
+def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
+    """Index one document with whole-array operations, no loop over slots or candidates."""
+    sent_ids = [[vocab.lookup(t) for t in s.tokens] for s in doc.sentences]
+    ordered = doc.ordered_mentions()
+    spans = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
+    sent = np.array([m.sentence for m in ordered], dtype=np.int32)
+    is_timex = np.array([m.kind == TIMEX for m in ordered], dtype=bool)
+    is_event = np.array([m.kind == EVENT for m in ordered], dtype=bool)
 
-    __slots__ = ("sent_phi", "sent_base", "child", "cand")
+    # every mention's timex_ref slot, then an event's event_ref slot
+    per_mention = 1 + is_event
+    child = np.repeat(np.arange(len(ordered)), per_mention)
+    event_ref = np.zeros(len(child), dtype=bool)
+    event_ref[np.cumsum(per_mention) - 1] = is_event
 
-    def __init__(self, idx: _DocIndex, params: dict[str, np.ndarray], dim: int):
-        emb = params["embeddings"]
+    # each slot's meta candidates, then its pool of timexes or events minus
+    # the child; a stable sort by slot puts them in candidate_set order
+    timex_slots, event_slots = np.flatnonzero(~event_ref), np.flatnonzero(event_ref)
+    timexes, events = np.flatnonzero(is_timex), np.flatnonzero(is_event)
+    root_slots = timex_slots[is_timex[child[timex_slots]]]
+    pool_slot = np.concatenate([np.repeat(timex_slots, len(timexes)),
+                                np.repeat(event_slots, len(events))])
+    pool = np.concatenate([np.tile(timexes, len(timex_slots)),
+                           np.tile(events, len(event_slots))])
+    keep = pool != child[pool_slot]
+    slot = np.concatenate([np.arange(len(child)), root_slots, pool_slot[keep]])
+    cand = np.concatenate([np.where(event_ref, _META_ROW[NO_EVENT], _META_ROW[DCT]),
+                           np.full(len(root_slots), _META_ROW[ROOT]),
+                           pool[keep] + N_META])
+    order = np.argsort(slot, kind="stable")
+    slot, cand = slot[order], cand[order]
 
-        def mean_rows(ix_list: list[np.ndarray]) -> np.ndarray:
-            if not ix_list:
-                return np.zeros((0, dim))
-            return np.stack([emb[ix].mean(axis=0) for ix in ix_list])
+    row = cand - N_META
+    is_mention = row >= 0
+    cand_child = child[slot]
+    c, r = cand_child[is_mention], row[is_mention]
+    delta = np.abs(sent[c] - sent[r])
+    bucket = np.where(delta <= 2, delta, np.where(delta <= 5, 3, 4))
+    feat = np.empty(len(cand), dtype=np.uint16)
+    feat[~is_mention] = 1 << (_META_BIT + cand[~is_mention])
+    feat[is_mention] = ((1 << bucket) + (c < r) * (1 << _PRECEDES_BIT)
+                        + (delta == 0) * (1 << _SAME_SENTENCE_BIT))
+    cand_sent = np.zeros(len(cand), dtype=np.int32)
+    cand_sent[is_mention] = sent[r] + 1
 
-        self.sent_base = mean_rows(idx.sent_base_tokens)
-        if idx.sent_tokens is idx.sent_base_tokens:
-            self.sent_phi = self.sent_base
-        else:
-            self.sent_phi = mean_rows(idx.sent_tokens)
-        token_means = mean_rows(idx.mention_tokens)
-        self.child = token_means + emb[CHILD_MARK_INDEX]
-        self.cand = token_means + emb[CAND_MARK_INDEX]
+    ids = [m.id for m in ordered]
+    table_row = {name: i for i, name in enumerate(META_NODES + tuple(ids))}
+    gold_parent = {(e.child, e.slot): e.parent for e in reversed(doc.gold_edges)}
+    gold_row = np.array(
+        [table_row.get(gold_parent.get((ids[m], EVENT_REF if e else TIMEX_REF)), -1)
+         for m, e in zip(child.tolist(), event_ref.tolist())], dtype=np.int64)
+    hit = np.flatnonzero(cand == gold_row[slot])
+    gold = np.full(len(child), -1, dtype=np.int32)
+    gold[slot[hit]] = hit
+
+    sent_tok = np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32)
+    sent_len = np.array([len(sentence) for sentence in sent_ids], dtype=np.int32)
+    return _FlatIndex(
+        doc,
+        mention_tok=np.array([i for span in spans for i in span], dtype=np.int32),
+        mention_len=np.array([len(span) for span in spans], dtype=np.int32),
+        sent_tok=sent_tok, sent_len=sent_len, phi_tok=sent_tok, phi_len=sent_len,
+        starts=_starts(np.bincount(slot, minlength=len(child))).astype(np.int32),
+        gold=gold, slot=slot.astype(np.int32), child=cand_child.astype(np.int32),
+        child_sent=sent[cand_child], cand=cand.astype(np.int32), cand_sent=cand_sent,
+        feat=feat)
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int32)  # lets an empty batch concatenate
+
+
+def _concat(indexes: list[_FlatIndex]) -> _FlatIndex:
+    """Lay indexes end to end, shifting every row reference to match.
+
+    Gold positions are shifted as they are, so callers check them first.
+    """
+    if len(indexes) == 1:
+        return indexes[0]
+
+    def cat(name: str) -> np.ndarray:
+        return np.concatenate([_NO_ROWS] + [getattr(idx, name) for idx in indexes])
+
+    def firsts(name: str) -> np.ndarray:
+        """Each index's first row among ``name``'s rows in the batch."""
+        return _starts(np.array([len(getattr(idx, name)) for idx in indexes]))
+
+    n_cand = [len(idx.cand) for idx in indexes]
+    n_slot = [len(idx.starts) for idx in indexes]
+    cand_first = np.repeat(firsts("cand"), n_slot)
+    mention_first = np.repeat(firsts("mention_len"), n_cand)
+    sent_first = np.repeat(firsts("sent_len"), n_cand)
+    cand, cand_sent = cat("cand"), cat("cand_sent")
+    return _FlatIndex(
+        None,
+        mention_tok=cat("mention_tok"), mention_len=cat("mention_len"),
+        sent_tok=cat("sent_tok"), sent_len=cat("sent_len"),
+        phi_tok=cat("phi_tok"), phi_len=cat("phi_len"),
+        starts=cat("starts") + cand_first, gold=cat("gold") + cand_first,
+        slot=cat("slot") + np.repeat(firsts("starts"), n_cand),
+        child=cat("child") + mention_first, child_sent=cat("child_sent") + sent_first,
+        cand=cand + np.where(cand >= N_META, mention_first, 0),
+        cand_sent=cand_sent + np.where(cand_sent > 0, sent_first, 0),
+        feat=cat("feat"))
 
 
 class RankingModel:
@@ -271,7 +359,7 @@ class RankingModel:
         self.config = config
         self.vocab = vocab
         self.params = params
-        self._index_cache: dict[str, _DocIndex] = {}
+        self._index_cache: dict[str, _FlatIndex] = {}
 
     @classmethod
     def initialized(cls, config: ModelConfig, vocab: Vocabulary,
@@ -279,90 +367,67 @@ class RankingModel:
         rng = np.random.Generator(np.random.PCG64(seed))
         return cls(config, vocab, init_params(config, vocab, rng))
 
-    def _index(self, doc: Document, dp_labels: DpLabelMap | None) -> _DocIndex:
+    def _index(self, doc: Document) -> _FlatIndex:
         cached = self._index_cache.get(doc.id)
-        if cached is not None and cached.doc is doc and (
-                self.config.variant != "dp_feature"
-                or cached.dp_labels is dp_labels):
+        if cached is not None and cached.doc is doc:
             return cached
-        idx = _DocIndex(doc, self.vocab, self.config.variant, dp_labels)
+        idx = _index_document(doc, self.vocab)
         self._index_cache[doc.id] = idx
         return idx
 
-    def _slot_features(self, idx: _DocIndex, reprs: _DocReprs,
-                       si: _SlotIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Assemble Phi (K, f); also return the candidate block A and child u."""
-        d = self.config.dim
-        k = len(si.candidates)
-        u = reprs.child[si.child_row]
-        s_c = reprs.sent_phi[si.child_sent]
-        a = np.empty((k, d))
-        meta = si.is_meta
-        if meta.any():
-            a[meta] = self.params["meta_embeddings"][si.cand_row[meta]]
-        if (~meta).any():
-            a[~meta] = reprs.cand[si.cand_row[~meta]]
-        s_a = np.zeros((k, d))
-        if (~meta).any():
-            s_a[~meta] = reprs.sent_phi[si.cand_sent[~meta]]
-        phi = np.empty((k, feature_dim(d)))
-        phi[:, 0:d] = u
-        phi[:, d:2 * d] = s_c
-        phi[:, 2 * d:3 * d] = a
-        phi[:, 3 * d:4 * d] = s_a
-        phi[:, 4 * d:5 * d] = u * a
-        phi[:, 5 * d:] = si.scalars
-        return phi, a, u
+    def _ranking_indexes(self, docs: list[Document],
+                         dp_labels: DpLabelMap | None) -> list[_FlatIndex]:
+        """Indexes whose ranking tokens carry this variant's sentence markers."""
+        indexes = [self._index(doc) for doc in docs]
+        if self.config.variant == "dp_feature":
+            for idx in indexes:
+                if dp_labels is None:
+                    raise ScorerError("variant dp_feature requires discourse labels to score")
+                if idx.dp_labels is not dp_labels:
+                    idx.add_markers(self.vocab, dp_labels)
+        return indexes
 
-    def _slot_scores(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z = phi @ self.params["w1"].T + self.params["b1"]
+    def _ranking_forward(self, batch: _FlatIndex):
+        """Forward pass over every candidate of a batch.
+
+        Returns the features Phi (one row per candidate), their child and
+        candidate blocks u and a, hidden pre-activations z, relu outputs r
+        and scores s.
+        """
+        p = self.params
+        emb = p["embeddings"]
+        mention = _segment_means(emb, batch.mention_tok, batch.mention_len)
+        sent = _segment_means(emb, batch.phi_tok, batch.phi_len)
+        u = (mention + emb[CHILD_MARK_INDEX])[batch.child]
+        a = np.concatenate([p["meta_embeddings"],
+                            mention + emb[CAND_MARK_INDEX]])[batch.cand]
+        no_sentence = np.zeros((1, self.config.dim))
+        scalars = (batch.feat[:, None] >> np.arange(N_SCALAR_FEATURES)) & 1
+        phi = np.concatenate([u, sent[batch.child_sent], a,
+                              np.concatenate([no_sentence, sent])[batch.cand_sent],
+                              u * a, scalars], axis=1)
+        z = phi @ p["w1"].T + p["b1"]
         r = np.maximum(z, 0.0)
-        s = r @ self.params["w2"] + self.params["b2"]
-        return z, r, s
+        s = r @ p["w2"] + p["b2"]
+        return phi, u, a, z, r, s
 
     def score_document(self, doc: Document,
                        dp_labels: DpLabelMap | None = None) -> dict[Slot, ScoredCandidates]:
         """Score every candidate of every slot of one document."""
-        idx = self._index(doc, dp_labels)
-        reprs = _DocReprs(idx, self.params, self.config.dim)
-        out: dict[Slot, ScoredCandidates] = {}
-        for si in idx.slots:
-            phi, _, _ = self._slot_features(idx, reprs, si)
-            _, _, s = self._slot_scores(phi)
-            out[si.slot] = ScoredCandidates(si.slot, list(si.candidates),
-                                            [float(v) for v in s])
-        return out
+        (idx,) = self._ranking_indexes([doc], dp_labels)
+        scores = self._ranking_forward(idx)[-1].tolist()
+        names = META_NODES + tuple(m.id for m in doc.ordered_mentions())
+        cands = [names[c] for c in idx.cand.tolist()]
+        starts = idx.starts.tolist()
+        return {slot: ScoredCandidates(slot, cands[start:end], scores[start:end])
+                for slot, start, end in zip(slot_instances(doc), starts,
+                                            starts[1:] + [len(cands)])}
 
     def dp_logits(self, doc: Document) -> np.ndarray:
         """(n_sentences, 9) content-type logits from plain sentence means."""
-        idx = self._index(doc, None) if self.config.variant != "dp_feature" else \
-            _DocIndex(doc, self.vocab, "baseline", None)
-        reprs = _DocReprs(idx, self.params, self.config.dim)
-        return reprs.sent_base @ self.params["dp_weight"].T + self.params["dp_bias"]
-
-    def _scatter_doc(self, idx: _DocIndex, grads: dict[str, np.ndarray],
-                     d_child: np.ndarray, d_cand: np.ndarray,
-                     d_sent_phi: np.ndarray, d_sent_base: np.ndarray | None) -> None:
-        """Push representation gradients down to the embedding table."""
-        demb = grads["embeddings"]
-        for row, ix in enumerate(idx.mention_tokens):
-            gc = d_child[row]
-            ga = d_cand[row]
-            if gc.any():
-                np.add.at(demb, ix, gc / len(ix))
-                demb[CHILD_MARK_INDEX] += gc
-            if ga.any():
-                np.add.at(demb, ix, ga / len(ix))
-                demb[CAND_MARK_INDEX] += ga
-        for j, ix in enumerate(idx.sent_tokens):
-            g = d_sent_phi[j]
-            if g.any():
-                np.add.at(demb, ix, g / len(ix))
-        if d_sent_base is not None:
-            for j, ix in enumerate(idx.sent_base_tokens):
-                g = d_sent_base[j]
-                if g.any():
-                    np.add.at(demb, ix, g / len(ix))
+        idx = self._index(doc)
+        sent = _segment_means(self.params["embeddings"], idx.sent_tok, idx.sent_len)
+        return sent @ self.params["dp_weight"].T + self.params["dp_bias"]
 
     def ranking_loss_and_grads(
         self, docs: list[Document], dp_labels: DpLabelMap | None = None,
@@ -373,49 +438,54 @@ class RankingModel:
         all slots of all documents in the batch.
         """
         grads = zero_grads(self.params)
-        d = self.config.dim
-        w1, w2 = self.params["w1"], self.params["w2"]
-        indexes = [self._index(doc, dp_labels) for doc in docs]
-        n_slots = sum(len(idx.slots) for idx in indexes)
+        indexes = self._ranking_indexes(docs, dp_labels)
+        for idx in indexes:
+            missing = np.flatnonzero(idx.gold < 0)
+            if missing.size:
+                slot = slot_instances(idx.doc)[missing[0]]
+                raise ScorerError(
+                    f"document {idx.doc.id}: slot {slot} has no gold parent among "
+                    f"its candidates {candidate_set(idx.doc, slot)}"
+                )
+        batch = _concat(indexes)
+        n_slots = len(batch.starts)
         if n_slots == 0:
             return 0.0, grads
-        total = 0.0
-        for idx in indexes:
-            reprs = _DocReprs(idx, self.params, d)
-            n_m = len(idx.mention_tokens)
-            n_s = len(idx.doc.sentences)
-            d_child = np.zeros((n_m, d))
-            d_cand = np.zeros((n_m, d))
-            d_sent = np.zeros((n_s, d))
-            d_meta = grads["meta_embeddings"]
-            for si in idx.slots:
-                if si.gold < 0:
-                    raise ScorerError(
-                        f"document {idx.doc.id}: slot {si.slot} has no gold parent"
-                    )
-                phi, a, u = self._slot_features(idx, reprs, si)
-                z, r, s = self._slot_scores(phi)
-                p = _softmax(s)
-                total -= np.log(p[si.gold])
-                g = p / n_slots
-                g[si.gold] -= 1.0 / n_slots
-                grads["b2"] += g.sum()
-                grads["w2"] += r.T @ g
-                dz = np.outer(g, w2) * (z > 0)
-                grads["w1"] += dz.T @ phi
-                grads["b1"] += dz.sum(axis=0)
-                dphi = dz @ w1
-                du = dphi[:, 0:d] + dphi[:, 4 * d:5 * d] * a
-                da = dphi[:, 2 * d:3 * d] + dphi[:, 4 * d:5 * d] * u
-                d_child[si.child_row] += du.sum(axis=0)
-                d_sent[si.child_sent] += dphi[:, d:2 * d].sum(axis=0)
-                meta = si.is_meta
-                if meta.any():
-                    np.add.at(d_meta, si.cand_row[meta], da[meta])
-                if (~meta).any():
-                    np.add.at(d_cand, si.cand_row[~meta], da[~meta])
-                    np.add.at(d_sent, si.cand_sent[~meta], dphi[:, 3 * d:4 * d][~meta])
-            self._scatter_doc(idx, grads, d_child, d_cand, d_sent, None)
+        d = self.config.dim
+        w1, w2 = self.params["w1"], self.params["w2"]
+        phi, u, a, z, r, s = self._ranking_forward(batch)
+        # segmented softmax; bincount sums each slot in order, as ndarray.sum
+        # does for fewer than eight candidates
+        e = np.exp(s - np.maximum.reduceat(s, batch.starts)[batch.slot])
+        p = e / np.bincount(batch.slot, weights=e)[batch.slot]
+        total = -np.log(p[batch.gold]).sum()
+        g = p / n_slots
+        g[batch.gold] -= 1.0 / n_slots
+        grads["b2"][...] = g.sum()
+        grads["w2"] = r.T @ g
+        dz = np.outer(g, w2) * (z > 0)
+        grads["w1"] = dz.T @ phi
+        grads["b1"] = dz.sum(axis=0)
+        dphi = dz @ w1
+        du = dphi[:, 0:d] + dphi[:, 4 * d:5 * d] * a
+        da = dphi[:, 2 * d:3 * d] + dphi[:, 4 * d:5 * d] * u
+        n_mentions = len(batch.mention_len)
+        d_child = _scatter_rows(batch.child, du, n_mentions)
+        d_table = _scatter_rows(batch.cand, da, N_META + n_mentions)
+        grads["meta_embeddings"] = d_table[:N_META]
+        d_cand = d_table[N_META:]
+        d_sent = _scatter_rows(
+            np.concatenate([batch.child_sent + 1, batch.cand_sent]),
+            np.concatenate([dphi[:, d:2 * d], dphi[:, 3 * d:4 * d]]),
+            1 + len(batch.phi_len))[1:]
+        demb = _token_grads(len(self.vocab), [
+            (batch.mention_tok, batch.mention_len, d_child),
+            (batch.mention_tok, batch.mention_len, d_cand),
+            (batch.phi_tok, batch.phi_len, d_sent),
+        ])
+        demb[CHILD_MARK_INDEX] += d_child.sum(axis=0)
+        demb[CAND_MARK_INDEX] += d_cand.sum(axis=0)
+        grads["embeddings"] = demb
         return float(total / n_slots), grads
 
     def dp_loss_and_grads(
@@ -424,30 +494,23 @@ class RankingModel:
         """Mean 9-way cross-entropy of the discourse head over all sentences."""
         require_dp_coverage(dp_labels, docs, what="batch")
         grads = zero_grads(self.params)
-        wd = self.params["dp_weight"]
-        indexes = [self._index(doc, dp_labels) for doc in docs]
-        n_sents = sum(len(idx.doc.sentences) for idx in indexes)
+        batch = _concat([self._index(doc) for doc in docs])
+        tokens, lengths = batch.sent_tok, batch.sent_len
+        n_sents = len(lengths)
         if n_sents == 0:
             return 0.0, grads
-        total = 0.0
-        for idx in indexes:
-            reprs = _DocReprs(idx, self.params, self.config.dim)
-            s = reprs.sent_base
-            labels = np.array(
-                [CONTENT_TYPE_INDEX[dp_labels[(idx.doc.id, j.index)]]
-                 for j in idx.doc.sentences], dtype=np.int64)
-            logits = s @ wd.T + self.params["dp_bias"]
-            p = _softmax(logits)
-            rows = np.arange(len(labels))
-            total -= np.log(p[rows, labels]).sum()
-            g = p / n_sents
-            g[rows, labels] -= 1.0 / n_sents
-            grads["dp_weight"] += g.T @ s
-            grads["dp_bias"] += g.sum(axis=0)
-            d_sent_base = g @ wd
-            zero = np.zeros((len(idx.mention_tokens), self.config.dim))
-            self._scatter_doc(idx, grads, zero, zero,
-                              np.zeros_like(d_sent_base), d_sent_base)
+        wd = self.params["dp_weight"]
+        labels = np.array([CONTENT_TYPE_INDEX[dp_labels[(doc.id, s.index)]]
+                           for doc in docs for s in doc.sentences], dtype=np.int64)
+        s = _segment_means(self.params["embeddings"], tokens, lengths)
+        p = _softmax(s @ wd.T + self.params["dp_bias"])
+        rows = np.arange(n_sents)
+        total = -np.log(p[rows, labels]).sum()
+        g = p / n_sents
+        g[rows, labels] -= 1.0 / n_sents
+        grads["dp_weight"] = g.T @ s
+        grads["dp_bias"] = g.sum(axis=0)
+        grads["embeddings"] = _token_grads(len(self.vocab), [(tokens, lengths, g @ wd)])
         return float(total / n_sents), grads
 
     def relu_pattern(self, docs: list[Document],
@@ -457,77 +520,8 @@ class RankingModel:
         Two parameter settings with equal patterns lie on the same linear
         region of the ranking loss, which finite differencing relies on.
         """
-        bits: list[np.ndarray] = []
-        for doc in docs:
-            idx = self._index(doc, dp_labels)
-            reprs = _DocReprs(idx, self.params, self.config.dim)
-            for si in idx.slots:
-                phi, _, _ = self._slot_features(idx, reprs, si)
-                z, _, _ = self._slot_scores(phi)
-                bits.append((z > 0).ravel())
-        if not bits:
-            return b""
-        return np.packbits(np.concatenate(bits)).tobytes()
-
-
-def finite_difference_check(
-    loss_and_grads,
-    params: dict[str, np.ndarray],
-    rng: np.random.Generator,
-    coords_per_tensor: int = 50,
-    step: float = 1e-5,
-    loss_and_pattern=None,
-) -> dict:
-    """Compare analytic gradients against central differences.
-
-    ``loss_and_grads(params)`` must return ``(loss, grads)``. For each tensor,
-    up to ``coords_per_tensor`` coordinates are sampled without replacement
-    and perturbed by ``+-step``. When ``loss_and_pattern`` is given (returning
-    ``(loss, pattern)``), coordinates whose two perturbed evaluations land in
-    different relu regions are resampled, because the loss is not
-    differentiable across a kink and the central difference is meaningless
-    there. Relative error uses ``|a - n| / max(1, |a|, |n|)``.
-    """
-    _, grads = loss_and_grads(params)
-
-    def eval_loss(p: dict[str, np.ndarray]):
-        if loss_and_pattern is not None:
-            return loss_and_pattern(p)
-        return loss_and_grads(p)[0], None
-
-    report = {"max_rel_err": 0.0, "checked": 0, "resampled": 0, "worst": None}
-    for name in sorted(params):
-        arr = params[name]
-        size = arr.size
-        k = min(coords_per_tensor, size)
-        order = rng.permutation(size)
-        chosen, pool = list(order[:k]), list(order[k:])
-        for flat in chosen:
-            flat = int(flat)
-            attempts = 0
-            while True:
-                bumped = dict(params)
-                plus = arr.copy()
-                plus.flat[flat] += step
-                bumped[name] = plus
-                loss_plus, pat_plus = eval_loss(bumped)
-                minus = arr.copy()
-                minus.flat[flat] -= step
-                bumped[name] = minus
-                loss_minus, pat_minus = eval_loss(bumped)
-                if pat_plus == pat_minus or not pool or attempts >= 20:
-                    break
-                report["resampled"] += 1
-                attempts += 1
-                flat = int(pool.pop())
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
-            analytic = float(grads[name].flat[flat])
-            rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            report["checked"] += 1
-            if rel > report["max_rel_err"]:
-                report["max_rel_err"] = rel
-                report["worst"] = (name, flat, analytic, numeric, rel)
-    return report
+        z = self._ranking_forward(_concat(self._ranking_indexes(docs, dp_labels)))[3]
+        return np.packbits(z > 0).tobytes()
 
 
 CHECKPOINT_FORMAT = 1

@@ -3,15 +3,20 @@
 Everything here is deliberately written with different mechanics than the
 package: the decoder re-scans all unassigned slots every step and checks
 acyclicity with a Floyd-Warshall transitive closure; the metrics counter
-tallies flat slot tuples. Plain Python only, no numpy.
+tallies flat slot tuples; the scorer reference runs the ranking MLP slot by
+slot and pushes gradients down one candidate and one token at a time. Plain
+Python only, except numpy in the scorer reference and the gradient check.
 """
 
 from __future__ import annotations
 
 import random
 
-from tdgparse.corpus import Document, GoldEdge, Mention, Sentence
+import numpy as np
+
+from tdgparse.corpus import CONTENT_TYPE_INDEX, Document, GoldEdge, Mention, Sentence
 from tdgparse.graph import Slot, TemporalDependencyGraph, candidate_set, slot_instances
+from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX
 
 META = ("DCT", "ROOT", "NO_EVENT")
 
@@ -190,3 +195,216 @@ def random_pred_graph(rng: random.Random, doc: Document) -> TemporalDependencyGr
                     chosen.append((slot.child, cand))
                 break
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
+
+
+# ------------------------------------------------------------------ scorer
+
+
+def _reference_tokens(model, doc: Document, dp_labels) -> tuple[dict, dict]:
+    """Token ids averaged for each sentence index and each mention id."""
+    vocab = model.vocab
+    sentences = {}
+    for s in doc.sentences:
+        ids = [vocab.lookup(t) for t in s.tokens]
+        if model.config.variant == "dp_feature":
+            ids.append(vocab.marker_index(dp_labels[(doc.id, s.index)]))
+        sentences[s.index] = ids
+    mentions = {m.id: [vocab.lookup(t) for t in
+                       doc.sentences[m.sentence].tokens[m.start:m.end]]
+                for m in doc.mentions}
+    return sentences, mentions
+
+
+def _reference_slot(model, doc: Document, slot: Slot, sentences: dict,
+                    mentions: dict) -> tuple[list[str], np.ndarray]:
+    """The candidates of one slot and their feature rows, built one by one."""
+    emb = model.params["embeddings"]
+    d = model.config.dim
+    position = {m.id: i for i, m in enumerate(doc.ordered_mentions())}
+    child = doc.mention(slot.child)
+    u = emb[mentions[child.id]].mean(axis=0) + emb[CHILD_MARK_INDEX]
+    s_child = emb[sentences[child.sentence]].mean(axis=0)
+    candidates = candidate_set(doc, slot)
+    rows = []
+    for cand in candidates:
+        scalars = [0.0] * 10
+        if cand in META:
+            a = model.params["meta_embeddings"][META.index(cand)]
+            s_cand = np.zeros(d)
+            scalars[7 + META.index(cand)] = 1.0
+        else:
+            other = doc.mention(cand)
+            a = emb[mentions[cand]].mean(axis=0) + emb[CAND_MARK_INDEX]
+            s_cand = emb[sentences[other.sentence]].mean(axis=0)
+            delta = abs(child.sentence - other.sentence)
+            scalars[delta if delta <= 2 else 3 if delta <= 5 else 4] = 1.0
+            scalars[5] = float(position[child.id] < position[cand])
+            scalars[6] = float(delta == 0)
+        rows.append(np.concatenate([u, s_child, a, s_cand, u * a, scalars]))
+    return candidates, np.array(rows)
+
+
+def _reference_mlp(model, phi: np.ndarray):
+    p = model.params
+    z = phi @ p["w1"].T + p["b1"]
+    r = np.maximum(z, 0.0)
+    return z, r, r @ p["w2"] + p["b2"]
+
+
+def reference_scores(model, doc: Document, dp_labels=None) -> dict:
+    """{slot: (candidates, scores)} from one MLP pass per slot."""
+    sentences, mentions = _reference_tokens(model, doc, dp_labels)
+    out = {}
+    for slot in slot_instances(doc):
+        candidates, phi = _reference_slot(model, doc, slot, sentences, mentions)
+        out[slot] = (candidates, list(_reference_mlp(model, phi)[2]))
+    return out
+
+
+def reference_relu_pattern(model, docs: list[Document], dp_labels=None) -> bytes:
+    bits = []
+    for doc in docs:
+        sentences, mentions = _reference_tokens(model, doc, dp_labels)
+        for slot in slot_instances(doc):
+            _, phi = _reference_slot(model, doc, slot, sentences, mentions)
+            bits.extend((_reference_mlp(model, phi)[0] > 0).ravel())
+    return np.packbits(np.array(bits, dtype=bool)).tobytes()
+
+
+def _spread(grad: np.ndarray, tokens: list[int], g: np.ndarray) -> None:
+    """Backward of a token mean: an equal share of g to each token."""
+    for t in tokens:
+        grad[t] += g / len(tokens)
+
+
+def reference_ranking_loss_and_grads(model, docs: list[Document], dp_labels=None):
+    """Mean listwise cross-entropy and its gradients, one slot and one candidate at a time."""
+    p = model.params
+    d = model.config.dim
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    n = sum(len(slot_instances(doc)) for doc in docs)
+    if n == 0:
+        return 0.0, grads
+    total = 0.0
+    for doc in docs:
+        sentences, mentions = _reference_tokens(model, doc, dp_labels)
+        gold = {(e.child, e.slot): e.parent for e in doc.gold_edges}
+        for slot in slot_instances(doc):
+            candidates, phi = _reference_slot(model, doc, slot, sentences, mentions)
+            z, r, s = _reference_mlp(model, phi)
+            prob = np.exp(s - s.max())
+            prob /= prob.sum()
+            k = candidates.index(gold[(slot.child, slot.slot)])
+            total -= np.log(prob[k])
+            g = prob / n
+            g[k] -= 1.0 / n
+            grads["b2"] += g.sum()
+            grads["w2"] += r.T @ g
+            dz = np.outer(g, p["w2"]) * (z > 0)
+            grads["w1"] += dz.T @ phi
+            grads["b1"] += dz.sum(axis=0)
+            child = doc.mention(slot.child)
+            for cand, row, dphi in zip(candidates, phi, dz @ p["w1"]):
+                u, a = row[0:d], row[2 * d:3 * d]
+                du = dphi[0:d] + dphi[4 * d:5 * d] * a
+                da = dphi[2 * d:3 * d] + dphi[4 * d:5 * d] * u
+                _spread(grads["embeddings"], mentions[child.id], du)
+                grads["embeddings"][CHILD_MARK_INDEX] += du
+                _spread(grads["embeddings"], sentences[child.sentence], dphi[d:2 * d])
+                if cand in META:
+                    grads["meta_embeddings"][META.index(cand)] += da
+                else:
+                    _spread(grads["embeddings"], mentions[cand], da)
+                    grads["embeddings"][CAND_MARK_INDEX] += da
+                    _spread(grads["embeddings"], sentences[doc.mention(cand).sentence],
+                            dphi[3 * d:4 * d])
+    return float(total / n), grads
+
+
+def reference_dp_loss_and_grads(model, docs: list[Document], dp_labels):
+    """Mean cross-entropy of the discourse head and its gradients, one sentence at a time."""
+    p = model.params
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    n = sum(len(doc.sentences) for doc in docs)
+    if n == 0:
+        return 0.0, grads
+    total = 0.0
+    for doc in docs:
+        for s in doc.sentences:
+            tokens = [model.vocab.lookup(t) for t in s.tokens]
+            x = p["embeddings"][tokens].mean(axis=0)
+            logits = p["dp_weight"] @ x + p["dp_bias"]
+            prob = np.exp(logits - logits.max())
+            prob /= prob.sum()
+            k = CONTENT_TYPE_INDEX[dp_labels[(doc.id, s.index)]]
+            total -= np.log(prob[k])
+            g = prob / n
+            g[k] -= 1.0 / n
+            grads["dp_weight"] += np.outer(g, x)
+            grads["dp_bias"] += g
+            _spread(grads["embeddings"], tokens, p["dp_weight"].T @ g)
+    return float(total / n), grads
+
+
+# ------------------------------------------------------------ gradient check
+
+
+def finite_difference_check(
+    loss_and_grads,
+    params: dict[str, np.ndarray],
+    rng: np.random.Generator,
+    coords_per_tensor: int = 50,
+    step: float = 1e-5,
+    loss_and_pattern=None,
+) -> dict:
+    """Compare analytic gradients against central differences.
+
+    ``loss_and_grads(params)`` must return ``(loss, grads)``. For each tensor,
+    up to ``coords_per_tensor`` coordinates are sampled without replacement
+    and perturbed by ``+-step``. When ``loss_and_pattern`` is given (returning
+    ``(loss, pattern)``), coordinates whose two perturbed evaluations land in
+    different relu regions are resampled, because the loss is not
+    differentiable across a kink and the central difference is meaningless
+    there. Relative error uses ``|a - n| / max(1, |a|, |n|)``.
+    """
+    _, grads = loss_and_grads(params)
+
+    def eval_loss(p: dict[str, np.ndarray]):
+        if loss_and_pattern is not None:
+            return loss_and_pattern(p)
+        return loss_and_grads(p)[0], None
+
+    report = {"max_rel_err": 0.0, "checked": 0, "resampled": 0, "worst": None}
+    for name in sorted(params):
+        arr = params[name]
+        size = arr.size
+        k = min(coords_per_tensor, size)
+        order = rng.permutation(size)
+        chosen, pool = list(order[:k]), list(order[k:])
+        for flat in chosen:
+            flat = int(flat)
+            attempts = 0
+            while True:
+                bumped = dict(params)
+                plus = arr.copy()
+                plus.flat[flat] += step
+                bumped[name] = plus
+                loss_plus, pat_plus = eval_loss(bumped)
+                minus = arr.copy()
+                minus.flat[flat] -= step
+                bumped[name] = minus
+                loss_minus, pat_minus = eval_loss(bumped)
+                if pat_plus == pat_minus or not pool or attempts >= 20:
+                    break
+                report["resampled"] += 1
+                attempts += 1
+                flat = int(pool.pop())
+            numeric = (loss_plus - loss_minus) / (2.0 * step)
+            analytic = float(grads[name].flat[flat])
+            rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+            report["checked"] += 1
+            if rel > report["max_rel_err"]:
+                report["max_rel_err"] = rel
+                report["worst"] = (name, flat, analytic, numeric, rel)
+    return report
+

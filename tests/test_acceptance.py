@@ -28,7 +28,6 @@ from tdgparse.scorer import (
     RankingModel,
     VARIANTS,
     build_vocabulary,
-    finite_difference_check,
     init_params,
 )
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
@@ -46,6 +45,7 @@ from tdgparse.training import (
 from .conftest import HAND_DOCS, HAND_DP_ROWS, make_doc
 from .oracles import (
     brute_force_metrics,
+    finite_difference_check,
     random_document,
     random_pred_graph,
     random_scores,

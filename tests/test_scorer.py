@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from tdgparse.corpus import ContentType
+from tdgparse.corpus import ContentType, Document, GoldEdge, Mention, Sentence
 from tdgparse.graph import Slot, greedy_decode
 from tdgparse.scorer import (
     ModelConfig,
     PARAM_ORDER,
+    VARIANTS,
     RankingModel,
     ScorerError,
     Vocabulary,
     build_vocabulary,
     feature_dim,
-    finite_difference_check,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -19,6 +19,13 @@ from tdgparse.scorer import (
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
 from .conftest import make_doc
+from .oracles import (
+    finite_difference_check,
+    reference_dp_loss_and_grads,
+    reference_ranking_loss_and_grads,
+    reference_relu_pattern,
+    reference_scores,
+)
 
 
 def tiny_doc():
@@ -186,6 +193,8 @@ def test_dp_logits_ignore_variant_markers():
     feat = RankingModel(ModelConfig(dim=3, hidden=2, variant="dp_feature"),
                         vocab, params)
     assert np.allclose(base.dp_logits(doc), feat.dp_logits(doc))
+    feat.score_document(doc, labels)  # caches the index with its markers
+    assert np.allclose(base.dp_logits(doc), feat.dp_logits(doc))
     assert base.dp_logits(doc).shape == (len(doc.sentences), 9)
 
 
@@ -228,6 +237,104 @@ def test_single_candidate_doc_has_zero_loss():
     assert loss == 0.0
     for name in PARAM_ORDER:
         assert not grads[name].any()
+
+
+def mixed_batch():
+    """Synthetic documents of different sizes, a timex-only one and a one-mention one."""
+    corpus, labels = generate_synthetic_corpus(
+        SynthConfig(n_docs=3, sentences_per_doc=(1, 8)), seed=12)
+    timexes = make_doc({
+        "id": "tx", "dct": "2021-06-01",
+        "sentences": [{"index": 0, "tokens": ["Monday", "then", "May"]},
+                      {"index": 1, "tokens": ["in", "1990"]}],
+        "mentions": [
+            {"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1},
+            {"id": "t2", "kind": "timex", "sentence": 0, "start": 2, "end": 3},
+            {"id": "t3", "kind": "timex", "sentence": 1, "start": 0, "end": 2},
+        ],
+        "edges": [
+            {"child": "t1", "slot": "timex_ref", "parent": "DCT"},
+            {"child": "t2", "slot": "timex_ref", "parent": "t1"},
+            {"child": "t3", "slot": "timex_ref", "parent": "ROOT"},
+        ],
+    })
+    single = make_doc({
+        "id": "one", "dct": "2021-06-01",
+        "sentences": [{"index": 0, "tokens": ["fire", "spread"]}],
+        "mentions": [{"id": "e1", "kind": "event", "sentence": 0,
+                      "start": 1, "end": 2}],
+        "edges": [{"child": "e1", "slot": "timex_ref", "parent": "DCT"}],
+    })
+    labels = dict(labels)
+    labels.update({("tx", 0): ContentType.M1, ("tx", 1): ContentType.D1,
+                   ("one", 0): ContentType.C2})
+    return corpus + [timexes, single], labels
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dim,hidden", [(1, 1), (3, 5), (8, 16)])
+def test_array_scorer_matches_per_slot_reference(variant, dim, hidden):
+    tol = 1e-12
+    docs, labels = mixed_batch()
+    vocab = build_vocabulary(docs)
+    config = ModelConfig(dim=dim, hidden=hidden, variant=variant)
+    rng = np.random.Generator(np.random.PCG64(100 * dim + hidden))
+    params = init_params(config, vocab, rng)
+    params["b1"] = rng.uniform(-0.05, 0.05, hidden)
+    params["dp_bias"] = rng.uniform(-0.05, 0.05, 9)
+    model = RankingModel(config, vocab, params)
+    for doc in docs:
+        got = model.score_document(doc, labels)
+        want = reference_scores(model, doc, labels)
+        assert list(got) == list(want)
+        for slot, (candidates, scores) in want.items():
+            assert got[slot].candidates == candidates
+            assert np.allclose(got[slot].scores, scores, rtol=0, atol=tol)
+    assert model.relu_pattern(docs, labels) == reference_relu_pattern(model, docs, labels)
+    for batch in (docs, docs[3:], docs[4:]):
+        for ours, reference in ((model.ranking_loss_and_grads,
+                                 reference_ranking_loss_and_grads),
+                                (model.dp_loss_and_grads, reference_dp_loss_and_grads)):
+            loss, grads = ours(batch, labels)
+            want_loss, want_grads = reference(model, batch, labels)
+            assert abs(loss - want_loss) <= tol
+            for name in PARAM_ORDER:
+                assert grads[name].shape == params[name].shape
+                assert np.allclose(grads[name], want_grads[name], rtol=0, atol=tol), name
+
+
+def test_zero_slot_batch():
+    empty = make_doc({
+        "id": "z", "dct": "2021-01-01",
+        "sentences": [{"index": 0, "tokens": ["quiet"]}],
+        "mentions": [], "edges": [],
+    })
+    vocab = build_vocabulary([empty])
+    model = RankingModel.initialized(ModelConfig(dim=3, hidden=2), vocab, seed=0)
+    for batch in ([], [empty]):
+        loss, grads = model.ranking_loss_and_grads(batch)
+        assert loss == 0.0
+        for name in PARAM_ORDER:
+            assert grads[name].shape == model.params[name].shape
+            assert not grads[name].any()
+        assert model.relu_pattern(batch) == b""
+    assert model.score_document(empty) == {}
+
+
+def test_gold_parent_outside_candidates_names_document_and_slot():
+    # ROOT is a candidate of timex slots only, so this event's gold is illegal
+    doc = Document(
+        id="bad", dct="2021-01-01", sentences=[Sentence(0, ("monday", "fire"))],
+        mentions=[Mention("t1", "timex", 0, 0, 1), Mention("e1", "event", 0, 1, 2)],
+        gold_edges=[GoldEdge("t1", "timex_ref", "DCT"),
+                    GoldEdge("e1", "timex_ref", "ROOT"),
+                    GoldEdge("e1", "event_ref", "NO_EVENT")])
+    model = RankingModel.initialized(ModelConfig(dim=3, hidden=2),
+                                     build_vocabulary([doc]), seed=0)
+    assert len(model.score_document(doc)) == 3
+    with pytest.raises(ScorerError, match=r"document bad: slot Slot\(child='e1', "
+                                          r"slot='timex_ref'\) has no gold parent"):
+        model.ranking_loss_and_grads([doc])
 
 
 @pytest.mark.parametrize("variant", ["baseline", "dp_feature", "dp_distill"])
