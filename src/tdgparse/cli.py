@@ -25,11 +25,9 @@ from .analysis import all_tables, render_csv, render_text, summary_checks
 from .corpus import (
     CorpusError,
     DpLabelError,
-    document_from_json,
     load_dp_labels,
-    normalize_no_event_edges,
     parse_corpus,
-    validate_document,
+    read_corpus,
     write_corpus,
     write_dp_labels,
 )
@@ -97,27 +95,12 @@ def cmd_validate(args) -> int:
 
     violations: list[str] = []
     docs = []
-    seen: set[str] = set()
-    with open(args.corpus, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{args.corpus}:{lineno}"
-            try:
-                doc = document_from_json(json.loads(line), where=where)
-            except json.JSONDecodeError as exc:
-                violations.append(f"{where}: malformed JSON: {exc}")
-                continue
-            except CorpusError as exc:
-                violations.append(str(exc))
-                continue
-            if doc.id in seen:
-                violations.append(f"{where}: duplicate document id {doc.id!r}")
-                continue
-            seen.add(doc.id)
-            doc = normalize_no_event_edges(doc)
-            violations.extend(f"{where}: {v}" for v in validate_document(doc))
-            docs.append(doc)
+    for where, doc, found in read_corpus(args.corpus):
+        if doc is None:
+            violations.extend(found)
+            continue
+        violations.extend(f"{where}: {v}" for v in found)
+        docs.append(doc)
     if args.dp_labels and not violations:
         try:
             load_dp_labels(args.dp_labels, docs)

@@ -11,6 +11,7 @@ after load.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -128,8 +129,17 @@ Corpus = list[Document]
 DpLabelMap = dict[tuple[str, int], ContentType]
 
 
-def _find_cycle(node_ids: list[str], out_edges: dict[str, list[str]]) -> list[str] | None:
-    """Return one directed cycle as a node list, or None if the graph is acyclic."""
+def find_cycle(node_ids: list[str], edges: list[tuple[str, str]]) -> list[str] | None:
+    """Return one directed cycle as a node list, or None if the graph is acyclic.
+
+    ``edges`` are (child, parent) pairs; a pair whose endpoints are not both
+    in ``node_ids`` (a meta parent, an unknown mention) is skipped.
+    """
+    known = set(node_ids)
+    out_edges: dict[str, list[str]] = {}
+    for child, parent in edges:
+        if child in known and parent in known:
+            out_edges.setdefault(child, []).append(parent)
     WHITE, GREY, BLACK = 0, 1, 2
     color = {n: WHITE for n in node_ids}
     for start in node_ids:
@@ -252,11 +262,8 @@ def validate_document(doc: Document) -> list[str]:
                 f"mention {m.id}: {event_ref_count[m.id]} reference-event edges, expected at most 1"
             )
 
-    out_edges: dict[str, list[str]] = {}
-    for edge in doc.gold_edges:
-        if edge.parent not in META_NODES and edge.child in by_id and edge.parent in by_id:
-            out_edges.setdefault(edge.child, []).append(edge.parent)
-    cycle = _find_cycle([m.id for m in doc.mentions], out_edges)
+    cycle = find_cycle([m.id for m in doc.mentions],
+                       [(e.child, e.parent) for e in doc.gold_edges])
     if cycle is not None:
         violations.append("gold edges form a cycle: " + " -> ".join(cycle))
 
@@ -314,31 +321,48 @@ def normalize_no_event_edges(doc: Document) -> Document:
                     mentions=doc.mentions, gold_edges=doc.gold_edges + extra)
 
 
-def parse_corpus(path: str | Path) -> Corpus:
-    """Load and validate a JSONL corpus; any violation aborts with the full list."""
+def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[str]]]:
+    """Read a JSONL corpus line by line, yielding ``(where, doc, violations)``.
+
+    ``where`` is ``path:lineno``. ``doc`` is None when a line yields no
+    document (malformed JSON, a structural error, a duplicate id); its one
+    violation then names the line itself. Otherwise ``doc`` is normalized and
+    ``violations`` is what validate_document finds in it. Blank lines are
+    skipped.
+    """
     path = Path(path)
-    docs: list[Document] = []
     seen: set[str] = set()
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                obj = json.loads(line)
+                doc = document_from_json(json.loads(line), where=where)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-            doc = document_from_json(obj, where=f"{path}:{lineno}")
+                yield where, None, [f"{where}: malformed JSON: {exc}"]
+                continue
+            except CorpusError as exc:
+                yield where, None, [str(exc)]
+                continue
             if doc.id in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate document id {doc.id!r}")
+                yield where, None, [f"{where}: duplicate document id {doc.id!r}"]
+                continue
             seen.add(doc.id)
             doc = normalize_no_event_edges(doc)
-            violations = validate_document(doc)
-            if violations:
-                listing = "\n  ".join(violations)
-                raise CorpusError(
-                    f"{path}:{lineno}: document {doc.id!r} is invalid:\n  {listing}"
-                )
-            docs.append(doc)
+            yield where, doc, validate_document(doc)
+
+
+def parse_corpus(path: str | Path) -> Corpus:
+    """Load and validate a JSONL corpus; the first bad line aborts with its violations."""
+    docs: list[Document] = []
+    for where, doc, violations in read_corpus(path):
+        if doc is None:
+            raise CorpusError(violations[0])
+        if violations:
+            listing = "\n  ".join(violations)
+            raise CorpusError(f"{where}: document {doc.id!r} is invalid:\n  {listing}")
+        docs.append(doc)
     return docs
 
 

@@ -21,7 +21,7 @@ from .corpus import (
     TIMEX,
     TIMEX_REF,
     Document,
-    Mention,
+    find_cycle,
 )
 
 
@@ -114,29 +114,27 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
                        doc: Document) -> bool:
     """True iff adding child -> parent closes a directed cycle.
 
-    Existing edges point child -> parent; a new edge cycles exactly when the
-    child is already reachable from the proposed parent. Meta parents have no
-    outgoing reference slots and therefore never cycle.
+    Legal edges form two functional graphs, timex -> timex through timex_ref
+    slots and event -> event through event_ref slots, each ending in meta
+    nodes; an event -> timex edge never lies on a cycle. So the new edge
+    cycles exactly when walking up the parent's own chain reaches the child.
+    The walk is a complete check as long as every edge is legal, which
+    _check_scores guarantees before greedy_decode fills a slot. A walk longer
+    than the edges allow means they already hold a cycle, which greedy_decode
+    never builds, and raises GraphError.
     """
     if parent in META_NODES:
         return False
-    if parent == child:
-        return True
-    out: dict[str, list[str]] = {}
-    for s, p in edges.items():
-        if p not in META_NODES:
-            out.setdefault(s.child, []).append(p)
-    frontier = [parent]
-    seen = {parent}
-    while frontier:
-        node = frontier.pop()
-        for nxt in out.get(node, ()):
-            if nxt == child:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
+    chain = TIMEX_REF if doc.mention(parent).kind == TIMEX else EVENT_REF
+    node = parent
+    for _ in range(len(edges) + 2):
+        if node == child:
+            return True
+        node = edges.get(Slot(node, chain))
+        if node is None or node in META_NODES:
+            return False
+    raise GraphError(f"document {doc.id}: the {chain} edges above {parent} "
+                     f"already form a cycle")
 
 
 def _check_scores(doc: Document, scores: dict[Slot, ScoredCandidates]) -> list[Slot]:
@@ -213,28 +211,10 @@ def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:
         legal = candidate_set(doc, slot)
         if parent not in legal:
             violations.append(f"slot {slot}: parent {parent} is not a legal candidate")
-    out: dict[str, list[str]] = {}
-    for slot, parent in graph.edges.items():
-        if parent not in META_NODES:
-            out.setdefault(slot.child, []).append(parent)
-
-    def reaches_back(start: str) -> bool:
-        stack = [start]
-        seen = {start}
-        while stack:
-            node = stack.pop()
-            for nxt in out.get(node, ()):
-                if nxt == start:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
-    for m in doc.mentions:
-        if reaches_back(m.id):
-            violations.append(f"mention {m.id} lies on a cycle")
-            break
+    cycle = find_cycle([m.id for m in doc.mentions],
+                       [(slot.child, parent) for slot, parent in graph.edges.items()])
+    if cycle is not None:
+        violations.append("edges form a cycle: " + " -> ".join(cycle))
     return violations
 
 

@@ -14,14 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (
-    CONTENT_TYPE_INDEX,
-    ContentType,
-    Corpus,
-    DpLabelMap,
-    require_dp_coverage,
-)
-from .graph import ScoredCandidates, TemporalDependencyGraph, greedy_decode
+from . import evaluation
+from .corpus import Corpus, DpLabelMap, require_dp_coverage
+from .graph import TemporalDependencyGraph, greedy_decode
 from .scorer import (
     ModelConfig,
     RankingModel,
@@ -70,26 +65,6 @@ class TrainConfig:
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(dim=self.dim, hidden=self.hidden, variant=self.variant)
-
-
-def ranking_loss(scored: ScoredCandidates, gold: str) -> float:
-    """-log softmax(score of the gold candidate); 0 iff gold is certain."""
-    if gold not in scored.candidates:
-        raise ValueError(f"gold {gold!r} is not a candidate of slot {scored.slot}")
-    scores = np.asarray(scored.scores, dtype=np.float64)
-    shifted = scores - scores.max()
-    log_z = math.log(np.exp(shifted).sum())
-    return float(log_z - shifted[scored.candidates.index(gold)])
-
-
-def dp_loss(logits, teacher: ContentType) -> float:
-    """9-way cross-entropy of a sentence's content-type logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (9,):
-        raise ValueError(f"expected 9 logits, got shape {logits.shape}")
-    shifted = logits - logits.max()
-    log_z = math.log(np.exp(shifted).sum())
-    return float(log_z - shifted[CONTENT_TYPE_INDEX[teacher]])
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, peak: float) -> float:
@@ -172,14 +147,6 @@ def decode_corpus(model: RankingModel, corpus: Corpus,
     return out
 
 
-def _attachment_accuracy(preds: dict[str, TemporalDependencyGraph],
-                         corpus: Corpus) -> float:
-    # local import: evaluation depends on graph, not on training
-    from .evaluation import attachment_accuracy
-
-    return attachment_accuracy(preds, corpus)
-
-
 def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
           dp_labels: DpLabelMap | None, seed: int,
           vocab: Vocabulary | None = None) -> tuple[RankingModel, TrainHistory]:
@@ -215,8 +182,7 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     total_steps = steps_per_epoch * config.max_epochs
     warmup_steps = steps_per_epoch * config.warmup_epochs
 
-    rank_labels = dp_labels if variant == "dp_feature" else None
-    decode_labels = dp_labels if variant == "dp_feature" else None
+    feature_labels = dp_labels if variant == "dp_feature" else None
 
     def step(grads) -> None:
         lr = lr_at(state.t + 1, total_steps, warmup_steps, config.peak_lr)
@@ -236,7 +202,7 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
 
             def batch_losses():
                 if variant != "dp_distill":
-                    loss, grads = model.ranking_loss_and_grads(batch, rank_labels)
+                    loss, grads = model.ranking_loss_and_grads(batch, feature_labels)
                     yield "ranking", loss, grads
                 elif config.update_order == "joint":
                     r_loss, r_grads = model.ranking_loss_and_grads(batch)
@@ -267,9 +233,9 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
                     rank_losses.append(loss)
                 step(grads)
 
-        preds = decode_corpus(model, valid_corpus, decode_labels,
+        preds = decode_corpus(model, valid_corpus, feature_labels,
                               order=config.decode_order)
-        accuracy = _attachment_accuracy(preds, valid_corpus)
+        accuracy = evaluation.attachment_accuracy(preds, valid_corpus)
         history.epochs.append(EpochRecord(
             epoch=epoch,
             ranking_loss=float(np.mean(rank_losses)) if rank_losses else 0.0,

@@ -1,5 +1,13 @@
+import os
+
+# one BLAS thread, set before numpy loads: the batch matrix products are big
+# enough for OpenBLAS to use a thread per core, which runs several times
+# slower when another process is busy on one of the cores
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import json
 
+import numpy as np
 import pytest
 
 from tdgparse.corpus import (
@@ -7,6 +15,14 @@ from tdgparse.corpus import (
     document_from_json,
     normalize_no_event_edges,
     validate_document,
+)
+from tdgparse.scorer import (
+    N_SCALAR_FEATURES,
+    ModelConfig,
+    RankingModel,
+    build_vocabulary,
+    feature_dim,
+    init_params,
 )
 
 
@@ -17,6 +33,44 @@ def make_doc(obj: dict, validate: bool = True):
         violations = validate_document(doc)
         assert not violations, violations
     return doc
+
+
+ONE_TIMEX_DOC = {
+    "id": "one", "dct": "2021-01-01",
+    "sentences": [{"index": 0, "tokens": ["today"]}],
+    "mentions": [{"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1}],
+    "edges": [{"child": "t1", "slot": "timex_ref", "parent": "DCT"}],
+}
+
+
+def _zero_model(doc) -> RankingModel:
+    """A small model over ``doc``'s vocabulary with every parameter zero."""
+    config = ModelConfig(dim=2, hidden=1)
+    vocab = build_vocabulary([doc])
+    params = init_params(config, vocab, np.random.default_rng(0))
+    return RankingModel(config, vocab, {n: np.zeros_like(a) for n, a in params.items()})
+
+
+def hand_ranking_loss(dct_score: float) -> float:
+    """The ranking loss of a one-timex document whose gold parent is DCT.
+
+    Its candidates are DCT and ROOT; the parameters make DCT score
+    ``dct_score`` (>= 0, passed through one relu unit) and ROOT score 0.
+    """
+    doc = make_doc(ONE_TIMEX_DOC)
+    model = _zero_model(doc)
+    dct_feature = feature_dim(model.config.dim) - N_SCALAR_FEATURES + 7  # scalar 7: DCT
+    model.params["w1"][0, dct_feature] = dct_score
+    model.params["w2"][0] = 1.0
+    return model.ranking_loss_and_grads([doc])[0]
+
+
+def hand_dp_loss(logits, teacher: ContentType) -> float:
+    """The dp loss of a one-sentence document whose head outputs ``logits``."""
+    doc = make_doc(ONE_TIMEX_DOC)
+    model = _zero_model(doc)
+    model.params["dp_bias"][:] = logits
+    return model.dp_loss_and_grads([doc], {(doc.id, 0): teacher})[0]
 
 
 # A three-document corpus small enough to tally every table by hand:

