@@ -116,12 +116,6 @@ class Document:
         """Mentions in document order: by sentence, then span position."""
         return self._ordered
 
-    def timexes(self) -> list[Mention]:
-        return [m for m in self._ordered if m.kind == TIMEX]
-
-    def events(self) -> list[Mention]:
-        return [m for m in self._ordered if m.kind == EVENT]
-
 
 Corpus = list[Document]
 
@@ -195,6 +189,8 @@ def validate_document(doc: Document) -> list[str]:
             violations.append(f"mention {m.id}: duplicate id")
             continue
         seen_ids.add(m.id)
+        if m.id in META_NODES:
+            violations.append(f"mention {m.id}: id is reserved for a meta node")
         if m.kind not in MENTION_KINDS:
             violations.append(f"mention {m.id}: unknown kind {m.kind!r}")
         if not 0 <= m.sentence < n_sents:

@@ -75,11 +75,12 @@ def _iter_slot_pairs(preds: dict[str, TemporalDependencyGraph], gold: Corpus):
             raise EvaluationError(f"no prediction for document {doc.id!r}")
         gold_parents = {(e.child, e.slot): e.parent for e in doc.gold_edges}
         for slot in slot_instances(doc):
-            if slot not in graph.edges:
+            pred_parent = graph.edges.get(slot)
+            if pred_parent is None:
                 raise EvaluationError(
                     f"document {doc.id}: missing prediction for slot {slot}"
                 )
-            yield doc, slot, graph.edges[slot], gold_parents[(slot.child, slot.slot)]
+            yield doc, slot, pred_parent, gold_parents[slot]
 
 
 def attachment_accuracy(preds: dict[str, TemporalDependencyGraph],

@@ -9,7 +9,9 @@ highest-ranked candidate that keeps the growing graph acyclic. Meta parents
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import (
     DCT,
@@ -29,8 +31,7 @@ class GraphError(Exception):
     """A decoded or supplied graph violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """One reference decision: the child mention and which slot is being filled."""
 
     child: str
@@ -39,16 +40,16 @@ class Slot:
 
 @dataclass
 class ScoredCandidates:
-    """Scores for every candidate of one slot, sorted once for decoding.
+    """Scores for every candidate of one slot.
 
-    ranked() yields candidates by descending score; equal scores keep their
+    ranked() lists candidates by descending score; equal scores keep their
     candidate_set order, so ranking is deterministic given the score vector.
+    Scores must be finite, which makes top() the head of ranked().
     """
 
     slot: Slot
     candidates: list[str]
     scores: list[float]
-    _ranked: list[tuple[str, float]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.candidates) != len(self.scores):
@@ -58,14 +59,20 @@ class ScoredCandidates:
             )
         if len(set(self.candidates)) != len(self.candidates):
             raise GraphError(f"slot {self.slot}: duplicate candidates")
-        pairs = list(zip(self.candidates, self.scores))
-        self._ranked = sorted(pairs, key=lambda cs: -cs[1])
+        if not all(map(math.isfinite, self.scores)):
+            bad = next(c for c, v in zip(self.candidates, self.scores)
+                       if not math.isfinite(v))
+            raise GraphError(f"slot {self.slot}: candidate {bad} has a non-finite score")
 
     def ranked(self) -> list[tuple[str, float]]:
-        return self._ranked
+        return sorted(zip(self.candidates, self.scores), key=lambda cs: -cs[1])
+
+    def top(self) -> str:
+        """The first candidate with the highest score: ranked()[0] without the sort."""
+        return self.candidates[self.scores.index(max(self.scores))]
 
     def top_score(self) -> float:
-        return self._ranked[0][1]
+        return max(self.scores)
 
 
 @dataclass
@@ -93,21 +100,39 @@ def slot_instances(doc: Document) -> list[Slot]:
     return slots
 
 
-def candidate_set(doc: Document, slot: Slot) -> list[str]:
-    """Legal parents for a slot, meta nodes first, mentions in document order.
+def candidate_sets(doc: Document) -> dict[Slot, list[str]]:
+    """Legal parents of every slot, keyed in slot_instances order.
 
+    Meta nodes come first, then mentions in document order:
     - timex reference-timex: DCT, ROOT, then every other timex;
     - event reference-timex: DCT, then every timex;
     - event reference-event: NO_EVENT, then every other event.
+    Every slot gets a list of its own.
     """
-    child = doc.mention(slot.child)
-    if slot.slot == TIMEX_REF:
-        if child.kind == TIMEX:
-            return [DCT, ROOT] + [t.id for t in doc.timexes() if t.id != child.id]
-        return [DCT] + [t.id for t in doc.timexes()]
-    if child.kind != EVENT:
-        raise GraphError(f"timex {child.id} has no reference-event slot")
-    return [NO_EVENT] + [e.id for e in doc.events() if e.id != child.id]
+    mentions = doc.ordered_mentions()
+    timexes = [m.id for m in mentions if m.kind == TIMEX]
+    events = [m.id for m in mentions if m.kind == EVENT]
+    sets: dict[Slot, list[str]] = {}
+    t = e = 0
+    for m in mentions:
+        if m.kind == TIMEX:
+            sets[Slot(m.id, TIMEX_REF)] = [DCT, ROOT] + timexes[:t] + timexes[t + 1:]
+            t += 1
+        else:
+            sets[Slot(m.id, TIMEX_REF)] = [DCT] + timexes
+        if m.kind == EVENT:
+            sets[Slot(m.id, EVENT_REF)] = [NO_EVENT] + events[:e] + events[e + 1:]
+            e += 1
+    return sets
+
+
+def candidate_set(doc: Document, slot: Slot) -> list[str]:
+    """Legal parents of one slot, as candidate_sets lists them."""
+    sets = candidate_sets(doc)
+    if slot not in sets:
+        kind = doc.mention(slot.child).kind  # KeyError for an unknown mention
+        raise GraphError(f"{kind} {slot.child} has no {slot.slot} slot")
+    return sets[slot]
 
 
 def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
@@ -138,25 +163,24 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
 
 
 def _check_scores(doc: Document, scores: dict[Slot, ScoredCandidates]) -> list[Slot]:
-    slots = slot_instances(doc)
-    missing = [s for s in slots if s not in scores]
+    sets = candidate_sets(doc)
+    missing = [s for s in sets if s not in scores]
     if missing:
         raise GraphError(
             f"document {doc.id}: no scores for slots {missing[:3]}"
             + ("..." if len(missing) > 3 else "")
         )
-    extra = set(scores) - set(slots)
+    extra = scores.keys() - sets.keys()
     if extra:
         raise GraphError(f"document {doc.id}: scores for unknown slots {sorted(extra, key=str)[:3]}")
-    for slot in slots:
-        expected = candidate_set(doc, slot)
+    for slot, expected in sets.items():
         got = scores[slot].candidates
         if got != expected:
             raise GraphError(
                 f"document {doc.id}, slot {slot}: candidates {got} "
                 f"do not match the candidate set {expected}"
             )
-    return slots
+    return list(sets)
 
 
 def greedy_decode(doc: Document, scores: dict[Slot, ScoredCandidates],
@@ -167,16 +191,22 @@ def greedy_decode(doc: Document, scores: dict[Slot, ScoredCandidates],
     ties keep canonical order); order="document" visits them in canonical
     order. Each slot takes the first candidate in rank order that does not
     close a cycle with the edges chosen so far; a meta candidate is always
-    available, so decoding cannot fail.
+    available, so decoding cannot fail. The top candidate is tried before
+    any ranking is built, since it rarely closes a cycle.
     """
     if order not in ("score", "document"):
         raise GraphError(f"unknown decode order {order!r}")
     slots = _check_scores(doc, scores)
     if order == "score":
-        slots = sorted(slots, key=lambda s: -scores[s].top_score())
+        slots.sort(key=lambda s: -scores[s].top_score())
     edges: dict[Slot, str] = {}
     for slot in slots:
-        for cand, _score in scores[slot].ranked():
+        scored = scores[slot]
+        top = scored.top()
+        if not would_create_cycle(slot.child, top, edges, doc):
+            edges[slot] = top
+            continue
+        for cand, _score in scored.ranked()[1:]:
             if not would_create_cycle(slot.child, cand, edges, doc):
                 edges[slot] = cand
                 break
@@ -200,16 +230,15 @@ def gold_graph(doc: Document) -> TemporalDependencyGraph:
 def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:
     """Check totality, candidate legality, and acyclicity of a full graph."""
     violations: list[str] = []
-    slots = slot_instances(doc)
-    for slot in slots:
+    sets = candidate_sets(doc)
+    for slot in sets:
         if slot not in graph.edges:
             violations.append(f"slot {slot} is unfilled")
     for slot, parent in graph.edges.items():
-        if slot not in slots:
+        legal = sets.get(slot)
+        if legal is None:
             violations.append(f"slot {slot} does not belong to document {doc.id}")
-            continue
-        legal = candidate_set(doc, slot)
-        if parent not in legal:
+        elif parent not in legal:
             violations.append(f"slot {slot}: parent {parent} is not a legal candidate")
     cycle = find_cycle([m.id for m in doc.mentions],
                        [(slot.child, parent) for slot, parent in graph.edges.items()])

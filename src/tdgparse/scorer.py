@@ -132,23 +132,22 @@ def build_vocabulary(corpus: Corpus) -> Vocabulary:
     return Vocabulary(list(RESERVED_TOKENS) + ordered)
 
 
+def param_shapes(config: ModelConfig, vocab: Vocabulary) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter tensor, in PARAM_ORDER."""
+    d, h = config.dim, config.hidden
+    n_types = len(CONTENT_TYPES)
+    return {"embeddings": (len(vocab), d), "meta_embeddings": (N_META, d),
+            "w1": (h, feature_dim(d)), "b1": (h,), "w2": (h,), "b2": (),
+            "dp_weight": (n_types, d), "dp_bias": (n_types,)}
+
+
 def init_params(config: ModelConfig, vocab: Vocabulary,
                 rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform(-0.05, 0.05) weights drawn in a fixed order; biases start at zero."""
-    d, h = config.dim, config.hidden
-    f = feature_dim(d)
+    """Uniform(-0.05, 0.05) weights drawn in PARAM_ORDER; biases start at zero."""
     scale = 0.05
-    params = {
-        "embeddings": rng.uniform(-scale, scale, (len(vocab), d)),
-        "meta_embeddings": rng.uniform(-scale, scale, (3, d)),
-        "w1": rng.uniform(-scale, scale, (h, f)),
-        "b1": np.zeros(h),
-        "w2": rng.uniform(-scale, scale, h),
-        "b2": np.zeros(()),
-        "dp_weight": rng.uniform(-scale, scale, (9, d)),
-        "dp_bias": np.zeros(9),
-    }
-    return {name: params[name] for name in PARAM_ORDER}
+    return {name: np.zeros(shape) if name in ("b1", "b2", "dp_bias")
+            else rng.uniform(-scale, scale, shape)
+            for name, shape in param_shapes(config, vocab).items()}
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -351,11 +350,14 @@ class RankingModel:
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary,
                  params: dict[str, np.ndarray]):
-        expected = set(PARAM_ORDER)
-        if set(params) != expected:
-            raise ScorerError(f"params must have exactly the keys {sorted(expected)}")
-        if params["embeddings"].shape != (len(vocab), config.dim):
-            raise ScorerError("embedding table does not match vocabulary/config")
+        if set(params) != set(PARAM_ORDER):
+            raise ScorerError(f"params must have exactly the keys {sorted(PARAM_ORDER)}")
+        for name, shape in param_shapes(config, vocab).items():
+            if params[name].shape != shape:
+                raise ScorerError(f"parameter {name} has shape {params[name].shape}, "
+                                  f"expected {shape} for this vocabulary and config")
+            if not np.all(np.isfinite(params[name])):
+                raise ScorerError(f"parameter {name} holds non-finite values")
         self.config = config
         self.vocab = vocab
         self.params = params

@@ -106,6 +106,70 @@ def test_train_rejects_the_cycle_validate_reports(tmp_path, capsys):
     assert f"{corpus}:1" in err and cycle in err
 
 
+def meta_named_doc(name: str) -> dict:
+    """One timex whose id is the name of a meta node."""
+    return {
+        "id": "m", "dct": "2021-01-01",
+        "sentences": [{"index": 0, "tokens": ["today"]}],
+        "mentions": [{"id": name, "kind": "timex", "sentence": 0, "start": 0, "end": 1}],
+        "edges": [{"child": name, "slot": "timex_ref",
+                   "parent": "ROOT" if name == "DCT" else "DCT"}],
+    }
+
+
+@pytest.mark.parametrize("name", ["DCT", "ROOT", "NO_EVENT"])
+def test_validate_rejects_meta_node_ids(name, tmp_path, capsys):
+    corpus = tmp_path / "meta.jsonl"
+    corpus.write_text(json.dumps(meta_named_doc(name)) + "\n", encoding="utf-8")
+    assert main(["validate", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "report")]) == 1
+    report = read_json(tmp_path / "report" / "report.json")
+    assert f"{corpus}:1: mention {name}: id is reserved for a meta node" \
+        in report["violations"]
+    capsys.readouterr()
+
+
+def test_train_rejects_meta_node_ids(tmp_path, capsys):
+    corpus = tmp_path / "meta.jsonl"
+    corpus.write_text(json.dumps(meta_named_doc("DCT")) + "\n", encoding="utf-8")
+    code = main(["train", "--train", str(corpus), "--valid", str(corpus),
+                 *SMALL_TRAIN, "--out", str(tmp_path / "model")])
+    assert code == 1
+    assert "mention DCT: id is reserved for a meta node" in capsys.readouterr().err
+
+
+def _break_w1_shape(params):
+    hidden, width = params["w1"]["shape"]
+    params["w1"] = {"shape": [hidden, width - 1], "data": [0.0] * (hidden * (width - 1))}
+    return "parameter w1 has shape"
+
+
+def _make_w2_nan(params):
+    params["w2"]["data"][0] = float("nan")
+    return "parameter w2 holds non-finite values"
+
+
+@pytest.mark.parametrize("corrupt", [_break_w1_shape, _make_w2_nan])
+def test_predict_rejects_bad_checkpoint_tensors(corrupt, tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SMALL_SYNTH), encoding="utf-8")
+    assert main(["synth", "--config", str(config), "--seed", "2",
+                 "--out", str(tmp_path / "data")]) == 0
+    corpus = str(tmp_path / "data" / "corpus.jsonl")
+    assert main(["train", "--variant", "baseline", "--train", corpus,
+                 "--valid", corpus, *SMALL_TRAIN, "--out", str(tmp_path / "run")]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint-seed0.json"
+    obj = read_json(checkpoint)
+    message = corrupt(obj["params"])
+    checkpoint.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint", str(checkpoint), "--corpus", corpus,
+                 "--out", str(tmp_path / "preds")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "preds" / "predictions.jsonl").exists()
+
+
 def test_validate_missing_file_is_usage_error(tmp_path, capsys):
     code = main(["validate", "--corpus", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "out")])

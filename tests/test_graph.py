@@ -300,9 +300,56 @@ def test_scored_candidates_checks():
         ScoredCandidates(slot, ["DCT", "ROOT"], [0.0])
     with pytest.raises(GraphError, match="duplicate"):
         ScoredCandidates(slot, ["DCT", "DCT"], [0.0, 0.0])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(GraphError, match="candidate ROOT has a non-finite score"):
+            ScoredCandidates(slot, ["DCT", "ROOT"], [0.0, bad])
     sc = ScoredCandidates(slot, ["DCT", "ROOT", "t2"], [0.1, 0.7, 0.7])
     assert sc.ranked() == [("ROOT", 0.7), ("t2", 0.7), ("DCT", 0.1)]
+    assert sc.top() == "ROOT"
     assert sc.top_score() == 0.7
+
+
+def test_slot_is_an_immutable_named_pair():
+    slot = Slot("t1", "timex_ref")
+    assert repr(slot) == "Slot(child='t1', slot='timex_ref')"
+    assert f"slot {slot}" == "slot Slot(child='t1', slot='timex_ref')"
+    assert (slot.child, slot.slot) == ("t1", "timex_ref")
+    assert slot == Slot(child="t1", slot="timex_ref") == ("t1", "timex_ref")
+    assert slot != Slot("t1", "event_ref")
+    assert hash(slot) == hash(Slot("t1", "timex_ref")) == hash(("t1", "timex_ref"))
+    table = {slot: "DCT", Slot("e1", "timex_ref"): "t1"}
+    assert table[Slot("t1", "timex_ref")] == "DCT"
+    assert table[("e1", "timex_ref")] == "t1"
+    assert Slot("e1", "event_ref") not in table
+    with pytest.raises(AttributeError):
+        slot.child = "t2"
+
+
+def test_decode_checks_each_candidate_at_most_once(monkeypatch):
+    """The top-first shortcut never checks a slot's top candidate twice."""
+    checks = []
+
+    def counting(child, parent, edges, doc):
+        checks.append((child, parent))
+        return would_create_cycle(child, parent, edges, doc)
+
+    monkeypatch.setattr("tdgparse.graph.would_create_cycle", counting)
+    rng = random.Random(23)
+    overridden = 0
+    for trial in range(200):
+        doc = random_document(rng, max_mentions=8, doc_id=f"c{trial}")
+        scores = random_scores(rng, doc)
+        for order in ("score", "document"):
+            checks.clear()
+            graph = greedy_decode(doc, scores, order=order)
+            # an event's two slots have disjoint candidates, so a repeated
+            # (child, parent) pair is a repeated check
+            assert len(checks) == len(set(checks))
+            ranks = {s: [c for c, _ in scores[s].ranked()].index(p)
+                     for s, p in graph.edges.items()}
+            assert len(checks) == len(ranks) + sum(ranks.values())
+            overridden += sum(r > 0 for r in ranks.values())
+    assert overridden > 0
 
 
 def test_graph_json_round_trip(hand_corpus):

@@ -1,0 +1,88 @@
+"""The benchmark's hooks still find every package name they patch.
+
+``perfbench/tracing.py`` and the host-speed probes in ``perfbench/run.py``
+replace package functions by name; a rename in the package would otherwise
+only show when a traced benchmark run fails.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+from tdgparse import graph, scorer, training
+
+from .conftest import make_doc
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import hostspeed
+    import tracing
+    yield tracing, hostspeed
+    for name in ("tracing", "hostspeed"):
+        sys.modules.pop(name, None)
+
+
+def test_tracer_patches_and_restores_every_name(perfbench_modules):
+    tracing, _ = perfbench_modules
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = [(owner, attr) for owner, attr, _ in tracer._patched]
+        assert (graph, "candidate_set") in patched
+        assert (scorer, "candidate_set") in patched
+        assert (training, "greedy_decode") in patched
+        assert (graph, "would_create_cycle") in patched
+        originals = [original for _, _, original in tracer._patched]
+
+        # a traced decode runs the hooks that read ScoredCandidates
+        doc = make_doc({
+            "id": "d", "dct": "2021-01-01",
+            "sentences": [{"index": 0, "tokens": ["monday", "fire"]}],
+            "mentions": [
+                {"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1},
+                {"id": "e1", "kind": "event", "sentence": 0, "start": 1, "end": 2},
+            ],
+            "edges": [{"child": "t1", "slot": "timex_ref", "parent": "DCT"},
+                      {"child": "e1", "slot": "timex_ref", "parent": "t1"}],
+        })
+        model = scorer.RankingModel.initialized(
+            scorer.ModelConfig(dim=2, hidden=2), scorer.build_vocabulary([doc]), seed=0)
+        decoded = graph.greedy_decode(doc, model.score_document(doc))
+        metrics = tracer.layer_metrics()
+        assert metrics["graph.slots_decoded"] == len(decoded.edges) == 3
+        assert metrics["scorer.candidates_scored"] == 2 + 2 + 1
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in zip(patched, originals):
+        assert getattr(owner, attr) is original
+
+
+def _probing_calls():
+    """(owner module, names) of every ``probing(...)`` call in perfbench/run.py."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "probing"):
+            owner, *names = node.args
+            yield owner.id, [name.value for name in names]
+
+
+def test_host_clock_probing_targets_exist(perfbench_modules):
+    _, hostspeed = perfbench_modules
+    calls = list(_probing_calls())
+    assert ("training", ["adamw_step", "greedy_decode"]) in calls
+    modules = {"graph": graph, "scorer": scorer, "training": training}
+    clock = hostspeed.HostClock(enabled=True)
+    for owner, names in calls:
+        module = modules[owner]
+        originals = [getattr(module, name) for name in names]
+        with clock.probing(module, *names):
+            assert all(getattr(module, name) is not fn
+                       for name, fn in zip(names, originals))
+        assert [getattr(module, name) for name in names] == originals

@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
-from tdgparse.corpus import ContentType, Document, GoldEdge, Mention, Sentence
-from tdgparse.graph import Slot, greedy_decode
+from tdgparse.corpus import META_NODES, ContentType, Document, GoldEdge, Mention, Sentence
+from tdgparse.graph import Slot, candidate_set, candidate_sets, greedy_decode, slot_instances
 from tdgparse.scorer import (
     ModelConfig,
     PARAM_ORDER,
@@ -12,8 +14,10 @@ from tdgparse.scorer import (
     Vocabulary,
     build_vocabulary,
     feature_dim,
+    _index_document,
     init_params,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
 )
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
@@ -24,6 +28,7 @@ from .oracles import (
     reference_dp_loss_and_grads,
     reference_ranking_loss_and_grads,
     reference_relu_pattern,
+    random_document,
     reference_scores,
 )
 
@@ -395,3 +400,38 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(ScorerError, match="format"):
         load_checkpoint(path)
+
+
+def test_candidate_enumerations_agree():
+    """candidate_sets, candidate_set and the scorer's index list the same candidates."""
+    rng = random.Random(31)
+    for trial in range(300):
+        doc = random_document(rng, doc_id=f"c{trial}")
+        sets = candidate_sets(doc)
+        assert list(sets) == slot_instances(doc)
+        idx = _index_document(doc, build_vocabulary([doc]))
+        names = META_NODES + tuple(m.id for m in doc.ordered_mentions())
+        rows = np.split(idx.cand, idx.starts[1:])
+        assert len(rows) == len(sets)
+        for (slot, cands), row in zip(sets.items(), rows):
+            assert candidate_set(doc, slot) == cands
+            assert [names[r] for r in row.tolist()] == cands
+
+
+def test_model_rejects_misshaped_or_non_finite_parameters():
+    config = ModelConfig(dim=3, hidden=2)
+    vocab = build_vocabulary([tiny_doc()])
+    assert param_shapes(config, vocab)["w1"] == (2, feature_dim(3))
+    good = init_params(config, vocab, np.random.default_rng(0))
+    for name in PARAM_ORDER:
+        params = dict(good)
+        params[name] = np.zeros(good[name].shape + (1,))
+        with pytest.raises(ScorerError, match=f"parameter {name} has shape"):
+            RankingModel(config, vocab, params)
+        params[name] = good[name].copy()
+        params[name].flat[0] = np.nan
+        with pytest.raises(ScorerError, match=f"parameter {name} holds non-finite"):
+            RankingModel(config, vocab, params)
+    params = dict(good, w1=np.zeros((2, feature_dim(3) - 1)))
+    with pytest.raises(ScorerError, match=rf"w1 has shape \(2, {feature_dim(3) - 1}\)"):
+        RankingModel(config, vocab, params)
