@@ -83,6 +83,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
     if not seeds:
         raise argparse.ArgumentTypeError("seed list is empty")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"seed list {text!r} repeats a seed")
     return seeds
 
 
@@ -126,7 +128,7 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     inputs = {"config": Path(args.config)} if args.config else {}
     outputs = ["corpus.jsonl", "dp_labels.tsv"]
-    _write_manifest(out_dir, "synth", config.as_json(), inputs, [args.seed],
+    _write_manifest(out_dir, "synth", asdict(config), inputs, [args.seed],
                     outputs)
     corpus, labels = generate_synthetic_corpus(config, args.seed)
     write_corpus(corpus, out_dir / "corpus.jsonl.tmp")

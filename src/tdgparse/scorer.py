@@ -13,11 +13,12 @@ Three variants share this machinery:
   can supervise alongside the ranking objective.
 
 Each document is indexed once into flat arrays (token ids of every mention
-and sentence, and every slot's candidates with their packed scalar
-features). A batch of documents is scored by one embedding gather with
-segment means, one matrix product for the MLP's hidden layer and a softmax
-per slot segment; gradients run the same arrays backwards. All arithmetic is
-float64 numpy and gradients are computed analytically.
+and sentence, and the candidates ``graph.candidate_sets`` lists for every
+slot, with their packed scalar features). A batch of documents is scored by
+one embedding gather with segment means, one matrix product for the MLP's
+hidden layer and a softmax per slot segment; gradients run the same arrays
+backwards. All arithmetic is float64 numpy and gradients are computed
+analytically.
 """
 
 from __future__ import annotations
@@ -25,27 +26,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import (
     CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
-    DCT,
-    EVENT,
-    EVENT_REF,
     META_NODES,
-    NO_EVENT,
-    ROOT,
-    TIMEX,
-    TIMEX_REF,
     ContentType,
     Corpus,
     Document,
     DpLabelMap,
     require_dp_coverage,
 )
-from .graph import ScoredCandidates, Slot, candidate_set, slot_instances
+from .graph import ScoredCandidates, Slot, candidate_set, candidate_sets, slot_instances
 
 
 class ScorerError(Exception):
@@ -67,7 +62,6 @@ MARKER_BASE_INDEX = 3
 
 # rows of meta_embeddings, which head the candidate table before the mentions
 N_META = len(META_NODES)
-_META_ROW = {name: i for i, name in enumerate(META_NODES)}
 
 # scalar feature block, one bit each in a candidate's packed features:
 # 0-4 sentence-distance bucket (0, 1, 2, 3-5, >=6), 5 child precedes
@@ -101,7 +95,8 @@ class Vocabulary:
 
     Corpus tokens are lowercased; unknown tokens map to ``<unk>``. Marker
     tokens (child/candidate marks and the content-type markers) occupy fixed
-    indices at the front and are addressed directly, not through ``lookup``.
+    indices at the front and are addressed directly, not through ``lookup``:
+    corpus text spelled like one, such as ``$``, looks up as ``<unk>``.
     """
 
     def __init__(self, tokens: list[str]):
@@ -116,7 +111,8 @@ class Vocabulary:
         return len(self.tokens)
 
     def lookup(self, token: str) -> int:
-        return self.index.get(token.lower(), UNK_INDEX)
+        index = self.index.get(token.lower(), UNK_INDEX)
+        return index if index >= len(RESERVED_TOKENS) else UNK_INDEX
 
     def marker_index(self, content_type: ContentType) -> int:
         return MARKER_BASE_INDEX + CONTENT_TYPE_INDEX[content_type]
@@ -183,99 +179,80 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
                        minlength=n * width).reshape(n, width)
 
 
+def _segment_sums(table: np.ndarray, tokens: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray:
+    """Sum of table rows over each token segment (one segment per mention or sentence)."""
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    return _scatter_rows(segment, table[tokens], len(lengths))
+
+
 def _segment_means(table: np.ndarray, tokens: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
-    """Mean table row of each token segment (one segment per mention or sentence)."""
-    segment = np.repeat(np.arange(len(lengths)), lengths)
-    return _scatter_rows(segment, table[tokens], len(lengths)) / lengths[:, None]
+    """Mean table row of each token segment."""
+    return _segment_sums(table, tokens, lengths) / lengths[:, None]
 
 
 def _token_grads(n_vocab: int, segments) -> np.ndarray:
-    """Embedding-table gradient of segment means.
+    """Embedding-table gradient of segment sums.
 
     ``segments`` holds (tokens, lengths, gradient) triples, one gradient row
-    per segment; each row is split evenly over the segment's tokens.
+    per segment, which each of the segment's tokens receives in full.
     """
     tokens = np.concatenate([tok for tok, _, _ in segments])
-    rows = np.concatenate([np.repeat(g / lengths[:, None], lengths, axis=0)
-                           for _, lengths, g in segments])
+    rows = np.concatenate([np.repeat(g, lengths, axis=0) for _, lengths, g in segments])
     return _scatter_rows(tokens, rows, n_vocab)
 
 
-class _FlatIndex:
+class _FlatIndex(NamedTuple):
     """Token and candidate tables of one document, or of a batch laid end to end.
 
     Mentions are rows in document order. Token ids are in CSR form: flat ids
-    plus one length per mention or sentence. ``sent_tok`` holds the plain
-    sentence tokens and ``phi_tok`` the ones the ranking scorer averages;
-    they are the same arrays unless ``add_markers`` appended the dp_feature
-    content markers of ``dp_labels``.
+    plus one length per mention (``mention_tok``, ``mention_len``) or
+    sentence (``sent_tok``, ``sent_len``). An index holds no discourse
+    labels: dp_feature's content markers are an input to each ranking call.
 
-    Slots follow ``slot_instances`` order. Per slot: ``starts``, the position
-    of its first candidate, and ``gold``, the position of its gold candidate
-    or -1 when the gold parent is not a candidate. Candidates lie end to end
-    in ``candidate_set`` order. Per candidate: ``slot``; ``child`` and
-    ``child_sent``, the child mention's row and sentence; ``cand``, its row
-    in the candidate table, whose rows are the META_NODES and then the
-    mentions (mention i at N_META + i); ``cand_sent``, 1 + its sentence, or 0
-    for a meta node; and ``feat``, its scalar features as bits.
+    Slots and their candidates are those of ``candidate_sets``, in its order.
+    Per slot: ``starts``, the position of its first candidate, and ``gold``,
+    the position of its gold candidate or -1 when the gold parent is not a
+    candidate. Per candidate: ``slot``; ``child`` and ``child_sent``, the
+    child mention's row and sentence; ``cand``, its row in the candidate
+    table, whose rows are the META_NODES and then the mentions (mention i at
+    N_META + i); ``cand_sent``, 1 + its sentence, or 0 for a meta node; and
+    ``feat``, its scalar features as bits.
     """
 
-    __slots__ = ("doc", "dp_labels", "mention_tok", "mention_len", "sent_tok",
-                 "sent_len", "phi_tok", "phi_len", "starts", "gold", "slot",
-                 "child", "child_sent", "cand", "cand_sent", "feat")
-
-    def __init__(self, doc: Document | None, **arrays: np.ndarray):
-        self.doc = doc
-        self.dp_labels = None
-        for name, array in arrays.items():
-            setattr(self, name, array)
-
-    def add_markers(self, vocab: Vocabulary, dp_labels: DpLabelMap) -> None:
-        """Append each sentence's content-type marker to the tokens the ranking scorer averages."""
-        doc = self.doc
-        markers = [vocab.marker_index(dp_labels[(doc.id, s.index)]) for s in doc.sentences]
-        self.phi_tok = np.insert(self.sent_tok, np.cumsum(self.sent_len), markers)
-        self.phi_len = self.sent_len + 1
-        self.dp_labels = dp_labels
+    doc: Document | None
+    mention_tok: np.ndarray
+    mention_len: np.ndarray
+    sent_tok: np.ndarray
+    sent_len: np.ndarray
+    starts: np.ndarray
+    gold: np.ndarray
+    slot: np.ndarray
+    child: np.ndarray
+    child_sent: np.ndarray
+    cand: np.ndarray
+    cand_sent: np.ndarray
+    feat: np.ndarray
 
 
 def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
-    """Index one document with whole-array operations, no loop over slots or candidates."""
+    """Index one document's tokens and the candidates of candidate_sets(doc)."""
     sent_ids = [[vocab.lookup(t) for t in s.tokens] for s in doc.sentences]
     ordered = doc.ordered_mentions()
     spans = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
     sent = np.array([m.sentence for m in ordered], dtype=np.int32)
-    is_timex = np.array([m.kind == TIMEX for m in ordered], dtype=bool)
-    is_event = np.array([m.kind == EVENT for m in ordered], dtype=bool)
-
-    # every mention's timex_ref slot, then an event's event_ref slot
-    per_mention = 1 + is_event
-    child = np.repeat(np.arange(len(ordered)), per_mention)
-    event_ref = np.zeros(len(child), dtype=bool)
-    event_ref[np.cumsum(per_mention) - 1] = is_event
-
-    # each slot's meta candidates, then its pool of timexes or events minus
-    # the child; a stable sort by slot puts them in candidate_set order
-    timex_slots, event_slots = np.flatnonzero(~event_ref), np.flatnonzero(event_ref)
-    timexes, events = np.flatnonzero(is_timex), np.flatnonzero(is_event)
-    root_slots = timex_slots[is_timex[child[timex_slots]]]
-    pool_slot = np.concatenate([np.repeat(timex_slots, len(timexes)),
-                                np.repeat(event_slots, len(events))])
-    pool = np.concatenate([np.tile(timexes, len(timex_slots)),
-                           np.tile(events, len(event_slots))])
-    keep = pool != child[pool_slot]
-    slot = np.concatenate([np.arange(len(child)), root_slots, pool_slot[keep]])
-    cand = np.concatenate([np.where(event_ref, _META_ROW[NO_EVENT], _META_ROW[DCT]),
-                           np.full(len(root_slots), _META_ROW[ROOT]),
-                           pool[keep] + N_META])
-    order = np.argsort(slot, kind="stable")
-    slot, cand = slot[order], cand[order]
+    table_row = {name: i for i, name in enumerate(META_NODES + tuple(m.id for m in ordered))}
+    sets = candidate_sets(doc)
+    lengths = np.array([len(cands) for cands in sets.values()], dtype=np.int64)
+    slot = np.repeat(np.arange(len(sets)), lengths)
+    cand = np.array([table_row[c] for cands in sets.values() for c in cands], dtype=np.int64)
+    child = np.repeat(np.array([table_row[s.child] - N_META for s in sets], dtype=np.int64),
+                      lengths)
 
     row = cand - N_META
     is_mention = row >= 0
-    cand_child = child[slot]
-    c, r = cand_child[is_mention], row[is_mention]
+    c, r = child[is_mention], row[is_mention]
     delta = np.abs(sent[c] - sent[r])
     bucket = np.where(delta <= 2, delta, np.where(delta <= 5, 3, 4))
     feat = np.empty(len(cand), dtype=np.uint16)
@@ -285,27 +262,27 @@ def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
     cand_sent = np.zeros(len(cand), dtype=np.int32)
     cand_sent[is_mention] = sent[r] + 1
 
-    ids = [m.id for m in ordered]
-    table_row = {name: i for i, name in enumerate(META_NODES + tuple(ids))}
     gold_parent = {(e.child, e.slot): e.parent for e in reversed(doc.gold_edges)}
-    gold_row = np.array(
-        [table_row.get(gold_parent.get((ids[m], EVENT_REF if e else TIMEX_REF)), -1)
-         for m, e in zip(child.tolist(), event_ref.tolist())], dtype=np.int64)
+    gold_row = np.array([table_row.get(gold_parent.get(s), -1) for s in sets],
+                        dtype=np.int64)
     hit = np.flatnonzero(cand == gold_row[slot])
-    gold = np.full(len(child), -1, dtype=np.int32)
+    gold = np.full(len(sets), -1, dtype=np.int32)
     gold[slot[hit]] = hit
 
-    sent_tok = np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32)
-    sent_len = np.array([len(sentence) for sentence in sent_ids], dtype=np.int32)
     return _FlatIndex(
         doc,
         mention_tok=np.array([i for span in spans for i in span], dtype=np.int32),
         mention_len=np.array([len(span) for span in spans], dtype=np.int32),
-        sent_tok=sent_tok, sent_len=sent_len, phi_tok=sent_tok, phi_len=sent_len,
-        starts=_starts(np.bincount(slot, minlength=len(child))).astype(np.int32),
-        gold=gold, slot=slot.astype(np.int32), child=cand_child.astype(np.int32),
-        child_sent=sent[cand_child], cand=cand.astype(np.int32), cand_sent=cand_sent,
-        feat=feat)
+        sent_tok=np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32),
+        sent_len=np.array([len(sentence) for sentence in sent_ids], dtype=np.int32),
+        starts=_starts(lengths).astype(np.int32), gold=gold, slot=slot.astype(np.int32),
+        child=child.astype(np.int32), child_sent=sent[child], cand=cand.astype(np.int32),
+        cand_sent=cand_sent, feat=feat)
+
+
+def _sentence_sizes(batch: _FlatIndex, markers: np.ndarray | None) -> np.ndarray:
+    """How many tokens each sentence's ranking representation averages."""
+    return batch.sent_len if markers is None else batch.sent_len + 1
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int32)  # lets an empty batch concatenate
@@ -336,7 +313,6 @@ def _concat(indexes: list[_FlatIndex]) -> _FlatIndex:
         None,
         mention_tok=cat("mention_tok"), mention_len=cat("mention_len"),
         sent_tok=cat("sent_tok"), sent_len=cat("sent_len"),
-        phi_tok=cat("phi_tok"), phi_len=cat("phi_len"),
         starts=cat("starts") + cand_first, gold=cat("gold") + cand_first,
         slot=cat("slot") + np.repeat(firsts("starts"), n_cand),
         child=cat("child") + mention_first, child_sent=cat("child_sent") + sent_first,
@@ -377,29 +353,31 @@ class RankingModel:
         self._index_cache[doc.id] = idx
         return idx
 
-    def _ranking_indexes(self, docs: list[Document],
-                         dp_labels: DpLabelMap | None) -> list[_FlatIndex]:
-        """Indexes whose ranking tokens carry this variant's sentence markers."""
-        indexes = [self._index(doc) for doc in docs]
-        if self.config.variant == "dp_feature":
-            for idx in indexes:
-                if dp_labels is None:
-                    raise ScorerError("variant dp_feature requires discourse labels to score")
-                if idx.dp_labels is not dp_labels:
-                    idx.add_markers(self.vocab, dp_labels)
-        return indexes
+    def _markers(self, docs: list[Document],
+                 dp_labels: DpLabelMap | None) -> np.ndarray | None:
+        """The content-marker token of every sentence of docs under dp_feature, else None."""
+        if self.config.variant != "dp_feature":
+            return None
+        if dp_labels is None:
+            raise ScorerError("variant dp_feature requires discourse labels to score")
+        return np.array([self.vocab.marker_index(dp_labels[(doc.id, s.index)])
+                         for doc in docs for s in doc.sentences], dtype=np.int64)
 
-    def _ranking_forward(self, batch: _FlatIndex):
+    def _ranking_forward(self, batch: _FlatIndex, markers: np.ndarray | None):
         """Forward pass over every candidate of a batch.
 
-        Returns the features Phi (one row per candidate), their child and
-        candidate blocks u and a, hidden pre-activations z, relu outputs r
-        and scores s.
+        A sentence is the mean of its tokens, plus its marker token when
+        ``markers`` gives one per sentence. Returns the features Phi (one row
+        per candidate), their child and candidate blocks u and a, hidden
+        pre-activations z, relu outputs r and scores s.
         """
         p = self.params
         emb = p["embeddings"]
         mention = _segment_means(emb, batch.mention_tok, batch.mention_len)
-        sent = _segment_means(emb, batch.phi_tok, batch.phi_len)
+        sent = _segment_sums(emb, batch.sent_tok, batch.sent_len)
+        if markers is not None:
+            sent = sent + emb[markers]
+        sent = sent / _sentence_sizes(batch, markers)[:, None]
         u = (mention + emb[CHILD_MARK_INDEX])[batch.child]
         a = np.concatenate([p["meta_embeddings"],
                             mention + emb[CAND_MARK_INDEX]])[batch.cand]
@@ -416,14 +394,11 @@ class RankingModel:
     def score_document(self, doc: Document,
                        dp_labels: DpLabelMap | None = None) -> dict[Slot, ScoredCandidates]:
         """Score every candidate of every slot of one document."""
-        (idx,) = self._ranking_indexes([doc], dp_labels)
-        scores = self._ranking_forward(idx)[-1].tolist()
-        names = META_NODES + tuple(m.id for m in doc.ordered_mentions())
-        cands = [names[c] for c in idx.cand.tolist()]
-        starts = idx.starts.tolist()
-        return {slot: ScoredCandidates(slot, cands[start:end], scores[start:end])
-                for slot, start, end in zip(slot_instances(doc), starts,
-                                            starts[1:] + [len(cands)])}
+        idx = self._index(doc)
+        scores = self._ranking_forward(idx, self._markers([doc], dp_labels))[-1].tolist()
+        return {slot: ScoredCandidates(slot, cands, scores[start:start + len(cands)])
+                for (slot, cands), start in zip(candidate_sets(doc).items(),
+                                                idx.starts.tolist())}
 
     def dp_logits(self, doc: Document) -> np.ndarray:
         """(n_sentences, 9) content-type logits from plain sentence means."""
@@ -440,7 +415,8 @@ class RankingModel:
         all slots of all documents in the batch.
         """
         grads = zero_grads(self.params)
-        indexes = self._ranking_indexes(docs, dp_labels)
+        indexes = [self._index(doc) for doc in docs]
+        markers = self._markers(docs, dp_labels)
         for idx in indexes:
             missing = np.flatnonzero(idx.gold < 0)
             if missing.size:
@@ -455,7 +431,7 @@ class RankingModel:
             return 0.0, grads
         d = self.config.dim
         w1, w2 = self.params["w1"], self.params["w2"]
-        phi, u, a, z, r, s = self._ranking_forward(batch)
+        phi, u, a, z, r, s = self._ranking_forward(batch, markers)
         # segmented softmax; bincount sums each slot in order, as ndarray.sum
         # does for fewer than eight candidates
         e = np.exp(s - np.maximum.reduceat(s, batch.starts)[batch.slot])
@@ -479,12 +455,14 @@ class RankingModel:
         d_sent = _scatter_rows(
             np.concatenate([batch.child_sent + 1, batch.cand_sent]),
             np.concatenate([dphi[:, d:2 * d], dphi[:, 3 * d:4 * d]]),
-            1 + len(batch.phi_len))[1:]
-        demb = _token_grads(len(self.vocab), [
-            (batch.mention_tok, batch.mention_len, d_child),
-            (batch.mention_tok, batch.mention_len, d_cand),
-            (batch.phi_tok, batch.phi_len, d_sent),
-        ])
+            1 + len(batch.sent_len))[1:] / _sentence_sizes(batch, markers)[:, None]
+        mention_len = batch.mention_len[:, None]
+        segments = [(batch.mention_tok, batch.mention_len, d_child / mention_len),
+                    (batch.mention_tok, batch.mention_len, d_cand / mention_len),
+                    (batch.sent_tok, batch.sent_len, d_sent)]
+        if markers is not None:
+            segments.append((markers, 1, d_sent))
+        demb = _token_grads(len(self.vocab), segments)
         demb[CHILD_MARK_INDEX] += d_child.sum(axis=0)
         demb[CAND_MARK_INDEX] += d_cand.sum(axis=0)
         grads["embeddings"] = demb
@@ -512,7 +490,8 @@ class RankingModel:
         g[rows, labels] -= 1.0 / n_sents
         grads["dp_weight"] = g.T @ s
         grads["dp_bias"] = g.sum(axis=0)
-        grads["embeddings"] = _token_grads(len(self.vocab), [(tokens, lengths, g @ wd)])
+        grads["embeddings"] = _token_grads(len(self.vocab),
+                                           [(tokens, lengths, (g @ wd) / lengths[:, None])])
         return float(total / n_sents), grads
 
     def relu_pattern(self, docs: list[Document],
@@ -522,7 +501,8 @@ class RankingModel:
         Two parameter settings with equal patterns lie on the same linear
         region of the ranking loss, which finite differencing relies on.
         """
-        z = self._ranking_forward(_concat(self._ranking_indexes(docs, dp_labels)))[3]
+        batch = _concat([self._index(doc) for doc in docs])
+        z = self._ranking_forward(batch, self._markers(docs, dp_labels))[3]
         return np.packbits(z > 0).tobytes()
 
 

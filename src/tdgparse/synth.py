@@ -138,26 +138,6 @@ class SynthConfig:
                                 for tag, pair in kwargs[name].items()}
         return cls(**kwargs)
 
-    def as_json(self) -> dict:
-        return {
-            "n_docs": self.n_docs,
-            "sentences_per_doc": list(self.sentences_per_doc),
-            "mentions_per_sentence": list(self.mentions_per_sentence),
-            "timex_share": self.timex_share,
-            "content_weights": dict(self.content_weights),
-            "timex_parent_probs": {k: list(v)
-                                   for k, v in self.timex_parent_probs.items()},
-            "event_timex_probs": {k: list(v)
-                                  for k, v in self.event_timex_probs.items()},
-            "refevent_prob": self.refevent_prob,
-            "refevent_intra_prob": self.refevent_intra_prob,
-            "refevent_content_affinity": self.refevent_content_affinity,
-            "noise_vocab_size": self.noise_vocab_size,
-            "noise_tokens_per_sentence": list(self.noise_tokens_per_sentence),
-            "event_vocab_size": self.event_vocab_size,
-            "timex_vocab_size": self.timex_vocab_size,
-        }
-
 
 def _randint(rng: np.random.Generator, bounds: tuple[int, int]) -> int:
     lo, hi = bounds

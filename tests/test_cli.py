@@ -243,6 +243,21 @@ def test_evaluate_seed_label_mismatch(tmp_path, hand_corpus_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_seed_labels_are_usage_errors(tmp_path, hand_corpus_path, capsys):
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("", encoding="utf-8")
+    runs = (["evaluate", "--gold", str(hand_corpus_path), "--pred", str(preds),
+             str(preds), "--seeds", "0,0", "--out", str(tmp_path / "e")],
+            ["train", "--train", str(hand_corpus_path), "--valid", str(hand_corpus_path),
+             "--out", str(tmp_path / "t"), "--seeds", "1,2,1"])
+    for argv in runs:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "repeats a seed" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists() and not (tmp_path / "t").exists()
+
+
 def test_evaluate_rejects_malformed_predictions(tmp_path, hand_corpus_path,
                                                 capsys):
     preds = tmp_path / "p.jsonl"

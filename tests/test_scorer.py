@@ -51,7 +51,7 @@ def tiny_doc():
 def test_build_vocabulary_lowercases_and_sorts():
     corpus = [make_doc({
         "id": "v1", "dct": "2021-01-01",
-        "sentences": [{"index": 0, "tokens": ["Fire", "fire", "ash"]}],
+        "sentences": [{"index": 0, "tokens": ["Fire", "fire", "ash", "$", "@"]}],
         "mentions": [{"id": "e1", "kind": "event", "sentence": 0,
                       "start": 0, "end": 1}],
         "edges": [{"child": "e1", "slot": "timex_ref", "parent": "DCT"}],
@@ -63,6 +63,8 @@ def test_build_vocabulary_lowercases_and_sorts():
     assert vocab.tokens[12:] == ["ash", "fire"]
     assert vocab.lookup("FIRE") == vocab.lookup("fire") == 13
     assert vocab.lookup("never-seen") == 0
+    # corpus text spelled like a reserved token does not reach its row
+    assert [vocab.lookup(t) for t in ("$", "@", "<UNK>", "#M1#", "#m1#")] == [0] * 5
     assert vocab.marker_index(ContentType.M1) == 3
     assert vocab.marker_index(ContentType.NA) == 11
 
@@ -187,6 +189,11 @@ def test_dp_feature_requires_and_uses_labels():
     base = RankingModel(ModelConfig(dim=4, hidden=4), vocab, model.params)
     assert base.score_document(doc) != scored
 
+    # no label state carries from one call to the next
+    for label_map in (labels, flipped, labels):
+        fresh = RankingModel(config, vocab, model.params)
+        assert model.score_document(doc, label_map) == fresh.score_document(doc, label_map)
+
 
 def test_dp_logits_ignore_variant_markers():
     corpus, labels = generate_synthetic_corpus(SynthConfig(n_docs=1), seed=9)
@@ -198,7 +205,7 @@ def test_dp_logits_ignore_variant_markers():
     feat = RankingModel(ModelConfig(dim=3, hidden=2, variant="dp_feature"),
                         vocab, params)
     assert np.allclose(base.dp_logits(doc), feat.dp_logits(doc))
-    feat.score_document(doc, labels)  # caches the index with its markers
+    feat.score_document(doc, labels)  # markers are per call, never cached
     assert np.allclose(base.dp_logits(doc), feat.dp_logits(doc))
     assert base.dp_logits(doc).shape == (len(doc.sentences), 9)
 

@@ -90,5 +90,5 @@ def test_config_validation():
 
 def test_config_json_round_trip():
     config = SynthConfig(n_docs=7, timex_share=0.5, refevent_prob=0.9)
-    again = SynthConfig.from_json(config.as_json())
+    again = SynthConfig.from_json(dataclasses.asdict(config))
     assert dataclasses.asdict(again) == dataclasses.asdict(config)
