@@ -6,16 +6,30 @@ the outputs themselves (written atomically). Re-running a command with the
 same inputs and seeds reproduces every artifact byte for byte; only the
 manifest's ``timestamp`` field differs.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 runtime fault.
+Exit codes: 0 success; 1 an invalid corpus; 2 a usage error, meaning bad
+flags, a missing file, a bad config file or value, a seed-label count that
+does not match the prediction files, or a ``train`` run without the
+discourse labels its variant needs or with an empty training corpus; 3 a
+runtime fault, which is every other failure, any other ``ValueError``
+included.
+
+OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
 
 from __future__ import annotations
 
+import os
+
+# OpenBLAS reads this when numpy loads, so it is set before the imports below.
+# The ranking passes' matrix products are big enough for OpenBLAS to start a
+# thread per core, which made them about 3x slower on a busy 2-core host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import hashlib
 import json
-import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,6 +57,19 @@ from .graph import GraphError, graph_from_json, graph_to_json
 from .scorer import ScorerError, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_synthetic_corpus
 from .training import TrainConfig, TrainingDiverged, decode_corpus, train
+
+
+class UsageError(Exception):
+    """The command line or a config file asks for something that cannot run."""
+
+
+@contextmanager
+def _usage_errors(what: str):
+    """Report a ValueError or TypeError raised inside as a UsageError about ``what``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{what}: {exc}") from None
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -118,11 +145,9 @@ def cmd_validate(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                config = SynthConfig.from_json(json.load(fh))
-            except TypeError as exc:
-                raise ValueError(f"bad synth config {args.config}: {exc}") from None
+        with open(args.config, encoding="utf-8") as fh, \
+                _usage_errors(f"bad synth config {args.config}"):
+            config = SynthConfig.from_json(json.load(fh))
     else:
         config = SynthConfig()
     out_dir = Path(args.out)
@@ -157,24 +182,30 @@ def _resolve_train_config(args) -> TrainConfig:
     """Merge CLI flags over config-file values over dataclass defaults."""
     from_file: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh, \
+                _usage_errors(f"bad train config {args.config}"):
             from_file = json.load(fh)
         unknown = set(from_file) - set(_TRAIN_FLAG_FIELDS.values())
         if unknown:
-            raise ValueError(f"unknown train config keys {sorted(unknown)}")
+            raise UsageError(f"unknown train config keys {sorted(unknown)}")
     kwargs = dict(from_file)
     for flag, field_name in _TRAIN_FLAG_FIELDS.items():
         value = getattr(args, flag)
         if value is not None:
             kwargs[field_name] = value
-    if "seeds" in kwargs:
-        kwargs["seeds"] = tuple(kwargs["seeds"])
-    return TrainConfig(**kwargs)
+    with _usage_errors("bad train config"):
+        if "seeds" in kwargs:
+            kwargs["seeds"] = tuple(kwargs["seeds"])
+        return TrainConfig(**kwargs)
 
 
 def cmd_train(args) -> int:
     config = _resolve_train_config(args)
+    if config.variant in ("dp_feature", "dp_distill") and not args.dp_labels:
+        raise UsageError(f"variant {config.variant} requires --dp-labels")
     train_corpus = parse_corpus(args.train)
+    if not train_corpus:
+        raise UsageError(f"training corpus {args.train} is empty")
     valid_corpus = parse_corpus(args.valid)
     dp_labels = None
     if args.dp_labels:
@@ -247,7 +278,7 @@ def cmd_evaluate(args) -> int:
     corpus = parse_corpus(args.gold)
     labels = args.seeds if args.seeds is not None else list(range(len(args.pred)))
     if len(labels) != len(args.pred):
-        raise ValueError(
+        raise UsageError(
             f"{len(args.pred)} prediction files but {len(labels)} seed labels"
         )
     out_dir = Path(args.out)
@@ -374,13 +405,10 @@ def main(argv=None) -> int:
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DpLabelError, GraphError, ScorerError, TrainingDiverged,
+    except (ValueError, DpLabelError, GraphError, ScorerError, TrainingDiverged,
             EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -109,9 +109,6 @@ class Document:
     def mention(self, mention_id: str) -> Mention:
         return self._by_id[mention_id]
 
-    def has_mention(self, mention_id: str) -> bool:
-        return mention_id in self._by_id
-
     def ordered_mentions(self) -> list[Mention]:
         """Mentions in document order: by sentence, then span position."""
         return self._ordered

@@ -28,14 +28,25 @@ class EvaluationError(Exception):
     """Predictions do not line up with the gold corpus."""
 
 
-def slot_category(doc: Document, child: str, parent: str) -> str:
+def _category(doc: Document, sentence_of: dict[str, int], child: str,
+              parent: str) -> str:
+    """slot_category, with ``sentence_of`` mapping doc's mention ids to sentences."""
     if parent in META_NODES:
         return NO_PARENT
-    if not doc.has_mention(parent):
+    sentence = sentence_of.get(parent)
+    if sentence is None:
         raise EvaluationError(f"document {doc.id}: unknown parent {parent!r}")
-    if doc.mention(parent).sentence == doc.mention(child).sentence:
+    if sentence == sentence_of[child]:
         return INTRA_SENTENCE
     return CROSS_SENTENCE
+
+
+def _sentences(doc: Document) -> dict[str, int]:
+    return {m.id: m.sentence for m in doc.mentions}
+
+
+def slot_category(doc: Document, child: str, parent: str) -> str:
+    return _category(doc, _sentences(doc), child, parent)
 
 
 def corpus_identity(corpus: Corpus) -> str:
@@ -102,10 +113,13 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
     """Per-category precision/recall/F1 plus overall accuracy."""
     cats = {c: CategoryMetrics() for c in CATEGORIES}
     total = correct = 0
+    current, sentence_of = None, {}
     for doc, slot, pred_parent, gold_parent in _iter_slot_pairs(preds, gold):
+        if doc is not current:
+            current, sentence_of = doc, _sentences(doc)
         total += 1
-        gold_cat = slot_category(doc, slot.child, gold_parent)
-        pred_cat = slot_category(doc, slot.child, pred_parent)
+        gold_cat = _category(doc, sentence_of, slot.child, gold_parent)
+        pred_cat = _category(doc, sentence_of, slot.child, pred_parent)
         cats[gold_cat].gold += 1
         cats[pred_cat].predicted += 1
         if pred_parent == gold_parent:

@@ -10,8 +10,11 @@ highest-ranked candidate that keeps the growing graph acyclic. Meta parents
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import (
     DCT,
@@ -44,7 +47,7 @@ class ScoredCandidates:
 
     ranked() lists candidates by descending score; equal scores keep their
     candidate_set order, so ranking is deterministic given the score vector.
-    Scores must be finite, which makes top() the head of ranked().
+    Scores must be finite.
     """
 
     slot: Slot
@@ -66,13 +69,6 @@ class ScoredCandidates:
 
     def ranked(self) -> list[tuple[str, float]]:
         return sorted(zip(self.candidates, self.scores), key=lambda cs: -cs[1])
-
-    def top(self) -> str:
-        """The first candidate with the highest score: ranked()[0] without the sort."""
-        return self.candidates[self.scores.index(max(self.scores))]
-
-    def top_score(self) -> float:
-        return max(self.scores)
 
 
 @dataclass
@@ -126,6 +122,56 @@ def candidate_sets(doc: Document) -> dict[Slot, list[str]]:
     return sets
 
 
+def _name_table(doc: Document) -> tuple[str, ...]:
+    """The META_NODES, then the mention ids in document order."""
+    return META_NODES + tuple(m.id for m in doc.ordered_mentions())
+
+
+class SlotScores(Mapping):
+    """The scores of every slot of one document, held as flat arrays.
+
+    Slot i is ``slots[i]``, in slot_instances order. Its candidates are
+    positions ``starts[i]`` up to the next slot's start (or the end), in
+    candidate_sets order; candidate k is ``names[cand[k]]`` and scores
+    ``score[k]``, where ``names`` holds the META_NODES and then the mention
+    ids in document order. The scorer builds one from its cached index, whose
+    candidates come from candidate_sets(doc). Reading a slot builds its
+    ScoredCandidates; greedy_decode reads the arrays.
+    """
+
+    __slots__ = ("doc", "slots", "names", "starts", "cand", "score", "_position")
+
+    def __init__(self, doc: Document, starts: np.ndarray, cand: np.ndarray,
+                 score: np.ndarray):
+        self.doc = doc
+        self.slots = slot_instances(doc)
+        self.names = _name_table(doc)
+        if len(starts) != len(self.slots) or len(cand) != len(score):
+            raise GraphError(f"document {doc.id}: {len(starts)} slot starts for "
+                             f"{len(self.slots)} slots, {len(score)} scores for "
+                             f"{len(cand)} candidates")
+        self.starts = starts
+        self.cand = cand
+        self.score = score
+        self._position: dict[Slot, int] | None = None
+
+    def __getitem__(self, slot: Slot) -> ScoredCandidates:
+        if self._position is None:
+            self._position = {s: i for i, s in enumerate(self.slots)}
+        i = self._position[slot]
+        start = self.starts[i]
+        end = self.starts[i + 1] if i + 1 < len(self.starts) else len(self.score)
+        return ScoredCandidates(self.slots[i],
+                                [self.names[c] for c in self.cand[start:end].tolist()],
+                                self.score[start:end].tolist())
+
+    def __iter__(self):
+        return iter(self.slots)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+
 def candidate_set(doc: Document, slot: Slot) -> list[str]:
     """Legal parents of one slot, as candidate_sets lists them."""
     sets = candidate_sets(doc)
@@ -143,10 +189,11 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
     slots and event -> event through event_ref slots, each ending in meta
     nodes; an event -> timex edge never lies on a cycle. So the new edge
     cycles exactly when walking up the parent's own chain reaches the child.
-    The walk is a complete check as long as every edge is legal, which
-    _check_scores guarantees before greedy_decode fills a slot. A walk longer
-    than the edges allow means they already hold a cycle, which greedy_decode
-    never builds, and raises GraphError.
+    The walk is a complete check as long as every edge is legal, and
+    greedy_decode only proposes legal edges: a SlotScores is built from
+    candidate_sets, and _check_scores compares any other mapping with it. A
+    walk longer than the edges allow means they already hold a cycle, which
+    greedy_decode never builds, and raises GraphError.
     """
     if parent in META_NODES:
         return False
@@ -155,14 +202,14 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
     for _ in range(len(edges) + 2):
         if node == child:
             return True
-        node = edges.get(Slot(node, chain))
+        node = edges.get((node, chain))  # a Slot hashes and compares as its tuple
         if node is None or node in META_NODES:
             return False
     raise GraphError(f"document {doc.id}: the {chain} edges above {parent} "
                      f"already form a cycle")
 
 
-def _check_scores(doc: Document, scores: dict[Slot, ScoredCandidates]) -> list[Slot]:
+def _check_scores(doc: Document, scores: Mapping[Slot, ScoredCandidates]) -> list[Slot]:
     sets = candidate_sets(doc)
     missing = [s for s in sets if s not in scores]
     if missing:
@@ -183,35 +230,75 @@ def _check_scores(doc: Document, scores: dict[Slot, ScoredCandidates]) -> list[S
     return list(sets)
 
 
-def greedy_decode(doc: Document, scores: dict[Slot, ScoredCandidates],
+def _flat_scores(doc: Document, scores: Mapping[Slot, ScoredCandidates]) -> SlotScores:
+    """The scores of doc's slots as a checked SlotScores.
+
+    A SlotScores must have been built for this very document object; any
+    other mapping is checked slot by slot against candidate_sets(doc) and
+    laid out the same way. Every score must be finite.
+    """
+    if isinstance(scores, SlotScores):
+        if scores.doc is not doc:
+            raise GraphError(f"document {doc.id}: the scores were built for another "
+                             f"document object ({scores.doc.id})")
+        flat = scores
+    else:
+        scored = [scores[slot] for slot in _check_scores(doc, scores)]
+        row = {name: i for i, name in enumerate(_name_table(doc))}
+        flat = SlotScores(doc, np.cumsum([0] + [len(sc.candidates) for sc in scored])[:-1],
+                          np.array([row[c] for sc in scored for c in sc.candidates],
+                                   dtype=np.int64),
+                          np.array([v for sc in scored for v in sc.scores], dtype=np.float64))
+    finite = np.isfinite(flat.score)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        slot = flat.slots[np.searchsorted(flat.starts, k, side="right") - 1]
+        raise GraphError(f"document {doc.id}, slot {slot}: candidate "
+                         f"{flat.names[flat.cand[k]]} has a non-finite score")
+    return flat
+
+
+def greedy_decode(doc: Document, scores: Mapping[Slot, ScoredCandidates],
                   order: str = "score") -> TemporalDependencyGraph:
     """Fill every slot with its best cycle-free candidate, one slot at a time.
 
     order="score" visits slots by descending top-candidate score (stable, so
     ties keep canonical order); order="document" visits them in canonical
-    order. Each slot takes the first candidate in rank order that does not
-    close a cycle with the edges chosen so far; a meta candidate is always
-    available, so decoding cannot fail. The top candidate is tried before
-    any ranking is built, since it rarely closes a cycle.
+    order. Each slot takes the first candidate in rank order (descending
+    score, ties in candidate order) that does not close a cycle with the
+    edges chosen so far; a meta candidate is always available, so decoding
+    cannot fail. Every slot's top candidate, its first maximum, comes from
+    the flat score arrays at once; only a slot whose top candidate closes a
+    cycle has its candidates ranked.
     """
     if order not in ("score", "document"):
         raise GraphError(f"unknown decode order {order!r}")
-    slots = _check_scores(doc, scores)
-    if order == "score":
-        slots.sort(key=lambda s: -scores[s].top_score())
+    flat = _flat_scores(doc, scores)
     edges: dict[Slot, str] = {}
-    for slot in slots:
-        scored = scores[slot]
-        top = scored.top()
-        if not would_create_cycle(slot.child, top, edges, doc):
-            edges[slot] = top
-            continue
-        for cand, _score in scored.ranked()[1:]:
-            if not would_create_cycle(slot.child, cand, edges, doc):
-                edges[slot] = cand
-                break
-        else:  # pragma: no cover - meta candidate is always cycle-free
-            raise GraphError(f"document {doc.id}: no feasible candidate for {slot}")
+    if not flat.slots:
+        return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
+    score, cand, names = flat.score, flat.cand, flat.names
+    top = np.maximum.reduceat(score, flat.starts)
+    values, starts = score.tolist(), flat.starts.tolist()
+    ends = starts[1:] + [len(values)]
+    # each slot's first maximum: the first score from its start that equals it
+    first = [values.index(t, start) for t, start in zip(top.tolist(), starts)]
+    top_parent = [names[c] for c in cand[first].tolist()]
+    visit = (np.argsort(-top, kind="stable").tolist() if order == "score"
+             else range(len(starts)))
+    for i in visit:
+        slot = flat.slots[i]
+        parent = top_parent[i]
+        if would_create_cycle(slot.child, parent, edges, doc):
+            start, end = starts[i], ends[i]
+            ranking = start + np.argsort(-score[start:end], kind="stable")
+            for c in cand[ranking[1:]].tolist():
+                if not would_create_cycle(slot.child, names[c], edges, doc):
+                    parent = names[c]
+                    break
+            else:  # pragma: no cover - meta candidate is always cycle-free
+                raise GraphError(f"document {doc.id}: no feasible candidate for {slot}")
+        edges[slot] = parent
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
 
 

@@ -17,8 +17,9 @@ and sentence, and the candidates ``graph.candidate_sets`` lists for every
 slot, with their packed scalar features). A batch of documents is scored by
 one embedding gather with segment means, one matrix product for the MLP's
 hidden layer and a softmax per slot segment; gradients run the same arrays
-backwards. All arithmetic is float64 numpy and gradients are computed
-analytically.
+backwards. ``score_document`` hands its scores on in the same flat layout,
+as a ``graph.SlotScores`` that ``greedy_decode`` reads directly. All
+arithmetic is float64 numpy and gradients are computed analytically.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .corpus import (
     DpLabelMap,
     require_dp_coverage,
 )
-from .graph import ScoredCandidates, Slot, candidate_set, candidate_sets, slot_instances
+from .graph import SlotScores, candidate_set, candidate_sets, slot_instances
 
 
 class ScorerError(Exception):
@@ -392,13 +393,15 @@ class RankingModel:
         return phi, u, a, z, r, s
 
     def score_document(self, doc: Document,
-                       dp_labels: DpLabelMap | None = None) -> dict[Slot, ScoredCandidates]:
-        """Score every candidate of every slot of one document."""
+                       dp_labels: DpLabelMap | None = None) -> SlotScores:
+        """Score every candidate of every slot of one document.
+
+        The scores stay in the index's flat layout; reading a slot of the
+        returned mapping gives its ScoredCandidates.
+        """
         idx = self._index(doc)
-        scores = self._ranking_forward(idx, self._markers([doc], dp_labels))[-1].tolist()
-        return {slot: ScoredCandidates(slot, cands, scores[start:start + len(cands)])
-                for (slot, cands), start in zip(candidate_sets(doc).items(),
-                                                idx.starts.tolist())}
+        values = self._ranking_forward(idx, self._markers([doc], dp_labels))[-1]
+        return SlotScores(doc, idx.starts, idx.cand, values)
 
     def dp_logits(self, doc: Document) -> np.ndarray:
         """(n_sentences, 9) content-type logits from plain sentence means."""

@@ -138,7 +138,7 @@ def audit_turn_by_turn(doc, scores, graph, order: str) -> None:
     """Re-simulate the decode and insist each turn took the best legal pick."""
     slots = slot_instances(doc)
     if order == "score":
-        slots = sorted(slots, key=lambda s: -scores[s].top_score())
+        slots = sorted(slots, key=lambda s: -max(scores[s].scores))
     assigned: dict[str, list[str]] = {}
     for slot in slots:
         chosen = graph.edges[slot]

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tdgparse.cli import main
+from tdgparse.corpus import parse_corpus
+from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, save_checkpoint
 
 SMALL_SYNTH = {
     "n_docs": 12,
@@ -373,3 +379,75 @@ def test_train_config_file_with_flag_overrides(tmp_path):
                  "--valid", str(data / "corpus.jsonl"),
                  "--out", str(tmp_path / "bad-run")])
     assert code == 2
+
+
+def test_train_usage_errors(tmp_path, hand_corpus_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    corpus = str(hand_corpus_path)
+    runs = {"requires --dp-labels": ["--variant", "dp_distill", "--train", corpus],
+            "is empty": ["--train", str(empty)],
+            "warmup_epochs must lie in": ["--train", corpus, "--warmup-epochs", "3"]}
+    for message, argv in runs.items():
+        code = main(["train", "--warmup-epochs", "1", *argv, "--valid", corpus,
+                     "--epochs", "2", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_runtime_value_error_is_a_runtime_fault(tmp_path, hand_corpus_path, capsys,
+                                                monkeypatch):
+    corpus = parse_corpus(hand_corpus_path)
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(RankingModel.initialized(ModelConfig(dim=3, hidden=2),
+                                             build_vocabulary(corpus), seed=0),
+                    checkpoint)
+
+    def broken_forward(self, batch, markers):
+        return np.ones(2) + np.ones(3)
+
+    monkeypatch.setattr(RankingModel, "_ranking_forward", broken_forward)
+    code = main(["predict", "--checkpoint", str(checkpoint),
+                 "--corpus", str(hand_corpus_path), "--out", str(tmp_path / "preds")])
+    assert code == 3
+    assert "could not be broadcast" in capsys.readouterr().err
+    assert not (tmp_path / "preds" / "predictions.jsonl").exists()
+
+
+# prints the thread count the loaded OpenBLAS uses, or -1 if none is found
+_BLAS_THREADS = """
+import ctypes, sys
+from pathlib import Path
+if sys.argv[1] == "cli":
+    import tdgparse.cli
+import numpy as np
+for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*")):
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(ctypes.CDLL(str(lib)), name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            print(getter())
+            sys.exit()
+print(-1)
+"""
+
+
+def _blas_threads(first_import: str, preset: str | None) -> int:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS, first_import], env=env,
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout)
+
+
+def test_cli_pins_blas_threads_unless_set():
+    pinned = _blas_threads("cli", None)
+    if pinned == -1:
+        pytest.skip("numpy does not load OpenBLAS here")
+    assert pinned == 1
+    # a count the user set is kept: the CLI import changes nothing
+    assert _blas_threads("cli", "2") == _blas_threads("numpy", "2")

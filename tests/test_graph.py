@@ -1,12 +1,14 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from tdgparse.graph import (
     GraphError,
     ScoredCandidates,
     Slot,
+    SlotScores,
     TemporalDependencyGraph,
     candidate_set,
     gold_graph,
@@ -17,6 +19,7 @@ from tdgparse.graph import (
     validate_graph,
     would_create_cycle,
 )
+from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary
 
 from .conftest import make_doc
 from .oracles import (
@@ -274,6 +277,63 @@ def test_decode_matches_reference_oracle():
             assert {(s.child, s.slot): p for s, p in got.edges.items()} == want
 
 
+def _scored(doc):
+    """A scorer's SlotScores for doc, from a small untrained model."""
+    model = RankingModel.initialized(ModelConfig(dim=2, hidden=2),
+                                     build_vocabulary([doc]), seed=0)
+    return model.score_document(doc)
+
+
+def test_slot_scores_decode_like_the_reference():
+    rng = random.Random(31)
+    overridden = 0
+    for trial in range(300):
+        doc = random_document(rng, max_mentions=6, doc_id=f"s{trial}")
+        layout = _scored(doc)
+        # integer scores tie often; lifting every mention candidate above the
+        # meta nodes makes top picks close cycles
+        digits = rng.choice([0, 0, 2])
+        score = np.array([round(rng.uniform(-3, 3), digits) for _ in layout.score])
+        if rng.random() < 0.5:
+            score[layout.cand >= len(META)] += 10.0
+        flat = SlotScores(doc, layout.starts, layout.cand, score)
+        as_dict = dict(flat.items())
+        assert list(as_dict) == slot_instances(doc)
+        for slot, scored in as_dict.items():
+            assert scored.candidates == candidate_set(doc, slot)
+        for order in ("score", "document"):
+            want = reference_decode(doc, as_dict, order=order)
+            for scores in (flat, as_dict):
+                got = greedy_decode(doc, scores, order=order)
+                assert {(s.child, s.slot): p for s, p in got.edges.items()} == want
+            overridden += sum(as_dict[s].ranked()[0][0] != p for s, p in got.edges.items())
+    assert overridden > 100
+
+
+def test_slot_scores_checks():
+    doc = two_timex_doc()
+    scores = _scored(doc)
+    t1 = Slot("t1", "timex_ref")
+    assert len(scores) == 4 and list(scores) == slot_instances(doc)
+    assert t1 in scores and ("t1", "timex_ref") in scores
+    assert Slot("t1", "event_ref") not in scores
+    assert scores[t1].candidates == ["DCT", "ROOT", "t2"]
+    assert scores[t1].scores == scores.score[:3].tolist()
+    with pytest.raises(KeyError):
+        scores[Slot("t1", "event_ref")]
+    greedy_decode(doc, scores)
+    with pytest.raises(GraphError, match="built for another document object"):
+        greedy_decode(two_timex_doc(), scores)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        score = scores.score.copy()
+        score[2] = bad
+        with pytest.raises(GraphError, match=r"slot Slot\(child='t1', slot='timex_ref'\): "
+                                             r"candidate t2 has a non-finite score"):
+            greedy_decode(doc, SlotScores(doc, scores.starts, scores.cand, score))
+    with pytest.raises(GraphError, match="3 slot starts for 4 slots"):
+        SlotScores(doc, scores.starts[:3], scores.cand, scores.score)
+
+
 def test_validate_graph_and_gold_graph(hand_corpus):
     for doc in hand_corpus:
         graph = gold_graph(doc)
@@ -305,8 +365,6 @@ def test_scored_candidates_checks():
             ScoredCandidates(slot, ["DCT", "ROOT"], [0.0, bad])
     sc = ScoredCandidates(slot, ["DCT", "ROOT", "t2"], [0.1, 0.7, 0.7])
     assert sc.ranked() == [("ROOT", 0.7), ("t2", 0.7), ("DCT", 0.1)]
-    assert sc.top() == "ROOT"
-    assert sc.top_score() == 0.7
 
 
 def test_slot_is_an_immutable_named_pair():

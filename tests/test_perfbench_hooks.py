@@ -9,6 +9,7 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tdgparse import graph, scorer, training
@@ -53,10 +54,37 @@ def test_tracer_patches_and_restores_every_name(perfbench_modules):
         })
         model = scorer.RankingModel.initialized(
             scorer.ModelConfig(dim=2, hidden=2), scorer.build_vocabulary([doc]), seed=0)
-        decoded = graph.greedy_decode(doc, model.score_document(doc))
+        scores = model.score_document(doc)
+        assert isinstance(scores, graph.SlotScores)
+        decoded = graph.greedy_decode(doc, scores)
         metrics = tracer.layer_metrics()
         assert metrics["graph.slots_decoded"] == len(decoded.edges) == 3
         assert metrics["scorer.candidates_scored"] == 2 + 2 + 1
+        assert metrics["graph.cycle_override_ratio"] == 0.0
+
+        # the hooks read overrides from the SlotScores a decode is given:
+        # t1 and t2 each rank the other first, so the second slot visited
+        # (t2, by its lower top score) falls back to DCT
+        two = make_doc({
+            "id": "c", "dct": "2021-01-01",
+            "sentences": [{"index": 0, "tokens": ["monday", "today"]}],
+            "mentions": [
+                {"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1},
+                {"id": "t2", "kind": "timex", "sentence": 0, "start": 1, "end": 2},
+            ],
+            "edges": [{"child": "t1", "slot": "timex_ref", "parent": "DCT"},
+                      {"child": "t2", "slot": "timex_ref", "parent": "DCT"}],
+        })
+        layout = model.score_document(two)  # candidates DCT, ROOT, other timex
+        cyclic = graph.SlotScores(two, layout.starts, layout.cand,
+                                  np.array([0.0, 0.0, 2.0, 0.5, 0.0, 1.0]))
+        decoded = graph.greedy_decode(two, cyclic)
+        assert decoded.edges == {graph.Slot("t1", "timex_ref"): "t2",
+                                 graph.Slot("t2", "timex_ref"): "DCT"}
+        metrics = tracer.layer_metrics()
+        assert metrics["scorer.candidates_scored"] == 5 + 3 + 3
+        assert metrics["graph.slots_decoded"] == 3 + 2
+        assert metrics["graph.cycle_override_ratio"] == 1 / 5
     finally:
         tracer.uninstall()
     for (owner, attr), original in zip(patched, originals):
