@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .corpus import (
+    CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
     DCT,
-    EVENT,
-    EVENT_REF,
     META_NODES,
     ROOT,
     TIMEX,
@@ -45,11 +44,10 @@ class DistributionTable:
 
 
 def _table(name: str, col_labels: tuple[str, ...],
-           counts: dict[str, list[int]]) -> DistributionTable:
+           counts: list[list[int]]) -> DistributionTable:
     cells: list[list[float]] = []
     denominators: list[int] = []
-    for row in ROW_LABELS:
-        row_counts = counts[row]
+    for row_counts in counts:
         denom = sum(row_counts)
         denominators.append(denom)
         if denom == 0:
@@ -61,90 +59,50 @@ def _table(name: str, col_labels: tuple[str, ...],
                              denominators=denominators)
 
 
-def _empty_counts(n_cols: int) -> dict[str, list[int]]:
-    return {row: [0] * n_cols for row in ROW_LABELS}
-
-
-def timex_parent_distribution(corpus: Corpus, dp: DpLabelMap) -> DistributionTable:
-    """Where timexes point: the DCT, the meta root, or another timex."""
-    require_dp_coverage(dp, corpus)
-    cols = ("DCT", "Meta", "OtherTimex")
-    counts = _empty_counts(len(cols))
-    for doc in corpus:
-        for edge in doc.gold_edges:
-            if edge.slot != TIMEX_REF or doc.mention(edge.child).kind != TIMEX:
-                continue
-            row = dp[(doc.id, doc.mention(edge.child).sentence)].value
-            if edge.parent == DCT:
-                counts[row][0] += 1
-            elif edge.parent == ROOT:
-                counts[row][1] += 1
-            else:
-                counts[row][2] += 1
-    return _table("timex_parents", cols, counts)
-
-
-def event_reftimex_distribution(corpus: Corpus, dp: DpLabelMap) -> DistributionTable:
-    """Where events anchor in time: DCT, a same-sentence timex, or further."""
-    require_dp_coverage(dp, corpus)
-    cols = ("DCT", "IntraSentenceTimex", "CrossSentenceTimex")
-    counts = _empty_counts(len(cols))
-    for doc in corpus:
-        for edge in doc.gold_edges:
-            if edge.slot != TIMEX_REF or doc.mention(edge.child).kind != EVENT:
-                continue
-            child = doc.mention(edge.child)
-            row = dp[(doc.id, child.sentence)].value
-            if edge.parent == DCT:
-                counts[row][0] += 1
-            elif doc.mention(edge.parent).sentence == child.sentence:
-                counts[row][1] += 1
-            else:
-                counts[row][2] += 1
-    return _table("event_reference_timexes", cols, counts)
-
-
-def event_reftimex_content_matrix(corpus: Corpus, dp: DpLabelMap) -> DistributionTable:
-    """Content types of non-DCT reference timexes, by child content type."""
-    require_dp_coverage(dp, corpus)
-    counts = _empty_counts(len(ROW_LABELS))
-    for doc in corpus:
-        for edge in doc.gold_edges:
-            if edge.slot != TIMEX_REF or doc.mention(edge.child).kind != EVENT:
-                continue
-            if edge.parent in META_NODES:
-                continue
-            row = dp[(doc.id, doc.mention(edge.child).sentence)].value
-            col = dp[(doc.id, doc.mention(edge.parent).sentence)].value
-            counts[row][ROW_LABELS.index(col)] += 1
-    return _table("event_reference_timex_content", ROW_LABELS, counts)
-
-
-def event_refevent_content_matrix(corpus: Corpus, dp: DpLabelMap) -> DistributionTable:
-    """Content types of cross-sentence reference events, by child type."""
-    require_dp_coverage(dp, corpus)
-    counts = _empty_counts(len(ROW_LABELS))
-    for doc in corpus:
-        for edge in doc.gold_edges:
-            if edge.slot != EVENT_REF or edge.parent in META_NODES:
-                continue
-            child = doc.mention(edge.child)
-            parent = doc.mention(edge.parent)
-            if parent.sentence == child.sentence:
-                continue
-            row = dp[(doc.id, child.sentence)].value
-            col = dp[(doc.id, parent.sentence)].value
-            counts[row][ROW_LABELS.index(col)] += 1
-    return _table("event_reference_event_content", ROW_LABELS, counts)
+# the four tables in all_tables order, as (name, column labels)
+TABLES = (
+    ("timex_parents", ("DCT", "Meta", "OtherTimex")),
+    ("event_reference_timexes", ("DCT", "IntraSentenceTimex", "CrossSentenceTimex")),
+    ("event_reference_timex_content", ROW_LABELS),
+    ("event_reference_event_content", ROW_LABELS),
+)
 
 
 def all_tables(corpus: Corpus, dp: DpLabelMap) -> list[DistributionTable]:
-    return [
-        timex_parent_distribution(corpus, dp),
-        event_reftimex_distribution(corpus, dp),
-        event_reftimex_content_matrix(corpus, dp),
-        event_refevent_content_matrix(corpus, dp),
-    ]
+    """The four tables of TABLES, counted in one sweep over the gold edges.
+
+    Rows are the content type of the child's sentence:
+    - timex_parents: where a timex points, the DCT, the meta root or another
+      timex;
+    - event_reference_timexes: where an event anchors in time, the DCT, a
+      same-sentence timex or one further away;
+    - event_reference_timex_content: the content type of an event's non-DCT
+      reference timex;
+    - event_reference_event_content: the content type of an event's
+      cross-sentence reference event.
+    """
+    require_dp_coverage(dp, corpus)
+    counts = [[[0] * len(cols) for _ in ROW_LABELS] for _, cols in TABLES]
+    timex_parents, event_timexes, timex_content, event_content = counts
+    for doc in corpus:
+        types = {s.index: CONTENT_TYPE_INDEX[dp[(doc.id, s.index)]] for s in doc.sentences}
+        for edge in doc.gold_edges:
+            child = doc.mention(edge.child)
+            row = types[child.sentence]
+            if edge.slot == TIMEX_REF and child.kind == TIMEX:
+                col = 0 if edge.parent == DCT else 1 if edge.parent == ROOT else 2
+                timex_parents[row][col] += 1
+            elif edge.slot == TIMEX_REF and edge.parent == DCT:
+                event_timexes[row][0] += 1
+            elif edge.parent not in META_NODES:
+                parent = doc.mention(edge.parent)
+                same = parent.sentence == child.sentence
+                if edge.slot == TIMEX_REF:
+                    event_timexes[row][1 if same else 2] += 1
+                    timex_content[row][types[parent.sentence]] += 1
+                elif not same:
+                    event_content[row][types[parent.sentence]] += 1
+    return [_table(name, cols, table) for (name, cols), table in zip(TABLES, counts)]
 
 
 def _fmt(value: float) -> str:

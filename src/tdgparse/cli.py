@@ -8,10 +8,11 @@ manifest's ``timestamp`` field differs.
 
 Exit codes: 0 success; 1 an invalid corpus; 2 a usage error, meaning bad
 flags, a missing file, a bad config file or value, a seed-label count that
-does not match the prediction files, or a ``train`` run without the
-discourse labels its variant needs or with an empty training corpus; 3 a
-runtime fault, which is every other failure, any other ``ValueError``
-included.
+does not match the prediction files, a ``train`` run without the discourse
+labels its variant needs or with an empty training corpus, or a ``predict``
+run of a ``dp_feature`` checkpoint without ``--dp-labels``; 3 a runtime
+fault, which is every other failure (a malformed prediction line and any
+other ``ValueError`` included).
 
 OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -235,6 +236,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
+    if model.config.variant == "dp_feature" and not args.dp_labels:
+        raise UsageError(f"variant {model.config.variant} requires --dp-labels")
     corpus = parse_corpus(args.corpus)
     dp_labels = load_dp_labels(args.dp_labels, corpus) if args.dp_labels else None
     out_dir = Path(args.out)
@@ -258,19 +261,27 @@ def _load_predictions(path: str, corpus) -> dict:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
+                doc = docs.get(obj.get("id"))
             except json.JSONDecodeError as exc:
-                raise EvaluationError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-            doc = docs.get(obj.get("id"))
+                raise EvaluationError(f"{where}: malformed JSON: {exc}") from None
+            except (AttributeError, TypeError):
+                raise EvaluationError(
+                    f"{where}: a prediction must be a JSON object with a string id"
+                ) from None
             if doc is None:
                 raise EvaluationError(
-                    f"{path}:{lineno}: prediction for unknown document {obj.get('id')!r}"
+                    f"{where}: prediction for unknown document {obj.get('id')!r}"
                 )
             if doc.id in graphs:
-                raise EvaluationError(f"{path}:{lineno}: duplicate prediction "
+                raise EvaluationError(f"{where}: duplicate prediction "
                                       f"for document {doc.id!r}")
-            graphs[doc.id] = graph_from_json(obj, doc)
+            try:
+                graphs[doc.id] = graph_from_json(obj, doc)
+            except GraphError as exc:
+                raise GraphError(f"{where}: {exc}") from None
     return graphs
 
 

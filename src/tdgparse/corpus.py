@@ -124,39 +124,36 @@ def find_cycle(node_ids: list[str], edges: list[tuple[str, str]]) -> list[str] |
     """Return one directed cycle as a node list, or None if the graph is acyclic.
 
     ``edges`` are (child, parent) pairs; a pair whose endpoints are not both
-    in ``node_ids`` (a meta parent, an unknown mention) is skipped.
+    in ``node_ids`` (a meta parent, an unknown mention) is skipped. A
+    depth-first search starts from each node with an out-edge, in
+    ``node_ids`` order, and follows each node's edges in the order given;
+    nodes without one cannot lie on a cycle and are never entered.
     """
     known = set(node_ids)
-    out_edges: dict[str, list[str]] = {}
+    succs: dict[str, list[str]] = {}
     for child, parent in edges:
         if child in known and parent in known:
-            out_edges.setdefault(child, []).append(parent)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in node_ids}
+            succs.setdefault(child, []).append(parent)
+    done: set[str] = set()
     for start in node_ids:
-        if color[start] != WHITE:
+        if start not in succs or start in done:
             continue
-        path: list[str] = []
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GREY
-        path.append(start)
+        path = [start]
+        on_path = {start}
+        stack = [iter(succs[start])]
         while stack:
-            node, i = stack[-1]
-            succs = out_edges.get(node, [])
-            if i < len(succs):
-                stack[-1] = (node, i + 1)
-                nxt = succs[i]
-                if nxt not in color:
-                    continue
-                if color[nxt] == GREY:
+            for nxt in stack[-1]:
+                if nxt in on_path:
                     return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
+                if nxt in succs and nxt not in done:
                     path.append(nxt)
-                    stack.append((nxt, 0))
+                    on_path.add(nxt)
+                    stack.append(iter(succs[nxt]))
+                    break
             else:
-                color[node] = BLACK
-                path.pop()
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
                 stack.pop()
     return None
 

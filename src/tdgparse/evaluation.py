@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import META_NODES, Corpus, Document
-from .graph import TemporalDependencyGraph, slot_instances
+from .graph import KIND_SLOTS, Slot, TemporalDependencyGraph
 
 INTRA_SENTENCE = "intra_sentence"
 CROSS_SENTENCE = "cross_sentence"
@@ -79,26 +79,30 @@ class MetricsReport:
 
 
 def _iter_slot_pairs(preds: dict[str, TemporalDependencyGraph], gold: Corpus):
-    """Yield (doc, slot, predicted parent, gold parent) for every slot."""
+    """Yield (doc, child id, predicted parent, gold parent) for every slot, in
+    slot_instances order."""
     for doc in gold:
         graph = preds.get(doc.id)
         if graph is None:
             raise EvaluationError(f"no prediction for document {doc.id!r}")
+        edges = graph.edges
         gold_parents = {(e.child, e.slot): e.parent for e in doc.gold_edges}
-        for slot in slot_instances(doc):
-            pred_parent = graph.edges.get(slot)
-            if pred_parent is None:
-                raise EvaluationError(
-                    f"document {doc.id}: missing prediction for slot {slot}"
-                )
-            yield doc, slot, pred_parent, gold_parents[slot]
+        for m in doc.ordered_mentions():
+            for slot in KIND_SLOTS[m.kind]:
+                key = (m.id, slot)  # a Slot hashes and compares as its tuple
+                pred_parent = edges.get(key)
+                if pred_parent is None:
+                    raise EvaluationError(
+                        f"document {doc.id}: missing prediction for slot {Slot(*key)}"
+                    )
+                yield doc, m.id, pred_parent, gold_parents[key]
 
 
 def attachment_accuracy(preds: dict[str, TemporalDependencyGraph],
                         gold: Corpus) -> float:
     """Fraction of slots whose predicted parent equals the gold parent."""
     total = correct = 0
-    for _doc, _slot, pred_parent, gold_parent in _iter_slot_pairs(preds, gold):
+    for _doc, _child, pred_parent, gold_parent in _iter_slot_pairs(preds, gold):
         total += 1
         if pred_parent == gold_parent:
             correct += 1
@@ -114,12 +118,12 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
     cats = {c: CategoryMetrics() for c in CATEGORIES}
     total = correct = 0
     current, sentence_of = None, {}
-    for doc, slot, pred_parent, gold_parent in _iter_slot_pairs(preds, gold):
+    for doc, child, pred_parent, gold_parent in _iter_slot_pairs(preds, gold):
         if doc is not current:
             current, sentence_of = doc, _sentences(doc)
         total += 1
-        gold_cat = _category(doc, sentence_of, slot.child, gold_parent)
-        pred_cat = _category(doc, sentence_of, slot.child, pred_parent)
+        gold_cat = _category(doc, sentence_of, child, gold_parent)
+        pred_cat = _category(doc, sentence_of, child, pred_parent)
         cats[gold_cat].gold += 1
         cats[pred_cat].predicted += 1
         if pred_parent == gold_parent:

@@ -82,43 +82,53 @@ class TemporalDependencyGraph:
         return self.edges[Slot(child, slot)]
 
 
+# (child kind, slot) -> (meta parents, parent kind): a legal parent of the slot
+# is one of those metas, or a mention of that kind other than the child.
+PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
+    (TIMEX, TIMEX_REF): ((DCT, ROOT), TIMEX),
+    (EVENT, TIMEX_REF): ((DCT,), TIMEX),
+    (EVENT, EVENT_REF): ((NO_EVENT,), EVENT),
+}
+# the slots of each mention kind, in canonical order
+KIND_SLOTS: dict[str, tuple[str, ...]] = {
+    kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in (TIMEX, EVENT)
+}
+# each kind's slots as (slot, meta parents as a list, parent kind)
+_KIND_RULES = {kind: [(slot, list(PARENT_RULES[kind, slot][0]), PARENT_RULES[kind, slot][1])
+                      for slot in slots] for kind, slots in KIND_SLOTS.items()}
+
+# tuple.__new__(Slot, (child, slot)) builds a Slot without the Python-level
+# __new__ that NamedTuple generates, on paths that make one per slot
+_new_tuple = tuple.__new__
+
+
 def slot_instances(doc: Document) -> list[Slot]:
     """All slots of a document in canonical order.
 
     Children follow document order; for an event the reference-timex slot
     precedes the reference-event slot.
     """
-    slots: list[Slot] = []
-    for m in doc.ordered_mentions():
-        slots.append(Slot(m.id, TIMEX_REF))
-        if m.kind == EVENT:
-            slots.append(Slot(m.id, EVENT_REF))
-    return slots
+    return [_new_tuple(Slot, (m.id, slot))
+            for m in doc.ordered_mentions() for slot in KIND_SLOTS[m.kind]]
 
 
 def candidate_sets(doc: Document) -> dict[Slot, list[str]]:
-    """Legal parents of every slot, keyed in slot_instances order.
+    """Legal parents of every slot under PARENT_RULES, keyed in slot_instances order.
 
-    Meta nodes come first, then mentions in document order:
-    - timex reference-timex: DCT, ROOT, then every other timex;
-    - event reference-timex: DCT, then every timex;
-    - event reference-event: NO_EVENT, then every other event.
-    Every slot gets a list of its own.
+    The slot's meta parents come first, in PARENT_RULES order, then its
+    mention parents in document order. Every slot gets a list of its own.
     """
     mentions = doc.ordered_mentions()
-    timexes = [m.id for m in mentions if m.kind == TIMEX]
-    events = [m.id for m in mentions if m.kind == EVENT]
+    of_kind = {kind: [m.id for m in mentions if m.kind == kind] for kind in KIND_SLOTS}
+    seen = dict.fromkeys(KIND_SLOTS, 0)  # mentions of each kind before this one
     sets: dict[Slot, list[str]] = {}
-    t = e = 0
     for m in mentions:
-        if m.kind == TIMEX:
-            sets[Slot(m.id, TIMEX_REF)] = [DCT, ROOT] + timexes[:t] + timexes[t + 1:]
-            t += 1
-        else:
-            sets[Slot(m.id, TIMEX_REF)] = [DCT] + timexes
-        if m.kind == EVENT:
-            sets[Slot(m.id, EVENT_REF)] = [NO_EVENT] + events[:e] + events[e + 1:]
-            e += 1
+        i = seen[m.kind]
+        seen[m.kind] = i + 1
+        for slot, metas, kind in _KIND_RULES[m.kind]:
+            ids = of_kind[kind]
+            sets[_new_tuple(Slot, (m.id, slot))] = (
+                metas + ids[:i] + ids[i + 1:] if kind == m.kind else metas + ids)
     return sets
 
 
@@ -315,20 +325,24 @@ def gold_graph(doc: Document) -> TemporalDependencyGraph:
 
 
 def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:
-    """Check totality, candidate legality, and acyclicity of a full graph."""
-    violations: list[str] = []
-    sets = candidate_sets(doc)
-    for slot in sets:
-        if slot not in graph.edges:
-            violations.append(f"slot {slot} is unfilled")
-    for slot, parent in graph.edges.items():
-        legal = sets.get(slot)
-        if legal is None:
+    """Check totality, legality under PARENT_RULES, and acyclicity of a full graph.
+
+    Violations list the unfilled slots in slot_instances order, then the
+    illegal edges in edge order, then one cycle.
+    """
+    edges = graph.edges
+    kind_of = {m.id: m.kind for m in doc.mentions}
+    violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
+                  for slot in KIND_SLOTS[m.kind] if (m.id, slot) not in edges]
+    for slot, parent in edges.items():
+        child, name = slot
+        rule = PARENT_RULES.get((kind_of.get(child), name))
+        if rule is None:
             violations.append(f"slot {slot} does not belong to document {doc.id}")
-        elif parent not in legal:
+        elif parent not in rule[0] and (parent == child or kind_of.get(parent) != rule[1]):
             violations.append(f"slot {slot}: parent {parent} is not a legal candidate")
     cycle = find_cycle([m.id for m in doc.mentions],
-                       [(slot.child, parent) for slot, parent in graph.edges.items()])
+                       [(child, parent) for (child, _), parent in edges.items()])
     if cycle is not None:
         violations.append("edges form a cycle: " + " -> ".join(cycle))
     return violations
@@ -342,13 +356,22 @@ def graph_to_json(graph: TemporalDependencyGraph, doc: Document) -> dict:
 
 
 def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
+    """Read a graph_to_json object back and validate it against doc.
+
+    A missing field or a wrongly typed value raises GraphError, as does any
+    violation validate_graph finds.
+    """
     edges: dict[Slot, str] = {}
-    for e in obj["edges"]:
-        slot = Slot(str(e["child"]), str(e["slot"]))
-        if slot in edges:
-            raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
-        edges[slot] = str(e["parent"])
-    graph = TemporalDependencyGraph(doc_id=str(obj["id"]), edges=edges)
+    try:
+        for e in obj["edges"]:
+            slot = _new_tuple(Slot, (str(e["child"]), str(e["slot"])))
+            if slot in edges:
+                raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
+            edges[slot] = str(e["parent"])
+        graph = TemporalDependencyGraph(doc_id=str(obj["id"]), edges=edges)
+    except (KeyError, TypeError) as exc:
+        raise GraphError(f"document {doc.id}: malformed prediction "
+                         f"({type(exc).__name__}: {exc})") from None
     violations = validate_graph(graph, doc)
     if violations:
         raise GraphError(f"document {doc.id}: {violations[0]}")

@@ -4,8 +4,11 @@ Everything here is deliberately written with different mechanics than the
 package: the decoder re-scans all unassigned slots every step and checks
 acyclicity with a Floyd-Warshall transitive closure; the metrics counter
 tallies flat slot tuples; the scorer reference runs the ranking MLP slot by
-slot and pushes gradients down one candidate and one token at a time. Plain
-Python only, except numpy in the scorer reference and the gradient check.
+slot and pushes gradients down one candidate and one token at a time. The
+graph validator keeps the earlier package code: a colour-table depth-first
+search from every node and an explicit candidate list per slot; the
+analysis tables run one loop per table. Plain Python only, except numpy in
+the scorer reference and the gradient check.
 """
 
 from __future__ import annotations
@@ -14,7 +17,16 @@ import random
 
 import numpy as np
 
-from tdgparse.corpus import CONTENT_TYPE_INDEX, Document, GoldEdge, Mention, Sentence
+import math
+
+from tdgparse.corpus import (
+    CONTENT_TYPE_INDEX,
+    CONTENT_TYPES,
+    Document,
+    GoldEdge,
+    Mention,
+    Sentence,
+)
 from tdgparse.graph import Slot, TemporalDependencyGraph, candidate_set, slot_instances
 from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX
 
@@ -195,6 +207,133 @@ def random_pred_graph(rng: random.Random, doc: Document) -> TemporalDependencyGr
                     chosen.append((slot.child, cand))
                 break
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
+
+
+# ------------------------------------------------------------ graph checks
+
+
+def reference_find_cycle(node_ids: list[str],
+                         edges: list[tuple[str, str]]) -> list[str] | None:
+    """One directed cycle over node_ids, by a colour-table DFS from every node."""
+    known = set(node_ids)
+    out_edges: dict[str, list[str]] = {}
+    for child, parent in edges:
+        if child in known and parent in known:
+            out_edges.setdefault(child, []).append(parent)
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in node_ids}
+    for start in node_ids:
+        if color[start] != WHITE:
+            continue
+        path = [start]
+        stack = [(start, 0)]
+        color[start] = GREY
+        while stack:
+            node, i = stack[-1]
+            succs = out_edges.get(node, [])
+            if i < len(succs):
+                stack[-1] = (node, i + 1)
+                nxt = succs[i]
+                if color[nxt] == GREY:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    path.append(nxt)
+                    stack.append((nxt, 0))
+            else:
+                color[node] = BLACK
+                path.pop()
+                stack.pop()
+    return None
+
+
+def reference_candidates(doc: Document) -> dict[Slot, list[str]]:
+    """Every slot's legal parents, listed one slot at a time."""
+    ordered = sorted(doc.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id))
+    timexes = [m.id for m in ordered if m.kind == "timex"]
+    events = [m.id for m in ordered if m.kind == "event"]
+    sets: dict[Slot, list[str]] = {}
+    for m in ordered:
+        if m.kind == "timex":
+            sets[Slot(m.id, "timex_ref")] = ["DCT", "ROOT"] + [t for t in timexes if t != m.id]
+        else:
+            sets[Slot(m.id, "timex_ref")] = ["DCT"] + timexes
+            sets[Slot(m.id, "event_ref")] = ["NO_EVENT"] + [e for e in events if e != m.id]
+    return sets
+
+
+def reference_validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:
+    """validate_graph's violations, from explicit candidate lists."""
+    violations: list[str] = []
+    sets = reference_candidates(doc)
+    for slot in sets:
+        if slot not in graph.edges:
+            violations.append(f"slot {slot} is unfilled")
+    for slot, parent in graph.edges.items():
+        legal = sets.get(slot)
+        if legal is None:
+            violations.append(f"slot {slot} does not belong to document {doc.id}")
+        elif parent not in legal:
+            violations.append(f"slot {slot}: parent {parent} is not a legal candidate")
+    cycle = reference_find_cycle([m.id for m in doc.mentions],
+                                 [(slot.child, parent) for slot, parent in graph.edges.items()])
+    if cycle is not None:
+        violations.append("edges form a cycle: " + " -> ".join(cycle))
+    return violations
+
+
+# ---------------------------------------------------------------- analysis
+
+
+def reference_tables(corpus: list[Document], dp) -> dict[str, tuple[list[int], list[list[float]]]]:
+    """{table name: (row denominators, row percentages)}, one loop per table."""
+    rows = [ct.value for ct in CONTENT_TYPES]
+
+    def finish(counts: dict[str, list[int]]) -> tuple[list[int], list[list[float]]]:
+        denominators = [sum(counts[r]) for r in rows]
+        cells = [[100.0 * c / n for c in counts[r]] if n else [math.nan] * len(counts[r])
+                 for r, n in zip(rows, denominators)]
+        return denominators, cells
+
+    def empty(n_cols: int) -> dict[str, list[int]]:
+        return {r: [0] * n_cols for r in rows}
+
+    def content(doc: Document, mention_id: str) -> str:
+        return dp[(doc.id, doc.mention(mention_id).sentence)].value
+
+    timex = empty(3)
+    for doc in corpus:
+        for e in doc.gold_edges:
+            if e.slot == "timex_ref" and doc.mention(e.child).kind == "timex":
+                col = 0 if e.parent == "DCT" else 1 if e.parent == "ROOT" else 2
+                timex[content(doc, e.child)][col] += 1
+    event_timex = empty(3)
+    for doc in corpus:
+        for e in doc.gold_edges:
+            if e.slot == "timex_ref" and doc.mention(e.child).kind == "event":
+                if e.parent == "DCT":
+                    col = 0
+                elif doc.mention(e.parent).sentence == doc.mention(e.child).sentence:
+                    col = 1
+                else:
+                    col = 2
+                event_timex[content(doc, e.child)][col] += 1
+    timex_content = empty(len(rows))
+    for doc in corpus:
+        for e in doc.gold_edges:
+            if (e.slot == "timex_ref" and doc.mention(e.child).kind == "event"
+                    and e.parent not in META):
+                timex_content[content(doc, e.child)][rows.index(content(doc, e.parent))] += 1
+    event_content = empty(len(rows))
+    for doc in corpus:
+        for e in doc.gold_edges:
+            if (e.slot == "event_ref" and e.parent not in META
+                    and doc.mention(e.parent).sentence != doc.mention(e.child).sentence):
+                event_content[content(doc, e.child)][rows.index(content(doc, e.parent))] += 1
+    return {"timex_parents": finish(timex),
+            "event_reference_timexes": finish(event_timex),
+            "event_reference_timex_content": finish(timex_content),
+            "event_reference_event_content": finish(event_content)}
 
 
 # ------------------------------------------------------------------ scorer

@@ -274,6 +274,38 @@ def test_evaluate_rejects_malformed_predictions(tmp_path, hand_corpus_path,
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "must be a JSON object with a string id"),
+    ('{"id": ["x"], "edges": []}', "must be a JSON object with a string id"),
+    ('{"id": "a"}', "malformed prediction (KeyError: 'edges')"),
+    ('{"id": "a", "edges": [1]}', "malformed prediction (TypeError"),
+], ids=["not_an_object", "list_id", "no_edges", "edge_not_an_object"])
+def test_evaluate_rejects_malformed_prediction_lines(line, message, tmp_path,
+                                                     hand_corpus_path, capsys):
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("\n" + line + "\n", encoding="utf-8")
+    code = main(["evaluate", "--gold", str(hand_corpus_path),
+                 "--pred", str(preds), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{preds}:2: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_predict_dp_feature_without_labels_is_a_usage_error(tmp_path, hand_corpus_path,
+                                                            capsys):
+    corpus = parse_corpus(hand_corpus_path)
+    checkpoint = tmp_path / "checkpoint.json"
+    config = ModelConfig(dim=3, hidden=2, variant="dp_feature")
+    save_checkpoint(RankingModel.initialized(config, build_vocabulary(corpus), seed=0),
+                    checkpoint)
+    code = main(["predict", "--checkpoint", str(checkpoint),
+                 "--corpus", str(hand_corpus_path), "--out", str(tmp_path / "preds")])
+    assert code == 2
+    assert "variant dp_feature requires --dp-labels" in capsys.readouterr().err
+    assert not (tmp_path / "preds").exists()
+
+
 def test_pipeline_end_to_end(tmp_path):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps(SMALL_SYNTH), encoding="utf-8")
