@@ -43,8 +43,8 @@ from .corpus import (
     load_dp_labels,
     parse_corpus,
     read_corpus,
-    write_corpus,
-    write_dp_labels,
+    serialize_corpus,
+    serialize_dp_labels,
 )
 from .evaluation import (
     EvaluationError,
@@ -157,10 +157,8 @@ def cmd_synth(args) -> int:
     _write_manifest(out_dir, "synth", asdict(config), inputs, [args.seed],
                     outputs)
     corpus, labels = generate_synthetic_corpus(config, args.seed)
-    write_corpus(corpus, out_dir / "corpus.jsonl.tmp")
-    os.replace(out_dir / "corpus.jsonl.tmp", out_dir / "corpus.jsonl")
-    write_dp_labels(labels, corpus, out_dir / "dp_labels.tsv.tmp")
-    os.replace(out_dir / "dp_labels.tsv.tmp", out_dir / "dp_labels.tsv")
+    _write_atomic(out_dir / "corpus.jsonl", serialize_corpus(corpus))
+    _write_atomic(out_dir / "dp_labels.tsv", serialize_dp_labels(labels, corpus))
     return 0
 
 

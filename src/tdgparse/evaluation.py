@@ -30,7 +30,8 @@ class EvaluationError(Exception):
 
 def _category(doc: Document, sentence_of: dict[str, int], child: str,
               parent: str) -> str:
-    """slot_category, with ``sentence_of`` mapping doc's mention ids to sentences."""
+    """The category of the slot child -> parent; ``sentence_of`` maps doc's
+    mention ids to their sentences."""
     if parent in META_NODES:
         return NO_PARENT
     sentence = sentence_of.get(parent)
@@ -43,10 +44,6 @@ def _category(doc: Document, sentence_of: dict[str, int], child: str,
 
 def _sentences(doc: Document) -> dict[str, int]:
     return {m.id: m.sentence for m in doc.mentions}
-
-
-def slot_category(doc: Document, child: str, parent: str) -> str:
-    return _category(doc, _sentences(doc), child, parent)
 
 
 def corpus_identity(corpus: Corpus) -> str:

@@ -9,7 +9,6 @@ highest-ranked candidate that keeps the growing graph acyclic. Meta parents
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,31 +40,16 @@ class Slot(NamedTuple):
     slot: str
 
 
-@dataclass
-class ScoredCandidates:
-    """Scores for every candidate of one slot.
+class ScoredCandidates(NamedTuple):
+    """The scores of one slot's candidates, as a SlotScores reads them out.
 
     ranked() lists candidates by descending score; equal scores keep their
-    candidate_set order, so ranking is deterministic given the score vector.
-    Scores must be finite.
+    candidate order, so ranking is deterministic given the score vector.
     """
 
     slot: Slot
     candidates: list[str]
     scores: list[float]
-
-    def __post_init__(self) -> None:
-        if len(self.candidates) != len(self.scores):
-            raise GraphError(
-                f"slot {self.slot}: {len(self.candidates)} candidates but "
-                f"{len(self.scores)} scores"
-            )
-        if len(set(self.candidates)) != len(self.candidates):
-            raise GraphError(f"slot {self.slot}: duplicate candidates")
-        if not all(map(math.isfinite, self.scores)):
-            bad = next(c for c, v in zip(self.candidates, self.scores)
-                       if not math.isfinite(v))
-            raise GraphError(f"slot {self.slot}: candidate {bad} has a non-finite score")
 
     def ranked(self) -> list[tuple[str, float]]:
         return sorted(zip(self.candidates, self.scores), key=lambda cs: -cs[1])
@@ -77,9 +61,6 @@ class TemporalDependencyGraph:
 
     doc_id: str
     edges: dict[Slot, str]
-
-    def parent(self, child: str, slot: str) -> str:
-        return self.edges[Slot(child, slot)]
 
 
 # (child kind, slot) -> (meta parents, parent kind): a legal parent of the slot
@@ -93,9 +74,10 @@ PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
 KIND_SLOTS: dict[str, tuple[str, ...]] = {
     kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in (TIMEX, EVENT)
 }
-# each kind's slots as (slot, meta parents as a list, parent kind)
-_KIND_RULES = {kind: [(slot, list(PARENT_RULES[kind, slot][0]), PARENT_RULES[kind, slot][1])
-                      for slot in slots] for kind, slots in KIND_SLOTS.items()}
+# each kind's slots as (slot, meta parents as rows of META_NODES, parent kind)
+_KIND_RULES = {kind: [(slot, [META_NODES.index(m) for m in PARENT_RULES[kind, slot][0]],
+                       PARENT_RULES[kind, slot][1]) for slot in slots]
+               for kind, slots in KIND_SLOTS.items()}
 
 # tuple.__new__(Slot, (child, slot)) builds a Slot without the Python-level
 # __new__ that NamedTuple generates, on paths that make one per slot
@@ -112,83 +94,104 @@ def slot_instances(doc: Document) -> list[Slot]:
             for m in doc.ordered_mentions() for slot in KIND_SLOTS[m.kind]]
 
 
-def candidate_sets(doc: Document) -> dict[Slot, list[str]]:
-    """Legal parents of every slot under PARENT_RULES, keyed in slot_instances order.
+class CandidateLayout(NamedTuple):
+    """The legal parents of every slot of one document, as flat arrays.
 
-    The slot's meta parents come first, in PARENT_RULES order, then its
-    mention parents in document order. Every slot gets a list of its own.
+    ``slots`` are in slot_instances order. ``names`` holds the META_NODES,
+    then the mention ids in document order. Slot i's candidates are
+    positions ``starts[i]`` up to the next slot's start (or the end) of
+    ``cand``, and candidate k is ``names[cand[k]]``. A scorer's score vector
+    follows the same positions.
+    """
+
+    doc: Document
+    slots: list[Slot]
+    names: tuple[str, ...]
+    starts: np.ndarray
+    cand: np.ndarray
+
+    def span(self, i: int) -> slice:
+        """The positions of slot i's candidates."""
+        end = self.starts[i + 1] if i + 1 < len(self.starts) else len(self.cand)
+        return slice(self.starts[i], end)
+
+
+def candidate_layout(doc: Document) -> CandidateLayout:
+    """The candidates of every slot under PARENT_RULES.
+
+    A slot's meta parents come first, in PARENT_RULES order, then its mention
+    parents in document order.
     """
     mentions = doc.ordered_mentions()
-    of_kind = {kind: [m.id for m in mentions if m.kind == kind] for kind in KIND_SLOTS}
+    n_meta = len(META_NODES)
+    rows = {kind: [n_meta + i for i, m in enumerate(mentions) if m.kind == kind]
+            for kind in KIND_SLOTS}
     seen = dict.fromkeys(KIND_SLOTS, 0)  # mentions of each kind before this one
-    sets: dict[Slot, list[str]] = {}
+    slots: list[Slot] = []
+    starts: list[int] = []
+    cand: list[int] = []
     for m in mentions:
         i = seen[m.kind]
         seen[m.kind] = i + 1
         for slot, metas, kind in _KIND_RULES[m.kind]:
-            ids = of_kind[kind]
-            sets[_new_tuple(Slot, (m.id, slot))] = (
-                metas + ids[:i] + ids[i + 1:] if kind == m.kind else metas + ids)
-    return sets
+            slots.append(_new_tuple(Slot, (m.id, slot)))
+            starts.append(len(cand))
+            cand += metas
+            cand += rows[kind][:i] + rows[kind][i + 1:] if kind == m.kind else rows[kind]
+    return CandidateLayout(doc, slots, META_NODES + tuple(m.id for m in mentions),
+                           np.array(starts, dtype=np.int32), np.array(cand, dtype=np.int32))
 
 
-def _name_table(doc: Document) -> tuple[str, ...]:
-    """The META_NODES, then the mention ids in document order."""
-    return META_NODES + tuple(m.id for m in doc.ordered_mentions())
+def candidate_set(doc: Document, slot: Slot) -> list[str]:
+    """Legal parents of one slot, in candidate_layout order."""
+    layout = candidate_layout(doc)
+    if slot not in layout.slots:
+        kind = doc.mention(slot.child).kind  # KeyError for an unknown mention
+        raise GraphError(f"{kind} {slot.child} has no {slot.slot} slot")
+    span = layout.span(layout.slots.index(slot))
+    return [layout.names[c] for c in layout.cand[span].tolist()]
 
 
 class SlotScores(Mapping):
-    """The scores of every slot of one document, held as flat arrays.
+    """One score per candidate of a CandidateLayout, read as a slot mapping.
 
-    Slot i is ``slots[i]``, in slot_instances order. Its candidates are
-    positions ``starts[i]`` up to the next slot's start (or the end), in
-    candidate_sets order; candidate k is ``names[cand[k]]`` and scores
-    ``score[k]``, where ``names`` holds the META_NODES and then the mention
-    ids in document order. The scorer builds one from its cached index, whose
-    candidates come from candidate_sets(doc). Reading a slot builds its
-    ScoredCandidates; greedy_decode reads the arrays.
+    ``score[k]`` scores the layout's candidate k. Every score must be finite.
+    Reading a slot builds its ScoredCandidates; greedy_decode reads the
+    arrays.
     """
 
-    __slots__ = ("doc", "slots", "names", "starts", "cand", "score", "_position")
+    __slots__ = ("layout", "score", "_position")
 
-    def __init__(self, doc: Document, starts: np.ndarray, cand: np.ndarray,
-                 score: np.ndarray):
-        self.doc = doc
-        self.slots = slot_instances(doc)
-        self.names = _name_table(doc)
-        if len(starts) != len(self.slots) or len(cand) != len(score):
-            raise GraphError(f"document {doc.id}: {len(starts)} slot starts for "
-                             f"{len(self.slots)} slots, {len(score)} scores for "
-                             f"{len(cand)} candidates")
-        self.starts = starts
-        self.cand = cand
+    def __init__(self, layout: CandidateLayout, score: np.ndarray):
+        if not isinstance(layout, CandidateLayout):
+            raise GraphError(f"scores need a CandidateLayout, not {type(layout).__name__}")
+        if len(score) != len(layout.cand):
+            raise GraphError(f"document {layout.doc.id}: {len(score)} scores for "
+                             f"{len(layout.cand)} candidates")
+        finite = np.isfinite(score)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            slot = layout.slots[np.searchsorted(layout.starts, k, side="right") - 1]
+            raise GraphError(f"document {layout.doc.id}, slot {slot}: candidate "
+                             f"{layout.names[layout.cand[k]]} has a non-finite score")
+        self.layout = layout
         self.score = score
         self._position: dict[Slot, int] | None = None
 
     def __getitem__(self, slot: Slot) -> ScoredCandidates:
         if self._position is None:
-            self._position = {s: i for i, s in enumerate(self.slots)}
+            self._position = {s: i for i, s in enumerate(self.layout.slots)}
         i = self._position[slot]
-        start = self.starts[i]
-        end = self.starts[i + 1] if i + 1 < len(self.starts) else len(self.score)
-        return ScoredCandidates(self.slots[i],
-                                [self.names[c] for c in self.cand[start:end].tolist()],
-                                self.score[start:end].tolist())
+        span = self.layout.span(i)
+        return ScoredCandidates(self.layout.slots[i],
+                                [self.layout.names[c] for c in self.layout.cand[span].tolist()],
+                                self.score[span].tolist())
 
     def __iter__(self):
-        return iter(self.slots)
+        return iter(self.layout.slots)
 
     def __len__(self) -> int:
-        return len(self.slots)
-
-
-def candidate_set(doc: Document, slot: Slot) -> list[str]:
-    """Legal parents of one slot, as candidate_sets lists them."""
-    sets = candidate_sets(doc)
-    if slot not in sets:
-        kind = doc.mention(slot.child).kind  # KeyError for an unknown mention
-        raise GraphError(f"{kind} {slot.child} has no {slot.slot} slot")
-    return sets[slot]
+        return len(self.layout.slots)
 
 
 def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
@@ -200,10 +203,10 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
     nodes; an event -> timex edge never lies on a cycle. So the new edge
     cycles exactly when walking up the parent's own chain reaches the child.
     The walk is a complete check as long as every edge is legal, and
-    greedy_decode only proposes legal edges: a SlotScores is built from
-    candidate_sets, and _check_scores compares any other mapping with it. A
-    walk longer than the edges allow means they already hold a cycle, which
-    greedy_decode never builds, and raises GraphError.
+    greedy_decode only proposes legal edges: it takes only a SlotScores over
+    candidate_layout of the very document it decodes. A walk longer than the
+    edges allow means they already hold a cycle, which greedy_decode never
+    builds, and raises GraphError.
     """
     if parent in META_NODES:
         return False
@@ -219,77 +222,32 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
                      f"already form a cycle")
 
 
-def _check_scores(doc: Document, scores: Mapping[Slot, ScoredCandidates]) -> list[Slot]:
-    sets = candidate_sets(doc)
-    missing = [s for s in sets if s not in scores]
-    if missing:
-        raise GraphError(
-            f"document {doc.id}: no scores for slots {missing[:3]}"
-            + ("..." if len(missing) > 3 else "")
-        )
-    extra = scores.keys() - sets.keys()
-    if extra:
-        raise GraphError(f"document {doc.id}: scores for unknown slots {sorted(extra, key=str)[:3]}")
-    for slot, expected in sets.items():
-        got = scores[slot].candidates
-        if got != expected:
-            raise GraphError(
-                f"document {doc.id}, slot {slot}: candidates {got} "
-                f"do not match the candidate set {expected}"
-            )
-    return list(sets)
-
-
-def _flat_scores(doc: Document, scores: Mapping[Slot, ScoredCandidates]) -> SlotScores:
-    """The scores of doc's slots as a checked SlotScores.
-
-    A SlotScores must have been built for this very document object; any
-    other mapping is checked slot by slot against candidate_sets(doc) and
-    laid out the same way. Every score must be finite.
-    """
-    if isinstance(scores, SlotScores):
-        if scores.doc is not doc:
-            raise GraphError(f"document {doc.id}: the scores were built for another "
-                             f"document object ({scores.doc.id})")
-        flat = scores
-    else:
-        scored = [scores[slot] for slot in _check_scores(doc, scores)]
-        row = {name: i for i, name in enumerate(_name_table(doc))}
-        flat = SlotScores(doc, np.cumsum([0] + [len(sc.candidates) for sc in scored])[:-1],
-                          np.array([row[c] for sc in scored for c in sc.candidates],
-                                   dtype=np.int64),
-                          np.array([v for sc in scored for v in sc.scores], dtype=np.float64))
-    finite = np.isfinite(flat.score)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        slot = flat.slots[np.searchsorted(flat.starts, k, side="right") - 1]
-        raise GraphError(f"document {doc.id}, slot {slot}: candidate "
-                         f"{flat.names[flat.cand[k]]} has a non-finite score")
-    return flat
-
-
-def greedy_decode(doc: Document, scores: Mapping[Slot, ScoredCandidates],
+def greedy_decode(doc: Document, scores: SlotScores,
                   order: str = "score") -> TemporalDependencyGraph:
     """Fill every slot with its best cycle-free candidate, one slot at a time.
 
-    order="score" visits slots by descending top-candidate score (stable, so
-    ties keep canonical order); order="document" visits them in canonical
-    order. Each slot takes the first candidate in rank order (descending
-    score, ties in candidate order) that does not close a cycle with the
-    edges chosen so far; a meta candidate is always available, so decoding
-    cannot fail. Every slot's top candidate, its first maximum, comes from
-    the flat score arrays at once; only a slot whose top candidate closes a
-    cycle has its candidates ranked.
+    ``scores`` must have been built over candidate_layout of this very
+    document object. order="score" visits slots by descending top-candidate
+    score (stable, so ties keep canonical order); order="document" visits
+    them in canonical order. Each slot takes the first candidate in rank
+    order (descending score, ties in candidate order) that does not close a
+    cycle with the edges chosen so far; a meta candidate is always
+    available, so decoding cannot fail. Every slot's top candidate, its
+    first maximum, comes from the flat score arrays at once; only a slot
+    whose top candidate closes a cycle has its candidates ranked.
     """
     if order not in ("score", "document"):
         raise GraphError(f"unknown decode order {order!r}")
-    flat = _flat_scores(doc, scores)
+    layout = scores.layout
+    if layout.doc is not doc:
+        raise GraphError(f"document {doc.id}: the scores were built for another "
+                         f"document object ({layout.doc.id})")
     edges: dict[Slot, str] = {}
-    if not flat.slots:
+    if not layout.slots:
         return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
-    score, cand, names = flat.score, flat.cand, flat.names
-    top = np.maximum.reduceat(score, flat.starts)
-    values, starts = score.tolist(), flat.starts.tolist()
+    score, cand, names = scores.score, layout.cand, layout.names
+    top = np.maximum.reduceat(score, layout.starts)
+    values, starts = score.tolist(), layout.starts.tolist()
     ends = starts[1:] + [len(values)]
     # each slot's first maximum: the first score from its start that equals it
     first = [values.index(t, start) for t, start in zip(top.tolist(), starts)]
@@ -297,7 +255,7 @@ def greedy_decode(doc: Document, scores: Mapping[Slot, ScoredCandidates],
     visit = (np.argsort(-top, kind="stable").tolist() if order == "score"
              else range(len(starts)))
     for i in visit:
-        slot = flat.slots[i]
+        slot = layout.slots[i]
         parent = top_parent[i]
         if would_create_cycle(slot.child, parent, edges, doc):
             start, end = starts[i], ends[i]
@@ -310,18 +268,6 @@ def greedy_decode(doc: Document, scores: Mapping[Slot, ScoredCandidates],
                 raise GraphError(f"document {doc.id}: no feasible candidate for {slot}")
         edges[slot] = parent
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
-
-
-def gold_graph(doc: Document) -> TemporalDependencyGraph:
-    """The gold assignment as a graph (requires a validated document)."""
-    edges: dict[Slot, str] = {}
-    for e in doc.gold_edges:
-        edges[Slot(e.child, e.slot)] = e.parent
-    graph = TemporalDependencyGraph(doc_id=doc.id, edges=edges)
-    violations = validate_graph(graph, doc)
-    if violations:
-        raise GraphError(f"document {doc.id}: gold edges invalid: {violations[0]}")
-    return graph
 
 
 def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:

@@ -12,14 +12,15 @@ Three variants share this machinery:
   linear discourse-profile head over sentence representations that training
   can supervise alongside the ranking objective.
 
-Each document is indexed once into flat arrays (token ids of every mention
-and sentence, and the candidates ``graph.candidate_sets`` lists for every
-slot, with their packed scalar features). A batch of documents is scored by
-one embedding gather with segment means, one matrix product for the MLP's
-hidden layer and a softmax per slot segment; gradients run the same arrays
-backwards. ``score_document`` hands its scores on in the same flat layout,
-as a ``graph.SlotScores`` that ``greedy_decode`` reads directly. All
-arithmetic is float64 numpy and gradients are computed analytically.
+Each document is indexed once into flat arrays: token ids of every mention
+and sentence, and the candidate layout ``graph.candidate_layout`` builds
+for its slots, with each candidate's packed scalar features. A batch of
+documents is scored by one embedding gather with segment means, one matrix
+product for the MLP's hidden layer and a softmax per slot segment;
+gradients run the same arrays backwards. ``score_document`` hands its
+scores on over that same layout, as a ``graph.SlotScores`` that
+``greedy_decode`` reads directly. All arithmetic is float64 numpy and
+gradients are computed analytically.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .corpus import (
     DpLabelMap,
     require_dp_coverage,
 )
-from .graph import SlotScores, candidate_set, candidate_sets, slot_instances
+from .graph import CandidateLayout, SlotScores, candidate_layout, candidate_set
 
 
 class ScorerError(Exception):
@@ -207,49 +208,59 @@ def _token_grads(n_vocab: int, segments) -> np.ndarray:
 class _FlatIndex(NamedTuple):
     """Token and candidate tables of one document, or of a batch laid end to end.
 
-    Mentions are rows in document order. Token ids are in CSR form: flat ids
-    plus one length per mention (``mention_tok``, ``mention_len``) or
-    sentence (``sent_tok``, ``sent_len``). An index holds no discourse
-    labels: dp_feature's content markers are an input to each ranking call.
+    Mentions are rows in document order, and ``mention_sent`` holds each
+    one's sentence row. Token ids are in CSR form: flat ids plus one length
+    per mention (``mention_tok``, ``mention_len``) or sentence (``sent_tok``,
+    ``sent_len``). An index holds no discourse labels: dp_feature's content
+    markers are an input to each ranking call.
 
-    Slots and their candidates are those of ``candidate_sets``, in its order.
-    Per slot: ``starts``, the position of its first candidate, and ``gold``,
-    the position of its gold candidate or -1 when the gold parent is not a
-    candidate. Per candidate: ``slot``; ``child`` and ``child_sent``, the
-    child mention's row and sentence; ``cand``, its row in the candidate
-    table, whose rows are the META_NODES and then the mentions (mention i at
-    N_META + i); ``cand_sent``, 1 + its sentence, or 0 for a meta node; and
-    ``feat``, its scalar features as bits.
+    Slots and their candidates are those of ``layout``, the document's
+    ``candidate_layout`` (None for a batch): ``starts`` is the position of
+    each slot's first candidate and ``cand`` each candidate's row in the
+    candidate table, whose rows are the META_NODES and then the mentions
+    (mention i at N_META + i). Per slot, ``gold`` is the position of its
+    gold candidate or -1 when the gold parent is not a candidate. Per
+    candidate, ``child`` is the child mention's row and ``feat`` the scalar
+    features as bits.
     """
 
-    doc: Document | None
+    layout: CandidateLayout | None
     mention_tok: np.ndarray
     mention_len: np.ndarray
     sent_tok: np.ndarray
     sent_len: np.ndarray
+    mention_sent: np.ndarray
     starts: np.ndarray
     gold: np.ndarray
-    slot: np.ndarray
     child: np.ndarray
-    child_sent: np.ndarray
     cand: np.ndarray
-    cand_sent: np.ndarray
     feat: np.ndarray
 
 
+def _slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:
+    """The slot of each of n_cand candidates, given each slot's first one."""
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n_cand))
+
+
+def _sentence_rows(batch: _FlatIndex) -> tuple[np.ndarray, np.ndarray]:
+    """1 + the sentence row of each candidate's child, and of the candidate
+    itself or 0 for a meta node."""
+    row_sent = np.concatenate([np.zeros(N_META, dtype=np.int32), batch.mention_sent + 1])
+    return row_sent[N_META:][batch.child], row_sent[batch.cand]
+
+
 def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
-    """Index one document's tokens and the candidates of candidate_sets(doc)."""
+    """Index one document's tokens and its candidate_layout."""
     sent_ids = [[vocab.lookup(t) for t in s.tokens] for s in doc.sentences]
     ordered = doc.ordered_mentions()
     spans = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
     sent = np.array([m.sentence for m in ordered], dtype=np.int32)
-    table_row = {name: i for i, name in enumerate(META_NODES + tuple(m.id for m in ordered))}
-    sets = candidate_sets(doc)
-    lengths = np.array([len(cands) for cands in sets.values()], dtype=np.int64)
-    slot = np.repeat(np.arange(len(sets)), lengths)
-    cand = np.array([table_row[c] for cands in sets.values() for c in cands], dtype=np.int64)
-    child = np.repeat(np.array([table_row[s.child] - N_META for s in sets], dtype=np.int64),
-                      lengths)
+    layout = candidate_layout(doc)
+    table_row = {name: i for i, name in enumerate(layout.names)}
+    cand = layout.cand
+    slot = _slot_of(layout.starts, len(cand))
+    child = np.array([table_row[s.child] - N_META for s in layout.slots],
+                     dtype=np.int32)[slot]
 
     row = cand - N_META
     is_mention = row >= 0
@@ -260,25 +271,22 @@ def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
     feat[~is_mention] = 1 << (_META_BIT + cand[~is_mention])
     feat[is_mention] = ((1 << bucket) + (c < r) * (1 << _PRECEDES_BIT)
                         + (delta == 0) * (1 << _SAME_SENTENCE_BIT))
-    cand_sent = np.zeros(len(cand), dtype=np.int32)
-    cand_sent[is_mention] = sent[r] + 1
 
     gold_parent = {(e.child, e.slot): e.parent for e in reversed(doc.gold_edges)}
-    gold_row = np.array([table_row.get(gold_parent.get(s), -1) for s in sets],
+    gold_row = np.array([table_row.get(gold_parent.get(s), -1) for s in layout.slots],
                         dtype=np.int64)
     hit = np.flatnonzero(cand == gold_row[slot])
-    gold = np.full(len(sets), -1, dtype=np.int32)
+    gold = np.full(len(layout.slots), -1, dtype=np.int32)
     gold[slot[hit]] = hit
 
     return _FlatIndex(
-        doc,
+        layout,
         mention_tok=np.array([i for span in spans for i in span], dtype=np.int32),
         mention_len=np.array([len(span) for span in spans], dtype=np.int32),
         sent_tok=np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32),
         sent_len=np.array([len(sentence) for sentence in sent_ids], dtype=np.int32),
-        starts=_starts(lengths).astype(np.int32), gold=gold, slot=slot.astype(np.int32),
-        child=child.astype(np.int32), child_sent=sent[child], cand=cand.astype(np.int32),
-        cand_sent=cand_sent, feat=feat)
+        mention_sent=sent, starts=layout.starts, gold=gold, child=child, cand=cand,
+        feat=feat)
 
 
 def _sentence_sizes(batch: _FlatIndex, markers: np.ndarray | None) -> np.ndarray:
@@ -306,19 +314,18 @@ def _concat(indexes: list[_FlatIndex]) -> _FlatIndex:
 
     n_cand = [len(idx.cand) for idx in indexes]
     n_slot = [len(idx.starts) for idx in indexes]
+    n_mention = [len(idx.mention_len) for idx in indexes]
     cand_first = np.repeat(firsts("cand"), n_slot)
     mention_first = np.repeat(firsts("mention_len"), n_cand)
-    sent_first = np.repeat(firsts("sent_len"), n_cand)
-    cand, cand_sent = cat("cand"), cat("cand_sent")
+    cand = cat("cand")
     return _FlatIndex(
         None,
         mention_tok=cat("mention_tok"), mention_len=cat("mention_len"),
         sent_tok=cat("sent_tok"), sent_len=cat("sent_len"),
+        mention_sent=cat("mention_sent") + np.repeat(firsts("sent_len"), n_mention),
         starts=cat("starts") + cand_first, gold=cat("gold") + cand_first,
-        slot=cat("slot") + np.repeat(firsts("starts"), n_cand),
-        child=cat("child") + mention_first, child_sent=cat("child_sent") + sent_first,
+        child=cat("child") + mention_first,
         cand=cand + np.where(cand >= N_META, mention_first, 0),
-        cand_sent=cand_sent + np.where(cand_sent > 0, sent_first, 0),
         feat=cat("feat"))
 
 
@@ -348,7 +355,7 @@ class RankingModel:
 
     def _index(self, doc: Document) -> _FlatIndex:
         cached = self._index_cache.get(doc.id)
-        if cached is not None and cached.doc is doc:
+        if cached is not None and cached.layout.doc is doc:
             return cached
         idx = _index_document(doc, self.vocab)
         self._index_cache[doc.id] = idx
@@ -382,11 +389,12 @@ class RankingModel:
         u = (mention + emb[CHILD_MARK_INDEX])[batch.child]
         a = np.concatenate([p["meta_embeddings"],
                             mention + emb[CAND_MARK_INDEX]])[batch.cand]
-        no_sentence = np.zeros((1, self.config.dim))
+        # row 0 of the padded table is the no-sentence row of a meta candidate
+        sent = np.concatenate([np.zeros((1, self.config.dim)), sent])
         scalars = (batch.feat[:, None] >> np.arange(N_SCALAR_FEATURES)) & 1
-        phi = np.concatenate([u, sent[batch.child_sent], a,
-                              np.concatenate([no_sentence, sent])[batch.cand_sent],
-                              u * a, scalars], axis=1)
+        child_sent, cand_sent = _sentence_rows(batch)
+        phi = np.concatenate([u, sent[child_sent], a, sent[cand_sent], u * a, scalars],
+                             axis=1)
         z = phi @ p["w1"].T + p["b1"]
         r = np.maximum(z, 0.0)
         s = r @ p["w2"] + p["b2"]
@@ -401,7 +409,7 @@ class RankingModel:
         """
         idx = self._index(doc)
         values = self._ranking_forward(idx, self._markers([doc], dp_labels))[-1]
-        return SlotScores(doc, idx.starts, idx.cand, values)
+        return SlotScores(idx.layout, values)
 
     def dp_logits(self, doc: Document) -> np.ndarray:
         """(n_sentences, 9) content-type logits from plain sentence means."""
@@ -423,10 +431,11 @@ class RankingModel:
         for idx in indexes:
             missing = np.flatnonzero(idx.gold < 0)
             if missing.size:
-                slot = slot_instances(idx.doc)[missing[0]]
+                doc = idx.layout.doc
+                slot = idx.layout.slots[missing[0]]
                 raise ScorerError(
-                    f"document {idx.doc.id}: slot {slot} has no gold parent among "
-                    f"its candidates {candidate_set(idx.doc, slot)}"
+                    f"document {doc.id}: slot {slot} has no gold parent among "
+                    f"its candidates {candidate_set(doc, slot)}"
                 )
         batch = _concat(indexes)
         n_slots = len(batch.starts)
@@ -437,8 +446,9 @@ class RankingModel:
         phi, u, a, z, r, s = self._ranking_forward(batch, markers)
         # segmented softmax; bincount sums each slot in order, as ndarray.sum
         # does for fewer than eight candidates
-        e = np.exp(s - np.maximum.reduceat(s, batch.starts)[batch.slot])
-        p = e / np.bincount(batch.slot, weights=e)[batch.slot]
+        slot = _slot_of(batch.starts, len(batch.cand))
+        e = np.exp(s - np.maximum.reduceat(s, batch.starts)[slot])
+        p = e / np.bincount(slot, weights=e)[slot]
         total = -np.log(p[batch.gold]).sum()
         g = p / n_slots
         g[batch.gold] -= 1.0 / n_slots
@@ -455,8 +465,9 @@ class RankingModel:
         d_table = _scatter_rows(batch.cand, da, N_META + n_mentions)
         grads["meta_embeddings"] = d_table[:N_META]
         d_cand = d_table[N_META:]
+        child_sent, cand_sent = _sentence_rows(batch)
         d_sent = _scatter_rows(
-            np.concatenate([batch.child_sent + 1, batch.cand_sent]),
+            np.concatenate([child_sent, cand_sent]),
             np.concatenate([dphi[:, d:2 * d], dphi[:, 3 * d:4 * d]]),
             1 + len(batch.sent_len))[1:] / _sentence_sizes(batch, markers)[:, None]
         mention_len = batch.mention_len[:, None]

@@ -20,6 +20,7 @@ from .graph import TemporalDependencyGraph, greedy_decode
 from .scorer import (
     ModelConfig,
     RankingModel,
+    ScorerError,
     Vocabulary,
     build_vocabulary,
     clone_params,
@@ -62,6 +63,10 @@ class TrainConfig:
             raise ValueError(f"unknown decode order {self.decode_order!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        try:
+            self.model_config()
+        except ScorerError as exc:
+            raise ValueError(str(exc)) from None
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(dim=self.dim, hidden=self.hidden, variant=self.variant)

@@ -27,7 +27,17 @@ from tdgparse.corpus import (
     Mention,
     Sentence,
 )
-from tdgparse.graph import Slot, TemporalDependencyGraph, candidate_set, slot_instances
+from tdgparse.evaluation import _category, _sentences
+from tdgparse.graph import (
+    GraphError,
+    Slot,
+    SlotScores,
+    TemporalDependencyGraph,
+    candidate_layout,
+    candidate_set,
+    slot_instances,
+    validate_graph,
+)
 from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX
 
 META = ("DCT", "ROOT", "NO_EVENT")
@@ -174,19 +184,43 @@ def random_document(rng: random.Random, max_mentions: int = 10,
                     mentions=mentions, gold_edges=edges)
 
 
-def random_scores(rng: random.Random, doc: Document) -> dict:
-    """Random finite scores for every slot; sometimes coarsened to force ties."""
-    from tdgparse.graph import ScoredCandidates
+def scores_over(doc: Document, values) -> SlotScores:
+    """A SlotScores over candidate_layout(doc).
 
-    out = {}
+    ``values(slot, candidates)`` gives the scores of one slot's candidates;
+    it is called once per slot, in slot order.
+    """
+    layout = candidate_layout(doc)
+    score: list[float] = []
+    for i, slot in enumerate(layout.slots):
+        score += values(slot, [layout.names[c] for c in layout.cand[layout.span(i)].tolist()])
+    return SlotScores(layout, np.array(score, dtype=np.float64))
+
+
+def random_scores(rng: random.Random, doc: Document) -> SlotScores:
+    """Random finite scores for every slot; sometimes coarsened to force ties."""
     coarse = rng.random() < 0.3
-    for slot in slot_instances(doc):
-        cands = candidate_set(doc, slot)
-        values = [rng.uniform(-5, 5) for _ in cands]
-        if coarse:
-            values = [round(v) * 1.0 for v in values]
-        out[slot] = ScoredCandidates(slot, cands, values)
-    return out
+
+    def values(slot: Slot, cands: list[str]) -> list[float]:
+        drawn = [rng.uniform(-5, 5) for _ in cands]
+        return [round(v) * 1.0 for v in drawn] if coarse else drawn
+
+    return scores_over(doc, values)
+
+
+def gold_graph(doc: Document) -> TemporalDependencyGraph:
+    """The gold assignment as a graph; GraphError unless it validates."""
+    graph = TemporalDependencyGraph(
+        doc.id, {Slot(e.child, e.slot): e.parent for e in doc.gold_edges})
+    violations = validate_graph(graph, doc)
+    if violations:
+        raise GraphError(f"document {doc.id}: gold edges invalid: {violations[0]}")
+    return graph
+
+
+def slot_category(doc: Document, child: str, parent: str) -> str:
+    """The evaluation category of the slot child -> parent."""
+    return _category(doc, _sentences(doc), child, parent)
 
 
 def random_pred_graph(rng: random.Random, doc: Document) -> TemporalDependencyGraph:

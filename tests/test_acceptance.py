@@ -22,7 +22,13 @@ from tdgparse.analysis import all_tables
 from tdgparse.cli import main as cli_main
 from tdgparse.corpus import ContentType, load_dp_labels, parse_corpus
 from tdgparse.evaluation import partitioned_prf
-from tdgparse.graph import greedy_decode, slot_instances, validate_graph
+from tdgparse.graph import (
+    SlotScores,
+    candidate_layout,
+    greedy_decode,
+    slot_instances,
+    validate_graph,
+)
 from tdgparse.scorer import (
     ModelConfig,
     RankingModel,
@@ -166,8 +172,8 @@ def test_criterion_02_decoder_fuzz():
             graph = greedy_decode(doc, scores, order=order)
             assert validate_graph(graph, doc) == []
             audit_turn_by_turn(doc, scores, graph, order)
-            again = greedy_decode(doc, dict(reversed(list(scores.items()))),
-                                  order=order)
+            copy = SlotScores(candidate_layout(doc), scores.score.copy())
+            again = greedy_decode(doc, copy, order=order)
             assert again.edges == graph.edges
     elapsed = time.time() - t0
     criterion(2, elapsed < 30,

@@ -427,6 +427,26 @@ def test_train_usage_errors(tmp_path, hand_corpus_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, config, message", [
+    (["--dim", "0"], None, "dim and hidden must be positive"),
+    (["--hidden", "-3"], None, "dim and hidden must be positive"),
+    ([], {"variant": "bogus"}, "unknown variant 'bogus'"),
+], ids=["dim_zero", "hidden_negative", "config_variant"])
+def test_train_rejects_bad_model_values(tmp_path, hand_corpus_path, capsys,
+                                        flags, config, message):
+    corpus = str(hand_corpus_path)
+    out = tmp_path / "run"
+    argv = ["train", "--train", corpus, "--valid", corpus, "--epochs", "2",
+            "--warmup-epochs", "1", "--out", str(out), *flags]
+    if config is not None:
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_runtime_value_error_is_a_runtime_fault(tmp_path, hand_corpus_path, capsys,
                                                 monkeypatch):
     corpus = parse_corpus(hand_corpus_path)

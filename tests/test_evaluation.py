@@ -12,12 +12,17 @@ from tdgparse.evaluation import (
     corpus_identity,
     partitioned_prf,
     report_to_json,
-    slot_category,
 )
-from tdgparse.graph import Slot, TemporalDependencyGraph, gold_graph
+from tdgparse.graph import Slot, TemporalDependencyGraph
 
 from .conftest import make_doc
-from .oracles import brute_force_metrics, random_document, random_pred_graph
+from .oracles import (
+    brute_force_metrics,
+    gold_graph,
+    random_document,
+    random_pred_graph,
+    slot_category,
+)
 
 
 def three_timex_doc(gold=("DCT", "t1", "t1")):

@@ -10,8 +10,8 @@ from tdgparse.graph import (
     Slot,
     SlotScores,
     TemporalDependencyGraph,
+    candidate_layout,
     candidate_set,
-    gold_graph,
     graph_from_json,
     graph_to_json,
     greedy_decode,
@@ -25,10 +25,12 @@ from .conftest import make_doc
 from .oracles import (
     META,
     _closure_has_cycle,
+    gold_graph,
     random_document,
     random_pred_graph,
     random_scores,
     reference_decode,
+    scores_over,
 )
 
 
@@ -56,6 +58,11 @@ def test_candidate_sets():
     assert candidate_set(doc, Slot("e1", "event_ref")) == ["NO_EVENT"]
     with pytest.raises(GraphError):
         candidate_set(doc, Slot("t1", "event_ref"))
+    layout = candidate_layout(doc)
+    assert layout.doc is doc and layout.slots == slot_instances(doc)
+    assert layout.names == ("DCT", "ROOT", "NO_EVENT", "t1", "t2", "e1")
+    assert layout.starts.tolist() == [0, 3, 6, 9]
+    assert layout.cand.tolist() == [0, 1, 4, 0, 1, 3, 0, 3, 4, 2]
 
 
 def test_slot_instances_order():
@@ -131,12 +138,8 @@ def test_would_create_cycle_matches_closure_oracle():
 
 
 def _scores(doc, table):
-    out = {}
-    for slot in slot_instances(doc):
-        cands = candidate_set(doc, slot)
-        values = [table[(slot.child, slot.slot)].get(c, -10.0) for c in cands]
-        out[slot] = ScoredCandidates(slot, cands, values)
-    return out
+    return scores_over(doc, lambda slot, cands: [table[(slot.child, slot.slot)].get(c, -10.0)
+                                                 for c in cands])
 
 
 def test_decode_single_timex():
@@ -235,37 +238,6 @@ def test_decode_order_flag_changes_result():
         greedy_decode(doc, scores, order="best")
 
 
-def test_decode_requires_total_scores():
-    doc = two_timex_doc()
-    scores = {s: ScoredCandidates(s, candidate_set(doc, s),
-                                  [0.0] * len(candidate_set(doc, s)))
-              for s in slot_instances(doc)[:-1]}
-    with pytest.raises(GraphError, match="no scores"):
-        greedy_decode(doc, scores)
-
-
-def test_decode_rejects_wrong_candidates():
-    doc = two_timex_doc()
-    scores = {s: ScoredCandidates(s, candidate_set(doc, s),
-                                  [0.0] * len(candidate_set(doc, s)))
-              for s in slot_instances(doc)}
-    bad = Slot("t1", "timex_ref")
-    scores[bad] = ScoredCandidates(bad, ["DCT", "ROOT"], [0.0, 0.0])
-    with pytest.raises(GraphError, match="candidate set"):
-        greedy_decode(doc, scores)
-
-
-def test_scores_map_insertion_order_is_irrelevant():
-    rng = random.Random(5)
-    for trial in range(20):
-        doc = random_document(rng, max_mentions=6, doc_id=f"p{trial}")
-        scores = random_scores(rng, doc)
-        items = list(scores.items())
-        rng.shuffle(items)
-        assert greedy_decode(doc, dict(items)).edges == \
-            greedy_decode(doc, scores).edges
-
-
 def test_decode_matches_reference_oracle():
     rng = random.Random(11)
     for trial in range(50):
@@ -289,23 +261,22 @@ def test_slot_scores_decode_like_the_reference():
     overridden = 0
     for trial in range(300):
         doc = random_document(rng, max_mentions=6, doc_id=f"s{trial}")
-        layout = _scored(doc)
+        layout = _scored(doc).layout
         # integer scores tie often; lifting every mention candidate above the
         # meta nodes makes top picks close cycles
         digits = rng.choice([0, 0, 2])
-        score = np.array([round(rng.uniform(-3, 3), digits) for _ in layout.score])
+        score = np.array([round(rng.uniform(-3, 3), digits) for _ in layout.cand])
         if rng.random() < 0.5:
             score[layout.cand >= len(META)] += 10.0
-        flat = SlotScores(doc, layout.starts, layout.cand, score)
+        flat = SlotScores(layout, score)
         as_dict = dict(flat.items())
         assert list(as_dict) == slot_instances(doc)
         for slot, scored in as_dict.items():
             assert scored.candidates == candidate_set(doc, slot)
         for order in ("score", "document"):
             want = reference_decode(doc, as_dict, order=order)
-            for scores in (flat, as_dict):
-                got = greedy_decode(doc, scores, order=order)
-                assert {(s.child, s.slot): p for s, p in got.edges.items()} == want
+            got = greedy_decode(doc, flat, order=order)
+            assert {(s.child, s.slot): p for s, p in got.edges.items()} == want
             overridden += sum(as_dict[s].ranked()[0][0] != p for s, p in got.edges.items())
     assert overridden > 100
 
@@ -324,14 +295,19 @@ def test_slot_scores_checks():
     greedy_decode(doc, scores)
     with pytest.raises(GraphError, match="built for another document object"):
         greedy_decode(two_timex_doc(), scores)
+    layout = scores.layout
     for bad in (float("nan"), float("inf"), -float("inf")):
         score = scores.score.copy()
         score[2] = bad
         with pytest.raises(GraphError, match=r"slot Slot\(child='t1', slot='timex_ref'\): "
                                              r"candidate t2 has a non-finite score"):
-            greedy_decode(doc, SlotScores(doc, scores.starts, scores.cand, score))
-    with pytest.raises(GraphError, match="3 slot starts for 4 slots"):
-        SlotScores(doc, scores.starts[:3], scores.cand, scores.score)
+            SlotScores(layout, score)
+    with pytest.raises(GraphError, match="9 scores for 10 candidates"):
+        SlotScores(layout, scores.score[:9])
+    # bare arrays are not a layout: these would offer t1 the illegal parent e1
+    with pytest.raises(GraphError, match="need a CandidateLayout"):
+        SlotScores((doc, layout.slots, layout.names, layout.starts,
+                    np.array([0, 1, 5, 0, 1, 3, 0, 3, 4, 2], dtype=np.int32)), scores.score)
 
 
 def test_validate_graph_and_gold_graph(hand_corpus):
@@ -356,13 +332,6 @@ def test_validate_graph_violations():
 
 def test_scored_candidates_checks():
     slot = Slot("t1", "timex_ref")
-    with pytest.raises(GraphError, match="scores"):
-        ScoredCandidates(slot, ["DCT", "ROOT"], [0.0])
-    with pytest.raises(GraphError, match="duplicate"):
-        ScoredCandidates(slot, ["DCT", "DCT"], [0.0, 0.0])
-    for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(GraphError, match="candidate ROOT has a non-finite score"):
-            ScoredCandidates(slot, ["DCT", "ROOT"], [0.0, bad])
     sc = ScoredCandidates(slot, ["DCT", "ROOT", "t2"], [0.1, 0.7, 0.7])
     assert sc.ranked() == [("ROOT", 0.7), ("t2", 0.7), ("DCT", 0.1)]
 

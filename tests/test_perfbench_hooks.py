@@ -9,12 +9,12 @@ import ast
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from tdgparse import graph, scorer, training
 
 from .conftest import make_doc
+from .oracles import scores_over
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,9 +75,9 @@ def test_tracer_patches_and_restores_every_name(perfbench_modules):
             "edges": [{"child": "t1", "slot": "timex_ref", "parent": "DCT"},
                       {"child": "t2", "slot": "timex_ref", "parent": "DCT"}],
         })
-        layout = model.score_document(two)  # candidates DCT, ROOT, other timex
-        cyclic = graph.SlotScores(two, layout.starts, layout.cand,
-                                  np.array([0.0, 0.0, 2.0, 0.5, 0.0, 1.0]))
+        model.score_document(two)  # candidates DCT, ROOT, other timex
+        cyclic = scores_over(two, lambda slot, cands: {"t1": [0.0, 0.0, 2.0],
+                                                       "t2": [0.5, 0.0, 1.0]}[slot.child])
         decoded = graph.greedy_decode(two, cyclic)
         assert decoded.edges == {graph.Slot("t1", "timex_ref"): "t2",
                                  graph.Slot("t2", "timex_ref"): "DCT"}

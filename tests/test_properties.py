@@ -6,10 +6,11 @@ import random
 
 from tdgparse.analysis import all_tables
 from tdgparse.corpus import CONTENT_TYPES, Document, GoldEdge, find_cycle, validate_document
-from tdgparse.graph import Slot, TemporalDependencyGraph, gold_graph, validate_graph
+from tdgparse.graph import Slot, TemporalDependencyGraph, validate_graph
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
 from .oracles import (
+    gold_graph,
     random_document,
     random_pred_graph,
     reference_find_cycle,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tdgparse.corpus import META_NODES, ContentType, Document, GoldEdge, Mention, Sentence
-from tdgparse.graph import Slot, candidate_set, candidate_sets, greedy_decode, slot_instances
+from tdgparse.graph import Slot, candidate_layout, candidate_set, greedy_decode
 from tdgparse.scorer import (
     ModelConfig,
     PARAM_ORDER,
@@ -29,6 +29,7 @@ from .oracles import (
     reference_ranking_loss_and_grads,
     reference_relu_pattern,
     random_document,
+    reference_candidates,
     reference_scores,
 )
 
@@ -409,20 +410,24 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
-def test_candidate_enumerations_agree():
-    """candidate_sets, candidate_set and the scorer's index list the same candidates."""
+def test_candidate_layout_matches_reference():
+    """candidate_layout, candidate_set and the scorer's index list the
+    candidates of reference_candidates, slot by slot."""
     rng = random.Random(31)
     for trial in range(300):
         doc = random_document(rng, doc_id=f"c{trial}")
-        sets = candidate_sets(doc)
-        assert list(sets) == slot_instances(doc)
+        want = reference_candidates(doc)
+        layout = candidate_layout(doc)
+        assert layout.slots == list(want)
+        assert layout.names == META_NODES + tuple(m.id for m in doc.ordered_mentions())
+        assert layout.starts.dtype == layout.cand.dtype == np.int32
         idx = _index_document(doc, build_vocabulary([doc]))
-        names = META_NODES + tuple(m.id for m in doc.ordered_mentions())
-        rows = np.split(idx.cand, idx.starts[1:])
-        assert len(rows) == len(sets)
-        for (slot, cands), row in zip(sets.items(), rows):
+        assert idx.layout.doc is doc
+        rows = np.split(idx.cand, idx.starts[1:]) if len(idx.starts) else []
+        assert len(rows) == len(want)
+        for (slot, cands), row in zip(want.items(), rows):
+            assert [layout.names[r] for r in row.tolist()] == cands
             assert candidate_set(doc, slot) == cands
-            assert [names[r] for r in row.tolist()] == cands
 
 
 def test_model_rejects_misshaped_or_non_finite_parameters():
