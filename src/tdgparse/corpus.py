@@ -11,10 +11,12 @@ after load.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 
 class ContentType(Enum):
@@ -47,7 +49,6 @@ MENTION_KINDS = (EVENT, TIMEX)
 
 TIMEX_REF = "timex_ref"
 EVENT_REF = "event_ref"
-SLOTS = (TIMEX_REF, EVENT_REF)
 
 DCT = "DCT"
 ROOT = "ROOT"
@@ -55,6 +56,26 @@ NO_EVENT = "NO_EVENT"
 META_NODES = (DCT, ROOT, NO_EVENT)
 
 EDGE_LABELS = ("before", "after", "overlap", "included", "depend_on")
+
+
+class Slot(NamedTuple):
+    """One reference decision: the child mention and which slot is being filled."""
+
+    child: str
+    slot: str
+
+
+# (child kind, slot) -> (meta parents, parent kind): a legal parent of the slot
+# is one of those metas, or a mention of that kind other than the child.
+PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
+    (TIMEX, TIMEX_REF): ((DCT, ROOT), TIMEX),
+    (EVENT, TIMEX_REF): ((DCT,), TIMEX),
+    (EVENT, EVENT_REF): ((NO_EVENT,), EVENT),
+}
+# the slots of each mention kind, in canonical order
+KIND_SLOTS: dict[str, tuple[str, ...]] = {
+    kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in MENTION_KINDS
+}
 
 
 class CorpusError(Exception):
@@ -158,11 +179,38 @@ def find_cycle(node_ids: list[str], edges: list[tuple[str, str]]) -> list[str] |
     return None
 
 
+def edge_violations(doc: Document, edges: dict[Slot, str]) -> list[str]:
+    """Check that ``edges`` fill every slot of ``doc`` legally and without a cycle.
+
+    Violations list the unfilled slots in document order (a mention's slots
+    in KIND_SLOTS order), then the edges that break PARENT_RULES in edge
+    order, then one cycle. An edge whose child is no mention, or whose slot
+    its child's kind does not have, does not belong to the document.
+    """
+    kind_of = {m.id: m.kind for m in doc.mentions}
+    violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
+                  for slot in KIND_SLOTS.get(m.kind, ()) if (m.id, slot) not in edges]
+    for slot, parent in edges.items():
+        child, name = slot
+        rule = PARENT_RULES.get((kind_of.get(child), name))
+        if rule is None:
+            violations.append(f"slot {slot} does not belong to document {doc.id}")
+        elif parent not in rule[0] and (parent == child or kind_of.get(parent) != rule[1]):
+            violations.append(f"slot {slot}: parent {parent} is not a legal candidate")
+    cycle = find_cycle([m.id for m in doc.mentions],
+                       [(child, parent) for (child, _), parent in edges.items()])
+    if cycle is not None:
+        violations.append("edges form a cycle: " + " -> ".join(cycle))
+    return violations
+
+
 def validate_document(doc: Document) -> list[str]:
-    """Check every document invariant; return one description per violation.
+    """Check every invariant of a normalized document (as read_corpus passes
+    it); return one description per violation.
 
     Violations are data, not faults: the list is empty iff the document is
     well formed. Each entry names the offending sentence, mention, or edge.
+    The gold edges go through edge_violations, like a predicted graph.
     """
     violations: list[str] = []
 
@@ -195,69 +243,27 @@ def validate_document(doc: Document) -> list[str]:
                 f"{m.sentence} of length {sent_len[m.sentence]}"
             )
 
-    by_id = {m.id: m for m in doc.mentions}
-    timex_ref_count: dict[str, int] = {m.id: 0 for m in doc.mentions}
-    event_ref_count: dict[str, int] = {m.id: 0 for m in doc.mentions}
-    for edge in doc.gold_edges:
-        tag = f"edge ({edge.child}, {edge.slot}, {edge.parent})"
-        child = by_id.get(edge.child)
-        if child is None:
-            violations.append(f"{tag}: unknown child mention")
-            continue
-        if edge.slot not in SLOTS:
-            violations.append(f"{tag}: unknown slot")
-            continue
-        if edge.label is not None and edge.label not in EDGE_LABELS:
-            violations.append(f"{tag}: unknown label {edge.label!r}")
-        if edge.parent == edge.child:
-            violations.append(f"{tag}: child and parent coincide")
-            continue
-        if edge.slot == TIMEX_REF:
-            timex_ref_count[edge.child] += 1
-            if edge.parent in META_NODES:
-                if edge.parent == NO_EVENT:
-                    violations.append(f"{tag}: NO_EVENT is not a timex reference")
-                elif edge.parent == ROOT and child.kind == EVENT:
-                    violations.append(f"{tag}: events may not reference ROOT")
-            else:
-                parent = by_id.get(edge.parent)
-                if parent is None:
-                    violations.append(f"{tag}: unknown parent mention")
-                elif parent.kind != TIMEX:
-                    violations.append(f"{tag}: timex reference parent must be a timex")
-        else:  # EVENT_REF
-            if child.kind != EVENT:
-                violations.append(f"{tag}: only events carry a reference event")
-                continue
-            event_ref_count[edge.child] += 1
-            if edge.parent in META_NODES:
-                if edge.parent != NO_EVENT:
-                    violations.append(
-                        f"{tag}: only NO_EVENT is a meta reference-event parent"
-                    )
-            else:
-                parent = by_id.get(edge.parent)
-                if parent is None:
-                    violations.append(f"{tag}: unknown parent mention")
-                elif parent.kind != EVENT:
-                    violations.append(f"{tag}: event reference parent must be an event")
-
-    for m in doc.mentions:
-        if timex_ref_count[m.id] != 1:
-            violations.append(
-                f"mention {m.id}: {timex_ref_count[m.id]} reference-timex edges, expected 1"
-            )
-        if m.kind == EVENT and event_ref_count[m.id] > 1:
-            violations.append(
-                f"mention {m.id}: {event_ref_count[m.id]} reference-event edges, expected at most 1"
-            )
-
-    cycle = find_cycle([m.id for m in doc.mentions],
-                       [(e.child, e.parent) for e in doc.gold_edges])
-    if cycle is not None:
-        violations.append("gold edges form a cycle: " + " -> ".join(cycle))
-
+    edges: dict[Slot, str] = {}
+    for e in doc.gold_edges:
+        slot = tuple.__new__(Slot, (e.child, e.slot))  # skips NamedTuple's Python __new__
+        if e.label is not None and e.label not in EDGE_LABELS:
+            violations.append(f"gold slot {slot}: unknown label {e.label!r}")
+        if slot in edges:
+            violations.append(f"gold slot {slot}: more than one edge "
+                              f"(parents {edges[slot]} and {e.parent})")
+        else:
+            edges[slot] = e.parent
+    violations += ["gold " + v for v in edge_violations(doc, edges)]
     return violations
+
+
+def require_numbers(kind: type, name: str, *values) -> None:
+    """Raise ValueError unless every value of a config field is an int (kind
+    int) or a finite int or float (kind float); a bool is neither."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, kind)) \
+                or isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite {kind.__name__}, not {value!r}")
 
 
 def _require(obj: dict, key: str, where: str):

@@ -15,8 +15,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .corpus import META_NODES, Corpus, Document
-from .graph import KIND_SLOTS, Slot, TemporalDependencyGraph
+from .corpus import KIND_SLOTS, META_NODES, Corpus, Document, Slot
+from .graph import TemporalDependencyGraph
 
 INTRA_SENTENCE = "intra_sentence"
 CROSS_SENTENCE = "cross_sentence"

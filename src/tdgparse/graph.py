@@ -16,28 +16,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import (
-    DCT,
-    EVENT,
     EVENT_REF,
+    KIND_SLOTS,
     META_NODES,
-    NO_EVENT,
-    ROOT,
+    PARENT_RULES,
     TIMEX,
     TIMEX_REF,
     Document,
-    find_cycle,
+    Slot,
+    edge_violations,
 )
 
 
 class GraphError(Exception):
     """A decoded or supplied graph violates a structural invariant."""
-
-
-class Slot(NamedTuple):
-    """One reference decision: the child mention and which slot is being filled."""
-
-    child: str
-    slot: str
 
 
 class ScoredCandidates(NamedTuple):
@@ -63,17 +55,6 @@ class TemporalDependencyGraph:
     edges: dict[Slot, str]
 
 
-# (child kind, slot) -> (meta parents, parent kind): a legal parent of the slot
-# is one of those metas, or a mention of that kind other than the child.
-PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
-    (TIMEX, TIMEX_REF): ((DCT, ROOT), TIMEX),
-    (EVENT, TIMEX_REF): ((DCT,), TIMEX),
-    (EVENT, EVENT_REF): ((NO_EVENT,), EVENT),
-}
-# the slots of each mention kind, in canonical order
-KIND_SLOTS: dict[str, tuple[str, ...]] = {
-    kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in (TIMEX, EVENT)
-}
 # each kind's slots as (slot, meta parents as rows of META_NODES, parent kind)
 _KIND_RULES = {kind: [(slot, [META_NODES.index(m) for m in PARENT_RULES[kind, slot][0]],
                        PARENT_RULES[kind, slot][1]) for slot in slots]
@@ -271,27 +252,8 @@ def greedy_decode(doc: Document, scores: SlotScores,
 
 
 def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:
-    """Check totality, legality under PARENT_RULES, and acyclicity of a full graph.
-
-    Violations list the unfilled slots in slot_instances order, then the
-    illegal edges in edge order, then one cycle.
-    """
-    edges = graph.edges
-    kind_of = {m.id: m.kind for m in doc.mentions}
-    violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
-                  for slot in KIND_SLOTS[m.kind] if (m.id, slot) not in edges]
-    for slot, parent in edges.items():
-        child, name = slot
-        rule = PARENT_RULES.get((kind_of.get(child), name))
-        if rule is None:
-            violations.append(f"slot {slot} does not belong to document {doc.id}")
-        elif parent not in rule[0] and (parent == child or kind_of.get(parent) != rule[1]):
-            violations.append(f"slot {slot}: parent {parent} is not a legal candidate")
-    cycle = find_cycle([m.id for m in doc.mentions],
-                       [(child, parent) for (child, _), parent in edges.items()])
-    if cycle is not None:
-        violations.append("edges form a cycle: " + " -> ".join(cycle))
-    return violations
+    """The violations corpus.edge_violations finds in the graph's edges."""
+    return edge_violations(doc, graph.edges)
 
 
 def graph_to_json(graph: TemporalDependencyGraph, doc: Document) -> dict:

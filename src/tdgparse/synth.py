@@ -32,6 +32,7 @@ from .corpus import (
     GoldEdge,
     Mention,
     Sentence,
+    require_numbers,
 )
 
 # (P(DCT), P(ROOT)) per content type; the rest goes to an earlier timex.
@@ -92,20 +93,25 @@ class SynthConfig:
     timex_vocab_size: int = 20
 
     def __post_init__(self) -> None:
-        if self.n_docs < 1:
-            raise ValueError("n_docs must be at least 1")
+        for name in ("n_docs", "noise_vocab_size", "event_vocab_size", "timex_vocab_size"):
+            require_numbers(int, name, getattr(self, name))
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         for name in ("sentences_per_doc", "mentions_per_sentence",
                      "noise_tokens_per_sentence"):
             lo, hi = getattr(self, name)
+            require_numbers(int, name, lo, hi)
             if lo > hi or lo < 0:
                 raise ValueError(f"{name} range ({lo}, {hi}) is infeasible")
         if self.sentences_per_doc[0] < 1:
             raise ValueError("documents need at least one sentence")
+        require_numbers(float, "timex_share", self.timex_share)
         if not 0.0 <= self.timex_share <= 1.0:
             raise ValueError("timex_share must be a probability")
         tags = set(DEFAULT_CONTENT_WEIGHTS)
         if set(self.content_weights) != tags:
             raise ValueError("content_weights must cover exactly the nine types")
+        require_numbers(float, "content_weights", *self.content_weights.values())
         if any(w < 0 for w in self.content_weights.values()) \
                 or sum(self.content_weights.values()) <= 0:
             raise ValueError("content_weights must be non-negative with positive sum")
@@ -114,16 +120,15 @@ class SynthConfig:
             if set(table) != tags:
                 raise ValueError(f"{name} must cover exactly the nine types")
             for tag, (p1, p2) in table.items():
+                require_numbers(float, f"{name}[{tag}]", p1, p2)
                 if p1 < 0 or p2 < 0 or p1 + p2 > 1.0 + 1e-12:
                     raise ValueError(f"{name}[{tag}] = ({p1}, {p2}) is not a "
                                      "sub-probability pair")
         for name in ("refevent_prob", "refevent_intra_prob",
                      "refevent_content_affinity"):
+            require_numbers(float, name, getattr(self, name))
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be a probability")
-        if self.noise_vocab_size < 1 or self.event_vocab_size < 1 \
-                or self.timex_vocab_size < 1:
-            raise ValueError("vocabulary sizes must be positive")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthConfig":

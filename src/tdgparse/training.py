@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation
-from .corpus import Corpus, DpLabelMap, require_dp_coverage
+from .corpus import Corpus, DpLabelMap, require_dp_coverage, require_numbers
 from .graph import TemporalDependencyGraph, greedy_decode
 from .scorer import (
     ModelConfig,
@@ -28,7 +28,13 @@ from .scorer import (
     zero_grads,
 )
 
-UPDATE_ORDERS = ("dp_then_rank", "rank_then_dp", "joint")
+# dp_distill's optimizer steps per batch under each update order; a step
+# names the losses whose gradients it sums, in that order
+UPDATE_PLANS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "dp_then_rank": (("dp",), ("ranking",)),
+    "rank_then_dp": (("ranking",), ("dp",)),
+    "joint": (("ranking", "dp"),),
+}
 DECODE_ORDERS = ("score", "document")
 
 
@@ -51,18 +57,24 @@ class TrainConfig:
     hidden: int = 64
 
     def __post_init__(self) -> None:
+        for name in ("max_epochs", "batch_size_docs", "warmup_epochs", "dim", "hidden"):
+            require_numbers(int, name, getattr(self, name))
+        require_numbers(float, "peak_lr", self.peak_lr)
+        require_numbers(float, "weight_decay", self.weight_decay)
+        require_numbers(int, "seeds", *self.seeds)
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be one or more distinct integers, "
+                             f"not {list(self.seeds)}")
         if self.max_epochs < 1 or self.batch_size_docs < 1:
             raise ValueError("max_epochs and batch_size_docs must be positive")
         if self.peak_lr <= 0 or self.weight_decay < 0:
             raise ValueError("peak_lr must be positive and weight_decay non-negative")
         if not 1 <= self.warmup_epochs <= self.max_epochs:
             raise ValueError("warmup_epochs must lie in [1, max_epochs]")
-        if self.update_order not in UPDATE_ORDERS:
+        if self.update_order not in UPDATE_PLANS:
             raise ValueError(f"unknown update order {self.update_order!r}")
         if self.decode_order not in DECODE_ORDERS:
             raise ValueError(f"unknown decode order {self.decode_order!r}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
         try:
             self.model_config()
         except ScorerError as exc:
@@ -158,10 +170,10 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     """Run one seeded training job and return the best-epoch model.
 
     The learning-rate schedule is evaluated at 1-based optimizer-step
-    indexes; dp_distill with a non-joint update order takes two optimizer
-    steps per batch, and the schedule advances on each. Model selection keeps
-    the epoch with the highest validation attachment accuracy (earliest on
-    ties).
+    indexes; dp_distill takes the steps of its UPDATE_PLANS entry per batch,
+    the other variants one ranking step, and the schedule advances on each
+    step. Model selection keeps the epoch with the highest validation
+    attachment accuracy (earliest on ties).
     """
     variant = config.variant
     if variant in ("dp_feature", "dp_distill"):
@@ -182,69 +194,44 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
 
     docs = list(train_corpus)
     n_batches = math.ceil(len(docs) / config.batch_size_docs)
-    steps_per_batch = 2 if variant == "dp_distill" and config.update_order != "joint" else 1
-    steps_per_epoch = n_batches * steps_per_batch
+    plan = UPDATE_PLANS[config.update_order] if variant == "dp_distill" else (("ranking",),)
+    steps_per_epoch = n_batches * len(plan)
     total_steps = steps_per_epoch * config.max_epochs
     warmup_steps = steps_per_epoch * config.warmup_epochs
 
     feature_labels = dp_labels if variant == "dp_feature" else None
-
-    def step(grads) -> None:
-        lr = lr_at(state.t + 1, total_steps, warmup_steps, config.peak_lr)
-        adamw_step(model.params, grads, state, lr,
-                   weight_decay=config.weight_decay)
+    loss_fns = {"ranking": lambda batch: model.ranking_loss_and_grads(batch, feature_labels),
+                "dp": lambda batch: model.dp_loss_and_grads(batch, dp_labels)}
 
     history = TrainHistory()
     best_params = clone_params(model.params)
     best_accuracy = -1.0
     for epoch in range(config.max_epochs):
         perm = rng.permutation(len(docs))
-        rank_losses: list[float] = []
-        dp_losses: list[float] = []
+        losses: dict[str, list[float]] = {"ranking": [], "dp": []}
         for b in range(n_batches):
             batch = [docs[i] for i in perm[b * config.batch_size_docs:
                                            (b + 1) * config.batch_size_docs]]
-
-            def batch_losses():
-                if variant != "dp_distill":
-                    loss, grads = model.ranking_loss_and_grads(batch, feature_labels)
-                    yield "ranking", loss, grads
-                elif config.update_order == "joint":
-                    r_loss, r_grads = model.ranking_loss_and_grads(batch)
-                    d_loss, d_grads = model.dp_loss_and_grads(batch, dp_labels)
-                    grads = {k: r_grads[k] + d_grads[k] for k in r_grads}
-                    dp_losses.append(d_loss)
-                    rank_losses.append(r_loss)
-                    yield "joint", r_loss + d_loss, grads
-                elif config.update_order == "dp_then_rank":
-                    d_loss, d_grads = model.dp_loss_and_grads(batch, dp_labels)
-                    dp_losses.append(d_loss)
-                    yield "dp", d_loss, d_grads
-                    r_loss, r_grads = model.ranking_loss_and_grads(batch)
-                    yield "ranking", r_loss, r_grads
-                else:  # rank_then_dp
-                    r_loss, r_grads = model.ranking_loss_and_grads(batch)
-                    yield "ranking", r_loss, r_grads
-                    d_loss, d_grads = model.dp_loss_and_grads(batch, dp_labels)
-                    dp_losses.append(d_loss)
-                    yield "dp", d_loss, d_grads
-
-            for kind, loss, grads in batch_losses():
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite {kind} loss at epoch {epoch}, batch {b}"
-                    )
-                if kind == "ranking":
-                    rank_losses.append(loss)
-                step(grads)
+            for names in plan:
+                grads = None
+                for name in names:
+                    loss, g = loss_fns[name](batch)
+                    if not math.isfinite(loss):
+                        raise TrainingDiverged(
+                            f"non-finite {name} loss at epoch {epoch}, batch {b}"
+                        )
+                    losses[name].append(loss)
+                    grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
+                lr = lr_at(state.t + 1, total_steps, warmup_steps, config.peak_lr)
+                adamw_step(model.params, grads, state, lr, weight_decay=config.weight_decay)
 
         preds = decode_corpus(model, valid_corpus, feature_labels,
                               order=config.decode_order)
         accuracy = evaluation.attachment_accuracy(preds, valid_corpus)
         history.epochs.append(EpochRecord(
             epoch=epoch,
-            ranking_loss=float(np.mean(rank_losses)) if rank_losses else 0.0,
-            dp_loss=float(np.mean(dp_losses)) if dp_losses else None,
+            ranking_loss=float(np.mean(losses["ranking"])),  # every plan ranks
+            dp_loss=float(np.mean(losses["dp"])) if losses["dp"] else None,
             valid_accuracy=accuracy,
         ))
         if accuracy > best_accuracy:

@@ -7,7 +7,8 @@ tallies flat slot tuples; the scorer reference runs the ranking MLP slot by
 slot and pushes gradients down one candidate and one token at a time. The
 graph validator keeps the earlier package code: a colour-table depth-first
 search from every node and an explicit candidate list per slot; the
-analysis tables run one loop per table. Plain Python only, except numpy in
+document validator keeps the earlier per-kind branches and per-mention edge
+counts; the analysis tables run one loop per table. Plain Python only, except numpy in
 the scorer reference and the gradient check.
 """
 
@@ -22,6 +23,7 @@ import math
 from tdgparse.corpus import (
     CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
+    EDGE_LABELS,
     Document,
     GoldEdge,
     Mention,
@@ -313,6 +315,105 @@ def reference_validate_graph(graph: TemporalDependencyGraph, doc: Document) -> l
                                  [(slot.child, parent) for slot, parent in graph.edges.items()])
     if cycle is not None:
         violations.append("edges form a cycle: " + " -> ".join(cycle))
+    return violations
+
+
+def reference_validate_document(doc: Document) -> list[str]:
+    """validate_document's verdict, from per-kind branches and per-mention edge counts."""
+    violations: list[str] = []
+
+    indexes = [s.index for s in doc.sentences]
+    if indexes != list(range(len(doc.sentences))):
+        violations.append(
+            f"document {doc.id}: sentence indexes {indexes} are not contiguous from 0"
+        )
+    for sent in doc.sentences:
+        if not sent.tokens:
+            violations.append(f"document {doc.id}: sentence {sent.index} has no tokens")
+
+    n_sents = len(doc.sentences)
+    sent_len = {s.index: len(s.tokens) for s in doc.sentences}
+    seen_ids: set[str] = set()
+    for m in doc.mentions:
+        if m.id in seen_ids:
+            violations.append(f"mention {m.id}: duplicate id")
+            continue
+        seen_ids.add(m.id)
+        if m.id in META:
+            violations.append(f"mention {m.id}: id is reserved for a meta node")
+        if m.kind not in ("event", "timex"):
+            violations.append(f"mention {m.id}: unknown kind {m.kind!r}")
+        if not 0 <= m.sentence < n_sents:
+            violations.append(f"mention {m.id}: sentence {m.sentence} does not exist")
+        elif not (0 <= m.start < m.end <= sent_len[m.sentence]):
+            violations.append(
+                f"mention {m.id}: span [{m.start}, {m.end}) outside sentence "
+                f"{m.sentence} of length {sent_len[m.sentence]}"
+            )
+
+    by_id = {m.id: m for m in doc.mentions}
+    timex_ref_count: dict[str, int] = {m.id: 0 for m in doc.mentions}
+    event_ref_count: dict[str, int] = {m.id: 0 for m in doc.mentions}
+    for edge in doc.gold_edges:
+        tag = f"edge ({edge.child}, {edge.slot}, {edge.parent})"
+        child = by_id.get(edge.child)
+        if child is None:
+            violations.append(f"{tag}: unknown child mention")
+            continue
+        if edge.slot not in ("timex_ref", "event_ref"):
+            violations.append(f"{tag}: unknown slot")
+            continue
+        if edge.label is not None and edge.label not in EDGE_LABELS:
+            violations.append(f"{tag}: unknown label {edge.label!r}")
+        if edge.parent == edge.child:
+            violations.append(f"{tag}: child and parent coincide")
+            continue
+        if edge.slot == "timex_ref":
+            timex_ref_count[edge.child] += 1
+            if edge.parent in META:
+                if edge.parent == "NO_EVENT":
+                    violations.append(f"{tag}: NO_EVENT is not a timex reference")
+                elif edge.parent == "ROOT" and child.kind == "event":
+                    violations.append(f"{tag}: events may not reference ROOT")
+            else:
+                parent = by_id.get(edge.parent)
+                if parent is None:
+                    violations.append(f"{tag}: unknown parent mention")
+                elif parent.kind != "timex":
+                    violations.append(f"{tag}: timex reference parent must be a timex")
+        else:  # event_ref
+            if child.kind != "event":
+                violations.append(f"{tag}: only events carry a reference event")
+                continue
+            event_ref_count[edge.child] += 1
+            if edge.parent in META:
+                if edge.parent != "NO_EVENT":
+                    violations.append(
+                        f"{tag}: only NO_EVENT is a meta reference-event parent"
+                    )
+            else:
+                parent = by_id.get(edge.parent)
+                if parent is None:
+                    violations.append(f"{tag}: unknown parent mention")
+                elif parent.kind != "event":
+                    violations.append(f"{tag}: event reference parent must be an event")
+
+    for m in doc.mentions:
+        if timex_ref_count[m.id] != 1:
+            violations.append(
+                f"mention {m.id}: {timex_ref_count[m.id]} reference-timex edges, expected 1"
+            )
+        if m.kind == "event" and event_ref_count[m.id] > 1:
+            violations.append(
+                f"mention {m.id}: {event_ref_count[m.id]} reference-event edges, "
+                "expected at most 1"
+            )
+
+    cycle = reference_find_cycle([m.id for m in doc.mentions],
+                                 [(e.child, e.parent) for e in doc.gold_edges])
+    if cycle is not None:
+        violations.append("gold edges form a cycle: " + " -> ".join(cycle))
+
     return violations
 
 

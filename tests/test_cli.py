@@ -208,6 +208,35 @@ def test_synth_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _with(key: str, tag: str, value) -> dict:
+    """SMALL_SYNTH with one content type's entry of a per-type table replaced."""
+    return {**SMALL_SYNTH, key: {**SMALL_SYNTH.get(key, {}), tag: value}}
+
+
+@pytest.mark.parametrize("changes, message", [
+    (_with("timex_parent_probs", "D1", [float("nan"), 0.0]),
+     "timex_parent_probs[D1] must be a finite float, not nan"),
+    (_with("event_timex_probs", "M1", [0.5, float("nan")]),
+     "event_timex_probs[M1] must be a finite float, not nan"),
+    ({"content_weights": {**dict.fromkeys(("M1", "M2", "C1", "C2", "D1", "D2", "D3",
+                                           "D4"), 0.1), "NA": float("nan")}},
+     "content_weights must be a finite float, not nan"),
+    ({"n_docs": 2.5}, "n_docs must be a finite int, not 2.5"),
+    ({"sentences_per_doc": [1.5, 3]}, "sentences_per_doc must be a finite int, not 1.5"),
+    ({"noise_vocab_size": 20.0}, "noise_vocab_size must be a finite int, not 20.0"),
+    ({"timex_share": True}, "timex_share must be a finite float, not True"),
+], ids=["nan_timex_parent_prob", "nan_event_timex_prob", "nan_content_weight",
+        "float_n_docs", "float_sentence_bound", "float_vocab_size", "bool_share"])
+def test_synth_rejects_wrong_typed_and_non_finite_values(tmp_path, capsys, changes,
+                                                          message):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({**SMALL_SYNTH, **changes}), encoding="utf-8")
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_analyze_flags_label_gaps(hand_corpus_path, tmp_path, capsys):
     labels = tmp_path / "partial.tsv"
     labels.write_text("a\t0\tM1\na\t1\tC2\nb\t0\tD1\nb\t1\tD1\n",
@@ -431,17 +460,27 @@ def test_train_usage_errors(tmp_path, hand_corpus_path, capsys):
     (["--dim", "0"], None, "dim and hidden must be positive"),
     (["--hidden", "-3"], None, "dim and hidden must be positive"),
     ([], {"variant": "bogus"}, "unknown variant 'bogus'"),
-], ids=["dim_zero", "hidden_negative", "config_variant"])
+    (["--lr", "nan"], None, "peak_lr must be a finite float, not nan"),
+    (["--weight-decay", "nan"], None, "weight_decay must be a finite float, not nan"),
+    ([], {"peak_lr": float("inf")}, "peak_lr must be a finite float, not inf"),
+    ([], {"dim": 2.5}, "dim must be a finite int, not 2.5"),
+    ([], {"dim": True}, "dim must be a finite int, not True"),
+    ([], {"max_epochs": 1.5}, "max_epochs must be a finite int, not 1.5"),
+    ([], {"batch_size_docs": 2.5}, "batch_size_docs must be a finite int, not 2.5"),
+    ([], {"seeds": [0.5]}, "seeds must be a finite int, not 0.5"),
+    ([], {"seeds": [0, 0]}, "seeds must be one or more distinct integers, not [0, 0]"),
+], ids=["dim_zero", "hidden_negative", "config_variant", "lr_nan", "weight_decay_nan",
+        "config_lr_inf", "config_float_dim", "config_bool_dim", "config_float_epochs",
+        "config_float_batch", "config_float_seed", "config_repeated_seed"])
 def test_train_rejects_bad_model_values(tmp_path, hand_corpus_path, capsys,
                                         flags, config, message):
     corpus = str(hand_corpus_path)
     out = tmp_path / "run"
-    argv = ["train", "--train", corpus, "--valid", corpus, "--epochs", "2",
-            "--warmup-epochs", "1", "--out", str(out), *flags]
-    if config is not None:
-        path = tmp_path / "train.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        argv += ["--config", str(path)]
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps({"max_epochs": 2, "warmup_epochs": 1, **(config or {})}),
+                    encoding="utf-8")
+    argv = ["train", "--train", corpus, "--valid", corpus, "--config", str(path),
+            "--out", str(out), *flags]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (out / "manifest.json").exists()

@@ -1,11 +1,19 @@
-"""Seeded property tests: graph validation and the analysis tables against
-the references in tests/oracles.py, over random documents and corpora."""
+"""Seeded property tests: graph and document validation and the analysis
+tables against the references in tests/oracles.py, over random documents and
+corpora."""
 
 import math
 import random
 
 from tdgparse.analysis import all_tables
-from tdgparse.corpus import CONTENT_TYPES, Document, GoldEdge, find_cycle, validate_document
+from tdgparse.corpus import (
+    CONTENT_TYPES,
+    Document,
+    GoldEdge,
+    find_cycle,
+    normalize_no_event_edges,
+    validate_document,
+)
 from tdgparse.graph import Slot, TemporalDependencyGraph, validate_graph
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
@@ -15,6 +23,7 @@ from .oracles import (
     random_pred_graph,
     reference_find_cycle,
     reference_tables,
+    reference_validate_document,
     reference_validate_graph,
 )
 
@@ -76,6 +85,23 @@ def _mutate(rng: random.Random, doc: Document, edges: dict) -> str | None:
     return kind
 
 
+def _mutate_gold(rng: random.Random, doc: Document, gold: list[GoldEdge]) -> str | None:
+    """Apply one random fault that only a list of gold edges can hold; return
+    its name, or None if it does not apply."""
+    if not gold:
+        return None
+    kind = rng.choice(["duplicate", "unknown_slot", "bad_label"])
+    edge = rng.choice(gold)
+    names = ["DCT", "ROOT", "NO_EVENT"] + [m.id for m in doc.mentions]
+    if kind == "duplicate":
+        gold.append(GoldEdge(edge.child, edge.slot, rng.choice(names)))
+    elif kind == "unknown_slot":
+        gold.append(GoldEdge(edge.child, "anchor", rng.choice(names)))
+    else:
+        gold[gold.index(edge)] = GoldEdge(edge.child, edge.slot, edge.parent, "simultaneous")
+    return kind
+
+
 def test_validate_graph_matches_reference_on_mutated_graphs():
     rng = random.Random(2024)
     applied: dict[str, int] = {}
@@ -84,6 +110,9 @@ def test_validate_graph_matches_reference_on_mutated_graphs():
         doc = random_document(rng, max_mentions=9, doc_id=f"p{trial}")
         base = gold_graph(doc) if trial % 2 else random_pred_graph(rng, doc)
         assert validate_graph(base, doc) == reference_validate_graph(base, doc) == []
+        base_doc = Document(doc.id, doc.dct, doc.sentences, doc.mentions,
+                            [GoldEdge(s.child, s.slot, p) for s, p in base.edges.items()])
+        assert validate_document(base_doc) == reference_validate_document(base_doc) == []
         edges = dict(base.edges)
         for _ in range(rng.randint(1, 3)):
             kind = _mutate(rng, doc, edges)
@@ -97,16 +126,31 @@ def test_validate_graph_matches_reference_on_mutated_graphs():
         ids = [m.id for m in doc.mentions]
         assert find_cycle(ids, pairs) == reference_find_cycle(ids, pairs)
 
-        # validate_document runs the same cycle finder over gold edges
-        mutated = Document(doc.id, doc.dct, doc.sentences, doc.mentions,
-                           [GoldEdge(s.child, s.slot, p) for s, p in edges.items()])
-        cycle = reference_find_cycle(ids, pairs)
-        found = [v for v in validate_document(mutated) if "form a cycle" in v]
-        assert found == ([] if cycle is None else
-                         ["gold edges form a cycle: " + " -> ".join(cycle)])
+        # validate_document runs the same check over the gold edges, the first
+        # edge of each slot, after its own label and duplicate checks; a
+        # gold cycle reads "gold edges form a cycle: ..."
+        gold = [GoldEdge(s.child, s.slot, p) for s, p in edges.items()]
+        if trial % 3 and (kind := _mutate_gold(rng, doc, gold)) is not None:
+            applied[kind] = applied.get(kind, 0) + 1
+        mutated = Document(doc.id, doc.dct, doc.sentences, doc.mentions, gold)
+        first: dict[Slot, str] = {}
+        for e in gold:
+            first.setdefault(Slot(e.child, e.slot), e.parent)
+        shared = ["gold " + v for v in
+                  reference_validate_graph(TemporalDependencyGraph(doc.id, first), doc)]
+        found = validate_document(mutated)
+        own = [v for v in found if "unknown label" in v or "more than one edge" in v]
+        assert found == own + shared, (trial, gold)
+        assert len(own) == len(gold) - len(first) + sum(e.label is not None for e in gold)
+
+        # on a normalized document the merged validator and the earlier
+        # per-kind one agree on validity
+        normalized = normalize_no_event_edges(mutated)
+        assert (validate_document(normalized) == []) \
+            == (reference_validate_document(normalized) == []), (trial, gold)
     assert all(applied.get(kind, 0) >= 20 for kind in (
         "unfilled", "foreign", "self", "wrong_kind", "wrong_meta", "unknown_parent",
-        "timex_cycle", "event_cycle")), applied
+        "timex_cycle", "event_cycle", "duplicate", "unknown_slot", "bad_label")), applied
     assert flagged > N_DOCS * 0.9
 
 
