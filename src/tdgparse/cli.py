@@ -31,7 +31,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -116,6 +116,17 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _read_config(path: str | None) -> dict:
+    """The JSON object a --config file holds, or {} when no file is given."""
+    if not path:
+        return {}
+    with open(path, encoding="utf-8") as fh, _usage_errors(f"bad config {path}"):
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise UsageError(f"bad config {path}: not a JSON object but a {type(obj).__name__}")
+    return obj
+
+
 def cmd_validate(args) -> int:
     out_dir = Path(args.out)
     inputs = {"corpus": Path(args.corpus)}
@@ -145,12 +156,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh, \
-                _usage_errors(f"bad synth config {args.config}"):
-            config = SynthConfig.from_json(json.load(fh))
-    else:
-        config = SynthConfig()
+    with _usage_errors(f"bad synth config {args.config}"):
+        config = SynthConfig(**_read_config(args.config))
     out_dir = Path(args.out)
     inputs = {"config": Path(args.config)} if args.config else {}
     outputs = ["corpus.jsonl", "dp_labels.tsv"]
@@ -162,39 +169,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_TRAIN_FLAG_FIELDS = {
-    "variant": "variant",
-    "epochs": "max_epochs",
-    "batch_docs": "batch_size_docs",
-    "lr": "peak_lr",
-    "warmup_epochs": "warmup_epochs",
-    "weight_decay": "weight_decay",
-    "seeds": "seeds",
-    "update_order": "update_order",
-    "decode_order": "decode_order",
-    "dim": "dim",
-    "hidden": "hidden",
-}
-
-
 def _resolve_train_config(args) -> TrainConfig:
-    """Merge CLI flags over config-file values over dataclass defaults."""
-    from_file: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh, \
-                _usage_errors(f"bad train config {args.config}"):
-            from_file = json.load(fh)
-        unknown = set(from_file) - set(_TRAIN_FLAG_FIELDS.values())
-        if unknown:
-            raise UsageError(f"unknown train config keys {sorted(unknown)}")
-    kwargs = dict(from_file)
-    for flag, field_name in _TRAIN_FLAG_FIELDS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[field_name] = value
+    """Merge CLI flags over config-file values over dataclass defaults.
+
+    A flag sets the TrainConfig field its argparse ``dest`` names.
+    """
+    kwargs = _read_config(args.config)
+    names = {f.name for f in fields(TrainConfig)}
+    kwargs.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     with _usage_errors("bad train config"):
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
         return TrainConfig(**kwargs)
 
 
@@ -228,7 +211,7 @@ def cmd_train(args) -> int:
                         train_config=asdict(config), seed=seed)
         os.replace(out_dir / f"checkpoint-seed{seed}.json.tmp",
                    out_dir / f"checkpoint-seed{seed}.json")
-        _write_json(out_dir / f"history-seed{seed}.json", history.as_json())
+        _write_json(out_dir / f"history-seed{seed}.json", asdict(history))
     return 0
 
 
@@ -362,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", required=True)
     p.add_argument("--dp-labels")
     p.add_argument("--seeds", type=_parse_seeds)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-docs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int, dest="max_epochs")
+    p.add_argument("--batch-docs", type=int, dest="batch_size_docs")
+    p.add_argument("--lr", type=float, dest="peak_lr")
     p.add_argument("--warmup-epochs", type=int)
     p.add_argument("--weight-decay", type=float)
     p.add_argument("--update-order",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -266,44 +267,46 @@ def require_numbers(kind: type, name: str, *values) -> None:
             raise ValueError(f"{name} must be a finite {kind.__name__}, not {value!r}")
 
 
-def _require(obj: dict, key: str, where: str):
+# (type, element type) of each kind of document field, and how errors name it
+_FIELD_TYPES = {(str, None): "a string", (int, None): "an integer",
+                (list, str): "a list of strings", (list, dict): "a list of objects"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str, item: type | None = None):
+    """``obj[key]`` if it is a ``kind`` (an integer is never a bool) whose
+    elements, when ``item`` is given, are each an ``item``; else CorpusError."""
     if key not in obj:
         raise CorpusError(f"{where}: missing required field {key!r}")
-    return obj[key]
+    value = obj[key]
+    if isinstance(value, kind) and not isinstance(value, bool) \
+            and (item is None or all(isinstance(v, item) for v in value)):
+        return value
+    raise CorpusError(f"{where}: field {key!r} must be {_FIELD_TYPES[kind, item]}, "
+                      f"not {reprlib.repr(value)}")
 
 
 def document_from_json(obj: dict, where: str = "document") -> Document:
-    """Build a Document from its JSON object; structural errors raise CorpusError."""
+    """Build a Document from its JSON object; a missing field, or one whose
+    JSON type is not the documented one, raises CorpusError."""
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: document must be a JSON object")
-    doc_id = _require(obj, "id", where)
-    dct = _require(obj, "dct", where)
-    sentences = []
-    for s in _require(obj, "sentences", where):
-        tokens = _require(s, "tokens", f"{where}: sentence")
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise CorpusError(f"{where}: sentence tokens must be a list of strings")
-        sentences.append(Sentence(index=int(_require(s, "index", f"{where}: sentence")),
-                                  tokens=tuple(tokens)))
-    mentions = []
-    for m in _require(obj, "mentions", where):
-        mentions.append(Mention(
-            id=str(_require(m, "id", f"{where}: mention")),
-            kind=str(_require(m, "kind", f"{where}: mention")),
-            sentence=int(_require(m, "sentence", f"{where}: mention")),
-            start=int(_require(m, "start", f"{where}: mention")),
-            end=int(_require(m, "end", f"{where}: mention")),
-        ))
-    edges = []
-    for e in _require(obj, "edges", where):
-        edges.append(GoldEdge(
-            child=str(_require(e, "child", f"{where}: edge")),
-            slot=str(_require(e, "slot", f"{where}: edge")),
-            parent=str(_require(e, "parent", f"{where}: edge")),
-            label=e.get("label"),
-        ))
-    return Document(id=str(doc_id), dct=str(dct), sentences=sentences,
-                    mentions=mentions, gold_edges=edges)
+    doc_id = _field(obj, "id", str, where)
+    dct = _field(obj, "dct", str, where)
+    at = f"{where}: sentence"
+    sentences = [Sentence(index=_field(s, "index", int, at),
+                          tokens=tuple(_field(s, "tokens", list, at, str)))
+                 for s in _field(obj, "sentences", list, where, dict)]
+    at = f"{where}: mention"
+    mentions = [Mention(id=_field(m, "id", str, at), kind=_field(m, "kind", str, at),
+                        sentence=_field(m, "sentence", int, at),
+                        start=_field(m, "start", int, at), end=_field(m, "end", int, at))
+                for m in _field(obj, "mentions", list, where, dict)]
+    at = f"{where}: edge"
+    edges = [GoldEdge(child=_field(e, "child", str, at), slot=_field(e, "slot", str, at),
+                      parent=_field(e, "parent", str, at), label=e.get("label"))
+             for e in _field(obj, "edges", list, where, dict)]
+    return Document(id=doc_id, dct=dct, sentences=sentences, mentions=mentions,
+                    gold_edges=edges)
 
 
 def normalize_no_event_edges(doc: Document) -> Document:

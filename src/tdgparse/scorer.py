@@ -26,7 +26,7 @@ gradients are computed analytically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -411,12 +411,6 @@ class RankingModel:
         values = self._ranking_forward(idx, self._markers([doc], dp_labels))[-1]
         return SlotScores(idx.layout, values)
 
-    def dp_logits(self, doc: Document) -> np.ndarray:
-        """(n_sentences, 9) content-type logits from plain sentence means."""
-        idx = self._index(doc)
-        sent = _segment_means(self.params["embeddings"], idx.sent_tok, idx.sent_len)
-        return sent @ self.params["dp_weight"].T + self.params["dp_bias"]
-
     def ranking_loss_and_grads(
         self, docs: list[Document], dp_labels: DpLabelMap | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
@@ -535,9 +529,7 @@ def save_checkpoint(model: RankingModel, path: str | Path,
     """
     obj = {
         "format_version": CHECKPOINT_FORMAT,
-        "hyperparameters": {"dim": model.config.dim,
-                            "hidden": model.config.hidden,
-                            "variant": model.config.variant},
+        "hyperparameters": asdict(model.config),
         "vocabulary": model.vocab.tokens,
         "params": {
             name: {
@@ -555,6 +547,8 @@ def save_checkpoint(model: RankingModel, path: str | Path,
 def load_checkpoint(path: str | Path) -> RankingModel:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict):
+            raise TypeError("not a JSON object")
         if obj.get("format_version") != CHECKPOINT_FORMAT:
             raise ScorerError(f"unsupported checkpoint format in {path}")
         config = ModelConfig(**obj["hyperparameters"])

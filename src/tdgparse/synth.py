@@ -100,6 +100,7 @@ class SynthConfig:
         for name in ("sentences_per_doc", "mentions_per_sentence",
                      "noise_tokens_per_sentence"):
             lo, hi = getattr(self, name)
+            setattr(self, name, (lo, hi))  # a JSON config gives a list
             require_numbers(int, name, lo, hi)
             if lo > hi or lo < 0:
                 raise ValueError(f"{name} range ({lo}, {hi}) is infeasible")
@@ -124,6 +125,7 @@ class SynthConfig:
                 if p1 < 0 or p2 < 0 or p1 + p2 > 1.0 + 1e-12:
                     raise ValueError(f"{name}[{tag}] = ({p1}, {p2}) is not a "
                                      "sub-probability pair")
+            setattr(self, name, {tag: tuple(pair) for tag, pair in table.items()})
         for name in ("refevent_prob", "refevent_intra_prob",
                      "refevent_content_affinity"):
             require_numbers(float, name, getattr(self, name))
@@ -132,16 +134,7 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthConfig":
-        kwargs = dict(obj)
-        for name in ("sentences_per_doc", "mentions_per_sentence",
-                     "noise_tokens_per_sentence"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        for name in ("timex_parent_probs", "event_timex_probs"):
-            if name in kwargs:
-                kwargs[name] = {tag: tuple(pair)
-                                for tag, pair in kwargs[name].items()}
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 def _randint(rng: np.random.Generator, bounds: tuple[int, int]) -> int:

@@ -57,6 +57,7 @@ class TrainConfig:
     hidden: int = 64
 
     def __post_init__(self) -> None:
+        self.seeds = tuple(self.seeds)  # a JSON config gives a list
         for name in ("max_epochs", "batch_size_docs", "warmup_epochs", "dim", "hidden"):
             require_numbers(int, name, getattr(self, name))
         require_numbers(float, "peak_lr", self.peak_lr)
@@ -106,16 +107,18 @@ class OptimizerState:
         return cls(m=zero_grads(params), v=zero_grads(params))
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: OptimizerState, lr: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float = 0.0) -> None:
+               state: OptimizerState, lr: float, weight_decay: float = 0.0) -> None:
     """One decoupled-weight-decay Adam update, in place.
 
-    theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta)
-    with bias-corrected moment estimates m_hat, v_hat.
+    theta <- theta - lr * (m_hat / (sqrt(v_hat) + ADAM_EPS) + weight_decay * theta)
+    with moment estimates m_hat, v_hat bias-corrected for ADAM_BETAS.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.t += 1
     t = state.t
     for name, theta in params.items():
@@ -126,7 +129,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / (1.0 - b1 ** t)
         v_hat = state.v[name] / (1.0 - b2 ** t)
-        theta -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * theta)
+        theta -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * theta)
 
 
 @dataclass
@@ -141,16 +144,6 @@ class EpochRecord:
 class TrainHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
-
-    def as_json(self) -> dict:
-        return {
-            "epochs": [
-                {"epoch": e.epoch, "ranking_loss": e.ranking_loss,
-                 "dp_loss": e.dp_loss, "valid_accuracy": e.valid_accuracy}
-                for e in self.epochs
-            ],
-            "best_epoch": self.best_epoch,
-        }
 
 
 def decode_corpus(model: RankingModel, corpus: Corpus,

@@ -13,6 +13,7 @@ import math
 import os
 import random
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -343,7 +344,7 @@ def test_criterion_08_update_order_changes_training(pipeline_run):
         config = TrainConfig(**{**raw, "seeds": (0,), "variant": "dp_distill",
                                 "update_order": order})
         _, history = train(config, corpus, corpus, labels, seed=0)
-        histories[order] = history.as_json()
+        histories[order] = asdict(history)
     differs = histories["dp_then_rank"] != histories["rank_then_dp"]
     criterion(8, differs,
               "dp_then_rank and rank_then_dp histories differ on the "

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdgparse.cli import main
+from tdgparse.cli import _resolve_train_config, build_parser, main
 from tdgparse.corpus import parse_corpus
 from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, save_checkpoint
 
@@ -144,6 +145,45 @@ def test_train_rejects_meta_node_ids(tmp_path, capsys):
     assert "mention DCT: id is reserved for a meta node" in capsys.readouterr().err
 
 
+def _set_field(doc: dict, path: tuple, value) -> dict:
+    """A deep copy of doc with the field at path (keys and list positions) set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("sentences", 0, "index"), "abc", "sentence: field 'index' must be an integer, not 'abc'"),
+    (("mentions", 0, "sentence"), None, "mention: field 'sentence' must be an integer, not None"),
+    (("sentences",), 5, "field 'sentences' must be a list of objects, not 5"),
+    (("mentions",), [5], "field 'mentions' must be a list of objects, not [5]"),
+    (("mentions", 0, "start"), 0.7, "mention: field 'start' must be an integer, not 0.7"),
+    (("mentions", 0, "end"), True, "mention: field 'end' must be an integer, not True"),
+    (("id",), ["a"], "field 'id' must be a string, not ['a']"),
+    (("edges", 0, "parent"), 0, "edge: field 'parent' must be a string, not 0"),
+    (("sentences", 0, "tokens"), ["a", 1], "sentence: field 'tokens' must be a list of strings, not ['a', 1]"),
+], ids=["str_index", "null_sentence", "int_sentences", "int_mention", "float_start",
+        "bool_end", "list_id", "int_parent", "int_token"])
+def test_corpus_fields_must_have_their_json_type(path, value, message, tmp_path, capsys):
+    corpus = tmp_path / "typed.jsonl"
+    corpus.write_text(json.dumps(_set_field(meta_named_doc("t1"), path, value)) + "\n",
+                      encoding="utf-8")
+    assert main(["validate", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "report")]) == 1
+    violations = read_json(tmp_path / "report" / "report.json")["violations"]
+    assert violations == [f"{corpus}:1: {message}"]
+    assert message in capsys.readouterr().err
+    if path == ("mentions", 0, "start"):
+        code = main(["train", "--train", str(corpus), "--valid", str(corpus),
+                     *SMALL_TRAIN, "--out", str(tmp_path / "model")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
 def _break_w1_shape(params):
     hidden, width = params["w1"]["shape"]
     params["w1"] = {"shape": [hidden, width - 1], "data": [0.0] * (hidden * (width - 1))}
@@ -234,6 +274,22 @@ def test_synth_rejects_wrong_typed_and_non_finite_values(tmp_path, capsys, chang
     out = tmp_path / "data"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("text", ["[]", '[["n_docs", 2]]', "5", "[{}]"],
+                         ids=["empty_list", "pair_list", "number", "list_of_object"])
+def test_config_file_must_hold_an_object(command, text, tmp_path, hand_corpus_path,
+                                         capsys):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "train":
+        argv += ["--train", str(hand_corpus_path), "--valid", str(hand_corpus_path)]
+    assert main(argv) == 2
+    assert f"bad config {config}: not a JSON object" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -440,6 +496,50 @@ def test_train_config_file_with_flag_overrides(tmp_path):
                  "--valid", str(data / "corpus.jsonl"),
                  "--out", str(tmp_path / "bad-run")])
     assert code == 2
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# train flags whose TrainConfig field is not the flag's own name
+RENAMED_TRAIN_FLAGS = {"--epochs": "max_epochs", "--batch-docs": "batch_size_docs",
+                       "--lr": "peak_lr"}
+TRAIN_INPUT_FLAGS = {"--config", "--train", "--valid", "--dp-labels", "--out"}
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``tdgparse`` line in the README's command-line block."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("tdgparse ")]
+
+
+def _flag_value(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def test_readme_commands_parse_and_resolve_train_configs(monkeypatch):
+    """Each README command parses, and each train command's TrainConfig holds
+    its config file's values with its flags applied."""
+    monkeypatch.chdir(REPO_ROOT)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == \
+        {"synth", "validate", "train", "predict", "evaluate", "analyze"}
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.command != "train":
+            continue
+        want = read_json(Path(args.config))
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            if flag not in TRAIN_INPUT_FLAGS:
+                want[RENAMED_TRAIN_FLAGS.get(flag, flag[2:].replace("-", "_"))] = \
+                    _flag_value(value)
+        config = _resolve_train_config(args)
+        assert {name: getattr(config, name) for name in want} == \
+            {name: tuple(v) if isinstance(v, list) else v for name, v in want.items()}
 
 
 def test_train_usage_errors(tmp_path, hand_corpus_path, capsys):

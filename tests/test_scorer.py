@@ -196,31 +196,23 @@ def test_dp_feature_requires_and_uses_labels():
         assert model.score_document(doc, label_map) == fresh.score_document(doc, label_map)
 
 
-def test_dp_logits_ignore_variant_markers():
+def test_dp_loss_ignores_variant_markers():
+    """The dp head reads plain sentence means under every variant: a
+    dp_feature model's content markers never reach it, not even after a
+    ranking call has used them."""
     corpus, labels = generate_synthetic_corpus(SynthConfig(n_docs=1), seed=9)
     vocab = build_vocabulary(corpus)
     params = init_params(ModelConfig(dim=3, hidden=2), vocab,
                          np.random.Generator(np.random.PCG64(4)))
-    doc = corpus[0]
     base = RankingModel(ModelConfig(dim=3, hidden=2), vocab, params)
     feat = RankingModel(ModelConfig(dim=3, hidden=2, variant="dp_feature"),
                         vocab, params)
-    assert np.allclose(base.dp_logits(doc), feat.dp_logits(doc))
-    feat.score_document(doc, labels)  # markers are per call, never cached
-    assert np.allclose(base.dp_logits(doc), feat.dp_logits(doc))
-    assert base.dp_logits(doc).shape == (len(doc.sentences), 9)
-
-
-def test_dp_logits_zero_weight_is_bias():
-    doc = tiny_doc()
-    vocab = build_vocabulary([doc])
-    params = init_params(ModelConfig(dim=2, hidden=2), vocab,
-                         np.random.Generator(np.random.PCG64(0)))
-    params["dp_weight"][...] = 0.0
-    params["dp_bias"][...] = np.arange(9.0)
-    model = RankingModel(ModelConfig(dim=2, hidden=2), vocab, params)
-    assert np.array_equal(model.dp_logits(doc),
-                          np.tile(np.arange(9.0), (1, 1)))
+    want_loss, want_grads = base.dp_loss_and_grads(corpus, labels)
+    feat.ranking_loss_and_grads(corpus, labels)  # markers are per call, never cached
+    loss, grads = feat.dp_loss_and_grads(corpus, labels)
+    assert loss == want_loss
+    for name in PARAM_ORDER:
+        assert np.array_equal(grads[name], want_grads[name]), name
 
 
 def test_gradient_locality():
@@ -408,6 +400,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(ScorerError, match="format"):
         load_checkpoint(path)
+    for text in ("[]", "5", '"x"', "null"):
+        path.write_text(text)
+        with pytest.raises(ScorerError, match="malformed.*not a JSON object"):
+            load_checkpoint(path)
 
 
 def test_candidate_layout_matches_reference():

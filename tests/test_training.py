@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_train_learns_and_is_deterministic():
     config = TrainConfig(variant="baseline", **SMALL)
     model_a, hist_a = train(config, train_corpus, valid_corpus, None, seed=0)
     model_b, hist_b = train(config, train_corpus, valid_corpus, None, seed=0)
-    assert hist_a.as_json() == hist_b.as_json()
+    assert asdict(hist_a) == asdict(hist_b)
     for name in model_a.params:
         assert np.array_equal(model_a.params[name], model_b.params[name])
 
@@ -139,7 +140,7 @@ def test_train_learns_and_is_deterministic():
     assert max(accs) > 0.7
 
     _, hist_c = train(config, train_corpus, valid_corpus, None, seed=1)
-    assert hist_c.as_json() != hist_a.as_json()
+    assert asdict(hist_c) != asdict(hist_a)
 
 
 def test_train_distill_update_orders_diverge():
@@ -150,7 +151,7 @@ def test_train_distill_update_orders_diverge():
         config = TrainConfig(variant="dp_distill", update_order=order, **small)
         _, hist = train(config, train_corpus, valid_corpus, labels, seed=0)
         assert all(e.dp_loss is not None for e in hist.epochs)
-        histories[order] = hist.as_json()
+        histories[order] = asdict(hist)
     assert histories["dp_then_rank"] != histories["rank_then_dp"]
     assert histories["joint"] != histories["dp_then_rank"]
 
