@@ -11,8 +11,12 @@ flags, a missing file, a bad config file or value, a seed-label count that
 does not match the prediction files, a ``train`` run without the discourse
 labels its variant needs or with an empty training corpus, or a ``predict``
 run of a ``dp_feature`` checkpoint without ``--dp-labels``; 3 a runtime
-fault, which is every other failure (a malformed prediction line and any
-other ``ValueError`` included).
+fault, which is every other failure (any other ``ValueError`` included).
+One rule types every JSON input: a value of the wrong JSON type is reported
+with its file (and line, where there is one) and its field, and exits 1 in
+a corpus, 2 in a config, 3 in a checkpoint (whose dimensions, tensors and
+vocabulary are typed) or a prediction (whose edges must name the
+document's string ids).
 
 OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -40,8 +44,11 @@ from .analysis import all_tables, render_csv, render_text, summary_checks
 from .corpus import (
     CorpusError,
     DpLabelError,
+    FieldError,
+    json_field,
     load_dp_labels,
     parse_corpus,
+    parse_object,
     read_corpus,
     serialize_corpus,
     serialize_dp_labels,
@@ -55,7 +62,7 @@ from .evaluation import (
     report_to_json,
 )
 from .graph import GraphError, graph_from_json, graph_to_json
-from .scorer import ScorerError, load_checkpoint, save_checkpoint
+from .scorer import load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_synthetic_corpus
 from .training import TrainConfig, TrainingDiverged, decode_corpus, train
 
@@ -120,11 +127,8 @@ def _read_config(path: str | None) -> dict:
     """The JSON object a --config file holds, or {} when no file is given."""
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh, _usage_errors(f"bad config {path}"):
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise UsageError(f"bad config {path}: not a JSON object but a {type(obj).__name__}")
-    return obj
+    with _usage_errors(f"bad config {path}"):
+        return parse_object(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_validate(args) -> int:
@@ -242,27 +246,16 @@ def _load_predictions(path: str, corpus) -> dict:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
             try:
-                obj = json.loads(line)
-                doc = docs.get(obj.get("id"))
-            except json.JSONDecodeError as exc:
-                raise EvaluationError(f"{where}: malformed JSON: {exc}") from None
-            except (AttributeError, TypeError):
-                raise EvaluationError(
-                    f"{where}: a prediction must be a JSON object with a string id"
-                ) from None
-            if doc is None:
-                raise EvaluationError(
-                    f"{where}: prediction for unknown document {obj.get('id')!r}"
-                )
-            if doc.id in graphs:
-                raise EvaluationError(f"{where}: duplicate prediction "
-                                      f"for document {doc.id!r}")
-            try:
+                obj = parse_object(line)
+                doc = docs.get(json_field(obj, "id", str))
+                if doc is None:
+                    raise EvaluationError(f"prediction for unknown document {obj['id']!r}")
+                if doc.id in graphs:
+                    raise EvaluationError(f"duplicate prediction for document {doc.id!r}")
                 graphs[doc.id] = graph_from_json(obj, doc)
-            except GraphError as exc:
-                raise GraphError(f"{where}: {exc}") from None
+            except (FieldError, EvaluationError, GraphError) as exc:
+                raise EvaluationError(f"{path}:{lineno}: {exc}") from None
     return graphs
 
 
@@ -400,8 +393,7 @@ def main(argv=None) -> int:
     except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, DpLabelError, GraphError, ScorerError, TrainingDiverged,
-            EvaluationError) as exc:
+    except (ValueError, DpLabelError, GraphError, TrainingDiverged, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

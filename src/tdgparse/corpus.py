@@ -11,11 +11,12 @@ after load.
 from __future__ import annotations
 
 import json
-import math
 import reprlib
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -258,53 +259,70 @@ def validate_document(doc: Document) -> list[str]:
     return violations
 
 
-def require_numbers(kind: type, name: str, *values) -> None:
-    """Raise ValueError unless every value of a config field is an int (kind
-    int) or a finite int or float (kind float); a bool is neither."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, kind)) \
-                or isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite {kind.__name__}, not {value!r}")
+class FieldError(ValueError):
+    """A JSON input is malformed, is not an object, or holds a field of the wrong type."""
 
 
-# (type, element type) of each kind of document field, and how errors name it
-_FIELD_TYPES = {(str, None): "a string", (int, None): "an integer",
-                (list, str): "a list of strings", (list, dict): "a list of objects"}
-
-
-def _field(obj: dict, key: str, kind: type, where: str, item: type | None = None):
-    """``obj[key]`` if it is a ``kind`` (an integer is never a bool) whose
-    elements, when ``item`` is given, are each an ``item``; else CorpusError."""
-    if key not in obj:
-        raise CorpusError(f"{where}: missing required field {key!r}")
-    value = obj[key]
-    if isinstance(value, kind) and not isinstance(value, bool) \
-            and (item is None or all(isinstance(v, item) for v in value)):
-        return value
-    raise CorpusError(f"{where}: field {key!r} must be {_FIELD_TYPES[kind, item]}, "
-                      f"not {reprlib.repr(value)}")
-
-
-def document_from_json(obj: dict, where: str = "document") -> Document:
-    """Build a Document from its JSON object; a missing field, or one whose
-    JSON type is not the documented one, raises CorpusError."""
+def parse_object(text: str) -> dict:
+    """The JSON object ``text`` holds; FieldError if it is malformed or holds another value."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FieldError(f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise CorpusError(f"{where}: document must be a JSON object")
-    doc_id = _field(obj, "id", str, where)
-    dct = _field(obj, "dct", str, where)
-    at = f"{where}: sentence"
-    sentences = [Sentence(index=_field(s, "index", int, at),
-                          tokens=tuple(_field(s, "tokens", list, at, str)))
-                 for s in _field(obj, "sentences", list, where, dict)]
-    at = f"{where}: mention"
-    mentions = [Mention(id=_field(m, "id", str, at), kind=_field(m, "kind", str, at),
-                        sentence=_field(m, "sentence", int, at),
-                        start=_field(m, "start", int, at), end=_field(m, "end", int, at))
-                for m in _field(obj, "mentions", list, where, dict)]
-    at = f"{where}: edge"
-    edges = [GoldEdge(child=_field(e, "child", str, at), slot=_field(e, "slot", str, at),
-                      parent=_field(e, "parent", str, at), label=e.get("label"))
-             for e in _field(obj, "edges", list, where, dict)]
+        raise FieldError(f"not a JSON object but a {type(obj).__name__}")
+    return obj
+
+
+# each JSON type's Python types (a list default may be a tuple) and its name
+_JSON_TYPES = {str: ({str}, "a string"), int: ({int}, "an integer"),
+               float: ({int, float}, "a finite number"), Real: ({int, float}, "a number"),
+               list: ({list, tuple}, "a list"), dict: ({dict}, "an object")}
+
+
+def is_json(value, kind: type, item: type | None = None) -> bool:
+    """Whether ``value`` has JSON type ``kind`` and, given ``item``, each of
+    its elements type ``item``. Types are exact, so a bool is no number; a
+    float, or an int in its place, must be finite as a float; a Real may not."""
+    if type(value) not in _JSON_TYPES[kind][0] \
+            or kind is float and not abs(value) <= sys.float_info.max:
+        return False
+    return item is None or set(map(type, value)) <= _JSON_TYPES[item][0] and (
+        item is not float or all(abs(v) <= sys.float_info.max for v in value))
+
+
+def json_field(obj: dict, key: str, kind: type, where: str = "", item: type | None = None):
+    """``obj[key]`` if is_json(obj[key], kind, item), else FieldError naming
+    ``where`` (when given) and the field."""
+    value = obj.get(key)
+    if type(value) is kind and item is None and kind is not float or is_json(value, kind, item):
+        return value
+    at = f"{where}: " if where else ""
+    if key not in obj:
+        raise FieldError(f"{at}missing required field {key!r}")
+    of = f" of {_JSON_TYPES[item][1].split(' ', 1)[1]}s" if item else ""
+    raise FieldError(f"{at}field {key!r} must be {_JSON_TYPES[kind][1]}{of}, "
+                     f"not {reprlib.repr(value)}")
+
+
+def document_from_json(obj: dict) -> Document:
+    """Build a Document from its JSON object; a missing field, or one whose
+    JSON type is not the documented one, raises FieldError."""
+    doc_id = json_field(obj, "id", str)
+    dct = json_field(obj, "dct", str)
+    at = "sentence"
+    sentences = [Sentence(index=json_field(s, "index", int, at),
+                          tokens=tuple(json_field(s, "tokens", list, at, str)))
+                 for s in json_field(obj, "sentences", list, "", dict)]
+    at = "mention"
+    mentions = [Mention(id=json_field(m, "id", str, at), kind=json_field(m, "kind", str, at),
+                        sentence=json_field(m, "sentence", int, at),
+                        start=json_field(m, "start", int, at), end=json_field(m, "end", int, at))
+                for m in json_field(obj, "mentions", list, "", dict)]
+    at = "edge"
+    edges = [GoldEdge(child=json_field(e, "child", str, at), slot=json_field(e, "slot", str, at),
+                      parent=json_field(e, "parent", str, at), label=e.get("label"))
+             for e in json_field(obj, "edges", list, "", dict)]
     return Document(id=doc_id, dct=dct, sentences=sentences, mentions=mentions,
                     gold_edges=edges)
 
@@ -337,12 +355,9 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[s
                 continue
             where = f"{path}:{lineno}"
             try:
-                doc = document_from_json(json.loads(line), where=where)
-            except json.JSONDecodeError as exc:
-                yield where, None, [f"{where}: malformed JSON: {exc}"]
-                continue
-            except CorpusError as exc:
-                yield where, None, [str(exc)]
+                doc = document_from_json(parse_object(line))
+            except FieldError as exc:
+                yield where, None, [f"{where}: {exc}"]
                 continue
             if doc.id in seen:
                 yield where, None, [f"{where}: duplicate document id {doc.id!r}"]
@@ -426,12 +441,10 @@ def load_dp_labels(path: str | Path, corpus: Corpus) -> DpLabelMap:
             doc_id, index_str, tag = parts
             if doc_id not in docs:
                 raise DpLabelError(f"{path}:{lineno}: unknown document id {doc_id!r}")
-            try:
-                index = int(index_str)
-            except ValueError:
-                raise DpLabelError(
-                    f"{path}:{lineno}: sentence index {index_str!r} is not an integer"
-                ) from None
+            if not (index_str.isascii() and index_str.isdigit()) \
+                    or index_str != str(index := int(index_str)):
+                raise DpLabelError(f"{path}:{lineno}: sentence index {index_str!r} is not "
+                                   "an integer in canonical form (digits, no leading 0)")
             if not 0 <= index < len(docs[doc_id].sentences):
                 raise DpLabelError(
                     f"{path}:{lineno}: document {doc_id!r} has no sentence {index}"

@@ -25,6 +25,7 @@ from .corpus import (
     Document,
     Slot,
     edge_violations,
+    json_field,
 )
 
 
@@ -266,21 +267,22 @@ def graph_to_json(graph: TemporalDependencyGraph, doc: Document) -> dict:
 def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
     """Read a graph_to_json object back and validate it against doc.
 
-    A missing field or a wrongly typed value raises GraphError, as does any
-    violation validate_graph finds.
+    A field of the wrong JSON type raises FieldError. Edge names are left to
+    validate_graph, which admits only doc's string ids and the meta nodes;
+    its violations raise GraphError, as does a missing or unhashable name.
     """
     edges: dict[Slot, str] = {}
     try:
-        for e in obj["edges"]:
-            slot = _new_tuple(Slot, (str(e["child"]), str(e["slot"])))
+        for e in json_field(obj, "edges", list, "", dict):
+            slot = _new_tuple(Slot, (e["child"], e["slot"]))
             if slot in edges:
                 raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
-            edges[slot] = str(e["parent"])
-        graph = TemporalDependencyGraph(doc_id=str(obj["id"]), edges=edges)
+            edges[slot] = e["parent"]
+        graph = TemporalDependencyGraph(doc_id=json_field(obj, "id", str), edges=edges)
+        violations = validate_graph(graph, doc)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"document {doc.id}: malformed prediction "
                          f"({type(exc).__name__}: {exc})") from None
-    violations = validate_graph(graph, doc)
     if violations:
         raise GraphError(f"document {doc.id}: {violations[0]}")
     return graph

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,12 +41,14 @@ from .corpus import (
     Corpus,
     Document,
     DpLabelMap,
+    json_field,
+    parse_object,
     require_dp_coverage,
 )
 from .graph import CandidateLayout, SlotScores, candidate_layout, candidate_set
 
 
-class ScorerError(Exception):
+class ScorerError(ValueError):
     """The scorer was configured or invoked inconsistently."""
 
 
@@ -88,7 +91,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ScorerError(f"unknown variant {self.variant!r}")
-        if self.dim < 1 or self.hidden < 1:
+        if json_field(vars(self), "dim", int) < 1 or json_field(vars(self), "hidden", int) < 1:
             raise ScorerError("dim and hidden must be positive")
 
 
@@ -545,19 +548,20 @@ def save_checkpoint(model: RankingModel, path: str | Path,
 
 
 def load_checkpoint(path: str | Path) -> RankingModel:
+    """Read a save_checkpoint file; ScorerError names what is malformed."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise TypeError("not a JSON object")
-        if obj.get("format_version") != CHECKPOINT_FORMAT:
-            raise ScorerError(f"unsupported checkpoint format in {path}")
-        config = ModelConfig(**obj["hyperparameters"])
-        vocab = Vocabulary(list(obj["vocabulary"]))
+        obj = parse_object(Path(path).read_text(encoding="utf-8"))
+        if json_field(obj, "format_version", int) != CHECKPOINT_FORMAT:
+            raise ScorerError(f"unsupported format_version {obj['format_version']}")
+        config = ModelConfig(**json_field(obj, "hyperparameters", dict))
+        vocab = Vocabulary(json_field(obj, "vocabulary", list, "", str))
+        tensors = json_field(obj, "params", dict)
         params = {}
         for name in PARAM_ORDER:
-            entry = obj["params"][name]
-            arr = np.array(entry["data"], dtype=np.float64)
-            params[name] = arr.reshape(entry["shape"])
-    except (KeyError, ValueError, TypeError) as exc:
+            entry = json_field(tensors, name, dict, "params")
+            data = json_field(entry, "data", list, f"params: {name}", Real)
+            shape = json_field(entry, "shape", list, f"params: {name}", int)
+            params[name] = np.array(data, dtype=np.float64).reshape(shape)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScorerError(f"malformed checkpoint {path}: {exc}") from None
     return RankingModel(config, vocab, params)

@@ -32,7 +32,7 @@ from .corpus import (
     GoldEdge,
     Mention,
     Sentence,
-    require_numbers,
+    json_field,
 )
 
 # (P(DCT), P(ROOT)) per content type; the rest goes to an earlier timex.
@@ -94,42 +94,37 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_docs", "noise_vocab_size", "event_vocab_size", "timex_vocab_size"):
-            require_numbers(int, name, getattr(self, name))
-            if getattr(self, name) < 1:
+            if json_field(vars(self), name, int) < 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("sentences_per_doc", "mentions_per_sentence",
                      "noise_tokens_per_sentence"):
-            lo, hi = getattr(self, name)
+            lo, hi = json_field(vars(self), name, list, "", int)
             setattr(self, name, (lo, hi))  # a JSON config gives a list
-            require_numbers(int, name, lo, hi)
             if lo > hi or lo < 0:
                 raise ValueError(f"{name} range ({lo}, {hi}) is infeasible")
         if self.sentences_per_doc[0] < 1:
             raise ValueError("documents need at least one sentence")
-        require_numbers(float, "timex_share", self.timex_share)
-        if not 0.0 <= self.timex_share <= 1.0:
+        if not 0.0 <= json_field(vars(self), "timex_share", float) <= 1.0:
             raise ValueError("timex_share must be a probability")
         tags = set(DEFAULT_CONTENT_WEIGHTS)
-        if set(self.content_weights) != tags:
-            raise ValueError("content_weights must cover exactly the nine types")
-        require_numbers(float, "content_weights", *self.content_weights.values())
-        if any(w < 0 for w in self.content_weights.values()) \
-                or sum(self.content_weights.values()) <= 0:
+        for name in ("content_weights", "timex_parent_probs", "event_timex_probs"):
+            if set(json_field(vars(self), name, dict)) != tags:
+                raise ValueError(f"{name} must cover exactly the nine types")
+        weights = [json_field(self.content_weights, tag, float, "content_weights")
+                   for tag in sorted(tags)]
+        if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise ValueError("content_weights must be non-negative with positive sum")
         for name in ("timex_parent_probs", "event_timex_probs"):
             table = getattr(self, name)
-            if set(table) != tags:
-                raise ValueError(f"{name} must cover exactly the nine types")
-            for tag, (p1, p2) in table.items():
-                require_numbers(float, f"{name}[{tag}]", p1, p2)
+            for tag in table:
+                p1, p2 = json_field(table, tag, list, name, float)
                 if p1 < 0 or p2 < 0 or p1 + p2 > 1.0 + 1e-12:
                     raise ValueError(f"{name}[{tag}] = ({p1}, {p2}) is not a "
                                      "sub-probability pair")
             setattr(self, name, {tag: tuple(pair) for tag, pair in table.items()})
         for name in ("refevent_prob", "refevent_intra_prob",
                      "refevent_content_affinity"):
-            require_numbers(float, name, getattr(self, name))
-            if not 0.0 <= getattr(self, name) <= 1.0:
+            if not 0.0 <= json_field(vars(self), name, float) <= 1.0:
                 raise ValueError(f"{name} must be a probability")
 
     @classmethod

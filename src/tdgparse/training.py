@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation
-from .corpus import Corpus, DpLabelMap, require_dp_coverage, require_numbers
+from .corpus import Corpus, DpLabelMap, json_field, require_dp_coverage
 from .graph import TemporalDependencyGraph, greedy_decode
 from .scorer import (
     ModelConfig,
     RankingModel,
-    ScorerError,
     Vocabulary,
     build_vocabulary,
     clone_params,
@@ -57,12 +56,10 @@ class TrainConfig:
     hidden: int = 64
 
     def __post_init__(self) -> None:
-        self.seeds = tuple(self.seeds)  # a JSON config gives a list
-        for name in ("max_epochs", "batch_size_docs", "warmup_epochs", "dim", "hidden"):
-            require_numbers(int, name, getattr(self, name))
-        require_numbers(float, "peak_lr", self.peak_lr)
-        require_numbers(float, "weight_decay", self.weight_decay)
-        require_numbers(int, "seeds", *self.seeds)
+        self.seeds = tuple(json_field(vars(self), "seeds", list, "", int))  # JSON gives a list
+        for name, kind in (("max_epochs", int), ("batch_size_docs", int), ("warmup_epochs", int),
+                           ("peak_lr", float), ("weight_decay", float)):
+            json_field(vars(self), name, kind)
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be one or more distinct integers, "
                              f"not {list(self.seeds)}")
@@ -76,10 +73,7 @@ class TrainConfig:
             raise ValueError(f"unknown update order {self.update_order!r}")
         if self.decode_order not in DECODE_ORDERS:
             raise ValueError(f"unknown decode order {self.decode_order!r}")
-        try:
-            self.model_config()
-        except ScorerError as exc:
-            raise ValueError(str(exc)) from None
+        self.model_config()
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(dim=self.dim, hidden=self.hidden, variant=self.variant)

@@ -8,17 +8,18 @@ slot and pushes gradients down one candidate and one token at a time. The
 graph validator keeps the earlier package code: a colour-table depth-first
 search from every node and an explicit candidate list per slot; the
 document validator keeps the earlier per-kind branches and per-mention edge
-counts; the analysis tables run one loop per table. Plain Python only, except numpy in
+counts; the analysis tables run one loop per table. The JSON type check
+names each value's type and compares names. Plain Python only, except numpy in
 the scorer reference and the gradient check.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from numbers import Real
 
 import numpy as np
-
-import math
 
 from tdgparse.corpus import (
     CONTENT_TYPE_INDEX,
@@ -243,6 +244,61 @@ def random_pred_graph(rng: random.Random, doc: Document) -> TemporalDependencyGr
                     chosen.append((slot.child, cand))
                 break
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
+
+
+# ------------------------------------------------------------ JSON types
+
+
+def _json_type_name(value) -> str:
+    """The JSON type of a decoded value, asked in an order where True is not
+    taken for an int; a float that is NaN or infinite, and an integer that
+    no float can hold, have names of their own."""
+    if value is True or value is False:
+        return "boolean"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return "huge integer"
+        return "integer"
+    for python_type, name in ((str, "string"), (list, "list"), (dict, "object")):
+        if isinstance(value, python_type):
+            return name
+    return "float" if math.isfinite(value) else "non-finite"
+
+
+# the _json_type_name names each kind of field admits
+_ADMITTED = {str: {"string"}, int: {"integer", "huge integer"}, float: {"integer", "float"},
+             Real: {"integer", "huge integer", "float", "non-finite"}, list: {"list"},
+             dict: {"object"}}
+JSON_KINDS = tuple(_ADMITTED)
+
+
+def reference_is_json(value, kind: type, item: type | None = None) -> bool:
+    """corpus.is_json by type names: the value's name is one kind admits, and
+    so is every element's when item is given."""
+    if _json_type_name(value) not in _ADMITTED[kind]:
+        return False
+    return item is None or all(_json_type_name(v) in _ADMITTED[item] for v in value)
+
+
+_SCALARS = (lambda rng: rng.choice([True, False]), lambda rng: rng.choice([-3, 0, 2, -10**400, 10**400]),
+            lambda rng: rng.choice([0.5, -2.0, 3.0, math.nan, math.inf, -math.inf]),
+            lambda rng: rng.choice(["", "a", "1", "true"]), lambda rng: None)
+
+
+def random_json_value(rng: random.Random, depth: int = 2):
+    """A random decoded JSON value: a scalar of any type, or (above depth 0) a
+    list or an object of such values, whose elements often share one type."""
+    pick = rng.randrange(len(_SCALARS) + (2 if depth else 0))
+    if pick < len(_SCALARS):
+        return _SCALARS[pick](rng)
+    shared = rng.choice(_SCALARS) if rng.random() < 0.7 else None
+    values = [shared(rng) if shared else random_json_value(rng, depth - 1)
+              for _ in range(rng.randint(0, 3))]
+    return values if pick == len(_SCALARS) else {f"k{i}": v for i, v in enumerate(values)}
 
 
 # ------------------------------------------------------------ graph checks

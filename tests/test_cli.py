@@ -255,16 +255,17 @@ def _with(key: str, tag: str, value) -> dict:
 
 @pytest.mark.parametrize("changes, message", [
     (_with("timex_parent_probs", "D1", [float("nan"), 0.0]),
-     "timex_parent_probs[D1] must be a finite float, not nan"),
+     "timex_parent_probs: field 'D1' must be a list of finite numbers, not [nan, 0.0]"),
     (_with("event_timex_probs", "M1", [0.5, float("nan")]),
-     "event_timex_probs[M1] must be a finite float, not nan"),
+     "event_timex_probs: field 'M1' must be a list of finite numbers, not [0.5, nan]"),
     ({"content_weights": {**dict.fromkeys(("M1", "M2", "C1", "C2", "D1", "D2", "D3",
                                            "D4"), 0.1), "NA": float("nan")}},
-     "content_weights must be a finite float, not nan"),
-    ({"n_docs": 2.5}, "n_docs must be a finite int, not 2.5"),
-    ({"sentences_per_doc": [1.5, 3]}, "sentences_per_doc must be a finite int, not 1.5"),
-    ({"noise_vocab_size": 20.0}, "noise_vocab_size must be a finite int, not 20.0"),
-    ({"timex_share": True}, "timex_share must be a finite float, not True"),
+     "content_weights: field 'NA' must be a finite number, not nan"),
+    ({"n_docs": 2.5}, "field 'n_docs' must be an integer, not 2.5"),
+    ({"sentences_per_doc": [1.5, 3]},
+     "field 'sentences_per_doc' must be a list of integers, not [1.5, 3]"),
+    ({"noise_vocab_size": 20.0}, "field 'noise_vocab_size' must be an integer, not 20.0"),
+    ({"timex_share": True}, "field 'timex_share' must be a finite number, not True"),
 ], ids=["nan_timex_parent_prob", "nan_event_timex_prob", "nan_content_weight",
         "float_n_docs", "float_sentence_bound", "float_vocab_size", "bool_share"])
 def test_synth_rejects_wrong_typed_and_non_finite_values(tmp_path, capsys, changes,
@@ -360,10 +361,10 @@ def test_evaluate_rejects_malformed_predictions(tmp_path, hand_corpus_path,
 
 
 @pytest.mark.parametrize("line, message", [
-    ("[1, 2]", "must be a JSON object with a string id"),
-    ('{"id": ["x"], "edges": []}', "must be a JSON object with a string id"),
-    ('{"id": "a"}', "malformed prediction (KeyError: 'edges')"),
-    ('{"id": "a", "edges": [1]}', "malformed prediction (TypeError"),
+    ("[1, 2]", "not a JSON object but a list"),
+    ('{"id": ["x"], "edges": []}', "field 'id' must be a string, not ['x']"),
+    ('{"id": "a"}', "missing required field 'edges'"),
+    ('{"id": "a", "edges": [1]}', "field 'edges' must be a list of objects, not [1]"),
 ], ids=["not_an_object", "list_id", "no_edges", "edge_not_an_object"])
 def test_evaluate_rejects_malformed_prediction_lines(line, message, tmp_path,
                                                      hand_corpus_path, capsys):
@@ -375,6 +376,87 @@ def test_evaluate_rejects_malformed_prediction_lines(line, message, tmp_path,
     err = capsys.readouterr().err
     assert f"{preds}:2: " in err and message in err
     assert "Traceback" not in err
+
+
+# two timexes named by numeric strings: a prediction edge that names one by a
+# JSON number must not pass for it
+NUMBERED_DOC = {
+    "id": "n", "dct": "2021-01-01",
+    "sentences": [{"index": 0, "tokens": ["a", "b"]}],
+    "mentions": [{"id": "1", "kind": "timex", "sentence": 0, "start": 0, "end": 1},
+                 {"id": "2", "kind": "timex", "sentence": 0, "start": 1, "end": 2}],
+    "edges": [{"child": "1", "slot": "timex_ref", "parent": "DCT"},
+              {"child": "2", "slot": "timex_ref", "parent": "1"}],
+}
+TAGS = ["M1", "M2", "C1", "C2", "D1", "D2", "D3", "D4", "NA"]
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("prediction", ("edges", 1, "parent"), 1,
+     "document n: slot Slot(child='2', slot='timex_ref'): parent 1 is not a legal candidate"),
+    ("checkpoint", ("hyperparameters", "dim"), True, "field 'dim' must be an integer, not True"),
+    ("checkpoint", ("hyperparameters", "dim"), 2.0, "field 'dim' must be an integer, not 2.0"),
+    ("checkpoint", ("hyperparameters", "hidden"), 2.0,
+     "field 'hidden' must be an integer, not 2.0"),
+    ("checkpoint", ("params", "b1", "data"), ["0.5", "0"],
+     "params: b1: field 'data' must be a list of numbers, not ['0.5', '0']"),
+    ("checkpoint", ("params", "b1", "data"), [True, False],
+     "params: b1: field 'data' must be a list of numbers, not [True, False]"),
+    ("checkpoint", ("vocabulary",), ["<unk>", 7], "field 'vocabulary' must be a list of strings"),
+    ("checkpoint", ("format_version",), True,
+     "field 'format_version' must be an integer, not True"),
+    ("synth", ("content_weights",), TAGS,
+     "field 'content_weights' must be an object, not ['M1', 'M2', 'C1', 'C2', 'D1', 'D2', ...]"),
+    ("synth", ("timex_parent_probs",), TAGS,
+     "field 'timex_parent_probs' must be an object, not ['M1', 'M2', 'C1', 'C2', 'D1', "),
+    ("synth", ("content_weights",), {**dict.fromkeys(TAGS, 0.1), "M1": 10**400},
+     "content_weights: field 'M1' must be a finite number, not 100000"),
+    ("synth", ("sentences_per_doc",), 3,
+     "field 'sentences_per_doc' must be a list of integers, not 3"),
+    ("train", ("seeds",), 3, "field 'seeds' must be a list of integers, not 3"),
+], ids=["number_parent", "bool_dim", "float_dim", "float_hidden", "string_data", "bool_data",
+        "int_token", "bool_format", "list_weights", "list_probs", "huge_weight", "int_range",
+        "int_seeds"])
+def test_json_value_of_the_wrong_type_names_its_field(kind, path, value, message, tmp_path,
+                                                      hand_corpus_path, capsys):
+    """Each input kind reports a wrong-typed value with its field and its exit
+    code, before writing its outputs: config files exit 2 with no manifest,
+    checkpoints and prediction lines (named by file:line) exit 3."""
+    out = tmp_path / "out"
+    source = tmp_path / "input.json"
+    if kind in ("synth", "train"):
+        source.write_text(json.dumps(_set_field(
+            SMALL_SYNTH if kind == "synth" else {"max_epochs": 2, "warmup_epochs": 1},
+            path, value)), encoding="utf-8")
+        argv = [kind, "--config", str(source), "--out", str(out)]
+        if kind == "train":
+            argv += ["--train", str(hand_corpus_path), "--valid", str(hand_corpus_path)]
+        code, outputs = 2, ["manifest.json"]
+        message = (f"bad synth config {source}" if kind == "synth" else "bad train config") \
+            + f": {message}"
+    elif kind == "checkpoint":
+        corpus = parse_corpus(hand_corpus_path)
+        save_checkpoint(RankingModel.initialized(ModelConfig(dim=3, hidden=2),
+                                                 build_vocabulary(corpus), seed=0), source)
+        source.write_text(json.dumps(_set_field(read_json(source), path, value)),
+                          encoding="utf-8")
+        argv = ["predict", "--checkpoint", str(source), "--corpus", str(hand_corpus_path),
+                "--out", str(out)]
+        code, outputs = 3, ["predictions.jsonl"]
+        message = f"malformed checkpoint {source}: {message}"
+    else:
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps(NUMBERED_DOC) + "\n", encoding="utf-8")
+        prediction = {"id": "n", "edges": NUMBERED_DOC["edges"]}
+        source.write_text("\n" + json.dumps(_set_field(prediction, path, value)) + "\n",
+                          encoding="utf-8")
+        argv = ["evaluate", "--gold", str(gold), "--pred", str(source), "--out", str(out)]
+        code, outputs = 3, ["metrics-seed0.json"]
+        message = f"{source}:2: {message}"
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not [name for name in outputs if (out / name).exists()]
 
 
 def test_predict_dp_feature_without_labels_is_a_usage_error(tmp_path, hand_corpus_path,
@@ -560,14 +642,14 @@ def test_train_usage_errors(tmp_path, hand_corpus_path, capsys):
     (["--dim", "0"], None, "dim and hidden must be positive"),
     (["--hidden", "-3"], None, "dim and hidden must be positive"),
     ([], {"variant": "bogus"}, "unknown variant 'bogus'"),
-    (["--lr", "nan"], None, "peak_lr must be a finite float, not nan"),
-    (["--weight-decay", "nan"], None, "weight_decay must be a finite float, not nan"),
-    ([], {"peak_lr": float("inf")}, "peak_lr must be a finite float, not inf"),
-    ([], {"dim": 2.5}, "dim must be a finite int, not 2.5"),
-    ([], {"dim": True}, "dim must be a finite int, not True"),
-    ([], {"max_epochs": 1.5}, "max_epochs must be a finite int, not 1.5"),
-    ([], {"batch_size_docs": 2.5}, "batch_size_docs must be a finite int, not 2.5"),
-    ([], {"seeds": [0.5]}, "seeds must be a finite int, not 0.5"),
+    (["--lr", "nan"], None, "field 'peak_lr' must be a finite number, not nan"),
+    (["--weight-decay", "nan"], None, "field 'weight_decay' must be a finite number, not nan"),
+    ([], {"peak_lr": float("inf")}, "field 'peak_lr' must be a finite number, not inf"),
+    ([], {"dim": 2.5}, "field 'dim' must be an integer, not 2.5"),
+    ([], {"dim": True}, "field 'dim' must be an integer, not True"),
+    ([], {"max_epochs": 1.5}, "field 'max_epochs' must be an integer, not 1.5"),
+    ([], {"batch_size_docs": 2.5}, "field 'batch_size_docs' must be an integer, not 2.5"),
+    ([], {"seeds": [0.5]}, "field 'seeds' must be a list of integers, not [0.5]"),
     ([], {"seeds": [0, 0]}, "seeds must be one or more distinct integers, not [0, 0]"),
 ], ids=["dim_zero", "hidden_negative", "config_variant", "lr_nan", "weight_decay_nan",
         "config_lr_inf", "config_float_dim", "config_bool_dim", "config_float_epochs",

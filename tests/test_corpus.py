@@ -1,4 +1,7 @@
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +201,12 @@ def test_load_dp_labels_unknown_doc_and_bad_index(hand_corpus, tmp_path):
     path.write_text("a\tx\tM1\n")
     with pytest.raises(DpLabelError, match="not an integer"):
         load_dp_labels(path, hand_corpus)
+    # int() reads these as 10, 1 and 2; serialize_dp_labels never writes them
+    for index in ("1_0", "+1", " 2"):
+        path.write_text(f"a\t0\tM1\na\t{index}\tC2\n")
+        with pytest.raises(DpLabelError, match=re.escape(
+                f"doc.tsv:2: sentence index '{index}' is not an integer")):
+            load_dp_labels(path, hand_corpus)
 
 
 def test_load_dp_labels_duplicate(hand_corpus, tmp_path):
@@ -213,3 +222,19 @@ def test_dp_labels_round_trip(hand_corpus, hand_dp_path, tmp_path):
     path = tmp_path / "again.tsv"
     path.write_text(text)
     assert load_dp_labels(path, hand_corpus) == labels
+
+
+def test_only_corpus_parses_json():
+    """Every JSON input is read by corpus.parse_object: no other module of the
+    package calls json.load or json.loads, or imports them from json."""
+    parsers = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "json" \
+                    or isinstance(node, ast.ImportFrom) and node.module == "json" \
+                    and {a.name for a in node.names} & {"load", "loads"}:
+                parsers.setdefault(path.name, []).append(node.lineno)
+    assert parsers == {}

@@ -390,3 +390,10 @@ def test_graph_json_round_trip(hand_corpus):
     assert again.edges == graph.edges
     with pytest.raises(GraphError):
         graph_from_json({"id": doc.id, "edges": obj["edges"][:2]}, doc)
+    # edge names are not coerced: only the document's string ids and the meta
+    # nodes pass, and an unhashable name is refused like any other
+    for key, value in [("parent", ["t1"]), ("parent", {"t1": 1}), ("child", ["e1"]),
+                       ("parent", None), ("slot", 0), ("child", 1)]:
+        edges = [dict(obj["edges"][0], **{key: value})] + obj["edges"][1:]
+        with pytest.raises(GraphError, match=f"^document {doc.id}: "):
+            graph_from_json({"id": doc.id, "edges": edges}, doc)

@@ -1,16 +1,22 @@
-"""Seeded property tests: graph and document validation and the analysis
-tables against the references in tests/oracles.py, over random documents and
-corpora."""
+"""Seeded property tests: graph and document validation, the analysis tables
+and the JSON type rule against the references in tests/oracles.py, over
+random documents, corpora and JSON values."""
 
+import json
 import math
 import random
+
+import pytest
 
 from tdgparse.analysis import all_tables
 from tdgparse.corpus import (
     CONTENT_TYPES,
     Document,
+    FieldError,
     GoldEdge,
     find_cycle,
+    is_json,
+    json_field,
     normalize_no_event_edges,
     validate_document,
 )
@@ -18,10 +24,13 @@ from tdgparse.graph import Slot, TemporalDependencyGraph, validate_graph
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
 from .oracles import (
+    JSON_KINDS,
     gold_graph,
     random_document,
+    random_json_value,
     random_pred_graph,
     reference_find_cycle,
+    reference_is_json,
     reference_tables,
     reference_validate_document,
     reference_validate_graph,
@@ -193,3 +202,24 @@ def test_all_tables_match_the_per_table_loops():
             denominators, cells = expected[table.name]
             assert table.denominators == denominators
             assert all(_same(row, want) for row, want in zip(table.cells, cells))
+
+
+def test_json_type_rule_matches_reference_on_random_values():
+    """is_json, and json_field built on it, agree with reference_is_json on
+    every kind, and every element kind of a list, for random decoded values."""
+    rng = random.Random(13)
+    admitted: dict[tuple, int] = {}
+    for _ in range(1500):
+        value = json.loads(json.dumps(random_json_value(rng)))
+        for kind, item in [(k, None) for k in JSON_KINDS] + [(list, k) for k in JSON_KINDS]:
+            expected = reference_is_json(value, kind, item)
+            assert is_json(value, kind, item) == expected, (value, kind, item)
+            if expected:
+                assert json_field({"v": value}, "v", kind, "at", item) is value
+                admitted[kind, item] = admitted.get((kind, item), 0) + 1
+            else:
+                with pytest.raises(FieldError, match="^at: field 'v' must be "):
+                    json_field({"v": value}, "v", kind, "at", item)
+    # every combination admits some values and refuses others
+    assert all(20 <= admitted.get(combo, 0) <= 1400 for combo in
+               [(k, None) for k in JSON_KINDS] + [(list, k) for k in JSON_KINDS]), admitted

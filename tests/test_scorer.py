@@ -406,6 +406,18 @@ def test_checkpoint_rejects_garbage(tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_tensor_data_must_fit_a_float(tmp_path):
+    """A JSON integer too large for a float64 is a malformed checkpoint, not
+    an OverflowError."""
+    model = RankingModel.initialized(ModelConfig(dim=3, hidden=2), build_vocabulary([]), seed=0)
+    path = tmp_path / "ck.json"
+    save_checkpoint(model, path)
+    path.write_text(path.read_text().replace('"b2": {"shape": [], "data": [0.0]}',
+                                             '"b2": {"shape": [], "data": [' + "9" * 400 + "]}"))
+    with pytest.raises(ScorerError, match="malformed checkpoint .*too large to convert"):
+        load_checkpoint(path)
+
+
 def test_candidate_layout_matches_reference():
     """candidate_layout, candidate_set and the scorer's index list the
     candidates of reference_candidates, slot by slot."""
