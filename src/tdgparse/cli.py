@@ -61,10 +61,10 @@ from .evaluation import (
     partitioned_prf,
     report_to_json,
 )
-from .graph import GraphError, graph_from_json, graph_to_json
-from .scorer import load_checkpoint, save_checkpoint
+from .graph import DECODE_ORDERS, GraphError, graph_from_json, graph_to_json
+from .scorer import VARIANTS, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_synthetic_corpus
-from .training import TrainConfig, TrainingDiverged, decode_corpus, train
+from .training import UPDATE_PLANS, TrainConfig, TrainingDiverged, decode_corpus, train
 
 
 class UsageError(Exception):
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one variant over a list of seeds")
-    p.add_argument("--variant", choices=["baseline", "dp_feature", "dp_distill"])
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--train", required=True)
     p.add_argument("--valid", required=True)
     p.add_argument("--dp-labels")
@@ -343,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, dest="peak_lr")
     p.add_argument("--warmup-epochs", type=int)
     p.add_argument("--weight-decay", type=float)
-    p.add_argument("--update-order",
-                   choices=["dp_then_rank", "rank_then_dp", "joint"])
-    p.add_argument("--decode-order", choices=["score", "document"])
+    p.add_argument("--update-order", choices=UPDATE_PLANS)
+    p.add_argument("--decode-order", choices=DECODE_ORDERS)
     p.add_argument("--dim", type=int)
     p.add_argument("--hidden", type=int)
     p.add_argument("--config", help="TrainConfig JSON; flags override it")
@@ -356,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--dp-labels")
-    p.add_argument("--decode-order", choices=["score", "document"],
-                   default="score")
+    p.add_argument("--decode-order", choices=DECODE_ORDERS, default="score")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

@@ -33,6 +33,9 @@ class GraphError(Exception):
     """A decoded or supplied graph violates a structural invariant."""
 
 
+DECODE_ORDERS = ("score", "document")
+
+
 class ScoredCandidates(NamedTuple):
     """The scores of one slot's candidates, as a SlotScores reads them out.
 
@@ -218,7 +221,7 @@ def greedy_decode(doc: Document, scores: SlotScores,
     first maximum, comes from the flat score arrays at once; only a slot
     whose top candidate closes a cycle has its candidates ranked.
     """
-    if order not in ("score", "document"):
+    if order not in DECODE_ORDERS:
         raise GraphError(f"unknown decode order {order!r}")
     layout = scores.layout
     if layout.doc is not doc:
@@ -269,7 +272,8 @@ def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
 
     A field of the wrong JSON type raises FieldError. Edge names are left to
     validate_graph, which admits only doc's string ids and the meta nodes;
-    its violations raise GraphError, as does a missing or unhashable name.
+    its violations raise one GraphError naming them all, as does a missing
+    or unhashable name.
     """
     edges: dict[Slot, str] = {}
     try:
@@ -284,5 +288,5 @@ def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
         raise GraphError(f"document {doc.id}: malformed prediction "
                          f"({type(exc).__name__}: {exc})") from None
     if violations:
-        raise GraphError(f"document {doc.id}: {violations[0]}")
+        raise GraphError(f"document {doc.id}: " + "; ".join(violations))
     return graph

@@ -348,7 +348,7 @@ class RankingModel:
         self.config = config
         self.vocab = vocab
         self.params = params
-        self._index_cache: dict[str, _FlatIndex] = {}
+        self._index_cache: dict[int, _FlatIndex] = {}
 
     @classmethod
     def initialized(cls, config: ModelConfig, vocab: Vocabulary,
@@ -357,11 +357,10 @@ class RankingModel:
         return cls(config, vocab, init_params(config, vocab, rng))
 
     def _index(self, doc: Document) -> _FlatIndex:
-        cached = self._index_cache.get(doc.id)
-        if cached is not None and cached.layout.doc is doc:
-            return cached
-        idx = _index_document(doc, self.vocab)
-        self._index_cache[doc.id] = idx
+        # keyed by object: the entry's layout keeps doc alive, so its id is not reused
+        idx = self._index_cache.get(id(doc))
+        if idx is None:
+            idx = self._index_cache[id(doc)] = _index_document(doc, self.vocab)
         return idx
 
     def _markers(self, docs: list[Document],
@@ -504,17 +503,6 @@ class RankingModel:
         grads["embeddings"] = _token_grads(len(self.vocab),
                                            [(tokens, lengths, (g @ wd) / lengths[:, None])])
         return float(total / n_sents), grads
-
-    def relu_pattern(self, docs: list[Document],
-                     dp_labels: DpLabelMap | None = None) -> bytes:
-        """Packed activation signs of every hidden unit across the batch.
-
-        Two parameter settings with equal patterns lie on the same linear
-        region of the ranking loss, which finite differencing relies on.
-        """
-        batch = _concat([self._index(doc) for doc in docs])
-        z = self._ranking_forward(batch, self._markers(docs, dp_labels))[3]
-        return np.packbits(z > 0).tobytes()
 
 
 CHECKPOINT_FORMAT = 1

@@ -98,7 +98,10 @@ class SynthConfig:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("sentences_per_doc", "mentions_per_sentence",
                      "noise_tokens_per_sentence"):
-            lo, hi = json_field(vars(self), name, list, "", int)
+            bounds = json_field(vars(self), name, list, "", int)
+            if len(bounds) != 2:
+                raise ValueError(f"{name} must be a [low, high] pair, not {list(bounds)}")
+            lo, hi = bounds
             setattr(self, name, (lo, hi))  # a JSON config gives a list
             if lo > hi or lo < 0:
                 raise ValueError(f"{name} range ({lo}, {hi}) is infeasible")
@@ -117,7 +120,11 @@ class SynthConfig:
         for name in ("timex_parent_probs", "event_timex_probs"):
             table = getattr(self, name)
             for tag in table:
-                p1, p2 = json_field(table, tag, list, name, float)
+                pair = json_field(table, tag, list, name, float)
+                if len(pair) != 2:
+                    raise ValueError(f"{name}[{tag}] must be a pair of probabilities, "
+                                     f"not {list(pair)}")
+                p1, p2 = pair
                 if p1 < 0 or p2 < 0 or p1 + p2 > 1.0 + 1e-12:
                     raise ValueError(f"{name}[{tag}] = ({p1}, {p2}) is not a "
                                      "sub-probability pair")

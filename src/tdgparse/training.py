@@ -16,7 +16,7 @@ import numpy as np
 
 from . import evaluation
 from .corpus import Corpus, DpLabelMap, json_field, require_dp_coverage
-from .graph import TemporalDependencyGraph, greedy_decode
+from .graph import DECODE_ORDERS, TemporalDependencyGraph, greedy_decode
 from .scorer import (
     ModelConfig,
     RankingModel,
@@ -34,7 +34,6 @@ UPDATE_PLANS: dict[str, tuple[tuple[str, ...], ...]] = {
     "rank_then_dp": (("ranking",), ("dp",)),
     "joint": (("ranking", "dp"),),
 }
-DECODE_ORDERS = ("score", "document")
 
 
 class TrainingDiverged(Exception):

@@ -41,7 +41,7 @@ from tdgparse.graph import (
     slot_instances,
     validate_graph,
 )
-from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX
+from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX, _concat
 
 META = ("DCT", "ROOT", "NO_EVENT")
 
@@ -589,6 +589,17 @@ def reference_scores(model, doc: Document, dp_labels=None) -> dict:
         candidates, phi = _reference_slot(model, doc, slot, sentences, mentions)
         out[slot] = (candidates, list(_reference_mlp(model, phi)[2]))
     return out
+
+
+def relu_pattern(model, docs: list[Document], dp_labels=None) -> bytes:
+    """Packed activation signs of every hidden unit of model across the batch.
+
+    Two parameter settings with equal patterns lie on the same linear
+    region of the ranking loss, which finite differencing relies on.
+    """
+    batch = _concat([model._index(doc) for doc in docs])
+    z = model._ranking_forward(batch, model._markers(docs, dp_labels))[3]
+    return np.packbits(z > 0).tobytes()
 
 
 def reference_relu_pattern(model, docs: list[Document], dp_labels=None) -> bytes:

@@ -55,6 +55,7 @@ from .oracles import (
     random_pred_graph,
     random_scores,
     reference_decode,
+    relu_pattern,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -102,7 +103,7 @@ def test_criterion_01_gradients_match_finite_differences():
         def loss_and_pattern(p):
             model = RankingModel(config, vocab, p)
             loss, _ = model.ranking_loss_and_grads(corpus, labels)
-            return loss, model.relu_pattern(corpus, labels)
+            return loss, relu_pattern(model, corpus, labels)
 
         report = finite_difference_check(
             loss_and_grads, params, rng, coords_per_tensor=6,

@@ -266,8 +266,14 @@ def _with(key: str, tag: str, value) -> dict:
      "field 'sentences_per_doc' must be a list of integers, not [1.5, 3]"),
     ({"noise_vocab_size": 20.0}, "field 'noise_vocab_size' must be an integer, not 20.0"),
     ({"timex_share": True}, "field 'timex_share' must be a finite number, not True"),
+    ({"sentences_per_doc": [1, 2, 3]},
+     "sentences_per_doc must be a [low, high] pair, not [1, 2, 3]"),
+    ({"mentions_per_sentence": [2]}, "mentions_per_sentence must be a [low, high] pair, not [2]"),
+    (_with("timex_parent_probs", "NA", [0.2, 0.3, 0.1]),
+     "timex_parent_probs[NA] must be a pair of probabilities, not [0.2, 0.3, 0.1]"),
 ], ids=["nan_timex_parent_prob", "nan_event_timex_prob", "nan_content_weight",
-        "float_n_docs", "float_sentence_bound", "float_vocab_size", "bool_share"])
+        "float_n_docs", "float_sentence_bound", "float_vocab_size", "bool_share",
+        "triple_range", "single_range", "triple_probs"])
 def test_synth_rejects_wrong_typed_and_non_finite_values(tmp_path, capsys, changes,
                                                           message):
     config = tmp_path / "synth.json"
@@ -394,6 +400,9 @@ TAGS = ["M1", "M2", "C1", "C2", "D1", "D2", "D3", "D4", "NA"]
 @pytest.mark.parametrize("kind, path, value, message", [
     ("prediction", ("edges", 1, "parent"), 1,
      "document n: slot Slot(child='2', slot='timex_ref'): parent 1 is not a legal candidate"),
+    ("prediction", ("edges", 1, "child"), 2,
+     "document n: slot Slot(child='2', slot='timex_ref') is unfilled; "
+     "slot Slot(child=2, slot='timex_ref') does not belong to document n"),
     ("checkpoint", ("hyperparameters", "dim"), True, "field 'dim' must be an integer, not True"),
     ("checkpoint", ("hyperparameters", "dim"), 2.0, "field 'dim' must be an integer, not 2.0"),
     ("checkpoint", ("hyperparameters", "hidden"), 2.0,
@@ -414,9 +423,9 @@ TAGS = ["M1", "M2", "C1", "C2", "D1", "D2", "D3", "D4", "NA"]
     ("synth", ("sentences_per_doc",), 3,
      "field 'sentences_per_doc' must be a list of integers, not 3"),
     ("train", ("seeds",), 3, "field 'seeds' must be a list of integers, not 3"),
-], ids=["number_parent", "bool_dim", "float_dim", "float_hidden", "string_data", "bool_data",
-        "int_token", "bool_format", "list_weights", "list_probs", "huge_weight", "int_range",
-        "int_seeds"])
+], ids=["number_parent", "number_child", "bool_dim", "float_dim", "float_hidden",
+        "string_data", "bool_data", "int_token", "bool_format", "list_weights", "list_probs",
+        "huge_weight", "int_range", "int_seeds"])
 def test_json_value_of_the_wrong_type_names_its_field(kind, path, value, message, tmp_path,
                                                       hand_corpus_path, capsys):
     """Each input kind reports a wrong-typed value with its field and its exit

@@ -28,6 +28,7 @@ from .oracles import (
     reference_dp_loss_and_grads,
     reference_ranking_loss_and_grads,
     reference_relu_pattern,
+    relu_pattern,
     random_document,
     reference_candidates,
     reference_scores,
@@ -295,7 +296,7 @@ def test_array_scorer_matches_per_slot_reference(variant, dim, hidden):
         for slot, (candidates, scores) in want.items():
             assert got[slot].candidates == candidates
             assert np.allclose(got[slot].scores, scores, rtol=0, atol=tol)
-    assert model.relu_pattern(docs, labels) == reference_relu_pattern(model, docs, labels)
+    assert relu_pattern(model, docs, labels) == reference_relu_pattern(model, docs, labels)
     for batch in (docs, docs[3:], docs[4:]):
         for ours, reference in ((model.ranking_loss_and_grads,
                                  reference_ranking_loss_and_grads),
@@ -322,7 +323,7 @@ def test_zero_slot_batch():
         for name in PARAM_ORDER:
             assert grads[name].shape == model.params[name].shape
             assert not grads[name].any()
-        assert model.relu_pattern(batch) == b""
+        assert relu_pattern(model, batch) == b""
     assert model.score_document(empty) == {}
 
 
@@ -360,7 +361,7 @@ def test_finite_difference_small(variant, kind):
     def loss_and_pattern(p):
         model = RankingModel(config, vocab, p)
         loss, _ = model.ranking_loss_and_grads(corpus, labels)
-        return loss, model.relu_pattern(corpus, labels)
+        return loss, relu_pattern(model, corpus, labels)
 
     report = finite_difference_check(
         loss_and_grads, params, np.random.Generator(np.random.PCG64(2)),

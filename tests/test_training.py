@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from tdgparse import scorer
 from tdgparse.corpus import ContentType, document_from_json, document_to_json
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 from tdgparse.training import (
@@ -141,6 +142,26 @@ def test_train_learns_and_is_deterministic():
 
     _, hist_c = train(config, train_corpus, valid_corpus, None, seed=1)
     assert asdict(hist_c) != asdict(hist_a)
+
+
+def test_train_indexes_each_document_object_once(monkeypatch):
+    """A validation corpus parsed apart from the training corpus shares its
+    ids but not its objects; each object is indexed once for the whole run."""
+    train_corpus, _, _ = separable_corpora()
+    train_corpus = train_corpus[:8]
+    valid_corpus = [document_from_json(document_to_json(doc)) for doc in train_corpus]
+    indexed = []
+    index_document = scorer._index_document
+
+    def counting(doc, vocab):
+        indexed.append(doc)
+        return index_document(doc, vocab)
+
+    monkeypatch.setattr(scorer, "_index_document", counting)
+    train(TrainConfig(variant="baseline", **dict(SMALL, max_epochs=2, warmup_epochs=1)),
+          train_corpus, valid_corpus, None, seed=0)
+    assert len(indexed) == 2 * len(train_corpus)
+    assert sorted(map(id, indexed)) == sorted(map(id, train_corpus + valid_corpus))
 
 
 def test_train_distill_update_orders_diverge():
