@@ -192,7 +192,9 @@ def cmd_train(args) -> int:
     train_corpus = parse_corpus(args.train)
     if not train_corpus:
         raise UsageError(f"training corpus {args.train} is empty")
-    valid_corpus = parse_corpus(args.valid)
+    # one parse when both flags name one file, so each document is indexed once
+    same_file = Path(args.valid).exists() and os.path.samefile(args.train, args.valid)
+    valid_corpus = train_corpus if same_file else parse_corpus(args.valid)
     dp_labels = None
     if args.dp_labels:
         dp_labels = load_dp_labels(args.dp_labels, train_corpus + valid_corpus)

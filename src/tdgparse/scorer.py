@@ -15,17 +15,24 @@ Three variants share this machinery:
 Each document is indexed once into flat arrays: token ids of every mention
 and sentence, and the candidate layout ``graph.candidate_layout`` builds
 for its slots, with each candidate's packed scalar features. A batch of
-documents is scored by one embedding gather with segment means, one matrix
-product for the MLP's hidden layer and a softmax per slot segment;
-gradients run the same arrays backwards. ``score_document`` hands its
-scores on over that same layout, as a ``graph.SlotScores`` that
-``greedy_decode`` reads directly. All arithmetic is float64 numpy and
-gradients are computed analytically.
+documents is scored by one embedding gather with segment means and a
+factored hidden layer. The MLP's input for a candidate is
+``[u, sent(child), a, sent(cand), u*a, scalars]``, so its first layer
+splits by column block: the child and candidate blocks are multiplied once
+per mention and once per candidate-table row, and gathered per candidate;
+only ``u*a`` and the scalars are multiplied per candidate. That per-candidate
+work runs over slot-aligned blocks of at most ``BLOCK_CANDIDATES``
+candidates, each with its own per-slot softmax, so memory stays bounded
+however long a document is. Gradients run the same blocks backwards and
+sum. ``score_document`` hands its scores on over the document's layout, as
+a ``graph.SlotScores`` that ``greedy_decode`` reads directly. All
+arithmetic is float64 numpy and gradients are computed analytically.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from numbers import Real
 from pathlib import Path
@@ -73,6 +80,13 @@ N_META = len(META_NODES)
 # candidate, 6 same sentence, 7-9 the candidate is DCT, ROOT or NO_EVENT
 N_SCALAR_FEATURES = 10
 _PRECEDES_BIT, _SAME_SENTENCE_BIT, _META_BIT = 5, 6, 7
+# the scalar block of every packed feature value, as floats
+_SCALAR_ROWS = ((np.arange(1 << N_SCALAR_FEATURES)[:, None] >> np.arange(N_SCALAR_FEATURES))
+                & 1).astype(np.float64)
+
+# the most candidates one block of the per-candidate work holds, unless a
+# single slot has more: it bounds the memory of scoring and of gradients
+BLOCK_CANDIDATES = 1 << 12
 
 PARAM_ORDER = ("embeddings", "meta_embeddings", "w1", "b1", "w2", "b2",
                "dp_weight", "dp_bias")
@@ -245,11 +259,27 @@ def _slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:
     return np.repeat(np.arange(len(starts)), np.diff(starts, append=n_cand))
 
 
-def _sentence_rows(batch: _FlatIndex) -> tuple[np.ndarray, np.ndarray]:
-    """1 + the sentence row of each candidate's child, and of the candidate
-    itself or 0 for a meta node."""
-    row_sent = np.concatenate([np.zeros(N_META, dtype=np.int32), batch.mention_sent + 1])
-    return row_sent[N_META:][batch.child], row_sent[batch.cand]
+def _blocks(starts: np.ndarray, n_cand: int) -> list[tuple[int, int, int, int]]:
+    """Split slots into runs of at most BLOCK_CANDIDATES candidates.
+
+    Each block is (first slot, end slot, first candidate, end candidate);
+    a slot with more candidates than the bound is a block of its own.
+    """
+    if n_cand <= BLOCK_CANDIDATES:
+        return [(0, len(starts), 0, n_cand)]
+    bounds = starts.tolist() + [n_cand]
+    blocks = []
+    lo = 0
+    while lo < len(starts):
+        hi = max(lo + 1, bisect_right(bounds, bounds[lo] + BLOCK_CANDIDATES, lo) - 1)
+        blocks.append((lo, hi, bounds[lo], bounds[hi]))
+        lo = hi
+    return blocks
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The blocks' arrays end to end; one block's array is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
@@ -332,6 +362,28 @@ def _concat(indexes: list[_FlatIndex]) -> _FlatIndex:
         feat=cat("feat"))
 
 
+class _FirstLayer(NamedTuple):
+    """The hidden layer's terms that do not depend on the candidate pair.
+
+    w1's columns split into blocks ``[W_u | W_cs | W_a | W_ks | W_ua | W_s]``
+    that multiply a candidate's ``[u, sent(child), a, sent(cand), u*a,
+    scalars]``. Per mention, ``u`` is the child vector (its mean plus the
+    child mark) and ``sent`` its sentence; per candidate-table row, ``a`` is
+    the candidate vector (a meta embedding, or a mention's mean plus the
+    candidate mark). ``c = u @ W_u.T + sent @ W_cs.T + b1`` per mention and
+    ``t = a @ W_a.T + sent(row) @ W_ks.T`` per row, a meta row having no
+    sentence term; a candidate's pre-activation is ``c[child] + t[cand] +
+    [u*a, scalars] @ wx``, with ``wx = [W_ua | W_s].T``.
+    """
+
+    u: np.ndarray
+    a: np.ndarray
+    sent: np.ndarray
+    c: np.ndarray
+    t: np.ndarray
+    wx: np.ndarray
+
+
 class RankingModel:
     """Candidate scorer plus discourse-profile head over shared embeddings."""
 
@@ -373,34 +425,44 @@ class RankingModel:
         return np.array([self.vocab.marker_index(dp_labels[(doc.id, s.index)])
                          for doc in docs for s in doc.sentences], dtype=np.int64)
 
-    def _ranking_forward(self, batch: _FlatIndex, markers: np.ndarray | None):
-        """Forward pass over every candidate of a batch.
+    def _first_layer(self, batch: _FlatIndex, markers: np.ndarray | None) -> _FirstLayer:
+        """The first layer's terms for each mention and candidate-table row.
 
         A sentence is the mean of its tokens, plus its marker token when
-        ``markers`` gives one per sentence. Returns the features Phi (one row
-        per candidate), their child and candidate blocks u and a, hidden
-        pre-activations z, relu outputs r and scores s.
+        ``markers`` gives one per sentence.
         """
         p = self.params
-        emb = p["embeddings"]
+        d = self.config.dim
+        emb, w1 = p["embeddings"], p["w1"]
         mention = _segment_means(emb, batch.mention_tok, batch.mention_len)
         sent = _segment_sums(emb, batch.sent_tok, batch.sent_len)
         if markers is not None:
             sent = sent + emb[markers]
-        sent = sent / _sentence_sizes(batch, markers)[:, None]
-        u = (mention + emb[CHILD_MARK_INDEX])[batch.child]
-        a = np.concatenate([p["meta_embeddings"],
-                            mention + emb[CAND_MARK_INDEX]])[batch.cand]
-        # row 0 of the padded table is the no-sentence row of a meta candidate
-        sent = np.concatenate([np.zeros((1, self.config.dim)), sent])
-        scalars = (batch.feat[:, None] >> np.arange(N_SCALAR_FEATURES)) & 1
-        child_sent, cand_sent = _sentence_rows(batch)
-        phi = np.concatenate([u, sent[child_sent], a, sent[cand_sent], u * a, scalars],
-                             axis=1)
-        z = phi @ p["w1"].T + p["b1"]
+        sent = (sent / _sentence_sizes(batch, markers)[:, None])[batch.mention_sent]
+        u = mention + emb[CHILD_MARK_INDEX]
+        a = np.concatenate([p["meta_embeddings"], mention + emb[CAND_MARK_INDEX]])
+        c = u @ w1[:, :d].T + sent @ w1[:, d:2 * d].T + p["b1"]
+        t = a @ w1[:, 2 * d:3 * d].T
+        t[N_META:] += sent @ w1[:, 3 * d:4 * d].T
+        # a contiguous copy: batch-sized products with w1's strided column
+        # block took about twice as long
+        return _FirstLayer(u, a, sent, c, t, np.ascontiguousarray(w1[:, 4 * d:].T))
+
+    def _block_forward(self, layer: _FirstLayer, batch: _FlatIndex, lo: int, hi: int):
+        """Forward pass over candidates lo:hi of a batch.
+
+        Returns their child and candidate vectors u and a, the inputs
+        ``x = [u*a, scalars]`` that the first layer multiplies per
+        candidate, hidden pre-activations z, relu outputs r and scores s.
+        """
+        child, cand = batch.child[lo:hi], batch.cand[lo:hi]
+        u, a = layer.u.take(child, axis=0), layer.a.take(cand, axis=0)
+        x = np.concatenate([u * a, _SCALAR_ROWS.take(batch.feat[lo:hi], axis=0)], axis=1)
+        z = layer.c.take(child, axis=0)
+        z += layer.t.take(cand, axis=0)
+        z += x @ layer.wx
         r = np.maximum(z, 0.0)
-        s = r @ p["w2"] + p["b2"]
-        return phi, u, a, z, r, s
+        return u, a, x, z, r, r @ self.params["w2"] + self.params["b2"]
 
     def score_document(self, doc: Document,
                        dp_labels: DpLabelMap | None = None) -> SlotScores:
@@ -410,7 +472,9 @@ class RankingModel:
         returned mapping gives its ScoredCandidates.
         """
         idx = self._index(doc)
-        values = self._ranking_forward(idx, self._markers([doc], dp_labels))[-1]
+        layer = self._first_layer(idx, self._markers([doc], dp_labels))
+        values = _joined([self._block_forward(layer, idx, c_lo, c_hi)[-1]
+                          for _, _, c_lo, c_hi in _blocks(idx.starts, len(idx.cand))])
         return SlotScores(idx.layout, values)
 
     def ranking_loss_and_grads(
@@ -437,43 +501,56 @@ class RankingModel:
         n_slots = len(batch.starts)
         if n_slots == 0:
             return 0.0, grads
-        d = self.config.dim
+        d, h = self.config.dim, self.config.hidden
         w1, w2 = self.params["w1"], self.params["w2"]
-        phi, u, a, z, r, s = self._ranking_forward(batch, markers)
-        # segmented softmax; bincount sums each slot in order, as ndarray.sum
-        # does for fewer than eight candidates
-        slot = _slot_of(batch.starts, len(batch.cand))
-        e = np.exp(s - np.maximum.reduceat(s, batch.starts)[slot])
-        p = e / np.bincount(slot, weights=e)[slot]
-        total = -np.log(p[batch.gold]).sum()
-        g = p / n_slots
-        g[batch.gold] -= 1.0 / n_slots
-        grads["b2"][...] = g.sum()
-        grads["w2"] = r.T @ g
-        dz = np.outer(g, w2) * (z > 0)
-        grads["w1"] = dz.T @ phi
-        grads["b1"] = dz.sum(axis=0)
-        dphi = dz @ w1
-        du = dphi[:, 0:d] + dphi[:, 4 * d:5 * d] * a
-        da = dphi[:, 2 * d:3 * d] + dphi[:, 4 * d:5 * d] * u
-        n_mentions = len(batch.mention_len)
-        d_child = _scatter_rows(batch.child, du, n_mentions)
-        d_table = _scatter_rows(batch.cand, da, N_META + n_mentions)
-        grads["meta_embeddings"] = d_table[:N_META]
-        d_cand = d_table[N_META:]
-        child_sent, cand_sent = _sentence_rows(batch)
-        d_sent = _scatter_rows(
-            np.concatenate([child_sent, cand_sent]),
-            np.concatenate([dphi[:, d:2 * d], dphi[:, 3 * d:4 * d]]),
-            1 + len(batch.sent_len))[1:] / _sentence_sizes(batch, markers)[:, None]
-        mention_len = batch.mention_len[:, None]
-        segments = [(batch.mention_tok, batch.mention_len, d_child / mention_len),
-                    (batch.mention_tok, batch.mention_len, d_cand / mention_len),
+        layer = self._first_layer(batch, markers)
+        n_rows = len(layer.a)
+        total = 0.0
+        # dz summed per slot (later per child mention) and per table row,
+        # each beside the u*a block's share of the gradient toward u or a
+        d_slot = []
+        d_row = np.zeros((n_rows, h + d))
+        for s_lo, s_hi, c_lo, c_hi in _blocks(batch.starts, len(batch.cand)):
+            u, a, x, z, r, s = self._block_forward(layer, batch, c_lo, c_hi)
+            # segmented softmax; bincount sums each slot in order, as
+            # ndarray.sum does for fewer than eight candidates
+            starts = batch.starts[s_lo:s_hi] - c_lo
+            gold = batch.gold[s_lo:s_hi] - c_lo
+            slot = _slot_of(starts, c_hi - c_lo)
+            e = np.exp(s - np.maximum.reduceat(s, starts)[slot])
+            p = e / np.bincount(slot, weights=e)[slot]
+            total -= np.log(p[gold]).sum()
+            g = p / n_slots
+            g[gold] -= 1.0 / n_slots
+            grads["b2"] += g.sum()
+            grads["w2"] += r.T @ g
+            dz = np.outer(g, w2) * (z > 0)
+            grads["w1"][:, 4 * d:] += dz.T @ x
+            dx = dz @ layer.wx[:d].T
+            d_slot.append(np.add.reduceat(np.concatenate([dz, dx * a], axis=1), starts))
+            d_row += _scatter_rows(batch.cand[c_lo:c_hi],
+                                   np.concatenate([dz, dx * u], axis=1), n_rows)
+        d_child = _scatter_rows(batch.child[batch.starts], _joined(d_slot), len(layer.u))
+        dc, dt = d_child[:, :h], d_row[:, :h]
+        grads["b1"] = dc.sum(axis=0)
+        grads["w1"][:, :d] = dc.T @ layer.u
+        grads["w1"][:, d:2 * d] = dc.T @ layer.sent
+        grads["w1"][:, 2 * d:3 * d] = dt.T @ layer.a
+        grads["w1"][:, 3 * d:4 * d] = dt[N_META:].T @ layer.sent
+        du = dc @ w1[:, :d] + d_child[:, h:]
+        da = dt @ w1[:, 2 * d:3 * d] + d_row[:, h:]
+        grads["meta_embeddings"] = da[:N_META]
+        d_cand = da[N_META:]
+        d_sent = _scatter_rows(batch.mention_sent,
+                               dc @ w1[:, d:2 * d] + dt[N_META:] @ w1[:, 3 * d:4 * d],
+                               len(batch.sent_len)) / _sentence_sizes(batch, markers)[:, None]
+        segments = [(batch.mention_tok, batch.mention_len,
+                     (du + d_cand) / batch.mention_len[:, None]),
                     (batch.sent_tok, batch.sent_len, d_sent)]
         if markers is not None:
             segments.append((markers, 1, d_sent))
         demb = _token_grads(len(self.vocab), segments)
-        demb[CHILD_MARK_INDEX] += d_child.sum(axis=0)
+        demb[CHILD_MARK_INDEX] += du.sum(axis=0)
         demb[CAND_MARK_INDEX] += d_cand.sum(axis=0)
         grads["embeddings"] = demb
         return float(total / n_slots), grads
@@ -484,8 +561,9 @@ class RankingModel:
         """Mean 9-way cross-entropy of the discourse head over all sentences."""
         require_dp_coverage(dp_labels, docs, what="batch")
         grads = zero_grads(self.params)
-        batch = _concat([self._index(doc) for doc in docs])
-        tokens, lengths = batch.sent_tok, batch.sent_len
+        indexes = [self._index(doc) for doc in docs]
+        tokens = np.concatenate([_NO_ROWS] + [idx.sent_tok for idx in indexes])
+        lengths = np.concatenate([_NO_ROWS] + [idx.sent_len for idx in indexes])
         n_sents = len(lengths)
         if n_sents == 0:
             return 0.0, grads

@@ -41,7 +41,7 @@ from tdgparse.graph import (
     slot_instances,
     validate_graph,
 )
-from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX, _concat
+from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX, _blocks, _concat, _joined
 
 META = ("DCT", "ROOT", "NO_EVENT")
 
@@ -598,7 +598,9 @@ def relu_pattern(model, docs: list[Document], dp_labels=None) -> bytes:
     region of the ranking loss, which finite differencing relies on.
     """
     batch = _concat([model._index(doc) for doc in docs])
-    z = model._ranking_forward(batch, model._markers(docs, dp_labels))[3]
+    layer = model._first_layer(batch, model._markers(docs, dp_labels))
+    z = _joined([model._block_forward(layer, batch, c_lo, c_hi)[3]
+                 for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
     return np.packbits(z > 0).tobytes()
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tdgparse import scorer
 from tdgparse.cli import _resolve_train_config, build_parser, main
 from tdgparse.corpus import parse_corpus
 from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, save_checkpoint
@@ -111,6 +112,23 @@ def test_train_rejects_the_cycle_validate_reports(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"{corpus}:1" in err and cycle in err
+
+
+def test_train_parses_a_file_named_by_train_and_valid_once(tmp_path, hand_corpus_path,
+                                                           hand_corpus, monkeypatch):
+    indexed = []
+    index_document = scorer._index_document
+
+    def counting(doc, vocab):
+        indexed.append(doc.id)
+        return index_document(doc, vocab)
+
+    monkeypatch.setattr(scorer, "_index_document", counting)
+    # another spelling of the same path: the check is by file, not by name
+    valid = hand_corpus_path.parent / "." / hand_corpus_path.name
+    assert main(["train", "--train", str(hand_corpus_path), "--valid", str(valid),
+                 *SMALL_TRAIN, "--out", str(tmp_path / "model")]) == 0
+    assert sorted(indexed) == sorted(doc.id for doc in hand_corpus)
 
 
 def meta_named_doc(name: str) -> dict:
@@ -685,10 +703,10 @@ def test_runtime_value_error_is_a_runtime_fault(tmp_path, hand_corpus_path, caps
                                              build_vocabulary(corpus), seed=0),
                     checkpoint)
 
-    def broken_forward(self, batch, markers):
+    def broken_forward(self, layer, batch, lo, hi):
         return np.ones(2) + np.ones(3)
 
-    monkeypatch.setattr(RankingModel, "_ranking_forward", broken_forward)
+    monkeypatch.setattr(RankingModel, "_block_forward", broken_forward)
     code = main(["predict", "--checkpoint", str(checkpoint),
                  "--corpus", str(hand_corpus_path), "--out", str(tmp_path / "preds")])
     assert code == 3

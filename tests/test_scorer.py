@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tdgparse import scorer
 from tdgparse.corpus import META_NODES, ContentType, Document, GoldEdge, Mention, Sentence
 from tdgparse.graph import Slot, candidate_layout, candidate_set, greedy_decode
 from tdgparse.scorer import (
@@ -14,6 +19,8 @@ from tdgparse.scorer import (
     Vocabulary,
     build_vocabulary,
     feature_dim,
+    _blocks,
+    _concat,
     _index_document,
     init_params,
     load_checkpoint,
@@ -277,9 +284,17 @@ def mixed_batch():
     return corpus + [timexes, single], labels
 
 
+def _block_bounds_split_an_event(model, docs) -> bool:
+    """Whether some block boundary of the batch docs lies between an event's two slots."""
+    slots = [slot for doc in docs for slot in candidate_layout(doc).slots]
+    batch = _concat([model._index(doc) for doc in docs])
+    return any(slots[lo - 1].child == slots[lo].child
+               for lo, _, _, _ in _blocks(batch.starts, len(batch.cand))[1:])
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("dim,hidden", [(1, 1), (3, 5), (8, 16)])
-def test_array_scorer_matches_per_slot_reference(variant, dim, hidden):
+def test_array_scorer_matches_per_slot_reference(variant, dim, hidden, monkeypatch):
     tol = 1e-12
     docs, labels = mixed_batch()
     vocab = build_vocabulary(docs)
@@ -289,24 +304,64 @@ def test_array_scorer_matches_per_slot_reference(variant, dim, hidden):
     params["b1"] = rng.uniform(-0.05, 0.05, hidden)
     params["dp_bias"] = rng.uniform(-0.05, 0.05, 9)
     model = RankingModel(config, vocab, params)
-    for doc in docs:
-        got = model.score_document(doc, labels)
-        want = reference_scores(model, doc, labels)
-        assert list(got) == list(want)
-        for slot, (candidates, scores) in want.items():
-            assert got[slot].candidates == candidates
-            assert np.allclose(got[slot].scores, scores, rtol=0, atol=tol)
-    assert relu_pattern(model, docs, labels) == reference_relu_pattern(model, docs, labels)
-    for batch in (docs, docs[3:], docs[4:]):
-        for ours, reference in ((model.ranking_loss_and_grads,
-                                 reference_ranking_loss_and_grads),
-                                (model.dp_loss_and_grads, reference_dp_loss_and_grads)):
-            loss, grads = ours(batch, labels)
-            want_loss, want_grads = reference(model, batch, labels)
-            assert abs(loss - want_loss) <= tol
-            for name in PARAM_ORDER:
-                assert grads[name].shape == params[name].shape
-                assert np.allclose(grads[name], want_grads[name], rtol=0, atol=tol), name
+    whole = _concat([model._index(doc) for doc in docs])
+    assert len(_blocks(whole.starts, len(whole.cand))) == 1
+    for block in (None, 7):
+        if block is not None:
+            # several blocks per document, a slot alone past the bound, and
+            # a boundary between an event's timex_ref and event_ref slots
+            monkeypatch.setattr(scorer, "BLOCK_CANDIDATES", block)
+            assert all(len(_blocks(idx.starts, len(idx.cand))) > 1
+                       for idx in map(model._index, docs[:3]))
+            assert any(np.diff(idx.starts).max(initial=0) > block
+                       for idx in map(model._index, docs))
+            assert _block_bounds_split_an_event(model, docs)
+        for doc in docs:
+            got = model.score_document(doc, labels)
+            want = reference_scores(model, doc, labels)
+            assert list(got) == list(want)
+            for slot, (candidates, scores) in want.items():
+                assert got[slot].candidates == candidates
+                assert np.allclose(got[slot].scores, scores, rtol=0, atol=tol)
+        assert relu_pattern(model, docs, labels) == reference_relu_pattern(model, docs, labels)
+        for batch in (docs, docs[3:], docs[4:]):
+            for ours, reference in ((model.ranking_loss_and_grads,
+                                     reference_ranking_loss_and_grads),
+                                    (model.dp_loss_and_grads, reference_dp_loss_and_grads)):
+                loss, grads = ours(batch, labels)
+                want_loss, want_grads = reference(model, batch, labels)
+                assert abs(loss - want_loss) <= tol
+                for name in PARAM_ORDER:
+                    assert grads[name].shape == params[name].shape
+                    assert np.allclose(grads[name], want_grads[name], rtol=0, atol=tol), name
+
+
+# one ranking loss on a 720-mention document (407,209 candidates), in a
+# fresh process so that ru_maxrss is this call's peak
+_LONG_DOCUMENT_LOSS = """
+import json, resource, sys
+from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary
+from tdgparse.synth import SynthConfig, generate_synthetic_corpus
+raw = json.loads(open(sys.argv[1], encoding="utf-8").read())
+raw.update(n_docs=1, sentences_per_doc=[240, 240], mentions_per_sentence=[3, 3])
+corpus, _ = generate_synthetic_corpus(SynthConfig.from_json(raw), 7)
+model = RankingModel.initialized(ModelConfig(dim=16, hidden=32), build_vocabulary(corpus), 0)
+model.ranking_loss_and_grads(corpus)
+print(len(corpus[0].mentions), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_long_document_loss_and_gradients_stay_under_256_mb():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"),
+                                                      env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _LONG_DOCUMENT_LOSS,
+                          str(root / "configs" / "distill.synth.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    mentions, peak_kb = map(int, out.stdout.split())
+    assert mentions == 720
+    assert peak_kb <= 256 * 1024, f"peak RSS {peak_kb / 1024:.0f} MB"
 
 
 def test_zero_slot_batch():
