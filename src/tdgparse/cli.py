@@ -1,22 +1,22 @@
 """Command-line front end for reproducible corpus/model runs.
 
 Every subcommand writes into ``--out``: first a ``manifest.json`` recording
-the resolved configuration, input digests, seeds, and planned outputs, then
-the outputs themselves (written atomically). Re-running a command with the
-same inputs and seeds reproduces every artifact byte for byte; only the
-manifest's ``timestamp`` field differs.
+the resolved configuration, the digest of every input file flag given, seeds,
+and planned outputs, then the outputs themselves (written atomically).
+Re-running a command with the same inputs and seeds reproduces every artifact
+byte for byte; only the manifest's ``timestamp`` field differs.
 
 Exit codes: 0 success; 1 an invalid corpus; 2 a usage error, meaning bad
-flags, a missing file, a bad config file or value, a seed-label count that
-does not match the prediction files, a ``train`` run without the discourse
-labels its variant needs or with an empty training corpus, or a ``predict``
-run of a ``dp_feature`` checkpoint without ``--dp-labels``; 3 a runtime
-fault, which is every other failure (any other ``ValueError`` included).
-One rule types every JSON input: a value of the wrong JSON type is reported
-with its file (and line, where there is one) and its field, and exits 1 in
-a corpus, 2 in a config, 3 in a checkpoint (whose dimensions, tensors and
-vocabulary are typed) or a prediction (whose edges must name the
-document's string ids).
+flags, a missing or unreadable file, a bad config file or value, a
+seed-label count that does not match the prediction files, a ``train`` run
+without the discourse labels its variant needs or with an empty training
+corpus, or a ``predict`` run of a ``dp_feature`` checkpoint without
+``--dp-labels``; 3 a runtime fault, which is every other failure (any other
+``ValueError`` included). One rule types every JSON input: a value of the
+wrong JSON type is reported with its file (and line, where there is one) and
+its field, and exits 1 in a corpus, 2 in a config, 3 in a checkpoint (whose
+dimensions, tensors and vocabulary are typed) or a prediction (whose edges
+must name the document's string ids).
 
 OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -94,11 +94,22 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict,
-                    inputs: dict[str, Path], seeds: list[int],
-                    outputs: list[str]) -> None:
+# the argparse dests of every flag that names an input file
+INPUT_FLAGS = ("checkpoint", "config", "corpus", "dp_labels", "gold", "train", "valid")
+
+
+def _optional_path(text: str) -> Path | None:
+    """An optional path flag's value; an empty one, as in ``--config ""``, is not given."""
+    return Path(text) if text else None
+
+
+def _write_manifest(args, config: dict, seeds: list[int], outputs: list[str],
+                    more_inputs: dict[str, Path] | None = None) -> None:
+    """Write ``args.out/manifest.json``, digesting each input flag given."""
+    inputs = {name: p for name, p in vars(args).items() if name in INPUT_FLAGS and p}
+    inputs.update(more_inputs or {})
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "config": config,
         "inputs": {name: {"path": str(p), "sha256": _digest(p)}
@@ -107,8 +118,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "outputs": sorted(outputs),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "manifest.json", manifest)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_json(args.out / "manifest.json", manifest)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -123,20 +134,16 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _read_config(path: str | None) -> dict:
+def _read_config(path: Path | None) -> dict:
     """The JSON object a --config file holds, or {} when no file is given."""
-    if not path:
+    if path is None:
         return {}
     with _usage_errors(f"bad config {path}"):
-        return parse_object(Path(path).read_text(encoding="utf-8"))
+        return parse_object(path.read_text(encoding="utf-8"))
 
 
 def cmd_validate(args) -> int:
-    out_dir = Path(args.out)
-    inputs = {"corpus": Path(args.corpus)}
-    if args.dp_labels:
-        inputs["dp_labels"] = Path(args.dp_labels)
-    _write_manifest(out_dir, "validate", {}, inputs, [], ["report.json"])
+    _write_manifest(args, {}, [], ["report.json"])
 
     violations: list[str] = []
     docs = []
@@ -153,7 +160,7 @@ def cmd_validate(args) -> int:
             violations.append(str(exc))
     report = {"documents": len(docs), "violations": violations,
               "ok": not violations}
-    _write_json(out_dir / "report.json", report)
+    _write_json(args.out / "report.json", report)
     for v in violations:
         print(v, file=sys.stderr)
     return 0 if not violations else 1
@@ -162,14 +169,10 @@ def cmd_validate(args) -> int:
 def cmd_synth(args) -> int:
     with _usage_errors(f"bad synth config {args.config}"):
         config = SynthConfig(**_read_config(args.config))
-    out_dir = Path(args.out)
-    inputs = {"config": Path(args.config)} if args.config else {}
-    outputs = ["corpus.jsonl", "dp_labels.tsv"]
-    _write_manifest(out_dir, "synth", asdict(config), inputs, [args.seed],
-                    outputs)
+    _write_manifest(args, asdict(config), [args.seed], ["corpus.jsonl", "dp_labels.tsv"])
     corpus, labels = generate_synthetic_corpus(config, args.seed)
-    _write_atomic(out_dir / "corpus.jsonl", serialize_corpus(corpus))
-    _write_atomic(out_dir / "dp_labels.tsv", serialize_dp_labels(labels, corpus))
+    _write_atomic(args.out / "corpus.jsonl", serialize_corpus(corpus))
+    _write_atomic(args.out / "dp_labels.tsv", serialize_dp_labels(labels, corpus))
     return 0
 
 
@@ -193,31 +196,24 @@ def cmd_train(args) -> int:
     if not train_corpus:
         raise UsageError(f"training corpus {args.train} is empty")
     # one parse when both flags name one file, so each document is indexed once
-    same_file = Path(args.valid).exists() and os.path.samefile(args.train, args.valid)
+    same_file = args.valid.exists() and args.train.samefile(args.valid)
     valid_corpus = train_corpus if same_file else parse_corpus(args.valid)
     dp_labels = None
     if args.dp_labels:
         dp_labels = load_dp_labels(args.dp_labels, train_corpus + valid_corpus)
 
-    out_dir = Path(args.out)
-    inputs = {"train": Path(args.train), "valid": Path(args.valid)}
-    if args.dp_labels:
-        inputs["dp_labels"] = Path(args.dp_labels)
-    if args.config:
-        inputs["config"] = Path(args.config)
     outputs = [f"checkpoint-seed{s}.json" for s in config.seeds]
     outputs += [f"history-seed{s}.json" for s in config.seeds]
-    _write_manifest(out_dir, "train", asdict(config), inputs, list(config.seeds),
-                    outputs)
+    _write_manifest(args, asdict(config), list(config.seeds), outputs)
 
     for seed in config.seeds:
         model, history = train(config, train_corpus, valid_corpus, dp_labels,
                                seed)
-        save_checkpoint(model, out_dir / f"checkpoint-seed{seed}.json.tmp",
+        save_checkpoint(model, args.out / f"checkpoint-seed{seed}.json.tmp",
                         train_config=asdict(config), seed=seed)
-        os.replace(out_dir / f"checkpoint-seed{seed}.json.tmp",
-                   out_dir / f"checkpoint-seed{seed}.json")
-        _write_json(out_dir / f"history-seed{seed}.json", asdict(history))
+        os.replace(args.out / f"checkpoint-seed{seed}.json.tmp",
+                   args.out / f"checkpoint-seed{seed}.json")
+        _write_json(args.out / f"history-seed{seed}.json", asdict(history))
     return 0
 
 
@@ -227,21 +223,17 @@ def cmd_predict(args) -> int:
         raise UsageError(f"variant {model.config.variant} requires --dp-labels")
     corpus = parse_corpus(args.corpus)
     dp_labels = load_dp_labels(args.dp_labels, corpus) if args.dp_labels else None
-    out_dir = Path(args.out)
-    inputs = {"checkpoint": Path(args.checkpoint), "corpus": Path(args.corpus)}
-    if args.dp_labels:
-        inputs["dp_labels"] = Path(args.dp_labels)
     config = {"decode_order": args.decode_order, "variant": model.config.variant}
-    _write_manifest(out_dir, "predict", config, inputs, [], ["predictions.jsonl"])
+    _write_manifest(args, config, [], ["predictions.jsonl"])
 
     graphs = decode_corpus(model, corpus, dp_labels, order=args.decode_order)
     lines = [json.dumps(graph_to_json(graphs[doc.id], doc), ensure_ascii=False)
              for doc in corpus]
-    _write_atomic(out_dir / "predictions.jsonl", "".join(l + "\n" for l in lines))
+    _write_atomic(args.out / "predictions.jsonl", "".join(l + "\n" for l in lines))
     return 0
 
 
-def _load_predictions(path: str, corpus) -> dict:
+def _load_predictions(path: Path, corpus) -> dict:
     docs = {doc.id: doc for doc in corpus}
     graphs = {}
     with open(path, encoding="utf-8") as fh:
@@ -268,25 +260,22 @@ def cmd_evaluate(args) -> int:
         raise UsageError(
             f"{len(args.pred)} prediction files but {len(labels)} seed labels"
         )
-    out_dir = Path(args.out)
-    inputs = {"gold": Path(args.gold)}
-    for label, pred in zip(labels, args.pred):
-        inputs[f"pred-seed{label}"] = Path(pred)
     outputs = [f"metrics-seed{label}.json" for label in labels]
     if args.aggregate:
         outputs.append("metrics-aggregate.json")
     config = {"aggregate": bool(args.aggregate), "variant": args.variant,
               "corpus_identity": corpus_identity(corpus)}
-    _write_manifest(out_dir, "evaluate", config, inputs, labels, outputs)
+    _write_manifest(args, config, labels, outputs,
+                    {f"pred-seed{label}": pred for label, pred in zip(labels, args.pred)})
 
     reports = []
     for label, pred in zip(labels, args.pred):
         graphs = _load_predictions(pred, corpus)
         report = partitioned_prf(graphs, corpus, seed=label, variant=args.variant)
         reports.append(report)
-        _write_json(out_dir / f"metrics-seed{label}.json", report_to_json(report))
+        _write_json(args.out / f"metrics-seed{label}.json", report_to_json(report))
     if args.aggregate:
-        _write_json(out_dir / "metrics-aggregate.json",
+        _write_json(args.out / "metrics-aggregate.json",
                     aggregate_to_json(aggregate_seeds(reports)))
     return 0
 
@@ -294,22 +283,20 @@ def cmd_evaluate(args) -> int:
 def cmd_analyze(args) -> int:
     corpus = parse_corpus(args.corpus)
     dp = load_dp_labels(args.dp_labels, corpus)
-    out_dir = Path(args.out)
     tables = all_tables(corpus, dp)
     outputs = [f"{t.name}.csv" for t in tables] + [f"{t.name}.txt" for t in tables]
     outputs.append("summary.json")
-    inputs = {"corpus": Path(args.corpus), "dp_labels": Path(args.dp_labels)}
-    _write_manifest(out_dir, "analyze", {}, inputs, [], outputs)
+    _write_manifest(args, {}, [], outputs)
 
     for table in tables:
-        _write_atomic(out_dir / f"{table.name}.csv", render_csv(table))
-        _write_atomic(out_dir / f"{table.name}.txt", render_text(table))
+        _write_atomic(args.out / f"{table.name}.csv", render_csv(table))
+        _write_atomic(args.out / f"{table.name}.txt", render_text(table))
     summary = {
         "corpus_identity": corpus_identity(corpus),
         "n_documents": len(corpus),
         "checks": summary_checks(tables[0]),
     }
-    _write_json(out_dir / "summary.json", summary)
+    _write_json(args.out / "summary.json", summary)
     return 0
 
 
@@ -323,22 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a corpus against every invariant")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dp-labels")
-    p.add_argument("--out", required=True)
+    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--dp-labels", type=_optional_path)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus and labels")
-    p.add_argument("--config", help="SynthConfig JSON; defaults when omitted")
+    p.add_argument("--config", type=_optional_path,
+                   help="SynthConfig JSON; defaults when omitted")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one variant over a list of seeds")
     p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--train", required=True)
-    p.add_argument("--valid", required=True)
-    p.add_argument("--dp-labels")
+    p.add_argument("--train", type=Path, required=True)
+    p.add_argument("--valid", type=Path, required=True)
+    p.add_argument("--dp-labels", type=_optional_path)
     p.add_argument("--seeds", type=_parse_seeds)
     p.add_argument("--epochs", type=int, dest="max_epochs")
     p.add_argument("--batch-docs", type=int, dest="batch_size_docs")
@@ -349,34 +337,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decode-order", choices=DECODE_ORDERS)
     p.add_argument("--dim", type=int)
     p.add_argument("--hidden", type=int)
-    p.add_argument("--config", help="TrainConfig JSON; flags override it")
-    p.add_argument("--out", required=True)
+    p.add_argument("--config", type=_optional_path,
+                   help="TrainConfig JSON; flags override it")
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="decode a corpus with a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dp-labels")
+    p.add_argument("--checkpoint", type=Path, required=True)
+    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--dp-labels", type=_optional_path)
     p.add_argument("--decode-order", choices=DECODE_ORDERS, default="score")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
-    p.add_argument("--pred", nargs="+", required=True,
+    p.add_argument("--pred", type=Path, nargs="+", required=True,
                    help="prediction JSONL file(s), one per seed")
-    p.add_argument("--gold", required=True)
+    p.add_argument("--gold", type=Path, required=True)
     p.add_argument("--seeds", type=_parse_seeds,
                    help="seed labels matching --pred order")
     p.add_argument("--variant", help="echoed into the metrics files")
     p.add_argument("--aggregate", action="store_true",
                    help="also write mean/std across the prediction files")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="distribution tables by content type")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--dp-labels", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--dp-labels", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_analyze)
 
     return parser
@@ -390,7 +379,8 @@ def main(argv=None) -> int:
     except CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, DpLabelError, GraphError, TrainingDiverged, EvaluationError) as exc:

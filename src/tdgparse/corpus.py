@@ -225,7 +225,6 @@ def validate_document(doc: Document) -> list[str]:
         if not sent.tokens:
             violations.append(f"document {doc.id}: sentence {sent.index} has no tokens")
 
-    n_sents = len(doc.sentences)
     sent_len = {s.index: len(s.tokens) for s in doc.sentences}
     seen_ids: set[str] = set()
     for m in doc.mentions:
@@ -237,7 +236,7 @@ def validate_document(doc: Document) -> list[str]:
             violations.append(f"mention {m.id}: id is reserved for a meta node")
         if m.kind not in MENTION_KINDS:
             violations.append(f"mention {m.id}: unknown kind {m.kind!r}")
-        if not 0 <= m.sentence < n_sents:
+        if m.sentence not in sent_len:
             violations.append(f"mention {m.id}: sentence {m.sentence} does not exist")
         elif not (0 <= m.start < m.end <= sent_len[m.sentence]):
             violations.append(

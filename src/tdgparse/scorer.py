@@ -12,9 +12,11 @@ Three variants share this machinery:
   linear discourse-profile head over sentence representations that training
   can supervise alongside the ranking objective.
 
-Each document is indexed once into flat arrays: token ids of every mention
-and sentence, and the candidate layout ``graph.candidate_layout`` builds
-for its slots, with each candidate's packed scalar features. A batch of
+Each document is indexed into flat arrays: token ids of every mention and
+sentence, and the candidate layout ``graph.candidate_layout`` builds for its
+slots, with each candidate's packed scalar features. Only the documents that
+training scores are cached; ``score_document`` indexes any other document for
+that call only, so a predict run holds one index at a time. A batch of
 documents is scored by one embedding gather with segment means and a
 factored hidden layer. The MLP's input for a candidate is
 ``[u, sent(child), a, sent(cand), u*a, scalars]``, so its first layer
@@ -103,7 +105,7 @@ class ModelConfig:
     variant: str = "baseline"
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if json_field(vars(self), "variant", str) not in VARIANTS:
             raise ScorerError(f"unknown variant {self.variant!r}")
         if json_field(vars(self), "dim", int) < 1 or json_field(vars(self), "hidden", int) < 1:
             raise ScorerError("dim and hidden must be positive")
@@ -409,7 +411,8 @@ class RankingModel:
         return cls(config, vocab, init_params(config, vocab, rng))
 
     def _index(self, doc: Document) -> _FlatIndex:
-        # keyed by object: the entry's layout keeps doc alive, so its id is not reused
+        # the documents training scores are cached, keyed by object: the entry's
+        # layout keeps doc alive, so its id is not reused
         idx = self._index_cache.get(id(doc))
         if idx is None:
             idx = self._index_cache[id(doc)] = _index_document(doc, self.vocab)
@@ -469,9 +472,10 @@ class RankingModel:
         """Score every candidate of every slot of one document.
 
         The scores stay in the index's flat layout; reading a slot of the
-        returned mapping gives its ScoredCandidates.
+        returned mapping gives its ScoredCandidates. A document that training
+        indexed uses the cached index; any other is indexed for this call only.
         """
-        idx = self._index(doc)
+        idx = self._index_cache.get(id(doc)) or _index_document(doc, self.vocab)
         layer = self._first_layer(idx, self._markers([doc], dp_labels))
         values = _joined([self._block_forward(layer, idx, c_lo, c_hi)[-1]
                           for _, _, c_lo, c_hi in _blocks(idx.starts, len(idx.cand))])
@@ -623,10 +627,13 @@ def load_checkpoint(path: str | Path) -> RankingModel:
         vocab = Vocabulary(json_field(obj, "vocabulary", list, "", str))
         tensors = json_field(obj, "params", dict)
         params = {}
-        for name in PARAM_ORDER:
+        for name, expected in param_shapes(config, vocab).items():
             entry = json_field(tensors, name, dict, "params")
             data = json_field(entry, "data", list, f"params: {name}", Real)
-            shape = json_field(entry, "shape", list, f"params: {name}", int)
+            shape = tuple(json_field(entry, "shape", list, f"params: {name}", int))
+            if shape != expected:
+                raise ScorerError(f"parameter {name} has shape {shape}, "
+                                  f"expected {expected} for this vocabulary and config")
             params[name] = np.array(data, dtype=np.float64).reshape(shape)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScorerError(f"malformed checkpoint {path}: {exc}") from None

@@ -57,7 +57,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         self.seeds = tuple(json_field(vars(self), "seeds", list, "", int))  # JSON gives a list
         for name, kind in (("max_epochs", int), ("batch_size_docs", int), ("warmup_epochs", int),
-                           ("peak_lr", float), ("weight_decay", float)):
+                           ("peak_lr", float), ("weight_decay", float), ("variant", str),
+                           ("update_order", str), ("decode_order", str)):
             json_field(vars(self), name, kind)
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be one or more distinct integers, "
@@ -189,6 +190,8 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     loss_fns = {"ranking": lambda batch: model.ranking_loss_and_grads(batch, feature_labels),
                 "dp": lambda batch: model.dp_loss_and_grads(batch, dp_labels)}
 
+    for doc in valid_corpus:  # indexed once for every epoch's validation decode
+        model._index(doc)
     history = TrainHistory()
     best_params = clone_params(model.params)
     best_accuracy = -1.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -11,7 +12,10 @@ import pytest
 from tdgparse import scorer
 from tdgparse.cli import _resolve_train_config, build_parser, main
 from tdgparse.corpus import parse_corpus
+from tdgparse.graph import graph_to_json
 from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, save_checkpoint
+
+from .oracles import gold_graph
 
 SMALL_SYNTH = {
     "n_docs": 12,
@@ -125,7 +129,8 @@ def test_train_parses_a_file_named_by_train_and_valid_once(tmp_path, hand_corpus
 
     monkeypatch.setattr(scorer, "_index_document", counting)
     # another spelling of the same path: the check is by file, not by name
-    valid = hand_corpus_path.parent / "." / hand_corpus_path.name
+    folder = hand_corpus_path.parent
+    valid = folder / ".." / folder.name / hand_corpus_path.name
     assert main(["train", "--train", str(hand_corpus_path), "--valid", str(valid),
                  *SMALL_TRAIN, "--out", str(tmp_path / "model")]) == 0
     assert sorted(indexed) == sorted(doc.id for doc in hand_corpus)
@@ -140,6 +145,30 @@ def meta_named_doc(name: str) -> dict:
         "edges": [{"child": name, "slot": "timex_ref",
                    "parent": "ROOT" if name == "DCT" else "DCT"}],
     }
+
+
+@pytest.mark.parametrize("change, violations", [
+    (lambda doc: doc["sentences"][0].update(index=1),
+     ["document m: sentence indexes [1] are not contiguous from 0",
+      "mention t1: sentence 0 does not exist"]),
+    (lambda doc: doc["sentences"].append({"index": 1, "tokens": []}),
+     ["document m: sentence 1 has no tokens"]),
+    (lambda doc: doc["mentions"].append(dict(doc["mentions"][0])),
+     ["mention t1: duplicate id"]),
+    (lambda doc: doc["mentions"][0].update(kind="date"),
+     ["mention t1: unknown kind 'date'",
+      "gold slot Slot(child='t1', slot='timex_ref') does not belong to document m"]),
+], ids=["gapped_sentences", "empty_sentence", "duplicate_mention", "unknown_kind"])
+def test_validate_reports_broken_invariants(change, violations, tmp_path, capsys):
+    doc = meta_named_doc("t1")
+    change(doc)
+    corpus = tmp_path / "broken.jsonl"
+    corpus.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    assert main(["validate", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "report")]) == 1
+    report = read_json(tmp_path / "report" / "report.json")
+    assert report["violations"] == [f"{corpus}:1: {v}" for v in violations]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", ["DCT", "ROOT", "NO_EVENT"])
@@ -213,7 +242,15 @@ def _make_w2_nan(params):
     return "parameter w2 holds non-finite values"
 
 
-@pytest.mark.parametrize("corrupt", [_break_w1_shape, _make_w2_nan])
+def _infer_a_dimension(params):
+    """Declared shapes with a -1, which numpy's reshape would fill in."""
+    rows, dim = params["embeddings"]["shape"]
+    params["embeddings"]["shape"] = [rows, -1]
+    params["w1"]["shape"][0] = -1
+    return f"parameter embeddings has shape ({rows}, -1), expected ({rows}, {dim})"
+
+
+@pytest.mark.parametrize("corrupt", [_break_w1_shape, _make_w2_nan, _infer_a_dimension])
 def test_predict_rejects_bad_checkpoint_tensors(corrupt, tmp_path, capsys):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps(SMALL_SYNTH), encoding="utf-8")
@@ -239,6 +276,17 @@ def test_validate_missing_file_is_usage_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["validate", "--corpus"], ["synth", "--config"],
+                                  ["predict", "--corpus", "c.jsonl", "--checkpoint"]],
+                         ids=["validate_corpus", "synth_config", "predict_checkpoint"])
+def test_directory_as_input_file_is_usage_error(argv, tmp_path, capsys):
+    code = main([*argv, str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_is_deterministic_per_seed(tmp_path):
@@ -389,7 +437,8 @@ def test_evaluate_rejects_malformed_predictions(tmp_path, hand_corpus_path,
     ('{"id": ["x"], "edges": []}', "field 'id' must be a string, not ['x']"),
     ('{"id": "a"}', "missing required field 'edges'"),
     ('{"id": "a", "edges": [1]}', "field 'edges' must be a list of objects, not [1]"),
-], ids=["not_an_object", "list_id", "no_edges", "edge_not_an_object"])
+    ('{"id": "zz", "edges": []}', "prediction for unknown document 'zz'"),
+], ids=["not_an_object", "list_id", "no_edges", "edge_not_an_object", "unknown_document"])
 def test_evaluate_rejects_malformed_prediction_lines(line, message, tmp_path,
                                                      hand_corpus_path, capsys):
     preds = tmp_path / "p.jsonl"
@@ -400,6 +449,19 @@ def test_evaluate_rejects_malformed_prediction_lines(line, message, tmp_path,
     err = capsys.readouterr().err
     assert f"{preds}:2: " in err and message in err
     assert "Traceback" not in err
+
+
+def test_evaluate_rejects_a_duplicate_prediction(tmp_path, hand_corpus_path, hand_corpus,
+                                                  capsys):
+    doc = hand_corpus[1]
+    line = json.dumps(graph_to_json(gold_graph(doc), doc)) + "\n"
+    preds = tmp_path / "p.jsonl"
+    preds.write_text(line * 2, encoding="utf-8")
+    code = main(["evaluate", "--gold", str(hand_corpus_path),
+                 "--pred", str(preds), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert f"{preds}:2: duplicate prediction for document {doc.id!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics-seed0.json").exists()
 
 
 # two timexes named by numeric strings: a prediction edge that names one by a
@@ -441,9 +503,13 @@ TAGS = ["M1", "M2", "C1", "C2", "D1", "D2", "D3", "D4", "NA"]
     ("synth", ("sentences_per_doc",), 3,
      "field 'sentences_per_doc' must be a list of integers, not 3"),
     ("train", ("seeds",), 3, "field 'seeds' must be a list of integers, not 3"),
+    ("train", ("update_order",), ["joint"],
+     "field 'update_order' must be a string, not ['joint']"),
+    ("checkpoint", ("hyperparameters", "variant"), ["baseline"],
+     "field 'variant' must be a string, not ['baseline']"),
 ], ids=["number_parent", "number_child", "bool_dim", "float_dim", "float_hidden",
         "string_data", "bool_data", "int_token", "bool_format", "list_weights", "list_probs",
-        "huge_weight", "int_range", "int_seeds"])
+        "huge_weight", "int_range", "int_seeds", "list_update_order", "list_variant"])
 def test_json_value_of_the_wrong_type_names_its_field(kind, path, value, message, tmp_path,
                                                       hand_corpus_path, capsys):
     """Each input kind reports a wrong-typed value with its field and its exit
@@ -573,6 +639,43 @@ def test_pipeline_end_to_end(tmp_path):
                  "--corpus", corpus, "--out", str(preds2)]) == 0
     assert (preds2 / "predictions.jsonl").read_bytes() == \
         (preds / "predictions.jsonl").read_bytes()
+
+
+def test_manifest_digests_each_input_flag_given(tmp_path):
+    """A manifest's inputs are the input flags given, with an empty value
+    given as none, plus evaluate's ``pred-seed{label}`` names."""
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SMALL_SYNTH), encoding="utf-8")
+    data = tmp_path / "data"
+    corpus, labels = data / "corpus.jsonl", data / "dp_labels.tsv"
+    run, preds = tmp_path / "run", tmp_path / "preds"
+    checkpoint, predictions = run / "checkpoint-seed0.json", preds / "predictions.jsonl"
+    runs = [
+        (["synth", "--config", ""], {}),
+        (["synth", "--config", config, "--seed", "3"], {"config": config}),
+        (["validate", "--corpus", corpus, "--dp-labels", ""], {"corpus": corpus}),
+        (["validate", "--corpus", corpus, "--dp-labels", labels],
+         {"corpus": corpus, "dp_labels": labels}),
+        (["train", "--variant", "dp_feature", "--train", corpus, "--valid", corpus,
+          "--dp-labels", labels, "--config", "", *SMALL_TRAIN],
+         {"train": corpus, "valid": corpus, "dp_labels": labels}),
+        (["predict", "--checkpoint", checkpoint, "--corpus", corpus, "--dp-labels", labels],
+         {"checkpoint": checkpoint, "corpus": corpus, "dp_labels": labels}),
+        (["evaluate", "--gold", corpus, "--pred", predictions, predictions, "--seeds", "4,5"],
+         {"gold": corpus, "pred-seed4": predictions, "pred-seed5": predictions}),
+        (["analyze", "--corpus", corpus, "--dp-labels", labels],
+         {"corpus": corpus, "dp_labels": labels}),
+    ]
+    outs = {"synth": data, "train": run, "predict": preds}
+    for i, (argv, inputs) in enumerate(runs):
+        out = outs.get(argv[0], tmp_path / f"out{i}")
+        assert main([*map(str, argv), "--out", str(out)]) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["command"] == argv[0]
+        assert manifest["inputs"] == {
+            name: {"path": str(path),
+                   "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for name, path in inputs.items()}
 
 
 def test_train_config_file_with_flag_overrides(tmp_path):

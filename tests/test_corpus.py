@@ -209,6 +209,15 @@ def test_load_dp_labels_unknown_doc_and_bad_index(hand_corpus, tmp_path):
             load_dp_labels(path, hand_corpus)
 
 
+@pytest.mark.parametrize("row", ["a\t0", "a 0 M1", "a\t0\tM1\tC2"])
+def test_load_dp_labels_row_needs_three_fields(row, hand_corpus, tmp_path):
+    path = tmp_path / "fields.tsv"
+    path.write_text(f"a\t0\tM1\n{row}\n")
+    with pytest.raises(DpLabelError, match=re.escape(
+            "fields.tsv:2: expected doc_id<TAB>sentence_index<TAB>tag")):
+        load_dp_labels(path, hand_corpus)
+
+
 def test_load_dp_labels_duplicate(hand_corpus, tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("a\t0\tM1\na\t0\tM1\n")

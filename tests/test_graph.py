@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,12 @@ def test_decode_single_timex():
     scores = _scores(doc, {("t1", "timex_ref"): {"DCT": 0.9, "ROOT": 0.1}})
     graph = greedy_decode(doc, scores)
     assert graph.edges[Slot("t1", "timex_ref")] == "DCT"
+
+
+def test_decode_document_without_mentions():
+    doc = make_doc({"id": "g0", "dct": "2021-01-01",
+                    "sentences": [{"index": 0, "tokens": ["x"]}], "mentions": [], "edges": []})
+    assert greedy_decode(doc, _scores(doc, {})) == TemporalDependencyGraph("g0", {})
 
 
 def test_decode_mutual_events_break_cycle():
@@ -390,6 +397,9 @@ def test_graph_json_round_trip(hand_corpus):
     assert again.edges == graph.edges
     with pytest.raises(GraphError):
         graph_from_json({"id": doc.id, "edges": obj["edges"][:2]}, doc)
+    with pytest.raises(GraphError, match=re.escape(
+            f"document {doc.id}: duplicate edge for Slot(child='e1', slot='timex_ref')")):
+        graph_from_json({"id": doc.id, "edges": obj["edges"] + obj["edges"][:1]}, doc)
     # edge names are not coerced: only the document's string ids and the meta
     # nodes pass, and an unhashable name is refused like any other
     for key, value in [("parent", ["t1"]), ("parent", {"t1": 1}), ("child", ["e1"]),

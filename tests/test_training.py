@@ -7,11 +7,13 @@ import pytest
 from tdgparse import scorer
 from tdgparse.corpus import ContentType, document_from_json, document_to_json
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
+from tdgparse.scorer import ModelConfig, RankingModel, load_checkpoint, save_checkpoint
 from tdgparse.training import (
     OptimizerState,
     TrainConfig,
     TrainingDiverged,
     adamw_step,
+    decode_corpus,
     lr_at,
     train,
 )
@@ -162,6 +164,21 @@ def test_train_indexes_each_document_object_once(monkeypatch):
           train_corpus, valid_corpus, None, seed=0)
     assert len(indexed) == 2 * len(train_corpus)
     assert sorted(map(id, indexed)) == sorted(map(id, train_corpus + valid_corpus))
+
+
+def test_decode_corpus_keeps_no_index(tmp_path):
+    """Decoding with a loaded checkpoint indexes each document for its own
+    call, so the model's index cache stays empty; cached indexes decode alike."""
+    corpus, _, _ = separable_corpora()
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(RankingModel.initialized(ModelConfig(dim=3, hidden=4),
+                                             scorer.build_vocabulary(corpus), seed=0), path)
+    model = load_checkpoint(path)
+    graphs = decode_corpus(model, corpus)
+    assert model._index_cache == {}
+    for doc in corpus:
+        model._index(doc)
+    assert decode_corpus(model, corpus) == graphs
 
 
 def test_train_distill_update_orders_diverge():
