@@ -98,6 +98,13 @@ def _digest(path: Path) -> str:
 INPUT_FLAGS = ("checkpoint", "config", "corpus", "dp_labels", "gold", "train", "valid")
 
 
+def _path(text: str) -> Path:
+    """A required path flag's value; an empty one, which Path reads as ``.``, is refused."""
+    if not text:
+        raise argparse.ArgumentTypeError("path is empty")
+    return Path(text)
+
+
 def _optional_path(text: str) -> Path | None:
     """An optional path flag's value; an empty one, as in ``--config ""``, is not given."""
     return Path(text) if text else None
@@ -310,22 +317,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a corpus against every invariant")
-    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--corpus", type=_path, required=True)
     p.add_argument("--dp-labels", type=_optional_path)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus and labels")
     p.add_argument("--config", type=_optional_path,
                    help="SynthConfig JSON; defaults when omitted")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one variant over a list of seeds")
     p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--train", type=Path, required=True)
-    p.add_argument("--valid", type=Path, required=True)
+    p.add_argument("--train", type=_path, required=True)
+    p.add_argument("--valid", type=_path, required=True)
     p.add_argument("--dp-labels", type=_optional_path)
     p.add_argument("--seeds", type=_parse_seeds)
     p.add_argument("--epochs", type=int, dest="max_epochs")
@@ -339,33 +346,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int)
     p.add_argument("--config", type=_optional_path,
                    help="TrainConfig JSON; flags override it")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="decode a corpus with a checkpoint")
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--corpus", type=Path, required=True)
+    p.add_argument("--checkpoint", type=_path, required=True)
+    p.add_argument("--corpus", type=_path, required=True)
     p.add_argument("--dp-labels", type=_optional_path)
     p.add_argument("--decode-order", choices=DECODE_ORDERS, default="score")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
-    p.add_argument("--pred", type=Path, nargs="+", required=True,
+    p.add_argument("--pred", type=_path, nargs="+", required=True,
                    help="prediction JSONL file(s), one per seed")
-    p.add_argument("--gold", type=Path, required=True)
+    p.add_argument("--gold", type=_path, required=True)
     p.add_argument("--seeds", type=_parse_seeds,
                    help="seed labels matching --pred order")
     p.add_argument("--variant", help="echoed into the metrics files")
     p.add_argument("--aggregate", action="store_true",
                    help="also write mean/std across the prediction files")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="distribution tables by content type")
-    p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--dp-labels", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--corpus", type=_path, required=True)
+    p.add_argument("--dp-labels", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_analyze)
 
     return parser

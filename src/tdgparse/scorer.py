@@ -15,10 +15,13 @@ Three variants share this machinery:
 Each document is indexed into flat arrays: token ids of every mention and
 sentence, and the candidate layout ``graph.candidate_layout`` builds for its
 slots, with each candidate's packed scalar features. Only the documents that
-training scores are cached; ``score_document`` indexes any other document for
-that call only, so a predict run holds one index at a time. A batch of
-documents is scored by one embedding gather with segment means and a
-factored hidden layer. The MLP's input for a candidate is
+training scores are cached. ``score_documents`` scores documents in runs:
+it lays them end to end up to ``RUN_CANDIDATES`` candidates (a larger
+document is a run of its own) and indexes any uncached document for its run
+only, so a predict run holds one run's indexes at a time;
+``score_document`` is its one-document case. A batch of documents, for
+training or a scoring run, is scored by one embedding gather with segment
+means and a factored hidden layer. The MLP's input for a candidate is
 ``[u, sent(child), a, sent(cand), u*a, scalars]``, so its first layer
 splits by column block: the child and candidate blocks are multiplied once
 per mention and once per candidate-table row, and gathered per candidate;
@@ -26,8 +29,8 @@ only ``u*a`` and the scalars are multiplied per candidate. That per-candidate
 work runs over slot-aligned blocks of at most ``BLOCK_CANDIDATES``
 candidates, each with its own per-slot softmax, so memory stays bounded
 however long a document is. Gradients run the same blocks backwards and
-sum. ``score_document`` hands its scores on over the document's layout, as
-a ``graph.SlotScores`` that ``greedy_decode`` reads directly. All
+sum. Scoring hands each document's scores on over its layout, as a
+``graph.SlotScores`` that ``greedy_decode`` reads directly. All
 arithmetic is float64 numpy and gradients are computed analytically.
 """
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from numbers import Real
 from pathlib import Path
@@ -89,6 +93,9 @@ _SCALAR_ROWS = ((np.arange(1 << N_SCALAR_FEATURES)[:, None] >> np.arange(N_SCALA
 # the most candidates one block of the per-candidate work holds, unless a
 # single slot has more: it bounds the memory of scoring and of gradients
 BLOCK_CANDIDATES = 1 << 12
+# the most candidates one run of score_documents lays end to end, unless a
+# single document has more: a run shares one first layer and one forward pass
+RUN_CANDIDATES = 1 << 10
 
 PARAM_ORDER = ("embeddings", "meta_embeddings", "w1", "b1", "w2", "b2",
                "dp_weight", "dp_bias")
@@ -467,19 +474,45 @@ class RankingModel:
         r = np.maximum(z, 0.0)
         return u, a, x, z, r, r @ self.params["w2"] + self.params["b2"]
 
+    def score_documents(self, docs: Iterable[Document],
+                        dp_labels: DpLabelMap | None = None) -> Iterator[SlotScores]:
+        """Score every candidate of every slot of each document, in order.
+
+        Yields one SlotScores per document, over its index's flat layout;
+        reading a slot of it gives its ScoredCandidates. Documents are
+        scored in runs of at most RUN_CANDIDATES candidates laid end to end,
+        a larger document being a run of its own. A document that training
+        indexed uses the cached index; any other is indexed for its run only.
+        """
+        run: list[_FlatIndex] = []
+        n_cand = 0
+        for doc in docs:
+            idx = self._index_cache.get(id(doc)) or _index_document(doc, self.vocab)
+            if run and n_cand + len(idx.cand) > RUN_CANDIDATES:
+                yield from self._score_run(run, dp_labels)
+                run, n_cand = [], 0
+            run.append(idx)
+            n_cand += len(idx.cand)
+        if run:
+            yield from self._score_run(run, dp_labels)
+
+    def _score_run(self, run: list[_FlatIndex],
+                   dp_labels: DpLabelMap | None) -> Iterator[SlotScores]:
+        """One first layer and one pass over the blocks of a run of indexes."""
+        batch = _concat(run)
+        layer = self._first_layer(batch, self._markers([idx.layout.doc for idx in run],
+                                                       dp_labels))
+        values = _joined([self._block_forward(layer, batch, c_lo, c_hi)[-1]
+                          for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
+        lo = 0
+        for idx in run:
+            yield SlotScores(idx.layout, values[lo:lo + len(idx.cand)])
+            lo += len(idx.cand)
+
     def score_document(self, doc: Document,
                        dp_labels: DpLabelMap | None = None) -> SlotScores:
-        """Score every candidate of every slot of one document.
-
-        The scores stay in the index's flat layout; reading a slot of the
-        returned mapping gives its ScoredCandidates. A document that training
-        indexed uses the cached index; any other is indexed for this call only.
-        """
-        idx = self._index_cache.get(id(doc)) or _index_document(doc, self.vocab)
-        layer = self._first_layer(idx, self._markers([doc], dp_labels))
-        values = _joined([self._block_forward(layer, idx, c_lo, c_hi)[-1]
-                          for _, _, c_lo, c_hi in _blocks(idx.starts, len(idx.cand))])
-        return SlotScores(idx.layout, values)
+        """The scores of one document: score_documents for a run of it alone."""
+        return next(self.score_documents([doc], dp_labels))
 
     def ranking_loss_and_grads(
         self, docs: list[Document], dp_labels: DpLabelMap | None = None,

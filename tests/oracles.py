@@ -4,13 +4,14 @@ Everything here is deliberately written with different mechanics than the
 package: the decoder re-scans all unassigned slots every step and checks
 acyclicity with a Floyd-Warshall transitive closure; the metrics counter
 tallies flat slot tuples; the scorer reference runs the ranking MLP slot by
-slot and pushes gradients down one candidate and one token at a time. The
+slot and pushes gradients down one candidate and one token at a time; the
+AdamW reference steps one parameter at a time with fresh arrays. The
 graph validator keeps the earlier package code: a colour-table depth-first
 search from every node and an explicit candidate list per slot; the
 document validator keeps the earlier per-kind branches and per-mention edge
 counts; the analysis tables run one loop per table. The JSON type check
 names each value's type and compares names. Plain Python only, except numpy in
-the scorer reference and the gradient check.
+the scorer and AdamW references and the gradient check.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from tdgparse.graph import (
     validate_graph,
 )
 from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX, _blocks, _concat, _joined
+from tdgparse.training import ADAM_BETAS, ADAM_EPS, TrainingDiverged
 
 META = ("DCT", "ROOT", "NO_EVENT")
 
@@ -687,6 +689,29 @@ def reference_dp_loss_and_grads(model, docs: list[Document], dp_labels):
             grads["dp_bias"] += g
             _spread(grads["embeddings"], tokens, p["dp_weight"].T @ g)
     return float(total / n), grads
+
+
+def reference_adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                         moments: dict[str, tuple[np.ndarray, np.ndarray]], t: int,
+                         lr: float, weight_decay: float = 0.0) -> None:
+    """One AdamW step taken parameter by parameter, with fresh arrays throughout.
+
+    ``moments`` maps each parameter name to its (m, v) pair, zeros before the
+    first step, and is updated; ``t`` is the 1-based step count. A non-finite
+    gradient raises after the parameters before it have been updated.
+    """
+    b1, b2 = ADAM_BETAS
+    for name, theta in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
+        m, v = moments[name]
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        moments[name] = m, v
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        theta -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * theta)
 
 
 # ------------------------------------------------------------ gradient check

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from tdgparse import scorer
-from tdgparse.cli import _resolve_train_config, build_parser, main
+from tdgparse.cli import _path, _resolve_train_config, build_parser, main
 from tdgparse.corpus import parse_corpus
 from tdgparse.graph import graph_to_json
 from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, save_checkpoint
@@ -287,6 +288,42 @@ def test_directory_as_input_file_is_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
     assert not (tmp_path / "out").exists()
+
+
+# every path flag each subcommand requires
+REQUIRED_PATH_FLAGS = {
+    "validate": ("--corpus", "--out"),
+    "synth": ("--out",),
+    "train": ("--train", "--valid", "--out"),
+    "predict": ("--checkpoint", "--corpus", "--out"),
+    "evaluate": ("--pred", "--gold", "--out"),
+    "analyze": ("--corpus", "--dp-labels", "--out"),
+}
+
+
+def test_required_path_flags_are_all_listed():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    declared = {command: tuple(a.option_strings[0] for a in p._actions
+                               if a.required and a.type is _path)
+                for command, p in subparsers.choices.items()}
+    assert declared == REQUIRED_PATH_FLAGS
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REQUIRED_PATH_FLAGS.items()
+                                           for f in flags])
+def test_empty_required_path_flag_is_usage_error(command, flag, tmp_path, capsys,
+                                                 monkeypatch):
+    """An empty value would be read as the working directory; it is refused by name."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command]
+    for name in REQUIRED_PATH_FLAGS[command]:
+        argv += [name, "" if name == flag else name[2:]]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"error: argument {flag}: path is empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_is_deterministic_per_seed(tmp_path):

@@ -336,6 +336,46 @@ def test_array_scorer_matches_per_slot_reference(variant, dim, hidden, monkeypat
                     assert np.allclose(grads[name], want_grads[name], rtol=0, atol=tol), name
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("block", [None, 50])
+def test_score_documents_matches_score_document(variant, block, monkeypatch):
+    docs, labels = mixed_batch()
+    empty = make_doc({"id": "z", "dct": "2021-01-01",
+                      "sentences": [{"index": 0, "tokens": ["quiet"]}],
+                      "mentions": [], "edges": []})
+    labels[("z", 0)] = ContentType.NA
+    # candidates: tx 12, one 2, z 0, synth-0000 57, synth-0001 196, synth-0002 26
+    docs = docs[3:] + [empty] + docs[:3]
+    config = ModelConfig(dim=4, hidden=6, variant=variant)
+    rng = np.random.Generator(np.random.PCG64(5))
+    params = init_params(config, build_vocabulary(docs), rng)
+    params["b1"] = rng.uniform(-0.05, 0.05, 6)
+    model = RankingModel(config, build_vocabulary(docs), params)
+    model._index(docs[3])
+    want = [model.score_document(doc, labels) for doc in docs]
+
+    runs = []
+
+    def recording(indexes):
+        runs.append([idx.layout.doc.id for idx in indexes])
+        return concat(indexes)
+
+    concat = scorer._concat
+    monkeypatch.setattr(scorer, "_concat", recording)
+    monkeypatch.setattr(scorer, "RUN_CANDIDATES", 64)
+    if block is not None:  # the run larger than the bound is blocked
+        monkeypatch.setattr(scorer, "BLOCK_CANDIDATES", block)
+    got = list(model.score_documents(docs, labels))
+    assert runs == [["tx", "one", "z"], ["synth-0000"], ["synth-0001"], ["synth-0002"]]
+    assert list(model._index_cache) == [id(docs[3])]
+    assert len(got) == len(docs)
+    for doc, ours, theirs in zip(docs, got, want):
+        assert ours.layout.doc is doc
+        assert list(ours) == list(theirs)
+        assert np.array_equal(ours.layout.cand, theirs.layout.cand)
+        assert np.allclose(ours.score, theirs.score, rtol=0, atol=1e-12), doc.id
+
+
 # one ranking loss on a 720-mention document (407,209 candidates), in a
 # fresh process so that ru_maxrss is this call's peak
 _LONG_DOCUMENT_LOSS = """

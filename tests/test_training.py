@@ -1,14 +1,27 @@
+import json
 import math
+import os
+import platform
+import resource
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdgparse import scorer
+from tdgparse import scorer, training
 from tdgparse.corpus import ContentType, document_from_json, document_to_json
+from tdgparse.graph import greedy_decode
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
-from tdgparse.scorer import ModelConfig, RankingModel, load_checkpoint, save_checkpoint
+from tdgparse.scorer import (
+    ModelConfig,
+    RankingModel,
+    clone_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from tdgparse.training import (
+    HEAP_THRESHOLDS,
     OptimizerState,
     TrainConfig,
     TrainingDiverged,
@@ -19,6 +32,7 @@ from tdgparse.training import (
 )
 
 from .conftest import hand_dp_loss, hand_ranking_loss
+from .oracles import reference_adamw_step
 
 
 def test_ranking_loss_hand_values():
@@ -85,6 +99,43 @@ def test_adamw_updates_in_place_and_counts_steps():
     assert params["x"] is arr
     with pytest.raises(TrainingDiverged, match="non-finite"):
         adamw_step(params, {"x": np.array([1.0, np.nan, 0.0])}, state, lr=0.01)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_flat_adamw_matches_per_parameter_reference(weight_decay):
+    corpus, _ = generate_synthetic_corpus(SynthConfig(n_docs=2), seed=3)
+    model = RankingModel.initialized(ModelConfig(dim=3, hidden=4),
+                                     scorer.build_vocabulary(corpus), seed=0)
+    params, want = model.params, clone_params(model.params)
+    assert params["b2"].ndim == 0 and params["embeddings"].ndim == 2
+    state = OptimizerState.for_params(params)
+    moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in want.items()}
+    rng = np.random.default_rng(0)
+    for t in range(1, 7):
+        grads = {name: rng.normal(scale=10.0 ** -t, size=a.shape) for name, a in params.items()}
+        lr = 0.05 * t
+        adamw_step(params, grads, state, lr, weight_decay=weight_decay)
+        reference_adamw_step(want, grads, moments, t, lr, weight_decay=weight_decay)
+        assert state.t == t
+        for name in params:
+            assert params[name].tobytes() == want[name].tobytes(), (t, name)
+        for k, moment in enumerate((state.m, state.v)):
+            assert moment.tobytes() == np.concatenate(
+                [moments[name][k].ravel() for name in params]).tobytes()
+
+
+def test_adamw_non_finite_gradient_changes_nothing():
+    params = {"a": np.ones(3), "b": np.ones((2, 2)), "c": np.zeros(())}
+    state = OptimizerState.for_params(params)
+    adamw_step(params, {n: np.full(a.shape, 0.5) for n, a in params.items()}, state, lr=0.1)
+    before, m, v = clone_params(params), state.m.copy(), state.v.copy()
+    grads = {"a": np.ones(3), "b": np.array([[1.0, np.nan], [0.0, 1.0]]), "c": np.array(np.inf)}
+    with pytest.raises(TrainingDiverged, match="parameter 'b'"):
+        adamw_step(params, grads, state, lr=0.1)
+    assert state.t == 1
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    for name in params:
+        assert np.array_equal(params[name], before[name]), name
 
 
 def test_train_config_validation():
@@ -179,6 +230,61 @@ def test_decode_corpus_keeps_no_index(tmp_path):
     for doc in corpus:
         model._index(doc)
     assert decode_corpus(model, corpus) == graphs
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def distill_corpus(n_docs: int):
+    """The first n_docs of a corpus from the shipped distill synth config, and its labels."""
+    raw = json.loads((CONFIGS / "distill.synth.json").read_text(encoding="utf-8"))
+    raw["n_docs"] = n_docs
+    return generate_synthetic_corpus(SynthConfig.from_json(raw), seed=7)
+
+
+def distill_train_config(**changes) -> TrainConfig:
+    raw = json.loads((CONFIGS / "distill.train.json").read_text(encoding="utf-8"))
+    raw.update(seeds=(0,), **changes)
+    return TrainConfig(**raw)
+
+
+def test_decode_corpus_matches_decoding_one_document_at_a_time():
+    corpus, labels = distill_corpus(60)
+    config = distill_train_config(variant="dp_feature", max_epochs=2, warmup_epochs=1)
+    model, _ = train(config, corpus, corpus, labels, seed=0)
+    graphs = decode_corpus(model, corpus, labels)
+    assert graphs == {doc.id: greedy_decode(doc, model.score_document(doc, labels))
+                      for doc in corpus}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or any(name in os.environ for name in HEAP_THRESHOLDS),
+                    reason="the heap thresholds are pinned on glibc only")
+def test_training_keeps_its_heap():
+    """Batch temporaries stay in the heap rather than being faulted in afresh."""
+    corpus, _ = distill_corpus(40)
+    train(distill_train_config(max_epochs=1, warmup_epochs=1), corpus, corpus, None, seed=0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(distill_train_config(max_epochs=3, warmup_epochs=1), corpus, corpus, None, seed=0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"{faults} minor page faults"
+
+
+@pytest.mark.parametrize("preset", [None, "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"])
+def test_heap_thresholds_are_pinned_unless_set(preset, monkeypatch):
+    calls = []
+
+    class Libc:
+        def __init__(self, name):
+            self.mallopt = lambda param, value: calls.append((param, value))
+
+    for name in HEAP_THRESHOLDS:
+        monkeypatch.delenv(name, raising=False)
+    if preset is not None:
+        monkeypatch.setenv(preset, "65536")
+    monkeypatch.setattr(training.ctypes, "CDLL", Libc)
+    training._pin_heap_thresholds()
+    assert calls == ([] if preset else [(-3, 4 << 20), (-1, 8 << 20)])
 
 
 def test_train_distill_update_orders_diverge():
