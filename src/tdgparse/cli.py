@@ -55,7 +55,6 @@ from .corpus import (
 )
 from .evaluation import (
     EvaluationError,
-    aggregate_seeds,
     aggregate_to_json,
     corpus_identity,
     partitioned_prf,
@@ -139,6 +138,17 @@ def _parse_seeds(text: str) -> list[int]:
     if len(set(seeds)) != len(seeds):
         raise argparse.ArgumentTypeError(f"seed list {text!r} repeats a seed")
     return seeds
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {seed} is negative; it must be non-negative")
+    return seed
 
 
 def _read_config(path: Path | None) -> dict:
@@ -282,8 +292,7 @@ def cmd_evaluate(args) -> int:
         reports.append(report)
         _write_json(args.out / f"metrics-seed{label}.json", report_to_json(report))
     if args.aggregate:
-        _write_json(args.out / "metrics-aggregate.json",
-                    aggregate_to_json(aggregate_seeds(reports)))
+        _write_json(args.out / "metrics-aggregate.json", aggregate_to_json(reports))
     return 0
 
 
@@ -325,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus and labels")
     p.add_argument("--config", type=_optional_path,
                    help="SynthConfig JSON; defaults when omitted")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -258,6 +258,15 @@ def validate_document(doc: Document) -> list[str]:
     return violations
 
 
+def gold_parents(doc: Document) -> dict[tuple[str, str], str]:
+    """Each slot's gold parent, keyed by (child, slot) as a plain tuple.
+
+    A slot with several gold edges takes its first, the one validate_document
+    keeps; the scorer trains toward this map and evaluation scores against it.
+    """
+    return {(e.child, e.slot): e.parent for e in reversed(doc.gold_edges)}
+
+
 class FieldError(ValueError):
     """A JSON input is malformed, is not an object, or holds a field of the wrong type."""
 

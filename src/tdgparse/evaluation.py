@@ -6,7 +6,9 @@ cross_sentence otherwise. A slot is correct only when the predicted parent
 equals the gold parent exactly, so a correct slot always agrees on category.
 Precision for a category runs over predicted-category slots, recall over
 gold-category slots. Internal values stay unrounded; files carry percentages
-rounded to 2 decimals.
+rounded to 2 decimals. ``report_to_json`` renders one seed's MetricsReport and
+``aggregate_to_json`` the mean and spread of several, both with one helper per
+category entry. Each slot's gold parent comes from ``corpus.gold_parents``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .corpus import KIND_SLOTS, META_NODES, Corpus, Document, Slot
+from .corpus import KIND_SLOTS, META_NODES, Corpus, Document, Slot, gold_parents
 from .graph import TemporalDependencyGraph
 
 INTRA_SENTENCE = "intra_sentence"
@@ -83,7 +85,7 @@ def _iter_slot_pairs(preds: dict[str, TemporalDependencyGraph], gold: Corpus):
         if graph is None:
             raise EvaluationError(f"no prediction for document {doc.id!r}")
         edges = graph.edges
-        gold_parents = {(e.child, e.slot): e.parent for e in doc.gold_edges}
+        gold_of = gold_parents(doc)
         for m in doc.ordered_mentions():
             for slot in KIND_SLOTS[m.kind]:
                 key = (m.id, slot)  # a Slot hashes and compares as its tuple
@@ -92,7 +94,7 @@ def _iter_slot_pairs(preds: dict[str, TemporalDependencyGraph], gold: Corpus):
                     raise EvaluationError(
                         f"document {doc.id}: missing prediction for slot {Slot(*key)}"
                     )
-                yield doc, m.id, pred_parent, gold_parents[key]
+                yield doc, m.id, pred_parent, gold_of[key]
 
 
 def attachment_accuracy(preds: dict[str, TemporalDependencyGraph],
@@ -145,6 +147,19 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
                          per_category=cats, flags=flags, variant=variant)
 
 
+def _pct(value: float) -> float:
+    return round(100.0 * value, 2)
+
+
+def _category_json(cats: list[CategoryMetrics], rate, count) -> dict:
+    """One category's entry in a metrics file, from its metrics in each
+    report: ``rate`` renders the p, r and f1 values, ``count`` the counts."""
+    return {"p": rate([c.precision for c in cats]), "r": rate([c.recall for c in cats]),
+            "f1": rate([c.f1 for c in cats]), "gold": count([c.gold for c in cats]),
+            "predicted": count([c.predicted for c in cats]),
+            "correct": count([c.correct for c in cats])}
+
+
 def report_to_json(report: MetricsReport) -> dict:
     """Percentages rounded to 2 decimals, counts verbatim."""
     return {
@@ -152,78 +167,42 @@ def report_to_json(report: MetricsReport) -> dict:
         "variant": report.variant,
         "seed": report.seed,
         "total_slots": report.total_slots,
-        "accuracy": round(100.0 * report.accuracy, 2),
-        "per_category": {
-            name: {
-                "p": round(100.0 * c.precision, 2),
-                "r": round(100.0 * c.recall, 2),
-                "f1": round(100.0 * c.f1, 2),
-                "gold": c.gold,
-                "predicted": c.predicted,
-                "correct": c.correct,
-            }
-            for name, c in report.per_category.items()
-        },
+        "accuracy": _pct(report.accuracy),
+        "per_category": {name: _category_json([c], lambda v: _pct(v[0]), lambda v: v[0])
+                         for name, c in report.per_category.items()},
         "flags": sorted(report.flags),
     }
 
 
-def _mean_std(values: list[float]) -> dict[str, float]:
+def _mean(values: list) -> float:
+    return sum(values) / len(values)
+
+
+def _pct_mean_std(values: list[float]) -> dict[str, float]:
+    """Mean and sample standard deviation (0 of one value), as report_to_json rounds them."""
+    mean = _mean(values)
     n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return {"mean": mean, "std": 0.0}
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return {"mean": mean, "std": math.sqrt(var)}
+    var = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
+    return {"mean": _pct(mean), "std": _pct(math.sqrt(var))}
 
 
-def aggregate_seeds(reports: list[MetricsReport]) -> dict:
-    """Mean and sample standard deviation of every metric across seeds."""
+def aggregate_to_json(reports: list[MetricsReport]) -> dict:
+    """The reports across seeds: each percentage's mean and sample standard
+    deviation, and each count's mean."""
     if not reports:
         raise EvaluationError("nothing to aggregate")
     identities = {r.corpus for r in reports}
     if len(identities) != 1:
-        raise EvaluationError(
-            f"reports cover different corpora: {sorted(identities)}"
-        )
-    agg_cats = {}
-    for name in CATEGORIES:
-        agg_cats[name] = {
-            metric: _mean_std([getattr(r.per_category[name], metric)
-                               for r in reports])
-            for metric in ("precision", "recall", "f1", "gold", "predicted",
-                           "correct")
-        }
+        raise EvaluationError(f"reports cover different corpora: {sorted(identities)}")
     return {
         "corpus": reports[0].corpus,
         "variant": reports[0].variant,
         "seed": "aggregate",
         "n_reports": len(reports),
         "seeds": [r.seed for r in reports],
-        "accuracy": _mean_std([r.accuracy for r in reports]),
-        "per_category": agg_cats,
+        "accuracy": _pct_mean_std([r.accuracy for r in reports]),
+        "per_category": {name: _category_json([r.per_category[name] for r in reports],
+                                              _pct_mean_std, _mean)
+                         for name in CATEGORIES},
         "flags": sorted({f for r in reports for f in r.flags}),
     }
-
-
-def aggregate_to_json(aggregate: dict) -> dict:
-    """Render an aggregate_seeds result with 2-decimal percentages."""
-
-    def pct(ms: dict[str, float]) -> dict[str, float]:
-        return {"mean": round(100.0 * ms["mean"], 2),
-                "std": round(100.0 * ms["std"], 2)}
-
-    out = dict(aggregate)
-    out["accuracy"] = pct(aggregate["accuracy"])
-    out["per_category"] = {
-        name: {
-            "p": pct(cat["precision"]),
-            "r": pct(cat["recall"]),
-            "f1": pct(cat["f1"]),
-            "gold": cat["gold"]["mean"],
-            "predicted": cat["predicted"]["mean"],
-            "correct": cat["correct"]["mean"],
-        }
-        for name, cat in aggregate["per_category"].items()
-    }
-    return out

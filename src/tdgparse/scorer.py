@@ -14,24 +14,25 @@ Three variants share this machinery:
 
 Each document is indexed into flat arrays: token ids of every mention and
 sentence, and the candidate layout ``graph.candidate_layout`` builds for its
-slots, with each candidate's packed scalar features. Only the documents that
-training scores are cached. ``score_documents`` scores documents in runs:
-it lays them end to end up to ``RUN_CANDIDATES`` candidates (a larger
-document is a run of its own) and indexes any uncached document for its run
-only, so a predict run holds one run's indexes at a time;
-``score_document`` is its one-document case. A batch of documents, for
-training or a scoring run, is scored by one embedding gather with segment
-means and a factored hidden layer. The MLP's input for a candidate is
-``[u, sent(child), a, sent(cand), u*a, scalars]``, so its first layer
-splits by column block: the child and candidate blocks are multiplied once
-per mention and once per candidate-table row, and gathered per candidate;
-only ``u*a`` and the scalars are multiplied per candidate. That per-candidate
-work runs over slot-aligned blocks of at most ``BLOCK_CANDIDATES``
-candidates, each with its own per-slot softmax, so memory stays bounded
-however long a document is. Gradients run the same blocks backwards and
-sum. Scoring hands each document's scores on over its layout, as a
-``graph.SlotScores`` that ``greedy_decode`` reads directly. All
-arithmetic is float64 numpy and gradients are computed analytically.
+slots, with each candidate's packed scalar features; a slot's gold candidate
+is the one ``corpus.gold_parents`` names. Only the documents that training
+scores are cached. A batch of documents, for training or scoring, is scored
+by one embedding gather with segment means and a factored hidden layer. The
+MLP's input for a candidate is ``[u, sent(child), a, sent(cand), u*a,
+scalars]``, so its first layer splits by column block: the child and
+candidate blocks are multiplied once per mention and once per
+candidate-table row, and gathered per candidate; only ``u*a`` and the
+scalars are multiplied per candidate. One bound, ``BLOCK_CANDIDATES``,
+limits that per-candidate work: it runs over slot-aligned blocks of at most
+that many candidates, each with its own per-slot softmax, so memory stays
+bounded however long a document is; gradients run the same blocks
+backwards and sum. ``score_documents`` lays documents end to end in runs of
+at most the same bound (a larger document is a run of its own, split into
+blocks) and indexes any uncached document for its run only, so a predict
+run holds one run's indexes at a time; ``score_document`` is its
+one-document case. Scoring hands each document's scores on over its
+layout, as a ``graph.SlotScores`` that ``greedy_decode`` reads directly.
+All arithmetic is float64 numpy and gradients are computed analytically.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .corpus import (
     Corpus,
     Document,
     DpLabelMap,
+    gold_parents,
     json_field,
     parse_object,
     require_dp_coverage,
@@ -90,12 +92,11 @@ _PRECEDES_BIT, _SAME_SENTENCE_BIT, _META_BIT = 5, 6, 7
 _SCALAR_ROWS = ((np.arange(1 << N_SCALAR_FEATURES)[:, None] >> np.arange(N_SCALAR_FEATURES))
                 & 1).astype(np.float64)
 
-# the most candidates one block of the per-candidate work holds, unless a
-# single slot has more: it bounds the memory of scoring and of gradients
-BLOCK_CANDIDATES = 1 << 12
-# the most candidates one run of score_documents lays end to end, unless a
-# single document has more: a run shares one first layer and one forward pass
-RUN_CANDIDATES = 1 << 10
+# the most candidates one block of the per-candidate work holds (unless a
+# single slot has more) and one run of score_documents lays end to end
+# (unless a single document has more): it bounds the memory of scoring and
+# of gradients
+BLOCK_CANDIDATES = 1 << 10
 
 PARAM_ORDER = ("embeddings", "meta_embeddings", "w1", "b1", "w2", "b2",
                "dp_weight", "dp_bias")
@@ -314,7 +315,7 @@ def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
     feat[is_mention] = ((1 << bucket) + (c < r) * (1 << _PRECEDES_BIT)
                         + (delta == 0) * (1 << _SAME_SENTENCE_BIT))
 
-    gold_parent = {(e.child, e.slot): e.parent for e in reversed(doc.gold_edges)}
+    gold_parent = gold_parents(doc)
     gold_row = np.array([table_row.get(gold_parent.get(s), -1) for s in layout.slots],
                         dtype=np.int64)
     hit = np.flatnonzero(cand == gold_row[slot])
@@ -411,12 +412,6 @@ class RankingModel:
         self.params = params
         self._index_cache: dict[int, _FlatIndex] = {}
 
-    @classmethod
-    def initialized(cls, config: ModelConfig, vocab: Vocabulary,
-                    seed: int) -> "RankingModel":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        return cls(config, vocab, init_params(config, vocab, rng))
-
     def _index(self, doc: Document) -> _FlatIndex:
         # the documents training scores are cached, keyed by object: the entry's
         # layout keeps doc alive, so its id is not reused
@@ -480,15 +475,16 @@ class RankingModel:
 
         Yields one SlotScores per document, over its index's flat layout;
         reading a slot of it gives its ScoredCandidates. Documents are
-        scored in runs of at most RUN_CANDIDATES candidates laid end to end,
-        a larger document being a run of its own. A document that training
-        indexed uses the cached index; any other is indexed for its run only.
+        scored in runs of at most BLOCK_CANDIDATES candidates laid end to
+        end, a larger document being a run of its own that is scored block
+        by block. A document that training indexed uses the cached index;
+        any other is indexed for its run only.
         """
         run: list[_FlatIndex] = []
         n_cand = 0
         for doc in docs:
             idx = self._index_cache.get(id(doc)) or _index_document(doc, self.vocab)
-            if run and n_cand + len(idx.cand) > RUN_CANDIDATES:
+            if run and n_cand + len(idx.cand) > BLOCK_CANDIDATES:
                 yield from self._score_run(run, dp_labels)
                 run, n_cand = [], 0
             run.append(idx)

@@ -92,6 +92,8 @@ class TrainConfig:
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be one or more distinct integers, "
                              f"not {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seed {min(self.seeds)} is negative; seeds must be non-negative")
         if self.max_epochs < 1 or self.batch_size_docs < 1:
             raise ValueError("max_epochs and batch_size_docs must be positive")
         if self.peak_lr <= 0 or self.weight_decay < 0:

@@ -43,6 +43,12 @@ ONE_TIMEX_DOC = {
 }
 
 
+def initialized_model(config: ModelConfig, vocab, seed: int) -> RankingModel:
+    """A model whose parameters init_params draws from a PCG64 generator seeded with ``seed``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return RankingModel(config, vocab, init_params(config, vocab, rng))
+
+
 def _zero_model(doc) -> RankingModel:
     """A small model over ``doc``'s vocabulary with every parameter zero."""
     config = ModelConfig(dim=2, hidden=1)

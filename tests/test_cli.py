@@ -16,6 +16,7 @@ from tdgparse.corpus import parse_corpus
 from tdgparse.graph import graph_to_json
 from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, save_checkpoint
 
+from .conftest import initialized_model
 from .oracles import gold_graph
 
 SMALL_SYNTH = {
@@ -340,6 +341,16 @@ def test_synth_is_deterministic_per_seed(tmp_path):
     assert runs["a"] != runs["c"]
 
 
+@pytest.mark.parametrize("seed, message", [("-1", "seed -1 is negative"),
+                                           ("x", "bad seed 'x'")])
+def test_synth_seed_must_be_a_non_negative_integer(tmp_path, capsys, seed, message):
+    with pytest.raises(SystemExit) as err:
+        main(["synth", "--seed", seed, "--out", str(tmp_path / "data")])
+    assert err.value.code == 2
+    assert f"error: argument --seed: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_docs": 0}), encoding="utf-8")
@@ -566,8 +577,8 @@ def test_json_value_of_the_wrong_type_names_its_field(kind, path, value, message
             + f": {message}"
     elif kind == "checkpoint":
         corpus = parse_corpus(hand_corpus_path)
-        save_checkpoint(RankingModel.initialized(ModelConfig(dim=3, hidden=2),
-                                                 build_vocabulary(corpus), seed=0), source)
+        save_checkpoint(initialized_model(ModelConfig(dim=3, hidden=2),
+                                          build_vocabulary(corpus), seed=0), source)
         source.write_text(json.dumps(_set_field(read_json(source), path, value)),
                           encoding="utf-8")
         argv = ["predict", "--checkpoint", str(source), "--corpus", str(hand_corpus_path),
@@ -594,7 +605,7 @@ def test_predict_dp_feature_without_labels_is_a_usage_error(tmp_path, hand_corpu
     corpus = parse_corpus(hand_corpus_path)
     checkpoint = tmp_path / "checkpoint.json"
     config = ModelConfig(dim=3, hidden=2, variant="dp_feature")
-    save_checkpoint(RankingModel.initialized(config, build_vocabulary(corpus), seed=0),
+    save_checkpoint(initialized_model(config, build_vocabulary(corpus), seed=0),
                     checkpoint)
     code = main(["predict", "--checkpoint", str(checkpoint),
                  "--corpus", str(hand_corpus_path), "--out", str(tmp_path / "preds")])
@@ -818,9 +829,12 @@ def test_train_usage_errors(tmp_path, hand_corpus_path, capsys):
     ([], {"batch_size_docs": 2.5}, "field 'batch_size_docs' must be an integer, not 2.5"),
     ([], {"seeds": [0.5]}, "field 'seeds' must be a list of integers, not [0.5]"),
     ([], {"seeds": [0, 0]}, "seeds must be one or more distinct integers, not [0, 0]"),
+    (["--seeds=-1"], None, "seed -1 is negative"),
+    ([], {"seeds": [2, -1]}, "seed -1 is negative"),
 ], ids=["dim_zero", "hidden_negative", "config_variant", "lr_nan", "weight_decay_nan",
         "config_lr_inf", "config_float_dim", "config_bool_dim", "config_float_epochs",
-        "config_float_batch", "config_float_seed", "config_repeated_seed"])
+        "config_float_batch", "config_float_seed", "config_repeated_seed", "negative_seed",
+        "config_negative_seed"])
 def test_train_rejects_bad_model_values(tmp_path, hand_corpus_path, capsys,
                                         flags, config, message):
     corpus = str(hand_corpus_path)
@@ -839,8 +853,8 @@ def test_runtime_value_error_is_a_runtime_fault(tmp_path, hand_corpus_path, caps
                                                 monkeypatch):
     corpus = parse_corpus(hand_corpus_path)
     checkpoint = tmp_path / "checkpoint.json"
-    save_checkpoint(RankingModel.initialized(ModelConfig(dim=3, hidden=2),
-                                             build_vocabulary(corpus), seed=0),
+    save_checkpoint(initialized_model(ModelConfig(dim=3, hidden=2),
+                                      build_vocabulary(corpus), seed=0),
                     checkpoint)
 
     def broken_forward(self, layer, batch, lo, hi):

@@ -247,3 +247,18 @@ def test_only_corpus_parses_json():
                     and {a.name for a in node.names} & {"load", "loads"}:
                 parsers.setdefault(path.name, []).append(node.lineno)
     assert parsers == {}
+
+
+def test_only_corpus_maps_gold_edges():
+    """corpus.gold_parents is the one slot -> gold parent map: no other module
+    of the package builds a dict comprehension over a document's gold_edges."""
+    builders = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.DictComp) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "gold_edges"
+                    for gen in node.generators for n in ast.walk(gen.iter)):
+                builders.setdefault(path.name, []).append(node.lineno)
+    assert builders == {}

@@ -1,21 +1,25 @@
+import json
 import random
+import statistics
 
 import pytest
 
+from tdgparse.cli import main
+from tdgparse.corpus import gold_parents, serialize_corpus, validate_document
 from tdgparse.evaluation import (
     CategoryMetrics,
     EvaluationError,
     MetricsReport,
-    aggregate_seeds,
     aggregate_to_json,
     attachment_accuracy,
     corpus_identity,
     partitioned_prf,
     report_to_json,
 )
-from tdgparse.graph import Slot, TemporalDependencyGraph
+from tdgparse.graph import Slot, TemporalDependencyGraph, graph_to_json
+from tdgparse.scorer import ModelConfig, build_vocabulary
 
-from .conftest import make_doc
+from .conftest import ONE_TIMEX_DOC, initialized_model, make_doc
 from .oracles import (
     brute_force_metrics,
     gold_graph,
@@ -170,31 +174,94 @@ def fake_report(accuracy, corpus="deadbeef", seed=0):
 
 def test_aggregate_mean_and_sample_std():
     reports = [fake_report(a, seed=i) for i, a in enumerate((0.7, 0.8, 0.9))]
-    agg = aggregate_seeds(reports)
-    assert agg["accuracy"]["mean"] == pytest.approx(0.8)
-    assert agg["accuracy"]["std"] == pytest.approx(0.1)
+    agg = aggregate_to_json(reports)
+    assert agg["accuracy"]["mean"] == pytest.approx(80.0)
+    assert agg["accuracy"]["std"] == pytest.approx(10.0)
     assert agg["seeds"] == [0, 1, 2]
     assert agg["n_reports"] == 3
-    assert agg["per_category"]["intra_sentence"]["f1"]["mean"] == pytest.approx(0.8)
+    assert agg["per_category"]["intra_sentence"]["f1"]["mean"] == pytest.approx(80.0)
 
-    reordered = aggregate_seeds(list(reversed(reports)))
+    reordered = aggregate_to_json(list(reversed(reports)))
     assert reordered["accuracy"]["mean"] == pytest.approx(agg["accuracy"]["mean"])
     assert reordered["accuracy"]["std"] == pytest.approx(agg["accuracy"]["std"])
 
-    single = aggregate_seeds([fake_report(0.75)])
-    assert single["accuracy"] == {"mean": 0.75, "std": 0.0}
+    single = aggregate_to_json([fake_report(0.75)])
+    assert single["accuracy"] == {"mean": 75.0, "std": 0.0}
 
-    rendered = aggregate_to_json(agg)
-    assert rendered["accuracy"] == {"mean": 80.0, "std": 10.0}
-    assert rendered["per_category"]["no_parent"]["gold"] == 10
+    assert agg["accuracy"] == {"mean": 80.0, "std": 10.0}
+    assert agg["per_category"]["no_parent"]["gold"] == 10
 
 
 def test_aggregate_rejects_mismatched_corpora():
     with pytest.raises(EvaluationError, match="different corpora"):
-        aggregate_seeds([fake_report(0.5, corpus="aaa"),
-                         fake_report(0.6, corpus="bbb")])
+        aggregate_to_json([fake_report(0.5, corpus="aaa"),
+                           fake_report(0.6, corpus="bbb")])
     with pytest.raises(EvaluationError, match="nothing"):
-        aggregate_seeds([])
+        aggregate_to_json([])
+
+
+def test_evaluate_aggregate_matches_brute_force_recount(tmp_path):
+    """Every field of metrics-aggregate.json, recounted from brute_force_metrics."""
+    # at this seed two reports predict no intra_sentence slot and one no
+    # cross_sentence slot, so the flags are a union of different sets
+    rng = random.Random(51)
+    corpus = [random_document(rng, max_mentions=4, doc_id=f"d{i}") for i in range(3)]
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(serialize_corpus(corpus), encoding="utf-8")
+    pred_files, recounts = [], []
+    for seed in range(3):
+        preds = {doc.id: random_pred_graph(rng, doc) for doc in corpus}
+        path = tmp_path / f"pred{seed}.jsonl"
+        path.write_text("".join(json.dumps(graph_to_json(preds[doc.id], doc)) + "\n"
+                                for doc in corpus), encoding="utf-8")
+        pred_files.append(str(path))
+        recounts.append(brute_force_metrics(preds, corpus))
+    out = tmp_path / "metrics"
+    assert main(["evaluate", "--gold", str(gold), "--pred", *pred_files,
+                 "--seeds", "4,5,6", "--variant", "v", "--aggregate", "--out", str(out)]) == 0
+    agg = json.loads((out / "metrics-aggregate.json").read_text(encoding="utf-8"))
+
+    def pct(values):
+        return {"mean": round(100 * statistics.mean(values), 2),
+                "std": round(100 * statistics.stdev(values), 2)}
+
+    flags = set()
+    for recount in recounts:
+        for cat, counts in recount["per_category"].items():
+            if not counts["predicted"]:
+                flags.add(f"{cat}:precision_undefined")
+            if not counts["gold"]:
+                flags.add(f"{cat}:recall_undefined")
+    assert flags == {"intra_sentence:precision_undefined", "cross_sentence:precision_undefined"}
+    assert agg == {
+        "corpus": corpus_identity(corpus), "variant": "v", "seed": "aggregate",
+        "n_reports": 3, "seeds": [4, 5, 6],
+        "accuracy": pct([recount["accuracy"] for recount in recounts]),
+        "per_category": {
+            cat: {**{key: pct([recount["per_category"][cat][key] for recount in recounts])
+                     for key in ("p", "r", "f1")},
+                  **{key: statistics.mean([recount["per_category"][cat][key]
+                                           for recount in recounts])
+                     for key in ("gold", "predicted", "correct")}}
+            for cat in ("intra_sentence", "cross_sentence", "no_parent")},
+        "flags": sorted(flags),
+    }
+
+
+def test_a_slot_with_two_gold_edges_takes_its_first():
+    """The scorer trains toward, evaluation scores against and validation keeps
+    the first of a slot's gold edges."""
+    doc = make_doc({**ONE_TIMEX_DOC, "edges": [
+        {"child": "t1", "slot": "timex_ref", "parent": "DCT"},
+        {"child": "t1", "slot": "timex_ref", "parent": "ROOT"}]}, validate=False)
+    assert validate_document(doc) == [
+        "gold slot Slot(child='t1', slot='timex_ref'): more than one edge "
+        "(parents DCT and ROOT)"]
+    assert gold_parents(doc) == {("t1", "timex_ref"): "DCT"}
+    idx = initialized_model(ModelConfig(dim=2, hidden=2), build_vocabulary([doc]), 0)._index(doc)
+    assert idx.layout.names[idx.cand[idx.gold[0]]] == "DCT"
+    dct = TemporalDependencyGraph(doc.id, {Slot("t1", "timex_ref"): "DCT"})
+    assert attachment_accuracy({doc.id: dct}, [doc]) == 1.0
 
 
 def test_corpus_identity_tracks_doc_ids(hand_corpus):

@@ -20,9 +20,9 @@ from tdgparse.graph import (
     validate_graph,
     would_create_cycle,
 )
-from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary
+from tdgparse.scorer import ModelConfig, build_vocabulary
 
-from .conftest import make_doc
+from .conftest import initialized_model, make_doc
 from .oracles import (
     META,
     _closure_has_cycle,
@@ -258,8 +258,8 @@ def test_decode_matches_reference_oracle():
 
 def _scored(doc):
     """A scorer's SlotScores for doc, from a small untrained model."""
-    model = RankingModel.initialized(ModelConfig(dim=2, hidden=2),
-                                     build_vocabulary([doc]), seed=0)
+    model = initialized_model(ModelConfig(dim=2, hidden=2),
+                              build_vocabulary([doc]), seed=0)
     return model.score_document(doc)
 
 

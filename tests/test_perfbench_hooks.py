@@ -13,7 +13,7 @@ import pytest
 
 from tdgparse import graph, scorer, training
 
-from .conftest import make_doc
+from .conftest import initialized_model, make_doc
 from .oracles import scores_over
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,7 +52,7 @@ def test_tracer_patches_and_restores_every_name(perfbench_modules):
             "edges": [{"child": "t1", "slot": "timex_ref", "parent": "DCT"},
                       {"child": "e1", "slot": "timex_ref", "parent": "t1"}],
         })
-        model = scorer.RankingModel.initialized(
+        model = initialized_model(
             scorer.ModelConfig(dim=2, hidden=2), scorer.build_vocabulary([doc]), seed=0)
         scores = model.score_document(doc)
         assert isinstance(scores, graph.SlotScores)

@@ -29,7 +29,7 @@ from tdgparse.scorer import (
 )
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
-from .conftest import make_doc
+from .conftest import initialized_model, make_doc
 from .oracles import (
     finite_difference_check,
     reference_dp_loss_and_grads,
@@ -169,7 +169,7 @@ def test_zero_model_scores_are_bias():
 def test_w2_scaling_preserves_ranking():
     corpus, labels = generate_synthetic_corpus(SynthConfig(n_docs=2), seed=5)
     vocab = build_vocabulary(corpus)
-    model = RankingModel.initialized(ModelConfig(dim=4, hidden=4), vocab, seed=1)
+    model = initialized_model(ModelConfig(dim=4, hidden=4), vocab, seed=1)
     before = model.score_document(corpus[0])
     model.params["w2"] *= 2.0
     model.params["b2"] *= 2.0
@@ -183,7 +183,7 @@ def test_dp_feature_requires_and_uses_labels():
     corpus, labels = generate_synthetic_corpus(SynthConfig(n_docs=2), seed=3)
     vocab = build_vocabulary(corpus)
     config = ModelConfig(dim=4, hidden=4, variant="dp_feature")
-    model = RankingModel.initialized(config, vocab, seed=2)
+    model = initialized_model(config, vocab, seed=2)
     doc = corpus[0]
     with pytest.raises(ScorerError, match="labels"):
         model.score_document(doc)
@@ -226,7 +226,7 @@ def test_dp_loss_ignores_variant_markers():
 def test_gradient_locality():
     corpus, labels = generate_synthetic_corpus(SynthConfig(n_docs=2), seed=6)
     vocab = build_vocabulary(corpus)
-    model = RankingModel.initialized(ModelConfig(dim=4, hidden=4), vocab, seed=3)
+    model = initialized_model(ModelConfig(dim=4, hidden=4), vocab, seed=3)
     _, rg = model.ranking_loss_and_grads(corpus)
     assert not rg["dp_weight"].any() and not rg["dp_bias"].any()
     assert rg["w1"].any() and rg["embeddings"].any()
@@ -245,7 +245,7 @@ def test_single_candidate_doc_has_zero_loss():
         "edges": [{"child": "e1", "slot": "timex_ref", "parent": "DCT"}],
     })
     vocab = build_vocabulary([doc])
-    model = RankingModel.initialized(ModelConfig(dim=3, hidden=3), vocab, seed=0)
+    model = initialized_model(ModelConfig(dim=3, hidden=3), vocab, seed=0)
     loss, grads = model.ranking_loss_and_grads([doc])
     assert loss == 0.0
     for name in PARAM_ORDER:
@@ -337,7 +337,7 @@ def test_array_scorer_matches_per_slot_reference(variant, dim, hidden, monkeypat
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("block", [None, 50])
+@pytest.mark.parametrize("block", [50])
 def test_score_documents_matches_score_document(variant, block, monkeypatch):
     docs, labels = mixed_batch()
     empty = make_doc({"id": "z", "dct": "2021-01-01",
@@ -354,19 +354,26 @@ def test_score_documents_matches_score_document(variant, block, monkeypatch):
     model._index(docs[3])
     want = [model.score_document(doc, labels) for doc in docs]
 
-    runs = []
+    runs, blocks = [], []
 
     def recording(indexes):
         runs.append([idx.layout.doc.id for idx in indexes])
         return concat(indexes)
 
-    concat = scorer._concat
+    def counting(starts, n_cand):
+        split = split_blocks(starts, n_cand)
+        blocks.append(len(split))
+        return split
+
+    concat, split_blocks = scorer._concat, scorer._blocks
     monkeypatch.setattr(scorer, "_concat", recording)
-    monkeypatch.setattr(scorer, "RUN_CANDIDATES", 64)
-    if block is not None:  # the run larger than the bound is blocked
-        monkeypatch.setattr(scorer, "BLOCK_CANDIDATES", block)
+    monkeypatch.setattr(scorer, "_blocks", counting)
+    # one bound for runs and blocks: a document past it is a run of its own,
+    # scored block by block
+    monkeypatch.setattr(scorer, "BLOCK_CANDIDATES", block)
     got = list(model.score_documents(docs, labels))
     assert runs == [["tx", "one", "z"], ["synth-0000"], ["synth-0001"], ["synth-0002"]]
+    assert [n > 1 for n in blocks] == [False, True, True, False]
     assert list(model._index_cache) == [id(docs[3])]
     assert len(got) == len(docs)
     for doc, ours, theirs in zip(docs, got, want):
@@ -380,12 +387,15 @@ def test_score_documents_matches_score_document(variant, block, monkeypatch):
 # fresh process so that ru_maxrss is this call's peak
 _LONG_DOCUMENT_LOSS = """
 import json, resource, sys
-from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary
+import numpy as np
+from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, init_params
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 raw = json.loads(open(sys.argv[1], encoding="utf-8").read())
 raw.update(n_docs=1, sentences_per_doc=[240, 240], mentions_per_sentence=[3, 3])
 corpus, _ = generate_synthetic_corpus(SynthConfig.from_json(raw), 7)
-model = RankingModel.initialized(ModelConfig(dim=16, hidden=32), build_vocabulary(corpus), 0)
+config, vocab = ModelConfig(dim=16, hidden=32), build_vocabulary(corpus)
+rng = np.random.Generator(np.random.PCG64(0))
+model = RankingModel(config, vocab, init_params(config, vocab, rng))
 model.ranking_loss_and_grads(corpus)
 print(len(corpus[0].mentions), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
@@ -411,7 +421,7 @@ def test_zero_slot_batch():
         "mentions": [], "edges": [],
     })
     vocab = build_vocabulary([empty])
-    model = RankingModel.initialized(ModelConfig(dim=3, hidden=2), vocab, seed=0)
+    model = initialized_model(ModelConfig(dim=3, hidden=2), vocab, seed=0)
     for batch in ([], [empty]):
         loss, grads = model.ranking_loss_and_grads(batch)
         assert loss == 0.0
@@ -430,8 +440,8 @@ def test_gold_parent_outside_candidates_names_document_and_slot():
         gold_edges=[GoldEdge("t1", "timex_ref", "DCT"),
                     GoldEdge("e1", "timex_ref", "ROOT"),
                     GoldEdge("e1", "event_ref", "NO_EVENT")])
-    model = RankingModel.initialized(ModelConfig(dim=3, hidden=2),
-                                     build_vocabulary([doc]), seed=0)
+    model = initialized_model(ModelConfig(dim=3, hidden=2),
+                              build_vocabulary([doc]), seed=0)
     assert len(model.score_document(doc)) == 3
     with pytest.raises(ScorerError, match=r"document bad: slot Slot\(child='e1', "
                                           r"slot='timex_ref'\) has no gold parent"):
@@ -469,7 +479,7 @@ def test_finite_difference_small(variant, kind):
 def test_checkpoint_round_trip(tmp_path):
     corpus, labels = generate_synthetic_corpus(SynthConfig(n_docs=2), seed=4)
     vocab = build_vocabulary(corpus)
-    model = RankingModel.initialized(
+    model = initialized_model(
         ModelConfig(dim=4, hidden=3, variant="dp_distill"), vocab, seed=11)
     path = tmp_path / "ck.json"
     save_checkpoint(model, path, train_config={"peak_lr": 0.05}, seed=11)
@@ -505,7 +515,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_checkpoint_tensor_data_must_fit_a_float(tmp_path):
     """A JSON integer too large for a float64 is a malformed checkpoint, not
     an OverflowError."""
-    model = RankingModel.initialized(ModelConfig(dim=3, hidden=2), build_vocabulary([]), seed=0)
+    model = initialized_model(ModelConfig(dim=3, hidden=2), build_vocabulary([]), seed=0)
     path = tmp_path / "ck.json"
     save_checkpoint(model, path)
     path.write_text(path.read_text().replace('"b2": {"shape": [], "data": [0.0]}',

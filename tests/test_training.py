@@ -15,7 +15,6 @@ from tdgparse.graph import greedy_decode
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 from tdgparse.scorer import (
     ModelConfig,
-    RankingModel,
     clone_params,
     load_checkpoint,
     save_checkpoint,
@@ -31,7 +30,7 @@ from tdgparse.training import (
     train,
 )
 
-from .conftest import hand_dp_loss, hand_ranking_loss
+from .conftest import hand_dp_loss, hand_ranking_loss, initialized_model
 from .oracles import reference_adamw_step
 
 
@@ -104,8 +103,8 @@ def test_adamw_updates_in_place_and_counts_steps():
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_flat_adamw_matches_per_parameter_reference(weight_decay):
     corpus, _ = generate_synthetic_corpus(SynthConfig(n_docs=2), seed=3)
-    model = RankingModel.initialized(ModelConfig(dim=3, hidden=4),
-                                     scorer.build_vocabulary(corpus), seed=0)
+    model = initialized_model(ModelConfig(dim=3, hidden=4),
+                              scorer.build_vocabulary(corpus), seed=0)
     params, want = model.params, clone_params(model.params)
     assert params["b2"].ndim == 0 and params["embeddings"].ndim == 2
     state = OptimizerState.for_params(params)
@@ -222,8 +221,8 @@ def test_decode_corpus_keeps_no_index(tmp_path):
     call, so the model's index cache stays empty; cached indexes decode alike."""
     corpus, _, _ = separable_corpora()
     path = tmp_path / "checkpoint.json"
-    save_checkpoint(RankingModel.initialized(ModelConfig(dim=3, hidden=4),
-                                             scorer.build_vocabulary(corpus), seed=0), path)
+    save_checkpoint(initialized_model(ModelConfig(dim=3, hidden=4),
+                                      scorer.build_vocabulary(corpus), seed=0), path)
     model = load_checkpoint(path)
     graphs = decode_corpus(model, corpus)
     assert model._index_cache == {}
