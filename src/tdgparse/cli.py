@@ -2,21 +2,22 @@
 
 Every subcommand writes into ``--out``: first a ``manifest.json`` recording
 the resolved configuration, the digest of every input file flag given, seeds,
-and planned outputs, then the outputs themselves (written atomically).
-Re-running a command with the same inputs and seeds reproduces every artifact
-byte for byte; only the manifest's ``timestamp`` field differs.
+and planned outputs, then the outputs themselves, each through
+``corpus.write_atomic``. Re-running a command with the same inputs and seeds
+reproduces every artifact byte for byte but the manifest's ``timestamp``.
 
 Exit codes: 0 success; 1 an invalid corpus; 2 a usage error, meaning bad
 flags, a missing or unreadable file, a bad config file or value, a
 seed-label count that does not match the prediction files, a ``train`` run
-without the discourse labels its variant needs or with an empty training
-corpus, or a ``predict`` run of a ``dp_feature`` checkpoint without
-``--dp-labels``; 3 a runtime fault, which is every other failure (any other
-``ValueError`` included). One rule types every JSON input: a value of the
-wrong JSON type is reported with its file (and line, where there is one) and
-its field, and exits 1 in a corpus, 2 in a config, 3 in a checkpoint (whose
-dimensions, tensors and vocabulary are typed) or a prediction (whose edges
-must name the document's string ids).
+without the discourse labels its variant needs, with an empty training
+corpus or with a validation corpus that has no slot, or a ``predict`` run of
+a ``dp_feature`` checkpoint without ``--dp-labels``; 3 a runtime fault,
+which is every other failure (any other ``ValueError`` included). One rule
+types every JSON input: a value of the wrong JSON type is reported with its
+file (and line, where there is one) and its field, and exits 1 in a corpus,
+2 in a config, 3 in a checkpoint (whose dimensions, tensors and vocabulary
+are typed) or a prediction (whose edges must name the document's string
+ids).
 
 OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -50,8 +51,9 @@ from .corpus import (
     parse_corpus,
     parse_object,
     read_corpus,
-    serialize_corpus,
-    serialize_dp_labels,
+    write_atomic,
+    write_corpus,
+    write_dp_labels,
 )
 from .evaluation import (
     EvaluationError,
@@ -79,14 +81,8 @@ def _usage_errors(what: str):
         raise UsageError(f"{what}: {exc}") from None
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _digest(path: Path) -> str:
@@ -188,8 +184,8 @@ def cmd_synth(args) -> int:
         config = SynthConfig(**_read_config(args.config))
     _write_manifest(args, asdict(config), [args.seed], ["corpus.jsonl", "dp_labels.tsv"])
     corpus, labels = generate_synthetic_corpus(config, args.seed)
-    _write_atomic(args.out / "corpus.jsonl", serialize_corpus(corpus))
-    _write_atomic(args.out / "dp_labels.tsv", serialize_dp_labels(labels, corpus))
+    write_corpus(corpus, args.out / "corpus.jsonl")
+    write_dp_labels(labels, corpus, args.out / "dp_labels.tsv")
     return 0
 
 
@@ -215,21 +211,19 @@ def cmd_train(args) -> int:
     # one parse when both flags name one file, so each document is indexed once
     same_file = args.valid.exists() and args.train.samefile(args.valid)
     valid_corpus = train_corpus if same_file else parse_corpus(args.valid)
-    dp_labels = None
-    if args.dp_labels:
-        dp_labels = load_dp_labels(args.dp_labels, train_corpus + valid_corpus)
+    if not any(doc.mentions for doc in valid_corpus):
+        raise UsageError(f"validation corpus {args.valid} has no slots to evaluate")
+    dp_labels = (load_dp_labels(args.dp_labels, train_corpus + valid_corpus)
+                 if args.dp_labels else None)
 
     outputs = [f"checkpoint-seed{s}.json" for s in config.seeds]
     outputs += [f"history-seed{s}.json" for s in config.seeds]
     _write_manifest(args, asdict(config), list(config.seeds), outputs)
 
     for seed in config.seeds:
-        model, history = train(config, train_corpus, valid_corpus, dp_labels,
-                               seed)
-        save_checkpoint(model, args.out / f"checkpoint-seed{seed}.json.tmp",
+        model, history = train(config, train_corpus, valid_corpus, dp_labels, seed)
+        save_checkpoint(model, args.out / f"checkpoint-seed{seed}.json",
                         train_config=asdict(config), seed=seed)
-        os.replace(args.out / f"checkpoint-seed{seed}.json.tmp",
-                   args.out / f"checkpoint-seed{seed}.json")
         _write_json(args.out / f"history-seed{seed}.json", asdict(history))
     return 0
 
@@ -246,7 +240,7 @@ def cmd_predict(args) -> int:
     graphs = decode_corpus(model, corpus, dp_labels, order=args.decode_order)
     lines = [json.dumps(graph_to_json(graphs[doc.id], doc), ensure_ascii=False)
              for doc in corpus]
-    _write_atomic(args.out / "predictions.jsonl", "".join(l + "\n" for l in lines))
+    write_atomic(args.out / "predictions.jsonl", "".join(l + "\n" for l in lines))
     return 0
 
 
@@ -305,8 +299,8 @@ def cmd_analyze(args) -> int:
     _write_manifest(args, {}, [], outputs)
 
     for table in tables:
-        _write_atomic(args.out / f"{table.name}.csv", render_csv(table))
-        _write_atomic(args.out / f"{table.name}.txt", render_text(table))
+        write_atomic(args.out / f"{table.name}.csv", render_csv(table))
+        write_atomic(args.out / f"{table.name}.txt", render_text(table))
     summary = {
         "corpus_identity": corpus_identity(corpus),
         "n_documents": len(corpus),

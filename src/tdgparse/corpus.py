@@ -1,16 +1,16 @@
 """Documents, mentions, and gold temporal reference edges.
 
-A corpus is a list of documents loaded from JSONL, one document object per
-line. Every mention owns a reference-timex slot; events additionally own a
-reference-event slot. Events annotated without a reference event are
-normalized at load time to an explicit NO_EVENT edge, so downstream ranking
-and evaluation are total over slots. Corpus objects are treated as immutable
-after load.
+A corpus is JSONL, each line built into one Document. Every mention owns a
+reference-timex slot; events additionally own a reference-event slot, which
+an event annotated without one fills with an explicit NO_EVENT edge, so
+ranking and evaluation are total over slots. Corpus objects are treated as
+immutable after load. Every file the package writes goes through write_atomic.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import reprlib
 import sys
 from collections.abc import Iterator
@@ -207,8 +207,8 @@ def edge_violations(doc: Document, edges: dict[Slot, str]) -> list[str]:
 
 
 def validate_document(doc: Document) -> list[str]:
-    """Check every invariant of a normalized document (as read_corpus passes
-    it); return one description per violation.
+    """Check every invariant of a document as document_from_json builds it;
+    return one description per violation.
 
     Violations are data, not faults: the list is empty iff the document is
     well formed. Each entry names the offending sentence, mention, or edge.
@@ -314,8 +314,9 @@ def json_field(obj: dict, key: str, kind: type, where: str = "", item: type | No
 
 
 def document_from_json(obj: dict) -> Document:
-    """Build a Document from its JSON object; a missing field, or one whose
-    JSON type is not the documented one, raises FieldError."""
+    """Build a Document from its JSON object, giving every event without an
+    event_ref edge a NO_EVENT one; a missing field, or one whose JSON type is
+    not the documented one, raises FieldError."""
     doc_id = json_field(obj, "id", str)
     dct = json_field(obj, "dct", str)
     at = "sentence"
@@ -331,19 +332,11 @@ def document_from_json(obj: dict) -> Document:
     edges = [GoldEdge(child=json_field(e, "child", str, at), slot=json_field(e, "slot", str, at),
                       parent=json_field(e, "parent", str, at), label=e.get("label"))
              for e in json_field(obj, "edges", list, "", dict)]
+    covered = {e.child for e in edges if e.slot == EVENT_REF}
+    edges += [GoldEdge(child=m.id, slot=EVENT_REF, parent=NO_EVENT)
+              for m in mentions if m.kind == EVENT and m.id not in covered]
     return Document(id=doc_id, dct=dct, sentences=sentences, mentions=mentions,
                     gold_edges=edges)
-
-
-def normalize_no_event_edges(doc: Document) -> Document:
-    """Give every event lacking a reference-event edge an explicit NO_EVENT edge."""
-    covered = {e.child for e in doc.gold_edges if e.slot == EVENT_REF}
-    extra = [GoldEdge(child=m.id, slot=EVENT_REF, parent=NO_EVENT)
-             for m in doc.mentions if m.kind == EVENT and m.id not in covered]
-    if not extra:
-        return doc
-    return Document(id=doc.id, dct=doc.dct, sentences=doc.sentences,
-                    mentions=doc.mentions, gold_edges=doc.gold_edges + extra)
 
 
 def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[str]]]:
@@ -351,9 +344,8 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[s
 
     ``where`` is ``path:lineno``. ``doc`` is None when a line yields no
     document (malformed JSON, a structural error, a duplicate id); its one
-    violation then names the line itself. Otherwise ``doc`` is normalized and
-    ``violations`` is what validate_document finds in it. Blank lines are
-    skipped.
+    violation then names the line itself. Otherwise ``violations`` is what
+    validate_document finds in it. Blank lines are skipped.
     """
     path = Path(path)
     seen: set[str] = set()
@@ -371,7 +363,6 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[s
                 yield where, None, [f"{where}: duplicate document id {doc.id!r}"]
                 continue
             seen.add(doc.id)
-            doc = normalize_no_event_edges(doc)
             yield where, doc, validate_document(doc)
 
 
@@ -411,8 +402,19 @@ def serialize_corpus(corpus: Corpus) -> str:
                    for d in corpus)
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a temporary file beside ``path`` and rename it
+    over ``path``, so the target holds its old bytes or all the new ones."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:  # removes what a failed write left; a renamed file is gone already
+        tmp.unlink(missing_ok=True)
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(serialize_corpus(corpus), encoding="utf-8")
+    write_atomic(path, serialize_corpus(corpus))
 
 
 def dp_coverage_gaps(labels: DpLabelMap, corpus: Corpus) -> list[tuple[str, int]]:
@@ -478,4 +480,4 @@ def serialize_dp_labels(labels: DpLabelMap, corpus: Corpus) -> str:
 
 
 def write_dp_labels(labels: DpLabelMap, corpus: Corpus, path: str | Path) -> None:
-    Path(path).write_text(serialize_dp_labels(labels, corpus), encoding="utf-8")
+    write_atomic(path, serialize_dp_labels(labels, corpus))

@@ -59,6 +59,7 @@ from .corpus import (
     json_field,
     parse_object,
     require_dp_coverage,
+    write_atomic,
 )
 from .graph import CandidateLayout, SlotScores, candidate_layout, candidate_set
 
@@ -124,24 +125,23 @@ class Vocabulary:
 
     Corpus tokens are lowercased; unknown tokens map to ``<unk>``. Marker
     tokens (child/candidate marks and the content-type markers) occupy fixed
-    indices at the front and are addressed directly, not through ``lookup``:
-    corpus text spelled like one, such as ``$``, looks up as ``<unk>``.
+    indices at the front and are addressed directly: ``index`` holds only the
+    corpus tokens, so text spelled like a marker, such as ``$``, is ``<unk>``.
     """
 
     def __init__(self, tokens: list[str]):
         if tuple(tokens[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise ScorerError("vocabulary must start with the reserved tokens")
         self.tokens = list(tokens)
-        self.index = {t: i for i, t in enumerate(self.tokens)}
-        if len(self.index) != len(self.tokens):
+        if len(set(self.tokens)) != len(self.tokens):
             raise ScorerError("vocabulary contains duplicate tokens")
+        self.index = {t: i for i, t in enumerate(self.tokens) if i >= len(RESERVED_TOKENS)}
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def lookup(self, token: str) -> int:
-        index = self.index.get(token.lower(), UNK_INDEX)
-        return index if index >= len(RESERVED_TOKENS) else UNK_INDEX
+        return self.index.get(token.lower(), UNK_INDEX)
 
     def marker_index(self, content_type: ContentType) -> int:
         return MARKER_BASE_INDEX + CONTENT_TYPE_INDEX[content_type]
@@ -622,7 +622,7 @@ CHECKPOINT_FORMAT = 1
 def save_checkpoint(model: RankingModel, path: str | Path,
                     train_config: dict | None = None,
                     seed: int | None = None) -> None:
-    """Write the model as deterministic JSON.
+    """Write the model as deterministic JSON through corpus.write_atomic.
 
     Parameter tensors are stored as shape plus row-major value lists, which
     round-trip exactly (json emits shortest-repr floats). ``train_config``
@@ -643,7 +643,7 @@ def save_checkpoint(model: RankingModel, path: str | Path,
         "train_config": train_config,
         "seed": seed,
     }
-    Path(path).write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    write_atomic(path, json.dumps(obj, ensure_ascii=False))
 
 
 def load_checkpoint(path: str | Path) -> RankingModel:

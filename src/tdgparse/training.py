@@ -218,6 +218,8 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
             require_dp_coverage(dp_labels, valid_corpus, what="validation corpus")
     if not train_corpus:
         raise ValueError("training corpus is empty")
+    if not any(doc.mentions for doc in valid_corpus):
+        raise ValueError("validation corpus has no slots to evaluate")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     if vocab is None:

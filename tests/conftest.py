@@ -13,7 +13,6 @@ import pytest
 from tdgparse.corpus import (
     ContentType,
     document_from_json,
-    normalize_no_event_edges,
     validate_document,
 )
 from tdgparse.scorer import (
@@ -28,7 +27,7 @@ from tdgparse.scorer import (
 
 def make_doc(obj: dict, validate: bool = True):
     """Build a normalized Document from plain JSON-shaped data."""
-    doc = normalize_no_event_edges(document_from_json(obj))
+    doc = document_from_json(obj)
     if validate:
         violations = validate_document(doc)
         assert not violations, violations

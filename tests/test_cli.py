@@ -14,7 +14,13 @@ from tdgparse import scorer
 from tdgparse.cli import _path, _resolve_train_config, build_parser, main
 from tdgparse.corpus import parse_corpus
 from tdgparse.graph import graph_to_json
-from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, save_checkpoint
+from tdgparse.scorer import (
+    ModelConfig,
+    RankingModel,
+    build_vocabulary,
+    save_checkpoint,
+)
+from tdgparse.training import decode_corpus
 
 from .conftest import initialized_model
 from .oracles import gold_graph
@@ -814,6 +820,58 @@ def test_train_usage_errors(tmp_path, hand_corpus_path, capsys):
                      "--epochs", "2", "--out", str(tmp_path / "run")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("valid_text", ["", json.dumps({
+    "id": "quiet", "dct": "2021-01-01", "sentences": [{"index": 0, "tokens": ["calm"]}],
+    "mentions": [], "edges": []}) + "\n"], ids=["empty", "no_mentions"])
+def test_train_refuses_a_validation_corpus_without_slots(tmp_path, hand_corpus_path,
+                                                        capsys, valid_text):
+    valid = tmp_path / "valid.jsonl"
+    valid.write_text(valid_text, encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["train", "--train", str(hand_corpus_path), "--valid", str(valid),
+                 "--out", str(out), *SMALL_TRAIN])
+    assert code == 2
+    assert f"validation corpus {valid} has no slots to evaluate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_order_flags_reach_the_run(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SMALL_SYNTH), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(config), "--seed", "2",
+                 "--out", str(data)]) == 0
+    corpus, labels = data / "corpus.jsonl", data / "dp_labels.tsv"
+
+    run = tmp_path / "run"
+    assert main(["train", "--variant", "dp_distill", "--dp-labels", str(labels),
+                 "--train", str(corpus), "--valid", str(corpus), "--out", str(run),
+                 "--update-order", "joint", "--decode-order", "document",
+                 *SMALL_TRAIN]) == 0
+    checkpoint = run / "checkpoint-seed0.json"
+    for recorded in (read_json(checkpoint)["train_config"],
+                     read_json(run / "manifest.json")["config"]):
+        assert (recorded["update_order"], recorded["decode_order"]) == ("joint", "document")
+
+    # an untrained model whose cycle conflicts the two orders resolve apart
+    docs = parse_corpus(corpus)
+    model = initialized_model(ModelConfig(dim=4, hidden=6), build_vocabulary(docs), seed=1)
+    untrained = tmp_path / "untrained.json"
+    save_checkpoint(model, untrained)
+    preds = tmp_path / "preds"
+    assert main(["predict", "--checkpoint", str(untrained), "--corpus", str(corpus),
+                 "--decode-order", "document", "--out", str(preds)]) == 0
+
+    def lines(order):
+        graphs = decode_corpus(model, docs, order=order)
+        return [json.dumps(graph_to_json(graphs[doc.id], doc), ensure_ascii=False)
+                for doc in docs]
+    assert lines("document") != lines("score")
+    assert (preds / "predictions.jsonl").read_text(encoding="utf-8").splitlines() == \
+        lines("document")
+    assert read_json(preds / "manifest.json")["config"]["decode_order"] == "document"
 
 
 @pytest.mark.parametrize("flags, config, message", [

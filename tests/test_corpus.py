@@ -17,8 +17,9 @@ from tdgparse.corpus import (
     validate_document,
     write_corpus,
 )
+from tdgparse.scorer import ModelConfig, build_vocabulary, save_checkpoint
 
-from .conftest import HAND_DOCS, make_doc
+from .conftest import HAND_DOCS, initialized_model, make_doc
 
 
 def test_parse_empty_file(tmp_path):
@@ -247,6 +248,57 @@ def test_only_corpus_parses_json():
                     and {a.name for a in node.names} & {"load", "loads"}:
                 parsers.setdefault(path.name, []).append(node.lineno)
     assert parsers == {}
+
+
+def test_an_interrupted_write_keeps_the_old_file(hand_corpus, tmp_path, monkeypatch):
+    model = initialized_model(ModelConfig(dim=3, hidden=2), build_vocabulary(hand_corpus),
+                              seed=0)
+    checkpoint, corpus = tmp_path / "checkpoint.json", tmp_path / "corpus.jsonl"
+    save_checkpoint(model, checkpoint)
+    write_corpus(hand_corpus[:1], corpus)
+    before = {path: path.read_bytes() for path in (checkpoint, corpus)}
+    write_text = Path.write_text
+
+    def interrupted(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(model, checkpoint, seed=1)
+    with pytest.raises(OSError, match="no space"):
+        write_corpus(hand_corpus, corpus)
+    monkeypatch.undo()
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(tmp_path.iterdir()) == sorted(before)  # no temporary file is left
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` is a write_text, write_bytes or os.replace call, or an
+    open whose mode is not a constant free of w, a, x and +."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "replace":
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+    if name != "open":
+        return name in ("write_text", "write_bytes")
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]  # open(f, mode)
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes)
+
+
+def test_only_corpus_writes_files():
+    """Every file is written by corpus.write_atomic: no other module of the
+    package calls write_text, write_bytes or os.replace, or opens a file to write."""
+    writers = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _writes_a_file(node):
+                writers.setdefault(path.name, []).append(node.lineno)
+    assert writers == {}
 
 
 def test_only_corpus_maps_gold_edges():

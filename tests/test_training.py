@@ -307,6 +307,20 @@ def test_train_requires_labels_for_dp_variants():
             train(config, train_corpus, valid_corpus, None, seed=0)
 
 
+def test_train_refuses_a_validation_corpus_without_slots(monkeypatch):
+    train_corpus, _, _ = separable_corpora()
+    quiet = document_from_json({"id": "quiet", "dct": "2021-01-01", "mentions": [],
+                                "sentences": [{"index": 0, "tokens": ["calm"]}], "edges": []})
+    batches = []
+    monkeypatch.setattr(scorer.RankingModel, "ranking_loss_and_grads",
+                        lambda self, *args: batches.append(args))
+    for valid_corpus in ([], [quiet]):
+        with pytest.raises(ValueError, match="validation corpus has no slots to evaluate"):
+            train(TrainConfig(variant="baseline", **SMALL), train_corpus, valid_corpus,
+                  None, seed=0)
+    assert batches == []
+
+
 def test_train_diverges_loudly_at_absurd_lr():
     train_corpus, valid_corpus, _ = separable_corpora()
     config = TrainConfig(variant="baseline", max_epochs=3, batch_size_docs=5,
