@@ -137,6 +137,16 @@ def candidate_set(doc: Document, slot: Slot) -> list[str]:
     return [layout.names[c] for c in layout.cand[span].tolist()]
 
 
+def require_finite(layout: CandidateLayout, score: np.ndarray) -> None:
+    """Raise GraphError naming the slot and candidate of the first non-finite score."""
+    finite = np.isfinite(score)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        slot = layout.slots[np.searchsorted(layout.starts, k, side="right") - 1]
+        raise GraphError(f"document {layout.doc.id}, slot {slot}: candidate "
+                         f"{layout.names[layout.cand[k]]} has a non-finite score")
+
+
 class SlotScores(Mapping):
     """One score per candidate of a CandidateLayout, read as a slot mapping.
 
@@ -153,12 +163,7 @@ class SlotScores(Mapping):
         if len(score) != len(layout.cand):
             raise GraphError(f"document {layout.doc.id}: {len(score)} scores for "
                              f"{len(layout.cand)} candidates")
-        finite = np.isfinite(score)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            slot = layout.slots[np.searchsorted(layout.starts, k, side="right") - 1]
-            raise GraphError(f"document {layout.doc.id}, slot {slot}: candidate "
-                             f"{layout.names[layout.cand[k]]} has a non-finite score")
+        require_finite(layout, score)
         self.layout = layout
         self.score = score
         self._position: dict[Slot, int] | None = None
@@ -253,6 +258,57 @@ def greedy_decode(doc: Document, scores: SlotScores,
                 raise GraphError(f"document {doc.id}: no feasible candidate for {slot}")
         edges[slot] = parent
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
+
+
+# each mention kind's slot whose parents are mentions of that same kind: the
+# edges through it form the kind's chain, and only chain edges lie on cycles
+CHAIN_SLOTS = {kind: slot for (kind, slot), (_, parent_kind) in PARENT_RULES.items()
+               if parent_kind == kind}
+
+
+def first_maxima(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The position of each slot's first maximum, for slots laid end to end.
+
+    Slot i's candidates are positions ``starts[i]`` up to the next start (or
+    the end) of ``score``; its first maximum is the first of them that
+    scores the slot's top score, the candidate greedy_decode tries first.
+    Every slot needs at least one candidate, and every score must be finite.
+    """
+    top = np.maximum.reduceat(score, starts)
+    hits = np.flatnonzero(score == np.repeat(top, np.diff(starts, append=len(score))))
+    return hits[np.searchsorted(hits, starts)]
+
+
+def chain_cycles(parent: np.ndarray, longest: int) -> np.ndarray:
+    """Which mentions' chains, under the first-maximum graph, hold a cycle.
+
+    ``parent[i]`` is the mention that mention i's CHAIN_SLOTS slot takes at
+    its first maximum, as a row of ``parent``, or ``len(parent)`` for a meta
+    parent; rows may span many documents. ``longest`` is at least the number
+    of mentions of any one document. The result is true for each mention
+    whose chain never reaches a meta parent: it lies on a cycle or leads
+    into one. Pointer doubling finds them: after k rounds, ``hop[i]`` is the
+    mention 2**k parents above i, with the meta parents as one absorbing
+    sink; an acyclic chain of a document reaches the sink in at most
+    ``longest`` steps, so enough rounds for 2**k >= longest leave only the
+    cyclic mentions off it.
+
+    This is the rule that lets a whole corpus skip greedy_decode. Suppose a
+    document's first-maximum graph, each slot taking its first maximum, has
+    no cycle. Then greedy_decode returns exactly that graph, in either
+    order: each slot tries its first maximum first, and the edges chosen
+    before it are first maxima too, a subset of an acyclic edge set, which
+    no further edge of the same set can close into a cycle. An edge from an
+    event's timex_ref slot ends in a timex, whose chain never leads back to
+    an event, so only the timex and event chains need testing. Conversely,
+    greedy_decode never builds a cycle, so a document with one decodes to
+    another graph and must be decoded slot by slot.
+    """
+    n = len(parent)
+    hop = np.append(parent, n)
+    for _ in range(max(longest - 1, 0).bit_length()):
+        hop = hop[hop]
+    return hop[:n] != n
 
 
 def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:

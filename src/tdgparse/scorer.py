@@ -32,6 +32,8 @@ blocks) and indexes any uncached document for its run only, so a predict
 run holds one run's indexes at a time; ``score_document`` is its
 one-document case. Scoring hands each document's scores on over its
 layout, as a ``graph.SlotScores`` that ``greedy_decode`` reads directly.
+A corpus scored every epoch is laid out in the same runs once
+(``lay_out``), and ``run_scores`` scores each laid-out run.
 All arithmetic is float64 numpy and gradients are computed analytically.
 """
 
@@ -352,8 +354,9 @@ def _concat(indexes: list[_FlatIndex]) -> _FlatIndex:
         return np.concatenate([_NO_ROWS] + [getattr(idx, name) for idx in indexes])
 
     def firsts(name: str) -> np.ndarray:
-        """Each index's first row among ``name``'s rows in the batch."""
-        return _starts(np.array([len(getattr(idx, name)) for idx in indexes]))
+        """Each index's first row among ``name``'s rows in the batch, as the
+        index's own int32 rows are."""
+        return _starts(np.array([len(getattr(idx, name)) for idx in indexes])).astype(np.int32)
 
     n_cand = [len(idx.cand) for idx in indexes]
     n_slot = [len(idx.starts) for idx in indexes]
@@ -469,41 +472,55 @@ class RankingModel:
         r = np.maximum(z, 0.0)
         return u, a, x, z, r, r @ self.params["w2"] + self.params["b2"]
 
-    def score_documents(self, docs: Iterable[Document],
-                        dp_labels: DpLabelMap | None = None) -> Iterator[SlotScores]:
-        """Score every candidate of every slot of each document, in order.
+    def _runs(self, docs: Iterable[Document]) -> Iterator[list[_FlatIndex]]:
+        """The documents' indexes in runs of at most BLOCK_CANDIDATES candidates.
 
-        Yields one SlotScores per document, over its index's flat layout;
-        reading a slot of it gives its ScoredCandidates. Documents are
-        scored in runs of at most BLOCK_CANDIDATES candidates laid end to
-        end, a larger document being a run of its own that is scored block
-        by block. A document that training indexed uses the cached index;
-        any other is indexed for its run only.
+        A larger document is a run of its own. A document that training
+        indexed uses the cached index; any other is indexed for its run only.
         """
         run: list[_FlatIndex] = []
         n_cand = 0
         for doc in docs:
             idx = self._index_cache.get(id(doc)) or _index_document(doc, self.vocab)
             if run and n_cand + len(idx.cand) > BLOCK_CANDIDATES:
-                yield from self._score_run(run, dp_labels)
+                yield run
                 run, n_cand = [], 0
             run.append(idx)
             n_cand += len(idx.cand)
         if run:
-            yield from self._score_run(run, dp_labels)
+            yield run
 
-    def _score_run(self, run: list[_FlatIndex],
-                   dp_labels: DpLabelMap | None) -> Iterator[SlotScores]:
-        """One first layer and one pass over the blocks of a run of indexes."""
-        batch = _concat(run)
-        layer = self._first_layer(batch, self._markers([idx.layout.doc for idx in run],
-                                                       dp_labels))
-        values = _joined([self._block_forward(layer, batch, c_lo, c_hi)[-1]
-                          for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
-        lo = 0
-        for idx in run:
-            yield SlotScores(idx.layout, values[lo:lo + len(idx.cand)])
-            lo += len(idx.cand)
+    def lay_out(self, docs: Iterable[Document], dp_labels: DpLabelMap | None = None
+                ) -> list[tuple[_FlatIndex, np.ndarray | None]]:
+        """score_documents' runs of the documents, each laid end to end once.
+
+        Each run comes with its content markers; run_scores scores it.
+        """
+        return [(_concat(run), self._markers([idx.layout.doc for idx in run], dp_labels))
+                for run in self._runs(docs)]
+
+    def run_scores(self, batch: _FlatIndex, markers: np.ndarray | None) -> np.ndarray:
+        """The score of every candidate of a run: one first layer, then its blocks."""
+        layer = self._first_layer(batch, markers)
+        return _joined([self._block_forward(layer, batch, c_lo, c_hi)[-1]
+                        for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
+
+    def score_documents(self, docs: Iterable[Document],
+                        dp_labels: DpLabelMap | None = None) -> Iterator[SlotScores]:
+        """Score every candidate of every slot of each document, in order.
+
+        Yields one SlotScores per document, over its index's flat layout;
+        reading a slot of it gives its ScoredCandidates. Documents are
+        scored in the runs of _runs, each laid end to end, a document past
+        BLOCK_CANDIDATES being scored block by block.
+        """
+        for run in self._runs(docs):
+            values = self.run_scores(_concat(run), self._markers(
+                [idx.layout.doc for idx in run], dp_labels))
+            lo = 0
+            for idx in run:
+                yield SlotScores(idx.layout, values[lo:lo + len(idx.cand)])
+                lo += len(idx.cand)
 
     def score_document(self, doc: Document,
                        dp_labels: DpLabelMap | None = None) -> SlotScores:

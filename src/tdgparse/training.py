@@ -16,13 +16,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluation
 from .corpus import Corpus, DpLabelMap, json_field, require_dp_coverage
-from .graph import DECODE_ORDERS, TemporalDependencyGraph, greedy_decode
+from .graph import (
+    CHAIN_SLOTS,
+    DECODE_ORDERS,
+    GraphError,
+    SlotScores,
+    TemporalDependencyGraph,
+    chain_cycles,
+    first_maxima,
+    greedy_decode,
+    require_finite,
+)
 from .scorer import (
+    N_META,
     ModelConfig,
     RankingModel,
     Vocabulary,
+    _starts,
     build_vocabulary,
     clone_params,
     init_params,
@@ -190,12 +201,88 @@ def decode_corpus(model: RankingModel, corpus: Corpus,
     """Score and decode every document; keyed by document id.
 
     The documents are scored in score_documents' runs and decoded one at a
-    time.
+    time, as ``tdgparse predict`` does; train() validates through
+    Validation instead.
     """
     out: dict[str, TemporalDependencyGraph] = {}
     for doc, scores in zip(corpus, model.score_documents(corpus, dp_labels)):
         out[doc.id] = greedy_decode(doc, scores, order=order)
     return out
+
+
+class Validation:
+    """A validation corpus laid out once, for every epoch of one train() call.
+
+    On a valid corpus, ``accuracy(order)`` equals
+    ``evaluation.attachment_accuracy`` of ``decode_corpus`` with the same
+    model, labels and order, without decoding the corpus document by
+    document. The documents' cached indexes are laid end to end once, in
+    score_documents' runs (RankingModel.lay_out); each call scores those
+    runs and takes every slot's first maximum over the whole corpus at once.
+    Only the documents whose first-maximum graph holds a cycle
+    (graph.chain_cycles) are decoded by greedy_decode, looked up in this
+    module. A slot is correct when its decoded candidate is its index's gold
+    candidate.
+    """
+
+    def __init__(self, model: RankingModel, corpus: Corpus,
+                 dp_labels: DpLabelMap | None = None):
+        self.model = model
+        self.indexes = [model._index(doc) for doc in corpus]
+        self.runs = model.lay_out(corpus, dp_labels)
+        n_cand, n_slot, n_mention = (np.array([len(getattr(idx, name)) for idx in self.indexes])
+                                     for name in ("cand", "starts", "mention_len"))
+        self.cand_first, self.slot_first = _starts(n_cand), _starts(n_slot)
+        n_nodes = int(n_mention.sum())
+        self.longest = int(n_mention.max())
+        self.node_doc = np.repeat(np.arange(len(self.indexes)), n_mention)
+        starts, gold, node, chain = [], [], [], []
+        for idx, c_lo, m_lo, s_lo in zip(self.indexes, self.cand_first.tolist(),
+                                          _starts(n_mention).tolist(), self.slot_first.tolist()):
+            starts.append(idx.starts + c_lo)
+            gold.append(np.where(idx.gold >= 0, idx.gold + c_lo, -1))
+            node.append(np.where(idx.cand >= N_META, idx.cand - N_META + m_lo, n_nodes))
+            doc = idx.layout.doc
+            chain += [s_lo + i for i, slot in enumerate(idx.layout.slots)
+                      if slot.slot == CHAIN_SLOTS[doc.mention(slot.child).kind]]
+        # per slot, its first candidate and its gold candidate (or -1) in the
+        # corpus's score vector; per candidate, its mention as a row of the
+        # corpus's mentions (n_nodes for a meta node); per mention, its chain slot
+        self.starts, self.gold, self.node = map(np.concatenate, (starts, gold, node))
+        self.chain = np.array(chain, dtype=np.int64)
+
+    def accuracy(self, order: str = "score") -> float:
+        """The attachment accuracy of decoding the corpus with the model's parameters now.
+
+        A non-finite score raises GraphError naming its document, slot and
+        candidate, as SlotScores does, and so does an unknown order.
+        """
+        if order not in DECODE_ORDERS:
+            raise GraphError(f"unknown decode order {order!r}")
+        values = np.concatenate([self.model.run_scores(batch, markers)
+                                 for batch, markers in self.runs])
+        finite = np.isfinite(values)
+        if not finite.all():
+            d = int(np.searchsorted(self.cand_first, np.argmin(finite), side="right")) - 1
+            require_finite(self.indexes[d].layout, self._values(values, d))
+        first = first_maxima(values, self.starts)
+        correct = first == self.gold
+        cyclic = chain_cycles(self.node[first[self.chain]], self.longest)
+        for d in np.flatnonzero(np.bincount(self.node_doc[cyclic],
+                                            minlength=len(self.indexes))).tolist():
+            idx, layout = self.indexes[d], self.indexes[d].layout
+            edges = greedy_decode(layout.doc, SlotScores(layout, self._values(values, d)),
+                                  order=order).edges
+            names, cand, lo = layout.names, layout.cand.tolist(), self.slot_first[d]
+            correct[lo:lo + len(layout.slots)] = [
+                g >= 0 and names[cand[g]] == edges[slot]
+                for slot, g in zip(layout.slots, idx.gold.tolist())]
+        return int(np.count_nonzero(correct)) / len(correct)
+
+    def _values(self, values: np.ndarray, d: int) -> np.ndarray:
+        """Document d's part of the corpus's score vector."""
+        lo = self.cand_first[d]
+        return values[lo:lo + len(self.indexes[d].cand)]
 
 
 def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
@@ -207,7 +294,8 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     indexes; dp_distill takes the steps of its UPDATE_PLANS entry per batch,
     the other variants one ranking step, and the schedule advances on each
     step. Model selection keeps the epoch with the highest validation
-    attachment accuracy (earliest on ties).
+    attachment accuracy (earliest on ties), which Validation counts after
+    every epoch from the validation corpus laid out once before the first.
     """
     variant = config.variant
     if variant in ("dp_feature", "dp_distill"):
@@ -239,8 +327,7 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     loss_fns = {"ranking": lambda batch: model.ranking_loss_and_grads(batch, feature_labels),
                 "dp": lambda batch: model.dp_loss_and_grads(batch, dp_labels)}
 
-    for doc in valid_corpus:  # indexed once for every epoch's validation decode
-        model._index(doc)
+    validation = Validation(model, valid_corpus, feature_labels)
     history = TrainHistory()
     best_params = clone_params(model.params)
     best_accuracy = -1.0
@@ -263,9 +350,7 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
                 lr = lr_at(state.t + 1, total_steps, warmup_steps, config.peak_lr)
                 adamw_step(model.params, grads, state, lr, weight_decay=config.weight_decay)
 
-        preds = decode_corpus(model, valid_corpus, feature_labels,
-                              order=config.decode_order)
-        accuracy = evaluation.attachment_accuracy(preds, valid_corpus)
+        accuracy = validation.accuracy(config.decode_order)
         history.epochs.append(EpochRecord(
             epoch=epoch,
             ranking_loss=float(np.mean(losses["ranking"])),  # every plan ranks

@@ -388,6 +388,7 @@ def test_score_documents_matches_score_document(variant, block, monkeypatch):
 _LONG_DOCUMENT_LOSS = """
 import json, resource, sys
 import numpy as np
+from tdgparse import training
 from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, init_params
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 raw = json.loads(open(sys.argv[1], encoding="utf-8").read())
@@ -396,21 +397,37 @@ corpus, _ = generate_synthetic_corpus(SynthConfig.from_json(raw), 7)
 config, vocab = ModelConfig(dim=16, hidden=32), build_vocabulary(corpus)
 rng = np.random.Generator(np.random.PCG64(0))
 model = RankingModel(config, vocab, init_params(config, vocab, rng))
-model.ranking_loss_and_grads(corpus)
+if sys.argv[2] == "loss":
+    model.ranking_loss_and_grads(corpus)
+else:
+    training.Validation(model, corpus).accuracy()
 print(len(corpus[0].mentions), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_long_document_loss_and_gradients_stay_under_256_mb():
+def _long_document_peak_kb(call: str) -> int:
+    """Peak RSS of a fresh process that runs one call on the 720-mention document."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"),
                                                       env.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", _LONG_DOCUMENT_LOSS,
-                          str(root / "configs" / "distill.synth.json")],
+                          str(root / "configs" / "distill.synth.json"), call],
                          env=env, capture_output=True, text=True, check=True)
     mentions, peak_kb = map(int, out.stdout.split())
     assert mentions == 720
+    return peak_kb
+
+
+def test_long_document_loss_and_gradients_stay_under_256_mb():
+    peak_kb = _long_document_peak_kb("loss")
+    assert peak_kb <= 256 * 1024, f"peak RSS {peak_kb / 1024:.0f} MB"
+
+
+def test_long_document_validation_stays_under_256_mb():
+    """One validation pass, laid out, scored, taken by first maxima and (the
+    untrained model's chains cycle) decoded by greedy_decode."""
+    peak_kb = _long_document_peak_kb("validation")
     assert peak_kb <= 256 * 1024, f"peak RSS {peak_kb / 1024:.0f} MB"
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import platform
+import re
 import resource
 from dataclasses import asdict
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 from tdgparse import scorer, training
 from tdgparse.corpus import ContentType, document_from_json, document_to_json
-from tdgparse.graph import greedy_decode
+from tdgparse.evaluation import attachment_accuracy
+from tdgparse.graph import GraphError, greedy_decode
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 from tdgparse.scorer import (
     ModelConfig,
@@ -24,13 +26,14 @@ from tdgparse.training import (
     OptimizerState,
     TrainConfig,
     TrainingDiverged,
+    Validation,
     adamw_step,
     decode_corpus,
     lr_at,
     train,
 )
 
-from .conftest import hand_dp_loss, hand_ranking_loss, initialized_model
+from .conftest import hand_dp_loss, hand_ranking_loss, initialized_model, make_doc
 from .oracles import reference_adamw_step
 
 
@@ -254,6 +257,152 @@ def test_decode_corpus_matches_decoding_one_document_at_a_time():
     graphs = decode_corpus(model, corpus, labels)
     assert graphs == {doc.id: greedy_decode(doc, model.score_document(doc, labels))
                       for doc in corpus}
+
+
+def chain_document(n_events: int = 40):
+    """A timex, one event per sentence, then a timex: each event's gold event
+    parent is the event before it. Past BLOCK_CANDIDATES, it is scored in
+    several blocks."""
+    sentences = [{"index": i, "tokens": ["monday" if i in (0, n_events + 1) else "fire"]}
+                 for i in range(n_events + 2)]
+    mentions = [{"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1}]
+    mentions += [{"id": f"e{i}", "kind": "event", "sentence": i, "start": 0, "end": 1}
+                 for i in range(1, n_events + 1)]
+    mentions.append({"id": "t2", "kind": "timex", "sentence": n_events + 1, "start": 0,
+                     "end": 1})
+    edges = [{"child": "t1", "slot": "timex_ref", "parent": "DCT"},
+             {"child": "t2", "slot": "timex_ref", "parent": "t1"}]
+    edges += [{"child": f"e{i}", "slot": "timex_ref", "parent": "t1"}
+              for i in range(1, n_events + 1)]
+    edges += [{"child": f"e{i}", "slot": "event_ref", "parent": f"e{i - 1}"}
+              for i in range(2, n_events + 1)]
+    return make_doc({"id": "chain", "dct": "2021-01-01", "sentences": sentences,
+                     "mentions": mentions, "edges": edges})
+
+
+def validation_corpus():
+    """Distill documents, a timex-only one, a one-mention one and chain_document."""
+    corpus, labels = distill_corpus(30)
+    timexes = make_doc({
+        "id": "tx", "dct": "2021-06-01",
+        "sentences": [{"index": 0, "tokens": ["monday", "then", "may"]},
+                      {"index": 1, "tokens": ["in", "1990"]}],
+        "mentions": [{"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1},
+                     {"id": "t2", "kind": "timex", "sentence": 0, "start": 2, "end": 3},
+                     {"id": "t3", "kind": "timex", "sentence": 1, "start": 0, "end": 2}],
+        "edges": [{"child": "t1", "slot": "timex_ref", "parent": "DCT"},
+                  {"child": "t2", "slot": "timex_ref", "parent": "t1"},
+                  {"child": "t3", "slot": "timex_ref", "parent": "ROOT"}],
+    })
+    single = make_doc({
+        "id": "one", "dct": "2021-06-01",
+        "sentences": [{"index": 0, "tokens": ["fire", "spread"]}],
+        "mentions": [{"id": "e1", "kind": "event", "sentence": 0, "start": 1, "end": 2}],
+        "edges": [{"child": "e1", "slot": "timex_ref", "parent": "DCT"}],
+    })
+    chain = chain_document()
+    corpus = corpus[:15] + [timexes, single, chain] + corpus[15:]
+    labels = dict(labels)
+    labels.update({(doc.id, s.index): ContentType.C1 for doc in (timexes, single, chain)
+                   for s in doc.sentences})
+    return corpus, labels
+
+
+def chain_params(model):
+    """Zero parameters but one hidden unit over the scalar features: a slot's
+    first maximum is its nearest earlier mention, or else its first meta
+    candidate. chain_document's events then form one acyclic chain through
+    all of them."""
+    params = {name: np.zeros_like(a) for name, a in model.params.items()}
+    scalar = 5 * model.config.dim
+    # distance buckets 0, 1, 2, 3-5, 6+; candidate after the child; metas
+    for bit, weight in enumerate([5.0, 4.0, 3.0, 2.0, 1.0, -10.0, 0.0, -3.0, -3.0, -3.0]):
+        params["w1"][0, scalar + bit] = weight
+    params["b1"][0] = 20.0
+    params["w2"][0] = 1.0
+    return params
+
+
+def first_maximum_graph(scores):
+    """Each slot's first maximum, read through the slot view."""
+    return {slot: scored.ranked()[0][0] for slot, scored in scores.items()}
+
+
+@pytest.mark.parametrize("state", ["untrained", "trained", "zero", "chain"])
+@pytest.mark.parametrize("variant", ["baseline", "dp_feature", "dp_distill"])
+def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypatch):
+    """Validation counts what decoding each document and scoring it counts,
+    and decodes slot by slot exactly the documents whose first-maximum
+    graph greedy_decode departs from, which are those it holds a cycle in."""
+    corpus, labels = validation_corpus()
+    labels = labels if variant != "baseline" else None
+    feature_labels = labels if variant == "dp_feature" else None
+    config = distill_train_config(variant=variant, max_epochs=2, warmup_epochs=1)
+    if state == "trained":  # on more documents, whose first maxima then cycle in a few
+        train_corpus, train_labels = distill_corpus(60)
+        model, _ = train(config, train_corpus, train_corpus,
+                         train_labels if labels else None, seed=0)
+    else:
+        model = initialized_model(config.model_config(), scorer.build_vocabulary(corpus), seed=0)
+        if state == "zero":  # every score ties
+            model.params = {name: np.zeros_like(a) for name, a in model.params.items()}
+        elif state == "chain":
+            model.params = chain_params(model)
+    chain = model._index(next(doc for doc in corpus if doc.id == "chain"))
+    assert len(scorer._blocks(chain.starts, len(chain.cand))) > 1
+    validation = Validation(model, corpus, feature_labels)
+    decoded = []
+
+    def recording(doc, scores, order):
+        decoded.append(doc.id)
+        return greedy_decode(doc, scores, order=order)
+
+    monkeypatch.setattr(training, "greedy_decode", recording)
+    for order in ("score", "document"):
+        want = attachment_accuracy(decode_corpus(model, corpus, feature_labels, order=order),
+                                   corpus)
+        departs = [doc.id for doc, scores in zip(corpus, model.score_documents(
+            corpus, feature_labels)) if greedy_decode(doc, scores, order=order).edges
+            != first_maximum_graph(scores)]
+        decoded.clear()
+        got = validation.accuracy(order)
+        assert type(got) is float and got == want
+        assert decoded == departs
+        if state == "untrained":
+            assert len(departs) > len(corpus) // 2
+        elif state == "trained":
+            assert 0 < len(departs) < len(corpus) // 2
+        else:
+            assert departs == []
+    with pytest.raises(GraphError, match="unknown decode order 'random'"):
+        validation.accuracy("random")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_names_a_non_finite_score(bad, monkeypatch):
+    """A non-finite validation score stops training with the GraphError that
+    SlotScores raises, naming its document, slot and candidate."""
+    corpus, _ = validation_corpus()
+    model = initialized_model(scorer.ModelConfig(), scorer.build_vocabulary(corpus), seed=0)
+    run = list(model._runs(corpus))[1]
+    idx = run[1]
+    k = idx.starts[3] - 1  # the last candidate of its third slot
+    run_scores, calls = scorer.RankingModel.run_scores, []
+
+    def poisoned(self, batch, markers):
+        values = run_scores(self, batch, markers)
+        calls.append(len(values))
+        if len(calls) == 2:  # validation scores one run per call, in order
+            values[len(run[0].cand) + k] = bad
+        return values
+
+    monkeypatch.setattr(scorer.RankingModel, "run_scores", poisoned)
+    message = (f"document {idx.layout.doc.id}, slot {idx.layout.slots[2]}: candidate "
+               f"{idx.layout.names[idx.cand[k]]} has a non-finite score")
+    with pytest.raises(GraphError, match=re.escape(message)):
+        train(distill_train_config(max_epochs=1, warmup_epochs=1), corpus, corpus, None,
+              seed=0)
+    assert calls[1] == sum(len(i.cand) for i in run)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
