@@ -220,8 +220,10 @@ def cmd_train(args) -> int:
     outputs += [f"history-seed{s}.json" for s in config.seeds]
     _write_manifest(args, asdict(config), list(config.seeds), outputs)
 
-    for seed in config.seeds:
-        model, history = train(config, train_corpus, valid_corpus, dp_labels, seed)
+    # every seed trains before any is written, so a failing seed leaves no outputs
+    results = [(seed, *train(config, train_corpus, valid_corpus, dp_labels, seed))
+               for seed in config.seeds]
+    for seed, model, history in results:
         save_checkpoint(model, args.out / f"checkpoint-seed{seed}.json",
                         train_config=asdict(config), seed=seed)
         _write_json(args.out / f"history-seed{seed}.json", asdict(history))

@@ -260,12 +260,6 @@ def greedy_decode(doc: Document, scores: SlotScores,
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
 
 
-# each mention kind's slot whose parents are mentions of that same kind: the
-# edges through it form the kind's chain, and only chain edges lie on cycles
-CHAIN_SLOTS = {kind: slot for (kind, slot), (_, parent_kind) in PARENT_RULES.items()
-               if parent_kind == kind}
-
-
 def first_maxima(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The position of each slot's first maximum, for slots laid end to end.
 
@@ -279,21 +273,24 @@ def first_maxima(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return hits[np.searchsorted(hits, starts)]
 
 
-def chain_cycles(parent: np.ndarray, longest: int) -> np.ndarray:
+def chain_cycles(parent: np.ndarray) -> np.ndarray:
     """Which mentions' chains, under the first-maximum graph, hold a cycle.
 
-    ``parent[i]`` is the mention that mention i's CHAIN_SLOTS slot takes at
-    its first maximum, as a row of ``parent``, or ``len(parent)`` for a meta
-    parent; rows may span many documents. ``longest`` is at least the number
-    of mentions of any one document. The result is true for each mention
-    whose chain never reaches a meta parent: it lies on a cycle or leads
-    into one. Pointer doubling finds them: after k rounds, ``hop[i]`` is the
-    mention 2**k parents above i, with the meta parents as one absorbing
-    sink; an acyclic chain of a document reaches the sink in at most
-    ``longest`` steps, so enough rounds for 2**k >= longest leave only the
-    cyclic mentions off it.
+    A mention's chain slot is the one whose parents are mentions of its own
+    kind (a timex's timex_ref, an event's event_ref), its last slot in
+    KIND_SLOTS order; only edges through chain slots lie on cycles.
+    ``parent[i]`` is the mention that mention i's chain slot takes at its
+    first maximum, as a row of ``parent``, or ``len(parent)`` for a meta
+    parent; rows may span many documents. The result is true for each
+    mention whose chain never reaches a meta parent: it lies on a cycle or
+    leads into one. Pointer doubling finds them: after k rounds, ``hop[i]``
+    is the mention 2**k parents above i, with the meta parents as one
+    absorbing sink; an acyclic chain reaches the sink in at most
+    ``len(parent)`` steps, so enough rounds for 2**k >= len(parent) leave
+    only the cyclic mentions off it.
 
-    This is the rule that lets a whole corpus skip greedy_decode. Suppose a
+    This is the rule that lets training.decode_run skip greedy_decode for
+    every document without a cycle. Suppose a
     document's first-maximum graph, each slot taking its first maximum, has
     no cycle. Then greedy_decode returns exactly that graph, in either
     order: each slot tries its first maximum first, and the edges chosen
@@ -306,7 +303,7 @@ def chain_cycles(parent: np.ndarray, longest: int) -> np.ndarray:
     """
     n = len(parent)
     hop = np.append(parent, n)
-    for _ in range(max(longest - 1, 0).bit_length()):
+    for _ in range(max(n - 1, 0).bit_length()):
         hop = hop[hop]
     return hop[:n] != n
 

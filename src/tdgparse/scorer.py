@@ -26,14 +26,13 @@ scalars are multiplied per candidate. One bound, ``BLOCK_CANDIDATES``,
 limits that per-candidate work: it runs over slot-aligned blocks of at most
 that many candidates, each with its own per-slot softmax, so memory stays
 bounded however long a document is; gradients run the same blocks
-backwards and sum. ``score_documents`` lays documents end to end in runs of
-at most the same bound (a larger document is a run of its own, split into
-blocks) and indexes any uncached document for its run only, so a predict
-run holds one run's indexes at a time; ``score_document`` is its
-one-document case. Scoring hands each document's scores on over its
-layout, as a ``graph.SlotScores`` that ``greedy_decode`` reads directly.
-A corpus scored every epoch is laid out in the same runs once
-(``lay_out``), and ``run_scores`` scores each laid-out run.
+backwards and sum. ``lay_out`` lays documents end to end in runs of at most
+the same bound (a larger document is a run of its own, split into blocks)
+and indexes any uncached document for its run only, so a predict run holds
+one run's indexes at a time. ``run_scores`` scores one laid-out run, whose
+positions ``training.decode_run`` decodes. ``score_document`` scores a run
+of one document and hands its scores on over its layout, as a
+``graph.SlotScores`` that ``greedy_decode`` reads directly.
 All arithmetic is float64 numpy and gradients are computed analytically.
 """
 
@@ -96,8 +95,8 @@ _SCALAR_ROWS = ((np.arange(1 << N_SCALAR_FEATURES)[:, None] >> np.arange(N_SCALA
                 & 1).astype(np.float64)
 
 # the most candidates one block of the per-candidate work holds (unless a
-# single slot has more) and one run of score_documents lays end to end
-# (unless a single document has more): it bounds the memory of scoring and
+# single slot has more) and one run of lay_out lays end to end (unless a
+# single document has more): it bounds the memory of scoring and
 # of gradients
 BLOCK_CANDIDATES = 1 << 10
 
@@ -345,7 +344,7 @@ _NO_ROWS = np.zeros(0, dtype=np.int32)  # lets an empty batch concatenate
 def _concat(indexes: list[_FlatIndex]) -> _FlatIndex:
     """Lay indexes end to end, shifting every row reference to match.
 
-    Gold positions are shifted as they are, so callers check them first.
+    A gold position of -1, a slot whose gold parent is not a candidate, stays -1.
     """
     if len(indexes) == 1:
         return indexes[0]
@@ -363,13 +362,13 @@ def _concat(indexes: list[_FlatIndex]) -> _FlatIndex:
     n_mention = [len(idx.mention_len) for idx in indexes]
     cand_first = np.repeat(firsts("cand"), n_slot)
     mention_first = np.repeat(firsts("mention_len"), n_cand)
-    cand = cat("cand")
+    cand, gold = cat("cand"), cat("gold")
     return _FlatIndex(
         None,
         mention_tok=cat("mention_tok"), mention_len=cat("mention_len"),
         sent_tok=cat("sent_tok"), sent_len=cat("sent_len"),
         mention_sent=cat("mention_sent") + np.repeat(firsts("sent_len"), n_mention),
-        starts=cat("starts") + cand_first, gold=cat("gold") + cand_first,
+        starts=cat("starts") + cand_first, gold=np.where(gold >= 0, gold + cand_first, -1),
         child=cat("child") + mention_first,
         cand=cand + np.where(cand >= N_META, mention_first, 0),
         feat=cat("feat"))
@@ -472,32 +471,29 @@ class RankingModel:
         r = np.maximum(z, 0.0)
         return u, a, x, z, r, r @ self.params["w2"] + self.params["b2"]
 
-    def _runs(self, docs: Iterable[Document]) -> Iterator[list[_FlatIndex]]:
-        """The documents' indexes in runs of at most BLOCK_CANDIDATES candidates.
+    def lay_out(self, docs: Iterable[Document], dp_labels: DpLabelMap | None = None
+                ) -> Iterator[tuple[list[_FlatIndex], _FlatIndex, np.ndarray | None]]:
+        """The documents in runs of at most BLOCK_CANDIDATES candidates, each laid end to end.
 
-        A larger document is a run of its own. A document that training
-        indexed uses the cached index; any other is indexed for its run only.
+        Yields each run's indexes, the run laid end to end by _concat and its
+        content markers; run_scores scores it. A larger document is a run of
+        its own. A document that training indexed uses the cached index; any
+        other is indexed for its run only.
         """
+        def laid(run: list[_FlatIndex]):
+            return run, _concat(run), self._markers([idx.layout.doc for idx in run], dp_labels)
+
         run: list[_FlatIndex] = []
         n_cand = 0
         for doc in docs:
             idx = self._index_cache.get(id(doc)) or _index_document(doc, self.vocab)
             if run and n_cand + len(idx.cand) > BLOCK_CANDIDATES:
-                yield run
+                yield laid(run)
                 run, n_cand = [], 0
             run.append(idx)
             n_cand += len(idx.cand)
         if run:
-            yield run
-
-    def lay_out(self, docs: Iterable[Document], dp_labels: DpLabelMap | None = None
-                ) -> list[tuple[_FlatIndex, np.ndarray | None]]:
-        """score_documents' runs of the documents, each laid end to end once.
-
-        Each run comes with its content markers; run_scores scores it.
-        """
-        return [(_concat(run), self._markers([idx.layout.doc for idx in run], dp_labels))
-                for run in self._runs(docs)]
+            yield laid(run)
 
     def run_scores(self, batch: _FlatIndex, markers: np.ndarray | None) -> np.ndarray:
         """The score of every candidate of a run: one first layer, then its blocks."""
@@ -505,27 +501,15 @@ class RankingModel:
         return _joined([self._block_forward(layer, batch, c_lo, c_hi)[-1]
                         for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
 
-    def score_documents(self, docs: Iterable[Document],
-                        dp_labels: DpLabelMap | None = None) -> Iterator[SlotScores]:
-        """Score every candidate of every slot of each document, in order.
-
-        Yields one SlotScores per document, over its index's flat layout;
-        reading a slot of it gives its ScoredCandidates. Documents are
-        scored in the runs of _runs, each laid end to end, a document past
-        BLOCK_CANDIDATES being scored block by block.
-        """
-        for run in self._runs(docs):
-            values = self.run_scores(_concat(run), self._markers(
-                [idx.layout.doc for idx in run], dp_labels))
-            lo = 0
-            for idx in run:
-                yield SlotScores(idx.layout, values[lo:lo + len(idx.cand)])
-                lo += len(idx.cand)
-
     def score_document(self, doc: Document,
                        dp_labels: DpLabelMap | None = None) -> SlotScores:
-        """The scores of one document: score_documents for a run of it alone."""
-        return next(self.score_documents([doc], dp_labels))
+        """The scores of one document, as a SlotScores over its index's layout.
+
+        The document is a lay_out run of its own, scored block by block past
+        BLOCK_CANDIDATES.
+        """
+        (idx,), batch, markers = next(self.lay_out([doc], dp_labels))
+        return SlotScores(idx.layout, self.run_scores(batch, markers))
 
     def ranking_loss_and_grads(
         self, docs: list[Document], dp_labels: DpLabelMap | None = None,

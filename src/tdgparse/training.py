@@ -5,6 +5,9 @@ ranking-loss optimizer step per batch; "dp_distill" takes a discourse-profile
 step and a ranking step per batch (order configurable, or a single joint
 step). A single seeded generator drives parameter init, epoch shuffling, and
 batching, so a run is fully determined by (config, corpora, labels, seed).
+
+``decode_run`` is the one corpus decoder, behind both ``decode_corpus``
+(``tdgparse predict``) and the per-epoch ``Validation``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 from .corpus import Corpus, DpLabelMap, json_field, require_dp_coverage
 from .graph import (
-    CHAIN_SLOTS,
     DECODE_ORDERS,
     GraphError,
     SlotScores,
@@ -33,6 +35,9 @@ from .scorer import (
     ModelConfig,
     RankingModel,
     Vocabulary,
+    _concat,
+    _FlatIndex,
+    _slot_of,
     _starts,
     build_vocabulary,
     clone_params,
@@ -195,94 +200,94 @@ class TrainHistory:
     best_epoch: int = 0
 
 
+def decode_run(indexes: list[_FlatIndex], batch: _FlatIndex, values: np.ndarray,
+               order: str = "score") -> np.ndarray:
+    """The position in ``values`` of the candidate greedy_decode gives every slot.
+
+    ``batch`` is ``indexes`` laid end to end (scorer._concat) and ``values``
+    scores its candidates. A slot takes its first maximum unless its
+    document's first-maximum graph holds a cycle (graph.chain_cycles); only
+    those documents go through greedy_decode, looked up in this module. A
+    non-finite score raises GraphError naming its document, slot and
+    candidate, as SlotScores does; so does an unknown order.
+    """
+    if order not in DECODE_ORDERS:
+        raise GraphError(f"unknown decode order {order!r}")
+    n_cand = np.array([len(idx.cand) for idx in indexes])
+    cand_first = _starts(n_cand)
+    finite = np.isfinite(values)
+    if not finite.all():
+        d = int(np.searchsorted(cand_first, np.argmin(finite), side="right")) - 1
+        require_finite(indexes[d].layout, values[cand_first[d]:cand_first[d] + n_cand[d]])
+    first = first_maxima(values, batch.starts)
+    # a mention's last slot is its chain slot; batch.cand - N_META is a
+    # candidate's mention row, negative for a meta node
+    slot_child = batch.child[batch.starts]
+    chain = first[np.diff(slot_child, append=-1) != 0]
+    parent = batch.cand[chain] - N_META
+    cyclic = chain_cycles(np.where(parent >= 0, parent, len(parent)))
+    mention_doc = np.repeat(np.arange(len(indexes)), [len(idx.mention_len) for idx in indexes])
+    slot_first = _starts(np.array([len(idx.starts) for idx in indexes]))
+    for d in np.unique(mention_doc[cyclic]).tolist():
+        idx, c_lo, s_lo = indexes[d], int(cand_first[d]), int(slot_first[d])
+        layout = idx.layout
+        edges = greedy_decode(layout.doc, SlotScores(layout, values[c_lo:c_lo + n_cand[d]]),
+                              order=order).edges
+        row = {name: i for i, name in enumerate(layout.names)}
+        parent_row = np.array([row[edges[slot]] for slot in layout.slots])
+        first[s_lo:s_lo + len(layout.slots)] = c_lo + np.flatnonzero(
+            idx.cand == parent_row[_slot_of(idx.starts, n_cand[d])])
+    return first
+
+
 def decode_corpus(model: RankingModel, corpus: Corpus,
                   dp_labels: DpLabelMap | None = None,
                   order: str = "score") -> dict[str, TemporalDependencyGraph]:
     """Score and decode every document; keyed by document id.
 
-    The documents are scored in score_documents' runs and decoded one at a
-    time, as ``tdgparse predict`` does; train() validates through
-    Validation instead.
+    Each lay_out run is scored and decoded by decode_run, and each
+    document's graph is built from its slots' decoded positions.
     """
     out: dict[str, TemporalDependencyGraph] = {}
-    for doc, scores in zip(corpus, model.score_documents(corpus, dp_labels)):
-        out[doc.id] = greedy_decode(doc, scores, order=order)
+    for indexes, batch, markers in model.lay_out(corpus, dp_labels):
+        chosen = decode_run(indexes, batch, model.run_scores(batch, markers), order)
+        c_lo = s_lo = 0
+        for idx in indexes:
+            layout = idx.layout
+            cand = idx.cand[chosen[s_lo:s_lo + len(layout.slots)] - c_lo].tolist()
+            out[layout.doc.id] = TemporalDependencyGraph(
+                layout.doc.id, {slot: layout.names[c] for slot, c in zip(layout.slots, cand)})
+            c_lo += len(idx.cand)
+            s_lo += len(layout.slots)
     return out
 
 
 class Validation:
     """A validation corpus laid out once, for every epoch of one train() call.
 
-    On a valid corpus, ``accuracy(order)`` equals
-    ``evaluation.attachment_accuracy`` of ``decode_corpus`` with the same
-    model, labels and order, without decoding the corpus document by
-    document. The documents' cached indexes are laid end to end once, in
-    score_documents' runs (RankingModel.lay_out); each call scores those
-    runs and takes every slot's first maximum over the whole corpus at once.
-    Only the documents whose first-maximum graph holds a cycle
-    (graph.chain_cycles) are decoded by greedy_decode, looked up in this
-    module. A slot is correct when its decoded candidate is its index's gold
-    candidate.
+    ``accuracy(order)`` equals ``evaluation.attachment_accuracy`` of
+    decode_corpus with the same model, labels and order. The documents'
+    cached indexes are laid out once in lay_out's runs, which each call
+    scores, and once as one batch, which decode_run decodes at once. A slot
+    is correct when its decoded candidate is its gold candidate.
     """
 
     def __init__(self, model: RankingModel, corpus: Corpus,
                  dp_labels: DpLabelMap | None = None):
         self.model = model
         self.indexes = [model._index(doc) for doc in corpus]
-        self.runs = model.lay_out(corpus, dp_labels)
-        n_cand, n_slot, n_mention = (np.array([len(getattr(idx, name)) for idx in self.indexes])
-                                     for name in ("cand", "starts", "mention_len"))
-        self.cand_first, self.slot_first = _starts(n_cand), _starts(n_slot)
-        n_nodes = int(n_mention.sum())
-        self.longest = int(n_mention.max())
-        self.node_doc = np.repeat(np.arange(len(self.indexes)), n_mention)
-        starts, gold, node, chain = [], [], [], []
-        for idx, c_lo, m_lo, s_lo in zip(self.indexes, self.cand_first.tolist(),
-                                          _starts(n_mention).tolist(), self.slot_first.tolist()):
-            starts.append(idx.starts + c_lo)
-            gold.append(np.where(idx.gold >= 0, idx.gold + c_lo, -1))
-            node.append(np.where(idx.cand >= N_META, idx.cand - N_META + m_lo, n_nodes))
-            doc = idx.layout.doc
-            chain += [s_lo + i for i, slot in enumerate(idx.layout.slots)
-                      if slot.slot == CHAIN_SLOTS[doc.mention(slot.child).kind]]
-        # per slot, its first candidate and its gold candidate (or -1) in the
-        # corpus's score vector; per candidate, its mention as a row of the
-        # corpus's mentions (n_nodes for a meta node); per mention, its chain slot
-        self.starts, self.gold, self.node = map(np.concatenate, (starts, gold, node))
-        self.chain = np.array(chain, dtype=np.int64)
+        self.runs = list(model.lay_out(corpus, dp_labels))
+        self.batch = _concat(self.indexes)
 
     def accuracy(self, order: str = "score") -> float:
         """The attachment accuracy of decoding the corpus with the model's parameters now.
 
-        A non-finite score raises GraphError naming its document, slot and
-        candidate, as SlotScores does, and so does an unknown order.
+        Raises as decode_run does.
         """
-        if order not in DECODE_ORDERS:
-            raise GraphError(f"unknown decode order {order!r}")
         values = np.concatenate([self.model.run_scores(batch, markers)
-                                 for batch, markers in self.runs])
-        finite = np.isfinite(values)
-        if not finite.all():
-            d = int(np.searchsorted(self.cand_first, np.argmin(finite), side="right")) - 1
-            require_finite(self.indexes[d].layout, self._values(values, d))
-        first = first_maxima(values, self.starts)
-        correct = first == self.gold
-        cyclic = chain_cycles(self.node[first[self.chain]], self.longest)
-        for d in np.flatnonzero(np.bincount(self.node_doc[cyclic],
-                                            minlength=len(self.indexes))).tolist():
-            idx, layout = self.indexes[d], self.indexes[d].layout
-            edges = greedy_decode(layout.doc, SlotScores(layout, self._values(values, d)),
-                                  order=order).edges
-            names, cand, lo = layout.names, layout.cand.tolist(), self.slot_first[d]
-            correct[lo:lo + len(layout.slots)] = [
-                g >= 0 and names[cand[g]] == edges[slot]
-                for slot, g in zip(layout.slots, idx.gold.tolist())]
-        return int(np.count_nonzero(correct)) / len(correct)
-
-    def _values(self, values: np.ndarray, d: int) -> np.ndarray:
-        """Document d's part of the corpus's score vector."""
-        lo = self.cand_first[d]
-        return values[lo:lo + len(self.indexes[d].cand)]
+                                 for _, batch, markers in self.runs])
+        decoded = decode_run(self.indexes, self.batch, values, order)
+        return int(np.count_nonzero(decoded == self.batch.gold)) / len(decoded)
 
 
 def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,

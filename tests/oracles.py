@@ -202,6 +202,16 @@ def scores_over(doc: Document, values) -> SlotScores:
     return SlotScores(layout, np.array(score, dtype=np.float64))
 
 
+def score_documents(model, docs, dp_labels=None):
+    """One SlotScores per document, in order, scored in the model's lay_out runs."""
+    for indexes, batch, markers in model.lay_out(docs, dp_labels):
+        values = model.run_scores(batch, markers)
+        lo = 0
+        for idx in indexes:
+            yield SlotScores(idx.layout, values[lo:lo + len(idx.cand)])
+            lo += len(idx.cand)
+
+
 def random_scores(rng: random.Random, doc: Document) -> SlotScores:
     """Random finite scores for every slot; sometimes coarsened to force ties."""
     coarse = rng.random() < 0.3

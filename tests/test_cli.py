@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdgparse import scorer
+from tdgparse import cli, scorer
 from tdgparse.cli import _path, _resolve_train_config, build_parser, main
 from tdgparse.corpus import parse_corpus
 from tdgparse.graph import graph_to_json
@@ -20,7 +20,7 @@ from tdgparse.scorer import (
     build_vocabulary,
     save_checkpoint,
 )
-from tdgparse.training import decode_corpus
+from tdgparse.training import TrainingDiverged, decode_corpus
 
 from .conftest import initialized_model
 from .oracles import gold_graph
@@ -449,6 +449,35 @@ def test_failed_train_leaves_manifest_but_no_outputs(tmp_path, capsys):
     assert not (train_out / "checkpoint-seed0.json").exists()
     assert not list(train_out.glob("*.tmp"))
     capsys.readouterr()
+
+
+def test_train_failing_on_a_later_seed_leaves_no_outputs(tmp_path, monkeypatch, capsys):
+    """Every seed trains before any output is written, so a run whose second
+    seed diverges leaves the first seed's checkpoint and history unwritten."""
+    synth_out = tmp_path / "data"
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SMALL_SYNTH), encoding="utf-8")
+    assert main(["synth", "--config", str(config), "--seed", "1",
+                 "--out", str(synth_out)]) == 0
+    train, seeds = cli.train, []
+
+    def diverging(config, train_corpus, valid_corpus, dp_labels, seed):
+        seeds.append(seed)
+        if len(seeds) == 2:
+            raise TrainingDiverged(f"seed {seed} diverged")
+        return train(config, train_corpus, valid_corpus, dp_labels, seed)
+
+    monkeypatch.setattr(cli, "train", diverging)
+    train_out = tmp_path / "diverged"
+    code = main(["train", "--variant", "baseline",
+                 "--train", str(synth_out / "corpus.jsonl"),
+                 "--valid", str(synth_out / "corpus.jsonl"),
+                 "--out", str(train_out), "--epochs", "1", "--warmup-epochs", "1",
+                 "--dim", "4", "--hidden", "6", "--seeds", "0,1,2"])
+    assert code == 3
+    assert seeds == [0, 1]
+    assert capsys.readouterr().err == "error: seed 1 diverged\n"
+    assert [path.name for path in train_out.iterdir()] == ["manifest.json"]
 
 
 def test_evaluate_seed_label_mismatch(tmp_path, hand_corpus_path, capsys):

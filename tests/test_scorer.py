@@ -39,6 +39,7 @@ from .oracles import (
     random_document,
     reference_candidates,
     reference_scores,
+    score_documents,
 )
 
 
@@ -371,7 +372,7 @@ def test_score_documents_matches_score_document(variant, block, monkeypatch):
     # one bound for runs and blocks: a document past it is a run of its own,
     # scored block by block
     monkeypatch.setattr(scorer, "BLOCK_CANDIDATES", block)
-    got = list(model.score_documents(docs, labels))
+    got = list(score_documents(model, docs, labels))
     assert runs == [["tx", "one", "z"], ["synth-0000"], ["synth-0001"], ["synth-0002"]]
     assert [n > 1 for n in blocks] == [False, True, True, False]
     assert list(model._index_cache) == [id(docs[3])]
@@ -381,6 +382,18 @@ def test_score_documents_matches_score_document(variant, block, monkeypatch):
         assert list(ours) == list(theirs)
         assert np.array_equal(ours.layout.cand, theirs.layout.cand)
         assert np.allclose(ours.score, theirs.score, rtol=0, atol=1e-12), doc.id
+
+
+def test_concat_keeps_a_missing_gold_position():
+    """A slot whose gold parent is not a candidate keeps gold -1 in a batch,
+    and every other gold position shifts with its document's candidates."""
+    docs, _ = mixed_batch()
+    model = initialized_model(ModelConfig(dim=2, hidden=2), build_vocabulary(docs), seed=0)
+    first, second = (model._index(doc) for doc in docs[:2])
+    second = second._replace(gold=np.concatenate([[-1], second.gold[1:]]).astype(np.int32))
+    batch = _concat([first, second])
+    assert batch.gold.tolist() == (first.gold.tolist() + [-1]
+                                   + (second.gold[1:] + len(first.cand)).tolist())
 
 
 # one ranking loss on a 720-mention document (407,209 candidates), in a

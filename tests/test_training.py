@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -10,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdgparse import scorer, training
-from tdgparse.corpus import ContentType, document_from_json, document_to_json
+from tdgparse import cli, scorer, training
+from tdgparse.corpus import ContentType, document_from_json, document_to_json, write_corpus
 from tdgparse.evaluation import attachment_accuracy
-from tdgparse.graph import GraphError, greedy_decode
+from tdgparse.graph import DECODE_ORDERS, GraphError, candidate_layout, greedy_decode
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 from tdgparse.scorer import (
     ModelConfig,
@@ -250,15 +251,6 @@ def distill_train_config(**changes) -> TrainConfig:
     return TrainConfig(**raw)
 
 
-def test_decode_corpus_matches_decoding_one_document_at_a_time():
-    corpus, labels = distill_corpus(60)
-    config = distill_train_config(variant="dp_feature", max_epochs=2, warmup_epochs=1)
-    model, _ = train(config, corpus, corpus, labels, seed=0)
-    graphs = decode_corpus(model, corpus, labels)
-    assert graphs == {doc.id: greedy_decode(doc, model.score_document(doc, labels))
-                      for doc in corpus}
-
-
 def chain_document(n_events: int = 40):
     """A timex, one event per sentence, then a timex: each event's gold event
     parent is the event before it. Past BLOCK_CANDIDATES, it is scored in
@@ -281,7 +273,8 @@ def chain_document(n_events: int = 40):
 
 
 def validation_corpus():
-    """Distill documents, a timex-only one, a one-mention one and chain_document."""
+    """Distill documents, a timex-only one, a one-mention one and chain_document,
+    which is scored in several blocks."""
     corpus, labels = distill_corpus(30)
     timexes = make_doc({
         "id": "tx", "dct": "2021-06-01",
@@ -301,6 +294,7 @@ def validation_corpus():
         "edges": [{"child": "e1", "slot": "timex_ref", "parent": "DCT"}],
     })
     chain = chain_document()
+    assert len(candidate_layout(chain).cand) > scorer.BLOCK_CANDIDATES
     corpus = corpus[:15] + [timexes, single, chain] + corpus[15:]
     labels = dict(labels)
     labels.update({(doc.id, s.index): ContentType.C1 for doc in (timexes, single, chain)
@@ -328,29 +322,57 @@ def first_maximum_graph(scores):
     return {slot: scored.ranked()[0][0] for slot, scored in scores.items()}
 
 
-@pytest.mark.parametrize("state", ["untrained", "trained", "zero", "chain"])
-@pytest.mark.parametrize("variant", ["baseline", "dp_feature", "dp_distill"])
-def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypatch):
-    """Validation counts what decoding each document and scoring it counts,
-    and decodes slot by slot exactly the documents whose first-maximum
-    graph greedy_decode departs from, which are those it holds a cycle in."""
-    corpus, labels = validation_corpus()
-    labels = labels if variant != "baseline" else None
-    feature_labels = labels if variant == "dp_feature" else None
+STATES = ("untrained", "trained", "zero", "chain")
+
+
+@functools.cache
+def trained_model(variant: str):
+    """The config, vocabulary and parameters of a model of the variant
+    trained for two epochs on 60 distill documents, where a few documents'
+    first maxima cycle."""
+    corpus, labels = distill_corpus(60)
     config = distill_train_config(variant=variant, max_epochs=2, warmup_epochs=1)
-    if state == "trained":  # on more documents, whose first maxima then cycle in a few
-        train_corpus, train_labels = distill_corpus(60)
-        model, _ = train(config, train_corpus, train_corpus,
-                         train_labels if labels else None, seed=0)
+    model, _ = train(config, corpus, corpus, labels if variant != "baseline" else None, seed=0)
+    return model.config, model.vocab, model.params
+
+
+def model_in_state(variant: str, state: str, corpus):
+    """A fresh model of the variant in one of STATES: untrained, trained,
+    all-zero parameters (every slot ties) or chain_params."""
+    if state == "trained":
+        config, vocab, params = trained_model(variant)
+        return scorer.RankingModel(config, vocab, clone_params(params))
+    config = distill_train_config(variant=variant).model_config()
+    model = initialized_model(config, scorer.build_vocabulary(corpus), seed=0)
+    if state == "zero":
+        model.params = {name: np.zeros_like(a) for name, a in model.params.items()}
+    elif state == "chain":
+        model.params = chain_params(model)
+    return model
+
+
+def one_document_at_a_time(model, corpus, labels, order: str, state: str):
+    """Each document's greedy_decode graph over its own score_document scores,
+    and the ids of the documents whose graph departs from the first-maximum
+    graph, which are those whose first maxima cycle: most of them for an
+    untrained model, a few for a trained one and none otherwise."""
+    graphs, departs = {}, []
+    for doc in corpus:
+        scores = model.score_document(doc, labels)
+        graphs[doc.id] = greedy_decode(doc, scores, order=order)
+        if graphs[doc.id].edges != first_maximum_graph(scores):
+            departs.append(doc.id)
+    if state == "untrained":
+        assert len(departs) > len(corpus) // 2
+    elif state == "trained":
+        assert 0 < len(departs) < len(corpus) // 2
     else:
-        model = initialized_model(config.model_config(), scorer.build_vocabulary(corpus), seed=0)
-        if state == "zero":  # every score ties
-            model.params = {name: np.zeros_like(a) for name, a in model.params.items()}
-        elif state == "chain":
-            model.params = chain_params(model)
-    chain = model._index(next(doc for doc in corpus if doc.id == "chain"))
-    assert len(scorer._blocks(chain.starts, len(chain.cand))) > 1
-    validation = Validation(model, corpus, feature_labels)
+        assert departs == []
+    return graphs, departs
+
+
+def recorded_greedy_decode(monkeypatch) -> list[str]:
+    """The ids of the documents training's greedy_decode is called on, from now on."""
     decoded = []
 
     def recording(doc, scores, order):
@@ -358,33 +380,58 @@ def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypat
         return greedy_decode(doc, scores, order=order)
 
     monkeypatch.setattr(training, "greedy_decode", recording)
-    for order in ("score", "document"):
-        want = attachment_accuracy(decode_corpus(model, corpus, feature_labels, order=order),
-                                   corpus)
-        departs = [doc.id for doc, scores in zip(corpus, model.score_documents(
-            corpus, feature_labels)) if greedy_decode(doc, scores, order=order).edges
-            != first_maximum_graph(scores)]
+    return decoded
+
+
+def test_decode_corpus_matches_decoding_one_document_at_a_time(monkeypatch):
+    """decode_corpus, which `tdgparse predict` runs, gives every document the
+    graph greedy_decode gives it alone, and decodes slot by slot exactly the
+    documents whose first maxima cycle: every other one takes its first
+    maxima, in every model state, variant and order."""
+    corpus, labels = validation_corpus()
+    decoded = recorded_greedy_decode(monkeypatch)
+    for variant in scorer.VARIANTS:
+        feature_labels = labels if variant == "dp_feature" else None
+        for state in STATES:
+            model = model_in_state(variant, state, corpus)
+            for order in DECODE_ORDERS:
+                want, departs = one_document_at_a_time(model, corpus, feature_labels, order,
+                                                       state)
+                decoded.clear()
+                assert decode_corpus(model, corpus, feature_labels, order=order) == want
+                assert decoded == departs, (variant, state, order)
+
+
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("variant", ["baseline", "dp_feature", "dp_distill"])
+def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypatch):
+    """Validation counts what decoding each document alone, by greedy_decode
+    over its score_document scores, counts, and decodes slot by slot exactly
+    the documents whose first maxima cycle."""
+    corpus, labels = validation_corpus()
+    feature_labels = labels if variant == "dp_feature" else None
+    model = model_in_state(variant, state, corpus)
+    validation = Validation(model, corpus, feature_labels)
+    decoded = recorded_greedy_decode(monkeypatch)
+    for order in DECODE_ORDERS:
+        graphs, departs = one_document_at_a_time(model, corpus, feature_labels, order, state)
+        want = attachment_accuracy(graphs, corpus)
         decoded.clear()
         got = validation.accuracy(order)
         assert type(got) is float and got == want
         assert decoded == departs
-        if state == "untrained":
-            assert len(departs) > len(corpus) // 2
-        elif state == "trained":
-            assert 0 < len(departs) < len(corpus) // 2
-        else:
-            assert departs == []
     with pytest.raises(GraphError, match="unknown decode order 'random'"):
         validation.accuracy("random")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_validation_names_a_non_finite_score(bad, monkeypatch):
-    """A non-finite validation score stops training with the GraphError that
-    SlotScores raises, naming its document, slot and candidate."""
+def test_validation_names_a_non_finite_score(bad, monkeypatch, tmp_path, capsys):
+    """A non-finite score stops validation, decode_corpus and `tdgparse
+    predict` with the GraphError that SlotScores raises, naming its
+    document, slot and candidate; predict exits 3 and writes no predictions."""
     corpus, _ = validation_corpus()
     model = initialized_model(scorer.ModelConfig(), scorer.build_vocabulary(corpus), seed=0)
-    run = list(model._runs(corpus))[1]
+    run = list(model.lay_out(corpus))[1][0]
     idx = run[1]
     k = idx.starts[3] - 1  # the last candidate of its third slot
     run_scores, calls = scorer.RankingModel.run_scores, []
@@ -392,7 +439,7 @@ def test_validation_names_a_non_finite_score(bad, monkeypatch):
     def poisoned(self, batch, markers):
         values = run_scores(self, batch, markers)
         calls.append(len(values))
-        if len(calls) == 2:  # validation scores one run per call, in order
+        if len(calls) == 2:  # each path scores one run per call, in order
             values[len(run[0].cand) + k] = bad
         return values
 
@@ -403,6 +450,21 @@ def test_validation_names_a_non_finite_score(bad, monkeypatch):
         train(distill_train_config(max_epochs=1, warmup_epochs=1), corpus, corpus, None,
               seed=0)
     assert calls[1] == sum(len(i.cand) for i in run)
+
+    calls.clear()
+    with pytest.raises(GraphError, match=re.escape(message)):
+        decode_corpus(model, corpus)
+    assert calls[1] == sum(len(i.cand) for i in run)
+
+    calls.clear()
+    save_checkpoint(model, tmp_path / "checkpoint.json")
+    write_corpus(corpus, tmp_path / "corpus.jsonl")
+    out = tmp_path / "predict"
+    assert cli.main(["predict", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                     "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls[1] == sum(len(i.cand) for i in run)
+    assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
