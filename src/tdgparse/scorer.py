@@ -33,12 +33,20 @@ one run's indexes at a time. ``run_scores`` scores one laid-out run, whose
 positions ``training.decode_run`` decodes. ``score_document`` scores a run
 of one document and hands its scores on over its layout, as a
 ``graph.SlotScores`` that ``greedy_decode`` reads directly.
+
+Training reads batches from a ``TrainingLayout``, which checks every gold
+parent once per training run and lays the documents end to end once per
+epoch, so that a batch is slices of the epoch's layout. A model's
+parameters are views of one float64 vector, ``RankingModel.flat``; each
+loss writes its gradients into one vector laid out the same way, which
+training's AdamW steps on whole.
 All arithmetic is float64 numpy and gradients are computed analytically.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
@@ -176,25 +184,27 @@ def init_params(config: ModelConfig, vocab: Vocabulary,
             for name, shape in param_shapes(config, vocab).items()}
 
 
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.items()}
+def param_views(flat: np.ndarray,
+                shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """A view of ``flat`` per tensor, the tensors of these shapes lying end to end in order."""
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[lo:lo + size].reshape(shape)
+        lo += size
+    return views
 
 
 def clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: arr.copy() for name, arr in params.items()}
+    """A copy of params in one new float64 vector, as a view of it per tensor."""
+    flat = np.concatenate([np.ravel(arr) for arr in params.values()], dtype=np.float64)
+    return param_views(flat, {name: np.shape(arr) for name, arr in params.items()})
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _starts(lengths: np.ndarray) -> np.ndarray:
-    """Offset of each segment when segments of these lengths lie end to end."""
-    starts = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    return starts
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -204,7 +214,7 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     ``np.add.at`` does, for a fraction of the cost.
     """
     width = rows.shape[1]
-    cells = np.asarray(index, dtype=np.int64)[:, None] * width + np.arange(width)
+    cells = np.multiply(index, width, dtype=np.int64)[:, None] + np.arange(width)
     return np.bincount(cells.ravel(), weights=rows.ravel(),
                        minlength=n * width).reshape(n, width)
 
@@ -267,7 +277,9 @@ class _FlatIndex(NamedTuple):
 
 def _slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:
     """The slot of each of n_cand candidates, given each slot's first one."""
-    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n_cand))
+    # each slot's candidate count; np.diff with append= costs several times this
+    counts = np.concatenate((starts[1:], [n_cand])) - starts
+    return np.repeat(np.arange(len(starts)), counts)
 
 
 def _blocks(starts: np.ndarray, n_cand: int) -> list[tuple[int, int, int, int]]:
@@ -341,37 +353,113 @@ def _sentence_sizes(batch: _FlatIndex, markers: np.ndarray | None) -> np.ndarray
 _NO_ROWS = np.zeros(0, dtype=np.int32)  # lets an empty batch concatenate
 
 
-def _concat(indexes: list[_FlatIndex]) -> _FlatIndex:
+class _Offsets(NamedTuple):
+    """A position in each kind of row of indexes laid end to end."""
+
+    mention_tok: int
+    mention: int
+    sent_tok: int
+    sent: int
+    slot: int
+    cand: int
+
+
+def _columns(indexes: list[_FlatIndex]) -> dict[str, tuple[np.ndarray, ...]]:
+    """Each _FlatIndex field's arrays, one per index."""
+    columns = zip(*indexes) if indexes else [()] * len(_FlatIndex._fields)
+    return dict(zip(_FlatIndex._fields, columns))
+
+
+def _offsets(indexes: list[_FlatIndex]) -> np.ndarray:
+    """Where each index starts when the indexes lie end to end, one column
+    per _Offsets field; a last row holds the totals."""
+    columns, n = _columns(indexes), len(indexes)
+    offsets = np.zeros((n + 1, len(_Offsets._fields)), dtype=np.int32)
+    for k, name in enumerate(("mention_tok", "mention_len", "sent_tok", "sent_len",
+                              "starts", "cand")):
+        np.cumsum(np.fromiter(map(len, columns[name]), dtype=np.int32, count=n),
+                  out=offsets[1:, k])
+    return offsets
+
+
+def _concat(indexes: list[_FlatIndex], run: int | None = None) -> _FlatIndex:
     """Lay indexes end to end, shifting every row reference to match.
 
-    A gold position of -1, a slot whose gold parent is not a candidate, stays -1.
+    With ``run``, the indexes form runs of that many (the last may hold
+    fewer), and each run's row references count from the run's own first
+    rows, so that _slice takes a run back out as a batch of its own. A gold
+    position of -1, a slot whose gold parent is not a candidate, stays -1.
     """
     if len(indexes) == 1:
         return indexes[0]
+    columns, offsets = _columns(indexes), _offsets(indexes)
+    size = _Offsets(*np.diff(offsets, axis=0).T)
+    first = offsets[:-1]
+    if run is not None:
+        first = first - first[np.arange(len(indexes)) // run * run]
+    first = _Offsets(*first.T)
 
     def cat(name: str) -> np.ndarray:
-        return np.concatenate([_NO_ROWS] + [getattr(idx, name) for idx in indexes])
+        return np.concatenate(columns[name]) if indexes else _NO_ROWS
 
-    def firsts(name: str) -> np.ndarray:
-        """Each index's first row among ``name``'s rows in the batch, as the
-        index's own int32 rows are."""
-        return _starts(np.array([len(getattr(idx, name)) for idx in indexes])).astype(np.int32)
-
-    n_cand = [len(idx.cand) for idx in indexes]
-    n_slot = [len(idx.starts) for idx in indexes]
-    n_mention = [len(idx.mention_len) for idx in indexes]
-    cand_first = np.repeat(firsts("cand"), n_slot)
-    mention_first = np.repeat(firsts("mention_len"), n_cand)
+    cand_first = np.repeat(first.cand, size.slot)
+    mention_first = np.repeat(first.mention, size.cand)
     cand, gold = cat("cand"), cat("gold")
     return _FlatIndex(
         None,
         mention_tok=cat("mention_tok"), mention_len=cat("mention_len"),
         sent_tok=cat("sent_tok"), sent_len=cat("sent_len"),
-        mention_sent=cat("mention_sent") + np.repeat(firsts("sent_len"), n_mention),
+        mention_sent=cat("mention_sent") + np.repeat(first.sent, size.mention),
         starts=cat("starts") + cand_first, gold=np.where(gold >= 0, gold + cand_first, -1),
         child=cat("child") + mention_first,
         cand=cand + np.where(cand >= N_META, mention_first, 0),
         feat=cat("feat"))
+
+
+def _slice(batch: _FlatIndex, lo: _Offsets, hi: _Offsets) -> _FlatIndex:
+    """The rows of a batch from offsets lo to hi: a run of a _concat with ``run``."""
+    return _FlatIndex(
+        None,
+        mention_tok=batch.mention_tok[lo.mention_tok:hi.mention_tok],
+        mention_len=batch.mention_len[lo.mention:hi.mention],
+        sent_tok=batch.sent_tok[lo.sent_tok:hi.sent_tok],
+        sent_len=batch.sent_len[lo.sent:hi.sent],
+        mention_sent=batch.mention_sent[lo.mention:hi.mention],
+        starts=batch.starts[lo.slot:hi.slot], gold=batch.gold[lo.slot:hi.slot],
+        child=batch.child[lo.cand:hi.cand], cand=batch.cand[lo.cand:hi.cand],
+        feat=batch.feat[lo.cand:hi.cand])
+
+
+def _require_gold(indexes: Iterable[_FlatIndex]) -> None:
+    """Raise ScorerError for the first slot whose gold parent is not a candidate."""
+    for idx in indexes:
+        missing = np.flatnonzero(idx.gold < 0)
+        if missing.size:
+            doc = idx.layout.doc
+            slot = idx.layout.slots[missing[0]]
+            raise ScorerError(
+                f"document {doc.id}: slot {slot} has no gold parent among "
+                f"its candidates {candidate_set(doc, slot)}"
+            )
+
+
+def _content_types(docs: Iterable[Document], dp_labels: DpLabelMap) -> np.ndarray:
+    """The content type of every sentence of docs, as its CONTENT_TYPES index."""
+    return np.array([CONTENT_TYPE_INDEX[dp_labels[(doc.id, s.index)]]
+                     for doc in docs for s in doc.sentences], dtype=np.int64)
+
+
+class LaidBatch(NamedTuple):
+    """A training batch's documents laid end to end, with what its losses read.
+
+    ``markers`` is dp_feature's content marker of every sentence (None under
+    the other variants) and ``labels`` every sentence's content type, for the
+    dp head (None when no dp loss reads the batch).
+    """
+
+    batch: _FlatIndex
+    markers: np.ndarray | None
+    labels: np.ndarray | None
 
 
 class _FirstLayer(NamedTuple):
@@ -401,18 +489,39 @@ class RankingModel:
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary,
                  params: dict[str, np.ndarray]):
+        self.config = config
+        self.vocab = vocab
+        self._shapes = param_shapes(config, vocab)
+        self.params = params
+        self._index_cache: dict[int, _FlatIndex] = {}
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Every parameter tensor by name, in PARAM_ORDER, each a view of ``flat``."""
+        return self._params
+
+    @params.setter
+    def params(self, params: dict[str, np.ndarray]) -> None:
+        """Copy params into a new ``flat``, after checking their names, shapes and values."""
         if set(params) != set(PARAM_ORDER):
             raise ScorerError(f"params must have exactly the keys {sorted(PARAM_ORDER)}")
-        for name, shape in param_shapes(config, vocab).items():
-            if params[name].shape != shape:
-                raise ScorerError(f"parameter {name} has shape {params[name].shape}, "
+        for name, shape in self._shapes.items():
+            if np.shape(params[name]) != shape:
+                raise ScorerError(f"parameter {name} has shape {np.shape(params[name])}, "
                                   f"expected {shape} for this vocabulary and config")
             if not np.all(np.isfinite(params[name])):
                 raise ScorerError(f"parameter {name} holds non-finite values")
-        self.config = config
-        self.vocab = vocab
-        self.params = params
-        self._index_cache: dict[int, _FlatIndex] = {}
+        self.flat = np.concatenate([np.ravel(params[name]) for name in PARAM_ORDER],
+                                   dtype=np.float64)
+        self._params = param_views(self.flat, self._shapes)
+
+    def _grads(self, grad: np.ndarray | None) -> dict[str, np.ndarray]:
+        """A view per parameter of grad, zeroed in place, or of a new zero vector."""
+        if grad is None:
+            grad = np.zeros_like(self.flat)
+        else:
+            grad.fill(0.0)
+        return param_views(grad, self._shapes)
 
     def _index(self, doc: Document) -> _FlatIndex:
         # the documents training scores are cached, keyed by object: the entry's
@@ -429,8 +538,7 @@ class RankingModel:
             return None
         if dp_labels is None:
             raise ScorerError("variant dp_feature requires discourse labels to score")
-        return np.array([self.vocab.marker_index(dp_labels[(doc.id, s.index)])
-                         for doc in docs for s in doc.sentences], dtype=np.int64)
+        return MARKER_BASE_INDEX + _content_types(docs, dp_labels)
 
     def _first_layer(self, batch: _FlatIndex, markers: np.ndarray | None) -> _FirstLayer:
         """The first layer's terms for each mention and candidate-table row.
@@ -512,37 +620,36 @@ class RankingModel:
         return SlotScores(idx.layout, self.run_scores(batch, markers))
 
     def ranking_loss_and_grads(
-        self, docs: list[Document], dp_labels: DpLabelMap | None = None,
+        self, docs: list[Document], dp_labels: DpLabelMap | None = None, *,
+        laid: LaidBatch | None = None, grad: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean listwise cross-entropy over every slot, with full gradients.
 
         Each slot contributes -log softmax(scores)[gold]; the mean runs over
-        all slots of all documents in the batch.
+        all slots of all documents in the batch. ``laid`` is docs laid out
+        already (TrainingLayout), with every gold parent checked; without it
+        the documents' cached indexes are checked and laid end to end here.
+        The gradients are views of ``grad``, zeroed first, or of a new vector.
         """
-        grads = zero_grads(self.params)
-        indexes = [self._index(doc) for doc in docs]
-        markers = self._markers(docs, dp_labels)
-        for idx in indexes:
-            missing = np.flatnonzero(idx.gold < 0)
-            if missing.size:
-                doc = idx.layout.doc
-                slot = idx.layout.slots[missing[0]]
-                raise ScorerError(
-                    f"document {doc.id}: slot {slot} has no gold parent among "
-                    f"its candidates {candidate_set(doc, slot)}"
-                )
-        batch = _concat(indexes)
+        if laid is None:
+            markers = self._markers(docs, dp_labels)
+            indexes = [self._index(doc) for doc in docs]
+            _require_gold(indexes)
+            laid = LaidBatch(_concat(indexes), markers, None)
+        batch, markers = laid.batch, laid.markers
+        grads = self._grads(grad)
         n_slots = len(batch.starts)
         if n_slots == 0:
             return 0.0, grads
         d, h = self.config.dim, self.config.hidden
         w1, w2 = self.params["w1"], self.params["w2"]
+        gw1 = grads["w1"]
         layer = self._first_layer(batch, markers)
         n_rows = len(layer.a)
         total = 0.0
-        # dz summed per slot (later per child mention) and per table row,
-        # each beside the u*a block's share of the gradient toward u or a
-        d_slot = []
+        # dz summed per slot (later per child mention) and per table row, each
+        # beside the u*a block's share of the gradient toward u or a
+        dz_slot, du_slot = [], []
         d_row = np.zeros((n_rows, h + d))
         for s_lo, s_hi, c_lo, c_hi in _blocks(batch.starts, len(batch.cand)):
             u, a, x, z, r, s = self._block_forward(layer, batch, c_lo, c_hi)
@@ -558,22 +665,26 @@ class RankingModel:
             g[gold] -= 1.0 / n_slots
             grads["b2"] += g.sum()
             grads["w2"] += r.T @ g
-            dz = np.outer(g, w2) * (z > 0)
-            grads["w1"][:, 4 * d:] += dz.T @ x
+            dz = g[:, None] * w2
+            dz *= z > 0
+            gw1[:, 4 * d:] += dz.T @ x
             dx = dz @ layer.wx[:d].T
-            d_slot.append(np.add.reduceat(np.concatenate([dz, dx * a], axis=1), starts))
+            dz_slot.append(np.add.reduceat(dz, starts))
+            du_slot.append(np.add.reduceat(dx * a, starts))
             d_row += _scatter_rows(batch.cand[c_lo:c_hi],
                                    np.concatenate([dz, dx * u], axis=1), n_rows)
-        d_child = _scatter_rows(batch.child[batch.starts], _joined(d_slot), len(layer.u))
+        d_child = _scatter_rows(batch.child[batch.starts],
+                                np.concatenate([_joined(dz_slot), _joined(du_slot)], axis=1),
+                                len(layer.u))
         dc, dt = d_child[:, :h], d_row[:, :h]
-        grads["b1"] = dc.sum(axis=0)
-        grads["w1"][:, :d] = dc.T @ layer.u
-        grads["w1"][:, d:2 * d] = dc.T @ layer.sent
-        grads["w1"][:, 2 * d:3 * d] = dt.T @ layer.a
-        grads["w1"][:, 3 * d:4 * d] = dt[N_META:].T @ layer.sent
+        grads["b1"][:] = dc.sum(axis=0)
+        gw1[:, :d] = dc.T @ layer.u
+        gw1[:, d:2 * d] = dc.T @ layer.sent
+        gw1[:, 2 * d:3 * d] = dt.T @ layer.a
+        gw1[:, 3 * d:4 * d] = dt[N_META:].T @ layer.sent
         du = dc @ w1[:, :d] + d_child[:, h:]
         da = dt @ w1[:, 2 * d:3 * d] + d_row[:, h:]
-        grads["meta_embeddings"] = da[:N_META]
+        grads["meta_embeddings"][:] = da[:N_META]
         d_cand = da[N_META:]
         d_sent = _scatter_rows(batch.mention_sent,
                                dc @ w1[:, d:2 * d] + dt[N_META:] @ w1[:, 3 * d:4 * d],
@@ -583,38 +694,85 @@ class RankingModel:
                     (batch.sent_tok, batch.sent_len, d_sent)]
         if markers is not None:
             segments.append((markers, 1, d_sent))
-        demb = _token_grads(len(self.vocab), segments)
+        demb = grads["embeddings"]
+        demb[:] = _token_grads(len(self.vocab), segments)
         demb[CHILD_MARK_INDEX] += du.sum(axis=0)
         demb[CAND_MARK_INDEX] += d_cand.sum(axis=0)
-        grads["embeddings"] = demb
         return float(total / n_slots), grads
 
     def dp_loss_and_grads(
-        self, docs: list[Document], dp_labels: DpLabelMap,
+        self, docs: list[Document], dp_labels: DpLabelMap, *,
+        laid: LaidBatch | None = None, grad: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean 9-way cross-entropy of the discourse head over all sentences."""
-        require_dp_coverage(dp_labels, docs, what="batch")
-        grads = zero_grads(self.params)
-        indexes = [self._index(doc) for doc in docs]
-        tokens = np.concatenate([_NO_ROWS] + [idx.sent_tok for idx in indexes])
-        lengths = np.concatenate([_NO_ROWS] + [idx.sent_len for idx in indexes])
-        n_sents = len(lengths)
+        """Mean 9-way cross-entropy of the discourse head over all sentences.
+
+        ``laid`` and ``grad`` are as for ranking_loss_and_grads; a laid batch
+        carries its sentences' labels, and without one dp_labels must cover
+        docs.
+        """
+        if laid is None:
+            require_dp_coverage(dp_labels, docs, what="batch")
+            laid = LaidBatch(_concat([self._index(doc) for doc in docs]), None,
+                             _content_types(docs, dp_labels))
+        batch, labels = laid.batch, laid.labels
+        grads = self._grads(grad)
+        n_sents = len(batch.sent_len)
         if n_sents == 0:
             return 0.0, grads
         wd = self.params["dp_weight"]
-        labels = np.array([CONTENT_TYPE_INDEX[dp_labels[(doc.id, s.index)]]
-                           for doc in docs for s in doc.sentences], dtype=np.int64)
-        s = _segment_means(self.params["embeddings"], tokens, lengths)
+        s = _segment_means(self.params["embeddings"], batch.sent_tok, batch.sent_len)
         p = _softmax(s @ wd.T + self.params["dp_bias"])
         rows = np.arange(n_sents)
         total = -np.log(p[rows, labels]).sum()
         g = p / n_sents
         g[rows, labels] -= 1.0 / n_sents
-        grads["dp_weight"] = g.T @ s
-        grads["dp_bias"] = g.sum(axis=0)
-        grads["embeddings"] = _token_grads(len(self.vocab),
-                                           [(tokens, lengths, (g @ wd) / lengths[:, None])])
+        grads["dp_weight"][:] = g.T @ s
+        grads["dp_bias"][:] = g.sum(axis=0)
+        grads["embeddings"][:] = _token_grads(
+            len(self.vocab), [(batch.sent_tok, batch.sent_len, (g @ wd) / batch.sent_len[:, None])])
         return float(total / n_sents), grads
+
+
+class TrainingLayout:
+    """The training documents of one train() call, laid end to end once per epoch.
+
+    Built once per call: each document's cached index, with every gold parent
+    checked (the ScorerError ranking_loss_and_grads raises), its sentences'
+    dp_feature content markers when the model is dp_feature, and their
+    content types for the dp head when ``head_labels`` are given.
+    ``batches(order, size)`` lays the documents out in the epoch's order with
+    one _concat, in runs of ``size`` whose rows count from each run's start,
+    and yields each run's documents with its LaidBatch: slices of that
+    layout, no array computed per batch.
+    """
+
+    def __init__(self, model: RankingModel, docs: list[Document],
+                 feature_labels: DpLabelMap | None, head_labels: DpLabelMap | None):
+        self.docs = docs
+        self.indexes = [model._index(doc) for doc in docs]
+        _require_gold(self.indexes)
+        self.markers = (None if model.config.variant != "dp_feature"
+                        else [model._markers([doc], feature_labels) for doc in docs])
+        self.labels = (None if head_labels is None
+                       else [_content_types([doc], head_labels) for doc in docs])
+
+    def batches(self, order: np.ndarray, size: int) -> Iterator[tuple[list[Document], LaidBatch]]:
+        """Each run of ``size`` documents of ``order`` and its LaidBatch."""
+        indexes = [self.indexes[i] for i in order]
+        laid = _concat(indexes, run=size)
+        offsets = _offsets(indexes).tolist()
+
+        def per_sentence(arrays: list[np.ndarray] | None):
+            return None if arrays is None else np.concatenate([arrays[i] for i in order])
+
+        markers, labels = per_sentence(self.markers), per_sentence(self.labels)
+        for lo in range(0, len(order), size):
+            hi = min(lo + size, len(order))
+            first, end = _Offsets(*offsets[lo]), _Offsets(*offsets[hi])
+            yield [self.docs[i] for i in order[lo:hi]], LaidBatch(
+                _slice(laid, first, end),
+                None if markers is None else markers[first.sent:end.sent],
+                None if labels is None else labels[first.sent:end.sent])
 
 
 CHECKPOINT_FORMAT = 1

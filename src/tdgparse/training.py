@@ -5,6 +5,10 @@ ranking-loss optimizer step per batch; "dp_distill" takes a discourse-profile
 step and a ranking step per batch (order configurable, or a single joint
 step). A single seeded generator drives parameter init, epoch shuffling, and
 batching, so a run is fully determined by (config, corpora, labels, seed).
+Each epoch's batches are slices of one scorer.TrainingLayout of the
+permuted training corpus; each loss writes into its own flat gradient
+vector, allocated once per run, and adamw_step updates the model's flat
+parameter vector in one pass.
 
 ``decode_run`` is the one corpus decoder, behind both ``decode_corpus``
 (``tdgparse predict``) and the per-epoch ``Validation``.
@@ -13,6 +17,7 @@ batching, so a run is fully determined by (config, corpora, labels, seed).
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -34,11 +39,13 @@ from .scorer import (
     N_META,
     ModelConfig,
     RankingModel,
+    TrainingLayout,
     Vocabulary,
     _concat,
     _FlatIndex,
+    _Offsets,
+    _offsets,
     _slot_of,
-    _starts,
     build_vocabulary,
     clone_params,
     init_params,
@@ -139,51 +146,53 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, peak: float) -> float:
 
 @dataclass
 class OptimizerState:
-    """AdamW's moment estimates, each one flat vector over the parameters in order."""
+    """AdamW's moment estimates, each one flat vector over the parameters in
+    order, and where each parameter ends in them."""
 
     m: np.ndarray
     v: np.ndarray
+    ends: dict[str, int]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        size = sum(theta.size for theta in params.values())
-        return cls(m=np.zeros(size), v=np.zeros(size))
+        sizes = [np.size(a) for a in params.values()]
+        return cls(m=np.zeros(sum(sizes)), v=np.zeros(sum(sizes)),
+                   ends=dict(zip(params, itertools.accumulate(sizes))))
 
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
-def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: OptimizerState, lr: float, weight_decay: float = 0.0) -> None:
-    """One decoupled-weight-decay Adam update, in place.
+def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState, lr: float,
+               weight_decay: float = 0.0) -> None:
+    """One decoupled-weight-decay Adam update of the flat parameter vector, in place.
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + ADAM_EPS) + weight_decay * theta)
-    with moment estimates m_hat, v_hat bias-corrected for ADAM_BETAS. The
-    update runs once over every parameter laid end to end, in ``params``
-    order, after every gradient has been checked: a non-finite one raises
-    with nothing changed.
+    with moment estimates m_hat, v_hat bias-corrected for ADAM_BETAS.
+    ``theta`` and ``grad`` hold every parameter end to end, as
+    RankingModel.flat does, in the order of ``state.ends``. The gradient is
+    checked first: a non-finite one raises, naming its parameter, with
+    nothing changed.
     """
     b1, b2 = ADAM_BETAS
-    g = np.concatenate([grads[name].ravel() for name in params])
-    if not np.isfinite(g).all():
-        name = next(name for name in params if not np.isfinite(grads[name]).all())
+    finite = np.isfinite(grad)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        name = next(name for name, end in state.ends.items() if at < end)
         raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     m, v, t = state.m, state.v, state.t
     m *= b1
-    m += (1.0 - b1) * g
+    m += (1.0 - b1) * grad
     v *= b2
-    v += (1.0 - b2) * g * g
+    v += (1.0 - b2) * grad * grad
     step = m / (1.0 - b1 ** t)
     step /= np.sqrt(v / (1.0 - b2 ** t)) + ADAM_EPS
-    step += weight_decay * np.concatenate([theta.ravel() for theta in params.values()])
+    step += weight_decay * theta
     step *= lr
-    lo = 0
-    for theta in params.values():
-        theta -= step[lo:lo + theta.size].reshape(theta.shape)
-        lo += theta.size
+    theta -= step
 
 
 @dataclass
@@ -213,12 +222,11 @@ def decode_run(indexes: list[_FlatIndex], batch: _FlatIndex, values: np.ndarray,
     """
     if order not in DECODE_ORDERS:
         raise GraphError(f"unknown decode order {order!r}")
-    n_cand = np.array([len(idx.cand) for idx in indexes])
-    cand_first = _starts(n_cand)
+    first_of = _Offsets(*_offsets(indexes).T)  # each index's first rows, then the totals
     finite = np.isfinite(values)
     if not finite.all():
-        d = int(np.searchsorted(cand_first, np.argmin(finite), side="right")) - 1
-        require_finite(indexes[d].layout, values[cand_first[d]:cand_first[d] + n_cand[d]])
+        d = int(np.searchsorted(first_of.cand, np.argmin(finite), side="right")) - 1
+        require_finite(indexes[d].layout, values[first_of.cand[d]:first_of.cand[d + 1]])
     first = first_maxima(values, batch.starts)
     # a mention's last slot is its chain slot; batch.cand - N_META is a
     # candidate's mention row, negative for a meta node
@@ -226,17 +234,18 @@ def decode_run(indexes: list[_FlatIndex], batch: _FlatIndex, values: np.ndarray,
     chain = first[np.diff(slot_child, append=-1) != 0]
     parent = batch.cand[chain] - N_META
     cyclic = chain_cycles(np.where(parent >= 0, parent, len(parent)))
-    mention_doc = np.repeat(np.arange(len(indexes)), [len(idx.mention_len) for idx in indexes])
-    slot_first = _starts(np.array([len(idx.starts) for idx in indexes]))
+    mention_doc = np.repeat(np.arange(len(indexes)), np.diff(first_of.mention))
+    cand_slot = _slot_of(batch.starts, len(batch.cand))
     for d in np.unique(mention_doc[cyclic]).tolist():
-        idx, c_lo, s_lo = indexes[d], int(cand_first[d]), int(slot_first[d])
+        idx, s_lo = indexes[d], int(first_of.slot[d])
+        c_lo, c_hi = int(first_of.cand[d]), int(first_of.cand[d + 1])
         layout = idx.layout
-        edges = greedy_decode(layout.doc, SlotScores(layout, values[c_lo:c_lo + n_cand[d]]),
+        edges = greedy_decode(layout.doc, SlotScores(layout, values[c_lo:c_hi]),
                               order=order).edges
         row = {name: i for i, name in enumerate(layout.names)}
         parent_row = np.array([row[edges[slot]] for slot in layout.slots])
         first[s_lo:s_lo + len(layout.slots)] = c_lo + np.flatnonzero(
-            idx.cand == parent_row[_slot_of(idx.starts, n_cand[d])])
+            idx.cand == parent_row[cand_slot[c_lo:c_hi] - s_lo])
     return first
 
 
@@ -329,9 +338,17 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     warmup_steps = steps_per_epoch * config.warmup_epochs
 
     feature_labels = dp_labels if variant == "dp_feature" else None
-    loss_fns = {"ranking": lambda batch: model.ranking_loss_and_grads(batch, feature_labels),
-                "dp": lambda batch: model.dp_loss_and_grads(batch, dp_labels)}
+    # one gradient vector per loss, zeroed by the loss on every step
+    grad = {name: np.zeros_like(model.flat) for names in plan for name in names}
+    loss_fns = {
+        "ranking": lambda batch, laid: model.ranking_loss_and_grads(
+            batch, feature_labels, laid=laid, grad=grad["ranking"]),
+        "dp": lambda batch, laid: model.dp_loss_and_grads(
+            batch, dp_labels, laid=laid, grad=grad["dp"]),
+    }
 
+    layout = TrainingLayout(model, docs, feature_labels,
+                            dp_labels if variant == "dp_distill" else None)
     validation = Validation(model, valid_corpus, feature_labels)
     history = TrainHistory()
     best_params = clone_params(model.params)
@@ -339,21 +356,20 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     for epoch in range(config.max_epochs):
         perm = rng.permutation(len(docs))
         losses: dict[str, list[float]] = {"ranking": [], "dp": []}
-        for b in range(n_batches):
-            batch = [docs[i] for i in perm[b * config.batch_size_docs:
-                                           (b + 1) * config.batch_size_docs]]
+        for b, (batch, laid) in enumerate(layout.batches(perm, config.batch_size_docs)):
             for names in plan:
-                grads = None
                 for name in names:
-                    loss, g = loss_fns[name](batch)
+                    loss, _ = loss_fns[name](batch, laid)
                     if not math.isfinite(loss):
                         raise TrainingDiverged(
                             f"non-finite {name} loss at epoch {epoch}, batch {b}"
                         )
                     losses[name].append(loss)
-                    grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
+                step = grad[names[0]]
+                for name in names[1:]:
+                    step += grad[name]
                 lr = lr_at(state.t + 1, total_steps, warmup_steps, config.peak_lr)
-                adamw_step(model.params, grads, state, lr, weight_decay=config.weight_decay)
+                adamw_step(model.flat, step, state, lr, weight_decay=config.weight_decay)
 
         accuracy = validation.accuracy(config.decode_order)
         history.epochs.append(EpochRecord(

@@ -5,13 +5,15 @@ package: the decoder re-scans all unassigned slots every step and checks
 acyclicity with a Floyd-Warshall transitive closure; the metrics counter
 tallies flat slot tuples; the scorer reference runs the ranking MLP slot by
 slot and pushes gradients down one candidate and one token at a time; the
-AdamW reference steps one parameter at a time with fresh arrays. The
+AdamW reference steps one parameter at a time with fresh arrays, and the
+training reference takes each batch's losses from documents alone and
+validates by decoding one document at a time. The
 graph validator keeps the earlier package code: a colour-table depth-first
 search from every node and an explicit candidate list per slot; the
 document validator keeps the earlier per-kind branches and per-mention edge
 counts; the analysis tables run one loop per table. The JSON type check
 names each value's type and compares names. Plain Python only, except numpy in
-the scorer and AdamW references and the gradient check.
+the scorer, AdamW and training references and the gradient check.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from tdgparse.corpus import (
     Mention,
     Sentence,
 )
-from tdgparse.evaluation import _category, _sentences
+from tdgparse.evaluation import _category, _sentences, attachment_accuracy
 from tdgparse.graph import (
     GraphError,
     Slot,
@@ -39,11 +41,29 @@ from tdgparse.graph import (
     TemporalDependencyGraph,
     candidate_layout,
     candidate_set,
+    greedy_decode,
     slot_instances,
     validate_graph,
 )
-from tdgparse.scorer import CAND_MARK_INDEX, CHILD_MARK_INDEX, _blocks, _concat, _joined
-from tdgparse.training import ADAM_BETAS, ADAM_EPS, TrainingDiverged
+from tdgparse.scorer import (
+    CAND_MARK_INDEX,
+    CHILD_MARK_INDEX,
+    RankingModel,
+    _blocks,
+    _concat,
+    _joined,
+    build_vocabulary,
+    init_params,
+)
+from tdgparse.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
+    UPDATE_PLANS,
+    EpochRecord,
+    TrainHistory,
+    TrainingDiverged,
+    lr_at,
+)
 
 META = ("DCT", "ROOT", "NO_EVENT")
 
@@ -722,6 +742,62 @@ def reference_adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndar
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
         theta -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * theta)
+
+
+def reference_train(config, train_corpus, valid_corpus, dp_labels, seed: int):
+    """train() one batch at a time from per-tensor parameters.
+
+    The generator draws as train() does (init_params, then one permutation
+    per epoch). Each batch's losses come from ranking_loss_and_grads and
+    dp_loss_and_grads given the batch's documents alone, each step from
+    reference_adamw_step on every parameter tensor, and each epoch's
+    validation accuracy from greedy_decode over one document's
+    score_document scores at a time. Returns the best epoch's model and the
+    history.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    vocab = build_vocabulary(train_corpus)
+    model_config = config.model_config()
+    model = RankingModel(model_config, vocab, init_params(model_config, vocab, rng))
+    moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in model.params.items()}
+    feature_labels = dp_labels if config.variant == "dp_feature" else None
+    plan = UPDATE_PLANS[config.update_order] if config.variant == "dp_distill" else (("ranking",),)
+    docs = list(train_corpus)
+    n_batches = math.ceil(len(docs) / config.batch_size_docs)
+    total_steps = n_batches * len(plan) * config.max_epochs
+    warmup_steps = n_batches * len(plan) * config.warmup_epochs
+    history, best, best_accuracy, t = TrainHistory(), None, -1.0, 0
+    for epoch in range(config.max_epochs):
+        perm = rng.permutation(len(docs))
+        losses = {"ranking": [], "dp": []}
+        for b in range(n_batches):
+            batch = [docs[i] for i in perm[b * config.batch_size_docs:
+                                           (b + 1) * config.batch_size_docs]]
+            for names in plan:
+                step = None
+                for name in names:
+                    if name == "ranking":
+                        loss, grads = model.ranking_loss_and_grads(batch, feature_labels)
+                    else:
+                        loss, grads = model.dp_loss_and_grads(batch, dp_labels)
+                    losses[name].append(loss)
+                    step = grads if step is None else {k: step[k] + grads[k] for k in step}
+                t += 1
+                reference_adamw_step(model.params, step, moments, t,
+                                     lr_at(t, total_steps, warmup_steps, config.peak_lr),
+                                     weight_decay=config.weight_decay)
+        graphs = {doc.id: greedy_decode(doc, model.score_document(doc, feature_labels),
+                                        order=config.decode_order)
+                  for doc in valid_corpus}
+        accuracy = attachment_accuracy(graphs, valid_corpus)
+        history.epochs.append(EpochRecord(
+            epoch, float(np.mean(losses["ranking"])),
+            float(np.mean(losses["dp"])) if losses["dp"] else None, accuracy))
+        if accuracy > best_accuracy:
+            best, best_accuracy = {name: a.copy() for name, a in model.params.items()}, accuracy
+            history.best_epoch = epoch
+    model.params = best
+    return model, history
 
 
 # ------------------------------------------------------------ gradient check

@@ -240,14 +240,13 @@ def test_criterion_05_loss_and_optimizer_values():
     errs.append(abs(hand_dp_loss(peaked, ContentType.M1)
                     - math.log1p(8 * math.exp(-10))))
 
-    params = {"x": np.zeros(1)}
-    adamw_step(params, {"x": np.ones(1)}, OptimizerState.for_params(params),
-               lr=0.1)
-    errs.append(abs(params["x"][0] - (-0.1 / (1 + 1e-8))))
-    params = {"x": np.ones(1)}
-    adamw_step(params, {"x": np.zeros(1)}, OptimizerState.for_params(params),
+    theta = np.zeros(1)
+    adamw_step(theta, np.ones(1), OptimizerState.for_params({"x": theta}), lr=0.1)
+    errs.append(abs(theta[0] - (-0.1 / (1 + 1e-8))))
+    theta = np.ones(1)
+    adamw_step(theta, np.zeros(1), OptimizerState.for_params({"x": theta}),
                lr=0.1, weight_decay=0.01)
-    errs.append(abs(params["x"][0] - 0.999))
+    errs.append(abs(theta[0] - 0.999))
 
     exact = (lr_at(10, 20, 10, 0.3) == 0.3 and lr_at(20, 20, 10, 0.3) == 0.0
              and lr_at(0, 20, 10, 0.3) == 0.0)

@@ -6,12 +6,14 @@ only show when a traced benchmark run fails.
 """
 
 import ast
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 from tdgparse import graph, scorer, training
+from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
 from .conftest import initialized_model, make_doc
 from .oracles import scores_over
@@ -89,6 +91,30 @@ def test_tracer_patches_and_restores_every_name(perfbench_modules):
         tracer.uninstall()
     for (owner, attr), original in zip(patched, originals):
         assert getattr(owner, attr) is original
+
+
+@pytest.mark.parametrize("variant", ["baseline", "dp_distill"])
+def test_traced_training_passes_every_batch_through_the_patched_names(
+        perfbench_modules, variant):
+    """The epoch layout still hands every batch's documents to the loss
+    methods and every step to training.adamw_step, where the tracer and the
+    host-speed probes patch them."""
+    tracing, _ = perfbench_modules
+    corpus, labels = generate_synthetic_corpus(SynthConfig(n_docs=7), seed=3)
+    config = training.TrainConfig(variant=variant, max_epochs=2, warmup_epochs=1,
+                                  batch_size_docs=3, dim=4, hidden=4, seeds=(0,))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        training.train(config, corpus, corpus, labels, seed=0)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    slots = sum(len(graph.slot_instances(doc)) for doc in corpus)
+    steps_per_batch = 2 if variant == "dp_distill" else 1
+    assert metrics["scorer.ranking_slots"] == slots * config.max_epochs
+    assert metrics["training.adamw_step_calls"] == (
+        math.ceil(len(corpus) / config.batch_size_docs) * steps_per_batch * config.max_epochs)
 
 
 def _probing_calls():

@@ -22,6 +22,9 @@ from tdgparse.scorer import (
     _blocks,
     _concat,
     _index_document,
+    _Offsets,
+    _offsets,
+    _slice,
     init_params,
     load_checkpoint,
     param_shapes,
@@ -394,6 +397,25 @@ def test_concat_keeps_a_missing_gold_position():
     batch = _concat([first, second])
     assert batch.gold.tolist() == (first.gold.tolist() + [-1]
                                    + (second.gold[1:] + len(first.cand)).tolist())
+
+
+@pytest.mark.parametrize("run", [1, 2, 4])
+def test_a_run_of_a_laid_out_epoch_is_its_own_batch(run):
+    """_concat with runs, then _slice, gives each run's _concat: the rows of
+    every run count from the run's start, a gold position of -1 included."""
+    docs, _ = mixed_batch()
+    model = initialized_model(ModelConfig(dim=2, hidden=2), build_vocabulary(docs), seed=0)
+    indexes = [model._index(doc) for doc in docs]
+    indexes[1] = indexes[1]._replace(
+        gold=np.concatenate([[-1], indexes[1].gold[1:]]).astype(np.int32))
+    laid = _concat(indexes, run=run)
+    offsets = _offsets(indexes).tolist()
+    for lo in range(0, len(indexes), run):
+        hi = min(lo + run, len(indexes))
+        got = _slice(laid, _Offsets(*offsets[lo]), _Offsets(*offsets[hi]))
+        want = _concat(indexes[lo:hi])
+        for name in scorer._FlatIndex._fields[1:]:
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), (lo, name)
 
 
 # one ranking loss on a 720-mention document (407,209 candidates), in a

@@ -35,7 +35,7 @@ from tdgparse.training import (
 )
 
 from .conftest import hand_dp_loss, hand_ranking_loss, initialized_model, make_doc
-from .oracles import reference_adamw_step
+from .oracles import reference_adamw_step, reference_train
 
 
 def test_ranking_loss_hand_values():
@@ -73,35 +73,38 @@ def test_lr_schedule_exact_knee_and_endpoint():
 
 
 def test_adamw_first_step_hand_value():
-    params = {"x": np.zeros(1)}
-    state = OptimizerState.for_params(params)
-    adamw_step(params, {"x": np.ones(1)}, state, lr=0.1)
+    theta = np.zeros(1)
+    state = OptimizerState.for_params({"x": theta})
+    adamw_step(theta, np.ones(1), state, lr=0.1)
     assert state.t == 1
-    assert params["x"][0] == pytest.approx(-0.1 / (1 + 1e-8), abs=1e-9)
+    assert theta[0] == pytest.approx(-0.1 / (1 + 1e-8), abs=1e-9)
 
 
 def test_adamw_decay_only():
-    params = {"x": np.ones(1)}
-    state = OptimizerState.for_params(params)
-    adamw_step(params, {"x": np.zeros(1)}, state, lr=0.1, weight_decay=0.01)
-    assert params["x"][0] == pytest.approx(0.999, abs=1e-12)
+    theta = np.ones(1)
+    state = OptimizerState.for_params({"x": theta})
+    adamw_step(theta, np.zeros(1), state, lr=0.1, weight_decay=0.01)
+    assert theta[0] == pytest.approx(0.999, abs=1e-12)
     # without decay a zero gradient moves nothing
-    params2 = {"x": np.ones(1)}
-    adamw_step(params2, {"x": np.zeros(1)}, OptimizerState.for_params(params2),
-               lr=0.1)
-    assert params2["x"][0] == 1.0
+    theta2 = np.ones(1)
+    adamw_step(theta2, np.zeros(1), OptimizerState.for_params({"x": theta2}), lr=0.1)
+    assert theta2[0] == 1.0
 
 
 def test_adamw_updates_in_place_and_counts_steps():
-    params = {"x": np.zeros(3)}
-    arr = params["x"]
-    state = OptimizerState.for_params(params)
+    theta = np.zeros(3)
+    view = theta[1:]  # as RankingModel.params are views of RankingModel.flat
+    state = OptimizerState.for_params({"x": theta})
     for expected_t in (1, 2, 3):
-        adamw_step(params, {"x": np.full(3, 0.5)}, state, lr=0.01)
+        adamw_step(theta, np.full(3, 0.5), state, lr=0.01)
         assert state.t == expected_t
-    assert params["x"] is arr
+    assert np.all(view < 0) and np.array_equal(view, theta[1:])
     with pytest.raises(TrainingDiverged, match="non-finite"):
-        adamw_step(params, {"x": np.array([1.0, np.nan, 0.0])}, state, lr=0.01)
+        adamw_step(theta, np.array([1.0, np.nan, 0.0]), state, lr=0.01)
+
+
+def _flat(params: dict) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for a in params.values()])
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
@@ -117,7 +120,7 @@ def test_flat_adamw_matches_per_parameter_reference(weight_decay):
     for t in range(1, 7):
         grads = {name: rng.normal(scale=10.0 ** -t, size=a.shape) for name, a in params.items()}
         lr = 0.05 * t
-        adamw_step(params, grads, state, lr, weight_decay=weight_decay)
+        adamw_step(model.flat, _flat(grads), state, lr, weight_decay=weight_decay)
         reference_adamw_step(want, grads, moments, t, lr, weight_decay=weight_decay)
         assert state.t == t
         for name in params:
@@ -129,16 +132,32 @@ def test_flat_adamw_matches_per_parameter_reference(weight_decay):
 
 def test_adamw_non_finite_gradient_changes_nothing():
     params = {"a": np.ones(3), "b": np.ones((2, 2)), "c": np.zeros(())}
+    theta = _flat(params)
     state = OptimizerState.for_params(params)
-    adamw_step(params, {n: np.full(a.shape, 0.5) for n, a in params.items()}, state, lr=0.1)
-    before, m, v = clone_params(params), state.m.copy(), state.v.copy()
+    adamw_step(theta, np.full(theta.shape, 0.5), state, lr=0.1)
+    before, m, v = theta.copy(), state.m.copy(), state.v.copy()
     grads = {"a": np.ones(3), "b": np.array([[1.0, np.nan], [0.0, 1.0]]), "c": np.array(np.inf)}
     with pytest.raises(TrainingDiverged, match="parameter 'b'"):
-        adamw_step(params, grads, state, lr=0.1)
+        adamw_step(theta, _flat(grads), state, lr=0.1)
     assert state.t == 1
     assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
-    for name in params:
-        assert np.array_equal(params[name], before[name]), name
+    assert np.array_equal(theta, before)
+
+
+@pytest.mark.parametrize("update_order", list(training.UPDATE_PLANS))
+@pytest.mark.parametrize("variant", scorer.VARIANTS)
+def test_train_matches_reference_train(variant, update_order):
+    """train()'s epoch layout, flat gradients and flat AdamW give, byte for
+    byte, what per-batch losses from the documents alone and a per-tensor
+    AdamW give; chain_document makes one batch span several blocks."""
+    corpus, labels = validation_corpus()
+    config = distill_train_config(variant=variant, update_order=update_order,
+                                  max_epochs=3, warmup_epochs=1, batch_size_docs=4)
+    model, history = train(config, corpus, corpus, labels, seed=0)
+    want_model, want_history = reference_train(config, corpus, corpus, labels, seed=0)
+    assert asdict(history) == asdict(want_history)
+    for name in scorer.PARAM_ORDER:
+        assert model.params[name].tobytes() == want_model.params[name].tobytes(), name
 
 
 def test_train_config_validation():
