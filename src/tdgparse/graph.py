@@ -25,6 +25,7 @@ from .corpus import (
     Document,
     Slot,
     edge_violations,
+    intern_str,
     json_field,
 )
 
@@ -326,15 +327,15 @@ def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
     A field of the wrong JSON type raises FieldError. Edge names are left to
     validate_graph, which admits only doc's string ids and the meta nodes;
     its violations raise one GraphError naming them all, as does a missing
-    or unhashable name.
+    or unhashable name. String names are interned, as a parsed corpus's are.
     """
     edges: dict[Slot, str] = {}
     try:
         for e in json_field(obj, "edges", list, "", dict):
-            slot = _new_tuple(Slot, (e["child"], e["slot"]))
+            slot = _new_tuple(Slot, (intern_str(e["child"]), intern_str(e["slot"])))
             if slot in edges:
                 raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
-            edges[slot] = e["parent"]
+            edges[slot] = intern_str(e["parent"])
         graph = TemporalDependencyGraph(doc_id=json_field(obj, "id", str), edges=edges)
         violations = validate_graph(graph, doc)
     except (KeyError, TypeError) as exc:

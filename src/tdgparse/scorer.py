@@ -307,7 +307,8 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
     """Index one document's tokens and its candidate_layout."""
-    sent_ids = [[vocab.lookup(t) for t in s.tokens] for s in doc.sentences]
+    get = vocab.index.get  # Vocabulary.lookup, bound once per document
+    sent_ids = [[get(t.lower(), UNK_INDEX) for t in s.tokens] for s in doc.sentences]
     ordered = doc.ordered_mentions()
     spans = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
     sent = np.array([m.sentence for m in ordered], dtype=np.int32)
@@ -382,17 +383,22 @@ def _offsets(indexes: list[_FlatIndex]) -> np.ndarray:
     return offsets
 
 
-def _concat(indexes: list[_FlatIndex], run: int | None = None) -> _FlatIndex:
+def _concat(indexes: list[_FlatIndex], run: int | None = None,
+            offsets: np.ndarray | None = None) -> _FlatIndex:
     """Lay indexes end to end, shifting every row reference to match.
 
     With ``run``, the indexes form runs of that many (the last may hold
     fewer), and each run's row references count from the run's own first
     rows, so that _slice takes a run back out as a batch of its own. A gold
     position of -1, a slot whose gold parent is not a candidate, stays -1.
+    ``offsets``, when given, is _offsets(indexes), which a caller that needs
+    it too computes once.
     """
     if len(indexes) == 1:
         return indexes[0]
-    columns, offsets = _columns(indexes), _offsets(indexes)
+    columns = _columns(indexes)
+    if offsets is None:
+        offsets = _offsets(indexes)
     size = _Offsets(*np.diff(offsets, axis=0).T)
     first = offsets[:-1]
     if run is not None:
@@ -759,8 +765,9 @@ class TrainingLayout:
     def batches(self, order: np.ndarray, size: int) -> Iterator[tuple[list[Document], LaidBatch]]:
         """Each run of ``size`` documents of ``order`` and its LaidBatch."""
         indexes = [self.indexes[i] for i in order]
-        laid = _concat(indexes, run=size)
-        offsets = _offsets(indexes).tolist()
+        offsets = _offsets(indexes)
+        laid = _concat(indexes, run=size, offsets=offsets)
+        offsets = offsets.tolist()
 
         def per_sentence(arrays: list[np.ndarray] | None):
             return None if arrays is None else np.concatenate([arrays[i] for i in order])

@@ -14,6 +14,7 @@ pure function of (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from sys import intern
 
 import numpy as np
 
@@ -156,6 +157,12 @@ def generate_synthetic_corpus(config: SynthConfig,
     weights = np.array([config.content_weights[t] for t in tags], dtype=np.float64)
     weights = weights / weights.sum()
 
+    # every token, and every mention id, is one shared str object per value
+    cues = {ct: cue_token(ct) for ct in ContentType}
+    mention_tokens = {TIMEX: [f"tx{i}" for i in range(config.timex_vocab_size)],
+                      EVENT: [f"ev{i}" for i in range(config.event_vocab_size)]}
+    noise = [f"n{i}" for i in range(config.noise_vocab_size)]
+
     docs: list[Document] = []
     labels: DpLabelMap = {}
     for doc_i in range(config.n_docs):
@@ -172,10 +179,10 @@ def generate_synthetic_corpus(config: SynthConfig,
             for _ in range(_randint(rng, config.mentions_per_sentence)):
                 if rng.random() < config.timex_share:
                     n_t += 1
-                    kind, mid = TIMEX, f"t{n_t}"
+                    kind, mid = TIMEX, intern(f"t{n_t}")
                 else:
                     n_e += 1
-                    kind, mid = EVENT, f"e{n_e}"
+                    kind, mid = EVENT, intern(f"e{n_e}")
                 pos = 1 + len(sent_members[s])  # cue token sits at position 0
                 m = Mention(id=mid, kind=kind, sentence=s, start=pos, end=pos + 1)
                 mentions.append(m)
@@ -183,13 +190,11 @@ def generate_synthetic_corpus(config: SynthConfig,
 
         sentences: list[Sentence] = []
         for s in range(n_sents):
-            tokens = [cue_token(sent_types[s])]
+            tokens = [cues[sent_types[s]]]
             for m in sent_members[s]:
-                pool = config.timex_vocab_size if m.kind == TIMEX \
-                    else config.event_vocab_size
-                prefix = "tx" if m.kind == TIMEX else "ev"
-                tokens.append(f"{prefix}{int(rng.integers(0, pool))}")
-            tokens += [f"n{int(rng.integers(0, config.noise_vocab_size))}"
+                pool = mention_tokens[m.kind]
+                tokens.append(pool[int(rng.integers(0, len(pool)))])
+            tokens += [noise[int(rng.integers(0, len(noise)))]
                        for _ in range(_randint(rng, config.noise_tokens_per_sentence))]
             sentences.append(Sentence(index=s, tokens=tuple(tokens)))
 

@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 from tdgparse.corpus import (
+    META_NODES,
     ContentType,
     CorpusError,
     DpLabelError,
     GoldEdge,
+    gold_parents,
     load_dp_labels,
     parse_corpus,
     serialize_corpus,
@@ -17,7 +19,9 @@ from tdgparse.corpus import (
     validate_document,
     write_corpus,
 )
+from tdgparse.graph import TemporalDependencyGraph, graph_from_json, graph_to_json
 from tdgparse.scorer import ModelConfig, build_vocabulary, save_checkpoint
+from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
 from .conftest import HAND_DOCS, initialized_model, make_doc
 
@@ -314,3 +318,56 @@ def test_only_corpus_maps_gold_edges():
                     for gen in node.generators for n in ast.walk(gen.iter)):
                 builders.setdefault(path.name, []).append(node.lineno)
     assert builders == {}
+
+
+def _shared(names) -> None:
+    """AssertionError unless equal names are one object."""
+    first: dict[str, str] = {}
+    for name in names:
+        assert first.setdefault(name, name) is name, name
+
+
+def _assert_shares_names(docs) -> None:
+    """Equal names across ``docs`` are one object, each gold edge's child and
+    mention parent are its mention's own id, and no record has a __dict__."""
+    _shared(t for doc in docs for s in doc.sentences for t in s.tokens)
+    _shared(name for doc in docs for m in doc.mentions for name in (m.id, m.kind))
+    _shared(name for doc in docs for e in doc.gold_edges
+            for name in (e.child, e.slot, e.parent, e.label) if name is not None)
+    for doc in docs:
+        for e in doc.gold_edges:
+            assert e.child is doc.mention(e.child).id
+            assert e.parent in META_NODES or e.parent is doc.mention(e.parent).id
+        for record in (*doc.sentences, *doc.mentions, *doc.gold_edges):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_a_corpus_holds_one_object_per_distinct_name(tmp_path):
+    """parse_corpus, load_dp_labels, graph_from_json and the generator share
+    every name: one str object per value, however many documents hold it."""
+    # two documents with the same tokens and mention ids, each name longer
+    # than the one character CPython caches by itself
+    objs = [{**HAND_DOCS[0], "id": f"doc-{n}"} for n in ("one", "two")]
+    path = tmp_path / "two.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs), encoding="utf-8")
+    docs = parse_corpus(path)
+    _assert_shares_names(docs)
+    one, two = docs
+    assert one.sentences[0].tokens[0] is two.sentences[0].tokens[0]
+    assert one.mentions[0].id is two.mentions[0].id
+
+    labels_path = tmp_path / "two.tsv"
+    labels_path.write_text("".join(f"{d.id}\t{s.index}\tM1\n" for d in docs
+                                   for s in d.sentences), encoding="utf-8")
+    ids = {d.id: d.id for d in docs}
+    assert all(doc_id is ids[doc_id] for doc_id, _ in load_dp_labels(labels_path, docs))
+
+    line = json.dumps(graph_to_json(TemporalDependencyGraph(two.id, gold_parents(two)), two))
+    gold = {(e.child, e.slot): e for e in two.gold_edges}
+    for (child, slot), parent in graph_from_json(json.loads(line), two).edges.items():
+        edge = gold[child, slot]
+        assert (child, slot, parent) == (edge.child, edge.slot, edge.parent)
+        assert child is edge.child and slot is edge.slot and parent is edge.parent
+
+    synthetic, _ = generate_synthetic_corpus(SynthConfig(n_docs=6), seed=3)
+    _assert_shares_names(synthetic)
