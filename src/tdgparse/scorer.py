@@ -15,30 +15,30 @@ Three variants share this machinery:
 Each document is indexed into flat arrays: token ids of every mention and
 sentence, and the candidate layout ``graph.candidate_layout`` builds for its
 slots, with each candidate's packed scalar features; a slot's gold candidate
-is the one ``corpus.gold_parents`` names. Only the documents that training
-scores are cached. A batch of documents, for training or scoring, is scored
-by one embedding gather with segment means and a factored hidden layer. The
-MLP's input for a candidate is ``[u, sent(child), a, sent(cand), u*a,
-scalars]``, so its first layer splits by column block: the child and
-candidate blocks are multiplied once per mention and once per
+is the one ``corpus.gold_parents`` names. A model holds no index: each pass
+indexes the documents it reads. A batch of documents, for training or
+scoring, is scored by one embedding gather with segment means and a factored
+hidden layer. The MLP's input for a candidate is ``[u, sent(child), a,
+sent(cand), u*a, scalars]``, so its first layer splits by column block: the
+child and candidate blocks are multiplied once per mention and once per
 candidate-table row, and gathered per candidate; only ``u*a`` and the
 scalars are multiplied per candidate. One bound, ``BLOCK_CANDIDATES``,
 limits that per-candidate work: it runs over slot-aligned blocks of at most
 that many candidates, each with its own per-slot softmax, so memory stays
-bounded however long a document is; gradients run the same blocks
-backwards and sum. ``lay_out`` lays documents end to end in runs of at most
-the same bound (a larger document is a run of its own, split into blocks)
-and indexes any uncached document for its run only, so a predict run holds
-one run's indexes at a time. ``run_scores`` scores one laid-out run, whose
-positions ``training.decode_run`` decodes. ``score_document`` scores a run
-of one document and hands its scores on over its layout, as a
-``graph.SlotScores`` that ``greedy_decode`` reads directly.
+bounded however long a document is; gradients run the same blocks backwards
+and sum. ``lay_out`` lays the indexes it is given end to end in runs of at
+most the same bound (a larger document is a run of its own, split into
+blocks); fed indexes one at a time, a predict run holds one run's indexes at
+a time. ``run_scores`` scores one laid-out run, whose positions
+``training.decode_run`` decodes. ``score_document`` indexes and scores one
+document and hands its scores on over its layout, as a ``graph.SlotScores``
+that ``greedy_decode`` reads directly.
 
-Training reads batches from a ``TrainingLayout``, which checks every gold
-parent once per training run and lays the documents end to end once per
-epoch, so that a batch is slices of the epoch's layout. A model's
-parameters are views of one float64 vector, ``RankingModel.flat``; each
-loss writes its gradients into one vector laid out the same way, which
+Training reads batches from a ``TrainingLayout`` of the indexes it made,
+which checks every gold parent once per training run and lays the documents
+end to end once per epoch, so that a batch is slices of the epoch's layout.
+A model's parameters are views of one float64 vector, ``RankingModel.flat``;
+each loss writes its gradients into one vector laid out the same way, which
 training's AdamW steps on whole.
 All arithmetic is float64 numpy and gradients are computed analytically.
 """
@@ -60,7 +60,6 @@ from .corpus import (
     CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
     META_NODES,
-    ContentType,
     Corpus,
     Document,
     DpLabelMap,
@@ -148,12 +147,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def lookup(self, token: str) -> int:
-        return self.index.get(token.lower(), UNK_INDEX)
-
-    def marker_index(self, content_type: ContentType) -> int:
-        return MARKER_BASE_INDEX + CONTENT_TYPE_INDEX[content_type]
 
 
 def build_vocabulary(corpus: Corpus) -> Vocabulary:
@@ -307,7 +300,7 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
     """Index one document's tokens and its candidate_layout."""
-    get = vocab.index.get  # Vocabulary.lookup, bound once per document
+    get = vocab.index.get  # bound once per document
     sent_ids = [[get(t.lower(), UNK_INDEX) for t in s.tokens] for s in doc.sentences]
     ordered = doc.ordered_mentions()
     spans = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
@@ -497,9 +490,7 @@ class RankingModel:
                  params: dict[str, np.ndarray]):
         self.config = config
         self.vocab = vocab
-        self._shapes = param_shapes(config, vocab)
         self.params = params
-        self._index_cache: dict[int, _FlatIndex] = {}
 
     @property
     def params(self) -> dict[str, np.ndarray]:
@@ -511,7 +502,8 @@ class RankingModel:
         """Copy params into a new ``flat``, after checking their names, shapes and values."""
         if set(params) != set(PARAM_ORDER):
             raise ScorerError(f"params must have exactly the keys {sorted(PARAM_ORDER)}")
-        for name, shape in self._shapes.items():
+        shapes = param_shapes(self.config, self.vocab)
+        for name, shape in shapes.items():
             if np.shape(params[name]) != shape:
                 raise ScorerError(f"parameter {name} has shape {np.shape(params[name])}, "
                                   f"expected {shape} for this vocabulary and config")
@@ -519,7 +511,7 @@ class RankingModel:
                 raise ScorerError(f"parameter {name} holds non-finite values")
         self.flat = np.concatenate([np.ravel(params[name]) for name in PARAM_ORDER],
                                    dtype=np.float64)
-        self._params = param_views(self.flat, self._shapes)
+        self._params = param_views(self.flat, shapes)
 
     def _grads(self, grad: np.ndarray | None) -> dict[str, np.ndarray]:
         """A view per parameter of grad, zeroed in place, or of a new zero vector."""
@@ -527,15 +519,7 @@ class RankingModel:
             grad = np.zeros_like(self.flat)
         else:
             grad.fill(0.0)
-        return param_views(grad, self._shapes)
-
-    def _index(self, doc: Document) -> _FlatIndex:
-        # the documents training scores are cached, keyed by object: the entry's
-        # layout keeps doc alive, so its id is not reused
-        idx = self._index_cache.get(id(doc))
-        if idx is None:
-            idx = self._index_cache[id(doc)] = _index_document(doc, self.vocab)
-        return idx
+        return param_views(grad, param_shapes(self.config, self.vocab))
 
     def _markers(self, docs: list[Document],
                  dp_labels: DpLabelMap | None) -> np.ndarray | None:
@@ -585,22 +569,20 @@ class RankingModel:
         r = np.maximum(z, 0.0)
         return u, a, x, z, r, r @ self.params["w2"] + self.params["b2"]
 
-    def lay_out(self, docs: Iterable[Document], dp_labels: DpLabelMap | None = None
+    def lay_out(self, indexes: Iterable[_FlatIndex], dp_labels: DpLabelMap | None = None
                 ) -> Iterator[tuple[list[_FlatIndex], _FlatIndex, np.ndarray | None]]:
-        """The documents in runs of at most BLOCK_CANDIDATES candidates, each laid end to end.
+        """The indexes in runs of at most BLOCK_CANDIDATES candidates, each laid end to end.
 
         Yields each run's indexes, the run laid end to end by _concat and its
         content markers; run_scores scores it. A larger document is a run of
-        its own. A document that training indexed uses the cached index; any
-        other is indexed for its run only.
+        its own. Indexes are taken from ``indexes`` only as each run fills.
         """
         def laid(run: list[_FlatIndex]):
             return run, _concat(run), self._markers([idx.layout.doc for idx in run], dp_labels)
 
         run: list[_FlatIndex] = []
         n_cand = 0
-        for doc in docs:
-            idx = self._index_cache.get(id(doc)) or _index_document(doc, self.vocab)
+        for idx in indexes:
             if run and n_cand + len(idx.cand) > BLOCK_CANDIDATES:
                 yield laid(run)
                 run, n_cand = [], 0
@@ -619,11 +601,11 @@ class RankingModel:
                        dp_labels: DpLabelMap | None = None) -> SlotScores:
         """The scores of one document, as a SlotScores over its index's layout.
 
-        The document is a lay_out run of its own, scored block by block past
-        BLOCK_CANDIDATES.
+        The document is indexed for this call and scored as a run of its own,
+        block by block past BLOCK_CANDIDATES.
         """
-        (idx,), batch, markers = next(self.lay_out([doc], dp_labels))
-        return SlotScores(idx.layout, self.run_scores(batch, markers))
+        idx = _index_document(doc, self.vocab)
+        return SlotScores(idx.layout, self.run_scores(idx, self._markers([doc], dp_labels)))
 
     def ranking_loss_and_grads(
         self, docs: list[Document], dp_labels: DpLabelMap | None = None, *,
@@ -634,12 +616,12 @@ class RankingModel:
         Each slot contributes -log softmax(scores)[gold]; the mean runs over
         all slots of all documents in the batch. ``laid`` is docs laid out
         already (TrainingLayout), with every gold parent checked; without it
-        the documents' cached indexes are checked and laid end to end here.
+        the documents are indexed, checked and laid end to end here.
         The gradients are views of ``grad``, zeroed first, or of a new vector.
         """
         if laid is None:
             markers = self._markers(docs, dp_labels)
-            indexes = [self._index(doc) for doc in docs]
+            indexes = [_index_document(doc, self.vocab) for doc in docs]
             _require_gold(indexes)
             laid = LaidBatch(_concat(indexes), markers, None)
         batch, markers = laid.batch, laid.markers
@@ -718,7 +700,7 @@ class RankingModel:
         """
         if laid is None:
             require_dp_coverage(dp_labels, docs, what="batch")
-            laid = LaidBatch(_concat([self._index(doc) for doc in docs]), None,
+            laid = LaidBatch(_concat([_index_document(doc, self.vocab) for doc in docs]), None,
                              _content_types(docs, dp_labels))
         batch, labels = laid.batch, laid.labels
         grads = self._grads(grad)
@@ -742,21 +724,21 @@ class RankingModel:
 class TrainingLayout:
     """The training documents of one train() call, laid end to end once per epoch.
 
-    Built once per call: each document's cached index, with every gold parent
-    checked (the ScorerError ranking_loss_and_grads raises), its sentences'
-    dp_feature content markers when the model is dp_feature, and their
-    content types for the dp head when ``head_labels`` are given.
-    ``batches(order, size)`` lays the documents out in the epoch's order with
-    one _concat, in runs of ``size`` whose rows count from each run's start,
-    and yields each run's documents with its LaidBatch: slices of that
-    layout, no array computed per batch.
+    Built once per call from the documents' indexes, which train() makes:
+    every gold parent is checked (the ScorerError ranking_loss_and_grads
+    raises), and each document's sentences get their dp_feature content
+    markers when the model is dp_feature and their content types for the dp
+    head when ``head_labels`` are given. ``batches(order, size)`` lays the
+    indexes out in the epoch's order with one _concat, in runs of ``size``
+    whose rows count from each run's start, and yields each run's documents
+    with its LaidBatch: slices of that layout, no array computed per batch.
     """
 
-    def __init__(self, model: RankingModel, docs: list[Document],
+    def __init__(self, model: RankingModel, indexes: list[_FlatIndex],
                  feature_labels: DpLabelMap | None, head_labels: DpLabelMap | None):
-        self.docs = docs
-        self.indexes = [model._index(doc) for doc in docs]
-        _require_gold(self.indexes)
+        self.indexes = indexes
+        _require_gold(indexes)
+        docs = [idx.layout.doc for idx in indexes]
         self.markers = (None if model.config.variant != "dp_feature"
                         else [model._markers([doc], feature_labels) for doc in docs])
         self.labels = (None if head_labels is None
@@ -776,7 +758,7 @@ class TrainingLayout:
         for lo in range(0, len(order), size):
             hi = min(lo + size, len(order))
             first, end = _Offsets(*offsets[lo]), _Offsets(*offsets[hi])
-            yield [self.docs[i] for i in order[lo:hi]], LaidBatch(
+            yield [self.indexes[i].layout.doc for i in order[lo:hi]], LaidBatch(
                 _slice(laid, first, end),
                 None if markers is None else markers[first.sent:end.sent],
                 None if labels is None else labels[first.sent:end.sent])

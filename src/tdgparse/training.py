@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import scorer
 from .corpus import Corpus, DpLabelMap, json_field, require_dp_coverage
 from .graph import (
     DECODE_ORDERS,
@@ -254,11 +255,13 @@ def decode_corpus(model: RankingModel, corpus: Corpus,
                   order: str = "score") -> dict[str, TemporalDependencyGraph]:
     """Score and decode every document; keyed by document id.
 
-    Each lay_out run is scored and decoded by decode_run, and each
-    document's graph is built from its slots' decoded positions.
+    Each document is indexed as lay_out fills its run; each run is scored
+    and decoded by decode_run, and each document's graph is built from its
+    slots' decoded positions.
     """
     out: dict[str, TemporalDependencyGraph] = {}
-    for indexes, batch, markers in model.lay_out(corpus, dp_labels):
+    fresh = (scorer._index_document(doc, model.vocab) for doc in corpus)
+    for indexes, batch, markers in model.lay_out(fresh, dp_labels):
         chosen = decode_run(indexes, batch, model.run_scores(batch, markers), order)
         c_lo = s_lo = 0
         for idx in indexes:
@@ -276,17 +279,17 @@ class Validation:
 
     ``accuracy(order)`` equals ``evaluation.attachment_accuracy`` of
     decode_corpus with the same model, labels and order. The documents'
-    cached indexes are laid out once in lay_out's runs, which each call
-    scores, and once as one batch, which decode_run decodes at once. A slot
-    is correct when its decoded candidate is its gold candidate.
+    indexes, which train() makes, are laid out once in lay_out's runs, which
+    each call scores, and once as one batch, which decode_run decodes at
+    once. A slot is correct when its decoded candidate is its gold candidate.
     """
 
-    def __init__(self, model: RankingModel, corpus: Corpus,
+    def __init__(self, model: RankingModel, indexes: list[_FlatIndex],
                  dp_labels: DpLabelMap | None = None):
         self.model = model
-        self.indexes = [model._index(doc) for doc in corpus]
-        self.runs = list(model.lay_out(corpus, dp_labels))
-        self.batch = _concat(self.indexes)
+        self.indexes = indexes
+        self.runs = list(model.lay_out(indexes, dp_labels))
+        self.batch = _concat(indexes)
 
     def accuracy(self, order: str = "score") -> float:
         """The attachment accuracy of decoding the corpus with the model's parameters now.
@@ -347,9 +350,12 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
             batch, dp_labels, laid=laid, grad=grad["dp"]),
     }
 
-    layout = TrainingLayout(model, docs, feature_labels,
+    # each document object indexed once, whether one corpus or both hold it
+    distinct = {id(doc): doc for doc in itertools.chain(docs, valid_corpus)}
+    index = {key: scorer._index_document(doc, vocab) for key, doc in distinct.items()}
+    layout = TrainingLayout(model, [index[id(doc)] for doc in docs], feature_labels,
                             dp_labels if variant == "dp_distill" else None)
-    validation = Validation(model, valid_corpus, feature_labels)
+    validation = Validation(model, [index[id(doc)] for doc in valid_corpus], feature_labels)
     history = TrainHistory()
     best_params = clone_params(model.params)
     best_accuracy = -1.0

@@ -28,6 +28,7 @@ from tdgparse.corpus import (
     CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
     EDGE_LABELS,
+    ContentType,
     Document,
     GoldEdge,
     Mention,
@@ -48,9 +49,13 @@ from tdgparse.graph import (
 from tdgparse.scorer import (
     CAND_MARK_INDEX,
     CHILD_MARK_INDEX,
+    MARKER_BASE_INDEX,
+    UNK_INDEX,
     RankingModel,
+    Vocabulary,
     _blocks,
     _concat,
+    _index_document,
     _joined,
     build_vocabulary,
     init_params,
@@ -224,7 +229,8 @@ def scores_over(doc: Document, values) -> SlotScores:
 
 def score_documents(model, docs, dp_labels=None):
     """One SlotScores per document, in order, scored in the model's lay_out runs."""
-    for indexes, batch, markers in model.lay_out(docs, dp_labels):
+    fresh = (_index_document(doc, model.vocab) for doc in docs)
+    for indexes, batch, markers in model.lay_out(fresh, dp_labels):
         values = model.run_scores(batch, markers)
         lo = 0
         for idx in indexes:
@@ -562,16 +568,26 @@ def reference_tables(corpus: list[Document], dp) -> dict[str, tuple[list[int], l
 # ------------------------------------------------------------------ scorer
 
 
+def lookup(vocab: Vocabulary, token: str) -> int:
+    """A corpus token's embedding row: its lowercase form's, else <unk>'s."""
+    return vocab.index.get(token.lower(), UNK_INDEX)
+
+
+def marker_index(content_type: ContentType) -> int:
+    """The embedding row of a content type's marker token."""
+    return MARKER_BASE_INDEX + CONTENT_TYPE_INDEX[content_type]
+
+
 def _reference_tokens(model, doc: Document, dp_labels) -> tuple[dict, dict]:
     """Token ids averaged for each sentence index and each mention id."""
     vocab = model.vocab
     sentences = {}
     for s in doc.sentences:
-        ids = [vocab.lookup(t) for t in s.tokens]
+        ids = [lookup(vocab, t) for t in s.tokens]
         if model.config.variant == "dp_feature":
-            ids.append(vocab.marker_index(dp_labels[(doc.id, s.index)]))
+            ids.append(marker_index(dp_labels[(doc.id, s.index)]))
         sentences[s.index] = ids
-    mentions = {m.id: [vocab.lookup(t) for t in
+    mentions = {m.id: [lookup(vocab, t) for t in
                        doc.sentences[m.sentence].tokens[m.start:m.end]]
                 for m in doc.mentions}
     return sentences, mentions
@@ -629,7 +645,7 @@ def relu_pattern(model, docs: list[Document], dp_labels=None) -> bytes:
     Two parameter settings with equal patterns lie on the same linear
     region of the ranking loss, which finite differencing relies on.
     """
-    batch = _concat([model._index(doc) for doc in docs])
+    batch = _concat([_index_document(doc, model.vocab) for doc in docs])
     layer = model._first_layer(batch, model._markers(docs, dp_labels))
     z = _joined([model._block_forward(layer, batch, c_lo, c_hi)[3]
                  for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
@@ -706,7 +722,7 @@ def reference_dp_loss_and_grads(model, docs: list[Document], dp_labels):
     total = 0.0
     for doc in docs:
         for s in doc.sentences:
-            tokens = [model.vocab.lookup(t) for t in s.tokens]
+            tokens = [lookup(model.vocab, t) for t in s.tokens]
             x = p["embeddings"][tokens].mean(axis=0)
             logits = p["dp_weight"] @ x + p["dp_bias"]
             prob = np.exp(logits - logits.max())

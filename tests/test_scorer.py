@@ -35,6 +35,7 @@ from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 from .conftest import initialized_model, make_doc
 from .oracles import (
     finite_difference_check,
+    lookup,
     reference_dp_loss_and_grads,
     reference_ranking_loss_and_grads,
     reference_relu_pattern,
@@ -61,25 +62,30 @@ def tiny_doc():
     })
 
 
-def test_build_vocabulary_lowercases_and_sorts():
-    corpus = [make_doc({
+def one_sentence_doc(tokens: list[str]):
+    return make_doc({
         "id": "v1", "dct": "2021-01-01",
-        "sentences": [{"index": 0, "tokens": ["Fire", "fire", "ash", "$", "@"]}],
+        "sentences": [{"index": 0, "tokens": tokens}],
         "mentions": [{"id": "e1", "kind": "event", "sentence": 0,
                       "start": 0, "end": 1}],
         "edges": [{"child": "e1", "slot": "timex_ref", "parent": "DCT"}],
-    })]
-    vocab = build_vocabulary(corpus)
+    })
+
+
+def test_build_vocabulary_lowercases_and_sorts():
+    vocab = build_vocabulary([one_sentence_doc(["Fire", "fire", "ash", "$", "@"])])
     assert vocab.tokens[:3] == ["<unk>", "$", "@"]
     assert vocab.tokens[3:12] == [f"#{t}#" for t in
                                   ("M1", "M2", "C1", "C2", "D1", "D2", "D3", "D4", "NA")]
     assert vocab.tokens[12:] == ["ash", "fire"]
-    assert vocab.lookup("FIRE") == vocab.lookup("fire") == 13
-    assert vocab.lookup("never-seen") == 0
-    # corpus text spelled like a reserved token does not reach its row
-    assert [vocab.lookup(t) for t in ("$", "@", "<UNK>", "#M1#", "#m1#")] == [0] * 5
-    assert vocab.marker_index(ContentType.M1) == 3
-    assert vocab.marker_index(ContentType.NA) == 11
+    # the index looks tokens up lowercased, unseen text as <unk>, and corpus
+    # text spelled like a reserved token does not reach its row
+    doc = one_sentence_doc(["FIRE", "fire", "never-seen", "$", "@", "<UNK>", "#M1#", "#m1#"])
+    assert _index_document(doc, vocab).sent_tok.tolist() == [13, 13, 0, 0, 0, 0, 0, 0]
+    # dp_feature's marker of a sentence is its content type's reserved row
+    model = initialized_model(ModelConfig(dim=2, hidden=2, variant="dp_feature"), vocab, 0)
+    assert [model._markers([doc], {("v1", 0): ct}).tolist()
+            for ct in (ContentType.M1, ContentType.NA)] == [[3], [11]]
 
 
 def test_vocabulary_guards():
@@ -119,8 +125,8 @@ def hand_model(doc):
                          np.random.Generator(np.random.PCG64(0)))
     for name in PARAM_ORDER:
         params[name][...] = 0.0
-    params["embeddings"][vocab.lookup("a"), 0] = 1.0
-    params["embeddings"][vocab.lookup("b"), 0] = 2.0
+    params["embeddings"][lookup(vocab, "a"), 0] = 1.0
+    params["embeddings"][lookup(vocab, "b"), 0] = 2.0
     params["embeddings"][1, 0] = 0.25   # child mark
     params["embeddings"][2, 0] = 0.5    # candidate mark
     params["meta_embeddings"][:, 0] = [3.0, 4.0, 5.0]  # DCT, ROOT, NO_EVENT
@@ -291,7 +297,7 @@ def mixed_batch():
 def _block_bounds_split_an_event(model, docs) -> bool:
     """Whether some block boundary of the batch docs lies between an event's two slots."""
     slots = [slot for doc in docs for slot in candidate_layout(doc).slots]
-    batch = _concat([model._index(doc) for doc in docs])
+    batch = _concat([_index_document(doc, model.vocab) for doc in docs])
     return any(slots[lo - 1].child == slots[lo].child
                for lo, _, _, _ in _blocks(batch.starts, len(batch.cand))[1:])
 
@@ -308,17 +314,16 @@ def test_array_scorer_matches_per_slot_reference(variant, dim, hidden, monkeypat
     params["b1"] = rng.uniform(-0.05, 0.05, hidden)
     params["dp_bias"] = rng.uniform(-0.05, 0.05, 9)
     model = RankingModel(config, vocab, params)
-    whole = _concat([model._index(doc) for doc in docs])
+    whole = _concat([_index_document(doc, model.vocab) for doc in docs])
     assert len(_blocks(whole.starts, len(whole.cand))) == 1
     for block in (None, 7):
         if block is not None:
             # several blocks per document, a slot alone past the bound, and
             # a boundary between an event's timex_ref and event_ref slots
             monkeypatch.setattr(scorer, "BLOCK_CANDIDATES", block)
-            assert all(len(_blocks(idx.starts, len(idx.cand))) > 1
-                       for idx in map(model._index, docs[:3]))
-            assert any(np.diff(idx.starts).max(initial=0) > block
-                       for idx in map(model._index, docs))
+            indexes = [_index_document(doc, model.vocab) for doc in docs]
+            assert all(len(_blocks(idx.starts, len(idx.cand))) > 1 for idx in indexes[:3])
+            assert any(np.diff(idx.starts).max(initial=0) > block for idx in indexes)
             assert _block_bounds_split_an_event(model, docs)
         for doc in docs:
             got = model.score_document(doc, labels)
@@ -355,7 +360,6 @@ def test_score_documents_matches_score_document(variant, block, monkeypatch):
     params = init_params(config, build_vocabulary(docs), rng)
     params["b1"] = rng.uniform(-0.05, 0.05, 6)
     model = RankingModel(config, build_vocabulary(docs), params)
-    model._index(docs[3])
     want = [model.score_document(doc, labels) for doc in docs]
 
     runs, blocks = [], []
@@ -378,7 +382,6 @@ def test_score_documents_matches_score_document(variant, block, monkeypatch):
     got = list(score_documents(model, docs, labels))
     assert runs == [["tx", "one", "z"], ["synth-0000"], ["synth-0001"], ["synth-0002"]]
     assert [n > 1 for n in blocks] == [False, True, True, False]
-    assert list(model._index_cache) == [id(docs[3])]
     assert len(got) == len(docs)
     for doc, ours, theirs in zip(docs, got, want):
         assert ours.layout.doc is doc
@@ -392,7 +395,7 @@ def test_concat_keeps_a_missing_gold_position():
     and every other gold position shifts with its document's candidates."""
     docs, _ = mixed_batch()
     model = initialized_model(ModelConfig(dim=2, hidden=2), build_vocabulary(docs), seed=0)
-    first, second = (model._index(doc) for doc in docs[:2])
+    first, second = (_index_document(doc, model.vocab) for doc in docs[:2])
     second = second._replace(gold=np.concatenate([[-1], second.gold[1:]]).astype(np.int32))
     batch = _concat([first, second])
     assert batch.gold.tolist() == (first.gold.tolist() + [-1]
@@ -405,7 +408,7 @@ def test_a_run_of_a_laid_out_epoch_is_its_own_batch(run):
     every run count from the run's start, a gold position of -1 included."""
     docs, _ = mixed_batch()
     model = initialized_model(ModelConfig(dim=2, hidden=2), build_vocabulary(docs), seed=0)
-    indexes = [model._index(doc) for doc in docs]
+    indexes = [_index_document(doc, model.vocab) for doc in docs]
     indexes[1] = indexes[1]._replace(
         gold=np.concatenate([[-1], indexes[1].gold[1:]]).astype(np.int32))
     laid = _concat(indexes, run=run)
@@ -424,7 +427,8 @@ _LONG_DOCUMENT_LOSS = """
 import json, resource, sys
 import numpy as np
 from tdgparse import training
-from tdgparse.scorer import ModelConfig, RankingModel, build_vocabulary, init_params
+from tdgparse.scorer import (ModelConfig, RankingModel, _index_document, build_vocabulary,
+                             init_params)
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 raw = json.loads(open(sys.argv[1], encoding="utf-8").read())
 raw.update(n_docs=1, sentences_per_doc=[240, 240], mentions_per_sentence=[3, 3])
@@ -435,7 +439,7 @@ model = RankingModel(config, vocab, init_params(config, vocab, rng))
 if sys.argv[2] == "loss":
     model.ranking_loss_and_grads(corpus)
 else:
-    training.Validation(model, corpus).accuracy()
+    training.Validation(model, [_index_document(doc, vocab) for doc in corpus]).accuracy()
 print(len(corpus[0].mentions), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 

@@ -1,10 +1,12 @@
 import functools
+import gc
 import json
 import math
 import os
 import platform
 import re
 import resource
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -18,8 +20,8 @@ from tdgparse.graph import DECODE_ORDERS, GraphError, candidate_layout, greedy_d
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 from tdgparse.scorer import (
     ModelConfig,
+    _index_document,
     clone_params,
-    load_checkpoint,
     save_checkpoint,
 )
 from tdgparse.training import (
@@ -239,19 +241,21 @@ def test_train_indexes_each_document_object_once(monkeypatch):
     assert sorted(map(id, indexed)) == sorted(map(id, train_corpus + valid_corpus))
 
 
-def test_decode_corpus_keeps_no_index(tmp_path):
-    """Decoding with a loaded checkpoint indexes each document for its own
-    call, so the model's index cache stays empty; cached indexes decode alike."""
-    corpus, _, _ = separable_corpora()
-    path = tmp_path / "checkpoint.json"
-    save_checkpoint(initialized_model(ModelConfig(dim=3, hidden=4),
-                                      scorer.build_vocabulary(corpus), seed=0), path)
-    model = load_checkpoint(path)
-    graphs = decode_corpus(model, corpus)
-    assert model._index_cache == {}
-    for doc in corpus:
-        model._index(doc)
-    assert decode_corpus(model, corpus) == graphs
+def test_a_trained_model_holds_only_its_parameters():
+    """A model is its config, vocabulary and parameters: after training,
+    decoding and scoring with it, it keeps no document alive."""
+    train_corpus, valid_corpus, _ = separable_corpora()
+    model, _ = train(TrainConfig(variant="baseline", **dict(SMALL, max_epochs=2, warmup_epochs=1)),
+                     train_corpus, valid_corpus, None, seed=0)
+    graphs = decode_corpus(model, valid_corpus)
+    scores = model.score_document(train_corpus[0])
+    assert len(graphs) == len(valid_corpus) and scores.layout.doc is train_corpus[0]
+    assert set(vars(model)) == {"config", "vocab", "flat", "_params"}
+    assert all(np.shares_memory(view, model.flat) for view in model.params.values())
+    alive = [weakref.ref(doc) for doc in train_corpus + valid_corpus]
+    del train_corpus, valid_corpus, graphs, scores
+    gc.collect()
+    assert [ref for ref in alive if ref() is not None] == []
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -430,7 +434,8 @@ def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypat
     corpus, labels = validation_corpus()
     feature_labels = labels if variant == "dp_feature" else None
     model = model_in_state(variant, state, corpus)
-    validation = Validation(model, corpus, feature_labels)
+    validation = Validation(model, [_index_document(doc, model.vocab) for doc in corpus],
+                            feature_labels)
     decoded = recorded_greedy_decode(monkeypatch)
     for order in DECODE_ORDERS:
         graphs, departs = one_document_at_a_time(model, corpus, feature_labels, order, state)
@@ -450,7 +455,7 @@ def test_validation_names_a_non_finite_score(bad, monkeypatch, tmp_path, capsys)
     document, slot and candidate; predict exits 3 and writes no predictions."""
     corpus, _ = validation_corpus()
     model = initialized_model(scorer.ModelConfig(), scorer.build_vocabulary(corpus), seed=0)
-    run = list(model.lay_out(corpus))[1][0]
+    run = list(model.lay_out(_index_document(doc, model.vocab) for doc in corpus))[1][0]
     idx = run[1]
     k = idx.starts[3] - 1  # the last candidate of its third slot
     run_scores, calls = scorer.RankingModel.run_scores, []
