@@ -15,8 +15,10 @@ Three variants share this machinery:
 Each document is indexed into flat arrays: token ids of every mention and
 sentence, and the candidate layout ``graph.candidate_layout`` builds for its
 slots, with each candidate's packed scalar features; a slot's gold candidate
-is the one ``corpus.gold_parents`` names. A model holds no index: each pass
-indexes the documents it reads. A batch of documents, for training or
+is the one ``corpus.gold_parents`` names. Given discourse labels, the index
+also holds every sentence's content type, which dp_feature's markers and
+the dp head read; labels enter nowhere else. A model holds no index: each
+pass indexes the documents it reads. A batch of documents, for training or
 scoring, is scored by one embedding gather with segment means and a factored
 hidden layer. The MLP's input for a candidate is ``[u, sent(child), a,
 sent(cand), u*a, scalars]``, so its first layer splits by column block: the
@@ -36,7 +38,8 @@ that ``greedy_decode`` reads directly.
 
 Training reads batches from a ``TrainingLayout`` of the indexes it made,
 which checks every gold parent once per training run and lays the documents
-end to end once per epoch, so that a batch is slices of the epoch's layout.
+end to end once per epoch, so that a batch, content types included, is
+slices of the epoch's layout.
 A model's parameters are views of one float64 vector, ``RankingModel.flat``;
 each loss writes its gradients into one vector laid out the same way, which
 training's AdamW steps on whole.
@@ -242,8 +245,9 @@ class _FlatIndex(NamedTuple):
     Mentions are rows in document order, and ``mention_sent`` holds each
     one's sentence row. Token ids are in CSR form: flat ids plus one length
     per mention (``mention_tok``, ``mention_len``) or sentence (``sent_tok``,
-    ``sent_len``). An index holds no discourse labels: dp_feature's content
-    markers are an input to each ranking call.
+    ``sent_len``). ``ctype`` is each sentence's discourse content type, as
+    its CONTENT_TYPES index, or None when the document was indexed without
+    labels (and for a batch when any of its indexes was).
 
     Slots and their candidates are those of ``layout``, the document's
     ``candidate_layout`` (None for a batch): ``starts`` is the position of
@@ -260,6 +264,7 @@ class _FlatIndex(NamedTuple):
     mention_len: np.ndarray
     sent_tok: np.ndarray
     sent_len: np.ndarray
+    ctype: np.ndarray | None
     mention_sent: np.ndarray
     starts: np.ndarray
     gold: np.ndarray
@@ -298,8 +303,19 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
-    """Index one document's tokens and its candidate_layout."""
+def _content_types(doc: Document, dp_labels: DpLabelMap) -> np.ndarray:
+    """Each sentence's CONTENT_TYPES index; DpLabelError names a sentence without a label."""
+    try:
+        return np.array([CONTENT_TYPE_INDEX[dp_labels[(doc.id, s.index)]]
+                         for s in doc.sentences], dtype=np.int64)
+    except KeyError:
+        require_dp_coverage(dp_labels, [doc], what=f"document {doc.id}")
+        raise
+
+
+def _index_document(doc: Document, vocab: Vocabulary,
+                    dp_labels: DpLabelMap | None = None) -> _FlatIndex:
+    """Index one document's tokens, candidate_layout and, given labels, content types."""
     get = vocab.index.get  # bound once per document
     sent_ids = [[get(t.lower(), UNK_INDEX) for t in s.tokens] for s in doc.sentences]
     ordered = doc.ordered_mentions()
@@ -335,6 +351,7 @@ def _index_document(doc: Document, vocab: Vocabulary) -> _FlatIndex:
         mention_len=np.array([len(span) for span in spans], dtype=np.int32),
         sent_tok=np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32),
         sent_len=np.array([len(sentence) for sentence in sent_ids], dtype=np.int32),
+        ctype=None if dp_labels is None else _content_types(doc, dp_labels),
         mention_sent=sent, starts=layout.starts, gold=gold, child=child, cand=cand,
         feat=feat)
 
@@ -383,9 +400,9 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
     With ``run``, the indexes form runs of that many (the last may hold
     fewer), and each run's row references count from the run's own first
     rows, so that _slice takes a run back out as a batch of its own. A gold
-    position of -1, a slot whose gold parent is not a candidate, stays -1.
-    ``offsets``, when given, is _offsets(indexes), which a caller that needs
-    it too computes once.
+    position of -1, a slot whose gold parent is not a candidate, stays -1,
+    and ``ctype`` is None when any index has none. ``offsets``, when given,
+    is _offsets(indexes), which a caller that needs it too computes once.
     """
     if len(indexes) == 1:
         return indexes[0]
@@ -408,6 +425,7 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
         None,
         mention_tok=cat("mention_tok"), mention_len=cat("mention_len"),
         sent_tok=cat("sent_tok"), sent_len=cat("sent_len"),
+        ctype=None if any(c is None for c in columns["ctype"]) else cat("ctype"),
         mention_sent=cat("mention_sent") + np.repeat(first.sent, size.mention),
         starts=cat("starts") + cand_first, gold=np.where(gold >= 0, gold + cand_first, -1),
         child=cat("child") + mention_first,
@@ -423,6 +441,7 @@ def _slice(batch: _FlatIndex, lo: _Offsets, hi: _Offsets) -> _FlatIndex:
         mention_len=batch.mention_len[lo.mention:hi.mention],
         sent_tok=batch.sent_tok[lo.sent_tok:hi.sent_tok],
         sent_len=batch.sent_len[lo.sent:hi.sent],
+        ctype=None if batch.ctype is None else batch.ctype[lo.sent:hi.sent],
         mention_sent=batch.mention_sent[lo.mention:hi.mention],
         starts=batch.starts[lo.slot:hi.slot], gold=batch.gold[lo.slot:hi.slot],
         child=batch.child[lo.cand:hi.cand], cand=batch.cand[lo.cand:hi.cand],
@@ -442,23 +461,23 @@ def _require_gold(indexes: Iterable[_FlatIndex]) -> None:
             )
 
 
-def _content_types(docs: Iterable[Document], dp_labels: DpLabelMap) -> np.ndarray:
-    """The content type of every sentence of docs, as its CONTENT_TYPES index."""
-    return np.array([CONTENT_TYPE_INDEX[dp_labels[(doc.id, s.index)]]
-                     for doc in docs for s in doc.sentences], dtype=np.int64)
+def lay_out(indexes: Iterable[_FlatIndex]) -> Iterator[tuple[list[_FlatIndex], _FlatIndex]]:
+    """The indexes in runs of at most BLOCK_CANDIDATES candidates, each laid end to end.
 
-
-class LaidBatch(NamedTuple):
-    """A training batch's documents laid end to end, with what its losses read.
-
-    ``markers`` is dp_feature's content marker of every sentence (None under
-    the other variants) and ``labels`` every sentence's content type, for the
-    dp head (None when no dp loss reads the batch).
+    Yields each run's indexes and the run laid end to end by _concat, which
+    RankingModel.run_scores scores. A larger document is a run of its own.
+    Indexes are taken from ``indexes`` only as each run fills.
     """
-
-    batch: _FlatIndex
-    markers: np.ndarray | None
-    labels: np.ndarray | None
+    run: list[_FlatIndex] = []
+    n_cand = 0
+    for idx in indexes:
+        if run and n_cand + len(idx.cand) > BLOCK_CANDIDATES:
+            yield run, _concat(run)
+            run, n_cand = [], 0
+        run.append(idx)
+        n_cand += len(idx.cand)
+    if run:
+        yield run, _concat(run)
 
 
 class _FirstLayer(NamedTuple):
@@ -521,14 +540,17 @@ class RankingModel:
             grad.fill(0.0)
         return param_views(grad, param_shapes(self.config, self.vocab))
 
-    def _markers(self, docs: list[Document],
-                 dp_labels: DpLabelMap | None) -> np.ndarray | None:
-        """The content-marker token of every sentence of docs under dp_feature, else None."""
+    def _feature_labels(self, dp_labels: DpLabelMap | None) -> DpLabelMap | None:
+        """dp_labels if ranking reads them (dp_feature), else None: what a ranking index takes."""
+        return dp_labels if self.config.variant == "dp_feature" else None
+
+    def _markers(self, batch: _FlatIndex) -> np.ndarray | None:
+        """The content-marker token of every sentence of a batch under dp_feature, else None."""
         if self.config.variant != "dp_feature":
             return None
-        if dp_labels is None:
+        if batch.ctype is None:
             raise ScorerError("variant dp_feature requires discourse labels to score")
-        return MARKER_BASE_INDEX + _content_types(docs, dp_labels)
+        return MARKER_BASE_INDEX + batch.ctype
 
     def _first_layer(self, batch: _FlatIndex, markers: np.ndarray | None) -> _FirstLayer:
         """The first layer's terms for each mention and candidate-table row.
@@ -569,31 +591,12 @@ class RankingModel:
         r = np.maximum(z, 0.0)
         return u, a, x, z, r, r @ self.params["w2"] + self.params["b2"]
 
-    def lay_out(self, indexes: Iterable[_FlatIndex], dp_labels: DpLabelMap | None = None
-                ) -> Iterator[tuple[list[_FlatIndex], _FlatIndex, np.ndarray | None]]:
-        """The indexes in runs of at most BLOCK_CANDIDATES candidates, each laid end to end.
+    def run_scores(self, batch: _FlatIndex) -> np.ndarray:
+        """The score of every candidate of a run: one first layer, then its blocks.
 
-        Yields each run's indexes, the run laid end to end by _concat and its
-        content markers; run_scores scores it. A larger document is a run of
-        its own. Indexes are taken from ``indexes`` only as each run fills.
+        Under dp_feature the run's indexes must carry content types.
         """
-        def laid(run: list[_FlatIndex]):
-            return run, _concat(run), self._markers([idx.layout.doc for idx in run], dp_labels)
-
-        run: list[_FlatIndex] = []
-        n_cand = 0
-        for idx in indexes:
-            if run and n_cand + len(idx.cand) > BLOCK_CANDIDATES:
-                yield laid(run)
-                run, n_cand = [], 0
-            run.append(idx)
-            n_cand += len(idx.cand)
-        if run:
-            yield laid(run)
-
-    def run_scores(self, batch: _FlatIndex, markers: np.ndarray | None) -> np.ndarray:
-        """The score of every candidate of a run: one first layer, then its blocks."""
-        layer = self._first_layer(batch, markers)
+        layer = self._first_layer(batch, self._markers(batch))
         return _joined([self._block_forward(layer, batch, c_lo, c_hi)[-1]
                         for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
 
@@ -601,30 +604,32 @@ class RankingModel:
                        dp_labels: DpLabelMap | None = None) -> SlotScores:
         """The scores of one document, as a SlotScores over its index's layout.
 
-        The document is indexed for this call and scored as a run of its own,
-        block by block past BLOCK_CANDIDATES.
+        The document is indexed for this call, with dp_labels under
+        dp_feature only, and scored as a run of its own, block by block past
+        BLOCK_CANDIDATES.
         """
-        idx = _index_document(doc, self.vocab)
-        return SlotScores(idx.layout, self.run_scores(idx, self._markers([doc], dp_labels)))
+        idx = _index_document(doc, self.vocab, self._feature_labels(dp_labels))
+        return SlotScores(idx.layout, self.run_scores(idx))
 
     def ranking_loss_and_grads(
         self, docs: list[Document], dp_labels: DpLabelMap | None = None, *,
-        laid: LaidBatch | None = None, grad: np.ndarray | None = None,
+        laid: _FlatIndex | None = None, grad: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean listwise cross-entropy over every slot, with full gradients.
 
         Each slot contributes -log softmax(scores)[gold]; the mean runs over
         all slots of all documents in the batch. ``laid`` is docs laid out
-        already (TrainingLayout), with every gold parent checked; without it
-        the documents are indexed, checked and laid end to end here.
+        already (TrainingLayout), with every gold parent checked and, under
+        dp_feature, content types; without it the documents are indexed
+        (with dp_labels under dp_feature), checked and laid end to end here.
         The gradients are views of ``grad``, zeroed first, or of a new vector.
         """
         if laid is None:
-            markers = self._markers(docs, dp_labels)
-            indexes = [_index_document(doc, self.vocab) for doc in docs]
+            labels = self._feature_labels(dp_labels)
+            indexes = [_index_document(doc, self.vocab, labels) for doc in docs]
             _require_gold(indexes)
-            laid = LaidBatch(_concat(indexes), markers, None)
-        batch, markers = laid.batch, laid.markers
+            laid = _concat(indexes)
+        batch, markers = laid, self._markers(laid)
         grads = self._grads(grad)
         n_slots = len(batch.starts)
         if n_slots == 0:
@@ -689,20 +694,21 @@ class RankingModel:
         return float(total / n_slots), grads
 
     def dp_loss_and_grads(
-        self, docs: list[Document], dp_labels: DpLabelMap, *,
-        laid: LaidBatch | None = None, grad: np.ndarray | None = None,
+        self, docs: list[Document], dp_labels: DpLabelMap | None = None, *,
+        laid: _FlatIndex | None = None, grad: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean 9-way cross-entropy of the discourse head over all sentences.
 
-        ``laid`` and ``grad`` are as for ranking_loss_and_grads; a laid batch
-        carries its sentences' labels, and without one dp_labels must cover
-        docs.
+        The head's targets are the batch's content types: ``laid`` (as for
+        ranking_loss_and_grads) must carry them, and without it the documents
+        are indexed with dp_labels here. A batch without them raises
+        ScorerError. ``grad`` is as for ranking_loss_and_grads.
         """
         if laid is None:
-            require_dp_coverage(dp_labels, docs, what="batch")
-            laid = LaidBatch(_concat([_index_document(doc, self.vocab) for doc in docs]), None,
-                             _content_types(docs, dp_labels))
-        batch, labels = laid.batch, laid.labels
+            laid = _concat([_index_document(doc, self.vocab, dp_labels) for doc in docs])
+        batch, labels = laid, laid.ctype
+        if labels is None:
+            raise ScorerError("the discourse head requires discourse labels to train")
         grads = self._grads(grad)
         n_sents = len(batch.sent_len)
         if n_sents == 0:
@@ -724,44 +730,29 @@ class RankingModel:
 class TrainingLayout:
     """The training documents of one train() call, laid end to end once per epoch.
 
-    Built once per call from the documents' indexes, which train() makes:
-    every gold parent is checked (the ScorerError ranking_loss_and_grads
-    raises), and each document's sentences get their dp_feature content
-    markers when the model is dp_feature and their content types for the dp
-    head when ``head_labels`` are given. ``batches(order, size)`` lays the
-    indexes out in the epoch's order with one _concat, in runs of ``size``
-    whose rows count from each run's start, and yields each run's documents
-    with its LaidBatch: slices of that layout, no array computed per batch.
+    Built once per call from the documents' indexes, which train() makes
+    with the content types its losses read: every gold parent is checked
+    (the ScorerError ranking_loss_and_grads raises). ``batches(order,
+    size)`` lays the indexes out in the epoch's order with one _concat, in
+    runs of ``size`` whose rows count from each run's start, and yields each
+    run's documents with the run's slice of that layout, content types
+    included: no array computed per batch.
     """
 
-    def __init__(self, model: RankingModel, indexes: list[_FlatIndex],
-                 feature_labels: DpLabelMap | None, head_labels: DpLabelMap | None):
+    def __init__(self, indexes: list[_FlatIndex]):
         self.indexes = indexes
         _require_gold(indexes)
-        docs = [idx.layout.doc for idx in indexes]
-        self.markers = (None if model.config.variant != "dp_feature"
-                        else [model._markers([doc], feature_labels) for doc in docs])
-        self.labels = (None if head_labels is None
-                       else [_content_types([doc], head_labels) for doc in docs])
 
-    def batches(self, order: np.ndarray, size: int) -> Iterator[tuple[list[Document], LaidBatch]]:
-        """Each run of ``size`` documents of ``order`` and its LaidBatch."""
+    def batches(self, order: np.ndarray, size: int) -> Iterator[tuple[list[Document], _FlatIndex]]:
+        """Each run of ``size`` documents of ``order`` and the run laid end to end."""
         indexes = [self.indexes[i] for i in order]
         offsets = _offsets(indexes)
         laid = _concat(indexes, run=size, offsets=offsets)
         offsets = offsets.tolist()
-
-        def per_sentence(arrays: list[np.ndarray] | None):
-            return None if arrays is None else np.concatenate([arrays[i] for i in order])
-
-        markers, labels = per_sentence(self.markers), per_sentence(self.labels)
         for lo in range(0, len(order), size):
             hi = min(lo + size, len(order))
-            first, end = _Offsets(*offsets[lo]), _Offsets(*offsets[hi])
-            yield [self.indexes[i].layout.doc for i in order[lo:hi]], LaidBatch(
-                _slice(laid, first, end),
-                None if markers is None else markers[first.sent:end.sent],
-                None if labels is None else labels[first.sent:end.sent])
+            yield ([self.indexes[i].layout.doc for i in order[lo:hi]],
+                   _slice(laid, _Offsets(*offsets[lo]), _Offsets(*offsets[hi])))
 
 
 CHECKPOINT_FORMAT = 1

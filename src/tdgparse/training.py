@@ -50,6 +50,7 @@ from .scorer import (
     build_vocabulary,
     clone_params,
     init_params,
+    lay_out,
 )
 
 # glibc's heap thresholds, each under the environment variable that would
@@ -255,14 +256,15 @@ def decode_corpus(model: RankingModel, corpus: Corpus,
                   order: str = "score") -> dict[str, TemporalDependencyGraph]:
     """Score and decode every document; keyed by document id.
 
-    Each document is indexed as lay_out fills its run; each run is scored
-    and decoded by decode_run, and each document's graph is built from its
-    slots' decoded positions.
+    Each document is indexed, with dp_labels under dp_feature only, as
+    lay_out fills its run; each run is scored and decoded by decode_run, and
+    each document's graph is built from its slots' decoded positions.
     """
     out: dict[str, TemporalDependencyGraph] = {}
-    fresh = (scorer._index_document(doc, model.vocab) for doc in corpus)
-    for indexes, batch, markers in model.lay_out(fresh, dp_labels):
-        chosen = decode_run(indexes, batch, model.run_scores(batch, markers), order)
+    labels = model._feature_labels(dp_labels)
+    fresh = (scorer._index_document(doc, model.vocab, labels) for doc in corpus)
+    for indexes, batch in lay_out(fresh):
+        chosen = decode_run(indexes, batch, model.run_scores(batch), order)
         c_lo = s_lo = 0
         for idx in indexes:
             layout = idx.layout
@@ -279,16 +281,16 @@ class Validation:
 
     ``accuracy(order)`` equals ``evaluation.attachment_accuracy`` of
     decode_corpus with the same model, labels and order. The documents'
-    indexes, which train() makes, are laid out once in lay_out's runs, which
-    each call scores, and once as one batch, which decode_run decodes at
-    once. A slot is correct when its decoded candidate is its gold candidate.
+    indexes, which train() makes (with content types under dp_feature), are
+    laid out once in lay_out's runs, which each call scores, and once as one
+    batch, which decode_run decodes at once. A slot is correct when its
+    decoded candidate is its gold candidate.
     """
 
-    def __init__(self, model: RankingModel, indexes: list[_FlatIndex],
-                 dp_labels: DpLabelMap | None = None):
+    def __init__(self, model: RankingModel, indexes: list[_FlatIndex]):
         self.model = model
         self.indexes = indexes
-        self.runs = list(model.lay_out(indexes, dp_labels))
+        self.runs = list(lay_out(indexes))
         self.batch = _concat(indexes)
 
     def accuracy(self, order: str = "score") -> float:
@@ -296,8 +298,7 @@ class Validation:
 
         Raises as decode_run does.
         """
-        values = np.concatenate([self.model.run_scores(batch, markers)
-                                 for _, batch, markers in self.runs])
+        values = np.concatenate([self.model.run_scores(batch) for _, batch in self.runs])
         decoded = decode_run(self.indexes, self.batch, values, order)
         return int(np.count_nonzero(decoded == self.batch.gold)) / len(decoded)
 
@@ -340,22 +341,24 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     total_steps = steps_per_epoch * config.max_epochs
     warmup_steps = steps_per_epoch * config.warmup_epochs
 
-    feature_labels = dp_labels if variant == "dp_feature" else None
     # one gradient vector per loss, zeroed by the loss on every step
     grad = {name: np.zeros_like(model.flat) for names in plan for name in names}
     loss_fns = {
         "ranking": lambda batch, laid: model.ranking_loss_and_grads(
-            batch, feature_labels, laid=laid, grad=grad["ranking"]),
-        "dp": lambda batch, laid: model.dp_loss_and_grads(
-            batch, dp_labels, laid=laid, grad=grad["dp"]),
+            batch, laid=laid, grad=grad["ranking"]),
+        "dp": lambda batch, laid: model.dp_loss_and_grads(batch, laid=laid, grad=grad["dp"]),
     }
 
-    # each document object indexed once, whether one corpus or both hold it
-    distinct = {id(doc): doc for doc in itertools.chain(docs, valid_corpus)}
-    index = {key: scorer._index_document(doc, vocab) for key, doc in distinct.items()}
-    layout = TrainingLayout(model, [index[id(doc)] for doc in docs], feature_labels,
-                            dp_labels if variant == "dp_distill" else None)
-    validation = Validation(model, [index[id(doc)] for doc in valid_corpus], feature_labels)
+    # each document object indexed once, whether one corpus or both hold it,
+    # with labels where its variant reads them: a training document's under
+    # either dp variant, a validation-only one's under dp_feature
+    distinct = {id(doc): (doc, model._feature_labels(dp_labels)) for doc in valid_corpus}
+    distinct.update((id(doc), (doc, None if variant == "baseline" else dp_labels))
+                    for doc in docs)
+    index = {key: scorer._index_document(doc, vocab, labels)
+             for key, (doc, labels) in distinct.items()}
+    layout = TrainingLayout([index[id(doc)] for doc in docs])
+    validation = Validation(model, [index[id(doc)] for doc in valid_corpus])
     history = TrainHistory()
     best_params = clone_params(model.params)
     best_accuracy = -1.0

@@ -59,6 +59,7 @@ from tdgparse.scorer import (
     _joined,
     build_vocabulary,
     init_params,
+    lay_out,
 )
 from tdgparse.training import (
     ADAM_BETAS,
@@ -228,10 +229,10 @@ def scores_over(doc: Document, values) -> SlotScores:
 
 
 def score_documents(model, docs, dp_labels=None):
-    """One SlotScores per document, in order, scored in the model's lay_out runs."""
-    fresh = (_index_document(doc, model.vocab) for doc in docs)
-    for indexes, batch, markers in model.lay_out(fresh, dp_labels):
-        values = model.run_scores(batch, markers)
+    """One SlotScores per document, in order, scored in lay_out's runs."""
+    fresh = (_index_document(doc, model.vocab, model._feature_labels(dp_labels)) for doc in docs)
+    for indexes, batch in lay_out(fresh):
+        values = model.run_scores(batch)
         lo = 0
         for idx in indexes:
             yield SlotScores(idx.layout, values[lo:lo + len(idx.cand)])
@@ -645,8 +646,9 @@ def relu_pattern(model, docs: list[Document], dp_labels=None) -> bytes:
     Two parameter settings with equal patterns lie on the same linear
     region of the ranking loss, which finite differencing relies on.
     """
-    batch = _concat([_index_document(doc, model.vocab) for doc in docs])
-    layer = model._first_layer(batch, model._markers(docs, dp_labels))
+    labels = model._feature_labels(dp_labels)
+    batch = _concat([_index_document(doc, model.vocab, labels) for doc in docs])
+    layer = model._first_layer(batch, model._markers(batch))
     z = _joined([model._block_forward(layer, batch, c_lo, c_hi)[3]
                  for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
     return np.packbits(z > 0).tobytes()

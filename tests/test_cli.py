@@ -131,9 +131,9 @@ def test_train_parses_a_file_named_by_train_and_valid_once(tmp_path, hand_corpus
     indexed = []
     index_document = scorer._index_document
 
-    def counting(doc, vocab):
+    def counting(doc, vocab, dp_labels=None):
         indexed.append(doc.id)
-        return index_document(doc, vocab)
+        return index_document(doc, vocab, dp_labels)
 
     monkeypatch.setattr(scorer, "_index_document", counting)
     # another spelling of the same path: the check is by file, not by name

@@ -84,7 +84,7 @@ def test_build_vocabulary_lowercases_and_sorts():
     assert _index_document(doc, vocab).sent_tok.tolist() == [13, 13, 0, 0, 0, 0, 0, 0]
     # dp_feature's marker of a sentence is its content type's reserved row
     model = initialized_model(ModelConfig(dim=2, hidden=2, variant="dp_feature"), vocab, 0)
-    assert [model._markers([doc], {("v1", 0): ct}).tolist()
+    assert [model._markers(_index_document(doc, vocab, {("v1", 0): ct})).tolist()
             for ct in (ContentType.M1, ContentType.NA)] == [[3], [11]]
 
 
@@ -212,6 +212,26 @@ def test_dp_feature_requires_and_uses_labels():
     for label_map in (labels, flipped, labels):
         fresh = RankingModel(config, vocab, model.params)
         assert model.score_document(doc, label_map) == fresh.score_document(doc, label_map)
+
+
+def test_content_types_are_read_from_labelled_batches_only():
+    """dp_feature's markers and the dp head read the batch's content types:
+    a run mixing a labelled and an unlabelled index, and an unlabelled
+    batch, raise ScorerError rather than read misaligned rows."""
+    docs, labels = mixed_batch()
+    vocab = build_vocabulary(docs)
+    model = initialized_model(ModelConfig(dim=2, hidden=2, variant="dp_feature"), vocab, 0)
+    mixed = _concat([_index_document(docs[0], vocab, labels), _index_document(docs[1], vocab)])
+    assert mixed.ctype is None
+    with pytest.raises(ScorerError, match="requires discourse labels to score"):
+        model.run_scores(mixed)
+    unlabelled = _concat([_index_document(doc, vocab) for doc in docs[:2]])
+    for variant in VARIANTS:
+        head = RankingModel(ModelConfig(dim=2, hidden=2, variant=variant), vocab, model.params)
+        with pytest.raises(ScorerError, match="discourse head requires discourse labels"):
+            head.dp_loss_and_grads(docs[:2], laid=unlabelled)
+        with pytest.raises(ScorerError, match="discourse head requires discourse labels"):
+            head.dp_loss_and_grads(docs[:2])
 
 
 def test_dp_loss_ignores_variant_markers():
@@ -406,9 +426,9 @@ def test_concat_keeps_a_missing_gold_position():
 def test_a_run_of_a_laid_out_epoch_is_its_own_batch(run):
     """_concat with runs, then _slice, gives each run's _concat: the rows of
     every run count from the run's start, a gold position of -1 included."""
-    docs, _ = mixed_batch()
+    docs, labels = mixed_batch()
     model = initialized_model(ModelConfig(dim=2, hidden=2), build_vocabulary(docs), seed=0)
-    indexes = [_index_document(doc, model.vocab) for doc in docs]
+    indexes = [_index_document(doc, model.vocab, labels) for doc in docs]
     indexes[1] = indexes[1]._replace(
         gold=np.concatenate([[-1], indexes[1].gold[1:]]).astype(np.int32))
     laid = _concat(indexes, run=run)

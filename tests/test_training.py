@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from tdgparse import cli, scorer, training
-from tdgparse.corpus import ContentType, document_from_json, document_to_json, write_corpus
+from tdgparse.corpus import (
+    ContentType,
+    DpLabelError,
+    document_from_json,
+    document_to_json,
+    write_corpus,
+)
 from tdgparse.evaluation import attachment_accuracy
 from tdgparse.graph import DECODE_ORDERS, GraphError, candidate_layout, greedy_decode
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
@@ -230,15 +236,74 @@ def test_train_indexes_each_document_object_once(monkeypatch):
     indexed = []
     index_document = scorer._index_document
 
-    def counting(doc, vocab):
+    def counting(doc, vocab, dp_labels=None):
         indexed.append(doc)
-        return index_document(doc, vocab)
+        return index_document(doc, vocab, dp_labels)
 
     monkeypatch.setattr(scorer, "_index_document", counting)
     train(TrainConfig(variant="baseline", **dict(SMALL, max_epochs=2, warmup_epochs=1)),
           train_corpus, valid_corpus, None, seed=0)
     assert len(indexed) == 2 * len(train_corpus)
     assert sorted(map(id, indexed)) == sorted(map(id, train_corpus + valid_corpus))
+
+
+def test_dp_distill_trains_on_labels_that_cover_the_training_corpus_only(monkeypatch):
+    """dp_distill reads labels for its training documents only: with labels
+    that miss a separately parsed validation corpus it trains, indexing
+    each document object once, the training documents with their content
+    types and the validation documents without."""
+    train_corpus, valid_corpus, labels = separable_corpora()
+    train_corpus = train_corpus[:8]
+    train_ids = {doc.id for doc in train_corpus}
+    labels = {key: ct for key, ct in labels.items() if key[0] in train_ids}
+    labelled: dict[int, list[bool]] = {}
+    index_document = scorer._index_document
+
+    def recording(doc, vocab, dp_labels=None):
+        idx = index_document(doc, vocab, dp_labels)
+        labelled.setdefault(id(doc), []).append(idx.ctype is not None)
+        return idx
+
+    monkeypatch.setattr(scorer, "_index_document", recording)
+    _, history = train(TrainConfig(variant="dp_distill",
+                                   **dict(SMALL, max_epochs=2, warmup_epochs=1)),
+                       train_corpus, valid_corpus, labels, seed=0)
+    assert all(record.dp_loss is not None for record in history.epochs)
+    assert labelled == {**{id(doc): [True] for doc in train_corpus},
+                        **{id(doc): [False] for doc in valid_corpus}}
+
+
+@pytest.mark.parametrize("variant", ["baseline", "dp_distill"])
+def test_labels_reach_no_index_whose_variant_ignores_them(variant):
+    """Outside dp_feature, scoring and decoding give what they give without
+    labels, even given labels that cover none of the documents."""
+    corpus, _ = distill_corpus(6)
+    model = initialized_model(ModelConfig(dim=4, hidden=4, variant=variant),
+                              scorer.build_vocabulary(corpus), seed=1)
+    want = decode_corpus(model, corpus, None)
+    for labels in ({}, {("elsewhere", 0): ContentType.M1}):
+        assert decode_corpus(model, corpus, labels) == want
+        for doc in corpus:
+            got, plain = model.score_document(doc, labels), model.score_document(doc)
+            assert got.layout.slots == plain.layout.slots
+            assert np.array_equal(got.score, plain.score), doc.id
+
+
+def test_a_missing_label_names_its_document_and_sentence():
+    """Labels that miss one sentence of a document dp_feature scores stop
+    scoring, decoding and both losses with DpLabelError naming the
+    document and the sentence."""
+    corpus, labels = generate_synthetic_corpus(SynthConfig(n_docs=2), seed=3)
+    model = initialized_model(ModelConfig(dim=4, hidden=4, variant="dp_feature"),
+                              scorer.build_vocabulary(corpus), seed=2)
+    del labels[("synth-0000", 1)]
+    missing = re.escape("document synth-0000: missing (synth-0000, 1)")
+    for call in (lambda: model.score_document(corpus[0], labels),
+                 lambda: decode_corpus(model, corpus, labels),
+                 lambda: model.ranking_loss_and_grads(corpus, labels),
+                 lambda: model.dp_loss_and_grads(corpus, labels)):
+        with pytest.raises(DpLabelError, match=missing):
+            call()
 
 
 def test_a_trained_model_holds_only_its_parameters():
@@ -434,8 +499,8 @@ def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypat
     corpus, labels = validation_corpus()
     feature_labels = labels if variant == "dp_feature" else None
     model = model_in_state(variant, state, corpus)
-    validation = Validation(model, [_index_document(doc, model.vocab) for doc in corpus],
-                            feature_labels)
+    validation = Validation(model, [_index_document(doc, model.vocab, feature_labels)
+                                    for doc in corpus])
     decoded = recorded_greedy_decode(monkeypatch)
     for order in DECODE_ORDERS:
         graphs, departs = one_document_at_a_time(model, corpus, feature_labels, order, state)
@@ -455,13 +520,13 @@ def test_validation_names_a_non_finite_score(bad, monkeypatch, tmp_path, capsys)
     document, slot and candidate; predict exits 3 and writes no predictions."""
     corpus, _ = validation_corpus()
     model = initialized_model(scorer.ModelConfig(), scorer.build_vocabulary(corpus), seed=0)
-    run = list(model.lay_out(_index_document(doc, model.vocab) for doc in corpus))[1][0]
+    run = list(scorer.lay_out(_index_document(doc, model.vocab) for doc in corpus))[1][0]
     idx = run[1]
     k = idx.starts[3] - 1  # the last candidate of its third slot
     run_scores, calls = scorer.RankingModel.run_scores, []
 
-    def poisoned(self, batch, markers):
-        values = run_scores(self, batch, markers)
+    def poisoned(self, batch):
+        values = run_scores(self, batch)
         calls.append(len(values))
         if len(calls) == 2:  # each path scores one run per call, in order
             values[len(run[0].cand) + k] = bad
