@@ -6,18 +6,19 @@ and planned outputs, then the outputs themselves, each through
 ``corpus.write_atomic``. Re-running a command with the same inputs and seeds
 reproduces every artifact byte for byte but the manifest's ``timestamp``.
 
-Exit codes: 0 success; 1 an invalid corpus; 2 a usage error, meaning bad
-flags, a missing or unreadable file, a bad config file or value, a
+Exit codes, one error line each: 0 success; 1 a ``CorpusError``, an invalid
+corpus; 2 a ``UsageError`` or one of ``PATH_ERRORS``: bad flags, a missing or
+unreadable input, an ``--out`` that is a file, a bad config file or value, a
 seed-label count that does not match the prediction files, a ``train`` run
 without the discourse labels its variant needs, with an empty training
 corpus or with a validation corpus that has no slot, or a ``predict`` run of
-a ``dp_feature`` checkpoint without ``--dp-labels``; 3 a runtime fault,
-which is every other failure (any other ``ValueError`` included). One rule
-types every JSON input: a value of the wrong JSON type is reported with its
-file (and line, where there is one) and its field, and exits 1 in a corpus,
-2 in a config, 3 in a checkpoint (whose dimensions, tensors and vocabulary
-are typed) or a prediction (whose edges must name the document's string
-ids).
+a ``dp_feature`` checkpoint without ``--dp-labels``; 3 any other exception,
+a runtime fault. One rule types every JSON input: a value of the wrong JSON
+type is reported with its file (and line, where there is one) and its field,
+and exits 1 in a corpus, 2 in a config, 3 in a checkpoint (whose dimensions,
+tensors and vocabulary are typed) or a prediction (whose edges must name the
+document's string ids). A line of a corpus, label or prediction file that is
+not UTF-8 is a bad line of that file.
 
 OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -46,6 +47,7 @@ from .corpus import (
     CorpusError,
     DpLabelError,
     FieldError,
+    decode_line,
     json_field,
     load_dp_labels,
     parse_corpus,
@@ -65,7 +67,7 @@ from .evaluation import (
 from .graph import DECODE_ORDERS, GraphError, graph_from_json, graph_to_json
 from .scorer import VARIANTS, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_synthetic_corpus
-from .training import UPDATE_PLANS, TrainConfig, TrainingDiverged, decode_corpus, train
+from .training import UPDATE_PLANS, TrainConfig, decode_corpus, train
 
 
 class UsageError(Exception):
@@ -82,7 +84,7 @@ def _usage_errors(what: str):
 
 
 def _write_json(path: Path, obj) -> None:
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _digest(path: Path) -> str:
@@ -240,20 +242,21 @@ def cmd_predict(args) -> int:
     _write_manifest(args, config, [], ["predictions.jsonl"])
 
     graphs = decode_corpus(model, corpus, dp_labels, order=args.decode_order)
-    lines = [json.dumps(graph_to_json(graphs[doc.id], doc), ensure_ascii=False)
-             for doc in corpus]
-    write_atomic(args.out / "predictions.jsonl", "".join(l + "\n" for l in lines))
+    write_atomic(args.out / "predictions.jsonl",
+                 (json.dumps(graph_to_json(graphs[doc.id], doc), ensure_ascii=False) + "\n"
+                  for doc in corpus))
     return 0
 
 
 def _load_predictions(path: Path, corpus) -> dict:
     docs = {doc.id: doc for doc in corpus}
     graphs = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = decode_line(raw)
+                if not line.strip():
+                    continue
                 obj = parse_object(line)
                 doc = docs.get(json_field(obj, "id", str))
                 if doc is None:
@@ -301,8 +304,8 @@ def cmd_analyze(args) -> int:
     _write_manifest(args, {}, [], outputs)
 
     for table in tables:
-        write_atomic(args.out / f"{table.name}.csv", render_csv(table))
-        write_atomic(args.out / f"{table.name}.txt", render_text(table))
+        write_atomic(args.out / f"{table.name}.csv", [render_csv(table)])
+        write_atomic(args.out / f"{table.name}.txt", [render_text(table)])
     summary = {
         "corpus_identity": corpus_identity(corpus),
         "n_documents": len(corpus),
@@ -383,21 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the OSErrors of a path flag that names a file which cannot be used as asked
+PATH_ERRORS = (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+               PermissionError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CorpusError as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, DpLabelError, GraphError, TrainingDiverged, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, CorpusError):
+            return 1
+        return 2 if isinstance(exc, (UsageError, *PATH_ERRORS)) else 3
 
 
 if __name__ == "__main__":

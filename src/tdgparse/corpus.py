@@ -21,7 +21,7 @@ import json
 import os
 import reprlib
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
@@ -357,22 +357,32 @@ def document_from_json(obj: dict) -> Document:
                     gold_edges=edges)
 
 
+def decode_line(line: bytes) -> str:
+    """One line of an input file, read as bytes, as text; FieldError if it is not UTF-8."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FieldError(f"not UTF-8 text: {exc}") from None
+
+
 def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[str]]]:
     """Read a JSONL corpus line by line, yielding ``(where, doc, violations)``.
 
     ``where`` is ``path:lineno``. ``doc`` is None when a line yields no
-    document (malformed JSON, a structural error, a duplicate id); its one
-    violation then names the line itself. Otherwise ``violations`` is what
-    validate_document finds in it. Blank lines are skipped.
+    document (not UTF-8, malformed JSON, a structural error, a duplicate
+    id); its one violation then names the line itself. Otherwise
+    ``violations`` is what validate_document finds in it. Blank lines are
+    skipped.
     """
     path = Path(path)
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
             try:
+                line = decode_line(raw)
+                if not line.strip():
+                    continue
                 doc = document_from_json(parse_object(line))
             except FieldError as exc:
                 yield where, None, [f"{where}: {exc}"]
@@ -414,25 +424,27 @@ def document_to_json(doc: Document) -> dict:
     }
 
 
-def serialize_corpus(corpus: Corpus) -> str:
-    """Render a corpus as JSONL text, the inverse of parse_corpus on valid input."""
-    return "".join(json.dumps(document_to_json(d), ensure_ascii=False) + "\n"
-                   for d in corpus)
+def corpus_lines(corpus: Corpus) -> Iterator[str]:
+    """Each document as one JSONL line, the inverse of parse_corpus on valid input."""
+    return (json.dumps(document_to_json(d), ensure_ascii=False) + "\n" for d in corpus)
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to a temporary file beside ``path`` and rename it
-    over ``path``, so the target holds its old bytes or all the new ones."""
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` as UTF-8, in order, to a temporary file beside
+    ``path`` and rename it over ``path``, so the target holds its old bytes or
+    all the new ones, even when producing a chunk fails. Files of many lines
+    are streamed a line at a time; text held whole is passed as one chunk."""
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:  # removes what a failed write left; a renamed file is gone already
         tmp.unlink(missing_ok=True)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    write_atomic(path, serialize_corpus(corpus))
+    write_atomic(path, corpus_lines(corpus))
 
 
 def dp_coverage_gaps(labels: DpLabelMap, corpus: Corpus) -> list[tuple[str, int]]:
@@ -452,13 +464,17 @@ def require_dp_coverage(labels: DpLabelMap, corpus: Corpus, what: str = "corpus"
 
 
 def load_dp_labels(path: str | Path, corpus: Corpus) -> DpLabelMap:
-    """Read a doc_id<TAB>sentence_index<TAB>tag file, total over the corpus."""
+    """Read a doc_id<TAB>sentence_index<TAB>tag file, total over the corpus; a bad
+    line, one that is not UTF-8 included, raises DpLabelError naming it."""
     path = Path(path)
     docs = {d.id: d for d in corpus}
     labels: DpLabelMap = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = decode_line(raw).rstrip("\r\n")
+            except FieldError as exc:
+                raise DpLabelError(f"{path}:{lineno}: {exc}") from None
             if not line:
                 continue
             parts = line.split("\t")
@@ -490,13 +506,11 @@ def load_dp_labels(path: str | Path, corpus: Corpus) -> DpLabelMap:
     return labels
 
 
-def serialize_dp_labels(labels: DpLabelMap, corpus: Corpus) -> str:
-    lines = []
-    for doc in corpus:
-        for sent in doc.sentences:
-            lines.append(f"{doc.id}\t{sent.index}\t{labels[(doc.id, sent.index)].value}\n")
-    return "".join(lines)
+def dp_label_lines(labels: DpLabelMap, corpus: Corpus) -> Iterator[str]:
+    """One load_dp_labels line per sentence of the corpus, in corpus order."""
+    return (f"{doc.id}\t{sent.index}\t{labels[(doc.id, sent.index)].value}\n"
+            for doc in corpus for sent in doc.sentences)
 
 
 def write_dp_labels(labels: DpLabelMap, corpus: Corpus, path: str | Path) -> None:
-    write_atomic(path, serialize_dp_labels(labels, corpus))
+    write_atomic(path, dp_label_lines(labels, corpus))

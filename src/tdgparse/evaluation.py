@@ -44,10 +44,6 @@ def _category(doc: Document, sentence_of: dict[str, int], child: str,
     return CROSS_SENTENCE
 
 
-def _sentences(doc: Document) -> dict[str, int]:
-    return {m.id: m.sentence for m in doc.mentions}
-
-
 def corpus_identity(corpus: Corpus) -> str:
     digest = hashlib.sha256()
     for doc in corpus:
@@ -77,15 +73,26 @@ class MetricsReport:
     variant: str | None = None
 
 
-def _iter_slot_pairs(preds: dict[str, TemporalDependencyGraph], gold: Corpus):
-    """Yield (doc, child id, predicted parent, gold parent) for every slot, in
-    slot_instances order."""
+def attachment_accuracy(preds: dict[str, TemporalDependencyGraph], gold: Corpus) -> float:
+    """Fraction of slots whose predicted parent equals the gold parent:
+    partitioned_prf's accuracy, raising as it does."""
+    return partitioned_prf(preds, gold).accuracy
+
+
+def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
+                    seed: int | str | None = None,
+                    variant: str | None = None) -> MetricsReport:
+    """Per-category precision/recall/F1 plus overall accuracy, over every slot
+    of every gold document in slot_instances order."""
+    cats = {c: CategoryMetrics() for c in CATEGORIES}
+    total = correct = 0
     for doc in gold:
         graph = preds.get(doc.id)
         if graph is None:
             raise EvaluationError(f"no prediction for document {doc.id!r}")
         edges = graph.edges
         gold_of = gold_parents(doc)
+        sentence_of = {m.id: m.sentence for m in doc.mentions}
         for m in doc.ordered_mentions():
             for slot in KIND_SLOTS[m.kind]:
                 key = (m.id, slot)  # a Slot hashes and compares as its tuple
@@ -94,40 +101,15 @@ def _iter_slot_pairs(preds: dict[str, TemporalDependencyGraph], gold: Corpus):
                     raise EvaluationError(
                         f"document {doc.id}: missing prediction for slot {Slot(*key)}"
                     )
-                yield doc, m.id, pred_parent, gold_of[key]
-
-
-def attachment_accuracy(preds: dict[str, TemporalDependencyGraph],
-                        gold: Corpus) -> float:
-    """Fraction of slots whose predicted parent equals the gold parent."""
-    total = correct = 0
-    for _doc, _child, pred_parent, gold_parent in _iter_slot_pairs(preds, gold):
-        total += 1
-        if pred_parent == gold_parent:
-            correct += 1
-    if total == 0:
-        raise EvaluationError("gold corpus has no slots to evaluate")
-    return correct / total
-
-
-def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
-                    seed: int | str | None = None,
-                    variant: str | None = None) -> MetricsReport:
-    """Per-category precision/recall/F1 plus overall accuracy."""
-    cats = {c: CategoryMetrics() for c in CATEGORIES}
-    total = correct = 0
-    current, sentence_of = None, {}
-    for doc, child, pred_parent, gold_parent in _iter_slot_pairs(preds, gold):
-        if doc is not current:
-            current, sentence_of = doc, _sentences(doc)
-        total += 1
-        gold_cat = _category(doc, sentence_of, child, gold_parent)
-        pred_cat = _category(doc, sentence_of, child, pred_parent)
-        cats[gold_cat].gold += 1
-        cats[pred_cat].predicted += 1
-        if pred_parent == gold_parent:
-            correct += 1
-            cats[gold_cat].correct += 1
+                gold_parent = gold_of[key]
+                total += 1
+                gold_cat = _category(doc, sentence_of, m.id, gold_parent)
+                pred_cat = _category(doc, sentence_of, m.id, pred_parent)
+                cats[gold_cat].gold += 1
+                cats[pred_cat].predicted += 1
+                if pred_parent == gold_parent:
+                    correct += 1
+                    cats[gold_cat].correct += 1
     if total == 0:
         raise EvaluationError("gold corpus has no slots to evaluate")
     flags: list[str] = []

@@ -241,6 +241,7 @@ def greedy_decode(doc: Document, scores: SlotScores,
     values, starts = score.tolist(), layout.starts.tolist()
     ends = starts[1:] + [len(values)]
     # each slot's first maximum: the first score from its start that equals it
+    # (first_maxima's arrays took 10-25% longer per document here)
     first = [values.index(t, start) for t, start in zip(top.tolist(), starts)]
     top_parent = [names[c] for c in cand[first].tolist()]
     visit = (np.argsort(-top, kind="stable").tolist() if order == "score"
@@ -261,6 +262,13 @@ def greedy_decode(doc: Document, scores: SlotScores,
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
 
 
+def slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:
+    """The slot of each of n_cand candidates, given each slot's first one."""
+    # each slot's candidate count; np.diff with append= costs several times this
+    counts = np.concatenate((starts[1:], [n_cand])) - starts
+    return np.repeat(np.arange(len(starts)), counts)
+
+
 def first_maxima(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The position of each slot's first maximum, for slots laid end to end.
 
@@ -270,7 +278,7 @@ def first_maxima(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
     Every slot needs at least one candidate, and every score must be finite.
     """
     top = np.maximum.reduceat(score, starts)
-    hits = np.flatnonzero(score == np.repeat(top, np.diff(starts, append=len(score))))
+    hits = np.flatnonzero(score == top[slot_of(starts, len(score))])
     return hits[np.searchsorted(hits, starts)]
 
 

@@ -72,7 +72,7 @@ from .corpus import (
     require_dp_coverage,
     write_atomic,
 )
-from .graph import CandidateLayout, SlotScores, candidate_layout, candidate_set
+from .graph import CandidateLayout, SlotScores, candidate_layout, candidate_set, slot_of
 
 
 class ScorerError(ValueError):
@@ -191,12 +191,6 @@ def param_views(flat: np.ndarray,
     return views
 
 
-def clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A copy of params in one new float64 vector, as a view of it per tensor."""
-    flat = np.concatenate([np.ravel(arr) for arr in params.values()], dtype=np.float64)
-    return param_views(flat, {name: np.shape(arr) for name, arr in params.items()})
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -273,13 +267,6 @@ class _FlatIndex(NamedTuple):
     feat: np.ndarray
 
 
-def _slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:
-    """The slot of each of n_cand candidates, given each slot's first one."""
-    # each slot's candidate count; np.diff with append= costs several times this
-    counts = np.concatenate((starts[1:], [n_cand])) - starts
-    return np.repeat(np.arange(len(starts)), counts)
-
-
 def _blocks(starts: np.ndarray, n_cand: int) -> list[tuple[int, int, int, int]]:
     """Split slots into runs of at most BLOCK_CANDIDATES candidates.
 
@@ -324,7 +311,7 @@ def _index_document(doc: Document, vocab: Vocabulary,
     layout = candidate_layout(doc)
     table_row = {name: i for i, name in enumerate(layout.names)}
     cand = layout.cand
-    slot = _slot_of(layout.starts, len(cand))
+    slot = slot_of(layout.starts, len(cand))
     child = np.array([table_row[s.child] - N_META for s in layout.slots],
                      dtype=np.int32)[slot]
 
@@ -650,7 +637,7 @@ class RankingModel:
             # ndarray.sum does for fewer than eight candidates
             starts = batch.starts[s_lo:s_hi] - c_lo
             gold = batch.gold[s_lo:s_hi] - c_lo
-            slot = _slot_of(starts, c_hi - c_lo)
+            slot = slot_of(starts, c_hi - c_lo)
             e = np.exp(s - np.maximum.reduceat(s, starts)[slot])
             p = e / np.bincount(slot, weights=e)[slot]
             total -= np.log(p[gold]).sum()
@@ -782,7 +769,7 @@ def save_checkpoint(model: RankingModel, path: str | Path,
         "train_config": train_config,
         "seed": seed,
     }
-    write_atomic(path, json.dumps(obj, ensure_ascii=False))
+    write_atomic(path, [json.dumps(obj, ensure_ascii=False)])
 
 
 def load_checkpoint(path: str | Path) -> RankingModel:

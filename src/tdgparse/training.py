@@ -1,6 +1,7 @@
-"""Losses, optimizer, learning-rate schedule, and the training procedures.
+"""Optimizer, learning-rate schedule, decoding, and the training procedures.
 
-Three procedures share one loop: "baseline" and "dp_feature" take one
+The losses live in scorer.py, as RankingModel methods. Three procedures
+share one loop: "baseline" and "dp_feature" take one
 ranking-loss optimizer step per batch; "dp_distill" takes a discourse-profile
 step and a ranking step per batch (order configurable, or a single joint
 step). A single seeded generator drives parameter init, epoch shuffling, and
@@ -35,6 +36,7 @@ from .graph import (
     first_maxima,
     greedy_decode,
     require_finite,
+    slot_of,
 )
 from .scorer import (
     N_META,
@@ -46,9 +48,7 @@ from .scorer import (
     _FlatIndex,
     _Offsets,
     _offsets,
-    _slot_of,
     build_vocabulary,
-    clone_params,
     init_params,
     lay_out,
 )
@@ -237,7 +237,7 @@ def decode_run(indexes: list[_FlatIndex], batch: _FlatIndex, values: np.ndarray,
     parent = batch.cand[chain] - N_META
     cyclic = chain_cycles(np.where(parent >= 0, parent, len(parent)))
     mention_doc = np.repeat(np.arange(len(indexes)), np.diff(first_of.mention))
-    cand_slot = _slot_of(batch.starts, len(batch.cand))
+    cand_slot = slot_of(batch.starts, len(batch.cand))
     for d in np.unique(mention_doc[cyclic]).tolist():
         idx, s_lo = indexes[d], int(first_of.slot[d])
         c_lo, c_hi = int(first_of.cand[d]), int(first_of.cand[d + 1])
@@ -313,7 +313,8 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     the other variants one ranking step, and the schedule advances on each
     step. Model selection keeps the epoch with the highest validation
     attachment accuracy (earliest on ties), which Validation counts after
-    every epoch from the validation corpus laid out once before the first.
+    every epoch from the validation corpus laid out once before the first;
+    its parameters are a copy of ``model.flat``, restored in place.
     """
     variant = config.variant
     if variant in ("dp_feature", "dp_distill"):
@@ -360,7 +361,7 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     layout = TrainingLayout([index[id(doc)] for doc in docs])
     validation = Validation(model, [index[id(doc)] for doc in valid_corpus])
     history = TrainHistory()
-    best_params = clone_params(model.params)
+    best = model.flat.copy()
     best_accuracy = -1.0
     for epoch in range(config.max_epochs):
         perm = rng.permutation(len(docs))
@@ -389,8 +390,8 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
         ))
         if accuracy > best_accuracy:
             best_accuracy = accuracy
-            best_params = clone_params(model.params)
+            best = model.flat.copy()
             history.best_epoch = epoch
 
-    model.params = best_params
+    model.flat[:] = best
     return model, history

@@ -48,6 +48,11 @@ def initialized_model(config: ModelConfig, vocab, seed: int) -> RankingModel:
     return RankingModel(config, vocab, init_params(config, vocab, rng))
 
 
+def clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A copy of every parameter tensor, as a dict of new arrays."""
+    return {name: np.array(arr) for name, arr in params.items()}
+
+
 def _zero_model(doc) -> RankingModel:
     """A small model over ``doc``'s vocabulary with every parameter zero."""
     config = ModelConfig(dim=2, hidden=1)

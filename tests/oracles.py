@@ -34,7 +34,7 @@ from tdgparse.corpus import (
     Mention,
     Sentence,
 )
-from tdgparse.evaluation import _category, _sentences, attachment_accuracy
+from tdgparse.evaluation import _category, attachment_accuracy
 from tdgparse.graph import (
     GraphError,
     Slot,
@@ -262,7 +262,7 @@ def gold_graph(doc: Document) -> TemporalDependencyGraph:
 
 def slot_category(doc: Document, child: str, parent: str) -> str:
     """The evaluation category of the slot child -> parent."""
-    return _category(doc, _sentences(doc), child, parent)
+    return _category(doc, {m.id: m.sentence for m in doc.mentions}, child, parent)
 
 
 def random_pred_graph(rng: random.Random, doc: Document) -> TemporalDependencyGraph:
@@ -283,6 +283,67 @@ def random_pred_graph(rng: random.Random, doc: Document) -> TemporalDependencyGr
                     chosen.append((slot.child, cand))
                 break
     return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
+
+
+# ------------------------------------------------------------ decode arrays
+
+
+def reference_slot_of(starts: list[int], n_cand: int) -> list[int]:
+    """Each candidate's slot: the last slot whose first candidate is at or before it."""
+    return [max(i for i, start in enumerate(starts) if start <= k) for k in range(n_cand)]
+
+
+def reference_first_maxima(score: list[float], starts: list[int]) -> list[int]:
+    """Each slot's first maximum, by a scan that moves only to a strictly higher score."""
+    out = []
+    for lo, hi in zip(starts, starts[1:] + [len(score)]):
+        best = lo
+        for k in range(lo + 1, hi):
+            if score[k] > score[best]:
+                best = k
+        out.append(best)
+    return out
+
+
+def reference_chain_cycles(parent: list[int]) -> list[bool]:
+    """Whether each row's parent chain, walked one step at a time, returns to a
+    row it has visited before reaching the meta sink ``len(parent)``."""
+    out = []
+    for node in range(len(parent)):
+        seen = set()
+        while node != len(parent) and node not in seen:
+            seen.add(node)
+            node = parent[node]
+        out.append(node != len(parent))
+    return out
+
+
+def random_chains(rng: random.Random, n_docs: int) -> list[int]:
+    """Chain-slot parents for the mentions of several documents laid end to end,
+    each a row of its own document or the meta sink (the total row count).
+
+    A mention's parent is a meta parent, itself, another of its document's
+    mentions at random, or the next mention (the last mention's next is a
+    meta parent). In half the documents nearly every mention takes the next
+    one, which builds long chains; a third also close a 2-cycle.
+    """
+    sizes = [rng.choice([1, 2, 3, 8, 40, 70]) for _ in range(n_docs)]
+    n = sum(sizes)
+    parent: list[int] = []
+    for size in sizes:
+        lo = len(parent)
+        chain = rng.random() < 0.5
+        for i in range(size):
+            kind = ("next" if chain and rng.random() < 0.95
+                    else rng.choice(["meta", "self", "any", "next"]))
+            parent.append(n if kind == "meta" or kind == "next" and i + 1 == size
+                          else lo + i if kind == "self"
+                          else lo + rng.randrange(size) if kind == "any"
+                          else lo + i + 1)
+        if size >= 2 and rng.random() < 1 / 3:
+            a, b = rng.sample(range(lo, lo + size), 2)
+            parent[a], parent[b] = b, a
+    return parent
 
 
 # ------------------------------------------------------------ JSON types

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from tdgparse import cli, scorer
+from tdgparse import corpus as corpus_module
 from tdgparse.cli import _path, _resolve_train_config, build_parser, main
-from tdgparse.corpus import parse_corpus
+from tdgparse.corpus import parse_corpus, write_atomic
 from tdgparse.graph import graph_to_json
 from tdgparse.scorer import (
     ModelConfig,
@@ -297,6 +298,76 @@ def test_directory_as_input_file_is_usage_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_out_naming_an_existing_file_is_a_usage_error_for_every_command(
+        tmp_path, hand_corpus_path, hand_dp_path, capsys):
+    """Each subcommand, given inputs it accepts, stops at an --out that is a
+    file with one error line and exit 2, and leaves the file as it was."""
+    corpus = parse_corpus(hand_corpus_path)
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(initialized_model(ModelConfig(dim=3, hidden=2), build_vocabulary(corpus),
+                                      seed=0), checkpoint)
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps(graph_to_json(gold_graph(doc), doc)) + "\n"
+                             for doc in corpus), encoding="utf-8")
+    c, d = str(hand_corpus_path), str(hand_dp_path)
+    inputs = {"validate": ["--corpus", c, "--dp-labels", d], "synth": [],
+              "train": ["--train", c, "--valid", c, *SMALL_TRAIN],
+              "predict": ["--checkpoint", str(checkpoint), "--corpus", c],
+              "evaluate": ["--gold", c, "--pred", str(preds)],
+              "analyze": ["--corpus", c, "--dp-labels", d]}
+    assert set(inputs) == set(REQUIRED_PATH_FLAGS)
+    out = tmp_path / "out"
+    out.write_bytes(b"keep\n")
+    for command, argv in inputs.items():
+        assert main([command, *argv, "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert "File exists" in err and str(out) in err, (command, err)
+        assert out.read_bytes() == b"keep\n"
+
+
+def test_a_failing_write_is_a_runtime_fault(tmp_path, monkeypatch, capsys):
+    """An OSError that is no path error, here raised while write_atomic takes
+    the corpus's lines, exits 3 with one error line and leaves no partial file."""
+    def interrupted(path, chunks):
+        def stream():
+            yield next(iter(chunks))
+            raise OSError("no space left on device")
+
+        write_atomic(path, stream())
+
+    monkeypatch.setattr(corpus_module, "write_atomic", interrupted)
+    out = tmp_path / "data"
+    assert main(["synth", "--seed", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: no space left on device\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_a_corpus_line_that_is_not_utf8_is_an_invalid_corpus(tmp_path, hand_corpus_path,
+                                                             hand_dp_path, capsys):
+    """validate lists the line in its report; train, predict and analyze
+    stop at it as at any invalid corpus line; all exit 1."""
+    corpus = tmp_path / "bom.jsonl"
+    corpus.write_bytes(b"\xff\xfe" + hand_corpus_path.read_bytes())
+    message = (f"{corpus}:1: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+               "in position 0: invalid start byte")
+    assert main(["validate", "--corpus", str(corpus), "--out", str(tmp_path / "v")]) == 1
+    report = read_json(tmp_path / "v" / "report.json")
+    assert report["violations"] == [message] and report["documents"] == 2
+    capsys.readouterr()
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(initialized_model(ModelConfig(dim=3, hidden=2),
+                                      build_vocabulary(parse_corpus(hand_corpus_path)),
+                                      seed=0), checkpoint)
+    for argv in (["train", "--train", str(corpus), "--valid", str(hand_corpus_path),
+                  *SMALL_TRAIN],
+                 ["predict", "--checkpoint", str(checkpoint), "--corpus", str(corpus)],
+                 ["analyze", "--corpus", str(corpus), "--dp-labels", str(hand_dp_path)]):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 1, argv[0]
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / argv[0]).exists()
+
+
 # every path flag each subcommand requires
 REQUIRED_PATH_FLAGS = {
     "validate": ("--corpus", "--out"),
@@ -532,6 +603,18 @@ def test_evaluate_rejects_malformed_prediction_lines(line, message, tmp_path,
     err = capsys.readouterr().err
     assert f"{preds}:2: " in err and message in err
     assert "Traceback" not in err
+
+
+def test_evaluate_names_a_prediction_line_that_is_not_utf8(tmp_path, hand_corpus_path,
+                                                          capsys):
+    preds = tmp_path / "p.jsonl"
+    preds.write_bytes(b'\n{"id": "a\xe9", "edges": []}\n')
+    code = main(["evaluate", "--gold", str(hand_corpus_path),
+                 "--pred", str(preds), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: {preds}:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in "
+        "position 9: invalid continuation byte\n")
 
 
 def test_evaluate_rejects_a_duplicate_prediction(tmp_path, hand_corpus_path, hand_corpus,

@@ -5,19 +5,22 @@ from pathlib import Path
 
 import pytest
 
+from tdgparse import corpus as corpus_module
+from tdgparse import scorer
 from tdgparse.corpus import (
     META_NODES,
     ContentType,
     CorpusError,
     DpLabelError,
     GoldEdge,
+    corpus_lines,
     gold_parents,
     load_dp_labels,
     parse_corpus,
-    serialize_corpus,
-    serialize_dp_labels,
     validate_document,
+    write_atomic,
     write_corpus,
+    write_dp_labels,
 )
 from tdgparse.graph import TemporalDependencyGraph, graph_from_json, graph_to_json
 from tdgparse.scorer import ModelConfig, build_vocabulary, save_checkpoint
@@ -170,7 +173,7 @@ def test_round_trip_identity(hand_corpus, tmp_path):
     path = tmp_path / "rt.jsonl"
     write_corpus(hand_corpus, path)
     again = parse_corpus(path)
-    assert serialize_corpus(again) == serialize_corpus(hand_corpus)
+    assert list(corpus_lines(again)) == list(corpus_lines(hand_corpus))
     assert again == hand_corpus
 
 
@@ -206,7 +209,7 @@ def test_load_dp_labels_unknown_doc_and_bad_index(hand_corpus, tmp_path):
     path.write_text("a\tx\tM1\n")
     with pytest.raises(DpLabelError, match="not an integer"):
         load_dp_labels(path, hand_corpus)
-    # int() reads these as 10, 1 and 2; serialize_dp_labels never writes them
+    # int() reads these as 10, 1 and 2; write_dp_labels never writes them
     for index in ("1_0", "+1", " 2"):
         path.write_text(f"a\t0\tM1\na\t{index}\tC2\n")
         with pytest.raises(DpLabelError, match=re.escape(
@@ -223,6 +226,18 @@ def test_load_dp_labels_row_needs_three_fields(row, hand_corpus, tmp_path):
         load_dp_labels(path, hand_corpus)
 
 
+def test_load_dp_labels_names_a_line_that_is_not_utf8(hand_corpus, hand_dp_labels, tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes("a\t0\tM1\na\t1\tC2\xe9\n".encode("latin-1"))
+    with pytest.raises(DpLabelError, match=re.escape(
+            f"{path}:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")):
+        load_dp_labels(path, hand_corpus)
+    # each line is decoded on its own, and a CRLF line ending still reads
+    path.write_bytes(b"".join(f"{d}\t{i}\t{ct.value}\r\n".encode()
+                              for (d, i), ct in hand_dp_labels.items()))
+    assert load_dp_labels(path, hand_corpus) == hand_dp_labels
+
+
 def test_load_dp_labels_duplicate(hand_corpus, tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("a\t0\tM1\na\t0\tM1\n")
@@ -232,9 +247,8 @@ def test_load_dp_labels_duplicate(hand_corpus, tmp_path):
 
 def test_dp_labels_round_trip(hand_corpus, hand_dp_path, tmp_path):
     labels = load_dp_labels(hand_dp_path, hand_corpus)
-    text = serialize_dp_labels(labels, hand_corpus)
     path = tmp_path / "again.tsv"
-    path.write_text(text)
+    write_dp_labels(labels, hand_corpus, path)
     assert load_dp_labels(path, hand_corpus) == labels
 
 
@@ -261,13 +275,19 @@ def test_an_interrupted_write_keeps_the_old_file(hand_corpus, tmp_path, monkeypa
     save_checkpoint(model, checkpoint)
     write_corpus(hand_corpus[:1], corpus)
     before = {path: path.read_bytes() for path in (checkpoint, corpus)}
-    write_text = Path.write_text
 
-    def interrupted(self, text, *args, **kwargs):
-        write_text(self, text[: len(text) // 2], *args, **kwargs)
-        raise OSError("no space left on device")
+    def interrupted(path, chunks):
+        """write_atomic fed the first half of the text, then a chunk that fails."""
+        text = "".join(chunks)
 
-    monkeypatch.setattr(Path, "write_text", interrupted)
+        def stream():
+            yield text[: len(text) // 2]
+            raise OSError("no space left on device")
+
+        write_atomic(path, stream())
+
+    for module in (scorer, corpus_module):
+        monkeypatch.setattr(module, "write_atomic", interrupted)
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(model, checkpoint, seed=1)
     with pytest.raises(OSError, match="no space"):
@@ -303,6 +323,23 @@ def test_only_corpus_writes_files():
             if isinstance(node, ast.Call) and _writes_a_file(node):
                 writers.setdefault(path.name, []).append(node.lineno)
     assert writers == {}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module of the package imports (``from __future__`` aside)
+    is read somewhere in that module, so a merge leaves no dead import."""
+    unused = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert unused == {}
 
 
 def test_only_corpus_maps_gold_edges():

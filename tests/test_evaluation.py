@@ -5,7 +5,7 @@ import statistics
 import pytest
 
 from tdgparse.cli import main
-from tdgparse.corpus import gold_parents, serialize_corpus, validate_document
+from tdgparse.corpus import gold_parents, validate_document, write_corpus
 from tdgparse.evaluation import (
     CategoryMetrics,
     EvaluationError,
@@ -164,6 +164,16 @@ def test_predictions_must_cover_the_corpus():
         attachment_accuracy({doc.id: partial}, [doc])
 
 
+def test_an_unknown_parent_name_fails_in_both_counts():
+    """attachment_accuracy is partitioned_prf's accuracy, so a predicted
+    parent that names no mention of the document raises in both."""
+    doc = three_timex_doc()
+    preds = {doc.id: graph_for(doc, {"t1": "DCT", "t2": "t9", "t3": "DCT"})}
+    for count in (attachment_accuracy, partitioned_prf):
+        with pytest.raises(EvaluationError, match=f"document {doc.id}: unknown parent 't9'"):
+            count(preds, [doc])
+
+
 def fake_report(accuracy, corpus="deadbeef", seed=0):
     cats = {c: CategoryMetrics(gold=10, predicted=10, correct=int(10 * accuracy),
                                precision=accuracy, recall=accuracy, f1=accuracy)
@@ -207,7 +217,7 @@ def test_evaluate_aggregate_matches_brute_force_recount(tmp_path):
     rng = random.Random(51)
     corpus = [random_document(rng, max_mentions=4, doc_id=f"d{i}") for i in range(3)]
     gold = tmp_path / "gold.jsonl"
-    gold.write_text(serialize_corpus(corpus), encoding="utf-8")
+    write_corpus(corpus, gold)
     pred_files, recounts = [], []
     for seed in range(3):
         preds = {doc.id: random_pred_graph(rng, doc) for doc in corpus}

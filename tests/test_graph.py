@@ -13,10 +13,13 @@ from tdgparse.graph import (
     TemporalDependencyGraph,
     candidate_layout,
     candidate_set,
+    chain_cycles,
+    first_maxima,
     graph_from_json,
     graph_to_json,
     greedy_decode,
     slot_instances,
+    slot_of,
     validate_graph,
     would_create_cycle,
 )
@@ -27,10 +30,14 @@ from .oracles import (
     META,
     _closure_has_cycle,
     gold_graph,
+    random_chains,
     random_document,
     random_pred_graph,
     random_scores,
+    reference_chain_cycles,
     reference_decode,
+    reference_first_maxima,
+    reference_slot_of,
     scores_over,
 )
 
@@ -136,6 +143,57 @@ def test_would_create_cycle_matches_closure_oracle():
                 assert would_create_cycle(slot.child, cand, edges, doc) == want
                 checks += want
     assert checks > 100  # the loop reaches cyclic candidates, not only safe ones
+
+
+def random_slots(rng: random.Random) -> tuple[list[int], int]:
+    """The first candidate of each of 1 to 30 slots laid end to end, and the
+    candidate count; a slot holds 1 to 6 candidates, one in about a third
+    of the slots."""
+    starts, n = [], 0
+    for _ in range(rng.randint(1, 30)):
+        starts.append(n)
+        n += 1 if rng.random() < 1 / 3 else rng.randint(2, 6)
+    return starts, n
+
+
+def test_slot_of_and_first_maxima_match_a_scan():
+    """Seeded random slots, scored with few distinct values so that most
+    slots tie at their maximum, some several times."""
+    rng = random.Random(61)
+    ties = 0
+    for _ in range(300):
+        starts, n = random_slots(rng)
+        score = [float(rng.randint(-2, 2)) for _ in range(n)]
+        starts_array = np.array(starts, dtype=np.int32)
+        assert slot_of(starts_array, n).tolist() == reference_slot_of(starts, n)
+        want = reference_first_maxima(score, starts)
+        assert first_maxima(np.array(score), starts_array).tolist() == want
+        ties += sum(score.count(score[k]) > 1 for k in want)
+    assert ties > 1000
+
+
+def test_chain_cycles_match_a_walk():
+    """Seeded random parent rows of several documents at once: meta parents,
+    self-loops, 2-cycles, and chains of up to 70 mentions, which need six
+    doubling rounds to reach the sink, some of them ending in a cycle."""
+    rng = random.Random(67)
+    cyclic = acyclic = longest = 0
+    for _ in range(200):
+        parent = random_chains(rng, rng.randint(1, 5))
+        want = reference_chain_cycles(parent)
+        assert chain_cycles(np.array(parent, dtype=np.int32)).tolist() == want
+        cyclic += sum(want)
+        acyclic += len(want) - sum(want)
+        for node, in_cycle in enumerate(want):
+            steps = 0
+            while not in_cycle and node != len(parent):
+                node, steps = parent[node], steps + 1
+            longest = max(longest, steps)
+    assert cyclic > 1000 and acyclic > 1000
+    assert longest > 32  # a chain that five doubling rounds do not cover
+    assert chain_cycles(np.array([1, 2, 3], dtype=np.int32)).tolist() == [False] * 3
+    assert chain_cycles(np.array([0, 2, 1], dtype=np.int32)).tolist() == [True] * 3
+    assert chain_cycles(np.array([], dtype=np.int32)).tolist() == []
 
 
 def _scores(doc, table):

@@ -7,8 +7,8 @@ from tdgparse.corpus import (
     ROOT,
     TIMEX,
     TIMEX_REF,
+    corpus_lines,
     dp_coverage_gaps,
-    serialize_corpus,
     validate_document,
 )
 from tdgparse.synth import (
@@ -23,10 +23,10 @@ def test_deterministic_output():
     config = SynthConfig(n_docs=8)
     a, la = generate_synthetic_corpus(config, seed=3)
     b, lb = generate_synthetic_corpus(config, seed=3)
-    assert serialize_corpus(a) == serialize_corpus(b)
+    assert list(corpus_lines(a)) == list(corpus_lines(b))
     assert la == lb
     c, _ = generate_synthetic_corpus(config, seed=4)
-    assert serialize_corpus(a) != serialize_corpus(c)
+    assert list(corpus_lines(a)) != list(corpus_lines(c))
 
 
 def test_all_documents_valid_with_total_labels():

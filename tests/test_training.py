@@ -27,7 +27,6 @@ from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 from tdgparse.scorer import (
     ModelConfig,
     _index_document,
-    clone_params,
     save_checkpoint,
 )
 from tdgparse.training import (
@@ -42,7 +41,13 @@ from tdgparse.training import (
     train,
 )
 
-from .conftest import hand_dp_loss, hand_ranking_loss, initialized_model, make_doc
+from .conftest import (
+    clone_params,
+    hand_dp_loss,
+    hand_ranking_loss,
+    initialized_model,
+    make_doc,
+)
 from .oracles import reference_adamw_step, reference_train
 
 
