@@ -13,12 +13,14 @@ seed-label count that does not match the prediction files, a ``train`` run
 without the discourse labels its variant needs, with an empty training
 corpus or with a validation corpus that has no slot, or a ``predict`` run of
 a ``dp_feature`` checkpoint without ``--dp-labels``; 3 any other exception,
-a runtime fault. One rule types every JSON input: a value of the wrong JSON
-type is reported with its file (and line, where there is one) and its field,
-and exits 1 in a corpus, 2 in a config, 3 in a checkpoint (whose dimensions,
-tensors and vocabulary are typed) or a prediction (whose edges must name the
-document's string ids). A line of a corpus, label or prediction file that is
-not UTF-8 is a bad line of that file.
+a runtime fault, whose line names the type of an exception class that
+tdgparse does not define (``error: KeyError: ...``). One rule types every
+JSON input: a value of the wrong JSON type is reported with its file (and
+line, where there is one) and its field, and exits 1 in a corpus, 2 in a
+config, 3 in a checkpoint (whose dimensions, tensors and vocabulary are
+typed) or a prediction (whose edges must name the document's string ids).
+A line of a corpus, label or prediction file that is not UTF-8 is a bad
+line of that file.
 
 OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -397,10 +399,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CorpusError):
-            return 1
-        return 2 if isinstance(exc, (UsageError, *PATH_ERRORS)) else 3
+            code = 1
+        else:
+            code = 2 if isinstance(exc, (UsageError, *PATH_ERRORS)) else 3
+        # a runtime fault of a class tdgparse does not define names its type
+        foreign = code == 3 and not type(exc).__module__.startswith(f"{__package__}.")
+        print(f"error: {type(exc).__name__ + ': ' if foreign else ''}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

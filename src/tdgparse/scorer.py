@@ -14,15 +14,18 @@ Three variants share this machinery:
 
 Each document is indexed into flat arrays: token ids of every mention and
 sentence, and the candidate layout ``graph.candidate_layout`` builds for its
-slots, with each candidate's packed scalar features; a slot's gold candidate
-is the one ``corpus.gold_parents`` names. Given discourse labels, the index
-also holds every sentence's content type, which dp_feature's markers and
-the dp head read; labels enter nowhere else. A model holds no index: each
-pass indexes the documents it reads. A batch of documents, for training or
-scoring, is scored by one embedding gather with segment means and a factored
-hidden layer. The MLP's input for a candidate is ``[u, sent(child), a,
-sent(cand), u*a, scalars]``, so its first layer splits by column block: the
-child and candidate blocks are multiplied once per mention and once per
+slots, with each candidate's packed scalar features, looked up in one
+constant table. Given discourse labels, the index also holds every
+sentence's content type, which dp_feature's markers and the dp head read;
+labels enter nowhere else. A slot's gold candidate is the one
+``corpus.gold_parents`` names; its position is computed only where a loss
+or an accuracy reads it, by ``_with_gold`` for training and validation,
+never for a prediction. A model holds no index: each pass indexes the
+documents it reads. A batch of documents, for training or scoring, is
+scored by one embedding gather, one scatter that sums the tokens of every
+mention and sentence, and a factored hidden layer. The MLP's input for a
+candidate is ``[u, sent(child), a, sent(cand), u*a, scalars]``, so its
+first layer splits by column block: the child and candidate blocks are multiplied once per mention and once per
 candidate-table row, and gathered per candidate; only ``u*a`` and the
 scalars are multiplied per candidate. One bound, ``BLOCK_CANDIDATES``,
 limits that per-candidate work: it runs over slot-aligned blocks of at most
@@ -100,6 +103,16 @@ N_META = len(META_NODES)
 # candidate, 6 same sentence, 7-9 the candidate is DCT, ROOT or NO_EVENT
 N_SCALAR_FEATURES = 10
 _PRECEDES_BIT, _SAME_SENTENCE_BIT, _META_BIT = 5, 6, 7
+_BUCKETS = (0, 1, 2, 3, 3, 3, 4)  # the bucket of each sentence distance up to _FAR
+_FAR = len(_BUCKETS) - 1
+# a candidate's packed features by key: a mention's key is min(sentence
+# distance, _FAR) + (_FAR + 1) * [child precedes it], a meta node's _META_KEY
+# plus its row
+_FEATURE_BITS = np.array(
+    [(1 << bucket) + (distance == 0) * (1 << _SAME_SENTENCE_BIT) + precedes * (1 << _PRECEDES_BIT)
+     for precedes in (0, 1) for distance, bucket in enumerate(_BUCKETS)]
+    + [1 << (_META_BIT + k) for k in range(N_META)], dtype=np.uint16)
+_META_KEY = 2 * (_FAR + 1)
 # the scalar block of every packed feature value, as floats
 _SCALAR_ROWS = ((np.arange(1 << N_SCALAR_FEATURES)[:, None] >> np.arange(N_SCALAR_FEATURES))
                 & 1).astype(np.float64)
@@ -248,9 +261,11 @@ class _FlatIndex(NamedTuple):
     each slot's first candidate and ``cand`` each candidate's row in the
     candidate table, whose rows are the META_NODES and then the mentions
     (mention i at N_META + i). Per slot, ``gold`` is the position of its
-    gold candidate or -1 when the gold parent is not a candidate. Per
-    candidate, ``child`` is the child mention's row and ``feat`` the scalar
-    features as bits.
+    gold candidate or -1 when the gold parent is not a candidate; only
+    _with_gold computes it, for training and validation, and it is None in
+    an index made to predict (and for a batch when any of its indexes has
+    none). Per candidate, ``child`` is the child mention's row and ``feat``
+    the scalar features as bits.
     """
 
     layout: CandidateLayout | None
@@ -261,7 +276,7 @@ class _FlatIndex(NamedTuple):
     ctype: np.ndarray | None
     mention_sent: np.ndarray
     starts: np.ndarray
-    gold: np.ndarray
+    gold: np.ndarray | None
     child: np.ndarray
     cand: np.ndarray
     feat: np.ndarray
@@ -302,7 +317,11 @@ def _content_types(doc: Document, dp_labels: DpLabelMap) -> np.ndarray:
 
 def _index_document(doc: Document, vocab: Vocabulary,
                     dp_labels: DpLabelMap | None = None) -> _FlatIndex:
-    """Index one document's tokens, candidate_layout and, given labels, content types."""
+    """Index one document's tokens, candidate_layout and, given labels, content types.
+
+    The index holds no gold positions: _with_gold adds them where a loss or
+    an accuracy reads them.
+    """
     get = vocab.index.get  # bound once per document
     sent_ids = [[get(t.lower(), UNK_INDEX) for t in s.tokens] for s in doc.sentences]
     ordered = doc.ordered_mentions()
@@ -311,26 +330,14 @@ def _index_document(doc: Document, vocab: Vocabulary,
     layout = candidate_layout(doc)
     table_row = {name: i for i, name in enumerate(layout.names)}
     cand = layout.cand
-    slot = slot_of(layout.starts, len(cand))
     child = np.array([table_row[s.child] - N_META for s in layout.slots],
-                     dtype=np.int32)[slot]
+                     dtype=np.int32)[slot_of(layout.starts, len(cand))]
 
     row = cand - N_META
     is_mention = row >= 0
     c, r = child[is_mention], row[is_mention]
-    delta = np.abs(sent[c] - sent[r])
-    bucket = np.where(delta <= 2, delta, np.where(delta <= 5, 3, 4))
-    feat = np.empty(len(cand), dtype=np.uint16)
-    feat[~is_mention] = 1 << (_META_BIT + cand[~is_mention])
-    feat[is_mention] = ((1 << bucket) + (c < r) * (1 << _PRECEDES_BIT)
-                        + (delta == 0) * (1 << _SAME_SENTENCE_BIT))
-
-    gold_parent = gold_parents(doc)
-    gold_row = np.array([table_row.get(gold_parent.get(s), -1) for s in layout.slots],
-                        dtype=np.int64)
-    hit = np.flatnonzero(cand == gold_row[slot])
-    gold = np.full(len(layout.slots), -1, dtype=np.int32)
-    gold[slot[hit]] = hit
+    key = cand + _META_KEY
+    key[is_mention] = np.minimum(np.abs(sent[c] - sent[r]), _FAR) + (_FAR + 1) * (c < r)
 
     return _FlatIndex(
         layout,
@@ -339,8 +346,24 @@ def _index_document(doc: Document, vocab: Vocabulary,
         sent_tok=np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32),
         sent_len=np.array([len(sentence) for sentence in sent_ids], dtype=np.int32),
         ctype=None if dp_labels is None else _content_types(doc, dp_labels),
-        mention_sent=sent, starts=layout.starts, gold=gold, child=child, cand=cand,
-        feat=feat)
+        mention_sent=sent, starts=layout.starts, gold=None, child=child, cand=cand,
+        feat=_FEATURE_BITS[key])
+
+
+def _with_gold(idx: _FlatIndex) -> _FlatIndex:
+    """A document's index with ``gold``: per slot, the position of the
+    candidate corpus.gold_parents names, or -1 when that parent is not a
+    candidate."""
+    layout = idx.layout
+    table_row = {name: i for i, name in enumerate(layout.names)}
+    gold_parent = gold_parents(layout.doc)
+    gold_row = np.array([table_row.get(gold_parent.get(s), -1) for s in layout.slots],
+                        dtype=np.int64)
+    slot = slot_of(layout.starts, len(idx.cand))
+    hit = np.flatnonzero(idx.cand == gold_row[slot])
+    gold = np.full(len(layout.slots), -1, dtype=np.int32)
+    gold[slot[hit]] = hit
+    return idx._replace(gold=gold)
 
 
 def _sentence_sizes(batch: _FlatIndex, markers: np.ndarray | None) -> np.ndarray:
@@ -388,8 +411,9 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
     fewer), and each run's row references count from the run's own first
     rows, so that _slice takes a run back out as a batch of its own. A gold
     position of -1, a slot whose gold parent is not a candidate, stays -1,
-    and ``ctype`` is None when any index has none. ``offsets``, when given,
-    is _offsets(indexes), which a caller that needs it too computes once.
+    and ``gold`` or ``ctype`` is None when any index has none. ``offsets``,
+    when given, is _offsets(indexes), which a caller that needs it too
+    computes once.
     """
     if len(indexes) == 1:
         return indexes[0]
@@ -407,14 +431,19 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
 
     cand_first = np.repeat(first.cand, size.slot)
     mention_first = np.repeat(first.mention, size.cand)
-    cand, gold = cat("cand"), cat("gold")
+    cand = cat("cand")
+    if any(g is None for g in columns["gold"]):
+        gold = None
+    else:
+        gold = cat("gold")
+        gold = np.where(gold >= 0, gold + cand_first, -1)
     return _FlatIndex(
         None,
         mention_tok=cat("mention_tok"), mention_len=cat("mention_len"),
         sent_tok=cat("sent_tok"), sent_len=cat("sent_len"),
         ctype=None if any(c is None for c in columns["ctype"]) else cat("ctype"),
         mention_sent=cat("mention_sent") + np.repeat(first.sent, size.mention),
-        starts=cat("starts") + cand_first, gold=np.where(gold >= 0, gold + cand_first, -1),
+        starts=cat("starts") + cand_first, gold=gold,
         child=cat("child") + mention_first,
         cand=cand + np.where(cand >= N_META, mention_first, 0),
         feat=cat("feat"))
@@ -430,7 +459,8 @@ def _slice(batch: _FlatIndex, lo: _Offsets, hi: _Offsets) -> _FlatIndex:
         sent_len=batch.sent_len[lo.sent:hi.sent],
         ctype=None if batch.ctype is None else batch.ctype[lo.sent:hi.sent],
         mention_sent=batch.mention_sent[lo.mention:hi.mention],
-        starts=batch.starts[lo.slot:hi.slot], gold=batch.gold[lo.slot:hi.slot],
+        starts=batch.starts[lo.slot:hi.slot],
+        gold=None if batch.gold is None else batch.gold[lo.slot:hi.slot],
         child=batch.child[lo.cand:hi.cand], cand=batch.cand[lo.cand:hi.cand],
         feat=batch.feat[lo.cand:hi.cand])
 
@@ -548,8 +578,14 @@ class RankingModel:
         p = self.params
         d = self.config.dim
         emb, w1 = p["embeddings"], p["w1"]
-        mention = _segment_means(emb, batch.mention_tok, batch.mention_len)
-        sent = _segment_sums(emb, batch.sent_tok, batch.sent_len)
+        # one scatter sums the mentions' tokens into the first rows and the
+        # sentences' into the rest; each row adds its tokens in order, as a
+        # scatter of its own would
+        n_mentions = len(batch.mention_len)
+        sums = _segment_sums(emb, np.concatenate([batch.mention_tok, batch.sent_tok]),
+                             np.concatenate([batch.mention_len, batch.sent_len]))
+        mention = sums[:n_mentions] / batch.mention_len[:, None]
+        sent = sums[n_mentions:]
         if markers is not None:
             sent = sent + emb[markers]
         sent = (sent / _sentence_sizes(batch, markers)[:, None])[batch.mention_sent]
@@ -608,12 +644,13 @@ class RankingModel:
         all slots of all documents in the batch. ``laid`` is docs laid out
         already (TrainingLayout), with every gold parent checked and, under
         dp_feature, content types; without it the documents are indexed
-        (with dp_labels under dp_feature), checked and laid end to end here.
-        The gradients are views of ``grad``, zeroed first, or of a new vector.
+        (with dp_labels under dp_feature), given gold positions, checked and
+        laid end to end here. The gradients are views of ``grad``, zeroed
+        first, or of a new vector.
         """
         if laid is None:
             labels = self._feature_labels(dp_labels)
-            indexes = [_index_document(doc, self.vocab, labels) for doc in docs]
+            indexes = [_with_gold(_index_document(doc, self.vocab, labels)) for doc in docs]
             _require_gold(indexes)
             laid = _concat(indexes)
         batch, markers = laid, self._markers(laid)
@@ -718,17 +755,18 @@ class TrainingLayout:
     """The training documents of one train() call, laid end to end once per epoch.
 
     Built once per call from the documents' indexes, which train() makes
-    with the content types its losses read: every gold parent is checked
-    (the ScorerError ranking_loss_and_grads raises). ``batches(order,
-    size)`` lays the indexes out in the epoch's order with one _concat, in
-    runs of ``size`` whose rows count from each run's start, and yields each
-    run's documents with the run's slice of that layout, content types
-    included: no array computed per batch.
+    with the content types its losses read: each is given its gold
+    positions and every gold parent is checked (the ScorerError
+    ranking_loss_and_grads raises). ``batches(order, size)`` lays the
+    indexes out in the epoch's order with one _concat, in runs of ``size``
+    whose rows count from each run's start, and yields each run's documents
+    with the run's slice of that layout, content types included: no array
+    computed per batch.
     """
 
     def __init__(self, indexes: list[_FlatIndex]):
-        self.indexes = indexes
-        _require_gold(indexes)
+        self.indexes = [_with_gold(idx) for idx in indexes]
+        _require_gold(self.indexes)
 
     def batches(self, order: np.ndarray, size: int) -> Iterator[tuple[list[Document], _FlatIndex]]:
         """Each run of ``size`` documents of ``order`` and the run laid end to end."""

@@ -48,6 +48,7 @@ from .scorer import (
     _FlatIndex,
     _Offsets,
     _offsets,
+    _with_gold,
     build_vocabulary,
     init_params,
     lay_out,
@@ -282,16 +283,16 @@ class Validation:
     ``accuracy(order)`` equals ``evaluation.attachment_accuracy`` of
     decode_corpus with the same model, labels and order. The documents'
     indexes, which train() makes (with content types under dp_feature), are
-    laid out once in lay_out's runs, which each call scores, and once as one
-    batch, which decode_run decodes at once. A slot is correct when its
-    decoded candidate is its gold candidate.
+    given their gold positions and laid out once in lay_out's runs, which
+    each call scores, and once as one batch, which decode_run decodes at
+    once. A slot is correct when its decoded candidate is its gold candidate.
     """
 
     def __init__(self, model: RankingModel, indexes: list[_FlatIndex]):
         self.model = model
-        self.indexes = indexes
-        self.runs = list(lay_out(indexes))
-        self.batch = _concat(indexes)
+        self.indexes = [_with_gold(idx) for idx in indexes]
+        self.runs = list(lay_out(self.indexes))
+        self.batch = _concat(self.indexes)
 
     def accuracy(self, order: str = "score") -> float:
         """The attachment accuracy of decoding the corpus with the model's parameters now.

@@ -7,13 +7,15 @@ tallies flat slot tuples; the scorer reference runs the ranking MLP slot by
 slot and pushes gradients down one candidate and one token at a time; the
 AdamW reference steps one parameter at a time with fresh arrays, and the
 training reference takes each batch's losses from documents alone and
-validates by decoding one document at a time. The
-graph validator keeps the earlier package code: a colour-table depth-first
-search from every node and an explicit candidate list per slot; the
-document validator keeps the earlier per-kind branches and per-mention edge
-counts; the analysis tables run one loop per table. The JSON type check
-names each value's type and compares names. Plain Python only, except numpy in
-the scorer, AdamW and training references and the gradient check.
+validates by decoding one document at a time. The index reference keeps
+the earlier one-pass indexer, gold positions and nested np.where distance
+buckets included. The graph validator keeps the earlier package code: a
+colour-table depth-first search from every node and an explicit candidate
+list per slot; the document validator keeps the earlier per-kind branches
+and per-mention edge counts; the analysis tables run one loop per table.
+The JSON type check names each value's type and compares names. Plain
+Python only, except numpy in the scorer, index, AdamW and training
+references and the gradient check.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from tdgparse.corpus import (
     GoldEdge,
     Mention,
     Sentence,
+    gold_parents,
 )
 from tdgparse.evaluation import _category, attachment_accuracy
 from tdgparse.graph import (
@@ -44,17 +47,21 @@ from tdgparse.graph import (
     candidate_set,
     greedy_decode,
     slot_instances,
+    slot_of,
     validate_graph,
 )
 from tdgparse.scorer import (
     CAND_MARK_INDEX,
     CHILD_MARK_INDEX,
     MARKER_BASE_INDEX,
+    N_META,
     UNK_INDEX,
     RankingModel,
     Vocabulary,
     _blocks,
     _concat,
+    _content_types,
+    _FlatIndex,
     _index_document,
     _joined,
     build_vocabulary,
@@ -628,6 +635,55 @@ def reference_tables(corpus: list[Document], dp) -> dict[str, tuple[list[int], l
 
 
 # ------------------------------------------------------------------ scorer
+
+
+def reference_index_document(doc: Document, vocab: Vocabulary, dp_labels=None) -> _FlatIndex:
+    """The document's index with gold positions, built as the scorer built it
+    before gold left the prediction index: every column in one pass, the
+    scalar features bucketed by nested np.where."""
+    sent_ids = [[vocab.index.get(t.lower(), UNK_INDEX) for t in s.tokens] for s in doc.sentences]
+    ordered = doc.ordered_mentions()
+    spans = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
+    sent = np.array([m.sentence for m in ordered], dtype=np.int32)
+    layout = candidate_layout(doc)
+    table_row = {name: i for i, name in enumerate(layout.names)}
+    cand = layout.cand
+    slot = slot_of(layout.starts, len(cand))
+    child = np.array([table_row[s.child] - N_META for s in layout.slots],
+                     dtype=np.int32)[slot]
+
+    row = cand - N_META
+    is_mention = row >= 0
+    c, r = child[is_mention], row[is_mention]
+    delta = np.abs(sent[c] - sent[r])
+    feat = np.empty(len(cand), dtype=np.uint16)
+    feat[~is_mention] = 1 << (7 + cand[~is_mention])
+    feat[is_mention] = reference_feature_bits(delta, c < r)
+
+    gold_parent = gold_parents(doc)
+    gold_row = np.array([table_row.get(gold_parent.get(s), -1) for s in layout.slots],
+                        dtype=np.int64)
+    hit = np.flatnonzero(cand == gold_row[slot])
+    gold = np.full(len(layout.slots), -1, dtype=np.int32)
+    gold[slot[hit]] = hit
+
+    return _FlatIndex(
+        layout,
+        mention_tok=np.array([i for span in spans for i in span], dtype=np.int32),
+        mention_len=np.array([len(span) for span in spans], dtype=np.int32),
+        sent_tok=np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32),
+        sent_len=np.array([len(sentence) for sentence in sent_ids], dtype=np.int32),
+        ctype=None if dp_labels is None else _content_types(doc, dp_labels),
+        mention_sent=sent, starts=layout.starts, gold=gold, child=child, cand=cand,
+        feat=feat)
+
+
+def reference_feature_bits(delta: np.ndarray, precedes: np.ndarray) -> np.ndarray:
+    """A mention candidate's packed scalar features from its sentence distance
+    and whether the child precedes it: the distance bucket (0, 1, 2, 3-5,
+    >=6) as bits 0-4, precedes as bit 5, same sentence as bit 6."""
+    bucket = np.where(delta <= 2, delta, np.where(delta <= 5, 3, 4))
+    return (1 << bucket) + precedes * (1 << 5) + (delta == 0) * (1 << 6)
 
 
 def lookup(vocab: Vocabulary, token: str) -> int:

@@ -339,7 +339,7 @@ def test_a_failing_write_is_a_runtime_fault(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(corpus_module, "write_atomic", interrupted)
     out = tmp_path / "data"
     assert main(["synth", "--seed", "3", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error: no space left on device\n"
+    assert capsys.readouterr().err == "error: OSError: no space left on device\n"
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
@@ -1036,6 +1036,30 @@ def test_runtime_value_error_is_a_runtime_fault(tmp_path, hand_corpus_path, caps
     assert code == 3
     assert "could not be broadcast" in capsys.readouterr().err
     assert not (tmp_path / "preds" / "predictions.jsonl").exists()
+
+
+def test_a_runtime_fault_of_a_foreign_class_names_its_type(tmp_path, hand_corpus_path,
+                                                           capsys, monkeypatch):
+    """An exception class tdgparse does not define is named on the error line;
+    tdgparse's own errors are reported by their message alone."""
+    corpus = parse_corpus(hand_corpus_path)
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(initialized_model(ModelConfig(dim=3, hidden=2),
+                                      build_vocabulary(corpus), seed=0),
+                    checkpoint)
+    argv = ["predict", "--checkpoint", str(checkpoint), "--corpus", str(hand_corpus_path)]
+
+    def raising(exc):
+        def decode(*args, **kwargs):
+            raise exc
+        return decode
+
+    monkeypatch.setattr(cli, "decode_corpus", raising(KeyError(("synth-0000", 1))))
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 3
+    assert capsys.readouterr().err == "error: KeyError: ('synth-0000', 1)\n"
+    monkeypatch.setattr(cli, "decode_corpus", raising(TrainingDiverged("scores diverged")))
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 3
+    assert capsys.readouterr().err == "error: scores diverged\n"
 
 
 # prints the thread count the loaded OpenBLAS uses, or -1 if none is found

@@ -17,7 +17,7 @@ from tdgparse.evaluation import (
     report_to_json,
 )
 from tdgparse.graph import Slot, TemporalDependencyGraph, graph_to_json
-from tdgparse.scorer import _index_document, build_vocabulary
+from tdgparse.scorer import _index_document, _with_gold, build_vocabulary
 
 from .conftest import ONE_TIMEX_DOC, make_doc
 from .oracles import (
@@ -268,7 +268,7 @@ def test_a_slot_with_two_gold_edges_takes_its_first():
         "gold slot Slot(child='t1', slot='timex_ref'): more than one edge "
         "(parents DCT and ROOT)"]
     assert gold_parents(doc) == {("t1", "timex_ref"): "DCT"}
-    idx = _index_document(doc, build_vocabulary([doc]))
+    idx = _with_gold(_index_document(doc, build_vocabulary([doc])))
     assert idx.layout.names[idx.cand[idx.gold[0]]] == "DCT"
     dct = TemporalDependencyGraph(doc.id, {Slot("t1", "timex_ref"): "DCT"})
     assert attachment_accuracy({doc.id: dct}, [doc]) == 1.0

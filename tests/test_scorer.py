@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdgparse import scorer
+from tdgparse import scorer, training
 from tdgparse.corpus import META_NODES, ContentType, Document, GoldEdge, Mention, Sentence
 from tdgparse.graph import Slot, candidate_layout, candidate_set, greedy_decode
 from tdgparse.scorer import (
@@ -24,7 +24,10 @@ from tdgparse.scorer import (
     _index_document,
     _Offsets,
     _offsets,
+    _segment_means,
+    _segment_sums,
     _slice,
+    _with_gold,
     init_params,
     load_checkpoint,
     param_shapes,
@@ -42,6 +45,8 @@ from .oracles import (
     relu_pattern,
     random_document,
     reference_candidates,
+    reference_feature_bits,
+    reference_index_document,
     reference_scores,
     score_documents,
 )
@@ -415,7 +420,7 @@ def test_concat_keeps_a_missing_gold_position():
     and every other gold position shifts with its document's candidates."""
     docs, _ = mixed_batch()
     model = initialized_model(ModelConfig(dim=2, hidden=2), build_vocabulary(docs), seed=0)
-    first, second = (_index_document(doc, model.vocab) for doc in docs[:2])
+    first, second = (_with_gold(_index_document(doc, model.vocab)) for doc in docs[:2])
     second = second._replace(gold=np.concatenate([[-1], second.gold[1:]]).astype(np.int32))
     batch = _concat([first, second])
     assert batch.gold.tolist() == (first.gold.tolist() + [-1]
@@ -428,7 +433,7 @@ def test_a_run_of_a_laid_out_epoch_is_its_own_batch(run):
     every run count from the run's start, a gold position of -1 included."""
     docs, labels = mixed_batch()
     model = initialized_model(ModelConfig(dim=2, hidden=2), build_vocabulary(docs), seed=0)
-    indexes = [_index_document(doc, model.vocab, labels) for doc in docs]
+    indexes = [_with_gold(_index_document(doc, model.vocab, labels)) for doc in docs]
     indexes[1] = indexes[1]._replace(
         gold=np.concatenate([[-1], indexes[1].gold[1:]]).astype(np.int32))
     laid = _concat(indexes, run=run)
@@ -618,6 +623,109 @@ def test_candidate_layout_matches_reference():
         for (slot, cands), row in zip(want.items(), rows):
             assert [layout.names[r] for r in row.tolist()] == cands
             assert candidate_set(doc, slot) == cands
+
+
+def index_documents() -> list[Document]:
+    """Seeded random documents, synthetic ones up to 8 sentences long, a
+    timex-only, a one-mention and a mention-less one, and two whose gold
+    parents miss candidates: a slot without a gold edge, and one whose gold
+    parent is illegal."""
+    rng = random.Random(53)
+    docs = [random_document(rng, doc_id=f"x{trial}") for trial in range(150)]
+    docs += mixed_batch()[0]  # its last two: the timex-only and the one-mention one
+    quiet = Document(id="quiet", dct="2021-01-01", sentences=[Sentence(0, ("calm",))],
+                     mentions=[], gold_edges=[])
+    dropped = random_document(rng, doc_id="dropped")
+    dropped = Document(id="dropped", dct=dropped.dct, sentences=dropped.sentences,
+                       mentions=dropped.mentions, gold_edges=dropped.gold_edges[1:])
+    illegal = Document(
+        id="illegal", dct="2021-01-01", sentences=[Sentence(0, ("monday", "fire"))],
+        mentions=[Mention("t1", "timex", 0, 0, 1), Mention("e1", "event", 0, 1, 2)],
+        gold_edges=[GoldEdge("t1", "timex_ref", "DCT"), GoldEdge("e1", "timex_ref", "ROOT"),
+                    GoldEdge("e1", "event_ref", "NO_EVENT")])
+    return docs + [quiet, dropped, illegal]
+
+
+def test_index_matches_reference():
+    """_with_gold of a document's index equals the reference index column by
+    column, dtypes included; an index made to predict holds no gold."""
+    docs = index_documents()
+    rng = random.Random(5)
+    labels = {(doc.id, s.index): rng.choice(list(ContentType))
+              for doc in docs for s in doc.sentences}
+    vocab = build_vocabulary(docs[::2])  # unknown tokens too
+    missing = 0
+    for doc in docs:
+        for dp_labels in (None, labels):
+            predict = _index_document(doc, vocab, dp_labels)
+            assert predict.gold is None
+            got, want = _with_gold(predict), reference_index_document(doc, vocab, dp_labels)
+            assert got.layout.doc is want.layout.doc is doc
+            assert (got.layout.slots, got.layout.names) == (want.layout.slots, want.layout.names)
+            for name in scorer._FlatIndex._fields[1:]:
+                a, b = getattr(got, name), getattr(want, name)
+                if b is None:
+                    assert a is None, (doc.id, name)
+                else:
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (doc.id, name)
+        missing += int(np.count_nonzero(got.gold < 0))
+    assert [len(doc.mentions) for doc in docs[-5:-2]] == [3, 1, 0]
+    assert {m.kind for m in docs[-5].mentions} == {"timex"}
+    assert missing >= 2
+
+
+@pytest.mark.parametrize("variant", ["baseline", "dp_feature"])
+def test_one_scatter_sums_as_two_do(variant):
+    """_first_layer's u, a and sent equal, bit for bit, those built from a
+    separate scatter for mentions and for sentences, with and without the
+    dp_feature markers."""
+    docs, labels = mixed_batch()
+    model = initialized_model(ModelConfig(dim=5, hidden=3, variant=variant),
+                              build_vocabulary(docs), seed=2)
+    batch = _concat([_index_document(doc, model.vocab, labels) for doc in docs])
+    markers = model._markers(batch)
+    assert (markers is None) == (variant == "baseline")
+    emb = model.params["embeddings"]
+    mention = _segment_means(emb, batch.mention_tok, batch.mention_len)
+    sent = _segment_sums(emb, batch.sent_tok, batch.sent_len)
+    sizes = batch.sent_len
+    if markers is not None:
+        sent, sizes = sent + emb[markers], sizes + 1
+    sent = (sent / sizes[:, None])[batch.mention_sent]
+    layer = model._first_layer(batch, markers)
+    assert np.array_equal(layer.u, mention + emb[scorer.CHILD_MARK_INDEX])
+    assert np.array_equal(layer.a, np.concatenate([model.params["meta_embeddings"],
+                                                   mention + emb[scorer.CAND_MARK_INDEX]]))
+    assert np.array_equal(layer.sent, sent)
+
+
+def test_feature_table_matches_bucket_arithmetic():
+    """The feature table gives a mention candidate the bits of the distance
+    buckets, for every distance from 0 to 300 and either order."""
+    delta = np.arange(301)
+    for precedes in (False, True):
+        key = np.minimum(delta, scorer._FAR) + (scorer._FAR + 1) * precedes
+        assert scorer._FEATURE_BITS.dtype == np.uint16
+        assert np.array_equal(scorer._FEATURE_BITS[key],
+                              reference_feature_bits(delta, np.full(len(delta), precedes)))
+
+
+def test_prediction_never_computes_gold(monkeypatch):
+    """score_document and decode_corpus run with every gold computation raising."""
+    docs, labels = mixed_batch()
+
+    def refuse(*args):
+        raise AssertionError("a prediction computed gold")
+
+    for module in (scorer, training):
+        monkeypatch.setattr(module, "_with_gold", refuse)
+    monkeypatch.setattr(scorer, "gold_parents", refuse)
+    for variant in VARIANTS:
+        model = initialized_model(ModelConfig(dim=3, hidden=2, variant=variant),
+                                  build_vocabulary(docs), seed=0)
+        for doc in docs:
+            assert len(model.score_document(doc, labels)) == len(candidate_layout(doc).slots)
+        assert list(training.decode_corpus(model, docs, labels)) == [doc.id for doc in docs]
 
 
 def test_model_rejects_misshaped_or_non_finite_parameters():
