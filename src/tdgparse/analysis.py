@@ -80,14 +80,17 @@ def all_tables(corpus: Corpus, dp: DpLabelMap) -> list[DistributionTable]:
       reference timex;
     - event_reference_event_content: the content type of an event's
       cross-sentence reference event.
+    Sentence indexes run 0, 1, ... as validation requires, so each document's
+    content types are one list indexed by sentence.
     """
     require_dp_coverage(dp, corpus)
     counts = [[[0] * len(cols) for _ in ROW_LABELS] for _, cols in TABLES]
     timex_parents, event_timexes, timex_content, event_content = counts
     for doc in corpus:
-        types = {s.index: CONTENT_TYPE_INDEX[dp[(doc.id, s.index)]] for s in doc.sentences}
+        types = [CONTENT_TYPE_INDEX[dp[doc.id, s.index]] for s in doc.sentences]
+        by_id = doc.by_id
         for edge in doc.gold_edges:
-            child = doc.mention(edge.child)
+            child = by_id[edge.child]
             row = types[child.sentence]
             if edge.slot == TIMEX_REF and child.kind == TIMEX:
                 col = 0 if edge.parent == DCT else 1 if edge.parent == ROOT else 2
@@ -95,7 +98,7 @@ def all_tables(corpus: Corpus, dp: DpLabelMap) -> list[DistributionTable]:
             elif edge.slot == TIMEX_REF and edge.parent == DCT:
                 event_timexes[row][0] += 1
             elif edge.parent not in META_NODES:
-                parent = doc.mention(edge.parent)
+                parent = by_id[edge.parent]
                 same = parent.sentence == child.sentence
                 if edge.slot == TIMEX_REF:
                     event_timexes[row][1 if same else 2] += 1

@@ -21,7 +21,7 @@ import json
 import os
 import reprlib
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
@@ -129,17 +129,18 @@ class Document:
     sentences: list[Sentence]
     mentions: list[Mention]
     gold_edges: list[GoldEdge]
-    _by_id: dict[str, Mention] = field(init=False, repr=False, compare=False)
+    # each mention by id, the last of a repeated one; hot loops read it directly
+    by_id: dict[str, Mention] = field(init=False, repr=False, compare=False)
     _ordered: list[Mention] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._by_id = {m.id: m for m in self.mentions}
+        self.by_id = {m.id: m for m in self.mentions}
         self._ordered = sorted(
             self.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id)
         )
 
     def mention(self, mention_id: str) -> Mention:
-        return self._by_id[mention_id]
+        return self.by_id[mention_id]
 
     def ordered_mentions(self) -> list[Mention]:
         """Mentions in document order: by sentence, then span position."""
@@ -152,40 +153,40 @@ Corpus = list[Document]
 DpLabelMap = dict[tuple[str, int], ContentType]
 
 
-def find_cycle(node_ids: list[str], edges: list[tuple[str, str]]) -> list[str] | None:
+def find_cycle(node_ids: Collection[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
     """Return one directed cycle as a node list, or None if the graph is acyclic.
 
     ``edges`` are (child, parent) pairs; a pair whose endpoints are not both
     in ``node_ids`` (a meta parent, an unknown mention) is skipped. A
     depth-first search starts from each node with an out-edge, in
     ``node_ids`` order, and follows each node's edges in the order given;
-    nodes without one cannot lie on a cycle and are never entered.
+    nodes without one cannot lie on a cycle and are never entered. An entered
+    node maps to True in ``on_path`` while on the path, to False once done.
     """
     known = set(node_ids)
     succs: dict[str, list[str]] = {}
     for child, parent in edges:
         if child in known and parent in known:
             succs.setdefault(child, []).append(parent)
-    done: set[str] = set()
+    on_path: dict[str, bool] = {}
     for start in node_ids:
-        if start not in succs or start in done:
+        if start not in succs or start in on_path:
             continue
         path = [start]
-        on_path = {start}
+        on_path[start] = True
         stack = [iter(succs[start])]
         while stack:
             for nxt in stack[-1]:
-                if nxt in on_path:
+                state = on_path.get(nxt)
+                if state:
                     return path[path.index(nxt):] + [nxt]
-                if nxt in succs and nxt not in done:
+                if state is None and nxt in succs:
                     path.append(nxt)
-                    on_path.add(nxt)
+                    on_path[nxt] = True
                     stack.append(iter(succs[nxt]))
                     break
             else:
-                node = path.pop()
-                on_path.discard(node)
-                done.add(node)
+                on_path[path.pop()] = False
                 stack.pop()
     return None
 
@@ -196,20 +197,26 @@ def edge_violations(doc: Document, edges: dict[Slot, str]) -> list[str]:
     Violations list the unfilled slots in document order (a mention's slots
     in KIND_SLOTS order), then the edges that break PARENT_RULES in edge
     order, then one cycle. An edge whose child is no mention, or whose slot
-    its child's kind does not have, does not belong to the document.
+    its child's kind does not have, does not belong to the document. Kinds
+    are read from ``doc.by_id``, and only the edges from a mention to a
+    mention, the only ones that can close a cycle, go to find_cycle.
     """
-    kind_of = {m.id: m.kind for m in doc.mentions}
+    by_id = doc.by_id
     violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
                   for slot in KIND_SLOTS.get(m.kind, ()) if (m.id, slot) not in edges]
+    links: list[tuple[str, str]] = []
     for slot, parent in edges.items():
         child, name = slot
-        rule = PARENT_RULES.get((kind_of.get(child), name))
+        mention = by_id.get(child)
+        rule = None if mention is None else PARENT_RULES.get((mention.kind, name))
+        if mention is not None and (target := by_id.get(parent)) is not None:
+            links.append((child, parent))
         if rule is None:
             violations.append(f"slot {slot} does not belong to document {doc.id}")
-        elif parent not in rule[0] and (parent == child or kind_of.get(parent) != rule[1]):
+        elif parent not in rule[0] and (parent == child or target is None
+                                        or target.kind != rule[1]):
             violations.append(f"slot {slot}: parent {parent} is not a legal candidate")
-    cycle = find_cycle([m.id for m in doc.mentions],
-                       [(child, parent) for (child, _), parent in edges.items()])
+    cycle = find_cycle(by_id, links)
     if cycle is not None:
         violations.append("edges form a cycle: " + " -> ".join(cycle))
     return violations

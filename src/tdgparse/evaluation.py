@@ -17,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .corpus import KIND_SLOTS, META_NODES, Corpus, Document, Slot, gold_parents
+from .corpus import KIND_SLOTS, META_NODES, Corpus, Slot, gold_parents
 from .graph import TemporalDependencyGraph
 
 INTRA_SENTENCE = "intra_sentence"
@@ -28,20 +28,6 @@ CATEGORIES = (INTRA_SENTENCE, CROSS_SENTENCE, NO_PARENT)
 
 class EvaluationError(Exception):
     """Predictions do not line up with the gold corpus."""
-
-
-def _category(doc: Document, sentence_of: dict[str, int], child: str,
-              parent: str) -> str:
-    """The category of the slot child -> parent; ``sentence_of`` maps doc's
-    mention ids to their sentences."""
-    if parent in META_NODES:
-        return NO_PARENT
-    sentence = sentence_of.get(parent)
-    if sentence is None:
-        raise EvaluationError(f"document {doc.id}: unknown parent {parent!r}")
-    if sentence == sentence_of[child]:
-        return INTRA_SENTENCE
-    return CROSS_SENTENCE
 
 
 def corpus_identity(corpus: Corpus) -> str:
@@ -83,49 +69,62 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
                     seed: int | str | None = None,
                     variant: str | None = None) -> MetricsReport:
     """Per-category precision/recall/F1 plus overall accuracy, over every slot
-    of every gold document in slot_instances order."""
-    cats = {c: CategoryMetrics() for c in CATEGORIES}
-    total = correct = 0
+    of every gold document in slot_instances order.
+
+    Parents are categorized through each document's ``by_id`` map and
+    counted in plain ints, one per CATEGORIES entry, which make each
+    CategoryMetrics at the end.
+    """
+    gold_n, pred_n, hit_n = [0, 0, 0], [0, 0, 0], [0, 0, 0]  # per CATEGORIES entry
     for doc in gold:
         graph = preds.get(doc.id)
         if graph is None:
             raise EvaluationError(f"no prediction for document {doc.id!r}")
         edges = graph.edges
         gold_of = gold_parents(doc)
-        sentence_of = {m.id: m.sentence for m in doc.mentions}
+        by_id = doc.by_id
         for m in doc.ordered_mentions():
+            child, sentence = m.id, m.sentence
             for slot in KIND_SLOTS[m.kind]:
-                key = (m.id, slot)  # a Slot hashes and compares as its tuple
+                key = (child, slot)  # a Slot hashes and compares as its tuple
                 pred_parent = edges.get(key)
                 if pred_parent is None:
                     raise EvaluationError(
                         f"document {doc.id}: missing prediction for slot {Slot(*key)}"
                     )
                 gold_parent = gold_of[key]
-                total += 1
-                gold_cat = _category(doc, sentence_of, m.id, gold_parent)
-                pred_cat = _category(doc, sentence_of, m.id, pred_parent)
-                cats[gold_cat].gold += 1
-                cats[pred_cat].predicted += 1
+                try:  # 2 for a meta parent, else 0 in the child's sentence, 1 outside it
+                    gold_cat = 2 if gold_parent in META_NODES else \
+                        0 if by_id[gold_parent].sentence == sentence else 1
+                    pred_cat = 2 if pred_parent in META_NODES else \
+                        0 if by_id[pred_parent].sentence == sentence else 1
+                except KeyError as exc:
+                    raise EvaluationError(f"document {doc.id}: unknown parent "
+                                          f"{exc.args[0]!r}") from None
+                gold_n[gold_cat] += 1
+                pred_n[pred_cat] += 1
                 if pred_parent == gold_parent:
-                    correct += 1
-                    cats[gold_cat].correct += 1
+                    hit_n[gold_cat] += 1
+    total = sum(gold_n)
     if total == 0:
         raise EvaluationError("gold corpus has no slots to evaluate")
+    cats: dict[str, CategoryMetrics] = {}
     flags: list[str] = []
-    for name, c in cats.items():
-        if c.predicted > 0:
-            c.precision = c.correct / c.predicted
+    for name, n_gold, n_pred, n_hit in zip(CATEGORIES, gold_n, pred_n, hit_n):
+        precision = recall = f1 = 0.0
+        if n_pred > 0:
+            precision = n_hit / n_pred
         else:
             flags.append(f"{name}:precision_undefined")
-        if c.gold > 0:
-            c.recall = c.correct / c.gold
+        if n_gold > 0:
+            recall = n_hit / n_gold
         else:
             flags.append(f"{name}:recall_undefined")
-        if c.precision + c.recall > 0:
-            c.f1 = 2 * c.precision * c.recall / (c.precision + c.recall)
+        if precision + recall > 0:
+            f1 = 2 * precision * recall / (precision + recall)
+        cats[name] = CategoryMetrics(n_gold, n_pred, n_hit, precision, recall, f1)
     return MetricsReport(corpus=corpus_identity(gold), seed=seed,
-                         accuracy=correct / total, total_slots=total,
+                         accuracy=sum(hit_n) / total, total_slots=total,
                          per_category=cats, flags=flags, variant=variant)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from sys import intern
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,6 @@ from .corpus import (
     Document,
     Slot,
     edge_violations,
-    intern_str,
     json_field,
 )
 
@@ -323,16 +323,20 @@ def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:
 
 
 def graph_to_json(graph: TemporalDependencyGraph, doc: Document) -> dict:
-    """Serialize a decoded graph with edges in canonical slot order."""
-    edges = [{"child": s.child, "slot": s.slot, "parent": graph.edges[s]}
-             for s in slot_instances(doc) if s in graph.edges]
-    return {"id": graph.doc_id, "edges": edges}
+    """Serialize a decoded graph with edges in canonical (slot_instances)
+    order: each slot of doc the graph holds, whatever its parent."""
+    edges = graph.edges
+    return {"id": graph.doc_id,
+            "edges": [{"child": m.id, "slot": slot, "parent": edges[m.id, slot]}
+                      for m in doc.ordered_mentions() for slot in KIND_SLOTS[m.kind]
+                      if (m.id, slot) in edges]}
 
 
 def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
     """Read a graph_to_json object back and validate it against doc.
 
-    A field of the wrong JSON type raises FieldError. Edge names are left to
+    A field of the wrong JSON type raises FieldError, and an ``id`` other
+    than doc's raises GraphError naming both. Edge names are left to
     validate_graph, which admits only doc's string ids and the meta nodes;
     its violations raise one GraphError naming them all, as does a missing
     or unhashable name. String names are interned, as a parsed corpus's are.
@@ -340,11 +344,17 @@ def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
     edges: dict[Slot, str] = {}
     try:
         for e in json_field(obj, "edges", list, "", dict):
-            slot = _new_tuple(Slot, (intern_str(e["child"]), intern_str(e["slot"])))
+            child, name = e["child"], e["slot"]
+            slot = _new_tuple(Slot, (intern(child) if type(child) is str else child,
+                                     intern(name) if type(name) is str else name))
             if slot in edges:
                 raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
-            edges[slot] = intern_str(e["parent"])
-        graph = TemporalDependencyGraph(doc_id=json_field(obj, "id", str), edges=edges)
+            parent = e["parent"]
+            edges[slot] = intern(parent) if type(parent) is str else parent
+        doc_id = json_field(obj, "id", str)
+        if doc_id != doc.id:
+            raise GraphError(f"document {doc.id}: the prediction is for document {doc_id}")
+        graph = TemporalDependencyGraph(doc_id=doc.id, edges=edges)
         violations = validate_graph(graph, doc)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"document {doc.id}: malformed prediction "

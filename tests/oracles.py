@@ -13,7 +13,9 @@ buckets included. The graph validator keeps the earlier package code: a
 colour-table depth-first search from every node and an explicit candidate
 list per slot; the document validator keeps the earlier per-kind branches
 and per-mention edge counts; the analysis tables run one loop per table.
-The JSON type check names each value's type and compares names. Plain
+The JSON type check names each value's type and compares names; the
+prediction and corpus-line readers ask types by those names, build their
+graph or document themselves and hand it to the reference validators. Plain
 Python only, except numpy in the scorer, index, AdamW and training
 references and the gradient check.
 """
@@ -37,7 +39,7 @@ from tdgparse.corpus import (
     Sentence,
     gold_parents,
 )
-from tdgparse.evaluation import _category, attachment_accuracy
+from tdgparse.evaluation import EvaluationError, attachment_accuracy
 from tdgparse.graph import (
     GraphError,
     Slot,
@@ -268,8 +270,14 @@ def gold_graph(doc: Document) -> TemporalDependencyGraph:
 
 
 def slot_category(doc: Document, child: str, parent: str) -> str:
-    """The evaluation category of the slot child -> parent."""
-    return _category(doc, {m.id: m.sentence for m in doc.mentions}, child, parent)
+    """The evaluation category of the slot child -> parent; EvaluationError
+    for a parent that is neither a meta node nor a mention of doc."""
+    if parent in META:
+        return "no_parent"
+    sentence_of = {m.id: m.sentence for m in doc.mentions}
+    if parent not in sentence_of:
+        raise EvaluationError(f"document {doc.id}: unknown parent {parent!r}")
+    return "intra_sentence" if sentence_of[parent] == sentence_of[child] else "cross_sentence"
 
 
 def random_pred_graph(rng: random.Random, doc: Document) -> TemporalDependencyGraph:
@@ -578,6 +586,91 @@ def reference_validate_document(doc: Document) -> list[str]:
         violations.append("gold edges form a cycle: " + " -> ".join(cycle))
 
     return violations
+
+
+# ------------------------------------------------------------ JSON readers
+
+
+def _unhashable(value) -> bool:
+    return isinstance(value, (list, dict))
+
+
+def reference_load_error(obj: dict, doc: Document) -> str | None:
+    """The GraphError text graph_from_json gives for a prediction object whose
+    fields have their JSON types and whose edges hold child, slot and parent,
+    or None if it loads. Reading in edge order, an unhashable child or slot
+    or a slot seen before stops it; then an id other than doc's, an
+    unhashable parent of a mention's slot, and last the violations."""
+    at = f"document {doc.id}: "
+
+    def malformed(value) -> str:
+        return f"{at}malformed prediction (TypeError: unhashable type: '{type(value).__name__}')"
+
+    edges: dict = {}
+    for e in obj["edges"]:
+        for name in (e["child"], e["slot"]):
+            if _unhashable(name):
+                return malformed(name)
+        slot = Slot(e["child"], e["slot"])
+        if slot in edges:
+            return f"{at}duplicate edge for {slot}"
+        edges[slot] = e["parent"]
+    if obj["id"] != doc.id:
+        return f"{at}the prediction is for document {obj['id']}"
+    ids = {m.id for m in doc.mentions}
+    for slot, parent in edges.items():
+        if slot.child in ids and _unhashable(parent):
+            return malformed(parent)
+    violations = reference_validate_graph(TemporalDependencyGraph(doc.id, edges), doc)
+    return at + "; ".join(violations) if violations else None
+
+
+def reference_prediction_ok(obj, doc: Document) -> bool:
+    """Whether a decoded prediction line loads as doc's graph: the JSON types
+    asked by name, then reference_load_error."""
+    if _json_type_name(obj) != "object" or _json_type_name(obj.get("id")) != "string" \
+            or not reference_is_json(obj.get("edges"), list, dict):
+        return False
+    if any(key not in e for e in obj["edges"] for key in ("child", "slot", "parent")):
+        return False
+    return reference_load_error(obj, doc) is None
+
+
+# each record's fields, as (JSON kind, element kind), in a corpus line
+_CORPUS_FIELDS = {
+    None: {"id": (str, None), "dct": (str, None), "sentences": (list, dict),
+           "mentions": (list, dict), "edges": (list, dict)},
+    "sentences": {"index": (int, None), "tokens": (list, str)},
+    "mentions": {"id": (str, None), "kind": (str, None), "sentence": (int, None),
+                 "start": (int, None), "end": (int, None)},
+    "edges": {"child": (str, None), "slot": (str, None), "parent": (str, None)},
+}
+
+
+def reference_corpus_line_ok(obj) -> str | None:
+    """The document id of a decoded corpus line whose fields all have their
+    JSON types and which reference_validate_document finds valid, else None."""
+    if _json_type_name(obj) != "object":
+        return None
+    records = [(None, obj)] + [(part, r) for part in ("sentences", "mentions", "edges")
+                               if reference_is_json(obj.get(part), list, dict)
+                               for r in obj[part]]
+    for part, record in records:
+        for key, (kind, item) in _CORPUS_FIELDS[part].items():
+            if key not in record or not reference_is_json(record[key], kind, item):
+                return None
+    if [s["index"] for s in obj["sentences"]] != list(range(len(obj["sentences"]))):
+        return None  # the first violation, and one the span check below assumes absent
+    sentences = [Sentence(s["index"], tuple(s["tokens"])) for s in obj["sentences"]]
+    mentions = [Mention(m["id"], m["kind"], m["sentence"], m["start"], m["end"])
+                for m in obj["mentions"]]
+    edges = [GoldEdge(e["child"], e["slot"], e["parent"], e.get("label"))
+             for e in obj["edges"]]
+    covered = {e.child for e in edges if e.slot == "event_ref"}
+    edges += [GoldEdge(m.id, "event_ref", "NO_EVENT") for m in mentions
+              if m.kind == "event" and m.id not in covered]
+    doc = Document(obj["id"], obj["dct"], sentences, mentions, edges)
+    return None if reference_validate_document(doc) else doc.id
 
 
 # ---------------------------------------------------------------- analysis

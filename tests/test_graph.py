@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -458,6 +459,13 @@ def test_graph_json_round_trip(hand_corpus):
     with pytest.raises(GraphError, match=re.escape(
             f"document {doc.id}: duplicate edge for Slot(child='e1', slot='timex_ref')")):
         graph_from_json({"id": doc.id, "edges": obj["edges"] + obj["edges"][:1]}, doc)
+    # a prediction for another document is refused, even where that document
+    # has the same mention ids and kinds and so the same legal edges
+    twin = dataclasses.replace(doc, id="other")
+    assert validate_graph(graph, twin) == []
+    with pytest.raises(GraphError, match=re.escape(
+            f"document other: the prediction is for document {doc.id}")):
+        graph_from_json(obj, twin)
     # edge names are not coerced: only the document's string ids and the meta
     # nodes pass, and an unhashable name is refused like any other
     for key, value in [("parent", ["t1"]), ("parent", {"t1": 1}), ("child", ["e1"]),

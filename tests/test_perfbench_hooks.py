@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from tdgparse import graph, scorer, training
+from tdgparse import analysis, evaluation, graph, scorer, training
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
 from .conftest import initialized_model, make_doc
-from .oracles import scores_over
+from .oracles import gold_graph, scores_over
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -91,6 +91,34 @@ def test_tracer_patches_and_restores_every_name(perfbench_modules):
         tracer.uninstall()
     for (owner, attr), original in zip(patched, originals):
         assert getattr(owner, attr) is original
+
+
+def test_traced_evaluation_records_a_span_per_layer(perfbench_modules):
+    """Reading predictions back, scoring and tabulating them each record a
+    nonzero span, validate_graph's inside graph_from_json's, so inlining a
+    layer into its caller cannot silently zero its per-layer metric."""
+    tracing, _ = perfbench_modules
+    docs, labels = generate_synthetic_corpus(SynthConfig(n_docs=3), seed=1)
+    objs = [graph.graph_to_json(gold_graph(doc), doc) for doc in docs]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        preds = {doc.id: graph.graph_from_json(obj, doc) for doc, obj in zip(docs, objs)}
+        assert evaluation.partitioned_prf(preds, docs).accuracy == 1.0
+        analysis.all_tables(docs, labels)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    calls = {"graph.graph_from_json": 3, "graph.validate_graph": 3,
+             "evaluation.partitioned_prf": 1, "analysis.all_tables": 1}
+    for name, n in calls.items():
+        assert tracer.totals[name][0] == n and tracer.totals[name][1] > 0, name
+    for name in ("graph.validate_graph_s", "evaluation.partitioned_prf_s",
+                 "analysis.all_tables_s"):
+        assert metrics[name] > 0, name
+    names = {span[0]: span[3] for span in tracer.spans}
+    assert [names[span[1]] for span in tracer.spans
+            if span[3] == "graph.validate_graph"] == ["graph.graph_from_json"] * 3
 
 
 @pytest.mark.parametrize("variant", ["baseline", "dp_distill"])

@@ -1,7 +1,9 @@
-"""Seeded property tests: graph and document validation, the analysis tables
-and the JSON type rule against the references in tests/oracles.py, over
-random documents, corpora and JSON values."""
+"""Seeded property tests: graph and document validation, reading a prediction
+back, the metrics, the analysis tables and the JSON type rule against the
+references in tests/oracles.py, over random documents, corpora and JSON
+values; and a mutation fuzzer over the CLI's corpus and prediction lines."""
 
+import copy
 import json
 import math
 import random
@@ -9,6 +11,7 @@ import random
 import pytest
 
 from tdgparse.analysis import all_tables
+from tdgparse.cli import main
 from tdgparse.corpus import (
     CONTENT_TYPES,
     Document,
@@ -20,18 +23,31 @@ from tdgparse.corpus import (
     is_json,
     json_field,
     validate_document,
+    write_corpus,
 )
-from tdgparse.graph import Slot, TemporalDependencyGraph, validate_graph
+from tdgparse.evaluation import partitioned_prf
+from tdgparse.graph import (
+    GraphError,
+    Slot,
+    TemporalDependencyGraph,
+    graph_from_json,
+    graph_to_json,
+    validate_graph,
+)
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
 from .oracles import (
     JSON_KINDS,
+    brute_force_metrics,
     gold_graph,
     random_document,
     random_json_value,
     random_pred_graph,
+    reference_corpus_line_ok,
     reference_find_cycle,
     reference_is_json,
+    reference_load_error,
+    reference_prediction_ok,
     reference_tables,
     reference_validate_document,
     reference_validate_graph,
@@ -224,3 +240,221 @@ def test_json_type_rule_matches_reference_on_random_values():
     # every combination admits some values and refuses others
     assert all(20 <= admitted.get(combo, 0) <= 1400 for combo in
                [(k, None) for k in JSON_KINDS] + [(list, k) for k in JSON_KINDS]), admitted
+
+
+def _json_edge(obj: dict, child: str, slot: str) -> dict | None:
+    """The first edge object of a prediction for the slot (child, slot), if any."""
+    return next((e for e in obj["edges"] if e["child"] == child and e["slot"] == slot), None)
+
+
+def _ring(obj: dict, links: list[tuple[str, str, str]]) -> bool:
+    """Set each (child, slot, parent) of links in obj's edges; False if a slot has no edge."""
+    for child, slot, parent in links:
+        edge = _json_edge(obj, child, slot)
+        if edge is None:
+            return False
+        edge["parent"] = parent
+    return True
+
+
+def _mutate_prediction(rng: random.Random, doc: Document, obj: dict,
+                       kinds: list[str]) -> str | None:
+    """Apply one of kinds to a graph_to_json object in place; return its name,
+    or None if it does not apply to this document."""
+    timexes, events = _ids(doc, "timex"), _ids(doc, "event")
+    names = ["DCT", "ROOT", "NO_EVENT", "nobody"] + timexes + events
+    edges = obj["edges"]
+    kind = rng.choice(kinds)
+    if not edges and kind in ("illegal", "unknown", "self", "drop", "duplicate", "non_str",
+                              "unhashable"):
+        return None
+    if kind == "illegal":
+        options = ([(t, "timex_ref", p) for t in timexes for p in events + ["NO_EVENT"]]
+                   + [(e, "timex_ref", p) for e in events for p in events + ["ROOT"]]
+                   + [(e, "event_ref", p) for e in events for p in timexes + ["DCT"]])
+        return kind if _ring(obj, [rng.choice(options)]) else None
+    if kind == "unknown":
+        rng.choice(edges)["parent"] = "nobody"
+    elif kind == "self":
+        edge = rng.choice(edges)
+        edge["parent"] = edge["child"]
+    elif kind == "drop":
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == "duplicate":
+        edges.insert(rng.randint(0, len(edges)), dict(rng.choice(edges), parent=rng.choice(names)))
+    elif kind == "foreign":
+        child, slot = rng.choice([(t, "event_ref") for t in timexes]
+                                 + [("ghost", "timex_ref"), ("ghost", "event_ref")]
+                                 + [(m, "bogus") for m in timexes + events])
+        edges.insert(rng.randint(0, len(edges)),
+                     {"child": child, "slot": slot, "parent": rng.choice(names)})
+    elif kind in ("non_str", "unhashable"):
+        values = [5, 2**70, 1.5, True, None] if kind == "non_str" else [["t1"], {"t1": 1}]
+        rng.choice(edges)[rng.choice(["child", "slot", "parent"])] = rng.choice(values)
+    elif kind in ("event_2cycle", "event_3cycle"):
+        n = 2 if kind == "event_2cycle" else 3
+        if len(events) < n:
+            return None
+        ring = rng.sample(events, n)
+        return kind if _ring(obj, [(c, "event_ref", p) for c, p in
+                                   zip(ring, ring[1:] + ring[:1])]) else None
+    elif kind == "illegal_cycle":  # an illegal timex_ref edge closed by a legal one
+        if timexes and events and rng.random() < 0.5:
+            t, e = rng.choice(timexes), rng.choice(events)
+            links = [(t, "timex_ref", e), (e, "timex_ref", t)]
+        elif len(events) >= 2:
+            e1, e2 = rng.sample(events, 2)
+            links = [(e1, "timex_ref", e2), (e2, "event_ref", e1)]
+        else:
+            return None
+        return kind if _ring(obj, links) else None
+    return kind
+
+
+PREDICTION_FAULTS = ["illegal", "unknown", "self", "drop", "duplicate", "foreign", "non_str",
+                     "unhashable", "event_2cycle", "event_3cycle", "illegal_cycle"]
+
+
+def test_reading_back_predictions_matches_the_references():
+    """graph_from_json's GraphError text for a mutated prediction is the
+    reference reader's; the predictions that load score and tabulate as the
+    brute-force counts and the per-table loops do."""
+    rng = random.Random(2028)
+    applied: dict[str, int] = {}
+    loaded: list[tuple[Document, TemporalDependencyGraph]] = []
+    for trial in range(N_DOCS):
+        doc = random_document(rng, max_mentions=9, doc_id=f"g{trial}")
+        base = gold_graph(doc) if trial % 2 else random_pred_graph(rng, doc)
+        obj = json.loads(json.dumps(graph_to_json(base, doc)))
+        kinds = list(PREDICTION_FAULTS)
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            kind = _mutate_prediction(rng, doc, obj, kinds)
+            if kind is not None:
+                applied[kind] = applied.get(kind, 0) + 1
+            if kind == "unhashable":  # with two, the type named would depend on check order
+                kinds.remove(kind)
+        expected = reference_load_error(obj, doc)
+        if expected is None:
+            graph = graph_from_json(obj, doc)
+            assert graph.edges == {Slot(e["child"], e["slot"]): e["parent"]
+                                   for e in obj["edges"]}
+            loaded.append((doc, graph))
+        else:
+            with pytest.raises(GraphError) as err:
+                graph_from_json(obj, doc)
+            assert str(err.value) == expected, (trial, obj)
+    assert all(applied.get(kind, 0) >= 15 for kind in PREDICTION_FAULTS), applied
+    assert len(loaded) > N_DOCS // 5
+
+    for lo in range(0, len(loaded), 10):
+        docs = [doc for doc, _ in loaded[lo:lo + 10]]
+        preds = {doc.id: graph for doc, graph in loaded[lo:lo + 10]}
+        report, want = partitioned_prf(preds, docs), brute_force_metrics(preds, docs)
+        assert (report.accuracy, report.total_slots) == (want["accuracy"], want["total_slots"])
+        for name, c in report.per_category.items():
+            w = want["per_category"][name]
+            assert (c.gold, c.predicted, c.correct, c.precision, c.recall, c.f1) == \
+                (w["gold"], w["predicted"], w["correct"], w["p"], w["r"], w["f1"])
+        # the same graphs as gold edges, tabulated
+        as_gold = [Document(doc.id, doc.dct, doc.sentences, doc.mentions,
+                            [GoldEdge(s.child, s.slot, p) for s, p in preds[doc.id].edges.items()])
+                   for doc in docs]
+        labels = _random_labels(rng, as_gold)
+        expected_tables = reference_tables(as_gold, labels)
+        for table in all_tables(as_gold, labels):
+            denominators, cells = expected_tables[table.name]
+            assert table.denominators == denominators
+            assert all(_same(row, want) for row, want in zip(table.cells, cells))
+
+
+# type swaps, and a stand-in the JSON line writes as the bare number 1e400
+_SWAPS = [None, True, 0, 1.5, "x", [], {}, ["x"], {"x": 1}]
+_RAW_1E400 = "\x00e400"
+
+
+def _positions(value, path: tuple = ()):
+    """The path of every value inside a decoded JSON value, the root excluded."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,)
+        yield from _positions(inner, path + (key,))
+
+
+def _mutate_line(rng: random.Random, obj: dict) -> str:
+    """One or two of a type swap, a deletion, a list item's duplication, NaN,
+    2**70 or 1e400 (a string or a number), at random positions of obj, in
+    place; the mutated object as a JSON line."""
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(["swap", "delete", "duplicate", "nan", "huge", "1e400"])
+        paths = list(_positions(obj))
+        if op == "duplicate":
+            paths = [p for p in paths if isinstance(p[-1], int)]
+        if not paths:
+            continue
+        *outer, key = rng.choice(paths)
+        holder = obj
+        for step in outer:
+            holder = holder[step]
+        if op == "delete":
+            del holder[key]
+        elif op == "duplicate":
+            holder.insert(key, copy.deepcopy(holder[key]))
+        elif op == "nan":
+            holder[key] = math.nan
+        elif op == "huge":
+            holder[key] = 2**70
+        elif op == "1e400":
+            holder[key] = rng.choice(["1e400", _RAW_1E400])
+        else:
+            swaps = [v for v in _SWAPS if type(v) is not type(holder[key])]
+            holder[key] = copy.deepcopy(rng.choice(swaps))
+    return json.dumps(obj).replace(json.dumps(_RAW_1E400), "1e400")
+
+
+def test_cli_exit_codes_hold_on_mutated_corpus_and_prediction_lines(tmp_path, capsys):
+    """A seeded mutation fuzzer over the first two input kinds: one line of a
+    corpus (validate) or of a prediction file (evaluate) gets one or two
+    mutated values. No exception escapes main; the exit code is 0 when the
+    references accept the input and otherwise the one the README gives (1
+    for a corpus, 3 for a prediction); a failed evaluate leaves only its
+    manifest, and validate always writes its report beside it."""
+    rng = random.Random(29)
+    docs = [random_document(rng, max_mentions=5, doc_id=f"f{i}") for i in range(3)]
+    gold = tmp_path / "gold.jsonl"
+    write_corpus(docs, gold)
+    clean = {"validate": gold.read_text(encoding="utf-8").splitlines(),
+             "evaluate": [json.dumps(graph_to_json(random_pred_graph(rng, doc), doc))
+                          for doc in docs]}
+    outcomes: dict[tuple[str, int], int] = {}
+    for run in range(240):
+        command = ("validate", "evaluate")[run % 2]
+        i = rng.randrange(len(docs))
+        lines = list(clean[command])
+        if run >= 2:  # the first run of each command reads its clean input
+            lines[i] = _mutate_line(rng, json.loads(lines[i]))
+        path, out = tmp_path / f"in{run}.jsonl", tmp_path / f"out{run}"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        if command == "validate":
+            argv = ["validate", "--corpus", str(path), "--out", str(out)]
+            ids = [reference_corpus_line_ok(json.loads(line)) for line in lines]
+            ok, fail_code = None not in ids and len(set(ids)) == len(ids), 1
+        else:
+            argv = ["evaluate", "--gold", str(gold), "--pred", str(path), "--out", str(out)]
+            ok, fail_code = reference_prediction_ok(json.loads(lines[i]), docs[i]), 3
+        try:
+            code = main(argv)
+        except BaseException as exc:  # the property under test: nothing escapes
+            pytest.fail(f"{command}: {type(exc).__name__} escaped main on {lines[i]}")
+        err = capsys.readouterr().err
+        assert code == (0 if ok else fail_code), (command, lines[i], err)
+        outputs = {p.name for p in out.iterdir()}
+        if command == "validate":
+            assert outputs == {"manifest.json", "report.json"}
+        else:
+            assert outputs == {"manifest.json"} | ({"metrics-seed0.json"} if ok else set())
+        if code == 3:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        outcomes[command, code] = outcomes.get((command, code), 0) + 1
+    assert outcomes[("validate", 0)] >= 5 and outcomes[("validate", 1)] >= 60, outcomes
+    assert outcomes[("evaluate", 0)] >= 1 and outcomes[("evaluate", 3)] >= 100, outcomes
