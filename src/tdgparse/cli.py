@@ -55,6 +55,7 @@ from .corpus import (
     parse_corpus,
     parse_object,
     read_corpus,
+    require_dp_coverage,
     write_atomic,
     write_corpus,
     write_dp_labels,
@@ -172,7 +173,7 @@ def cmd_validate(args) -> int:
         docs.append(doc)
     if args.dp_labels and not violations:
         try:
-            load_dp_labels(args.dp_labels, docs)
+            require_dp_coverage(load_dp_labels(args.dp_labels, docs), docs)
         except DpLabelError as exc:
             violations.append(str(exc))
     report = {"documents": len(docs), "violations": violations,

@@ -43,13 +43,6 @@ class ContentType(Enum):
     D4 = "D4"  # expectation
     NA = "NA"  # left unlabeled by the profiler
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "ContentType":
-        try:
-            return cls(tag)
-        except ValueError:
-            raise ValueError(f"unknown content type {tag!r}") from None
-
 
 CONTENT_TYPES = tuple(ContentType)
 CONTENT_TYPE_INDEX = {ct: i for i, ct in enumerate(CONTENT_TYPES)}
@@ -149,7 +142,7 @@ class Document:
 
 Corpus = list[Document]
 
-# (document id, sentence index) -> ContentType, total over the covered corpus
+# (document id, sentence index) -> ContentType
 DpLabelMap = dict[tuple[str, int], ContentType]
 
 
@@ -329,6 +322,9 @@ def json_field(obj: dict, key: str, kind: type, where: str = "", item: type | No
                      f"not {reprlib.repr(value)}")
 
 
+MAX_COUNT = 2**31 - 1  # a config's largest count or size: the scorer's largest int32 row
+
+
 def intern_str(value):
     """``value`` interned if it is a str; any other value, which a validator
     reports later, as it is."""
@@ -471,8 +467,9 @@ def require_dp_coverage(labels: DpLabelMap, corpus: Corpus, what: str = "corpus"
 
 
 def load_dp_labels(path: str | Path, corpus: Corpus) -> DpLabelMap:
-    """Read a doc_id<TAB>sentence_index<TAB>tag file, total over the corpus; a bad
-    line, one that is not UTF-8 included, raises DpLabelError naming it."""
+    """Read a doc_id<TAB>sentence_index<TAB>tag file about the corpus; a bad
+    line, one that is not UTF-8 included, raises DpLabelError naming it. A
+    sentence left out raises DpLabelError only where its label is read."""
     path = Path(path)
     docs = {d.id: d for d in corpus}
     labels: DpLabelMap = {}
@@ -502,14 +499,13 @@ def load_dp_labels(path: str | Path, corpus: Corpus) -> DpLabelMap:
                     f"{path}:{lineno}: document {doc_id!r} has no sentence {index}"
                 )
             try:
-                ct = ContentType.from_tag(tag)
-            except ValueError as exc:
-                raise DpLabelError(f"{path}:{lineno}: {exc}") from None
+                ct = ContentType(tag)
+            except ValueError:
+                raise DpLabelError(f"{path}:{lineno}: unknown content type {tag!r}") from None
             key = (doc.id, index)  # the document's own id object, not the line's copy
             if key in labels:
                 raise DpLabelError(f"{path}:{lineno}: duplicate entry for {key}")
             labels[key] = ct
-    require_dp_coverage(labels, corpus)
     return labels
 
 

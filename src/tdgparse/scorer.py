@@ -14,30 +14,31 @@ Three variants share this machinery:
 
 Each document is indexed into flat arrays: token ids of every mention and
 sentence, and the candidate layout ``graph.candidate_layout`` builds for its
-slots, with each candidate's packed scalar features, looked up in one
-constant table. Given discourse labels, the index also holds every
-sentence's content type, which dp_feature's markers and the dp head read;
-labels enter nowhere else. A slot's gold candidate is the one
-``corpus.gold_parents`` names; its position is computed only where a loss
-or an accuracy reads it, by ``_with_gold`` for training and validation,
-never for a prediction. A model holds no index: each pass indexes the
-documents it reads. A batch of documents, for training or scoring, is
-scored by one embedding gather, one scatter that sums the tokens of every
-mention and sentence, and a factored hidden layer. The MLP's input for a
-candidate is ``[u, sent(child), a, sent(cand), u*a, scalars]``, so its
-first layer splits by column block: the child and candidate blocks are multiplied once per mention and once per
-candidate-table row, and gathered per candidate; only ``u*a`` and the
-scalars are multiplied per candidate. One bound, ``BLOCK_CANDIDATES``,
-limits that per-candidate work: it runs over slot-aligned blocks of at most
-that many candidates, each with its own per-slot softmax, so memory stays
-bounded however long a document is; gradients run the same blocks backwards
-and sum. ``lay_out`` lays the indexes it is given end to end in runs of at
-most the same bound (a larger document is a run of its own, split into
-blocks); fed indexes one at a time, a predict run holds one run's indexes at
-a time. ``run_scores`` scores one laid-out run, whose positions
-``training.decode_run`` decodes. ``score_document`` indexes and scores one
-document and hands its scores on over its layout, as a ``graph.SlotScores``
-that ``greedy_decode`` reads directly.
+slots, with each candidate's key into one constant table of scalar features.
+Given discourse labels, the index also holds every sentence's content type,
+which dp_feature's markers and the dp head read; labels enter nowhere else,
+and a sentence without a label raises DpLabelError there. A slot's gold
+candidate is the one ``corpus.gold_parents`` names; its position is computed
+only where a loss or an accuracy reads it, by ``_with_gold`` for training
+and validation, never for a prediction. A model holds no index: each pass
+indexes the documents it reads. A batch of documents, for training or
+scoring, is scored by one embedding gather, one scatter that sums the tokens
+of every mention and sentence, and a factored hidden layer. The MLP's input
+for a candidate is ``[u, sent(child), a, sent(cand), u*a, scalars]``, so its
+first layer splits by column block: the child and candidate blocks are
+multiplied once per mention and once per candidate-table row, and gathered
+per candidate; only ``u*a`` and the scalars are multiplied per candidate.
+One bound, ``BLOCK_CANDIDATES``, limits that per-candidate work: it runs
+over slot-aligned blocks of at most that many candidates, each with its own
+per-slot softmax, so memory stays bounded however long a document is;
+gradients run the same blocks backwards and sum. ``lay_out`` lays the
+indexes it is given end to end in runs of at most the same bound (a larger
+document is a run of its own, split into blocks); fed indexes one at a time,
+a predict run holds one run's indexes at a time. ``run_scores`` scores one
+laid-out run, whose positions ``training.decode_run`` decodes.
+``score_document`` indexes and scores one document and hands its scores on
+over its layout, as a ``graph.SlotScores`` that ``greedy_decode`` reads
+directly.
 
 Training reads batches from a ``TrainingLayout`` of the indexes it made,
 which checks every gold parent once per training run and lays the documents
@@ -65,6 +66,7 @@ import numpy as np
 from .corpus import (
     CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
+    MAX_COUNT,
     META_NODES,
     Corpus,
     Document,
@@ -98,24 +100,20 @@ MARKER_BASE_INDEX = 3
 # rows of meta_embeddings, which head the candidate table before the mentions
 N_META = len(META_NODES)
 
-# scalar feature block, one bit each in a candidate's packed features:
-# 0-4 sentence-distance bucket (0, 1, 2, 3-5, >=6), 5 child precedes
-# candidate, 6 same sentence, 7-9 the candidate is DCT, ROOT or NO_EVENT
+# scalar feature block, one column each: 0-4 sentence-distance bucket (0, 1,
+# 2, 3-5, >=6), 5 child precedes candidate, 6 same sentence, 7-9 the
+# candidate is DCT, ROOT or NO_EVENT
 N_SCALAR_FEATURES = 10
-_PRECEDES_BIT, _SAME_SENTENCE_BIT, _META_BIT = 5, 6, 7
 _BUCKETS = (0, 1, 2, 3, 3, 3, 4)  # the bucket of each sentence distance up to _FAR
 _FAR = len(_BUCKETS) - 1
-# a candidate's packed features by key: a mention's key is min(sentence
-# distance, _FAR) + (_FAR + 1) * [child precedes it], a meta node's _META_KEY
-# plus its row
-_FEATURE_BITS = np.array(
-    [(1 << bucket) + (distance == 0) * (1 << _SAME_SENTENCE_BIT) + precedes * (1 << _PRECEDES_BIT)
-     for precedes in (0, 1) for distance, bucket in enumerate(_BUCKETS)]
-    + [1 << (_META_BIT + k) for k in range(N_META)], dtype=np.uint16)
 _META_KEY = 2 * (_FAR + 1)
-# the scalar block of every packed feature value, as floats
-_SCALAR_ROWS = ((np.arange(1 << N_SCALAR_FEATURES)[:, None] >> np.arange(N_SCALAR_FEATURES))
-                & 1).astype(np.float64)
+# a candidate's scalar block by its key, the index's ``feat``: a mention's
+# key is min(sentence distance, _FAR) + (_FAR + 1) * [child precedes it], a
+# meta node's _META_KEY plus its row
+_ONE_HOT = np.eye(N_SCALAR_FEATURES)
+_FEATURE_ROWS = np.array(
+    [_ONE_HOT[bucket] + precedes * _ONE_HOT[5] + (distance == 0) * _ONE_HOT[6]
+     for precedes in (0, 1) for distance, bucket in enumerate(_BUCKETS)] + list(_ONE_HOT[7:]))
 
 # the most candidates one block of the per-candidate work holds (unless a
 # single slot has more) and one run of lay_out lays end to end (unless a
@@ -140,8 +138,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if json_field(vars(self), "variant", str) not in VARIANTS:
             raise ScorerError(f"unknown variant {self.variant!r}")
-        if json_field(vars(self), "dim", int) < 1 or json_field(vars(self), "hidden", int) < 1:
-            raise ScorerError("dim and hidden must be positive")
+        if not (1 <= json_field(vars(self), "dim", int) <= MAX_COUNT
+                and 1 <= json_field(vars(self), "hidden", int) <= MAX_COUNT):
+            raise ScorerError(f"dim and hidden must be positive, in [1, {MAX_COUNT}]")
 
 
 class Vocabulary:
@@ -265,7 +264,7 @@ class _FlatIndex(NamedTuple):
     _with_gold computes it, for training and validation, and it is None in
     an index made to predict (and for a batch when any of its indexes has
     none). Per candidate, ``child`` is the child mention's row and ``feat``
-    the scalar features as bits.
+    its scalar features' key, the row of _FEATURE_ROWS that holds them.
     """
 
     layout: CandidateLayout | None
@@ -336,8 +335,8 @@ def _index_document(doc: Document, vocab: Vocabulary,
     row = cand - N_META
     is_mention = row >= 0
     c, r = child[is_mention], row[is_mention]
-    key = cand + _META_KEY
-    key[is_mention] = np.minimum(np.abs(sent[c] - sent[r]), _FAR) + (_FAR + 1) * (c < r)
+    feat = (cand + _META_KEY).astype(np.uint8)
+    feat[is_mention] = np.minimum(np.abs(sent[c] - sent[r]), _FAR) + (_FAR + 1) * (c < r)
 
     return _FlatIndex(
         layout,
@@ -347,7 +346,7 @@ def _index_document(doc: Document, vocab: Vocabulary,
         sent_len=np.array([len(sentence) for sentence in sent_ids], dtype=np.int32),
         ctype=None if dp_labels is None else _content_types(doc, dp_labels),
         mention_sent=sent, starts=layout.starts, gold=None, child=child, cand=cand,
-        feat=_FEATURE_BITS[key])
+        feat=feat)
 
 
 def _with_gold(idx: _FlatIndex) -> _FlatIndex:
@@ -607,7 +606,7 @@ class RankingModel:
         """
         child, cand = batch.child[lo:hi], batch.cand[lo:hi]
         u, a = layer.u.take(child, axis=0), layer.a.take(cand, axis=0)
-        x = np.concatenate([u * a, _SCALAR_ROWS.take(batch.feat[lo:hi], axis=0)], axis=1)
+        x = np.concatenate([u * a, _FEATURE_ROWS.take(batch.feat[lo:hi], axis=0)], axis=1)
         z = layer.c.take(child, axis=0)
         z += layer.t.take(cand, axis=0)
         z += x @ layer.wx

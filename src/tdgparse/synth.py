@@ -22,6 +22,7 @@ from .corpus import (
     DCT,
     EVENT,
     EVENT_REF,
+    MAX_COUNT,
     NO_EVENT,
     ROOT,
     TIMEX,
@@ -95,8 +96,8 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_docs", "noise_vocab_size", "event_vocab_size", "timex_vocab_size"):
-            if json_field(vars(self), name, int) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            if not 1 <= json_field(vars(self), name, int) <= MAX_COUNT:
+                raise ValueError(f"{name} must lie in [1, {MAX_COUNT}]")
         for name in ("sentences_per_doc", "mentions_per_sentence",
                      "noise_tokens_per_sentence"):
             bounds = json_field(vars(self), name, list, "", int)
@@ -104,8 +105,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be a [low, high] pair, not {list(bounds)}")
             lo, hi = bounds
             setattr(self, name, (lo, hi))  # a JSON config gives a list
-            if lo > hi or lo < 0:
-                raise ValueError(f"{name} range ({lo}, {hi}) is infeasible")
+            if not 0 <= lo <= hi <= MAX_COUNT:
+                raise ValueError(f"{name} range ({lo}, {hi}) is infeasible in [0, {MAX_COUNT}]")
         if self.sentences_per_doc[0] < 1:
             raise ValueError("documents need at least one sentence")
         if not 0.0 <= json_field(vars(self), "timex_share", float) <= 1.0:

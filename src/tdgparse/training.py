@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scorer
-from .corpus import Corpus, DpLabelMap, json_field, require_dp_coverage
+from .corpus import MAX_COUNT, Corpus, DpLabelMap, json_field
 from .graph import (
     DECODE_ORDERS,
     GraphError,
@@ -120,8 +120,8 @@ class TrainConfig:
                              f"not {list(self.seeds)}")
         if min(self.seeds) < 0:
             raise ValueError(f"seed {min(self.seeds)} is negative; seeds must be non-negative")
-        if self.max_epochs < 1 or self.batch_size_docs < 1:
-            raise ValueError("max_epochs and batch_size_docs must be positive")
+        if not (1 <= self.max_epochs <= MAX_COUNT and 1 <= self.batch_size_docs <= MAX_COUNT):
+            raise ValueError(f"max_epochs and batch_size_docs must lie in [1, {MAX_COUNT}]")
         if self.peak_lr <= 0 or self.weight_decay < 0:
             raise ValueError("peak_lr must be positive and weight_decay non-negative")
         if not 1 <= self.warmup_epochs <= self.max_epochs:
@@ -315,15 +315,13 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     step. Model selection keeps the epoch with the highest validation
     attachment accuracy (earliest on ties), which Validation counts after
     every epoch from the validation corpus laid out once before the first;
-    its parameters are a copy of ``model.flat``, restored in place.
+    its parameters are a copy of ``model.flat``, restored in place. Labels
+    need cover only what indexing reads: training documents under either dp
+    variant, validation-only ones under dp_feature.
     """
     variant = config.variant
-    if variant in ("dp_feature", "dp_distill"):
-        if dp_labels is None:
-            raise ValueError(f"variant {variant} requires discourse labels")
-        require_dp_coverage(dp_labels, train_corpus, what="training corpus")
-        if variant == "dp_feature":
-            require_dp_coverage(dp_labels, valid_corpus, what="validation corpus")
+    if variant in ("dp_feature", "dp_distill") and dp_labels is None:
+        raise ValueError(f"variant {variant} requires discourse labels")
     if not train_corpus:
         raise ValueError("training corpus is empty")
     if not any(doc.mentions for doc in valid_corpus):

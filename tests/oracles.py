@@ -15,7 +15,8 @@ list per slot; the document validator keeps the earlier per-kind branches
 and per-mention edge counts; the analysis tables run one loop per table.
 The JSON type check names each value's type and compares names; the
 prediction and corpus-line readers ask types by those names, build their
-graph or document themselves and hand it to the reference validators. Plain
+graph or document themselves and hand it to the reference validators, and
+the config, checkpoint and label-row checks ask them field by field. Plain
 Python only, except numpy in the scorer, index, AdamW and training
 references and the gradient check.
 """
@@ -57,6 +58,8 @@ from tdgparse.scorer import (
     CHILD_MARK_INDEX,
     MARKER_BASE_INDEX,
     N_META,
+    N_SCALAR_FEATURES,
+    RESERVED_TOKENS,
     UNK_INDEX,
     RankingModel,
     Vocabulary,
@@ -502,7 +505,6 @@ def reference_validate_document(doc: Document) -> list[str]:
         if not sent.tokens:
             violations.append(f"document {doc.id}: sentence {sent.index} has no tokens")
 
-    n_sents = len(doc.sentences)
     sent_len = {s.index: len(s.tokens) for s in doc.sentences}
     seen_ids: set[str] = set()
     for m in doc.mentions:
@@ -514,7 +516,7 @@ def reference_validate_document(doc: Document) -> list[str]:
             violations.append(f"mention {m.id}: id is reserved for a meta node")
         if m.kind not in ("event", "timex"):
             violations.append(f"mention {m.id}: unknown kind {m.kind!r}")
-        if not 0 <= m.sentence < n_sents:
+        if m.sentence not in sent_len:  # sentences are looked up by index, not position
             violations.append(f"mention {m.id}: sentence {m.sentence} does not exist")
         elif not (0 <= m.start < m.end <= sent_len[m.sentence]):
             violations.append(
@@ -659,8 +661,6 @@ def reference_corpus_line_ok(obj) -> str | None:
         for key, (kind, item) in _CORPUS_FIELDS[part].items():
             if key not in record or not reference_is_json(record[key], kind, item):
                 return None
-    if [s["index"] for s in obj["sentences"]] != list(range(len(obj["sentences"]))):
-        return None  # the first violation, and one the span check below assumes absent
     sentences = [Sentence(s["index"], tuple(s["tokens"])) for s in obj["sentences"]]
     mentions = [Mention(m["id"], m["kind"], m["sentence"], m["start"], m["end"])
                 for m in obj["mentions"]]
@@ -671,6 +671,123 @@ def reference_corpus_line_ok(obj) -> str | None:
               if m.kind == "event" and m.id not in covered]
     doc = Document(obj["id"], obj["dct"], sentences, mentions, edges)
     return None if reference_validate_document(doc) else doc.id
+
+
+# ------------------------------------------- configs, checkpoints, label rows
+
+MAX_COUNT = 2**31 - 1  # the most any count or size of a config may be
+_VARIANTS = ("baseline", "dp_feature", "dp_distill")
+_TAGS = {ct.value for ct in CONTENT_TYPES}
+
+
+def _count(value, low: int = 1) -> bool:
+    return _json_type_name(value) == "integer" and low <= value <= MAX_COUNT
+
+
+def _number(value, low: float = 0.0, high: float = math.inf) -> bool:
+    return _json_type_name(value) in ("integer", "float") and low <= value <= high
+
+
+def _bounds(value, low: int = 0) -> bool:
+    """A [low, high] list of counts, in order, from ``low`` up."""
+    return _json_type_name(value) == "list" and len(value) == 2 \
+        and all(_count(v, 0) for v in value) and low <= value[0] <= value[1]
+
+
+def _per_tag(value, ok) -> bool:
+    """An object with exactly one entry per content type, each passing ``ok``."""
+    return _json_type_name(value) == "object" and set(value) == _TAGS \
+        and all(ok(v) for v in value.values())
+
+
+def _sub_probability(pair) -> bool:
+    return _json_type_name(pair) == "list" and len(pair) == 2 \
+        and all(_number(p) for p in pair) and sum(pair) <= 1.0 + 1e-12
+
+
+_SYNTH_CHECKS = {
+    "n_docs": _count, "noise_vocab_size": _count, "event_vocab_size": _count,
+    "timex_vocab_size": _count, "sentences_per_doc": lambda v: _bounds(v, 1),
+    "mentions_per_sentence": _bounds, "noise_tokens_per_sentence": _bounds,
+    "timex_share": lambda v: _number(v, high=1.0),
+    "refevent_prob": lambda v: _number(v, high=1.0),
+    "refevent_intra_prob": lambda v: _number(v, high=1.0),
+    "refevent_content_affinity": lambda v: _number(v, high=1.0),
+    "content_weights": lambda v: _per_tag(v, _number) and sum(v.values()) > 0,
+    "timex_parent_probs": lambda v: _per_tag(v, _sub_probability),
+    "event_timex_probs": lambda v: _per_tag(v, _sub_probability),
+}
+
+
+def reference_synth_config_ok(obj: dict) -> bool:
+    """Whether SynthConfig takes a decoded config object: only its own
+    fields, each of which, when given, passes its check by type names."""
+    return set(obj) <= set(_SYNTH_CHECKS) and all(
+        check(obj[name]) for name, check in _SYNTH_CHECKS.items() if name in obj)
+
+
+_TRAIN_DEFAULTS = {"variant": "baseline", "max_epochs": 15, "batch_size_docs": 5,
+                   "peak_lr": 1e-4, "warmup_epochs": 5, "weight_decay": 0.01,
+                   "seeds": [0, 1, 2], "update_order": "dp_then_rank",
+                   "decode_order": "score", "dim": 32, "hidden": 64}
+
+
+def reference_train_config_ok(obj: dict) -> bool:
+    """Whether TrainConfig takes a decoded config object, its left-out
+    fields at their documented defaults."""
+    if not set(obj) <= set(_TRAIN_DEFAULTS):
+        return False
+    c = {**_TRAIN_DEFAULTS, **obj}
+    seeds = c["seeds"]
+    return (reference_is_json(seeds, list, int) and 0 < len(set(seeds)) == len(seeds)
+            and min(seeds) >= 0
+            and all(_count(c[name]) for name in ("max_epochs", "batch_size_docs", "dim", "hidden"))
+            and _json_type_name(c["warmup_epochs"]) in ("integer", "huge integer")
+            and 1 <= c["warmup_epochs"] <= c["max_epochs"]
+            and _number(c["peak_lr"]) and c["peak_lr"] > 0 and _number(c["weight_decay"])
+            and c["variant"] in _VARIANTS and c["decode_order"] in ("score", "document")
+            and c["update_order"] in ("dp_then_rank", "rank_then_dp", "joint"))
+
+
+def reference_checkpoint_ok(obj: dict) -> bool:
+    """Whether load_checkpoint reads a decoded checkpoint object: format 1,
+    a config whose left-out fields take their defaults, a vocabulary led by
+    the reserved tokens without a repeat, and per parameter a shape that
+    equals the one the config and vocabulary give and as many finite
+    numbers as it holds. ``train_config`` and ``seed`` are never read."""
+    hyper, vocab, params = (obj.get(k) for k in ("hyperparameters", "vocabulary", "params"))
+    if _json_type_name(obj.get("format_version")) != "integer" or obj["format_version"] != 1 \
+            or not reference_is_json(hyper, dict) or not reference_is_json(vocab, list, str) \
+            or not reference_is_json(params, dict) or not set(hyper) <= {"dim", "hidden", "variant"}:
+        return False
+    config = {"dim": 32, "hidden": 64, "variant": "baseline", **hyper}
+    d, h = config["dim"], config["hidden"]
+    if not (_count(d) and _count(h) and config["variant"] in _VARIANTS) \
+            or vocab[:len(RESERVED_TOKENS)] != list(RESERVED_TOKENS) or len(set(vocab)) != len(vocab):
+        return False
+    n_types = len(CONTENT_TYPES)
+    shapes = {"embeddings": [len(vocab), d], "meta_embeddings": [N_META, d],
+              "w1": [h, 5 * d + N_SCALAR_FEATURES], "b1": [h], "w2": [h], "b2": [],
+              "dp_weight": [n_types, d], "dp_bias": [n_types]}
+    for name, shape in shapes.items():
+        entry = params.get(name)
+        if not reference_is_json(entry, dict) or entry.get("shape") != shape \
+                or not reference_is_json(entry["shape"], list, int) \
+                or not reference_is_json(entry.get("data"), list) \
+                or len(entry["data"]) != math.prod(shape) \
+                or not all(_json_type_name(v) in ("integer", "float") for v in entry["data"]):
+            return False
+    return True
+
+
+def reference_dp_rows_ok(rows: list[list[str]], corpus: list[Document]) -> bool:
+    """Whether label rows, each a line split at its tabs, label every
+    sentence of the corpus once and nothing else: three fields, the
+    document id and the index as write_dp_labels writes them, and a
+    content type's tag."""
+    keys = [tuple(row[:2]) for row in rows if len(row) == 3 and row[2] in _TAGS]
+    want = {(doc.id, str(s.index)) for doc in corpus for s in doc.sentences}
+    return len(keys) == len(rows) == len(set(keys)) and set(keys) == want
 
 
 # ---------------------------------------------------------------- analysis
@@ -777,6 +894,11 @@ def reference_feature_bits(delta: np.ndarray, precedes: np.ndarray) -> np.ndarra
     >=6) as bits 0-4, precedes as bit 5, same sentence as bit 6."""
     bucket = np.where(delta <= 2, delta, np.where(delta <= 5, 3, 4))
     return (1 << bucket) + precedes * (1 << 5) + (delta == 0) * (1 << 6)
+
+
+def feature_bit_rows(bits: np.ndarray) -> np.ndarray:
+    """Packed scalar features as the scorer's scalar block: bit k is column k."""
+    return ((np.asarray(bits)[:, None] >> np.arange(N_SCALAR_FEATURES)) & 1).astype(np.float64)
 
 
 def lookup(vocab: Vocabulary, token: str) -> int:

@@ -13,7 +13,7 @@ import pytest
 from tdgparse import cli, scorer
 from tdgparse import corpus as corpus_module
 from tdgparse.cli import _path, _resolve_train_config, build_parser, main
-from tdgparse.corpus import parse_corpus, write_atomic
+from tdgparse.corpus import parse_corpus, write_atomic, write_corpus
 from tdgparse.graph import graph_to_json
 from tdgparse.scorer import (
     ModelConfig,
@@ -439,6 +439,37 @@ def test_synth_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+# every config field that sizes a run, by command
+SYNTH_RANGES = ("sentences_per_doc", "mentions_per_sentence", "noise_tokens_per_sentence")
+CEILING_FIELDS = [("synth", name) for name in (
+    "n_docs", "noise_vocab_size", "event_vocab_size", "timex_vocab_size", *SYNTH_RANGES)] + [
+    ("train", name) for name in ("max_epochs", "batch_size_docs", "dim", "hidden")]
+
+
+@pytest.mark.parametrize("value", [2**63, 2**70], ids=["2**63", "2**70"])
+@pytest.mark.parametrize("command, field", CEILING_FIELDS)
+def test_a_config_value_too_large_to_run_is_a_usage_error(command, field, value, tmp_path,
+                                                          hand_corpus_path, capsys):
+    """A count or size above MAX_COUNT, 2**31 - 1, exits 2 naming its field
+    before --out is made; a range is refused on its high bound and on both."""
+    config = tmp_path / "config.json"
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "train":
+        argv += ["--train", str(hand_corpus_path), "--valid", str(hand_corpus_path)]
+        given = [{"max_epochs": 2, "warmup_epochs": 1, field: value}]
+    elif field in SYNTH_RANGES:
+        given = [{field: [1, value]}, {field: [value, value]}]
+    else:
+        given = [{field: value}]
+    for obj in given:
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "2147483647]" in err, err
+    assert not out.exists()
+
+
 def _with(key: str, tag: str, value) -> dict:
     """SMALL_SYNTH with one content type's entry of a per-type table replaced."""
     return {**SMALL_SYNTH, key: {**SMALL_SYNTH.get(key, {}), tag: value}}
@@ -499,6 +530,78 @@ def test_analyze_flags_label_gaps(hand_corpus_path, tmp_path, capsys):
                  "--dp-labels", str(labels), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.fixture
+def split_corpora(tmp_path):
+    """Two synth draws, the second's documents renamed valid-0000, ...; the
+    labels file is the first draw's."""
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SMALL_SYNTH), encoding="utf-8")
+    for seed, name in ((1, "A"), (2, "B")):
+        assert main(["synth", "--config", str(config), "--seed", str(seed),
+                     "--out", str(tmp_path / name)]) == 0
+    valid = parse_corpus(tmp_path / "B" / "corpus.jsonl")
+    for i, doc in enumerate(valid):
+        doc.id = f"valid-{i:04d}"
+    write_corpus(valid, tmp_path / "B" / "corpus.jsonl")
+    return tmp_path / "A" / "corpus.jsonl", tmp_path / "B" / "corpus.jsonl", \
+        tmp_path / "A" / "dp_labels.tsv"
+
+
+def test_train_needs_labels_only_where_its_variant_reads_them(split_corpora, tmp_path,
+                                                              capsys):
+    """Labels for the training corpus alone serve dp_distill; dp_feature,
+    which reads them on validation documents too, stops at the first one
+    without a label and leaves only the manifest."""
+    train, valid, labels = split_corpora
+    argv = ["train", "--train", str(train), "--valid", str(valid),
+            "--dp-labels", str(labels), *SMALL_TRAIN]
+    assert main([*argv, "--variant", "dp_distill", "--out", str(tmp_path / "distill")]) == 0
+    out = tmp_path / "feature"
+    assert main([*argv, "--variant", "dp_feature", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: discourse labels do not cover the document valid-0000: missing (valid-0000, 0)")
+    assert {p.name for p in out.iterdir()} == {"manifest.json"}
+
+
+def test_predict_needs_labels_only_under_dp_feature(split_corpora, tmp_path, capsys):
+    """A label file that misses documents serves a baseline or dp_distill
+    checkpoint, which reads no label, and stops a dp_feature one."""
+    corpus, _, labels = split_corpora
+    partial = tmp_path / "partial.tsv"
+    partial.write_text("".join(line for line in labels.read_text(encoding="utf-8")
+                               .splitlines(keepends=True) if line.startswith("synth-0000\t")),
+                       encoding="utf-8")
+    vocab = build_vocabulary(parse_corpus(corpus))
+    for variant in ("baseline", "dp_distill", "dp_feature"):
+        checkpoint = tmp_path / f"{variant}.json"
+        save_checkpoint(initialized_model(ModelConfig(dim=3, hidden=2, variant=variant),
+                                          vocab, seed=0), checkpoint)
+        argv = ["predict", "--checkpoint", str(checkpoint), "--corpus", str(corpus)]
+        out = tmp_path / variant
+        code = main([*argv, "--dp-labels", str(partial), "--out", str(out)])
+        if variant == "dp_feature":
+            assert code == 3
+            assert capsys.readouterr().err.startswith(
+                "error: discourse labels do not cover the document synth-0001: missing")
+            assert {p.name for p in out.iterdir()} == {"manifest.json"}
+        else:
+            assert code == 0
+            assert main([*argv, "--out", str(tmp_path / f"{variant}-plain")]) == 0
+            assert (out / "predictions.jsonl").read_bytes() == \
+                (tmp_path / f"{variant}-plain" / "predictions.jsonl").read_bytes()
+
+
+def test_validate_reports_label_gaps(hand_corpus_path, tmp_path, capsys):
+    labels = tmp_path / "partial.tsv"
+    labels.write_text("a\t0\tM1\na\t1\tC2\nb\t1\tD1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["validate", "--corpus", str(hand_corpus_path), "--dp-labels", str(labels),
+                 "--out", str(out)]) == 1
+    gap = "discourse labels do not cover the corpus: missing (b, 0), (c, 0)"
+    assert read_json(out / "report.json") == {"documents": 3, "violations": [gap], "ok": False}
+    assert capsys.readouterr().err == gap + "\n"
 
 
 def test_failed_train_leaves_manifest_but_no_outputs(tmp_path, capsys):

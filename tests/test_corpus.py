@@ -7,6 +7,7 @@ import pytest
 
 from tdgparse import corpus as corpus_module
 from tdgparse import scorer
+from tdgparse.analysis import all_tables
 from tdgparse.corpus import (
     META_NODES,
     ContentType,
@@ -17,6 +18,7 @@ from tdgparse.corpus import (
     gold_parents,
     load_dp_labels,
     parse_corpus,
+    require_dp_coverage,
     validate_document,
     write_atomic,
     write_corpus,
@@ -185,10 +187,20 @@ def test_load_dp_labels_total(hand_corpus, hand_dp_path):
 
 
 def test_load_dp_labels_missing_sentence(hand_corpus, tmp_path):
+    """A map that misses a sentence loads; each reader of that sentence's
+    label raises DpLabelError naming the gap."""
     path = tmp_path / "gap.tsv"
     path.write_text("a\t0\tM1\na\t1\tC2\nb\t0\tD1\nb\t1\tD1\n")
-    with pytest.raises(DpLabelError, match=r"missing \(c, 0\)"):
-        load_dp_labels(path, hand_corpus)
+    labels = load_dp_labels(path, hand_corpus)
+    assert sorted(labels) == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+    vocab = build_vocabulary(hand_corpus)
+    assert scorer._index_document(hand_corpus[0], vocab, labels).ctype.tolist() == [0, 3]
+    with pytest.raises(DpLabelError, match=re.escape("document c: missing (c, 0)")):
+        scorer._index_document(hand_corpus[2], vocab, labels)
+    with pytest.raises(DpLabelError, match=re.escape("the corpus: missing (c, 0)")):
+        all_tables(hand_corpus, labels)
+    with pytest.raises(DpLabelError, match=re.escape("the corpus: missing (c, 0)")):
+        require_dp_coverage(labels, hand_corpus)
 
 
 def test_load_dp_labels_unknown_tag(hand_corpus, tmp_path):
@@ -340,6 +352,32 @@ def test_no_module_imports_a_name_it_never_uses():
         if imported - read:
             unused[path.name] = sorted(imported - read)
     assert unused == {}
+
+
+def test_no_definition_is_used_only_by_tests():
+    """Every function, class and method the package defines (dunders aside)
+    is referenced from the package or from perfbench/: by a name, an
+    attribute, an import, or a string naming what the benchmark's tracer
+    patches. A definition only tests/ reference belongs in tests/."""
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "tdgparse").glob("*.py"))
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path in package \
+                    and not node.name.startswith("__"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    assert len(defined) > 100
+    assert {name: at for name, at in defined.items() if name not in referenced} == {}
 
 
 def test_only_corpus_maps_gold_edges():

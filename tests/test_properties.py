@@ -1,13 +1,17 @@
 """Seeded property tests: graph and document validation, reading a prediction
 back, the metrics, the analysis tables and the JSON type rule against the
 references in tests/oracles.py, over random documents, corpora and JSON
-values; and a mutation fuzzer over the CLI's corpus and prediction lines."""
+values; and a mutation fuzzer over every input kind of the CLI: corpus and
+prediction lines, checkpoints, train and synth configs and dp-label rows,
+with the commands that read a mutated corpus agreeing with validate."""
 
 import copy
 import json
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tdgparse.analysis import all_tables
@@ -22,8 +26,10 @@ from tdgparse.corpus import (
     find_cycle,
     is_json,
     json_field,
+    parse_corpus,
     validate_document,
     write_corpus,
+    write_dp_labels,
 )
 from tdgparse.evaluation import partitioned_prf
 from tdgparse.graph import (
@@ -34,8 +40,10 @@ from tdgparse.graph import (
     graph_to_json,
     validate_graph,
 )
+from tdgparse.scorer import ModelConfig, build_vocabulary, save_checkpoint
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
+from .conftest import initialized_model
 from .oracles import (
     JSON_KINDS,
     brute_force_metrics,
@@ -43,12 +51,16 @@ from .oracles import (
     random_document,
     random_json_value,
     random_pred_graph,
+    reference_checkpoint_ok,
     reference_corpus_line_ok,
+    reference_dp_rows_ok,
     reference_find_cycle,
     reference_is_json,
     reference_load_error,
     reference_prediction_ok,
+    reference_synth_config_ok,
     reference_tables,
+    reference_train_config_ok,
     reference_validate_document,
     reference_validate_graph,
 )
@@ -412,6 +424,26 @@ def _mutate_line(rng: random.Random, obj: dict) -> str:
     return json.dumps(obj).replace(json.dumps(_RAW_1E400), "1e400")
 
 
+def _sentence_indexes(line: str) -> list | None:
+    """The index field of each sentence a corpus line holds, where it has a list of objects."""
+    sentences = json.loads(line).get("sentences")
+    if not isinstance(sentences, list) or not all(isinstance(s, dict) for s in sentences):
+        return None
+    return [s.get("index") for s in sentences]
+
+
+def _main(argv: list[str], what) -> int:
+    """main's exit code; an exception escaping it fails the test."""
+    try:
+        return main(argv)
+    except BaseException as exc:  # the property under test: nothing escapes
+        pytest.fail(f"{argv[0]}: {type(exc).__name__} escaped main on {what}")
+
+
+def _outputs(out: Path) -> set[str]:
+    return {p.name for p in out.iterdir()} if out.exists() else set()
+
+
 def test_cli_exit_codes_hold_on_mutated_corpus_and_prediction_lines(tmp_path, capsys):
     """A seeded mutation fuzzer over the first two input kinds: one line of a
     corpus (validate) or of a prediction file (evaluate) gets one or two
@@ -427,12 +459,15 @@ def test_cli_exit_codes_hold_on_mutated_corpus_and_prediction_lines(tmp_path, ca
              "evaluate": [json.dumps(graph_to_json(random_pred_graph(rng, doc), doc))
                           for doc in docs]}
     outcomes: dict[tuple[str, int], int] = {}
+    reindexed = 0
     for run in range(240):
         command = ("validate", "evaluate")[run % 2]
         i = rng.randrange(len(docs))
         lines = list(clean[command])
         if run >= 2:  # the first run of each command reads its clean input
             lines[i] = _mutate_line(rng, json.loads(lines[i]))
+            reindexed += command == "validate" and _sentence_indexes(lines[i]) != [
+                s.index for s in docs[i].sentences]
         path, out = tmp_path / f"in{run}.jsonl", tmp_path / f"out{run}"
         path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
         if command == "validate":
@@ -442,13 +477,10 @@ def test_cli_exit_codes_hold_on_mutated_corpus_and_prediction_lines(tmp_path, ca
         else:
             argv = ["evaluate", "--gold", str(gold), "--pred", str(path), "--out", str(out)]
             ok, fail_code = reference_prediction_ok(json.loads(lines[i]), docs[i]), 3
-        try:
-            code = main(argv)
-        except BaseException as exc:  # the property under test: nothing escapes
-            pytest.fail(f"{command}: {type(exc).__name__} escaped main on {lines[i]}")
+        code = _main(argv, lines[i])
         err = capsys.readouterr().err
         assert code == (0 if ok else fail_code), (command, lines[i], err)
-        outputs = {p.name for p in out.iterdir()}
+        outputs = _outputs(out)
         if command == "validate":
             assert outputs == {"manifest.json", "report.json"}
         else:
@@ -458,3 +490,186 @@ def test_cli_exit_codes_hold_on_mutated_corpus_and_prediction_lines(tmp_path, ca
         outcomes[command, code] = outcomes.get((command, code), 0) + 1
     assert outcomes[("validate", 0)] >= 5 and outcomes[("validate", 1)] >= 60, outcomes
     assert outcomes[("evaluate", 0)] >= 1 and outcomes[("evaluate", 3)] >= 100, outcomes
+    assert reindexed >= 5, reindexed
+
+
+@pytest.fixture
+def fuzz_inputs(tmp_path):
+    """Three random documents, their labels, a dp_distill checkpoint over
+    them and a train config small enough to run in milliseconds."""
+    rng = random.Random(31)
+    docs = [random_document(rng, max_mentions=5, doc_id=f"f{i}") for i in range(3)]
+    gold, labels = tmp_path / "gold.jsonl", tmp_path / "labels.tsv"
+    write_corpus(docs, gold)
+    write_dp_labels(_random_labels(rng, docs), docs, labels)
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(initialized_model(ModelConfig(dim=2, hidden=3, variant="dp_distill"),
+                                      build_vocabulary(docs), seed=0), checkpoint)
+    train = {"variant": "dp_distill", "max_epochs": 2, "warmup_epochs": 1,
+             "batch_size_docs": 2, "peak_lr": 0.01, "weight_decay": 0.01, "seeds": [0],
+             "update_order": "joint", "decode_order": "score", "dim": 2, "hidden": 3}
+    return docs, gold, labels, checkpoint, train
+
+
+# a clean synth config that generates in about a millisecond
+_SYNTH = {"n_docs": 2, "sentences_per_doc": [1, 3], "mentions_per_sentence": [0, 2],
+          "timex_share": 0.4, "refevent_prob": 0.5, "refevent_intra_prob": 0.3,
+          "refevent_content_affinity": 0.7, "noise_vocab_size": 5,
+          "noise_tokens_per_sentence": [0, 2], "event_vocab_size": 4, "timex_vocab_size": 3,
+          "content_weights": {ct.value: 1.0 for ct in CONTENT_TYPES},
+          "timex_parent_probs": {ct.value: [0.5, 0.25] for ct in CONTENT_TYPES},
+          "event_timex_probs": {ct.value: [0.5, 0.25] for ct in CONTENT_TYPES}}
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "train", "synth"])
+def test_cli_exit_codes_hold_on_mutated_checkpoints_and_configs(kind, fuzz_inputs, tmp_path,
+                                                                 capsys):
+    """The fuzzer over three more input kinds: a checkpoint (predict, 3 on
+    failure), a train config (train, 2) and a synth config (synth, 2), each
+    with one or two mutated values. The exit code is 0 when the reference
+    accepts the input and otherwise the kind's; a failed run leaves at most
+    its manifest. A train config the reference accepts whose peak_lr or
+    weight_decay is 2**70 diverges, which is exit 3 with the
+    TrainingDiverged line."""
+    docs, gold, labels, checkpoint, train = fuzz_inputs
+    clean = {"checkpoint": json.loads(checkpoint.read_text(encoding="utf-8")),
+             "train": train, "synth": _SYNTH}[kind]
+    rng = random.Random(f"{kind}-fuzz")
+    outcomes: dict[int, int] = {}
+    for run in range(150):
+        obj = copy.deepcopy(clean)
+        line = json.dumps(obj) if run == 0 else _mutate_line(rng, obj)
+        obj = json.loads(line)
+        path, out = tmp_path / f"{kind}{run}.json", tmp_path / f"out{run}"
+        path.write_text(line, encoding="utf-8")
+        if kind == "checkpoint":
+            argv = ["predict", "--checkpoint", str(path), "--corpus", str(gold),
+                    "--dp-labels", str(labels)]
+            expected = 0 if reference_checkpoint_ok(obj) else 3
+            done = {"manifest.json", "predictions.jsonl"}
+        elif kind == "train":
+            argv = ["train", "--config", str(path), "--train", str(gold), "--valid", str(gold),
+                    "--dp-labels", str(labels)]
+            expected, done = 2, set()
+            if reference_train_config_ok(obj):
+                diverges = max(obj.get("peak_lr", 0), obj.get("weight_decay", 0)) >= 2**70
+                expected = 3 if diverges else 0
+                done = {"manifest.json"} | {f"{what}-seed{s}.json" for s in obj.get("seeds", [0, 1, 2])
+                                            for what in ("checkpoint", "history")}
+        else:
+            argv = ["synth", "--config", str(path), "--seed", str(run)]
+            expected = 0 if reference_synth_config_ok(obj) else 2
+            done = {"manifest.json", "corpus.jsonl", "dp_labels.tsv"}
+        with np.errstate(all="ignore"):  # a diverging run overflows on its way to exit 3
+            code = _main([*argv, "--out", str(out)], line)
+        err = capsys.readouterr().err
+        assert code == expected, (line, err)
+        if code == 0:
+            assert _outputs(out) == done
+        else:
+            assert _outputs(out) <= {"manifest.json"}, line
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            if kind == "train" and code == 3:
+                assert "error: non-finite" in err, err
+        outcomes[code] = outcomes.get(code, 0) + 1
+    fail = {"checkpoint": 3, "train": 2, "synth": 2}[kind]
+    assert outcomes.get(0, 0) >= 3 and outcomes.get(fail, 0) >= 100, outcomes
+
+
+def _mutate_rows(rng: random.Random, rows: list[list[str]]) -> None:
+    """The line mutations on label rows, in place, once or twice: a row or
+    a field deleted or duplicated, or a field made another JSON value's text,
+    NaN, 2**70 or 1e400. A row keeps one field at least, so no line is blank."""
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(["swap", "delete", "duplicate", "nan", "huge", "1e400"])
+        r = rng.randrange(len(rows))
+        if op in ("delete", "duplicate") and (rng.random() < 0.5 or len(rows[r]) == 1):
+            holder, key = rows, r
+        else:
+            holder, key = rows[r], rng.randrange(len(rows[r]))
+        if op == "delete":
+            del holder[key]
+        elif op == "duplicate":
+            holder.insert(key, copy.deepcopy(holder[key]))
+        else:
+            holder[key] = {"nan": "NaN", "huge": str(2**70), "1e400": "1e400",
+                           "swap": json.dumps(rng.choice(_SWAPS))}[op]
+
+
+def test_cli_exit_codes_hold_on_mutated_dp_label_rows(fuzz_inputs, tmp_path, capsys):
+    """The fuzzer over dp-label rows: analyze exits 3 and validate
+    --dp-labels 1 unless the reference finds the rows a valid, total
+    labelling of the corpus; a failed analyze leaves nothing, and validate
+    always writes its report."""
+    docs, gold, labels, _, _ = fuzz_inputs
+    clean = [line.split("\t") for line in labels.read_text(encoding="utf-8").splitlines()]
+    rng = random.Random(37)
+    outcomes: dict[tuple[str, int], int] = {}
+    for run in range(160):
+        command = ("analyze", "validate")[run % 2]
+        rows = copy.deepcopy(clean)
+        if run >= 2:
+            _mutate_rows(rng, rows)
+        text = "".join("\t".join(row) + "\n" for row in rows)
+        path, out = tmp_path / f"labels{run}.tsv", tmp_path / f"out{run}"
+        path.write_text(text, encoding="utf-8")
+        code = _main([command, "--corpus", str(gold), "--dp-labels", str(path),
+                      "--out", str(out)], text)
+        err = capsys.readouterr().err
+        ok = reference_dp_rows_ok(rows, docs)
+        if command == "analyze":
+            assert code == (0 if ok else 3), (text, err)
+            assert (_outputs(out) == set()) != ok
+        else:
+            assert code == (0 if ok else 1), (text, err)
+            assert _outputs(out) == {"manifest.json", "report.json"}
+        outcomes[command, code] = outcomes.get((command, code), 0) + 1
+    assert outcomes[("analyze", 0)] >= 1 and outcomes[("analyze", 3)] >= 50, outcomes
+    assert outcomes[("validate", 0)] >= 1 and outcomes[("validate", 1)] >= 50, outcomes
+
+
+def test_commands_agree_with_validate_on_mutated_corpora(fuzz_inputs, tmp_path, capsys):
+    """On a corpus with one mutated line, train, predict and analyze exit 1
+    where validate exits 1; where validate accepts it, none exits 3, and
+    predict and analyze (given labels written for the mutated corpus)
+    succeed."""
+    docs, gold, labels, _, train = fuzz_inputs
+    checkpoint = tmp_path / "baseline.json"
+    save_checkpoint(initialized_model(ModelConfig(dim=2, hidden=3), build_vocabulary(docs),
+                                      seed=0), checkpoint)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({**train, "variant": "baseline", "max_epochs": 1}),
+                      encoding="utf-8")
+    clean = gold.read_text(encoding="utf-8").splitlines()
+    rng = random.Random(41)
+    accepted = 0
+    for run in range(90):
+        lines = list(clean)
+        i = rng.randrange(len(lines))
+        lines[i] = _mutate_line(rng, json.loads(lines[i]))
+        path, out = tmp_path / f"corpus{run}.jsonl", tmp_path / f"out{run}"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        ids = [reference_corpus_line_ok(json.loads(line)) for line in lines]
+        valid = _main(["validate", "--corpus", str(path), "--out", str(out / "validate")],
+                      lines[i])
+        assert valid == (0 if None not in ids and len(set(ids)) == len(ids) else 1)
+        run_labels = labels
+        if valid == 0:
+            accepted += 1
+            run_labels = tmp_path / f"labels{run}.tsv"
+            corpus = parse_corpus(path)
+            write_dp_labels(_random_labels(rng, corpus), corpus, run_labels)
+        codes = {command: _main([command, *argv, "--out", str(out / command)], lines[i])
+                 for command, argv in (
+                     ("train", ["--train", str(path), "--valid", str(path),
+                                "--config", str(config)]),
+                     ("predict", ["--checkpoint", str(checkpoint), "--corpus", str(path)]),
+                     ("analyze", ["--corpus", str(path), "--dp-labels", str(run_labels)]))}
+        err = capsys.readouterr().err
+        if valid == 1:
+            assert codes == dict.fromkeys(codes, 1), (lines[i], err)
+            assert all(_outputs(out / command) <= {"manifest.json"} for command in codes)
+        else:
+            assert codes["train"] in (0, 2) and codes["predict"] == codes["analyze"] == 0, \
+                (lines[i], err)
+    assert accepted >= 5, accepted

@@ -45,6 +45,7 @@ from .oracles import (
     relu_pattern,
     random_document,
     reference_candidates,
+    feature_bit_rows,
     reference_feature_bits,
     reference_index_document,
     reference_scores,
@@ -648,7 +649,8 @@ def index_documents() -> list[Document]:
 
 def test_index_matches_reference():
     """_with_gold of a document's index equals the reference index column by
-    column, dtypes included; an index made to predict holds no gold."""
+    column, dtypes included, and each candidate's scalar-feature row equals
+    the reference's bits as a row; an index made to predict holds no gold."""
     docs = index_documents()
     rng = random.Random(5)
     labels = {(doc.id, s.index): rng.choice(list(ContentType))
@@ -662,7 +664,8 @@ def test_index_matches_reference():
             got, want = _with_gold(predict), reference_index_document(doc, vocab, dp_labels)
             assert got.layout.doc is want.layout.doc is doc
             assert (got.layout.slots, got.layout.names) == (want.layout.slots, want.layout.names)
-            for name in scorer._FlatIndex._fields[1:]:
+            assert np.array_equal(scorer._FEATURE_ROWS[got.feat], feature_bit_rows(want.feat))
+            for name in scorer._FlatIndex._fields[1:-1]:  # feat, the last, is a row above
                 a, b = getattr(got, name), getattr(want, name)
                 if b is None:
                     assert a is None, (doc.id, name)
@@ -700,14 +703,17 @@ def test_one_scatter_sums_as_two_do(variant):
 
 
 def test_feature_table_matches_bucket_arithmetic():
-    """The feature table gives a mention candidate the bits of the distance
-    buckets, for every distance from 0 to 300 and either order."""
+    """The feature table gives a mention candidate the row of the distance
+    buckets' bits, for every distance from 0 to 300 and either order, and a
+    meta candidate its own column."""
     delta = np.arange(301)
     for precedes in (False, True):
         key = np.minimum(delta, scorer._FAR) + (scorer._FAR + 1) * precedes
-        assert scorer._FEATURE_BITS.dtype == np.uint16
-        assert np.array_equal(scorer._FEATURE_BITS[key],
-                              reference_feature_bits(delta, np.full(len(delta), precedes)))
+        assert np.array_equal(scorer._FEATURE_ROWS[key], feature_bit_rows(
+            reference_feature_bits(delta, np.full(len(delta), precedes))))
+    assert scorer._FEATURE_ROWS.shape == (17, scorer.N_SCALAR_FEATURES)
+    assert np.array_equal(scorer._FEATURE_ROWS[scorer._META_KEY:],
+                          feature_bit_rows(1 << (7 + np.arange(scorer.N_META))))
 
 
 def test_prediction_never_computes_gold(monkeypatch):
