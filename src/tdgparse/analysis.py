@@ -81,13 +81,18 @@ def all_tables(corpus: Corpus, dp: DpLabelMap) -> list[DistributionTable]:
     - event_reference_event_content: the content type of an event's
       cross-sentence reference event.
     Sentence indexes run 0, 1, ... as validation requires, so each document's
-    content types are one list indexed by sentence.
+    content types are one list indexed by sentence, each label read once. A
+    label missing from ``dp`` raises require_dp_coverage's DpLabelError over
+    the whole corpus.
     """
-    require_dp_coverage(dp, corpus)
     counts = [[[0] * len(cols) for _ in ROW_LABELS] for _, cols in TABLES]
     timex_parents, event_timexes, timex_content, event_content = counts
     for doc in corpus:
-        types = [CONTENT_TYPE_INDEX[dp[doc.id, s.index]] for s in doc.sentences]
+        try:
+            types = [CONTENT_TYPE_INDEX[dp[doc.id, s.index]] for s in doc.sentences]
+        except KeyError:
+            require_dp_coverage(dp, corpus)
+            raise
         by_id = doc.by_id
         for edge in doc.gold_edges:
             child = by_id[edge.child]

@@ -13,6 +13,13 @@ line holds is interned (``sys.intern``), one str object per distinct value
 however many documents repeat it: a parsed 2,000-document distill corpus
 holds 7.0 MB live, where one str object per occurrence took 25.1 MB. Equal
 names that are one object also compare, and find dict keys, by identity.
+
+A document's gold facts per slot, its parent and where that parent lies,
+are one GoldTable, ``Document.gold``: a tuple of names and one byte per
+slot, built on first read and cached, so that scoring a corpus again does
+not build them again. Parsing, validation and prediction never read it.
+edge_violations checks a gold or predicted graph in one pass over its
+edges.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import sys
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from numbers import Real
 from pathlib import Path
 from sys import intern
@@ -80,6 +88,7 @@ PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
 KIND_SLOTS: dict[str, tuple[str, ...]] = {
     kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in MENTION_KINDS
 }
+_SLOT_COUNT = {kind: len(slots) for kind, slots in KIND_SLOTS.items()}
 
 
 class CorpusError(Exception):
@@ -115,6 +124,25 @@ class GoldEdge:
     label: str | None = None
 
 
+# a slot's category in a GoldTable, by where its gold parent lies; the first
+# three are evaluation.CATEGORIES in order
+SAME_SENTENCE, OTHER_SENTENCE, META_PARENT, NOT_A_MENTION = range(4)
+
+
+class GoldTable(NamedTuple):
+    """Each slot's gold parent and its category, in slot_instances order.
+
+    A slot's parent is that of its first gold edge, the one validate_document
+    keeps, or None when it has none. Its category is SAME_SENTENCE or
+    OTHER_SENTENCE for a mention parent in or outside the slot's own
+    mention's sentence, META_PARENT for a meta node and NOT_A_MENTION for a
+    parent that is neither, None included.
+    """
+
+    parents: tuple[str | None, ...]
+    categories: bytes
+
+
 @dataclass
 class Document:
     id: str
@@ -125,9 +153,13 @@ class Document:
     # each mention by id, the last of a repeated one; hot loops read it directly
     by_id: dict[str, Mention] = field(init=False, repr=False, compare=False)
     _ordered: list[Mention] = field(init=False, repr=False, compare=False)
+    # how many slots the mentions own, repeated ids counted each time and a
+    # kind without KIND_SLOTS owning none
+    n_slots: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.by_id = {m.id: m for m in self.mentions}
+        self.n_slots = sum([_SLOT_COUNT.get(m.kind, 0) for m in self.mentions])
         self._ordered = sorted(
             self.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id)
         )
@@ -138,6 +170,26 @@ class Document:
     def ordered_mentions(self) -> list[Mention]:
         """Mentions in document order: by sentence, then span position."""
         return self._ordered
+
+    @cached_property
+    def gold(self) -> GoldTable:
+        """The document's GoldTable, the one map from a slot to its gold
+        parent: built on first read, kept while the document lives, and read
+        by the scorer's gold positions and by evaluation. Parsing and
+        prediction never read it."""
+        first = {(e.child, e.slot): e.parent for e in reversed(self.gold_edges)}
+        by_id = self.by_id
+        parents: list[str | None] = []
+        categories = bytearray()
+        for m in self._ordered:
+            for slot in KIND_SLOTS[m.kind]:
+                parent = first.get((m.id, slot))
+                target = by_id.get(parent)
+                parents.append(parent)
+                categories.append(
+                    META_PARENT if parent in META_NODES else NOT_A_MENTION if target is None
+                    else SAME_SENTENCE if target.sentence == m.sentence else OTHER_SENTENCE)
+        return GoldTable(tuple(parents), bytes(categories))
 
 
 Corpus = list[Document]
@@ -150,16 +202,16 @@ def find_cycle(node_ids: Collection[str], edges: Iterable[tuple[str, str]]) -> l
     """Return one directed cycle as a node list, or None if the graph is acyclic.
 
     ``edges`` are (child, parent) pairs; a pair whose endpoints are not both
-    in ``node_ids`` (a meta parent, an unknown mention) is skipped. A
+    in ``node_ids`` (a meta parent, an unknown mention) is skipped. Membership
+    is asked of ``node_ids`` itself, so a caller passes a set or a dict. A
     depth-first search starts from each node with an out-edge, in
     ``node_ids`` order, and follows each node's edges in the order given;
     nodes without one cannot lie on a cycle and are never entered. An entered
     node maps to True in ``on_path`` while on the path, to False once done.
     """
-    known = set(node_ids)
     succs: dict[str, list[str]] = {}
     for child, parent in edges:
-        if child in known and parent in known:
+        if child in node_ids and parent in node_ids:
             succs.setdefault(child, []).append(parent)
     on_path: dict[str, bool] = {}
     for start in node_ids:
@@ -193,11 +245,17 @@ def edge_violations(doc: Document, edges: dict[Slot, str]) -> list[str]:
     its child's kind does not have, does not belong to the document. Kinds
     are read from ``doc.by_id``, and only the edges from a mention to a
     mention, the only ones that can close a cycle, go to find_cycle.
+
+    One pass over the edges checks them and counts those that belong. Each
+    fills a distinct slot of a mention id under the kind ``doc.by_id``
+    gives it, so they number ``doc.n_slots`` only when every such slot is
+    filled and no earlier mention of a repeated id owns a slot; only when
+    they number fewer are the mentions walked for unfilled slots.
     """
     by_id = doc.by_id
-    violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
-                  for slot in KIND_SLOTS.get(m.kind, ()) if (m.id, slot) not in edges]
+    illegal: list[str] = []
     links: list[tuple[str, str]] = []
+    belonging = 0
     for slot, parent in edges.items():
         child, name = slot
         mention = by_id.get(child)
@@ -205,10 +263,17 @@ def edge_violations(doc: Document, edges: dict[Slot, str]) -> list[str]:
         if mention is not None and (target := by_id.get(parent)) is not None:
             links.append((child, parent))
         if rule is None:
-            violations.append(f"slot {slot} does not belong to document {doc.id}")
-        elif parent not in rule[0] and (parent == child or target is None
-                                        or target.kind != rule[1]):
-            violations.append(f"slot {slot}: parent {parent} is not a legal candidate")
+            illegal.append(f"slot {slot} does not belong to document {doc.id}")
+            continue
+        belonging += 1
+        if parent not in rule[0] and (parent == child or target is None
+                                      or target.kind != rule[1]):
+            illegal.append(f"slot {slot}: parent {parent} is not a legal candidate")
+    violations: list[str] = []
+    if belonging < doc.n_slots:
+        violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
+                      for slot in KIND_SLOTS.get(m.kind, ()) if (m.id, slot) not in edges]
+    violations += illegal
     cycle = find_cycle(by_id, links)
     if cycle is not None:
         violations.append("edges form a cycle: " + " -> ".join(cycle))
@@ -265,15 +330,6 @@ def validate_document(doc: Document) -> list[str]:
             edges[slot] = e.parent
     violations += ["gold " + v for v in edge_violations(doc, edges)]
     return violations
-
-
-def gold_parents(doc: Document) -> dict[tuple[str, str], str]:
-    """Each slot's gold parent, keyed by (child, slot) as a plain tuple.
-
-    A slot with several gold edges takes its first, the one validate_document
-    keeps; the scorer trains toward this map and evaluation scores against it.
-    """
-    return {(e.child, e.slot): e.parent for e in reversed(doc.gold_edges)}
 
 
 class FieldError(ValueError):

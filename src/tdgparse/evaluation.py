@@ -8,7 +8,10 @@ Precision for a category runs over predicted-category slots, recall over
 gold-category slots. Internal values stay unrounded; files carry percentages
 rounded to 2 decimals. ``report_to_json`` renders one seed's MetricsReport and
 ``aggregate_to_json`` the mean and spread of several, both with one helper per
-category entry. Each slot's gold parent comes from ``corpus.gold_parents``.
+category entry. Each slot's gold parent and gold category are read from its
+document's ``corpus.GoldTable``, which the document builds on first read and
+keeps, so scoring a gold corpus again, for another seed or another pass,
+categorizes only the predicted parents.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .corpus import KIND_SLOTS, META_NODES, Corpus, Slot, gold_parents
+from .corpus import KIND_SLOTS, META_NODES, NOT_A_MENTION, Corpus, Slot
 from .graph import TemporalDependencyGraph
 
 INTRA_SENTENCE = "intra_sentence"
@@ -71,9 +74,13 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
     """Per-category precision/recall/F1 plus overall accuracy, over every slot
     of every gold document in slot_instances order.
 
-    Parents are categorized through each document's ``by_id`` map and
-    counted in plain ints, one per CATEGORIES entry, which make each
-    CategoryMetrics at the end.
+    Gold parents and categories come from each document's gold table, whose
+    categories are CATEGORIES indexes; a predicted parent other than the
+    gold one is categorized through the document's ``by_id`` map. Counts
+    are plain ints, one per CATEGORIES entry, which make each
+    CategoryMetrics at the end. A slot without a prediction, without a gold
+    edge, or with a parent that is no mention of the document raises
+    EvaluationError.
     """
     gold_n, pred_n, hit_n = [0, 0, 0], [0, 0, 0], [0, 0, 0]  # per CATEGORIES entry
     for doc in gold:
@@ -81,8 +88,9 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
         if graph is None:
             raise EvaluationError(f"no prediction for document {doc.id!r}")
         edges = graph.edges
-        gold_of = gold_parents(doc)
+        parents, categories = doc.gold
         by_id = doc.by_id
+        i = 0  # the slot's row of the gold table
         for m in doc.ordered_mentions():
             child, sentence = m.id, m.sentence
             for slot in KIND_SLOTS[m.kind]:
@@ -92,19 +100,25 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
                     raise EvaluationError(
                         f"document {doc.id}: missing prediction for slot {Slot(*key)}"
                     )
-                gold_parent = gold_of[key]
-                try:  # 2 for a meta parent, else 0 in the child's sentence, 1 outside it
-                    gold_cat = 2 if gold_parent in META_NODES else \
-                        0 if by_id[gold_parent].sentence == sentence else 1
-                    pred_cat = 2 if pred_parent in META_NODES else \
-                        0 if by_id[pred_parent].sentence == sentence else 1
-                except KeyError as exc:
-                    raise EvaluationError(f"document {doc.id}: unknown parent "
-                                          f"{exc.args[0]!r}") from None
+                gold_parent, gold_cat = parents[i], categories[i]
+                i += 1
+                if gold_cat == NOT_A_MENTION:
+                    raise EvaluationError(
+                        f"document {doc.id}: slot {Slot(*key)} has no gold edge"
+                        if gold_parent is None else
+                        f"document {doc.id}: unknown parent {gold_parent!r}")
                 gold_n[gold_cat] += 1
-                pred_n[pred_cat] += 1
-                if pred_parent == gold_parent:
+                if pred_parent == gold_parent:  # then its category is the gold one
                     hit_n[gold_cat] += 1
+                    pred_n[gold_cat] += 1
+                    continue
+                try:  # the gold table's rule: 2 for a meta parent, else 0 in the
+                    # child's sentence and 1 outside it
+                    pred_n[2 if pred_parent in META_NODES else
+                           0 if by_id[pred_parent].sentence == sentence else 1] += 1
+                except KeyError:
+                    raise EvaluationError(f"document {doc.id}: unknown parent "
+                                          f"{pred_parent!r}") from None
     total = sum(gold_n)
     if total == 0:
         raise EvaluationError("gold corpus has no slots to evaluate")

@@ -18,12 +18,13 @@ slots, with each candidate's key into one constant table of scalar features.
 Given discourse labels, the index also holds every sentence's content type,
 which dp_feature's markers and the dp head read; labels enter nowhere else,
 and a sentence without a label raises DpLabelError there. A slot's gold
-candidate is the one ``corpus.gold_parents`` names; its position is computed
-only where a loss or an accuracy reads it, by ``_with_gold`` for training
-and validation, never for a prediction. A model holds no index: each pass
-indexes the documents it reads. A batch of documents, for training or
-scoring, is scored by one embedding gather, one scatter that sums the tokens
-of every mention and sentence, and a factored hidden layer. The MLP's input
+candidate is the parent its document's gold table, ``Document.gold``, names;
+its position is computed only where a loss or an accuracy reads it, by
+``_with_gold`` for training and validation, never for a prediction. A model
+holds no index: each pass indexes the documents it reads. A batch of
+documents, for training or scoring, is scored by one embedding gather, one
+scatter that sums the tokens of every mention and sentence, and a factored
+hidden layer. The MLP's input
 for a candidate is ``[u, sent(child), a, sent(cand), u*a, scalars]``, so its
 first layer splits by column block: the child and candidate blocks are
 multiplied once per mention and once per candidate-table row, and gathered
@@ -71,7 +72,6 @@ from .corpus import (
     Corpus,
     Document,
     DpLabelMap,
-    gold_parents,
     json_field,
     parse_object,
     require_dp_coverage,
@@ -351,12 +351,11 @@ def _index_document(doc: Document, vocab: Vocabulary,
 
 def _with_gold(idx: _FlatIndex) -> _FlatIndex:
     """A document's index with ``gold``: per slot, the position of the
-    candidate corpus.gold_parents names, or -1 when that parent is not a
-    candidate."""
+    candidate its document's gold table names, or -1 when that parent is not
+    a candidate or the slot has none."""
     layout = idx.layout
     table_row = {name: i for i, name in enumerate(layout.names)}
-    gold_parent = gold_parents(layout.doc)
-    gold_row = np.array([table_row.get(gold_parent.get(s), -1) for s in layout.slots],
+    gold_row = np.array([table_row.get(parent, -1) for parent in layout.doc.gold.parents],
                         dtype=np.int64)
     slot = slot_of(layout.starts, len(idx.cand))
     hit = np.flatnonzero(idx.cand == gold_row[slot])

@@ -124,6 +124,11 @@ class TrainConfig:
             raise ValueError(f"max_epochs and batch_size_docs must lie in [1, {MAX_COUNT}]")
         if self.peak_lr <= 0 or self.weight_decay < 0:
             raise ValueError("peak_lr must be positive and weight_decay non-negative")
+        if self.peak_lr * self.weight_decay > 2:  # AdamW's decay factor 1 - lr * wd
+            raise ValueError(
+                f"peak_lr * weight_decay is {self.peak_lr * self.weight_decay:g}, above 2: "
+                "at the peak, each step's decay would multiply every parameter by a "
+                "factor of magnitude above 1")
         if not 1 <= self.warmup_epochs <= self.max_epochs:
             raise ValueError("warmup_epochs must lie in [1, max_epochs]")
         if self.update_order not in UPDATE_PLANS:

@@ -10,9 +10,11 @@ training reference takes each batch's losses from documents alone and
 validates by decoding one document at a time. The index reference keeps
 the earlier one-pass indexer, gold positions and nested np.where distance
 buckets included. The graph validator keeps the earlier package code: a
-colour-table depth-first search from every node and an explicit candidate
-list per slot; the document validator keeps the earlier per-kind branches
-and per-mention edge counts; the analysis tables run one loop per table.
+colour-table depth-first search from every node, an explicit candidate
+list per slot and a walk over every mention for unfilled slots; the
+document validator keeps the earlier per-kind branches and per-mention edge
+counts; the analysis tables run one loop per table. The gold table's
+reference keeps the earlier package's gold-parent map.
 The JSON type check names each value's type and compares names; the
 prediction and corpus-line readers ask types by those names, build their
 graph or document themselves and hand it to the reference validators, and
@@ -38,7 +40,6 @@ from tdgparse.corpus import (
     GoldEdge,
     Mention,
     Sentence,
-    gold_parents,
 )
 from tdgparse.evaluation import EvaluationError, attachment_accuracy
 from tdgparse.graph import (
@@ -143,6 +144,40 @@ def reference_decode(doc: Document, scores: dict, order: str = "score") -> dict:
         if cand not in META:
             chosen_edges.append((key[0], cand))
     return result
+
+
+def gold_parents(doc: Document) -> dict[tuple[str, str], str]:
+    """Each slot's gold parent, keyed by (child, slot) as a plain tuple.
+
+    A slot with several gold edges takes its first, the one validate_document
+    keeps: the reference for the parents of ``Document.gold``, which the
+    scorer trains toward and evaluation scores against.
+    """
+    return {(e.child, e.slot): e.parent for e in reversed(doc.gold_edges)}
+
+
+def reference_gold_table(doc: Document) -> list[tuple[str | None, str]]:
+    """Per slot in slot_instances order, its gold_parents parent (None
+    without one) and that parent's category: the evaluation category name,
+    or "not_a_mention" for a parent that is no meta node and no mention, None
+    included. A repeated mention id names its last mention, whose sentence
+    is compared with that of the slot's own mention."""
+    gold = gold_parents(doc)
+    sentence_of = {m.id: m.sentence for m in doc.mentions}
+    rows = []
+    for m in sorted(doc.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id)):
+        for slot in {"timex": ["timex_ref"], "event": ["timex_ref", "event_ref"]}[m.kind]:
+            parent = gold.get((m.id, slot))
+            if parent in META:
+                category = "no_parent"
+            elif parent not in sentence_of:
+                category = "not_a_mention"
+            elif sentence_of[parent] == m.sentence:
+                category = "intra_sentence"
+            else:
+                category = "cross_sentence"
+            rows.append((parent, category))
+    return rows
 
 
 def brute_force_metrics(preds: dict, corpus: list[Document]) -> dict:
@@ -473,12 +508,26 @@ def reference_candidates(doc: Document) -> dict[Slot, list[str]]:
 
 
 def reference_validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:
-    """validate_graph's violations, from explicit candidate lists."""
-    violations: list[str] = []
-    sets = reference_candidates(doc)
-    for slot in sets:
-        if slot not in graph.edges:
-            violations.append(f"slot {slot} is unfilled")
+    """validate_graph's violations, from explicit candidate lists.
+
+    On a document with repeated mention ids or unknown kinds, as a test may
+    build one, the slots to fill are every mention's own, repeats included,
+    and an edge is judged by the kind of the last mention of its child's
+    and parent's ids; a kind other than timex and event owns no slot."""
+    kind_of = {m.id: m.kind for m in doc.mentions}
+    own = {"timex": ["timex_ref"], "event": ["timex_ref", "event_ref"]}
+    ordered = sorted(doc.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id))
+    timexes = [i for i, kind in kind_of.items() if kind == "timex"]
+    events = [i for i, kind in kind_of.items() if kind == "event"]
+    sets: dict[Slot, list[str]] = {}
+    for child, kind in kind_of.items():
+        if kind == "timex":
+            sets[Slot(child, "timex_ref")] = ["DCT", "ROOT"] + [t for t in timexes if t != child]
+        elif kind == "event":
+            sets[Slot(child, "timex_ref")] = ["DCT"] + timexes
+            sets[Slot(child, "event_ref")] = ["NO_EVENT"] + [e for e in events if e != child]
+    violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in ordered
+                  for slot in own.get(m.kind, []) if Slot(m.id, slot) not in graph.edges]
     for slot, parent in graph.edges.items():
         legal = sets.get(slot)
         if legal is None:
@@ -734,7 +783,8 @@ _TRAIN_DEFAULTS = {"variant": "baseline", "max_epochs": 15, "batch_size_docs": 5
 
 def reference_train_config_ok(obj: dict) -> bool:
     """Whether TrainConfig takes a decoded config object, its left-out
-    fields at their documented defaults."""
+    fields at their documented defaults; a decay that multiplies parameters
+    by 1 - peak_lr * weight_decay of magnitude above 1 is refused."""
     if not set(obj) <= set(_TRAIN_DEFAULTS):
         return False
     c = {**_TRAIN_DEFAULTS, **obj}
@@ -745,6 +795,7 @@ def reference_train_config_ok(obj: dict) -> bool:
             and _json_type_name(c["warmup_epochs"]) in ("integer", "huge integer")
             and 1 <= c["warmup_epochs"] <= c["max_epochs"]
             and _number(c["peak_lr"]) and c["peak_lr"] > 0 and _number(c["weight_decay"])
+            and c["peak_lr"] * c["weight_decay"] <= 2
             and c["variant"] in _VARIANTS and c["decode_order"] in ("score", "document")
             and c["update_order"] in ("dp_then_rank", "rank_then_dp", "joint"))
 

@@ -617,7 +617,8 @@ def test_failed_train_leaves_manifest_but_no_outputs(tmp_path, capsys):
                      "--valid", str(synth_out / "corpus.jsonl"),
                      "--out", str(train_out),
                      "--epochs", "3", "--warmup-epochs", "1", "--dim", "4",
-                     "--hidden", "6", "--seeds", "0", "--lr", "1e150"])
+                     "--hidden", "6", "--seeds", "0", "--lr", "1e150",
+                     "--weight-decay", "0"])
     assert code == 3
     assert (train_out / "manifest.json").exists()
     assert not (train_out / "checkpoint-seed0.json").exists()
@@ -1104,10 +1105,13 @@ def test_order_flags_reach_the_run(tmp_path):
     ([], {"seeds": [0, 0]}, "seeds must be one or more distinct integers, not [0, 0]"),
     (["--seeds=-1"], None, "seed -1 is negative"),
     ([], {"seeds": [2, -1]}, "seed -1 is negative"),
+    (["--lr", "5", "--weight-decay", "0.5"], None, "peak_lr * weight_decay is 2.5, above 2"),
+    ([], {"peak_lr": 2**70}, "peak_lr * weight_decay is 1.18059e+19, above 2"),
+    ([], {"weight_decay": 2**70}, "peak_lr * weight_decay is 1.18059e+17, above 2"),
 ], ids=["dim_zero", "hidden_negative", "config_variant", "lr_nan", "weight_decay_nan",
         "config_lr_inf", "config_float_dim", "config_bool_dim", "config_float_epochs",
         "config_float_batch", "config_float_seed", "config_repeated_seed", "negative_seed",
-        "config_negative_seed"])
+        "config_negative_seed", "growing_decay", "config_huge_lr", "config_huge_decay"])
 def test_train_rejects_bad_model_values(tmp_path, hand_corpus_path, capsys,
                                         flags, config, message):
     corpus = str(hand_corpus_path)
@@ -1119,7 +1123,7 @@ def test_train_rejects_bad_model_values(tmp_path, hand_corpus_path, capsys,
             "--out", str(out), *flags]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_runtime_value_error_is_a_runtime_fault(tmp_path, hand_corpus_path, capsys,

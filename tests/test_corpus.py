@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import re
 from pathlib import Path
 
@@ -10,12 +11,18 @@ from tdgparse import scorer
 from tdgparse.analysis import all_tables
 from tdgparse.corpus import (
     META_NODES,
+    META_PARENT,
+    NOT_A_MENTION,
+    OTHER_SENTENCE,
+    SAME_SENTENCE,
     ContentType,
     CorpusError,
+    Document,
     DpLabelError,
     GoldEdge,
+    Mention,
+    Sentence,
     corpus_lines,
-    gold_parents,
     load_dp_labels,
     parse_corpus,
     require_dp_coverage,
@@ -24,11 +31,13 @@ from tdgparse.corpus import (
     write_corpus,
     write_dp_labels,
 )
+from tdgparse.evaluation import CATEGORIES
 from tdgparse.graph import TemporalDependencyGraph, graph_from_json, graph_to_json
 from tdgparse.scorer import ModelConfig, build_vocabulary, save_checkpoint
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
 from .conftest import HAND_DOCS, initialized_model, make_doc
+from .oracles import gold_parents, random_document, reference_gold_table
 
 
 def test_parse_empty_file(tmp_path):
@@ -381,18 +390,19 @@ def test_no_definition_is_used_only_by_tests():
 
 
 def test_only_corpus_maps_gold_edges():
-    """corpus.gold_parents is the one slot -> gold parent map: no other module
-    of the package builds a dict comprehension over a document's gold_edges."""
+    """Document.gold is the one slot -> gold parent map: the package builds
+    one dict comprehension over a document's gold_edges, in that property."""
     builders = {}
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
-        if path.name == "corpus.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.DictComp) and any(
                     isinstance(n, ast.Attribute) and n.attr == "gold_edges"
                     for gen in node.generators for n in ast.walk(gen.iter)):
-                builders.setdefault(path.name, []).append(node.lineno)
-    assert builders == {}
+                builders.setdefault(path.name, []).append(owner.get(id(node)))
+    assert builders == {"corpus.py": ["gold"]}
 
 
 def _shared(names) -> None:
@@ -446,3 +456,68 @@ def test_a_corpus_holds_one_object_per_distinct_name(tmp_path):
 
     synthetic, _ = generate_synthetic_corpus(SynthConfig(n_docs=6), seed=3)
     _assert_shares_names(synthetic)
+
+
+# each gold table category by the name reference_gold_table gives it
+_CATEGORY_NAMES = {SAME_SENTENCE: "intra_sentence", OTHER_SENTENCE: "cross_sentence",
+                   META_PARENT: "no_parent", NOT_A_MENTION: "not_a_mention"}
+
+
+def _gold_rows(doc: Document) -> list:
+    parents, categories = doc.gold
+    return [(p, _CATEGORY_NAMES[c]) for p, c in zip(parents, categories, strict=True)]
+
+
+def _doc(mentions: list[tuple], edges: list[tuple]) -> Document:
+    """A document built directly, unvalidated: mentions as (id, kind,
+    sentence) in sentences 0 to 2, edges as (child, slot, parent)."""
+    return Document("h", "DCT", [Sentence(i, ("w", "x")) for i in range(3)],
+                    [Mention(i, kind, sent, 0, 1) for i, kind, sent in mentions],
+                    [GoldEdge(*edge) for edge in edges])
+
+
+GOLD_TABLE_CASES = {
+    "two_edges_on_one_slot": _doc([("t1", "timex", 0)], [("t1", "timex_ref", "ROOT"),
+                                                         ("t1", "timex_ref", "DCT")]),
+    "slot_without_edge": _doc([("t1", "timex", 0), ("e1", "event", 1)],
+                              [("t1", "timex_ref", "DCT"), ("e1", "timex_ref", "t1")]),
+    "parent_no_mention": _doc([("e1", "event", 0), ("e2", "event", 0)],
+                              [("e1", "timex_ref", "DCT"), ("e1", "event_ref", "nobody"),
+                               ("e2", "timex_ref", "DCT"), ("e2", "event_ref", "e1")]),
+    # the twins of t1 lie in sentences 0 and 2, the later ordered before t2;
+    # a parent t1 is the last twin
+    "repeated_ids": _doc([("t1", "timex", 0), ("t2", "timex", 2), ("t1", "timex", 2)],
+                         [("t1", "timex_ref", "t2"), ("t2", "timex_ref", "t1")]),
+    "no_mention": _doc([], []),
+}
+
+
+def test_gold_table_matches_reference():
+    """Document.gold gives every slot, in slot_instances order, the parent
+    of its first gold edge and that parent's category, as
+    reference_gold_table does, on random and hand-built documents; its
+    first three categories are evaluation.CATEGORIES in order."""
+    assert [_CATEGORY_NAMES[c] for c in range(3)] == list(CATEGORIES)
+    rng = random.Random(29)
+    docs = [random_document(rng, max_mentions=12, doc_id=f"r{i}") for i in range(300)]
+    docs += list(GOLD_TABLE_CASES.values())
+    for doc in docs:
+        assert _gold_rows(doc) == reference_gold_table(doc), doc.id
+        assert doc.gold is doc.gold
+    assert {category for doc in docs for category in doc.gold.categories} == set(_CATEGORY_NAMES)
+    assert _gold_rows(GOLD_TABLE_CASES["two_edges_on_one_slot"]) == [("ROOT", "no_parent")]
+    assert _gold_rows(GOLD_TABLE_CASES["slot_without_edge"])[-1] == (None, "not_a_mention")
+    assert _gold_rows(GOLD_TABLE_CASES["repeated_ids"]) == [
+        ("t2", "cross_sentence"), ("t2", "intra_sentence"), ("t1", "intra_sentence")]
+    assert GOLD_TABLE_CASES["no_mention"].gold == ((), b"")
+
+
+def test_parsing_never_computes_the_gold_table(tmp_path, monkeypatch):
+    """parse_corpus, which validates every document, reads no gold table."""
+    def refuse(doc):
+        raise AssertionError(f"document {doc.id}: parsing computed its gold table")
+
+    docs, _ = generate_synthetic_corpus(SynthConfig(n_docs=5), seed=4)
+    write_corpus(docs, tmp_path / "c.jsonl")
+    monkeypatch.setattr(Document, "gold", property(refuse))
+    assert parse_corpus(tmp_path / "c.jsonl") == docs

@@ -5,7 +5,7 @@ import statistics
 import pytest
 
 from tdgparse.cli import main
-from tdgparse.corpus import gold_parents, validate_document, write_corpus
+from tdgparse.corpus import Document, GoldEdge, Mention, Sentence, validate_document, write_corpus
 from tdgparse.evaluation import (
     CategoryMetrics,
     EvaluationError,
@@ -23,6 +23,7 @@ from .conftest import ONE_TIMEX_DOC, make_doc
 from .oracles import (
     brute_force_metrics,
     gold_graph,
+    gold_parents,
     random_document,
     random_pred_graph,
     slot_category,
@@ -174,6 +175,26 @@ def test_an_unknown_parent_name_fails_in_both_counts():
             count(preds, [doc])
 
 
+def test_a_gold_slot_without_an_edge_or_with_an_unknown_parent_fails():
+    """A gold document built directly, here an event without its event_ref
+    edge, raises EvaluationError naming the document and the slot; a gold
+    parent that names no mention raises naming the parent."""
+    def event_doc(edges):
+        return Document("d", "DCT", [Sentence(0, ("a", "b"))],
+                        [Mention("e1", "event", 0, 0, 1)], edges)
+
+    pred = {"d": TemporalDependencyGraph("d", {Slot("e1", "timex_ref"): "DCT",
+                                               Slot("e1", "event_ref"): "NO_EVENT"})}
+    bare = event_doc([GoldEdge("e1", "timex_ref", "DCT")])
+    stray = event_doc([GoldEdge("e1", "timex_ref", "DCT"), GoldEdge("e1", "event_ref", "e9")])
+    for count in (attachment_accuracy, partitioned_prf):
+        with pytest.raises(EvaluationError, match=r"^document d: slot "
+                           r"Slot\(child='e1', slot='event_ref'\) has no gold edge$"):
+            count(pred, [bare])
+        with pytest.raises(EvaluationError, match="^document d: unknown parent 'e9'$"):
+            count(pred, [stray])
+
+
 def fake_report(accuracy, corpus="deadbeef", seed=0):
     cats = {c: CategoryMetrics(gold=10, predicted=10, correct=int(10 * accuracy),
                                precision=accuracy, recall=accuracy, f1=accuracy)
@@ -268,6 +289,7 @@ def test_a_slot_with_two_gold_edges_takes_its_first():
         "gold slot Slot(child='t1', slot='timex_ref'): more than one edge "
         "(parents DCT and ROOT)"]
     assert gold_parents(doc) == {("t1", "timex_ref"): "DCT"}
+    assert doc.gold.parents == ("DCT",)
     idx = _with_gold(_index_document(doc, build_vocabulary([doc])))
     assert idx.layout.names[idx.cand[idx.gold[0]]] == "DCT"
     dct = TemporalDependencyGraph(doc.id, {Slot("t1", "timex_ref"): "DCT"})

@@ -9,6 +9,7 @@ import copy
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -326,12 +327,48 @@ def _mutate_prediction(rng: random.Random, doc: Document, obj: dict,
 PREDICTION_FAULTS = ["illegal", "unknown", "self", "drop", "duplicate", "foreign", "non_str",
                      "unhashable", "event_2cycle", "event_3cycle", "illegal_cycle"]
 
+# faults of the document a prediction is read against: a mention repeated
+# as itself, as the other kind or as an unknown kind, or given an unknown kind
+DOCUMENT_FAULTS = ["twin", "twin_of_other_kind", "twin_of_unknown_kind", "unknown_kind"]
+
+
+def _mutate_document(rng: random.Random, doc: Document) -> tuple[Document, str]:
+    """A copy of doc with one of DOCUMENT_FAULTS, a repeat inserted at a
+    random place, and the fault's name."""
+    mentions = list(doc.mentions)
+    m = rng.choice(mentions)
+    kind = rng.choice(DOCUMENT_FAULTS)
+    if kind == "unknown_kind":
+        mentions[mentions.index(m)] = replace(m, kind="bogus")
+    else:
+        other = {"twin": m.kind, "twin_of_unknown_kind": "bogus"}.get(
+            kind, "timex" if m.kind == "event" else "event")
+        mentions.insert(rng.randint(0, len(mentions)), replace(m, kind=other))
+    return Document(doc.id, doc.dct, doc.sentences, mentions, doc.gold_edges), kind
+
+
+def _read_back(obj: dict, doc: Document) -> TemporalDependencyGraph | None:
+    """graph_from_json(obj, doc), asserted to load as the reference reader
+    says, with obj's edges, or to raise its GraphError text (then None)."""
+    expected = reference_load_error(obj, doc)
+    if expected is not None:
+        with pytest.raises(GraphError) as err:
+            graph_from_json(obj, doc)
+        assert str(err.value) == expected, (doc, obj)
+        return None
+    graph = graph_from_json(obj, doc)
+    assert graph.edges == {Slot(e["child"], e["slot"]): e["parent"] for e in obj["edges"]}
+    return graph
+
 
 def test_reading_back_predictions_matches_the_references():
     """graph_from_json's GraphError text for a mutated prediction is the
-    reference reader's; the predictions that load score and tabulate as the
-    brute-force counts and the per-table loops do."""
-    rng = random.Random(2028)
+    reference reader's, also read against a document with a repeated
+    mention id or an unknown kind, where as many edges belonging as the
+    document has slots must still mean that none is unfilled; the
+    predictions that load against unmutated documents score and tabulate as
+    the brute-force counts and the per-table loops do."""
+    rng, doc_rng = random.Random(2028), random.Random(2029)
     applied: dict[str, int] = {}
     loaded: list[tuple[Document, TemporalDependencyGraph]] = []
     for trial in range(N_DOCS):
@@ -345,17 +382,18 @@ def test_reading_back_predictions_matches_the_references():
                 applied[kind] = applied.get(kind, 0) + 1
             if kind == "unhashable":  # with two, the type named would depend on check order
                 kinds.remove(kind)
-        expected = reference_load_error(obj, doc)
-        if expected is None:
-            graph = graph_from_json(obj, doc)
-            assert graph.edges == {Slot(e["child"], e["slot"]): e["parent"]
-                                   for e in obj["edges"]}
+        graph = _read_back(obj, doc)
+        if graph is not None:
             loaded.append((doc, graph))
-        else:
-            with pytest.raises(GraphError) as err:
-                graph_from_json(obj, doc)
-            assert str(err.value) == expected, (trial, obj)
-    assert all(applied.get(kind, 0) >= 15 for kind in PREDICTION_FAULTS), applied
+        if trial % 3 == 2:  # the same prediction read against a faulty copy of doc
+            faulty, kind = _mutate_document(doc_rng, doc)
+            applied[kind] = applied.get(kind, 0) + 1
+            if _read_back(obj, faulty) is not None:
+                applied[f"loaded_{kind}"] = applied.get(f"loaded_{kind}", 0) + 1
+    assert all(applied.get(kind, 0) >= 15 for kind in PREDICTION_FAULTS + DOCUMENT_FAULTS), \
+        applied
+    # a repeat that owns no slot of its own, or none the graph lacks, loads
+    assert all(applied.get(f"loaded_{kind}", 0) >= 3 for kind in DOCUMENT_FAULTS[:3]), applied
     assert len(loaded) > N_DOCS // 5
 
     for lo in range(0, len(loaded), 10):
@@ -528,9 +566,9 @@ def test_cli_exit_codes_hold_on_mutated_checkpoints_and_configs(kind, fuzz_input
     failure), a train config (train, 2) and a synth config (synth, 2), each
     with one or two mutated values. The exit code is 0 when the reference
     accepts the input and otherwise the kind's; a failed run leaves at most
-    its manifest. A train config the reference accepts whose peak_lr or
-    weight_decay is 2**70 diverges, which is exit 3 with the
-    TrainingDiverged line."""
+    its manifest. A train config the reference accepts whose peak_lr is
+    2**70, which its weight_decay must then be 0 for, diverges, which is
+    exit 3 with the TrainingDiverged line."""
     docs, gold, labels, checkpoint, train = fuzz_inputs
     clean = {"checkpoint": json.loads(checkpoint.read_text(encoding="utf-8")),
              "train": train, "synth": _SYNTH}[kind]
@@ -552,7 +590,7 @@ def test_cli_exit_codes_hold_on_mutated_checkpoints_and_configs(kind, fuzz_input
                     "--dp-labels", str(labels)]
             expected, done = 2, set()
             if reference_train_config_ok(obj):
-                diverges = max(obj.get("peak_lr", 0), obj.get("weight_decay", 0)) >= 2**70
+                diverges = obj.get("peak_lr", 0) >= 2**70
                 expected = 3 if diverges else 0
                 done = {"manifest.json"} | {f"{what}-seed{s}.json" for s in obj.get("seeds", [0, 1, 2])
                                             for what in ("checkpoint", "history")}

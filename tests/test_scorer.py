@@ -717,7 +717,8 @@ def test_feature_table_matches_bucket_arithmetic():
 
 
 def test_prediction_never_computes_gold(monkeypatch):
-    """score_document and decode_corpus run with every gold computation raising."""
+    """score_document and decode_corpus run with every gold computation
+    raising, the gold table's property included."""
     docs, labels = mixed_batch()
 
     def refuse(*args):
@@ -725,7 +726,7 @@ def test_prediction_never_computes_gold(monkeypatch):
 
     for module in (scorer, training):
         monkeypatch.setattr(module, "_with_gold", refuse)
-    monkeypatch.setattr(scorer, "gold_parents", refuse)
+    monkeypatch.setattr(Document, "gold", property(refuse))
     for variant in VARIANTS:
         model = initialized_model(ModelConfig(dim=3, hidden=2, variant=variant),
                                   build_vocabulary(docs), seed=0)

@@ -182,6 +182,11 @@ def test_train_config_validation():
         TrainConfig(seeds=())
     with pytest.raises(ValueError, match="peak_lr"):
         TrainConfig(peak_lr=0.0)
+    # AdamW multiplies each parameter by 1 - lr * weight_decay at the peak
+    with pytest.raises(ValueError, match=r"peak_lr \* weight_decay is 2\.5, above 2"):
+        TrainConfig(peak_lr=5.0, weight_decay=0.5)
+    assert TrainConfig(peak_lr=4.0, weight_decay=0.5).peak_lr == 4.0
+    assert TrainConfig(peak_lr=2.0**70, weight_decay=0.0).peak_lr == 2.0**70
 
 
 TAGS = ("M1", "M2", "C1", "C2", "D1", "D2", "D3", "D4", "NA")
@@ -629,8 +634,8 @@ def test_train_refuses_a_validation_corpus_without_slots(monkeypatch):
 def test_train_diverges_loudly_at_absurd_lr():
     train_corpus, valid_corpus, _ = separable_corpora()
     config = TrainConfig(variant="baseline", max_epochs=3, batch_size_docs=5,
-                         peak_lr=1e150, warmup_epochs=1, dim=8, hidden=16,
-                         seeds=(0,))
+                         peak_lr=1e150, weight_decay=0.0, warmup_epochs=1, dim=8,
+                         hidden=16, seeds=(0,))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged):
             train(config, train_corpus, valid_corpus, None, seed=0)
