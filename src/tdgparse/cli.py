@@ -11,7 +11,8 @@ corpus; 2 a ``UsageError`` or one of ``PATH_ERRORS``: bad flags, a missing or
 unreadable input, an ``--out`` that is a file, a bad config file or value, a
 seed-label count that does not match the prediction files, a ``train`` run
 without the discourse labels its variant needs, with an empty training
-corpus or with a validation corpus that has no slot, or a ``predict`` run of
+corpus, with a validation corpus that has no slot or with a document id that
+names different documents in the two corpora, or a ``predict`` run of
 a ``dp_feature`` checkpoint without ``--dp-labels``; 3 any other exception,
 a runtime fault, whose line names the type of an exception class that
 tdgparse does not define (``error: KeyError: ...``). One rule types every
@@ -216,6 +217,14 @@ def cmd_train(args) -> int:
     # one parse when both flags name one file, so each document is indexed once
     same_file = args.valid.exists() and args.train.samefile(args.valid)
     valid_corpus = train_corpus if same_file else parse_corpus(args.valid)
+    # labels are looked up by document id over both corpora, so an id may
+    # name one document only
+    train_docs = {doc.id: doc for doc in train_corpus}
+    clash = next((doc.id for doc in valid_corpus
+                  if train_docs.get(doc.id, doc) != doc), None)
+    if clash is not None:
+        raise UsageError(f"document id {clash!r} names different documents in --train "
+                         f"{args.train} and --valid {args.valid}")
     if not any(doc.mentions for doc in valid_corpus):
         raise UsageError(f"validation corpus {args.valid} has no slots to evaluate")
     dp_labels = (load_dp_labels(args.dp_labels, train_corpus + valid_corpus)

@@ -14,6 +14,14 @@ however many documents repeat it: a parsed 2,000-document distill corpus
 holds 7.0 MB live, where one str object per occurrence took 25.1 MB. Equal
 names that are one object also compare, and find dict keys, by identity.
 
+document_from_json reads a line in one typed pass: each of its lists
+(sentences, mentions, edges) is built in one comprehension of direct
+subscripts, and the JSON types of a whole list are checked at once, as the
+set of their ``type()``. A line that lacks a field or fails a check is read
+again one json_field at a time, the path that words every error, so a valid
+line never calls json_field and an invalid one is refused in that path's
+words.
+
 A document's gold facts per slot, its parent and where that parent lies,
 are one GoldTable, ``Document.gold``: a tuple of names and one byte per
 slot, built on first read and cached, so that scoring a corpus again does
@@ -236,7 +244,7 @@ def find_cycle(node_ids: Collection[str], edges: Iterable[tuple[str, str]]) -> l
     return None
 
 
-def edge_violations(doc: Document, edges: dict[Slot, str]) -> list[str]:
+def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[str]:
     """Check that ``edges`` fill every slot of ``doc`` legally and without a cycle.
 
     Violations list the unfilled slots in document order (a mention's slots
@@ -256,19 +264,18 @@ def edge_violations(doc: Document, edges: dict[Slot, str]) -> list[str]:
     illegal: list[str] = []
     links: list[tuple[str, str]] = []
     belonging = 0
-    for slot, parent in edges.items():
-        child, name = slot
+    for (child, name), parent in edges.items():
         mention = by_id.get(child)
         rule = None if mention is None else PARENT_RULES.get((mention.kind, name))
         if mention is not None and (target := by_id.get(parent)) is not None:
             links.append((child, parent))
         if rule is None:
-            illegal.append(f"slot {slot} does not belong to document {doc.id}")
+            illegal.append(f"slot {Slot(child, name)} does not belong to document {doc.id}")
             continue
         belonging += 1
         if parent not in rule[0] and (parent == child or target is None
                                       or target.kind != rule[1]):
-            illegal.append(f"slot {slot}: parent {parent} is not a legal candidate")
+            illegal.append(f"slot {Slot(child, name)}: parent {parent} is not a legal candidate")
     violations: list[str] = []
     if belonging < doc.n_slots:
         violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
@@ -318,13 +325,13 @@ def validate_document(doc: Document) -> list[str]:
                 f"{m.sentence} of length {sent_len[m.sentence]}"
             )
 
-    edges: dict[Slot, str] = {}
+    edges: dict[tuple[str, str], str] = {}
     for e in doc.gold_edges:
-        slot = tuple.__new__(Slot, (e.child, e.slot))  # skips NamedTuple's Python __new__
+        slot = (e.child, e.slot)
         if e.label is not None and e.label not in EDGE_LABELS:
-            violations.append(f"gold slot {slot}: unknown label {e.label!r}")
+            violations.append(f"gold slot {Slot(*slot)}: unknown label {e.label!r}")
         if slot in edges:
-            violations.append(f"gold slot {slot}: more than one edge "
+            violations.append(f"gold slot {Slot(*slot)}: more than one edge "
                               f"(parents {edges[slot]} and {e.parent})")
         else:
             edges[slot] = e.parent
@@ -387,10 +394,36 @@ def intern_str(value):
     return intern(value) if type(value) is str else value
 
 
-def document_from_json(obj: dict) -> Document:
-    """Build a Document from its JSON object, giving every event without an
-    event_ref edge a NO_EVENT one; a missing field, or one whose JSON type is
-    not the documented one, raises FieldError. Every name is interned."""
+_Parts = tuple[str, str, list[Sentence], list[Mention], list[GoldEdge]]
+_STR, _INT, _LIST, _DICT = {str}, {int}, {list}, {dict}
+
+
+def _typed_parts(obj: dict) -> _Parts | None:
+    """A corpus line's fields, each list built in one comprehension of direct
+    subscripts, or None when a JSON type check fails. A whole list's types
+    are checked at once, as the set of their ``type()``; ``intern`` takes an
+    exact str only, so it checks every name and token it interns. A missing
+    field or a record that is no object raises KeyError or TypeError."""
+    doc_id, dct = obj["id"], obj["dct"]
+    sents, ments, links = obj["sentences"], obj["mentions"], obj["edges"]
+    if {type(doc_id), type(dct)} != _STR or {type(sents), type(ments), type(links)} != _LIST \
+            or not {*map(type, sents), *map(type, ments), *map(type, links)} <= _DICT \
+            or not {type(s["tokens"]) for s in sents} <= _LIST:
+        return None
+    sentences = [Sentence(s["index"], tuple(map(intern, s["tokens"]))) for s in sents]
+    mentions = [Mention(intern(m["id"]), intern(m["kind"]), m["sentence"], m["start"], m["end"])
+                for m in ments]
+    edges = [GoldEdge(intern(e["child"]), intern(e["slot"]), intern(e["parent"]),
+                      intern_str(e.get("label"))) for e in links]
+    ints = {type(s.index) for s in sentences} | {type(m.sentence) for m in mentions} \
+        | {type(m.start) for m in mentions} | {type(m.end) for m in mentions}
+    return (doc_id, dct, sentences, mentions, edges) if ints <= _INT else None
+
+
+def _parts_by_field(obj: dict) -> _Parts:
+    """A corpus line's fields read one json_field at a time, so that a
+    missing field, or one whose JSON type is not the documented one, raises
+    FieldError naming it."""
     doc_id = json_field(obj, "id", str)
     dct = json_field(obj, "dct", str)
     at = "sentence"
@@ -409,6 +442,21 @@ def document_from_json(obj: dict) -> Document:
                       parent=intern(json_field(e, "parent", str, at)),
                       label=intern_str(e.get("label")))
              for e in json_field(obj, "edges", list, "", dict)]
+    return doc_id, dct, sentences, mentions, edges
+
+
+def document_from_json(obj: dict) -> Document:
+    """Build a Document from its JSON object, giving every event without an
+    event_ref edge a NO_EVENT one; a missing field, or one whose JSON type is
+    not the documented one, raises FieldError. Every name is interned.
+
+    One typed pass builds a line whose every field has its type; any other
+    line is read again field by field, which words the error."""
+    try:
+        parts = _typed_parts(obj)
+    except (KeyError, TypeError):
+        parts = None
+    doc_id, dct, sentences, mentions, edges = parts or _parts_by_field(obj)
     covered = {e.child for e in edges if e.slot == EVENT_REF}
     edges += [GoldEdge(child=m.id, slot=EVENT_REF, parent=NO_EVENT)
               for m in mentions if m.kind == EVENT and m.id not in covered]
@@ -433,14 +481,14 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[s
     ``violations`` is what validate_document finds in it. Blank lines are
     skipped.
     """
-    path = Path(path)
+    name = str(path)
     seen: set[str] = set()
-    with path.open("rb") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            where = f"{path}:{lineno}"
+            where = f"{name}:{lineno}"
             try:
                 line = decode_line(raw)
-                if not line.strip():
+                if not line or line.isspace():
                     continue
                 doc = document_from_json(parse_object(line))
             except FieldError as exc:

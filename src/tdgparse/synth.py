@@ -9,6 +9,17 @@ leans on the DCT). A hidden temporal permutation orders all mentions, and
 timex->timex / event->event parents are always drawn from strictly earlier
 mentions, so generated gold graphs are acyclic by construction. Output is a
 pure function of (config, seed).
+
+A numpy call costs microseconds whatever it draws, so three draws are one
+call each: a document's sentence types (a uniform draw per sentence,
+searched in the content-weight CDF as ``rng.choice`` searches it), a
+sentence's mention kinds (``rng.random(k)``) and its noise tokens
+(``rng.integers`` with ``size``). numpy fills an array with the draws, in the
+order, that one scalar call per value makes and leaves the generator in the
+same state, so every corpus keeps its bytes; tests/test_synth.py pins them.
+A mention's token and the noise count stay scalar calls: a call with array
+bounds, which could draw them together, costs more than the three or four
+scalar calls it would replace.
 """
 
 from __future__ import annotations
@@ -156,7 +167,8 @@ def generate_synthetic_corpus(config: SynthConfig,
     rng = np.random.Generator(np.random.PCG64(seed))
     tags = sorted(config.content_weights)
     weights = np.array([config.content_weights[t] for t in tags], dtype=np.float64)
-    weights = weights / weights.sum()
+    cdf = (weights / weights.sum()).cumsum()  # as rng.choice(..., p=weights) builds it
+    cdf /= cdf[-1]
 
     # every token, and every mention id, is one shared str object per value
     cues = {ct: cue_token(ct) for ct in ContentType}
@@ -169,23 +181,24 @@ def generate_synthetic_corpus(config: SynthConfig,
     for doc_i in range(config.n_docs):
         doc_id = f"synth-{doc_i:04d}"
         n_sents = _randint(rng, config.sentences_per_doc)
-        sent_types = [ContentType(tags[int(i)])
-                      for i in rng.choice(len(tags), size=n_sents, p=weights)]
+        sent_types = [ContentType(tags[i])
+                      for i in cdf.searchsorted(rng.random(n_sents), side="right").tolist()]
 
         # mentions first, so sentence token layout is known before edges
         mentions: list[Mention] = []
         sent_members: list[list[Mention]] = [[] for _ in range(n_sents)]
         n_t = n_e = 0
         for s in range(n_sents):
-            for _ in range(_randint(rng, config.mentions_per_sentence)):
-                if rng.random() < config.timex_share:
+            k = _randint(rng, config.mentions_per_sentence)
+            for is_timex in (rng.random(k) < config.timex_share).tolist():
+                if is_timex:
                     n_t += 1
                     kind, mid = TIMEX, intern(f"t{n_t}")
                 else:
                     n_e += 1
                     kind, mid = EVENT, intern(f"e{n_e}")
                 pos = 1 + len(sent_members[s])  # cue token sits at position 0
-                m = Mention(id=mid, kind=kind, sentence=s, start=pos, end=pos + 1)
+                m = Mention(mid, kind, s, pos, pos + 1)
                 mentions.append(m)
                 sent_members[s].append(m)
 
@@ -195,9 +208,9 @@ def generate_synthetic_corpus(config: SynthConfig,
             for m in sent_members[s]:
                 pool = mention_tokens[m.kind]
                 tokens.append(pool[int(rng.integers(0, len(pool)))])
-            tokens += [noise[int(rng.integers(0, len(noise)))]
-                       for _ in range(_randint(rng, config.noise_tokens_per_sentence))]
-            sentences.append(Sentence(index=s, tokens=tuple(tokens)))
+            n_noise = _randint(rng, config.noise_tokens_per_sentence)
+            tokens += [noise[i] for i in rng.integers(0, len(noise), size=n_noise).tolist()]
+            sentences.append(Sentence(s, tuple(tokens)))
 
         # hidden temporal order; parents within a kind are always earlier,
         # which rules out cycles
@@ -218,7 +231,7 @@ def generate_synthetic_corpus(config: SynthConfig,
                 parent = _pick(rng, earlier).id
             else:
                 parent = DCT  # no earlier timex exists to reference
-            edges.append(GoldEdge(child=m.id, slot=TIMEX_REF, parent=parent))
+            edges.append(GoldEdge(m.id, TIMEX_REF, parent))
 
         for m in events:
             p_dct, p_intra = config.event_timex_probs[sent_types[m.sentence].value]
@@ -231,7 +244,7 @@ def generate_synthetic_corpus(config: SynthConfig,
                 parent = _pick(rng, same).id if same else DCT
             else:
                 parent = _pick(rng, other).id if other else DCT
-            edges.append(GoldEdge(child=m.id, slot=TIMEX_REF, parent=parent))
+            edges.append(GoldEdge(m.id, TIMEX_REF, parent))
 
             earlier = [e for e in events if order[e.id] < order[m.id]]
             parent = NO_EVENT
@@ -251,7 +264,7 @@ def generate_synthetic_corpus(config: SynthConfig,
                         parent = _pick(rng, cross).id
                 elif intra:
                     parent = _pick(rng, intra).id
-            edges.append(GoldEdge(child=m.id, slot=EVENT_REF, parent=parent))
+            edges.append(GoldEdge(m.id, EVENT_REF, parent))
 
         dct = (f"{2020 + int(rng.integers(0, 3))}-"
                f"{1 + int(rng.integers(0, 12)):02d}-"

@@ -565,6 +565,33 @@ def test_train_needs_labels_only_where_its_variant_reads_them(split_corpora, tmp
     assert {p.name for p in out.iterdir()} == {"manifest.json"}
 
 
+def test_train_refuses_an_id_that_names_two_documents(split_corpora, tmp_path, capsys):
+    """A --valid corpus drawn at another seed keeps the synth-NNNN ids, so
+    its synth-0000 is not --train's: every variant exits 2 naming it before
+    --out is made. A copy of the training corpus under another name, whose
+    shared ids name identical documents, trains."""
+    train, renamed, labels = split_corpora
+    clashing = renamed.parent / "clashing.jsonl"
+    docs = parse_corpus(renamed)
+    for i, doc in enumerate(docs):
+        doc.id = f"synth-{i:04d}"
+    write_corpus(docs, clashing)
+    for variant in ("baseline", "dp_distill"):
+        out = tmp_path / variant
+        assert main(["train", "--variant", variant, "--train", str(train),
+                     "--valid", str(clashing), "--dp-labels", str(labels),
+                     "--out", str(out), *SMALL_TRAIN]) == 2
+        assert capsys.readouterr().err == (
+            f"error: document id 'synth-0000' names different documents in --train "
+            f"{train} and --valid {clashing}\n")
+        assert not out.exists()
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(train.read_bytes())
+    assert main(["train", "--variant", "dp_distill", "--train", str(train),
+                 "--valid", str(copy), "--dp-labels", str(labels),
+                 "--out", str(tmp_path / "copy"), *SMALL_TRAIN]) == 0
+
+
 def test_predict_needs_labels_only_under_dp_feature(split_corpora, tmp_path, capsys):
     """A label file that misses documents serves a baseline or dp_distill
     checkpoint, which reads no label, and stops a dp_feature one."""

@@ -521,3 +521,29 @@ def test_parsing_never_computes_the_gold_table(tmp_path, monkeypatch):
     write_corpus(docs, tmp_path / "c.jsonl")
     monkeypatch.setattr(Document, "gold", property(refuse))
     assert parse_corpus(tmp_path / "c.jsonl") == docs
+
+
+def test_parsing_a_valid_corpus_reads_no_field_one_at_a_time(tmp_path, monkeypatch):
+    """Every line of a valid corpus takes document_from_json's typed pass,
+    so parse_corpus calls json_field on none of them; one line with a field
+    of the wrong type is read again field by field."""
+    fields = []
+    json_field = corpus_module.json_field
+
+    def counted(obj, key, *args):
+        fields.append(key)
+        return json_field(obj, key, *args)
+
+    docs, _ = generate_synthetic_corpus(SynthConfig(n_docs=20), seed=4)
+    path = tmp_path / "c.jsonl"
+    write_corpus(docs, path)
+    monkeypatch.setattr(corpus_module, "json_field", counted)
+    assert parse_corpus(path) == docs
+    assert fields == []
+
+    obj = json.loads(path.read_text(encoding="utf-8").splitlines()[3])
+    obj["mentions"][0]["start"] = 1.0
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="field 'start' must be an integer, not 1.0"):
+        parse_corpus(path)
+    assert "start" in fields

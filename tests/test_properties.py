@@ -11,10 +11,12 @@ import math
 import random
 from dataclasses import replace
 from pathlib import Path
+from sys import intern
 
 import numpy as np
 import pytest
 
+from tdgparse import corpus as corpus_module
 from tdgparse.analysis import all_tables
 from tdgparse.cli import main
 from tdgparse.corpus import (
@@ -460,6 +462,71 @@ def _mutate_line(rng: random.Random, obj: dict) -> str:
             swaps = [v for v in _SWAPS if type(v) is not type(holder[key])]
             holder[key] = copy.deepcopy(rng.choice(swaps))
     return json.dumps(obj).replace(json.dumps(_RAW_1E400), "1e400")
+
+
+def _interned(doc: Document) -> list:
+    """Every name document_from_json interns, in one order: a label only
+    when it is a string."""
+    names = [*(t for s in doc.sentences for t in s.tokens),
+             *(v for m in doc.mentions for v in (m.id, m.kind)),
+             *(v for e in doc.gold_edges for v in (e.child, e.slot, e.parent, e.label))]
+    return [name for name in names if type(name) is str]
+
+
+def _set(obj, path: tuple, value) -> None:
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+
+
+def test_typed_pass_matches_the_per_field_path(monkeypatch):
+    """document_from_json's typed pass and its field-by-field path, the one
+    that words every error, agree on every corpus line mutation the fuzzers
+    make and on a value of each other JSON type at every position of a valid
+    line: equal Documents holding the same interned name objects, or
+    FieldError with the same text."""
+    def outcome(obj, typed: bool):
+        with monkeypatch.context() as patch:
+            if not typed:
+                patch.setattr(corpus_module, "_typed_parts", lambda obj: None)
+            try:
+                return document_from_json(json.loads(json.dumps(obj)))
+            except FieldError as exc:
+                return str(exc)
+
+    built = refused = 0
+
+    def agree(obj) -> None:
+        nonlocal built, refused
+        got, want = outcome(obj, True), outcome(obj, False)
+        assert got == want, obj
+        if isinstance(got, Document):
+            pairs = zip(_interned(got), _interned(want), strict=True)
+            assert all(a is b is intern(a) for a, b in pairs), obj
+            built += 1
+        else:
+            refused += 1
+
+    rng = random.Random(43)
+    docs = generate_synthetic_corpus(SynthConfig(n_docs=3, sentences_per_doc=(2, 3),
+                                                 noise_tokens_per_sentence=(0, 1)), seed=5)[0]
+    docs += [random_document(rng, max_mentions=4, doc_id=f"d{i}") for i in range(3)]
+    lines = [document_to_json(doc) for doc in docs]
+    for obj in lines[::3]:  # a label, and an event left for the NO_EVENT edge
+        obj["edges"][0]["label"] = "before"
+        obj["edges"] = [e for e in obj["edges"][:-1] if e["slot"] != "event_ref"] \
+            + obj["edges"][-1:]
+    for obj in lines:
+        agree(obj)
+    for obj in lines[::2]:
+        for path in _positions(obj):
+            for value in _SWAPS:
+                mutated = json.loads(json.dumps(obj))
+                _set(mutated, path, value)
+                agree(mutated)
+    for _ in range(600):
+        agree(json.loads(_mutate_line(rng, json.loads(json.dumps(rng.choice(lines))))))
+    assert built >= 250 and refused >= 1800, (built, refused)
 
 
 def _sentence_indexes(line: str) -> list | None:
