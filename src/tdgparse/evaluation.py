@@ -80,7 +80,7 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
     are plain ints, one per CATEGORIES entry, which make each
     CategoryMetrics at the end. A slot without a prediction, without a gold
     edge, or with a parent that is no mention of the document raises
-    EvaluationError.
+    EvaluationError, as does a gold mention of a kind without KIND_SLOTS.
     """
     gold_n, pred_n, hit_n = [0, 0, 0], [0, 0, 0], [0, 0, 0]  # per CATEGORIES entry
     for doc in gold:
@@ -88,7 +88,12 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
         if graph is None:
             raise EvaluationError(f"no prediction for document {doc.id!r}")
         edges = graph.edges
-        parents, categories = doc.gold
+        try:
+            parents, categories = doc.gold
+        except KeyError:  # the gold table's KIND_SLOTS lookup
+            m = next(m for m in doc.ordered_mentions() if m.kind not in KIND_SLOTS)
+            raise EvaluationError(f"document {doc.id}: mention {m.id} has unknown "
+                                  f"kind {m.kind!r}") from None
         by_id = doc.by_id
         i = 0  # the slot's row of the gold table
         for m in doc.ordered_mentions():

@@ -86,8 +86,9 @@ class CandidateLayout(NamedTuple):
     ``slots`` are in slot_instances order. ``names`` holds the META_NODES,
     then the mention ids in document order. Slot i's candidates are
     positions ``starts[i]`` up to the next slot's start (or the end) of
-    ``cand``, and candidate k is ``names[cand[k]]``. A scorer's score vector
-    follows the same positions.
+    ``cand``, and candidate k is ``names[cand[k]]``, of slot ``cand_slot[k]``.
+    ``slot_child[i]`` is slot i's child as a mention row, its position in
+    document order. A scorer's score vector follows the same positions.
     """
 
     doc: Document
@@ -95,6 +96,8 @@ class CandidateLayout(NamedTuple):
     names: tuple[str, ...]
     starts: np.ndarray
     cand: np.ndarray
+    cand_slot: np.ndarray
+    slot_child: np.ndarray
 
     def span(self, i: int) -> slice:
         """The positions of slot i's candidates."""
@@ -115,17 +118,21 @@ def candidate_layout(doc: Document) -> CandidateLayout:
     seen = dict.fromkeys(KIND_SLOTS, 0)  # mentions of each kind before this one
     slots: list[Slot] = []
     starts: list[int] = []
+    slot_child: list[int] = []
     cand: list[int] = []
-    for m in mentions:
+    for row, m in enumerate(mentions):
         i = seen[m.kind]
         seen[m.kind] = i + 1
         for slot, metas, kind in _KIND_RULES[m.kind]:
             slots.append(_new_tuple(Slot, (m.id, slot)))
             starts.append(len(cand))
+            slot_child.append(row)
             cand += metas
             cand += rows[kind][:i] + rows[kind][i + 1:] if kind == m.kind else rows[kind]
-    return CandidateLayout(doc, slots, META_NODES + tuple(m.id for m in mentions),
-                           np.array(starts, dtype=np.int32), np.array(cand, dtype=np.int32))
+    starts_array = np.array(starts, dtype=np.int32)
+    return CandidateLayout(doc, slots, META_NODES + tuple(m.id for m in mentions), starts_array,
+                           np.array(cand, dtype=np.int32), slot_of(starts_array, len(cand)),
+                           np.array(slot_child, dtype=np.int32))
 
 
 def candidate_set(doc: Document, slot: Slot) -> list[str]:
@@ -143,7 +150,7 @@ def require_finite(layout: CandidateLayout, score: np.ndarray) -> None:
     finite = np.isfinite(score)
     if not finite.all():
         k = int(np.argmin(finite))
-        slot = layout.slots[np.searchsorted(layout.starts, k, side="right") - 1]
+        slot = layout.slots[layout.cand_slot[k]]
         raise GraphError(f"document {layout.doc.id}, slot {slot}: candidate "
                          f"{layout.names[layout.cand[k]]} has a non-finite score")
 
@@ -187,17 +194,13 @@ class SlotScores(Mapping):
 
 def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
                        doc: Document) -> bool:
-    """True iff adding child -> parent closes a directed cycle.
+    """True iff adding child -> parent closes a directed cycle, for legal edges:
+    the test greedy_positions makes on mention rows, stated on names.
 
-    Legal edges form two functional graphs, timex -> timex through timex_ref
-    slots and event -> event through event_ref slots, each ending in meta
-    nodes; an event -> timex edge never lies on a cycle. So the new edge
-    cycles exactly when walking up the parent's own chain reaches the child.
-    The walk is a complete check as long as every edge is legal, and
-    greedy_decode only proposes legal edges: it takes only a SlotScores over
-    candidate_layout of the very document it decodes. A walk longer than the
-    edges allow means they already hold a cycle, which greedy_decode never
-    builds, and raises GraphError.
+    The new edge cycles exactly when walking up the parent's own chain
+    (timex_ref edges for a timex, event_ref for an event) reaches the child.
+    A walk longer than the edges allow means they already hold a cycle, and
+    raises GraphError.
     """
     if parent in META_NODES:
         return False
@@ -213,108 +216,95 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
                      f"already form a cycle")
 
 
-def greedy_decode(doc: Document, scores: SlotScores,
-                  order: str = "score") -> TemporalDependencyGraph:
-    """Fill every slot with its best cycle-free candidate, one slot at a time.
-
-    ``scores`` must have been built over candidate_layout of this very
-    document object. order="score" visits slots by descending top-candidate
-    score (stable, so ties keep canonical order); order="document" visits
-    them in canonical order. Each slot takes the first candidate in rank
-    order (descending score, ties in candidate order) that does not close a
-    cycle with the edges chosen so far; a meta candidate is always
-    available, so decoding cannot fail. Every slot's top candidate, its
-    first maximum, comes from the flat score arrays at once; only a slot
-    whose top candidate closes a cycle has its candidates ranked.
-    """
-    if order not in DECODE_ORDERS:
-        raise GraphError(f"unknown decode order {order!r}")
-    layout = scores.layout
-    if layout.doc is not doc:
-        raise GraphError(f"document {doc.id}: the scores were built for another "
-                         f"document object ({layout.doc.id})")
-    edges: dict[Slot, str] = {}
-    if not layout.slots:
-        return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
-    score, cand, names = scores.score, layout.cand, layout.names
-    top = np.maximum.reduceat(score, layout.starts)
-    values, starts = score.tolist(), layout.starts.tolist()
-    ends = starts[1:] + [len(values)]
-    # each slot's first maximum: the first score from its start that equals it
-    # (first_maxima's arrays took 10-25% longer per document here)
-    first = [values.index(t, start) for t, start in zip(top.tolist(), starts)]
-    top_parent = [names[c] for c in cand[first].tolist()]
-    visit = (np.argsort(-top, kind="stable").tolist() if order == "score"
-             else range(len(starts)))
-    for i in visit:
-        slot = layout.slots[i]
-        parent = top_parent[i]
-        if would_create_cycle(slot.child, parent, edges, doc):
-            start, end = starts[i], ends[i]
-            ranking = start + np.argsort(-score[start:end], kind="stable")
-            for c in cand[ranking[1:]].tolist():
-                if not would_create_cycle(slot.child, names[c], edges, doc):
-                    parent = names[c]
-                    break
-            else:  # pragma: no cover - meta candidate is always cycle-free
-                raise GraphError(f"document {doc.id}: no feasible candidate for {slot}")
-        edges[slot] = parent
-    return TemporalDependencyGraph(doc_id=doc.id, edges=edges)
-
-
 def slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:
     """The slot of each of n_cand candidates, given each slot's first one."""
     # each slot's candidate count; np.diff with append= costs several times this
     counts = np.concatenate((starts[1:], [n_cand])) - starts
-    return np.repeat(np.arange(len(starts)), counts)
+    return np.repeat(np.arange(len(starts), dtype=np.int32), counts)
 
 
-def first_maxima(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The position of each slot's first maximum, for slots laid end to end.
-
-    Slot i's candidates are positions ``starts[i]`` up to the next start (or
-    the end) of ``score``; its first maximum is the first of them that
-    scores the slot's top score, the candidate greedy_decode tries first.
-    Every slot needs at least one candidate, and every score must be finite.
-    """
+def first_maxima(score: np.ndarray, starts: np.ndarray,
+                 cand_slot: np.ndarray | None = None) -> np.ndarray:
+    """The position of each slot's first maximum, for slots laid end to end:
+    the first of its candidates (``starts[i]`` up to the next start) to
+    score the slot's top score. ``cand_slot`` is slot_of(starts,
+    len(score)), computed if not given. Every slot needs a candidate, and
+    every score must be finite."""
+    if cand_slot is None:
+        cand_slot = slot_of(starts, len(score))
     top = np.maximum.reduceat(score, starts)
-    hits = np.flatnonzero(score == top[slot_of(starts, len(score))])
+    hits = np.flatnonzero(score == top[cand_slot])
     return hits[np.searchsorted(hits, starts)]
 
 
-def chain_cycles(parent: np.ndarray) -> np.ndarray:
-    """Which mentions' chains, under the first-maximum graph, hold a cycle.
+def _ranked(score: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Positions lo:hi by descending score, ties in position order."""
+    return lo + np.argsort(-score[lo:hi], kind="stable")
 
-    A mention's chain slot is the one whose parents are mentions of its own
-    kind (a timex's timex_ref, an event's event_ref), its last slot in
-    KIND_SLOTS order; only edges through chain slots lie on cycles.
-    ``parent[i]`` is the mention that mention i's chain slot takes at its
-    first maximum, as a row of ``parent``, or ``len(parent)`` for a meta
-    parent; rows may span many documents. The result is true for each
-    mention whose chain never reaches a meta parent: it lies on a cycle or
-    leads into one. Pointer doubling finds them: after k rounds, ``hop[i]``
-    is the mention 2**k parents above i, with the meta parents as one
-    absorbing sink; an acyclic chain reaches the sink in at most
-    ``len(parent)`` steps, so enough rounds for 2**k >= len(parent) leave
-    only the cyclic mentions off it.
 
-    This is the rule that lets training.decode_run skip greedy_decode for
-    every document without a cycle. Suppose a
-    document's first-maximum graph, each slot taking its first maximum, has
-    no cycle. Then greedy_decode returns exactly that graph, in either
-    order: each slot tries its first maximum first, and the edges chosen
-    before it are first maxima too, a subset of an acyclic edge set, which
-    no further edge of the same set can close into a cycle. An edge from an
-    event's timex_ref slot ends in a timex, whose chain never leads back to
-    an event, so only the timex and event chains need testing. Conversely,
-    greedy_decode never builds a cycle, so a document with one decodes to
-    another graph and must be decoded slot by slot.
+def greedy_positions(score: np.ndarray, starts: np.ndarray, cand_slot: np.ndarray,
+                     slot_child: np.ndarray, cand: np.ndarray,
+                     order: str = "score") -> np.ndarray:
+    """The position of the candidate greedy decoding gives each slot.
+
+    The arrays are a CandidateLayout's, of one document or several laid end
+    to end; every score must be finite. Slots are visited by descending top
+    score (order="score", ties in slot order) or in slot order, and each
+    takes the first candidate in _ranked order that closes no cycle. Only a
+    mention's last slot, its chain slot (a timex's timex_ref, an event's
+    event_ref), can close one, so the others take their first maximum, and
+    a chain slot ranks its candidates only when its first maximum closes a
+    cycle on the mention rows' parent map, which a meta parent always ends.
+    Documents share no mention row, so a run decodes as its documents alone.
     """
-    n = len(parent)
-    hop = np.append(parent, n)
-    for _ in range(max(n - 1, 0).bit_length()):
-        hop = hop[hop]
-    return hop[:n] != n
+    if order not in DECODE_ORDERS:
+        raise GraphError(f"unknown decode order {order!r}")
+    chosen = first_maxima(score, starts, cand_slot)
+    n_meta = len(META_NODES)
+    child, parent = slot_child.tolist(), cand[chosen].tolist()
+    visit = (np.argsort(-score[chosen], kind="stable").tolist() if order == "score"
+             else range(len(child)))
+    up = [-1] * len(child)  # each mention row's chain parent so far, -1 for none
+
+    def closes(row: int, node: int) -> bool:
+        while node >= 0:
+            if node == row:
+                return True
+            node = up[node]
+        return False
+
+    last = len(child) - 1
+    for i in visit:
+        row = child[i]
+        if i < last and child[i + 1] == row:
+            continue  # not its mention's chain slot
+        p = parent[i] - n_meta  # a mention row, negative for a meta node
+        if p >= 0 and closes(row, p):
+            end = starts[i + 1] if i < last else len(score)
+            ranked = _ranked(score, starts[i], end)[1:]
+            for k, p in zip(ranked.tolist(), (cand[ranked] - n_meta).tolist()):
+                if not closes(row, p):
+                    chosen[i] = k
+                    break
+        up[row] = p
+    return chosen
+
+
+def greedy_decode(doc: Document, scores: SlotScores,
+                  order: str = "score") -> TemporalDependencyGraph:
+    """Fill every slot with its best cycle-free candidate, by greedy_positions.
+
+    ``scores`` must have been built over candidate_layout of this very
+    document object.
+    """
+    layout = scores.layout
+    if layout.doc is not doc:
+        raise GraphError(f"document {doc.id}: the scores were built for another "
+                         f"document object ({layout.doc.id})")
+    chosen = greedy_positions(scores.score, layout.starts, layout.cand_slot,
+                              layout.slot_child, layout.cand, order)
+    return TemporalDependencyGraph(doc.id, dict(zip(
+        layout.slots, map(layout.names.__getitem__, layout.cand[chosen].tolist()))))
 
 
 def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:

@@ -36,10 +36,11 @@ gradients run the same blocks backwards and sum. ``lay_out`` lays the
 indexes it is given end to end in runs of at most the same bound (a larger
 document is a run of its own, split into blocks); fed indexes one at a time,
 a predict run holds one run's indexes at a time. ``run_scores`` scores one
-laid-out run, whose positions ``training.decode_run`` decodes.
-``score_document`` indexes and scores one document and hands its scores on
-over its layout, as a ``graph.SlotScores`` that ``greedy_decode`` reads
-directly.
+laid-out run: ``training.decode_corpus`` hands each document's share of it
+to ``graph.greedy_decode`` as a ``graph.SlotScores``, and validation decodes
+the whole run's positions at once by ``graph.greedy_positions``.
+``score_document`` indexes and scores one document alone, as the
+``SlotScores`` that ``greedy_decode`` reads.
 
 Training reads batches from a ``TrainingLayout`` of the indexes it made,
 which checks every gold parent once per training run and lays the documents
@@ -327,16 +328,14 @@ def _index_document(doc: Document, vocab: Vocabulary,
     spans = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
     sent = np.array([m.sentence for m in ordered], dtype=np.int32)
     layout = candidate_layout(doc)
-    table_row = {name: i for i, name in enumerate(layout.names)}
     cand = layout.cand
-    child = np.array([table_row[s.child] - N_META for s in layout.slots],
-                     dtype=np.int32)[slot_of(layout.starts, len(cand))]
+    child = layout.slot_child[layout.cand_slot]
 
-    row = cand - N_META
-    is_mention = row >= 0
-    c, r = child[is_mention], row[is_mention]
+    is_mention = cand >= N_META
+    c, r = child[is_mention], cand[is_mention] - N_META
     feat = (cand + _META_KEY).astype(np.uint8)
-    feat[is_mention] = np.minimum(np.abs(sent[c] - sent[r]), _FAR) + (_FAR + 1) * (c < r)
+    # an int32 factor keeps the per-candidate temporaries int32, as a Python int would not
+    feat[is_mention] = np.minimum(np.abs(sent[c] - sent[r]), _FAR) + np.int32(_FAR + 1) * (c < r)
 
     return _FlatIndex(
         layout,
@@ -357,10 +356,9 @@ def _with_gold(idx: _FlatIndex) -> _FlatIndex:
     table_row = {name: i for i, name in enumerate(layout.names)}
     gold_row = np.array([table_row.get(parent, -1) for parent in layout.doc.gold.parents],
                         dtype=np.int64)
-    slot = slot_of(layout.starts, len(idx.cand))
-    hit = np.flatnonzero(idx.cand == gold_row[slot])
+    hit = np.flatnonzero(idx.cand == gold_row[layout.cand_slot])
     gold = np.full(len(layout.slots), -1, dtype=np.int32)
-    gold[slot[hit]] = hit
+    gold[layout.cand_slot[hit]] = hit
     return idx._replace(gold=gold)
 
 
@@ -618,8 +616,10 @@ class RankingModel:
         Under dp_feature the run's indexes must carry content types.
         """
         layer = self._first_layer(batch, self._markers(batch))
-        return _joined([self._block_forward(layer, batch, c_lo, c_hi)[-1]
-                        for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand))])
+        scores = np.empty(len(batch.cand))
+        for _, _, c_lo, c_hi in _blocks(batch.starts, len(batch.cand)):
+            scores[c_lo:c_hi] = self._block_forward(layer, batch, c_lo, c_hi)[-1]
+        return scores
 
     def score_document(self, doc: Document,
                        dp_labels: DpLabelMap | None = None) -> SlotScores:

@@ -11,8 +11,9 @@ permuted training corpus; each loss writes into its own flat gradient
 vector, allocated once per run, and adamw_step updates the model's flat
 parameter vector in one pass.
 
-``decode_run`` is the one corpus decoder, behind both ``decode_corpus``
-(``tdgparse predict``) and the per-epoch ``Validation``.
+``graph.greedy_positions`` is the one decoder: ``decode_corpus`` (``tdgparse
+predict``) reaches it through ``graph.greedy_decode``, one document at a
+time, and the per-epoch ``Validation`` calls it once per laid-out run.
 """
 
 from __future__ import annotations
@@ -29,25 +30,19 @@ from . import scorer
 from .corpus import MAX_COUNT, Corpus, DpLabelMap, json_field
 from .graph import (
     DECODE_ORDERS,
-    GraphError,
     SlotScores,
     TemporalDependencyGraph,
-    chain_cycles,
-    first_maxima,
     greedy_decode,
+    greedy_positions,
     require_finite,
     slot_of,
 )
 from .scorer import (
-    N_META,
     ModelConfig,
     RankingModel,
     TrainingLayout,
     Vocabulary,
-    _concat,
     _FlatIndex,
-    _Offsets,
-    _offsets,
     _with_gold,
     build_vocabulary,
     init_params,
@@ -217,68 +212,28 @@ class TrainHistory:
     best_epoch: int = 0
 
 
-def decode_run(indexes: list[_FlatIndex], batch: _FlatIndex, values: np.ndarray,
-               order: str = "score") -> np.ndarray:
-    """The position in ``values`` of the candidate greedy_decode gives every slot.
-
-    ``batch`` is ``indexes`` laid end to end (scorer._concat) and ``values``
-    scores its candidates. A slot takes its first maximum unless its
-    document's first-maximum graph holds a cycle (graph.chain_cycles); only
-    those documents go through greedy_decode, looked up in this module. A
-    non-finite score raises GraphError naming its document, slot and
-    candidate, as SlotScores does; so does an unknown order.
-    """
-    if order not in DECODE_ORDERS:
-        raise GraphError(f"unknown decode order {order!r}")
-    first_of = _Offsets(*_offsets(indexes).T)  # each index's first rows, then the totals
-    finite = np.isfinite(values)
-    if not finite.all():
-        d = int(np.searchsorted(first_of.cand, np.argmin(finite), side="right")) - 1
-        require_finite(indexes[d].layout, values[first_of.cand[d]:first_of.cand[d + 1]])
-    first = first_maxima(values, batch.starts)
-    # a mention's last slot is its chain slot; batch.cand - N_META is a
-    # candidate's mention row, negative for a meta node
-    slot_child = batch.child[batch.starts]
-    chain = first[np.diff(slot_child, append=-1) != 0]
-    parent = batch.cand[chain] - N_META
-    cyclic = chain_cycles(np.where(parent >= 0, parent, len(parent)))
-    mention_doc = np.repeat(np.arange(len(indexes)), np.diff(first_of.mention))
-    cand_slot = slot_of(batch.starts, len(batch.cand))
-    for d in np.unique(mention_doc[cyclic]).tolist():
-        idx, s_lo = indexes[d], int(first_of.slot[d])
-        c_lo, c_hi = int(first_of.cand[d]), int(first_of.cand[d + 1])
-        layout = idx.layout
-        edges = greedy_decode(layout.doc, SlotScores(layout, values[c_lo:c_hi]),
-                              order=order).edges
-        row = {name: i for i, name in enumerate(layout.names)}
-        parent_row = np.array([row[edges[slot]] for slot in layout.slots])
-        first[s_lo:s_lo + len(layout.slots)] = c_lo + np.flatnonzero(
-            idx.cand == parent_row[cand_slot[c_lo:c_hi] - s_lo])
-    return first
-
-
 def decode_corpus(model: RankingModel, corpus: Corpus,
                   dp_labels: DpLabelMap | None = None,
                   order: str = "score") -> dict[str, TemporalDependencyGraph]:
     """Score and decode every document; keyed by document id.
 
     Each document is indexed, with dp_labels under dp_feature only, as
-    lay_out fills its run; each run is scored and decoded by decode_run, and
-    each document's graph is built from its slots' decoded positions.
+    lay_out fills its run; each run is scored at once, and each of its
+    documents decoded by greedy_decode over its own scores, which it looks
+    up in this module. A non-finite score raises GraphError naming its
+    document, slot and candidate, as SlotScores does.
     """
     out: dict[str, TemporalDependencyGraph] = {}
     labels = model._feature_labels(dp_labels)
     fresh = (scorer._index_document(doc, model.vocab, labels) for doc in corpus)
     for indexes, batch in lay_out(fresh):
-        chosen = decode_run(indexes, batch, model.run_scores(batch), order)
-        c_lo = s_lo = 0
+        values = model.run_scores(batch)
+        lo = 0
         for idx in indexes:
             layout = idx.layout
-            cand = idx.cand[chosen[s_lo:s_lo + len(layout.slots)] - c_lo].tolist()
-            out[layout.doc.id] = TemporalDependencyGraph(
-                layout.doc.id, {slot: layout.names[c] for slot, c in zip(layout.slots, cand)})
-            c_lo += len(idx.cand)
-            s_lo += len(layout.slots)
+            scores = SlotScores(layout, values[lo:lo + len(idx.cand)])
+            out[layout.doc.id] = greedy_decode(layout.doc, scores, order)
+            lo += len(idx.cand)
     return out
 
 
@@ -289,24 +244,32 @@ class Validation:
     decode_corpus with the same model, labels and order. The documents'
     indexes, which train() makes (with content types under dp_feature), are
     given their gold positions and laid out once in lay_out's runs, which
-    each call scores, and once as one batch, which decode_run decodes at
-    once. A slot is correct when its decoded candidate is its gold candidate.
+    each call scores and decodes by graph.greedy_positions, a run at a time.
+    A slot is correct when its decoded candidate is its gold candidate.
     """
 
     def __init__(self, model: RankingModel, indexes: list[_FlatIndex]):
         self.model = model
-        self.indexes = [_with_gold(idx) for idx in indexes]
-        self.runs = list(lay_out(self.indexes))
-        self.batch = _concat(self.indexes)
+        self.runs = list(lay_out(_with_gold(idx) for idx in indexes))
 
     def accuracy(self, order: str = "score") -> float:
         """The attachment accuracy of decoding the corpus with the model's parameters now.
 
-        Raises as decode_run does.
+        Raises as decode_corpus does.
         """
-        values = np.concatenate([self.model.run_scores(batch) for _, batch in self.runs])
-        decoded = decode_run(self.indexes, self.batch, values, order)
-        return int(np.count_nonzero(decoded == self.batch.gold)) / len(decoded)
+        correct = total = 0
+        for run, batch in self.runs:
+            values = self.model.run_scores(batch)
+            if not np.isfinite(values).all():
+                lo = 0
+                for idx in run:
+                    require_finite(idx.layout, values[lo:lo + len(idx.cand)])
+                    lo += len(idx.cand)
+            chosen = greedy_positions(values, batch.starts, slot_of(batch.starts, len(values)),
+                                      batch.child[batch.starts], batch.cand, order)
+            correct += int(np.count_nonzero(chosen == batch.gold))
+            total += len(chosen)
+        return correct / total
 
 
 def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,

@@ -358,47 +358,6 @@ def reference_first_maxima(score: list[float], starts: list[int]) -> list[int]:
     return out
 
 
-def reference_chain_cycles(parent: list[int]) -> list[bool]:
-    """Whether each row's parent chain, walked one step at a time, returns to a
-    row it has visited before reaching the meta sink ``len(parent)``."""
-    out = []
-    for node in range(len(parent)):
-        seen = set()
-        while node != len(parent) and node not in seen:
-            seen.add(node)
-            node = parent[node]
-        out.append(node != len(parent))
-    return out
-
-
-def random_chains(rng: random.Random, n_docs: int) -> list[int]:
-    """Chain-slot parents for the mentions of several documents laid end to end,
-    each a row of its own document or the meta sink (the total row count).
-
-    A mention's parent is a meta parent, itself, another of its document's
-    mentions at random, or the next mention (the last mention's next is a
-    meta parent). In half the documents nearly every mention takes the next
-    one, which builds long chains; a third also close a 2-cycle.
-    """
-    sizes = [rng.choice([1, 2, 3, 8, 40, 70]) for _ in range(n_docs)]
-    n = sum(sizes)
-    parent: list[int] = []
-    for size in sizes:
-        lo = len(parent)
-        chain = rng.random() < 0.5
-        for i in range(size):
-            kind = ("next" if chain and rng.random() < 0.95
-                    else rng.choice(["meta", "self", "any", "next"]))
-            parent.append(n if kind == "meta" or kind == "next" and i + 1 == size
-                          else lo + i if kind == "self"
-                          else lo + rng.randrange(size) if kind == "any"
-                          else lo + i + 1)
-        if size >= 2 and rng.random() < 1 / 3:
-            a, b = rng.sample(range(lo, lo + size), 2)
-            parent[a], parent[b] = b, a
-    return parent
-
-
 # ------------------------------------------------------------ JSON types
 
 
@@ -724,13 +683,13 @@ def reference_corpus_line_ok(obj) -> str | None:
 
 # ------------------------------------------- configs, checkpoints, label rows
 
-MAX_COUNT = 2**31 - 1  # the most any count or size of a config may be
+_MAX_COUNT = 2**31 - 1  # the most any count or size of a config may be
 _VARIANTS = ("baseline", "dp_feature", "dp_distill")
 _TAGS = {ct.value for ct in CONTENT_TYPES}
 
 
 def _count(value, low: int = 1) -> bool:
-    return _json_type_name(value) == "integer" and low <= value <= MAX_COUNT
+    return _json_type_name(value) == "integer" and low <= value <= _MAX_COUNT
 
 
 def _number(value, low: float = 0.0, high: float = math.inf) -> bool:
@@ -957,7 +916,7 @@ def lookup(vocab: Vocabulary, token: str) -> int:
     return vocab.index.get(token.lower(), UNK_INDEX)
 
 
-def marker_index(content_type: ContentType) -> int:
+def _marker_index(content_type: ContentType) -> int:
     """The embedding row of a content type's marker token."""
     return MARKER_BASE_INDEX + CONTENT_TYPE_INDEX[content_type]
 
@@ -969,7 +928,7 @@ def _reference_tokens(model, doc: Document, dp_labels) -> tuple[dict, dict]:
     for s in doc.sentences:
         ids = [lookup(vocab, t) for t in s.tokens]
         if model.config.variant == "dp_feature":
-            ids.append(marker_index(dp_labels[(doc.id, s.index)]))
+            ids.append(_marker_index(dp_labels[(doc.id, s.index)]))
         sentences[s.index] = ids
     mentions = {m.id: [lookup(vocab, t) for t in
                        doc.sentences[m.sentence].tokens[m.start:m.end]]

@@ -389,6 +389,31 @@ def test_no_definition_is_used_only_by_tests():
     assert {name: at for name, at in defined.items() if name not in referenced} == {}
 
 
+def test_every_oracle_is_used_by_another_test_module():
+    """Every public name tests/oracles.py defines at module level, function,
+    class or constant, is referenced from another module of tests/, so a
+    reference whose code is gone does not linger."""
+    tests = Path(__file__).resolve().parent
+    tree = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined.update(target.id for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets if isinstance(target, ast.Name))
+    referenced: set[str] = set()
+    for path in sorted(tests.glob("*.py")):
+        if path.name != "oracles.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name)
+    public = {name for name in defined if not name.startswith("_")}
+    assert len(public) > 40
+    assert sorted(public - referenced) == []
+
+
 def test_only_corpus_maps_gold_edges():
     """Document.gold is the one slot -> gold parent map: the package builds
     one dict comprehension over a document's gold_edges, in that property."""

@@ -195,6 +195,19 @@ def test_a_gold_slot_without_an_edge_or_with_an_unknown_parent_fails():
             count(pred, [stray])
 
 
+def test_a_gold_mention_of_unknown_kind_fails():
+    """A gold document built directly with a mention of a kind that owns no
+    slots raises EvaluationError naming the document and the mention."""
+    doc = Document("d", "DCT", [Sentence(0, ("a", "b"))],
+                   [Mention("t1", "timex", 0, 0, 1), Mention("x1", "bogus", 0, 1, 2)],
+                   [GoldEdge("t1", "timex_ref", "DCT")])
+    pred = {"d": TemporalDependencyGraph("d", {Slot("t1", "timex_ref"): "DCT"})}
+    for count in (attachment_accuracy, partitioned_prf):
+        with pytest.raises(EvaluationError,
+                           match="^document d: mention x1 has unknown kind 'bogus'$"):
+            count(pred, [doc])
+
+
 def fake_report(accuracy, corpus="deadbeef", seed=0):
     cats = {c: CategoryMetrics(gold=10, predicted=10, correct=int(10 * accuracy),
                                precision=accuracy, recall=accuracy, f1=accuracy)

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from tdgparse import graph as graph_module
 from tdgparse.graph import (
+    DECODE_ORDERS,
     GraphError,
     ScoredCandidates,
     Slot,
@@ -14,28 +16,26 @@ from tdgparse.graph import (
     TemporalDependencyGraph,
     candidate_layout,
     candidate_set,
-    chain_cycles,
     first_maxima,
     graph_from_json,
     graph_to_json,
     greedy_decode,
+    greedy_positions,
     slot_instances,
     slot_of,
     validate_graph,
     would_create_cycle,
 )
-from tdgparse.scorer import ModelConfig, build_vocabulary
+from tdgparse.scorer import ModelConfig, _index_document, build_vocabulary, lay_out
 
 from .conftest import initialized_model, make_doc
 from .oracles import (
     META,
     _closure_has_cycle,
     gold_graph,
-    random_chains,
     random_document,
     random_pred_graph,
     random_scores,
-    reference_chain_cycles,
     reference_decode,
     reference_first_maxima,
     reference_slot_of,
@@ -171,30 +171,6 @@ def test_slot_of_and_first_maxima_match_a_scan():
         assert first_maxima(np.array(score), starts_array).tolist() == want
         ties += sum(score.count(score[k]) > 1 for k in want)
     assert ties > 1000
-
-
-def test_chain_cycles_match_a_walk():
-    """Seeded random parent rows of several documents at once: meta parents,
-    self-loops, 2-cycles, and chains of up to 70 mentions, which need six
-    doubling rounds to reach the sink, some of them ending in a cycle."""
-    rng = random.Random(67)
-    cyclic = acyclic = longest = 0
-    for _ in range(200):
-        parent = random_chains(rng, rng.randint(1, 5))
-        want = reference_chain_cycles(parent)
-        assert chain_cycles(np.array(parent, dtype=np.int32)).tolist() == want
-        cyclic += sum(want)
-        acyclic += len(want) - sum(want)
-        for node, in_cycle in enumerate(want):
-            steps = 0
-            while not in_cycle and node != len(parent):
-                node, steps = parent[node], steps + 1
-            longest = max(longest, steps)
-    assert cyclic > 1000 and acyclic > 1000
-    assert longest > 32  # a chain that five doubling rounds do not cover
-    assert chain_cycles(np.array([1, 2, 3], dtype=np.int32)).tolist() == [False] * 3
-    assert chain_cycles(np.array([0, 2, 1], dtype=np.int32)).tolist() == [True] * 3
-    assert chain_cycles(np.array([], dtype=np.int32)).tolist() == []
 
 
 def _scores(doc, table):
@@ -347,6 +323,45 @@ def test_slot_scores_decode_like_the_reference():
     assert overridden > 100
 
 
+def test_a_run_decodes_as_its_documents_do_alone():
+    """greedy_positions over a lay_out run of documents, in one call, gives
+    each document the positions it gets decoded alone, whose parents are
+    the reference's. Half the documents have their mention candidates
+    lifted above the meta nodes, so that first maxima close cycles.
+    Validation decodes its runs this way."""
+    rng = random.Random(37)
+    docs = [random_document(rng, max_mentions=6, doc_id=f"r{i}") for i in range(300)]
+    scores = [random_scores(rng, doc) for doc in docs]
+    for flat in scores:
+        if rng.random() < 0.5:
+            flat.score[flat.layout.cand >= len(META)] += 10.0
+    vocab = build_vocabulary(docs)
+    runs = list(lay_out(_index_document(doc, vocab) for doc in docs))
+    assert len(runs) > 1 and len(runs[0][0]) > 10  # runs of many documents
+    overridden = 0
+    for order in DECODE_ORDERS:
+        k = 0  # the run's first document
+        for run, batch in runs:
+            values = np.concatenate([flat.score for flat in scores[k:k + len(run)]])
+            got = greedy_positions(values, batch.starts, slot_of(batch.starts, len(values)),
+                                   batch.child[batch.starts], batch.cand, order)
+            lo = s_lo = 0
+            for doc, flat in zip(docs[k:k + len(run)], scores[k:k + len(run)]):
+                layout = flat.layout
+                alone = greedy_positions(flat.score, layout.starts, layout.cand_slot,
+                                         layout.slot_child, layout.cand, order)
+                assert (got[s_lo:s_lo + len(alone)] - lo).tolist() == alone.tolist()
+                parents = [layout.names[c] for c in layout.cand[alone].tolist()]
+                want = reference_decode(doc, dict(flat.items()), order=order)
+                assert dict(zip(layout.slots, parents)) == want
+                overridden += int(np.count_nonzero(
+                    alone != first_maxima(flat.score, layout.starts)))
+                lo += len(flat.score)
+                s_lo += len(alone)
+            k += len(run)
+    assert k == len(docs) and overridden > 100
+
+
 def test_slot_scores_checks():
     doc = two_timex_doc()
     scores = _scored(doc)
@@ -418,31 +433,35 @@ def test_slot_is_an_immutable_named_pair():
         slot.child = "t2"
 
 
-def test_decode_checks_each_candidate_at_most_once(monkeypatch):
-    """The top-first shortcut never checks a slot's top candidate twice."""
-    checks = []
+def test_decode_ranks_only_the_slots_it_overrides(monkeypatch):
+    """A slot's candidates are ranked only when its first maximum closes a
+    cycle, so exactly for the slots whose final choice differs from their
+    first maximum: none on a document whose first-maximum graph is acyclic,
+    and never every chain slot."""
+    ranked = []
 
-    def counting(child, parent, edges, doc):
-        checks.append((child, parent))
-        return would_create_cycle(child, parent, edges, doc)
+    def counting(score, lo, hi):
+        ranked.append(int(lo))
+        return rank(score, lo, hi)
 
-    monkeypatch.setattr("tdgparse.graph.would_create_cycle", counting)
+    rank = graph_module._ranked
+    monkeypatch.setattr(graph_module, "_ranked", counting)
     rng = random.Random(23)
-    overridden = 0
+    overridden = acyclic = 0
     for trial in range(200):
         doc = random_document(rng, max_mentions=8, doc_id=f"c{trial}")
         scores = random_scores(rng, doc)
+        if trial % 2:  # mention parents above the meta ones: most first maxima cycle
+            scores.score[scores.layout.cand >= len(META)] += 10.0
         for order in ("score", "document"):
-            checks.clear()
+            ranked.clear()
             graph = greedy_decode(doc, scores, order=order)
-            # an event's two slots have disjoint candidates, so a repeated
-            # (child, parent) pair is a repeated check
-            assert len(checks) == len(set(checks))
-            ranks = {s: [c for c, _ in scores[s].ranked()].index(p)
-                     for s, p in graph.edges.items()}
-            assert len(checks) == len(ranks) + sum(ranks.values())
-            overridden += sum(r > 0 for r in ranks.values())
-    assert overridden > 0
+            departs = [i for i, slot in enumerate(scores.layout.slots)
+                       if graph.edges[slot] != scores[slot].ranked()[0][0]]
+            assert sorted(int(scores.layout.cand_slot[lo]) for lo in ranked) == departs
+            overridden += len(departs)
+            acyclic += not departs
+    assert overridden > 100 and acyclic > 100
 
 
 def test_graph_json_round_trip(hand_corpus):

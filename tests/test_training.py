@@ -483,9 +483,9 @@ def recorded_greedy_decode(monkeypatch) -> list[str]:
 
 def test_decode_corpus_matches_decoding_one_document_at_a_time(monkeypatch):
     """decode_corpus, which `tdgparse predict` runs, gives every document the
-    graph greedy_decode gives it alone, and decodes slot by slot exactly the
-    documents whose first maxima cycle: every other one takes its first
-    maxima, in every model state, variant and order."""
+    graph greedy_decode gives it alone, and decodes every document through
+    training's greedy_decode, once each and in corpus order, in every model
+    state, variant and order."""
     corpus, labels = validation_corpus()
     decoded = recorded_greedy_decode(monkeypatch)
     for variant in scorer.VARIANTS:
@@ -493,19 +493,18 @@ def test_decode_corpus_matches_decoding_one_document_at_a_time(monkeypatch):
         for state in STATES:
             model = model_in_state(variant, state, corpus)
             for order in DECODE_ORDERS:
-                want, departs = one_document_at_a_time(model, corpus, feature_labels, order,
-                                                       state)
+                want, _ = one_document_at_a_time(model, corpus, feature_labels, order, state)
                 decoded.clear()
                 assert decode_corpus(model, corpus, feature_labels, order=order) == want
-                assert decoded == departs, (variant, state, order)
+                assert decoded == [doc.id for doc in corpus], (variant, state, order)
 
 
 @pytest.mark.parametrize("state", STATES)
 @pytest.mark.parametrize("variant", ["baseline", "dp_feature", "dp_distill"])
 def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypatch):
     """Validation counts what decoding each document alone, by greedy_decode
-    over its score_document scores, counts, and decodes slot by slot exactly
-    the documents whose first maxima cycle."""
+    over its score_document scores, counts, and never calls greedy_decode:
+    it decodes a run at a time on positions."""
     corpus, labels = validation_corpus()
     feature_labels = labels if variant == "dp_feature" else None
     model = model_in_state(variant, state, corpus)
@@ -513,12 +512,12 @@ def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypat
                                     for doc in corpus])
     decoded = recorded_greedy_decode(monkeypatch)
     for order in DECODE_ORDERS:
-        graphs, departs = one_document_at_a_time(model, corpus, feature_labels, order, state)
+        graphs, _ = one_document_at_a_time(model, corpus, feature_labels, order, state)
         want = attachment_accuracy(graphs, corpus)
         decoded.clear()
         got = validation.accuracy(order)
         assert type(got) is float and got == want
-        assert decoded == departs
+        assert decoded == []
     with pytest.raises(GraphError, match="unknown decode order 'random'"):
         validation.accuracy("random")
 
