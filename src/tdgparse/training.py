@@ -14,15 +14,31 @@ parameter vector in one pass.
 ``graph.greedy_positions`` is the one decoder: ``decode_corpus`` (``tdgparse
 predict``) reaches it through ``graph.greedy_decode``, one document at a
 time, and the per-epoch ``Validation`` calls it once per laid-out run.
+
+Each epoch is validated in a worker process while the next epoch trains, so
+training may keep two cores busy. The worker is forked at a process's first
+train() and serves every later call in that process; it is stopped at
+interpreter exit, and a process forked from its owner forks a worker of
+its own. Each call sends it the validation runs' arrays, the model config
+and the vocabulary once, then a copy of the parameters after each epoch,
+and reads back that epoch's accuracy before it records the epoch. Validation runs inline, in the training process, where
+os.fork is missing or fails, where a worker would be forked from a process
+that runs other threads, or once the worker has died; histories,
+checkpoints and errors are the same either way.
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import itertools
 import math
 import os
+import signal
+import threading
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, Pipe
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,39 +253,245 @@ def decode_corpus(model: RankingModel, corpus: Corpus,
     return out
 
 
+class _NonFiniteRun(Exception):
+    """Run ``args[0]`` of a validation scored a non-finite value; ``args[1]``
+    holds the run's scores. Validation names the document, slot and candidate."""
+
+
+class _Run(NamedTuple):
+    """One laid-out run of a validation corpus as arrays only: the run's
+    batch without a layout, each candidate's slot and each slot's child
+    mention row."""
+
+    batch: _FlatIndex
+    cand_slot: np.ndarray
+    slot_child: np.ndarray
+
+
+def _accuracy(model: RankingModel, runs: list[_Run], order: str) -> float:
+    """The share of the runs' slots whose greedy_positions decode is their gold position."""
+    correct = total = 0
+    for r, run in enumerate(runs):
+        batch = run.batch
+        values = model.run_scores(batch)
+        if not np.isfinite(values).all():
+            raise _NonFiniteRun(r, values)
+        chosen = greedy_positions(values, batch.starts, run.cand_slot, run.slot_child,
+                                  batch.cand, order)
+        correct += int(np.count_nonzero(chosen == batch.gold))
+        total += len(chosen)
+    return correct / total
+
+
 class Validation:
     """A validation corpus laid out once, for every epoch of one train() call.
 
     ``accuracy(order)`` equals ``evaluation.attachment_accuracy`` of
     decode_corpus with the same model, labels and order. The documents'
     indexes, which train() makes (with content types under dp_feature), are
-    given their gold positions and laid out once in lay_out's runs, which
-    each call scores and decodes by graph.greedy_positions, a run at a time.
-    A slot is correct when its decoded candidate is its gold candidate.
+    given their gold positions and laid out once in lay_out's runs, each
+    kept as a _Run, which each call scores and decodes by
+    graph.greedy_positions, a run at a time. A slot is correct when its
+    decoded candidate is its gold candidate. A corpus without a slot is
+    refused with ValueError.
     """
 
     def __init__(self, model: RankingModel, indexes: list[_FlatIndex]):
         self.model = model
-        self.runs = list(lay_out(_with_gold(idx) for idx in indexes))
+        self.runs: list[_Run] = []
+        self.indexes: list[list[_FlatIndex]] = []  # each run's, to name a non-finite score
+        for run, batch in lay_out(_with_gold(idx) for idx in indexes):
+            self.indexes.append(run)
+            self.runs.append(_Run(batch._replace(layout=None),
+                                  slot_of(batch.starts, len(batch.cand)),
+                                  batch.child[batch.starts]))
+        if not any(len(run.batch.starts) for run in self.runs):
+            raise ValueError("validation corpus has no slots to evaluate")
 
     def accuracy(self, order: str = "score") -> float:
         """The attachment accuracy of decoding the corpus with the model's parameters now.
 
         Raises as decode_corpus does.
         """
-        correct = total = 0
-        for run, batch in self.runs:
-            values = self.model.run_scores(batch)
-            if not np.isfinite(values).all():
-                lo = 0
-                for idx in run:
-                    require_finite(idx.layout, values[lo:lo + len(idx.cand)])
-                    lo += len(idx.cand)
-            chosen = greedy_positions(values, batch.starts, slot_of(batch.starts, len(values)),
-                                      batch.child[batch.starts], batch.cand, order)
-            correct += int(np.count_nonzero(chosen == batch.gold))
-            total += len(chosen)
-        return correct / total
+        return self.worded(_accuracy, self.model, self.runs, order)
+
+    def worded(self, fn, *args):
+        """``fn(*args)``, whose _NonFiniteRun over these runs is raised as the
+        GraphError require_finite words for the run's first non-finite score."""
+        try:
+            return fn(*args)
+        except _NonFiniteRun as exc:
+            failed = exc
+        r, values = failed.args  # out of the handler: the GraphError does not chain it
+        lo = 0
+        for idx in self.indexes[r]:
+            require_finite(idx.layout, values[lo:lo + len(idx.cand)])
+            lo += len(idx.cand)
+        raise failed
+
+
+def _serve(conn: Connection) -> None:
+    """The validation worker's loop, until its parent closes the connection.
+
+    A ``("runs", model config, vocabulary, runs, order)`` message sets up
+    one train() call's validation; each ``("epoch", flat)`` message is
+    answered with ``("accuracy", value)`` or ``("error", exception)``.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message[0] == "runs":
+            _, model_config, vocab, runs, order = message
+            model = RankingModel(model_config, vocab, {
+                name: np.zeros(shape)
+                for name, shape in scorer.param_shapes(model_config, vocab).items()})
+            continue
+        model.flat[:] = message[1]
+        try:
+            reply = ("accuracy", _accuracy(model, runs, order))
+        except Exception as exc:  # the parent raises it
+            reply = ("error", exc)
+        conn.send(reply)
+
+
+class _ValidationWorker:
+    """This process's validation worker: a child forked at the process's
+    first train() and reused by every later one.
+
+    ``owner`` is the process that forked it. A process forked from the owner
+    inherits this object; there it drops the owner's connection, neither
+    using nor stopping the owner's worker, and forks a worker of its own.
+    ``busy`` is set while a message or reply is in flight, so a call that
+    ended between the two, by an interrupt, leaves a worker that the next
+    call stops and replaces. An atexit hook stops the worker.
+    """
+
+    def __init__(self) -> None:
+        self.owner: int | None = None
+        self.pid = 0
+        self.conn: Connection | None = None
+        self.busy = False
+
+    def begin(self, validation: Validation, order: str) -> bool:
+        """Hand the worker one train() call's runs, forking it first where needed.
+
+        False, to validate inline, where os.fork is missing or the worker
+        cannot be reached.
+        """
+        if self.busy or self.owner != os.getpid():
+            self.stop()
+        if self.conn is None and not self._fork():
+            return False
+        model = validation.model
+        return self._send(("runs", model.config, model.vocab, validation.runs, order))
+
+    def submit(self, flat: np.ndarray) -> bool:
+        """Send one epoch's parameters; False if the worker cannot be reached."""
+        return self._send(("epoch", flat), awaits_reply=True)
+
+    def result(self) -> float | None:
+        """The accuracy of the parameters last submitted, or None if the worker died.
+
+        Raises what validating them raised in the worker.
+        """
+        try:
+            kind, value = self.conn.recv()
+        except (EOFError, OSError):
+            self.stop()
+            return None
+        self.busy = False
+        if kind == "error":
+            raise value
+        return value
+
+    def stop(self) -> None:
+        """Stop and reap this process's worker; drop one inherited from another process."""
+        conn, self.conn, self.busy = self.conn, None, False
+        if conn is None:
+            return
+        conn.close()
+        if self.owner == os.getpid():
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # another wait reaped it
+                pass
+
+    def _fork(self) -> bool:
+        # the child would hold no other thread, and any lock one held at the fork
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return False
+        parent_end, child_end = Pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: validate inline
+            parent_end.close()
+            child_end.close()
+            return False
+        if pid == 0:  # the worker: never returns into the caller's frames
+            parent_end.close()
+            try:
+                _serve(child_end)
+            finally:
+                os._exit(0)
+        child_end.close()
+        self.owner, self.pid, self.conn = os.getpid(), pid, parent_end
+        return True
+
+    def _send(self, message: tuple, awaits_reply: bool = False) -> bool:
+        self.busy = True
+        try:
+            self.conn.send(message)
+        except OSError:
+            self.stop()
+            return False
+        self.busy = awaits_reply
+        return True
+
+
+_WORKER = _ValidationWorker()
+atexit.register(_WORKER.stop)
+
+
+class _ModelSelection:
+    """One train() call's validation of each epoch and choice of the best.
+
+    ``submit`` hands over an epoch's record and a copy of its parameters,
+    which the worker validates while the next epoch trains (or which are
+    validated inline where the worker cannot run); ``settle`` waits for the
+    accuracy, records the epoch in the history and keeps its parameters in
+    ``best`` if no earlier epoch scored as high.
+    """
+
+    def __init__(self, validation: Validation, order: str, history: TrainHistory):
+        self.validation, self.order, self.history = validation, order, history
+        self.remote = _WORKER.begin(validation, order)
+        self.pending: tuple[EpochRecord, np.ndarray] | None = None
+        self.best: np.ndarray | None = None
+        self.best_accuracy = -1.0
+
+    def submit(self, record: EpochRecord, flat: np.ndarray) -> None:
+        self.pending = record, flat
+        self.remote = self.remote and _WORKER.submit(flat)
+
+    def settle(self) -> None:
+        """Record the epoch submitted last, if it is not yet; raises what validating it raised."""
+        if self.pending is None:
+            return
+        (record, flat), self.pending = self.pending, None
+        accuracy = self.validation.worded(_WORKER.result) if self.remote else None
+        if accuracy is None:  # inline, or the worker died
+            self.remote = False
+            self.validation.model.flat[:] = flat
+            accuracy = self.validation.accuracy(self.order)
+        record.valid_accuracy = accuracy
+        self.history.epochs.append(record)
+        if accuracy > self.best_accuracy:
+            self.best, self.best_accuracy = flat, accuracy
+            self.history.best_epoch = record.epoch
 
 
 def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
@@ -286,14 +508,18 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     its parameters are a copy of ``model.flat``, restored in place. Labels
     need cover only what indexing reads: training documents under either dp
     variant, validation-only ones under dp_feature.
+
+    Each epoch's copy of ``model.flat`` is validated in this process's
+    validation worker (see the module docstring) while the next epoch
+    trains, or inline where there is none; epochs are recorded in order. An
+    error validating epoch e is raised ahead of anything epoch e + 1 raised,
+    with its own type and message, as inline validation would raise it.
     """
     variant = config.variant
     if variant in ("dp_feature", "dp_distill") and dp_labels is None:
         raise ValueError(f"variant {variant} requires discourse labels")
     if not train_corpus:
         raise ValueError("training corpus is empty")
-    if not any(doc.mentions for doc in valid_corpus):
-        raise ValueError("validation corpus has no slots to evaluate")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     if vocab is None:
@@ -326,39 +552,38 @@ def train(config: TrainConfig, train_corpus: Corpus, valid_corpus: Corpus,
     index = {key: scorer._index_document(doc, vocab, labels)
              for key, (doc, labels) in distinct.items()}
     layout = TrainingLayout([index[id(doc)] for doc in docs])
-    validation = Validation(model, [index[id(doc)] for doc in valid_corpus])
+    # validation scores with a model of its own, given each epoch's parameters
+    validation = Validation(RankingModel(model_config, vocab, model.params),
+                            [index[id(doc)] for doc in valid_corpus])
     history = TrainHistory()
-    best = model.flat.copy()
-    best_accuracy = -1.0
+    selection = _ModelSelection(validation, config.decode_order, history)
     for epoch in range(config.max_epochs):
         perm = rng.permutation(len(docs))
         losses: dict[str, list[float]] = {"ranking": [], "dp": []}
-        for b, (batch, laid) in enumerate(layout.batches(perm, config.batch_size_docs)):
-            for names in plan:
-                for name in names:
-                    loss, _ = loss_fns[name](batch, laid)
-                    if not math.isfinite(loss):
-                        raise TrainingDiverged(
-                            f"non-finite {name} loss at epoch {epoch}, batch {b}"
-                        )
-                    losses[name].append(loss)
-                step = grad[names[0]]
-                for name in names[1:]:
-                    step += grad[name]
-                lr = lr_at(state.t + 1, total_steps, warmup_steps, config.peak_lr)
-                adamw_step(model.flat, step, state, lr, weight_decay=config.weight_decay)
-
-        accuracy = validation.accuracy(config.decode_order)
-        history.epochs.append(EpochRecord(
+        try:
+            for b, (batch, laid) in enumerate(layout.batches(perm, config.batch_size_docs)):
+                for names in plan:
+                    for name in names:
+                        loss, _ = loss_fns[name](batch, laid)
+                        if not math.isfinite(loss):
+                            raise TrainingDiverged(
+                                f"non-finite {name} loss at epoch {epoch}, batch {b}"
+                            )
+                        losses[name].append(loss)
+                    step = grad[names[0]]
+                    for name in names[1:]:
+                        step += grad[name]
+                    lr = lr_at(state.t + 1, total_steps, warmup_steps, config.peak_lr)
+                    adamw_step(model.flat, step, state, lr, weight_decay=config.weight_decay)
+        finally:
+            selection.settle()  # the epoch before: its error is raised ahead of this one's
+        selection.submit(EpochRecord(
             epoch=epoch,
             ranking_loss=float(np.mean(losses["ranking"])),  # every plan ranks
             dp_loss=float(np.mean(losses["dp"])) if losses["dp"] else None,
-            valid_accuracy=accuracy,
-        ))
-        if accuracy > best_accuracy:
-            best_accuracy = accuracy
-            best = model.flat.copy()
-            history.best_epoch = epoch
+            valid_accuracy=math.nan,  # until settled
+        ), model.flat.copy())
+    selection.settle()
 
-    model.flat[:] = best
+    model.flat[:] = selection.best
     return model, history

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from tdgparse import training
 from tdgparse.corpus import (
     ContentType,
     document_from_json,
@@ -23,6 +24,20 @@ from tdgparse.scorer import (
     feature_dim,
     init_params,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_a_test():
+    """Stop the validation worker after every test, so that each test's
+    worker is forked inside it and inherits its monkeypatches, and fail the
+    test if any child process is left."""
+    yield
+    training._WORKER.stop()
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test: waitpid gave {left}")
 
 
 def make_doc(obj: dict, validate: bool = True):

@@ -6,6 +6,10 @@ import os
 import platform
 import re
 import resource
+import signal
+import subprocess
+import sys
+import threading
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -522,17 +526,48 @@ def test_validation_accuracy_is_decode_corpus_accuracy(variant, state, monkeypat
         validation.accuracy("random")
 
 
+class ProcessLog:
+    """A list of ints that this process and the processes it forks append
+    to: a file of one ``pid value`` line per item, which ``calls[i]`` and
+    ``len`` read back."""
+
+    def __init__(self, path: Path):
+        self.path = path
+
+    def _lines(self) -> list[list[int]]:
+        text = self.path.read_text() if self.path.exists() else ""
+        return [list(map(int, line.split())) for line in text.splitlines()]
+
+    def append(self, value: int) -> None:
+        with self.path.open("a") as fh:  # one short appended line: one write
+            fh.write(f"{os.getpid()} {value}\n")
+
+    def clear(self) -> None:
+        self.path.unlink(missing_ok=True)
+
+    def __len__(self) -> int:
+        return len(self._lines())
+
+    def __getitem__(self, i: int) -> int:
+        return self._lines()[i][1]
+
+    @property
+    def pids(self) -> set[int]:
+        return {pid for pid, _ in self._lines()}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validation_names_a_non_finite_score(bad, monkeypatch, tmp_path, capsys):
     """A non-finite score stops validation, decode_corpus and `tdgparse
     predict` with the GraphError that SlotScores raises, naming its
-    document, slot and candidate; predict exits 3 and writes no predictions."""
+    document, slot and candidate; predict exits 3 and writes no predictions.
+    train() validates in its worker, so the calls are counted in a file."""
     corpus, _ = validation_corpus()
     model = initialized_model(scorer.ModelConfig(), scorer.build_vocabulary(corpus), seed=0)
     run = list(scorer.lay_out(_index_document(doc, model.vocab) for doc in corpus))[1][0]
     idx = run[1]
     k = idx.starts[3] - 1  # the last candidate of its third slot
-    run_scores, calls = scorer.RankingModel.run_scores, []
+    run_scores, calls = scorer.RankingModel.run_scores, ProcessLog(tmp_path / "calls")
 
     def poisoned(self, batch):
         values = run_scores(self, batch)
@@ -548,6 +583,7 @@ def test_validation_names_a_non_finite_score(bad, monkeypatch, tmp_path, capsys)
         train(distill_train_config(max_epochs=1, warmup_epochs=1), corpus, corpus, None,
               seed=0)
     assert calls[1] == sum(len(i.cand) for i in run)
+    assert os.getpid() not in calls.pids  # the validation worker scored them
 
     calls.clear()
     with pytest.raises(GraphError, match=re.escape(message)):
@@ -565,6 +601,222 @@ def test_validation_names_a_non_finite_score(bad, monkeypatch, tmp_path, capsys)
     assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
 
+def test_validation_refuses_a_corpus_without_slots_and_lays_out_once(monkeypatch):
+    """Validation refuses a corpus without a slot when it is built, and
+    computes each run's slot columns there, not on every accuracy call."""
+    corpus, _ = validation_corpus()
+    model = initialized_model(ModelConfig(), scorer.build_vocabulary(corpus), seed=0)
+    quiet = make_doc({"id": "quiet", "dct": "2021-01-01", "mentions": [],
+                      "sentences": [{"index": 0, "tokens": ["calm"]}], "edges": []})
+    for docs in ([], [quiet]):
+        with pytest.raises(ValueError, match="validation corpus has no slots to evaluate"):
+            Validation(model, [_index_document(doc, model.vocab) for doc in docs])
+    validation = Validation(model, [_index_document(doc, model.vocab) for doc in corpus])
+    monkeypatch.setattr(training, "slot_of", lambda *args: pytest.fail("slot_of called"))
+    for order in DECODE_ORDERS:
+        validation.accuracy(order)
+    assert len(validation.runs) > 1 and validation.runs[0].batch.layout is None
+
+
+def force_inline_validation(monkeypatch) -> None:
+    """Stop the validation worker and hide os.fork: train() then validates inline."""
+    training._WORKER.stop()
+    monkeypatch.delattr(os, "fork")
+
+
+@pytest.mark.parametrize("decode_order", DECODE_ORDERS)
+@pytest.mark.parametrize("variant", scorer.VARIANTS)
+def test_worker_validation_matches_inline_validation(variant, decode_order, monkeypatch):
+    """The worker's histories and best-epoch parameters are, byte for byte,
+    inline validation's; the validation corpus holds documents the training
+    corpus lacks, which dp_feature indexes with labels of their own."""
+    corpus, labels = validation_corpus()
+    config = distill_train_config(variant=variant, decode_order=decode_order,
+                                  max_epochs=4, warmup_epochs=1)
+    args = (config, corpus[:12], corpus, None if variant == "baseline" else labels)
+    model, history = train(*args, seed=0)
+    assert training._WORKER.owner == os.getpid() and training._WORKER.pid > 0
+    force_inline_validation(monkeypatch)
+    want_model, want_history = train(*args, seed=0)
+    assert training._WORKER.conn is None
+    assert asdict(history) == asdict(want_history)
+    assert len({e.valid_accuracy for e in history.epochs}) > 1
+    assert model.flat.tobytes() == want_model.flat.tobytes()
+
+
+@pytest.mark.parametrize("where", ["worker", "inline"])
+def test_a_validation_error_wins_over_the_next_epochs_divergence(where, monkeypatch,
+                                                                 tmp_path):
+    """Epoch 0's validation scores a NaN while epoch 1's first loss is NaN:
+    train() raises the GraphError that names the score, over the
+    TrainingDiverged that epoch 1 raised meanwhile."""
+    if where == "inline":
+        force_inline_validation(monkeypatch)
+    corpus, _ = validation_corpus()
+    config = distill_train_config(max_epochs=3, warmup_epochs=1, batch_size_docs=10)
+    run_scores, calls = scorer.RankingModel.run_scores, ProcessLog(tmp_path / "calls")
+    ranking_loss, losses = scorer.RankingModel.ranking_loss_and_grads, []
+
+    def poisoned(self, batch):
+        values = run_scores(self, batch)
+        calls.append(len(values))
+        if len(calls) == 1:
+            values[0] = np.nan
+        return values
+
+    def diverging(self, *args, **kwargs):
+        losses.append(len(losses))
+        loss, grads = ranking_loss(self, *args, **kwargs)
+        return (np.nan if len(losses) > 4 else loss), grads  # 4 batches an epoch
+
+    monkeypatch.setattr(scorer.RankingModel, "run_scores", poisoned)
+    monkeypatch.setattr(scorer.RankingModel, "ranking_loss_and_grads", diverging)
+    idx = next(scorer.lay_out(_index_document(doc, scorer.build_vocabulary(corpus))
+                              for doc in corpus))[0][0]
+    message = (f"document {idx.layout.doc.id}, slot {idx.layout.slots[0]}: candidate "
+               f"{idx.layout.names[idx.cand[0]]} has a non-finite score")
+    with pytest.raises(GraphError, match=re.escape(message)) as raised:
+        train(config, corpus, corpus, None, seed=0)
+    assert len(losses) == 5
+    assert isinstance(raised.value.__context__, TrainingDiverged)
+    assert (os.getpid() in calls.pids) == (where == "inline")
+
+
+def test_training_validates_inline_once_the_worker_dies(monkeypatch):
+    """A worker that dies in epoch 1's validation leaves that epoch and the
+    rest to inline validation, with inline validation's history, and the
+    next train() forks a new worker."""
+    corpus, _ = validation_corpus()
+    config = distill_train_config(max_epochs=4, warmup_epochs=1)
+    force_inline_validation(monkeypatch)
+    want_model, want = train(config, corpus, corpus, None, seed=0)
+    monkeypatch.undo()
+    parent, run_scores, calls = os.getpid(), scorer.RankingModel.run_scores, []
+
+    def dying(self, batch):
+        calls.append(os.getpid())
+        if os.getpid() != parent and len(calls) > len(validation_runs):
+            os._exit(1)
+        return run_scores(self, batch)
+
+    validation_runs = list(scorer.lay_out(
+        _index_document(doc, scorer.build_vocabulary(corpus)) for doc in corpus))
+    monkeypatch.setattr(scorer.RankingModel, "run_scores", dying)
+    model, history = train(config, corpus, corpus, None, seed=0)
+    assert training._WORKER.conn is None and calls == [parent] * 3 * len(validation_runs)
+    assert asdict(history) == asdict(want)
+    assert model.flat.tobytes() == want_model.flat.tobytes()
+    monkeypatch.undo()
+    assert asdict(train(config, corpus, corpus, None, seed=0)[1]) == asdict(want)
+    assert training._WORKER.conn is not None
+
+
+def _small_training():
+    corpus, _ = distill_corpus(12)
+    return distill_train_config(max_epochs=3, warmup_epochs=1), corpus
+
+
+def test_a_process_with_other_threads_validates_inline():
+    """No worker is forked from a process that runs another thread."""
+    config, corpus = _small_training()
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        _, history = train(config, corpus, corpus, None, seed=0)
+        assert training._WORKER.conn is None
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert asdict(train(config, corpus, corpus, None, seed=0)[1]) == asdict(history)
+    assert training._WORKER.conn is not None
+
+
+def test_a_forked_process_trains_with_a_worker_of_its_own():
+    """A process forked after the worker started forks a worker of its own,
+    and stops it, leaving its parent's worker running and serving."""
+    config, corpus = _small_training()
+    _, want = train(config, corpus, corpus, None, seed=0)
+    first = training._WORKER.pid
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, then leave without running pytest's exit
+        code = 1
+        try:
+            os.close(read_end)
+            _, got = train(config, corpus, corpus, None, seed=0)
+            worker = training._WORKER
+            report = {"same": asdict(got) == asdict(want), "owner": worker.owner,
+                      "pid": os.getpid(), "worker": worker.pid}
+            worker.stop()
+            try:
+                report["left"] = os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                report["left"] = None
+            os.write(write_end, json.dumps(report).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        report = json.loads(fh.read() or b"{}")
+    assert os.waitpid(pid, 0)[1] == 0
+    assert report == {"same": True, "owner": pid, "pid": pid,
+                      "worker": report["worker"], "left": None}
+    assert report["worker"] not in (0, first, pid)
+    assert os.waitpid(first, os.WNOHANG) == (0, 0)  # still running
+    _, again = train(config, corpus, corpus, None, seed=0)
+    assert training._WORKER.pid == first and asdict(again) == asdict(want)
+
+
+def test_the_worker_ignores_an_interrupt():
+    """Ctrl-C reaches the worker too; the training process handles it, and
+    the worker serves on."""
+    config, corpus = _small_training()
+    _, want = train(config, corpus, corpus, None, seed=0)
+    worker = training._WORKER.pid
+    os.kill(worker, signal.SIGINT)
+    _, again = train(config, corpus, corpus, None, seed=0)
+    assert training._WORKER.pid == worker and asdict(again) == asdict(want)
+    assert os.waitpid(worker, os.WNOHANG) == (0, 0)
+
+
+# trains once, then prints the worker's pid; an exit hook registered before
+# the package's, which the import registers, runs after it and prints
+# whether any child is left
+_TRAIN_AND_EXIT = """
+import atexit, os
+
+def children_left():
+    try:
+        print(os.waitpid(-1, os.WNOHANG))
+    except ChildProcessError:
+        print("none")
+
+atexit.register(children_left)
+from tdgparse import training
+from tdgparse.synth import SynthConfig, generate_synthetic_corpus
+corpus, _ = generate_synthetic_corpus(SynthConfig(n_docs=6), seed=3)
+config = training.TrainConfig(max_epochs=2, warmup_epochs=1, dim=4, hidden=4, seeds=(0,))
+training.train(config, corpus, corpus, None, seed=0)
+print(training._WORKER.pid)
+"""
+
+
+def test_a_process_that_trains_leaves_no_process_behind():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"),
+                                                      env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _TRAIN_AND_EXIT], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    worker, left = out.stdout.split()
+    assert int(worker) > 0 and left == "none"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(worker), 0)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
                     or any(name in os.environ for name in HEAP_THRESHOLDS),
                     reason="the heap thresholds are pinned on glibc only")
@@ -576,6 +828,24 @@ def test_training_keeps_its_heap():
     train(distill_train_config(max_epochs=3, warmup_epochs=1), corpus, corpus, None, seed=0)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 1000, f"{faults} minor page faults"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or any(name in os.environ for name in HEAP_THRESHOLDS),
+                    reason="the heap thresholds are pinned on glibc only")
+def test_training_the_three_variants_keeps_its_heap():
+    """On the 200-document distill corpus, after a warm-up train(), training
+    the three variants faults in about 500 pages with the thresholds pinned
+    and tens of thousands without: glibc's defaults map and unmap a batch's
+    larger temporaries afresh."""
+    corpus, labels = distill_corpus(200)
+    train(distill_train_config(max_epochs=1, warmup_epochs=1), corpus, corpus, None, seed=0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for variant in scorer.VARIANTS:
+        train(distill_train_config(variant=variant, max_epochs=2, warmup_epochs=1),
+              corpus, corpus, labels, seed=0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 5000, f"{faults} minor page faults"
 
 
 @pytest.mark.parametrize("preset", [None, "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"])
