@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .corpus import (
-    CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
     DCT,
     META_NODES,
@@ -26,6 +25,7 @@ from .corpus import (
 )
 
 ROW_LABELS = tuple(ct.value for ct in CONTENT_TYPES)
+_ROW_OF = {label: i for i, label in enumerate(ROW_LABELS)}  # CONTENT_TYPE_INDEX by value
 
 
 @dataclass
@@ -88,28 +88,29 @@ def all_tables(corpus: Corpus, dp: DpLabelMap) -> list[DistributionTable]:
     counts = [[[0] * len(cols) for _ in ROW_LABELS] for _, cols in TABLES]
     timex_parents, event_timexes, timex_content, event_content = counts
     for doc in corpus:
-        try:
-            types = [CONTENT_TYPE_INDEX[dp[doc.id, s.index]] for s in doc.sentences]
+        try:  # by each label's value: a ContentType's own __hash__ runs in Python
+            types = [_ROW_OF[dp[doc.id, s.index]._value_] for s in doc.sentences]
         except KeyError:
             require_dp_coverage(dp, corpus)
             raise
         by_id = doc.by_id
         for edge in doc.gold_edges:
+            slot, parent = edge.slot, edge.parent
             child = by_id[edge.child]
             row = types[child.sentence]
-            if edge.slot == TIMEX_REF and child.kind == TIMEX:
-                col = 0 if edge.parent == DCT else 1 if edge.parent == ROOT else 2
-                timex_parents[row][col] += 1
-            elif edge.slot == TIMEX_REF and edge.parent == DCT:
-                event_timexes[row][0] += 1
-            elif edge.parent not in META_NODES:
-                parent = by_id[edge.parent]
-                same = parent.sentence == child.sentence
-                if edge.slot == TIMEX_REF:
-                    event_timexes[row][1 if same else 2] += 1
-                    timex_content[row][types[parent.sentence]] += 1
-                elif not same:
-                    event_content[row][types[parent.sentence]] += 1
+            if slot == TIMEX_REF:
+                if child.kind == TIMEX:
+                    timex_parents[row][0 if parent == DCT else 1 if parent == ROOT else 2] += 1
+                elif parent == DCT:
+                    event_timexes[row][0] += 1
+                elif parent not in META_NODES:
+                    target = by_id[parent]
+                    event_timexes[row][1 if target.sentence == child.sentence else 2] += 1
+                    timex_content[row][types[target.sentence]] += 1
+            elif parent not in META_NODES:
+                target = by_id[parent]
+                if target.sentence != child.sentence:
+                    event_content[row][types[target.sentence]] += 1
     return [_table(name, cols, table) for (name, cols), table in zip(TABLES, counts)]
 
 

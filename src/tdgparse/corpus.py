@@ -27,7 +27,10 @@ are one GoldTable, ``Document.gold``: a tuple of names and one byte per
 slot, built on first read and cached, so that scoring a corpus again does
 not build them again. Parsing, validation and prediction never read it.
 edge_violations checks a gold or predicted graph in one pass over its
-edges.
+edges, which allocates nothing per legal edge but the adjacency it hands
+find_cycle: each child's mention parents, in edge order. validate_document
+builds the gold map it checks in one comprehension, and loops edge by edge,
+wording each fault, only for a bad label or a repeated slot.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import json
 import os
 import reprlib
 import sys
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -206,21 +209,17 @@ Corpus = list[Document]
 DpLabelMap = dict[tuple[str, int], ContentType]
 
 
-def find_cycle(node_ids: Collection[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
+def find_cycle(node_ids: Iterable[str], succs: dict[str, list[str]]) -> list[str] | None:
     """Return one directed cycle as a node list, or None if the graph is acyclic.
 
-    ``edges`` are (child, parent) pairs; a pair whose endpoints are not both
-    in ``node_ids`` (a meta parent, an unknown mention) is skipped. Membership
-    is asked of ``node_ids`` itself, so a caller passes a set or a dict. A
-    depth-first search starts from each node with an out-edge, in
-    ``node_ids`` order, and follows each node's edges in the order given;
-    nodes without one cannot lie on a cycle and are never entered. An entered
-    node maps to True in ``on_path`` while on the path, to False once done.
+    ``succs`` is the graph's adjacency: each node with an out-edge maps to
+    the nodes its edges lead to, in edge order, and every node it names is
+    one of ``node_ids``. A depth-first search starts from each node with an
+    out-edge, in ``node_ids`` order, and follows its successors in order;
+    nodes without one cannot lie on a cycle and are never entered. An
+    entered node maps to True in ``on_path`` while on the path, to False
+    once done.
     """
-    succs: dict[str, list[str]] = {}
-    for child, parent in edges:
-        if child in node_ids and parent in node_ids:
-            succs.setdefault(child, []).append(parent)
     on_path: dict[str, bool] = {}
     for start in node_ids:
         if start not in succs or start in on_path:
@@ -244,6 +243,14 @@ def find_cycle(node_ids: Collection[str], edges: Iterable[tuple[str, str]]) -> l
     return None
 
 
+# each mention kind's slots, as slot -> (meta parents, parent kind): PARENT_RULES
+# looked up per kind, without building a (kind, slot) key per edge
+_SLOT_RULES: dict[str, dict[str, tuple[tuple[str, ...], str]]] = {
+    kind: {slot: PARENT_RULES[kind, slot] for slot in slots} for kind, slots in KIND_SLOTS.items()
+}
+_NO_RULES: dict[str, tuple[tuple[str, ...], str]] = {}
+
+
 def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[str]:
     """Check that ``edges`` fill every slot of ``doc`` legally and without a cycle.
 
@@ -251,24 +258,33 @@ def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[st
     in KIND_SLOTS order), then the edges that break PARENT_RULES in edge
     order, then one cycle. An edge whose child is no mention, or whose slot
     its child's kind does not have, does not belong to the document. Kinds
-    are read from ``doc.by_id``, and only the edges from a mention to a
-    mention, the only ones that can close a cycle, go to find_cycle.
+    are read from ``doc.by_id``, and the edges from a mention to a mention,
+    the only ones that can close a cycle, go to find_cycle as its
+    adjacency, a list of parents per child in edge order.
 
     One pass over the edges checks them and counts those that belong. Each
     fills a distinct slot of a mention id under the kind ``doc.by_id``
     gives it, so they number ``doc.n_slots`` only when every such slot is
     filled and no earlier mention of a repeated id owns a slot; only when
-    they number fewer are the mentions walked for unfilled slots.
+    they number fewer are the mentions walked for unfilled slots. A legal
+    edge allocates nothing but its child's entry in the adjacency.
     """
     by_id = doc.by_id
     illegal: list[str] = []
-    links: list[tuple[str, str]] = []
+    succs: dict[str, list[str]] = {}
     belonging = 0
     for (child, name), parent in edges.items():
         mention = by_id.get(child)
-        rule = None if mention is None else PARENT_RULES.get((mention.kind, name))
-        if mention is not None and (target := by_id.get(parent)) is not None:
-            links.append((child, parent))
+        if mention is None:
+            illegal.append(f"slot {Slot(child, name)} does not belong to document {doc.id}")
+            continue
+        target = by_id.get(parent)
+        if target is not None:
+            if child in succs:
+                succs[child].append(parent)
+            else:
+                succs[child] = [parent]
+        rule = _SLOT_RULES.get(mention.kind, _NO_RULES).get(name)
         if rule is None:
             illegal.append(f"slot {Slot(child, name)} does not belong to document {doc.id}")
             continue
@@ -281,9 +297,10 @@ def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[st
         violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
                       for slot in KIND_SLOTS.get(m.kind, ()) if (m.id, slot) not in edges]
     violations += illegal
-    cycle = find_cycle(by_id, links)
-    if cycle is not None:
-        violations.append("edges form a cycle: " + " -> ".join(cycle))
+    if succs:
+        cycle = find_cycle(by_id, succs)
+        if cycle is not None:
+            violations.append("edges form a cycle: " + " -> ".join(cycle))
     return violations
 
 
@@ -325,18 +342,36 @@ def validate_document(doc: Document) -> list[str]:
                 f"{m.sentence} of length {sent_len[m.sentence]}"
             )
 
-    edges: dict[tuple[str, str], str] = {}
-    for e in doc.gold_edges:
-        slot = (e.child, e.slot)
-        if e.label is not None and e.label not in EDGE_LABELS:
-            violations.append(f"gold slot {Slot(*slot)}: unknown label {e.label!r}")
-        if slot in edges:
-            violations.append(f"gold slot {Slot(*slot)}: more than one edge "
-                              f"(parents {edges[slot]} and {e.parent})")
-        else:
-            edges[slot] = e.parent
+    edges = _typed_gold(doc)
+    if edges is None:  # the loop that words each bad label and repeated slot
+        edges = {}
+        for e in doc.gold_edges:
+            slot = (e.child, e.slot)
+            if e.label is not None and e.label not in EDGE_LABELS:
+                violations.append(f"gold slot {Slot(*slot)}: unknown label {e.label!r}")
+            if slot in edges:
+                violations.append(f"gold slot {Slot(*slot)}: more than one edge "
+                                  f"(parents {edges[slot]} and {e.parent})")
+            else:
+                edges[slot] = e.parent
     violations += ["gold " + v for v in edge_violations(doc, edges)]
     return violations
+
+
+_LABELS = {None, *EDGE_LABELS}  # a gold edge's admitted labels, None for none
+
+
+def _typed_gold(doc: Document) -> dict[tuple[str, str], str] | None:
+    """The gold edges' map from slot to parent, built in one comprehension,
+    or None when a slot repeats or a label is neither None nor one of
+    EDGE_LABELS: then validate_document's loop words each of those."""
+    gold = doc.gold_edges
+    edges = {(e.child, e.slot): e.parent for e in gold}
+    try:
+        labelled = {e.label for e in gold} <= _LABELS
+    except TypeError:  # an unhashable label
+        return None
+    return edges if labelled and len(edges) == len(gold) else None
 
 
 class FieldError(ValueError):

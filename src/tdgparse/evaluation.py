@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .corpus import KIND_SLOTS, META_NODES, NOT_A_MENTION, Corpus, Slot
+from .corpus import KIND_SLOTS, META_NODES, NOT_A_MENTION, Corpus, Document, Slot
 from .graph import TemporalDependencyGraph
 
 INTRA_SENTENCE = "intra_sentence"
@@ -68,6 +69,27 @@ def attachment_accuracy(preds: dict[str, TemporalDependencyGraph], gold: Corpus)
     return partitioned_prf(preds, gold).accuracy
 
 
+def _slot_errors(doc: Document, edges: dict) -> Iterator[EvaluationError]:
+    """The error of each of doc's slots, in slot_instances order, that has no
+    prediction, has a gold parent that is no mention or meta node, or has a
+    predicted parent that is neither, in that order of checks: the first is
+    the error partitioned_prf raises for doc."""
+    parents, categories = doc.gold
+    by_id = doc.by_id
+    keys = [Slot(m.id, slot) for m in doc.ordered_mentions() for slot in KIND_SLOTS[m.kind]]
+    for key, gold_parent, gold_cat in zip(keys, parents, categories):
+        pred_parent = edges.get(key)
+        if pred_parent is None:
+            yield EvaluationError(f"document {doc.id}: missing prediction for slot {key}")
+        elif gold_cat == NOT_A_MENTION:
+            yield EvaluationError(f"document {doc.id}: slot {key} has no gold edge"
+                                  if gold_parent is None else
+                                  f"document {doc.id}: unknown parent {gold_parent!r}")
+        elif pred_parent != gold_parent and pred_parent not in META_NODES \
+                and pred_parent not in by_id:
+            yield EvaluationError(f"document {doc.id}: unknown parent {pred_parent!r}")
+
+
 def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
                     seed: int | str | None = None,
                     variant: str | None = None) -> MetricsReport:
@@ -78,11 +100,13 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
     categories are CATEGORIES indexes; a predicted parent other than the
     gold one is categorized through the document's ``by_id`` map. Counts
     are plain ints, one per CATEGORIES entry, which make each
-    CategoryMetrics at the end. A slot without a prediction, without a gold
-    edge, or with a parent that is no mention of the document raises
-    EvaluationError, as does a gold mention of a kind without KIND_SLOTS.
+    CategoryMetrics at the end; a hit counts as predicted in its gold
+    category, so predicted counts are hits plus misses. A slot without a
+    prediction, without a gold edge, or with a parent that is no mention of
+    the document raises EvaluationError, as does a gold mention of a kind
+    without KIND_SLOTS; _slot_errors words the first of a document's.
     """
-    gold_n, pred_n, hit_n = [0, 0, 0], [0, 0, 0], [0, 0, 0]  # per CATEGORIES entry
+    gold_n, miss_n, hit_n = [0, 0, 0], [0, 0, 0], [0, 0, 0]  # per CATEGORIES entry
     for doc in gold:
         graph = preds.get(doc.id)
         if graph is None:
@@ -94,36 +118,31 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
             m = next(m for m in doc.ordered_mentions() if m.kind not in KIND_SLOTS)
             raise EvaluationError(f"document {doc.id}: mention {m.id} has unknown "
                                   f"kind {m.kind!r}") from None
+        if NOT_A_MENTION in categories:
+            raise next(_slot_errors(doc, edges))
+        for cat in range(3):
+            gold_n[cat] += categories.count(cat)
+        # no gold parent is None now, so a missing prediction takes the miss branch
         by_id = doc.by_id
         i = 0  # the slot's row of the gold table
         for m in doc.ordered_mentions():
             child, sentence = m.id, m.sentence
             for slot in KIND_SLOTS[m.kind]:
-                key = (child, slot)  # a Slot hashes and compares as its tuple
-                pred_parent = edges.get(key)
-                if pred_parent is None:
-                    raise EvaluationError(
-                        f"document {doc.id}: missing prediction for slot {Slot(*key)}"
-                    )
-                gold_parent, gold_cat = parents[i], categories[i]
+                pred_parent = edges.get((child, slot))  # a Slot hashes as its tuple
+                if pred_parent == parents[i]:  # then its category is the gold one
+                    hit_n[categories[i]] += 1
+                elif pred_parent is None:
+                    raise next(_slot_errors(doc, edges))
+                else:
+                    try:  # the gold table's rule: 2 for a meta parent, else 0 in
+                        # the child's sentence and 1 outside it
+                        miss_n[2 if pred_parent in META_NODES else
+                               0 if by_id[pred_parent].sentence == sentence else 1] += 1
+                    except KeyError:
+                        raise EvaluationError(f"document {doc.id}: unknown parent "
+                                              f"{pred_parent!r}") from None
                 i += 1
-                if gold_cat == NOT_A_MENTION:
-                    raise EvaluationError(
-                        f"document {doc.id}: slot {Slot(*key)} has no gold edge"
-                        if gold_parent is None else
-                        f"document {doc.id}: unknown parent {gold_parent!r}")
-                gold_n[gold_cat] += 1
-                if pred_parent == gold_parent:  # then its category is the gold one
-                    hit_n[gold_cat] += 1
-                    pred_n[gold_cat] += 1
-                    continue
-                try:  # the gold table's rule: 2 for a meta parent, else 0 in the
-                    # child's sentence and 1 outside it
-                    pred_n[2 if pred_parent in META_NODES else
-                           0 if by_id[pred_parent].sentence == sentence else 1] += 1
-                except KeyError:
-                    raise EvaluationError(f"document {doc.id}: unknown parent "
-                                          f"{pred_parent!r}") from None
+    pred_n = [miss + hit for miss, hit in zip(miss_n, hit_n)]
     total = sum(gold_n)
     if total == 0:
         raise EvaluationError("gold corpus has no slots to evaluate")

@@ -5,10 +5,17 @@ event additionally a reference-event slot. A scorer assigns one score per
 candidate per slot; decoding fills slots one at a time, always taking the
 highest-ranked candidate that keeps the growing graph acyclic. Meta parents
 (DCT, ROOT, NO_EVENT) can never close a cycle, so decoding is total.
+
+graph_from_json reads a prediction back in one typed pass, a comprehension
+of direct subscripts that builds the edge map when every edge is an object
+of three strings, no slot repeats and the id is the document's own; any
+other prediction is read again edge by edge, the path that words every
+error. Either way the map goes through validate_graph.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from sys import intern
@@ -60,8 +67,9 @@ class TemporalDependencyGraph:
     edges: dict[Slot, str]
 
 
-# each kind's slots as (slot, meta parents as rows of META_NODES, parent kind)
-_KIND_RULES = {kind: [(slot, [META_NODES.index(m) for m in PARENT_RULES[kind, slot][0]],
+# each kind's slots as (slot, meta parents as rows of META_NODES in a C int
+# array, parent kind)
+_KIND_RULES = {kind: [(slot, array("i", map(META_NODES.index, PARENT_RULES[kind, slot][0])),
                        PARENT_RULES[kind, slot][1]) for slot in slots]
                for kind, slots in KIND_SLOTS.items()}
 
@@ -109,17 +117,18 @@ def candidate_layout(doc: Document) -> CandidateLayout:
     """The candidates of every slot under PARENT_RULES.
 
     A slot's meta parents come first, in PARENT_RULES order, then its mention
-    parents in document order.
+    parents in document order. The candidate rows grow in one C int buffer
+    that ``cand`` views, so no Python int is made per candidate.
     """
     mentions = doc.ordered_mentions()
     n_meta = len(META_NODES)
-    rows = {kind: [n_meta + i for i, m in enumerate(mentions) if m.kind == kind]
+    rows = {kind: array("i", [n_meta + i for i, m in enumerate(mentions) if m.kind == kind])
             for kind in KIND_SLOTS}
     seen = dict.fromkeys(KIND_SLOTS, 0)  # mentions of each kind before this one
     slots: list[Slot] = []
     starts: list[int] = []
     slot_child: list[int] = []
-    cand: list[int] = []
+    cand = array("i")
     for row, m in enumerate(mentions):
         i = seen[m.kind]
         seen[m.kind] = i + 1
@@ -128,10 +137,15 @@ def candidate_layout(doc: Document) -> CandidateLayout:
             starts.append(len(cand))
             slot_child.append(row)
             cand += metas
-            cand += rows[kind][:i] + rows[kind][i + 1:] if kind == m.kind else rows[kind]
+            parents = rows[kind]
+            if kind == m.kind:
+                cand += parents[:i]
+                cand += parents[i + 1:]
+            else:
+                cand += parents
     starts_array = np.array(starts, dtype=np.int32)
     return CandidateLayout(doc, slots, META_NODES + tuple(m.id for m in mentions), starts_array,
-                           np.array(cand, dtype=np.int32), slot_of(starts_array, len(cand)),
+                           np.frombuffer(cand, dtype=np.intc), slot_of(starts_array, len(cand)),
                            np.array(slot_child, dtype=np.int32))
 
 
@@ -224,17 +238,17 @@ def slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:
 
 
 def first_maxima(score: np.ndarray, starts: np.ndarray,
-                 cand_slot: np.ndarray | None = None) -> np.ndarray:
-    """The position of each slot's first maximum, for slots laid end to end:
-    the first of its candidates (``starts[i]`` up to the next start) to
-    score the slot's top score. ``cand_slot`` is slot_of(starts,
-    len(score)), computed if not given. Every slot needs a candidate, and
-    every score must be finite."""
+                 cand_slot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's top score and the position of its first maximum, for
+    slots laid end to end: the first of its candidates (``starts[i]`` up to
+    the next start) to score the slot's top score. ``cand_slot`` is
+    slot_of(starts, len(score)), computed if not given. Every slot needs a
+    candidate, and every score must be finite."""
     if cand_slot is None:
         cand_slot = slot_of(starts, len(score))
     top = np.maximum.reduceat(score, starts)
     hits = np.flatnonzero(score == top[cand_slot])
-    return hits[np.searchsorted(hits, starts)]
+    return top, hits[np.searchsorted(hits, starts)]
 
 
 def _ranked(score: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -259,10 +273,10 @@ def greedy_positions(score: np.ndarray, starts: np.ndarray, cand_slot: np.ndarra
     """
     if order not in DECODE_ORDERS:
         raise GraphError(f"unknown decode order {order!r}")
-    chosen = first_maxima(score, starts, cand_slot)
+    top, chosen = first_maxima(score, starts, cand_slot)
     n_meta = len(META_NODES)
     child, parent = slot_child.tolist(), cand[chosen].tolist()
-    visit = (np.argsort(-score[chosen], kind="stable").tolist() if order == "score"
+    visit = (np.argsort(-top, kind="stable").tolist() if order == "score"
              else range(len(child)))
     up = [-1] * len(child)  # each mention row's chain parent so far, -1 for none
 
@@ -322,28 +336,60 @@ def graph_to_json(graph: TemporalDependencyGraph, doc: Document) -> dict:
                       if (m.id, slot) in edges]}
 
 
+def _typed_edges(obj: dict, doc: Document) -> dict[Slot, str] | None:
+    """A prediction's edge map built in one comprehension of direct
+    subscripts, or None unless every edge is an object of three strings, no
+    slot repeats and ``id`` is doc's own string. ``intern`` takes an exact
+    str only, so it checks every name it interns; a missing field, or an
+    edge that is no object, raises KeyError or TypeError."""
+    links, doc_id = obj["edges"], obj["id"]
+    if type(links) is not list or type(doc_id) is not str or doc_id != doc.id:
+        return None
+    edges = {_new_tuple(Slot, (intern(e["child"]), intern(e["slot"]))): intern(e["parent"])
+             for e in links}
+    return edges if len(edges) == len(links) else None
+
+
+def _edges_by_field(obj: dict, doc: Document) -> dict[Slot, str]:
+    """A prediction's edge map read one edge at a time, then its ``id``, so
+    that a field of the wrong JSON type raises FieldError naming it, a
+    repeated slot or another document's id raises GraphError, and an
+    unhashable name or a missing one raises TypeError or KeyError."""
+    edges: dict[Slot, str] = {}
+    for e in json_field(obj, "edges", list, "", dict):
+        child, name = e["child"], e["slot"]
+        slot = _new_tuple(Slot, (intern(child) if type(child) is str else child,
+                                 intern(name) if type(name) is str else name))
+        if slot in edges:
+            raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
+        parent = e["parent"]
+        edges[slot] = intern(parent) if type(parent) is str else parent
+    doc_id = json_field(obj, "id", str)
+    if doc_id != doc.id:
+        raise GraphError(f"document {doc.id}: the prediction is for document {doc_id}")
+    return edges
+
+
 def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
     """Read a graph_to_json object back and validate it against doc.
 
-    A field of the wrong JSON type raises FieldError, and an ``id`` other
-    than doc's raises GraphError naming both. Edge names are left to
-    validate_graph, which admits only doc's string ids and the meta nodes;
-    its violations raise one GraphError naming them all, as does a missing
-    or unhashable name. String names are interned, as a parsed corpus's are.
+    The edge map is built by one typed pass (_typed_edges) when every edge
+    is an object of three strings, no slot repeats and ``id`` is doc's own
+    string; any other object is read again one edge at a time
+    (_edges_by_field), the path that words every error. A field of the
+    wrong JSON type raises FieldError, and an ``id`` other than doc's raises
+    GraphError naming both. Edge names are left to validate_graph, which
+    admits only doc's string ids and the meta nodes; its violations raise
+    one GraphError naming them all, as does a missing or unhashable name.
+    String names are interned, as a parsed corpus's are.
     """
-    edges: dict[Slot, str] = {}
     try:
-        for e in json_field(obj, "edges", list, "", dict):
-            child, name = e["child"], e["slot"]
-            slot = _new_tuple(Slot, (intern(child) if type(child) is str else child,
-                                     intern(name) if type(name) is str else name))
-            if slot in edges:
-                raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
-            parent = e["parent"]
-            edges[slot] = intern(parent) if type(parent) is str else parent
-        doc_id = json_field(obj, "id", str)
-        if doc_id != doc.id:
-            raise GraphError(f"document {doc.id}: the prediction is for document {doc_id}")
+        edges = _typed_edges(obj, doc)
+    except (KeyError, TypeError):
+        edges = None
+    try:
+        if edges is None:
+            edges = _edges_by_field(obj, doc)
         graph = TemporalDependencyGraph(doc_id=doc.id, edges=edges)
         violations = validate_graph(graph, doc)
     except (KeyError, TypeError) as exc:

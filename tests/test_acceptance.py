@@ -5,7 +5,9 @@ Run ``pytest tests/test_acceptance.py -s`` to see one
 share one module-scoped pipeline run (synthesis, training, decoding and
 scoring through the command-line interface with the shipped configs).
 Criterion 10 only runs when ``TDG_SOURCE_CORPUS`` and ``TDG_SOURCE_DP_LABELS``
-point at a real annotated corpus; it is skipped (and says so) otherwise.
+point at a real annotated corpus; it is skipped (and says so) otherwise. A
+last, unnumbered check reads back, from the same run's checkpoints, every
+prediction line in both decode orders through graph_from_json's typed pass.
 """
 
 import json
@@ -19,13 +21,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tdgparse import graph as graph_module
 from tdgparse.analysis import all_tables
 from tdgparse.cli import main as cli_main
 from tdgparse.corpus import ContentType, load_dp_labels, parse_corpus
 from tdgparse.evaluation import partitioned_prf
 from tdgparse.graph import (
+    DECODE_ORDERS,
     SlotScores,
     candidate_layout,
+    graph_from_json,
     greedy_decode,
     slot_instances,
     validate_graph,
@@ -461,3 +466,33 @@ def test_criterion_11_pipeline_determinism(pipeline_run):
               f"{len(rel_paths)} artifacts byte-identical across two runs; "
               f"{len(manifests)} manifests equal modulo timestamp and run "
               f"directory" + (f"; MISMATCHES: {mismatched}" if mismatched else ""))
+
+
+# ------------------------------------------------------------ read-back path
+
+
+def test_shipped_predictions_load_through_the_typed_pass(pipeline_run, monkeypatch, tmp_path):
+    """Every line ``tdgparse predict`` writes for the shipped distill corpus,
+    from each trained checkpoint in both decode orders, loads through
+    graph_from_json's typed pass: the per-edge path, which words errors, is
+    patched to raise, so a valid prediction that drifted onto it fails here."""
+    base = pipeline_run["base"]
+    corpus_path = base / "data" / "corpus.jsonl"
+    docs = {doc.id: doc for doc in parse_corpus(corpus_path)}
+
+    def per_edge(obj, doc):
+        raise AssertionError(f"document {doc.id}: a valid prediction took the per-edge path")
+
+    monkeypatch.setattr(graph_module, "_edges_by_field", per_edge)
+    loaded = 0
+    for variant in ("baseline", "dp_distill"):
+        for seed in (0, 1, 2):
+            for order in DECODE_ORDERS:
+                out = tmp_path / f"{variant}-seed{seed}-{order}"
+                run_cli("predict", "--checkpoint", base / variant / f"checkpoint-seed{seed}.json",
+                        "--corpus", corpus_path, "--decode-order", order, "--out", out)
+                for line in (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines():
+                    obj = json.loads(line)
+                    graph_from_json(obj, docs[obj["id"]])
+                    loaded += 1
+    assert loaded == 2 * 3 * len(DECODE_ORDERS) * len(docs)

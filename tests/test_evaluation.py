@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import statistics
 
 import pytest
@@ -193,6 +194,26 @@ def test_a_gold_slot_without_an_edge_or_with_an_unknown_parent_fails():
             count(pred, [bare])
         with pytest.raises(EvaluationError, match="^document d: unknown parent 'e9'$"):
             count(pred, [stray])
+
+
+def test_a_documents_first_faulty_slot_names_the_error():
+    """Slot by slot, in slot_instances order, the first fault raises: a
+    missing prediction before its own slot's gold fault, a predicted parent
+    that names no mention before a later slot's gold fault."""
+    doc = Document("d", "DCT", [Sentence(0, ("a", "b"))], [Mention("e1", "event", 0, 0, 1)],
+                   [GoldEdge("e1", "timex_ref", "DCT")])  # event_ref has no gold edge
+    cases = [({"timex_ref": "t9", "event_ref": "NO_EVENT"}, "unknown parent 't9'"),
+             ({"event_ref": "NO_EVENT"},
+              "missing prediction for slot Slot(child='e1', slot='timex_ref')"),
+             ({"timex_ref": "DCT"},
+              "missing prediction for slot Slot(child='e1', slot='event_ref')"),
+             ({"timex_ref": "DCT", "event_ref": "NO_EVENT"},
+              "slot Slot(child='e1', slot='event_ref') has no gold edge")]
+    for parents, error in cases:
+        pred = {"d": TemporalDependencyGraph("d", {Slot("e1", slot): parent
+                                                   for slot, parent in parents.items()})}
+        with pytest.raises(EvaluationError, match=f"^document d: {re.escape(error)}$"):
+            partitioned_prf(pred, [doc])
 
 
 def test_a_gold_mention_of_unknown_kind_fails():

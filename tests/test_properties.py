@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from tdgparse import corpus as corpus_module
+from tdgparse import graph as graph_module
 from tdgparse.analysis import all_tables
 from tdgparse.cli import main
 from tdgparse.corpus import (
@@ -143,6 +144,16 @@ def _mutate_gold(rng: random.Random, doc: Document, gold: list[GoldEdge]) -> str
     return kind
 
 
+def _adjacency(node_ids: list[str], pairs: list[tuple[str, str]]) -> dict[str, list[str]]:
+    """find_cycle's adjacency for (child, parent) pairs: each child's
+    parents in pair order, over the pairs whose ends are both node_ids."""
+    succs: dict[str, list[str]] = {}
+    for child, parent in pairs:
+        if child in node_ids and parent in node_ids:
+            succs.setdefault(child, []).append(parent)
+    return succs
+
+
 def test_validate_graph_matches_reference_on_mutated_graphs():
     rng = random.Random(2024)
     applied: dict[str, int] = {}
@@ -165,7 +176,7 @@ def test_validate_graph_matches_reference_on_mutated_graphs():
         flagged += bool(expected)
         pairs = [(slot.child, parent) for slot, parent in edges.items()]
         ids = [m.id for m in doc.mentions]
-        assert find_cycle(ids, pairs) == reference_find_cycle(ids, pairs)
+        assert find_cycle(ids, _adjacency(ids, pairs)) == reference_find_cycle(ids, pairs)
 
         # validate_document runs the same check over the gold edges, the first
         # edge of each slot, after its own label and duplicate checks; a
@@ -205,7 +216,7 @@ def test_find_cycle_matches_reference_on_random_digraphs():
                  for _ in range(rng.randint(0, 2 * len(nodes)))]
         order = rng.sample(nodes, len(nodes))
         expected = reference_find_cycle(order, edges)
-        assert find_cycle(order, edges) == expected, (order, edges)
+        assert find_cycle(order, _adjacency(order, edges)) == expected, (order, edges)
         cyclic += expected is not None
     assert 0.2 * N_DOCS < cyclic < 0.9 * N_DOCS
 
@@ -527,6 +538,90 @@ def test_typed_pass_matches_the_per_field_path(monkeypatch):
     for _ in range(600):
         agree(json.loads(_mutate_line(rng, json.loads(json.dumps(rng.choice(lines))))))
     assert built >= 250 and refused >= 1800, (built, refused)
+
+
+def _graph_names(graph: TemporalDependencyGraph) -> list:
+    """Every name of a graph's edge map, in dict order: child, slot, parent."""
+    return [name for slot, parent in graph.edges.items() for name in (*slot, parent)]
+
+
+def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
+    """graph_from_json's typed pass and its per-edge path, the one that
+    words every error, agree on every prediction mutation of the read-back
+    and CLI fuzzers and on a value of each other JSON type at every position
+    of a valid prediction: equal graphs whose edge maps hold the same Slots
+    in the same order and the same interned name objects, or the same error
+    and text. validate_document's typed gold map and its loop agree the
+    same way on the gold edges of the graph and gold faults and on a label
+    of each JSON type: the same violations, and the same map in the same
+    order whenever the typed one is built."""
+    def read(obj, doc: Document, typed: bool):
+        with monkeypatch.context() as patch:
+            if not typed:
+                patch.setattr(graph_module, "_typed_edges", lambda obj, doc: None)
+            try:
+                return graph_from_json(json.loads(json.dumps(obj)), doc)
+            except (FieldError, GraphError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+    counts = dict(loaded=0, refused=0, gold_typed=0, gold_looped=0)
+
+    def agree(obj, doc: Document) -> None:
+        got, want = read(obj, doc, True), read(obj, doc, False)
+        assert got == want, (doc, obj)
+        if isinstance(got, TemporalDependencyGraph):
+            assert all(type(slot) is Slot for slot in got.edges), obj
+            pairs = zip(_graph_names(got), _graph_names(want), strict=True)
+            assert all(a is b is intern(a) for a, b in pairs), obj
+            counts["loaded"] += 1
+        else:
+            counts["refused"] += 1
+
+    def agree_gold(doc: Document, gold: list[GoldEdge]) -> None:
+        mutated = Document(doc.id, doc.dct, doc.sentences, doc.mentions, gold)
+        got = validate_document(mutated)
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "_typed_gold", lambda doc: None)
+            assert got == validate_document(mutated), gold
+        typed = corpus_module._typed_gold(mutated)
+        if typed is not None:
+            first: dict = {}
+            for e in gold:
+                first.setdefault((e.child, e.slot), e.parent)
+            assert list(typed.items()) == list(first.items()), gold
+        counts["gold_looped" if typed is None else "gold_typed"] += 1
+
+    rng, doc_rng = random.Random(47), random.Random(53)
+    for trial in range(200):
+        doc = random_document(rng, max_mentions=7, doc_id=f"t{trial}")
+        base = gold_graph(doc) if trial % 2 else random_pred_graph(rng, doc)
+        clean = json.loads(json.dumps(graph_to_json(base, doc)))
+        agree(clean, doc)
+        obj = copy.deepcopy(clean)
+        for _ in range(rng.choice([1, 1, 2])):
+            _mutate_prediction(rng, doc, obj, PREDICTION_FAULTS)
+        agree(obj, doc)
+        if trial % 3 == 2:
+            agree(obj, _mutate_document(doc_rng, doc)[0])
+        agree(json.loads(_mutate_line(rng, copy.deepcopy(clean))), doc)
+        if trial % 20 == 0:
+            for path in _positions(clean):
+                for value in _SWAPS:
+                    mutated = copy.deepcopy(clean)
+                    _set(mutated, path, value)
+                    agree(mutated, doc)
+
+        edges = dict(base.edges)
+        _mutate(rng, doc, edges)
+        gold = [GoldEdge(s.child, s.slot, p) for s, p in edges.items()]
+        agree_gold(doc, gold)
+        _mutate_gold(rng, doc, gold)
+        agree_gold(doc, gold)
+        label = rng.choice(_SWAPS + ["before", "depend_on"])
+        gold = [replace(e, label=label) if rng.random() < 0.3 else e for e in gold]
+        agree_gold(doc, gold)
+    assert counts["loaded"] >= 220 and counts["refused"] >= 2000, counts
+    assert counts["gold_typed"] >= 100 and counts["gold_looped"] >= 200, counts
 
 
 def _sentence_indexes(line: str) -> list | None:
