@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import (
+    CONTENT_TYPE_INDEX,
     CONTENT_TYPES,
     DCT,
     META_NODES,
@@ -25,7 +26,6 @@ from .corpus import (
 )
 
 ROW_LABELS = tuple(ct.value for ct in CONTENT_TYPES)
-_ROW_OF = {label: i for i, label in enumerate(ROW_LABELS)}  # CONTENT_TYPE_INDEX by value
 
 
 @dataclass
@@ -88,8 +88,8 @@ def all_tables(corpus: Corpus, dp: DpLabelMap) -> list[DistributionTable]:
     counts = [[[0] * len(cols) for _ in ROW_LABELS] for _, cols in TABLES]
     timex_parents, event_timexes, timex_content, event_content = counts
     for doc in corpus:
-        try:  # by each label's value: a ContentType's own __hash__ runs in Python
-            types = [_ROW_OF[dp[doc.id, s.index]._value_] for s in doc.sentences]
+        try:
+            types = [CONTENT_TYPE_INDEX[dp[doc.id, s.index]] for s in doc.sentences]
         except KeyError:
             require_dp_coverage(dp, corpus)
             raise

@@ -28,9 +28,7 @@ slot, built on first read and cached, so that scoring a corpus again does
 not build them again. Parsing, validation and prediction never read it.
 edge_violations checks a gold or predicted graph in one pass over its
 edges, which allocates nothing per legal edge but the adjacency it hands
-find_cycle: each child's mention parents, in edge order. validate_document
-builds the gold map it checks in one comprehension, and loops edge by edge,
-wording each fault, only for a bad label or a repeated slot.
+find_cycle: each child's mention parents, in edge order.
 """
 
 from __future__ import annotations
@@ -276,15 +274,15 @@ def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[st
     for (child, name), parent in edges.items():
         mention = by_id.get(child)
         if mention is None:
-            illegal.append(f"slot {Slot(child, name)} does not belong to document {doc.id}")
-            continue
-        target = by_id.get(parent)
-        if target is not None:
-            if child in succs:
-                succs[child].append(parent)
-            else:
-                succs[child] = [parent]
-        rule = _SLOT_RULES.get(mention.kind, _NO_RULES).get(name)
+            rule = None
+        else:
+            rule = _SLOT_RULES.get(mention.kind, _NO_RULES).get(name)
+            target = by_id.get(parent)
+            if target is not None:
+                if child in succs:
+                    succs[child].append(parent)
+                else:
+                    succs[child] = [parent]
         if rule is None:
             illegal.append(f"slot {Slot(child, name)} does not belong to document {doc.id}")
             continue
@@ -342,36 +340,18 @@ def validate_document(doc: Document) -> list[str]:
                 f"{m.sentence} of length {sent_len[m.sentence]}"
             )
 
-    edges = _typed_gold(doc)
-    if edges is None:  # the loop that words each bad label and repeated slot
-        edges = {}
-        for e in doc.gold_edges:
-            slot = (e.child, e.slot)
-            if e.label is not None and e.label not in EDGE_LABELS:
-                violations.append(f"gold slot {Slot(*slot)}: unknown label {e.label!r}")
-            if slot in edges:
-                violations.append(f"gold slot {Slot(*slot)}: more than one edge "
-                                  f"(parents {edges[slot]} and {e.parent})")
-            else:
-                edges[slot] = e.parent
+    edges: dict[tuple[str, str], str] = {}
+    for e in doc.gold_edges:
+        slot = (e.child, e.slot)
+        if e.label is not None and e.label not in EDGE_LABELS:
+            violations.append(f"gold slot {Slot(*slot)}: unknown label {e.label!r}")
+        if slot in edges:
+            violations.append(f"gold slot {Slot(*slot)}: more than one edge "
+                              f"(parents {edges[slot]} and {e.parent})")
+        else:
+            edges[slot] = e.parent
     violations += ["gold " + v for v in edge_violations(doc, edges)]
     return violations
-
-
-_LABELS = {None, *EDGE_LABELS}  # a gold edge's admitted labels, None for none
-
-
-def _typed_gold(doc: Document) -> dict[tuple[str, str], str] | None:
-    """The gold edges' map from slot to parent, built in one comprehension,
-    or None when a slot repeats or a label is neither None nor one of
-    EDGE_LABELS: then validate_document's loop words each of those."""
-    gold = doc.gold_edges
-    edges = {(e.child, e.slot): e.parent for e in gold}
-    try:
-        labelled = {e.label for e in gold} <= _LABELS
-    except TypeError:  # an unhashable label
-        return None
-    return edges if labelled and len(edges) == len(gold) else None
 
 
 class FieldError(ValueError):

@@ -139,8 +139,7 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
                         miss_n[2 if pred_parent in META_NODES else
                                0 if by_id[pred_parent].sentence == sentence else 1] += 1
                     except KeyError:
-                        raise EvaluationError(f"document {doc.id}: unknown parent "
-                                              f"{pred_parent!r}") from None
+                        raise next(_slot_errors(doc, edges)) from None
                 i += 1
     pred_n = [miss + hit for miss, hit in zip(miss_n, hit_n)]
     total = sum(gold_n)

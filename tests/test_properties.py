@@ -551,10 +551,7 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
     and CLI fuzzers and on a value of each other JSON type at every position
     of a valid prediction: equal graphs whose edge maps hold the same Slots
     in the same order and the same interned name objects, or the same error
-    and text. validate_document's typed gold map and its loop agree the
-    same way on the gold edges of the graph and gold faults and on a label
-    of each JSON type: the same violations, and the same map in the same
-    order whenever the typed one is built."""
+    and text."""
     def read(obj, doc: Document, typed: bool):
         with monkeypatch.context() as patch:
             if not typed:
@@ -564,7 +561,7 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
             except (FieldError, GraphError) as exc:
                 return f"{type(exc).__name__}: {exc}"
 
-    counts = dict(loaded=0, refused=0, gold_typed=0, gold_looped=0)
+    counts = dict(loaded=0, refused=0)
 
     def agree(obj, doc: Document) -> None:
         got, want = read(obj, doc, True), read(obj, doc, False)
@@ -576,20 +573,6 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
             counts["loaded"] += 1
         else:
             counts["refused"] += 1
-
-    def agree_gold(doc: Document, gold: list[GoldEdge]) -> None:
-        mutated = Document(doc.id, doc.dct, doc.sentences, doc.mentions, gold)
-        got = validate_document(mutated)
-        with monkeypatch.context() as patch:
-            patch.setattr(corpus_module, "_typed_gold", lambda doc: None)
-            assert got == validate_document(mutated), gold
-        typed = corpus_module._typed_gold(mutated)
-        if typed is not None:
-            first: dict = {}
-            for e in gold:
-                first.setdefault((e.child, e.slot), e.parent)
-            assert list(typed.items()) == list(first.items()), gold
-        counts["gold_looped" if typed is None else "gold_typed"] += 1
 
     rng, doc_rng = random.Random(47), random.Random(53)
     for trial in range(200):
@@ -610,18 +593,7 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
                     mutated = copy.deepcopy(clean)
                     _set(mutated, path, value)
                     agree(mutated, doc)
-
-        edges = dict(base.edges)
-        _mutate(rng, doc, edges)
-        gold = [GoldEdge(s.child, s.slot, p) for s, p in edges.items()]
-        agree_gold(doc, gold)
-        _mutate_gold(rng, doc, gold)
-        agree_gold(doc, gold)
-        label = rng.choice(_SWAPS + ["before", "depend_on"])
-        gold = [replace(e, label=label) if rng.random() < 0.3 else e for e in gold]
-        agree_gold(doc, gold)
-    assert counts["loaded"] >= 220 and counts["refused"] >= 2000, counts
-    assert counts["gold_typed"] >= 100 and counts["gold_looped"] >= 200, counts
+    assert counts["loaded"] >= 200 and counts["refused"] >= 2000, counts
 
 
 def _sentence_indexes(line: str) -> list | None:
