@@ -12,9 +12,10 @@ Three variants share this machinery:
   linear discourse-profile head over sentence representations that training
   can supervise alongside the ranking objective.
 
-Each document is indexed into flat arrays: token ids of every mention and
-sentence, and the candidate layout ``graph.candidate_layout`` builds for its
-slots, with each candidate's key into one constant table of scalar features.
+Each document is indexed into flat arrays: one token table, the token ids
+of every mention's segment and then of every sentence's, and the candidate
+layout ``graph.candidate_layout`` builds for its slots, with each
+candidate's key into one constant table of scalar features.
 Given discourse labels, the index also holds every sentence's content type,
 which dp_feature's markers and the dp head read; labels enter nowhere else,
 and a sentence without a label raises DpLabelError there. A slot's gold
@@ -23,8 +24,9 @@ its position is computed only where a loss or an accuracy reads it, by
 ``_with_gold`` for training and validation, never for a prediction. A model
 holds no index: each pass indexes the documents it reads. A batch of
 documents, for training or scoring, is scored by one embedding gather, one
-scatter that sums the tokens of every mention and sentence, and a factored
-hidden layer. The MLP's input
+scatter that sums the token table's segments (a batch's table, too, holds
+its mentions' segments before its sentences'), and a factored hidden
+layer. The MLP's input
 for a candidate is ``[u, sent(child), a, sent(cand), u*a, scalars]``, so its
 first layer splits by column block: the child and candidate blocks are
 multiplied once per mention and once per candidate-table row, and gathered
@@ -59,6 +61,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from itertools import chain
 from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
@@ -144,13 +147,27 @@ class ModelConfig:
             raise ScorerError(f"dim and hidden must be positive, in [1, {MAX_COUNT}]")
 
 
+class _TokenIds(dict):
+    """Corpus tokens spelled in lowercase, the only ones a lowercased lookup
+    can reach, each mapped to its row. Subscripted with a raw corpus token,
+    it gives the token's own row, else (by __missing__) its lowercase form's,
+    else ``<unk>``'s; __missing__ stores nothing, so the map never grows."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        return self.get(token.lower(), UNK_INDEX)
+
+
 class Vocabulary:
     """Token-to-index map with reserved marker tokens at fixed positions.
 
     Corpus tokens are lowercased; unknown tokens map to ``<unk>``. Marker
     tokens (child/candidate marks and the content-type markers) occupy fixed
-    indices at the front and are addressed directly: ``index`` holds only the
-    corpus tokens, so text spelled like a marker, such as ``$``, is ``<unk>``.
+    indices at the front and are addressed directly: ``index`` holds only
+    corpus tokens, so text spelled like a marker, such as ``$``, is
+    ``<unk>``. ``index[token]`` is a raw corpus token's row (a _TokenIds
+    lowercases only what is not spelled lowercase already).
     """
 
     def __init__(self, tokens: list[str]):
@@ -159,7 +176,8 @@ class Vocabulary:
         self.tokens = list(tokens)
         if len(set(self.tokens)) != len(self.tokens):
             raise ScorerError("vocabulary contains duplicate tokens")
-        self.index = {t: i for i, t in enumerate(self.tokens) if i >= len(RESERVED_TOKENS)}
+        self.index = _TokenIds((t, i) for i, t in enumerate(self.tokens)
+                               if i >= len(RESERVED_TOKENS) and t.lower() == t)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -250,9 +268,11 @@ class _FlatIndex(NamedTuple):
     """Token and candidate tables of one document, or of a batch laid end to end.
 
     Mentions are rows in document order, and ``mention_sent`` holds each
-    one's sentence row. Token ids are in CSR form: flat ids plus one length
-    per mention (``mention_tok``, ``mention_len``) or sentence (``sent_tok``,
-    ``sent_len``). ``ctype`` is each sentence's discourse content type, as
+    one's sentence row. ``tok`` is the token table: the token ids of every
+    mention's segment, then of every sentence's, with one length per segment
+    in ``tok_len``, so one scatter sums them all; a batch's table holds its
+    mentions' segments, then its sentences' (each run's so, in a _concat
+    with ``run``). ``ctype`` is each sentence's discourse content type, as
     its CONTENT_TYPES index, or None when the document was indexed without
     labels (and for a batch when any of its indexes was).
 
@@ -269,10 +289,8 @@ class _FlatIndex(NamedTuple):
     """
 
     layout: CandidateLayout | None
-    mention_tok: np.ndarray
-    mention_len: np.ndarray
-    sent_tok: np.ndarray
-    sent_len: np.ndarray
+    tok: np.ndarray
+    tok_len: np.ndarray
     ctype: np.ndarray | None
     mention_sent: np.ndarray
     starts: np.ndarray
@@ -280,6 +298,14 @@ class _FlatIndex(NamedTuple):
     child: np.ndarray
     cand: np.ndarray
     feat: np.ndarray
+
+    @property
+    def mention_len(self) -> np.ndarray:
+        return self.tok_len[:len(self.mention_sent)]
+
+    @property
+    def sent_len(self) -> np.ndarray:
+        return self.tok_len[len(self.mention_sent):]
 
 
 def _blocks(starts: np.ndarray, n_cand: int) -> list[tuple[int, int, int, int]]:
@@ -322,10 +348,11 @@ def _index_document(doc: Document, vocab: Vocabulary,
     The index holds no gold positions: _with_gold adds them where a loss or
     an accuracy reads them.
     """
-    get = vocab.index.get  # bound once per document
-    sent_ids = [[get(t.lower(), UNK_INDEX) for t in s.tokens] for s in doc.sentences]
+    ids = vocab.index.__getitem__  # bound once per document
+    sent_ids = [list(map(ids, s.tokens)) for s in doc.sentences]
     ordered = doc.ordered_mentions()
-    spans = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
+    segments = [sent_ids[m.sentence][m.start:m.end] for m in ordered]
+    segments += sent_ids
     sent = np.array([m.sentence for m in ordered], dtype=np.int32)
     layout = candidate_layout(doc)
     cand = layout.cand
@@ -339,10 +366,8 @@ def _index_document(doc: Document, vocab: Vocabulary,
 
     return _FlatIndex(
         layout,
-        mention_tok=np.array([i for span in spans for i in span], dtype=np.int32),
-        mention_len=np.array([len(span) for span in spans], dtype=np.int32),
-        sent_tok=np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32),
-        sent_len=np.array([len(sentence) for sentence in sent_ids], dtype=np.int32),
+        tok=np.array(list(chain.from_iterable(segments)), dtype=np.int32),
+        tok_len=np.array(list(map(len, segments)), dtype=np.int32),
         ctype=None if dp_labels is None else _content_types(doc, dp_labels),
         mention_sent=sent, starts=layout.starts, gold=None, child=child, cand=cand,
         feat=feat)
@@ -373,9 +398,8 @@ _NO_ROWS = np.zeros(0, dtype=np.int32)  # lets an empty batch concatenate
 class _Offsets(NamedTuple):
     """A position in each kind of row of indexes laid end to end."""
 
-    mention_tok: int
+    tok: int
     mention: int
-    sent_tok: int
     sent: int
     slot: int
     cand: int
@@ -392,10 +416,10 @@ def _offsets(indexes: list[_FlatIndex]) -> np.ndarray:
     per _Offsets field; a last row holds the totals."""
     columns, n = _columns(indexes), len(indexes)
     offsets = np.zeros((n + 1, len(_Offsets._fields)), dtype=np.int32)
-    for k, name in enumerate(("mention_tok", "mention_len", "sent_tok", "sent_len",
-                              "starts", "cand")):
+    for k, name in enumerate(("tok", "mention_sent", "tok_len", "starts", "cand")):
         np.cumsum(np.fromiter(map(len, columns[name]), dtype=np.int32, count=n),
                   out=offsets[1:, k])
+    offsets[:, 2] -= offsets[:, 1]  # segments less mentions: sentences
     return offsets
 
 
@@ -405,11 +429,12 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
 
     With ``run``, the indexes form runs of that many (the last may hold
     fewer), and each run's row references count from the run's own first
-    rows, so that _slice takes a run back out as a batch of its own. A gold
-    position of -1, a slot whose gold parent is not a candidate, stays -1,
-    and ``gold`` or ``ctype`` is None when any index has none. ``offsets``,
-    when given, is _offsets(indexes), which a caller that needs it too
-    computes once.
+    rows, so that _slice takes a run back out as a batch of its own: each
+    run's token table holds its mentions' segments, then its sentences'. A
+    gold position of -1, a slot whose gold parent is not a candidate, stays
+    -1, and ``gold`` or ``ctype`` is None when any index has none.
+    ``offsets``, when given, is _offsets(indexes), which a caller that needs
+    it too computes once.
     """
     if len(indexes) == 1:
         return indexes[0]
@@ -418,13 +443,19 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
         offsets = _offsets(indexes)
     size = _Offsets(*np.diff(offsets, axis=0).T)
     first = offsets[:-1]
+    run_of = np.arange(len(indexes)) // (run or max(len(indexes), 1))  # without run, one run
     if run is not None:
-        first = first - first[np.arange(len(indexes)) // run * run]
+        first = first - first[run_of * run]
     first = _Offsets(*first.T)
 
     def cat(name: str) -> np.ndarray:
         return np.concatenate(columns[name]) if indexes else _NO_ROWS
 
+    # a stable sort of the segments, and of their tokens, by run and then
+    # mention before sentence
+    key = np.repeat(np.stack([2 * run_of, 2 * run_of + 1], axis=1).ravel(),
+                    np.stack([size.mention, size.sent], axis=1).ravel())
+    tok_len = cat("tok_len")
     cand_first = np.repeat(first.cand, size.slot)
     mention_first = np.repeat(first.mention, size.cand)
     cand = cat("cand")
@@ -435,8 +466,8 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
         gold = np.where(gold >= 0, gold + cand_first, -1)
     return _FlatIndex(
         None,
-        mention_tok=cat("mention_tok"), mention_len=cat("mention_len"),
-        sent_tok=cat("sent_tok"), sent_len=cat("sent_len"),
+        tok=cat("tok")[np.argsort(np.repeat(key, tok_len), kind="stable")],
+        tok_len=tok_len[np.argsort(key, kind="stable")],
         ctype=None if any(c is None for c in columns["ctype"]) else cat("ctype"),
         mention_sent=cat("mention_sent") + np.repeat(first.sent, size.mention),
         starts=cat("starts") + cand_first, gold=gold,
@@ -449,10 +480,8 @@ def _slice(batch: _FlatIndex, lo: _Offsets, hi: _Offsets) -> _FlatIndex:
     """The rows of a batch from offsets lo to hi: a run of a _concat with ``run``."""
     return _FlatIndex(
         None,
-        mention_tok=batch.mention_tok[lo.mention_tok:hi.mention_tok],
-        mention_len=batch.mention_len[lo.mention:hi.mention],
-        sent_tok=batch.sent_tok[lo.sent_tok:hi.sent_tok],
-        sent_len=batch.sent_len[lo.sent:hi.sent],
+        tok=batch.tok[lo.tok:hi.tok],
+        tok_len=batch.tok_len[lo.mention + lo.sent:hi.mention + hi.sent],
         ctype=None if batch.ctype is None else batch.ctype[lo.sent:hi.sent],
         mention_sent=batch.mention_sent[lo.mention:hi.mention],
         starts=batch.starts[lo.slot:hi.slot],
@@ -577,9 +606,8 @@ class RankingModel:
         # one scatter sums the mentions' tokens into the first rows and the
         # sentences' into the rest; each row adds its tokens in order, as a
         # scatter of its own would
-        n_mentions = len(batch.mention_len)
-        sums = _segment_sums(emb, np.concatenate([batch.mention_tok, batch.sent_tok]),
-                             np.concatenate([batch.mention_len, batch.sent_len]))
+        n_mentions = len(batch.mention_sent)
+        sums = _segment_sums(emb, batch.tok, batch.tok_len)
         mention = sums[:n_mentions] / batch.mention_len[:, None]
         sent = sums[n_mentions:]
         if markers is not None:
@@ -704,9 +732,8 @@ class RankingModel:
         d_sent = _scatter_rows(batch.mention_sent,
                                dc @ w1[:, d:2 * d] + dt[N_META:] @ w1[:, 3 * d:4 * d],
                                len(batch.sent_len)) / _sentence_sizes(batch, markers)[:, None]
-        segments = [(batch.mention_tok, batch.mention_len,
-                     (du + d_cand) / batch.mention_len[:, None]),
-                    (batch.sent_tok, batch.sent_len, d_sent)]
+        segments = [(batch.tok, batch.tok_len,
+                     np.concatenate([(du + d_cand) / batch.mention_len[:, None], d_sent]))]
         if markers is not None:
             segments.append((markers, 1, d_sent))
         demb = grads["embeddings"]
@@ -736,7 +763,8 @@ class RankingModel:
         if n_sents == 0:
             return 0.0, grads
         wd = self.params["dp_weight"]
-        s = _segment_means(self.params["embeddings"], batch.sent_tok, batch.sent_len)
+        sent_tok = batch.tok[batch.mention_len.sum():]
+        s = _segment_means(self.params["embeddings"], sent_tok, batch.sent_len)
         p = _softmax(s @ wd.T + self.params["dp_bias"])
         rows = np.arange(n_sents)
         total = -np.log(p[rows, labels]).sum()
@@ -745,7 +773,7 @@ class RankingModel:
         grads["dp_weight"][:] = g.T @ s
         grads["dp_bias"][:] = g.sum(axis=0)
         grads["embeddings"][:] = _token_grads(
-            len(self.vocab), [(batch.sent_tok, batch.sent_len, (g @ wd) / batch.sent_len[:, None])])
+            len(self.vocab), [(sent_tok, batch.sent_len, (g @ wd) / batch.sent_len[:, None])])
         return float(total / n_sents), grads
 
 

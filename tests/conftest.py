@@ -57,6 +57,38 @@ ONE_TIMEX_DOC = {
 }
 
 
+# the tokens of each of mixed_document's sentences before its two own ones:
+# mixed case and corpus text spelled like the reserved tokens
+_MIXED_TOKENS = ["The", "FIRE", "spread", "$", "@", "#M1#", "<unk>", "Monday", "#m1#", "AsH"]
+
+
+def mixed_document():
+    """A ten-sentence document and its discourse labels: per sentence a
+    two-token timex ("The FIRE") and events of two and three tokens, among
+    tokens of mixed case and tokens spelled like the reserved markers. Gold
+    edges join sentences up to nine apart, the child before or after its
+    parent, and its 1,340 candidates exceed BLOCK_CANDIDATES."""
+    n = 10
+    sentences = [{"index": s, "tokens": _MIXED_TOKENS + [f"W{s}", f"w{s}"]} for s in range(n)]
+    mentions, edges = [], []
+    for s in range(n):
+        mentions += [{"id": f"t{s}", "kind": "timex", "sentence": s, "start": 0, "end": 2},
+                     {"id": f"a{s}", "kind": "event", "sentence": s, "start": 2, "end": 4},
+                     {"id": f"b{s}", "kind": "event", "sentence": s, "start": 4, "end": 7},
+                     {"id": f"c{s}", "kind": "event", "sentence": s, "start": 7, "end": 10}]
+        edges += [{"child": f"t{s}", "slot": "timex_ref", "parent": f"t{s - 1}" if s else "DCT"},
+                  {"child": f"a{s}", "slot": "timex_ref", "parent": f"t{s}"},
+                  {"child": f"b{s}", "slot": "timex_ref", "parent": f"t{(s + 6) % n}"},
+                  {"child": f"c{s}", "slot": "timex_ref", "parent": "DCT"},
+                  {"child": f"a{s}", "slot": "event_ref", "parent": f"a{s - 1}" if s else "NO_EVENT"},
+                  {"child": f"b{s}", "slot": "event_ref", "parent": f"a{n - 1 - s}"},
+                  {"child": f"c{s}", "slot": "event_ref", "parent": f"b{s}"}]
+    doc = make_doc({"id": "mixed", "dct": "2021-01-01", "sentences": sentences,
+                    "mentions": mentions, "edges": edges})
+    types = list(ContentType)
+    return doc, {("mixed", s): types[s % len(types)] for s in range(n)}
+
+
 def initialized_model(config: ModelConfig, vocab, seed: int) -> RankingModel:
     """A model whose parameters init_params draws from a PCG64 generator seeded with ``seed``."""
     rng = np.random.Generator(np.random.PCG64(seed))

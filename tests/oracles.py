@@ -887,12 +887,14 @@ def reference_index_document(doc: Document, vocab: Vocabulary, dp_labels=None) -
     gold = np.full(len(layout.slots), -1, dtype=np.int32)
     gold[slot[hit]] = hit
 
+    mention_tok = np.array([i for span in spans for i in span], dtype=np.int32)
+    mention_len = np.array([len(span) for span in spans], dtype=np.int32)
+    sent_tok = np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32)
+    sent_len = np.array([len(sentence) for sentence in sent_ids], dtype=np.int32)
     return _FlatIndex(
         layout,
-        mention_tok=np.array([i for span in spans for i in span], dtype=np.int32),
-        mention_len=np.array([len(span) for span in spans], dtype=np.int32),
-        sent_tok=np.array([i for sentence in sent_ids for i in sentence], dtype=np.int32),
-        sent_len=np.array([len(sentence) for sentence in sent_ids], dtype=np.int32),
+        tok=np.concatenate([mention_tok, sent_tok]),
+        tok_len=np.concatenate([mention_len, sent_len]),
         ctype=None if dp_labels is None else _content_types(doc, dp_labels),
         mention_sent=sent, starts=layout.starts, gold=gold, child=child, cand=cand,
         feat=feat)

@@ -6,16 +6,19 @@ only show when a traced benchmark run fails.
 """
 
 import ast
+import importlib.util
+import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from tdgparse import analysis, evaluation, graph, scorer, training
+from tdgparse import analysis, cli, corpus, evaluation, graph, scorer, training
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
-from .conftest import initialized_model, make_doc
+from .conftest import initialized_model, make_doc, mixed_document
 from .oracles import gold_graph, scores_over
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -168,3 +171,54 @@ def test_host_clock_probing_targets_exist(perfbench_modules):
             assert all(getattr(module, name) is not fn
                        for name, fn in zip(names, originals))
         assert [getattr(module, name) for name in names] == originals
+
+
+@pytest.fixture
+def perfbench_run():
+    """perfbench/run.py imported as it stands, which sets a BLAS variable and
+    puts src/ on sys.path; os.environ and sys.path are restored afterwards."""
+    environ, path = os.environ.copy(), sys.path[:]
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        yield run
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.path[:] = path
+        for name in ("tracing", "hostspeed"):
+            sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("variant", scorer.VARIANTS)
+def test_benchmark_request_writes_the_cli_line(perfbench_run, variant, tmp_path):
+    """The benchmark's one-document request gives each document the line
+    `tdgparse predict` writes for it, in both decode orders, on a seeded
+    synth corpus and mixed_document (more than BLOCK_CANDIDATES
+    candidates), dp_feature reading --dp-labels."""
+    raw = json.loads(perfbench_run.SYNTH_CONFIG.read_text(encoding="utf-8"))
+    raw["n_docs"] = 20
+    docs, labels = generate_synthetic_corpus(SynthConfig.from_json(raw), seed=7)
+    mixed, mixed_labels = mixed_document()
+    docs, labels = docs + [mixed], {**labels, **mixed_labels}
+    corpus.write_corpus(docs, tmp_path / "corpus.jsonl")
+    corpus.write_dp_labels(labels, docs, tmp_path / "labels.tsv")
+    model = initialized_model(scorer.ModelConfig(dim=4, hidden=3, variant=variant),
+                              scorer.build_vocabulary(docs), seed=1)
+    scorer.save_checkpoint(model, tmp_path / "checkpoint.json")
+
+    model = scorer.load_checkpoint(tmp_path / "checkpoint.json")
+    docs = corpus.parse_corpus(tmp_path / "corpus.jsonl")
+    labels = (corpus.load_dp_labels(tmp_path / "labels.tsv", docs)
+              if variant == "dp_feature" else None)
+    flags = ["--dp-labels", str(tmp_path / "labels.tsv")] if variant == "dp_feature" else []
+    for order in graph.DECODE_ORDERS:
+        out = tmp_path / order
+        assert cli.main(["predict", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                         "--corpus", str(tmp_path / "corpus.jsonl"), *flags,
+                         "--decode-order", order, "--out", str(out)]) == 0
+        lines = (out / "predictions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines == [perfbench_run.request(model, doc, labels, order) + "\n"
+                         for doc in docs], order

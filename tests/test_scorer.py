@@ -35,7 +35,7 @@ from tdgparse.scorer import (
 )
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
-from .conftest import initialized_model, make_doc
+from .conftest import initialized_model, make_doc, mixed_document
 from .oracles import (
     finite_difference_check,
     lookup,
@@ -87,11 +87,21 @@ def test_build_vocabulary_lowercases_and_sorts():
     # the index looks tokens up lowercased, unseen text as <unk>, and corpus
     # text spelled like a reserved token does not reach its row
     doc = one_sentence_doc(["FIRE", "fire", "never-seen", "$", "@", "<UNK>", "#M1#", "#m1#"])
-    assert _index_document(doc, vocab).sent_tok.tolist() == [13, 13, 0, 0, 0, 0, 0, 0]
+    # (the token table: the mention's segment, then the sentence's)
+    assert _index_document(doc, vocab).tok.tolist() == [13] + [13, 13, 0, 0, 0, 0, 0, 0]
     # dp_feature's marker of a sentence is its content type's reserved row
     model = initialized_model(ModelConfig(dim=2, hidden=2, variant="dp_feature"), vocab, 0)
     assert [model._markers(_index_document(doc, vocab, {("v1", 0): ct})).tolist()
             for ct in (ContentType.M1, ContentType.NA)] == [[3], [11]]
+
+
+def test_a_vocabulary_token_not_spelled_in_lowercase_is_never_found():
+    """Lookups go by a token's lowercase form, so a checkpoint's vocabulary
+    token spelled otherwise is never found, while every spelling of a
+    lowercase vocabulary token finds its row."""
+    vocab = Vocabulary(list(scorer.RESERVED_TOKENS) + ["Fire", "ash"])
+    doc = one_sentence_doc(["Fire", "fire", "FIRE", "ash", "ASH", "Ash"])
+    assert _index_document(doc, vocab).tok.tolist() == [0] + [0, 0, 0, 13, 13, 13]
 
 
 def test_vocabulary_guards():
@@ -627,12 +637,14 @@ def test_candidate_layout_matches_reference():
 
 
 def index_documents() -> list[Document]:
-    """Seeded random documents, synthetic ones up to 8 sentences long, a
-    timex-only, a one-mention and a mention-less one, and two whose gold
-    parents miss candidates: a slot without a gold edge, and one whose gold
-    parent is illegal."""
+    """Seeded random documents, mixed_document (multi-token mentions, mixed
+    case, marker spellings, far sentences both ways, several blocks),
+    synthetic ones up to 8 sentences long, a timex-only, a one-mention and a
+    mention-less one, and two whose gold parents miss candidates: a slot
+    without a gold edge, and one whose gold parent is illegal."""
     rng = random.Random(53)
     docs = [random_document(rng, doc_id=f"x{trial}") for trial in range(150)]
+    docs.append(mixed_document()[0])
     docs += mixed_batch()[0]  # its last two: the timex-only and the one-mention one
     quiet = Document(id="quiet", dct="2021-01-01", sentences=[Sentence(0, ("calm",))],
                      mentions=[], gold_edges=[])
@@ -689,8 +701,9 @@ def test_one_scatter_sums_as_two_do(variant):
     markers = model._markers(batch)
     assert (markers is None) == (variant == "baseline")
     emb = model.params["embeddings"]
-    mention = _segment_means(emb, batch.mention_tok, batch.mention_len)
-    sent = _segment_sums(emb, batch.sent_tok, batch.sent_len)
+    n_mention_tok = batch.mention_len.sum()
+    mention = _segment_means(emb, batch.tok[:n_mention_tok], batch.mention_len)
+    sent = _segment_sums(emb, batch.tok[n_mention_tok:], batch.sent_len)
     sizes = batch.sent_len
     if markers is not None:
         sent, sizes = sent + emb[markers], sizes + 1

@@ -51,6 +51,7 @@ from .conftest import (
     hand_ranking_loss,
     initialized_model,
     make_doc,
+    mixed_document,
 )
 from .oracles import reference_adamw_step, reference_train
 
@@ -489,8 +490,10 @@ def test_decode_corpus_matches_decoding_one_document_at_a_time(monkeypatch):
     """decode_corpus, which `tdgparse predict` runs, gives every document the
     graph greedy_decode gives it alone, and decodes every document through
     training's greedy_decode, once each and in corpus order, in every model
-    state, variant and order."""
+    state, variant and order; mixed_document among them."""
     corpus, labels = validation_corpus()
+    mixed, mixed_labels = mixed_document()
+    corpus, labels = corpus + [mixed], {**labels, **mixed_labels}
     decoded = recorded_greedy_decode(monkeypatch)
     for variant in scorer.VARIANTS:
         feature_labels = labels if variant == "dp_feature" else None
