@@ -11,7 +11,7 @@ are frozen dataclasses with ``__slots__``, so an instance carries no
 ``__dict__``. Every token, mention id, kind, slot, parent and label a corpus
 line holds is interned (``sys.intern``), one str object per distinct value
 however many documents repeat it: a parsed 2,000-document distill corpus
-holds 7.0 MB live, where one str object per occurrence took 25.1 MB. Equal
+holds 8.6 MB live, where one str object per occurrence took 25.1 MB. Equal
 names that are one object also compare, and find dict keys, by identity.
 
 document_from_json reads a line in one typed pass: each of its lists
@@ -22,10 +22,13 @@ again one json_field at a time, the path that words every error, so a valid
 line never calls json_field and an invalid one is refused in that path's
 words.
 
-A document's gold facts per slot, its parent and where that parent lies,
-are one GoldTable, ``Document.gold``: a tuple of names and one byte per
-slot, built on first read and cached, so that scoring a corpus again does
-not build them again. Parsing, validation and prediction never read it.
+A document orders its slots once, when built, as ``Document.slots``: every
+walk over slots reads them, and decoded and read-back graphs key their
+edges by those very objects. Its gold facts per slot, its parent and where
+that parent lies, are one GoldTable, ``Document.gold``: a tuple of names and
+one byte per slot, built on first read and cached, so that scoring a corpus
+again does not build them again. Parsing, validation and prediction never
+read it.
 edge_violations checks a gold or predicted graph in one pass over its
 edges, which allocates nothing per legal edge but the adjacency it hands
 find_cycle: each child's mention parents, in edge order.
@@ -97,7 +100,21 @@ PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
 KIND_SLOTS: dict[str, tuple[str, ...]] = {
     kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in MENTION_KINDS
 }
-_SLOT_COUNT = {kind: len(slots) for kind, slots in KIND_SLOTS.items()}
+# each (mention id, kind)'s slots, shared by every document with such a
+# mention as interned names are; a map that reaches _SHARED_IDS keys restarts
+_SHARED_SLOTS: dict[tuple[str, str], tuple[Slot, ...]] = {}
+_SHARED_IDS = 1 << 16
+
+
+def _share_slots(m: Mention) -> tuple[Slot, ...]:
+    """m's slots (none for an unknown kind), kept to be shared, its id
+    interned as a per-edge read interns it; tuple.__new__ skips the
+    Python-level __new__ that NamedTuple generates."""
+    if len(_SHARED_SLOTS) >= _SHARED_IDS:
+        _SHARED_SLOTS.clear()
+    own = _SHARED_SLOTS[m.id, m.kind] = tuple([tuple.__new__(Slot, (intern(m.id), s))
+                                               for s in KIND_SLOTS.get(m.kind, ())])
+    return own
 
 
 class CorpusError(Exception):
@@ -139,7 +156,7 @@ SAME_SENTENCE, OTHER_SENTENCE, META_PARENT, NOT_A_MENTION = range(4)
 
 
 class GoldTable(NamedTuple):
-    """Each slot's gold parent and its category, in slot_instances order.
+    """Each slot's gold parent and its category, in Document.slots order.
 
     A slot's parent is that of its first gold edge, the one validate_document
     keeps, or None when it has none. Its category is SAME_SENTENCE or
@@ -162,16 +179,16 @@ class Document:
     # each mention by id, the last of a repeated one; hot loops read it directly
     by_id: dict[str, Mention] = field(init=False, repr=False, compare=False)
     _ordered: list[Mention] = field(init=False, repr=False, compare=False)
-    # how many slots the mentions own, repeated ids counted each time and a
-    # kind without KIND_SLOTS owning none
-    n_slots: int = field(init=False, repr=False, compare=False)
+    # each mention's KIND_SLOTS slots in document order, a repeated id's each time
+    slots: tuple[Slot, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.by_id = {m.id: m for m in self.mentions}
-        self.n_slots = sum([_SLOT_COUNT.get(m.kind, 0) for m in self.mentions])
-        self._ordered = sorted(
+        self._ordered = ordered = sorted(
             self.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id)
         )
+        self.slots = tuple([slot for m in ordered
+                            for slot in _SHARED_SLOTS.get((m.id, m.kind)) or _share_slots(m)])
 
     def mention(self, mention_id: str) -> Mention:
         return self.by_id[mention_id]
@@ -181,24 +198,25 @@ class Document:
         return self._ordered
 
     @cached_property
+    def slot_mentions(self) -> tuple[Mention, ...]:
+        """The mention that owns each of ``slots``, built on first read."""
+        return tuple([m for m in self._ordered for _ in KIND_SLOTS.get(m.kind, ())])
+
+    @cached_property
     def gold(self) -> GoldTable:
         """The document's GoldTable, the one map from a slot to its gold
         parent: built on first read, kept while the document lives, and read
         by the scorer's gold positions and by evaluation. Parsing and
-        prediction never read it."""
+        prediction never read it. A mention of unknown kind raises CorpusError."""
+        if unknown := next((m for m in self._ordered if m.kind not in KIND_SLOTS), None):
+            raise CorpusError(f"mention {unknown.id} has unknown kind {unknown.kind!r}")
         first = {(e.child, e.slot): e.parent for e in reversed(self.gold_edges)}
+        parents = tuple(map(first.get, self.slots))  # a Slot hashes as its tuple
         by_id = self.by_id
-        parents: list[str | None] = []
-        categories = bytearray()
-        for m in self._ordered:
-            for slot in KIND_SLOTS[m.kind]:
-                parent = first.get((m.id, slot))
-                target = by_id.get(parent)
-                parents.append(parent)
-                categories.append(
-                    META_PARENT if parent in META_NODES else NOT_A_MENTION if target is None
-                    else SAME_SENTENCE if target.sentence == m.sentence else OTHER_SENTENCE)
-        return GoldTable(tuple(parents), bytes(categories))
+        return GoldTable(parents, bytes([
+            META_PARENT if parent in META_NODES else NOT_A_MENTION if target is None
+            else SAME_SENTENCE if target.sentence == m.sentence else OTHER_SENTENCE
+            for parent, m, target in zip(parents, self.slot_mentions, map(by_id.get, parents))]))
 
 
 Corpus = list[Document]
@@ -252,19 +270,19 @@ _NO_RULES: dict[str, tuple[tuple[str, ...], str]] = {}
 def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[str]:
     """Check that ``edges`` fill every slot of ``doc`` legally and without a cycle.
 
-    Violations list the unfilled slots in document order (a mention's slots
-    in KIND_SLOTS order), then the edges that break PARENT_RULES in edge
-    order, then one cycle. An edge whose child is no mention, or whose slot
-    its child's kind does not have, does not belong to the document. Kinds
-    are read from ``doc.by_id``, and the edges from a mention to a mention,
-    the only ones that can close a cycle, go to find_cycle as its
-    adjacency, a list of parents per child in edge order.
+    Violations list the unfilled slots in ``doc.slots`` order, then the
+    edges that break PARENT_RULES in edge order, then one cycle. An edge
+    whose child is no mention, or whose slot its child's kind does not have,
+    does not belong to the document. Kinds are read from ``doc.by_id``, and
+    the edges from a mention to a mention, the only ones that can close a
+    cycle, go to find_cycle as its adjacency, a list of parents per child in
+    edge order.
 
     One pass over the edges checks them and counts those that belong. Each
     fills a distinct slot of a mention id under the kind ``doc.by_id``
-    gives it, so they number ``doc.n_slots`` only when every such slot is
-    filled and no earlier mention of a repeated id owns a slot; only when
-    they number fewer are the mentions walked for unfilled slots. A legal
+    gives it, so they number ``len(doc.slots)`` only when every such slot
+    is filled and no earlier mention of a repeated id owns a slot; only when
+    they number fewer are the slots walked for unfilled ones. A legal
     edge allocates nothing but its child's entry in the adjacency.
     """
     by_id = doc.by_id
@@ -291,9 +309,8 @@ def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[st
                                       or target.kind != rule[1]):
             illegal.append(f"slot {Slot(child, name)}: parent {parent} is not a legal candidate")
     violations: list[str] = []
-    if belonging < doc.n_slots:
-        violations = [f"slot {Slot(m.id, slot)} is unfilled" for m in doc.ordered_mentions()
-                      for slot in KIND_SLOTS.get(m.kind, ()) if (m.id, slot) not in edges]
+    if belonging < len(doc.slots):
+        violations = [f"slot {slot} is unfilled" for slot in doc.slots if slot not in edges]
     violations += illegal
     if succs:
         cycle = find_cycle(by_id, succs)

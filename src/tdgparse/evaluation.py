@@ -11,7 +11,8 @@ rounded to 2 decimals. ``report_to_json`` renders one seed's MetricsReport and
 category entry. Each slot's gold parent and gold category are read from its
 document's ``corpus.GoldTable``, which the document builds on first read and
 keeps, so scoring a gold corpus again, for another seed or another pass,
-categorizes only the predicted parents.
+categorizes only the predicted parents. Predictions are looked up by
+``Document.slots``, the very keys of a decoded or read-back graph.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .corpus import KIND_SLOTS, META_NODES, NOT_A_MENTION, Corpus, Document, Slot
+from .corpus import META_NODES, NOT_A_MENTION, Corpus, CorpusError, Document
 from .graph import TemporalDependencyGraph
 
 INTRA_SENTENCE = "intra_sentence"
@@ -70,14 +71,13 @@ def attachment_accuracy(preds: dict[str, TemporalDependencyGraph], gold: Corpus)
 
 
 def _slot_errors(doc: Document, edges: dict) -> Iterator[EvaluationError]:
-    """The error of each of doc's slots, in slot_instances order, that has no
+    """The error of each of doc's slots, in ``doc.slots`` order, that has no
     prediction, has a gold parent that is no mention or meta node, or has a
     predicted parent that is neither, in that order of checks: the first is
     the error partitioned_prf raises for doc."""
     parents, categories = doc.gold
     by_id = doc.by_id
-    keys = [Slot(m.id, slot) for m in doc.ordered_mentions() for slot in KIND_SLOTS[m.kind]]
-    for key, gold_parent, gold_cat in zip(keys, parents, categories):
+    for key, gold_parent, gold_cat in zip(doc.slots, parents, categories):
         pred_parent = edges.get(key)
         if pred_parent is None:
             yield EvaluationError(f"document {doc.id}: missing prediction for slot {key}")
@@ -94,17 +94,17 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
                     seed: int | str | None = None,
                     variant: str | None = None) -> MetricsReport:
     """Per-category precision/recall/F1 plus overall accuracy, over every slot
-    of every gold document in slot_instances order.
+    of every gold document in ``Document.slots`` order.
 
     Gold parents and categories come from each document's gold table, whose
     categories are CATEGORIES indexes; a predicted parent other than the
-    gold one is categorized through the document's ``by_id`` map. Counts
-    are plain ints, one per CATEGORIES entry, which make each
-    CategoryMetrics at the end; a hit counts as predicted in its gold
-    category, so predicted counts are hits plus misses. A slot without a
-    prediction, without a gold edge, or with a parent that is no mention of
-    the document raises EvaluationError, as does a gold mention of a kind
-    without KIND_SLOTS; _slot_errors words the first of a document's.
+    gold one is categorized through the document's ``by_id`` map, against
+    the sentence of the slot's own mention. Counts are plain ints, one per
+    CATEGORIES entry, which make each CategoryMetrics at the end; a hit
+    counts as predicted in its gold category, so predicted counts are hits
+    plus misses. A slot without a prediction, without a gold edge, or with
+    a parent that is no mention of the document raises EvaluationError, as
+    does a gold mention of unknown kind; _slot_errors words the first.
     """
     gold_n, miss_n, hit_n = [0, 0, 0], [0, 0, 0], [0, 0, 0]  # per CATEGORIES entry
     for doc in gold:
@@ -114,33 +114,27 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
         edges = graph.edges
         try:
             parents, categories = doc.gold
-        except KeyError:  # the gold table's KIND_SLOTS lookup
-            m = next(m for m in doc.ordered_mentions() if m.kind not in KIND_SLOTS)
-            raise EvaluationError(f"document {doc.id}: mention {m.id} has unknown "
-                                  f"kind {m.kind!r}") from None
+        except CorpusError as exc:  # a mention of unknown kind
+            raise EvaluationError(f"document {doc.id}: {exc}") from None
         if NOT_A_MENTION in categories:
             raise next(_slot_errors(doc, edges))
         for cat in range(3):
             gold_n[cat] += categories.count(cat)
         # no gold parent is None now, so a missing prediction takes the miss branch
         by_id = doc.by_id
-        i = 0  # the slot's row of the gold table
-        for m in doc.ordered_mentions():
-            child, sentence = m.id, m.sentence
-            for slot in KIND_SLOTS[m.kind]:
-                pred_parent = edges.get((child, slot))  # a Slot hashes as its tuple
-                if pred_parent == parents[i]:  # then its category is the gold one
-                    hit_n[categories[i]] += 1
-                elif pred_parent is None:
-                    raise next(_slot_errors(doc, edges))
-                else:
-                    try:  # the gold table's rule: 2 for a meta parent, else 0 in
-                        # the child's sentence and 1 outside it
-                        miss_n[2 if pred_parent in META_NODES else
-                               0 if by_id[pred_parent].sentence == sentence else 1] += 1
-                    except KeyError:
-                        raise next(_slot_errors(doc, edges)) from None
-                i += 1
+        for pred_parent, gold_parent, cat, m in zip(map(edges.get, doc.slots), parents,
+                                                    categories, doc.slot_mentions):
+            if pred_parent == gold_parent:  # then its category is the gold one
+                hit_n[cat] += 1
+            elif pred_parent is None:
+                raise next(_slot_errors(doc, edges))
+            else:
+                try:  # the gold table's rule: 2 for a meta parent, else 0 in
+                    # the child's sentence and 1 outside it
+                    miss_n[2 if pred_parent in META_NODES else
+                           0 if by_id[pred_parent].sentence == m.sentence else 1] += 1
+                except KeyError:
+                    raise next(_slot_errors(doc, edges)) from None
     pred_n = [miss + hit for miss, hit in zip(miss_n, hit_n)]
     total = sum(gold_n)
     if total == 0:

@@ -6,11 +6,11 @@ candidate per slot; decoding fills slots one at a time, always taking the
 highest-ranked candidate that keeps the growing graph acyclic. Meta parents
 (DCT, ROOT, NO_EVENT) can never close a cycle, so decoding is total.
 
-graph_from_json reads a prediction back in one typed pass, a comprehension
-of direct subscripts that builds the edge map when every edge is an object
-of three strings, no slot repeats and the id is the document's own; any
-other prediction is read again edge by edge, the path that words every
-error. Either way the map goes through validate_graph.
+Layouts and decoded graphs use the document's own ``Document.slots``, and
+graph_from_json keys a prediction by them in one typed pass when its id is
+the document's and its edges name those slots in order; any other is read
+again edge by edge, the path that words every error. Either way the map
+goes through validate_graph.
 """
 
 from __future__ import annotations
@@ -67,32 +67,23 @@ class TemporalDependencyGraph:
     edges: dict[Slot, str]
 
 
-# each kind's slots as (slot, meta parents as rows of META_NODES in a C int
-# array, parent kind)
-_KIND_RULES = {kind: [(slot, array("i", map(META_NODES.index, PARENT_RULES[kind, slot][0])),
+# each kind's slots in order, as (meta parents as META_NODES rows in a C int array, parent kind)
+_KIND_RULES = {kind: [(array("i", map(META_NODES.index, PARENT_RULES[kind, slot][0])),
                        PARENT_RULES[kind, slot][1]) for slot in slots]
                for kind, slots in KIND_SLOTS.items()}
 
-# tuple.__new__(Slot, (child, slot)) builds a Slot without the Python-level
-# __new__ that NamedTuple generates, on paths that make one per slot
-_new_tuple = tuple.__new__
-
 
 def slot_instances(doc: Document) -> list[Slot]:
-    """All slots of a document in canonical order.
-
-    Children follow document order; for an event the reference-timex slot
-    precedes the reference-event slot.
-    """
-    return [_new_tuple(Slot, (m.id, slot))
-            for m in doc.ordered_mentions() for slot in KIND_SLOTS[m.kind]]
+    """All slots of a document in canonical order, ``doc.slots`` as a list:
+    children in document order, an event's reference-timex slot first."""
+    return list(doc.slots)
 
 
 class CandidateLayout(NamedTuple):
     """The legal parents of every slot of one document, as flat arrays.
 
-    ``slots`` are in slot_instances order. ``names`` holds the META_NODES,
-    then the mention ids in document order. Slot i's candidates are
+    ``slots`` are ``doc.slots``. ``names`` holds the META_NODES, then the
+    mention ids in document order. Slot i's candidates are
     positions ``starts[i]`` up to the next slot's start (or the end) of
     ``cand``, and candidate k is ``names[cand[k]]``, of slot ``cand_slot[k]``.
     ``slot_child[i]`` is slot i's child as a mention row, its position in
@@ -100,7 +91,7 @@ class CandidateLayout(NamedTuple):
     """
 
     doc: Document
-    slots: list[Slot]
+    slots: tuple[Slot, ...]
     names: tuple[str, ...]
     starts: np.ndarray
     cand: np.ndarray
@@ -114,7 +105,7 @@ class CandidateLayout(NamedTuple):
 
 
 def candidate_layout(doc: Document) -> CandidateLayout:
-    """The candidates of every slot under PARENT_RULES.
+    """The candidates of every slot of ``doc.slots`` under PARENT_RULES.
 
     A slot's meta parents come first, in PARENT_RULES order, then its mention
     parents in document order. The candidate rows grow in one C int buffer
@@ -125,15 +116,13 @@ def candidate_layout(doc: Document) -> CandidateLayout:
     rows = {kind: array("i", [n_meta + i for i, m in enumerate(mentions) if m.kind == kind])
             for kind in KIND_SLOTS}
     seen = dict.fromkeys(KIND_SLOTS, 0)  # mentions of each kind before this one
-    slots: list[Slot] = []
     starts: list[int] = []
     slot_child: list[int] = []
     cand = array("i")
     for row, m in enumerate(mentions):
         i = seen[m.kind]
         seen[m.kind] = i + 1
-        for slot, metas, kind in _KIND_RULES[m.kind]:
-            slots.append(_new_tuple(Slot, (m.id, slot)))
+        for metas, kind in _KIND_RULES[m.kind]:
             starts.append(len(cand))
             slot_child.append(row)
             cand += metas
@@ -144,9 +133,9 @@ def candidate_layout(doc: Document) -> CandidateLayout:
             else:
                 cand += parents
     starts_array = np.array(starts, dtype=np.int32)
-    return CandidateLayout(doc, slots, META_NODES + tuple(m.id for m in mentions), starts_array,
-                           np.frombuffer(cand, dtype=np.intc), slot_of(starts_array, len(cand)),
-                           np.array(slot_child, dtype=np.int32))
+    return CandidateLayout(doc, doc.slots, META_NODES + tuple(m.id for m in mentions),
+                           starts_array, np.frombuffer(cand, dtype=np.intc),
+                           slot_of(starts_array, len(cand)), np.array(slot_child, dtype=np.int32))
 
 
 def candidate_set(doc: Document, slot: Slot) -> list[str]:
@@ -327,26 +316,26 @@ def validate_graph(graph: TemporalDependencyGraph, doc: Document) -> list[str]:
 
 
 def graph_to_json(graph: TemporalDependencyGraph, doc: Document) -> dict:
-    """Serialize a decoded graph with edges in canonical (slot_instances)
+    """Serialize a decoded graph with edges in canonical (``doc.slots``)
     order: each slot of doc the graph holds, whatever its parent."""
     edges = graph.edges
     return {"id": graph.doc_id,
-            "edges": [{"child": m.id, "slot": slot, "parent": edges[m.id, slot]}
-                      for m in doc.ordered_mentions() for slot in KIND_SLOTS[m.kind]
-                      if (m.id, slot) in edges]}
+            "edges": [{"child": slot[0], "slot": slot[1], "parent": edges[slot]}
+                      for slot in doc.slots if slot in edges]}
 
 
 def _typed_edges(obj: dict, doc: Document) -> dict[Slot, str] | None:
-    """A prediction's edge map built in one comprehension of direct
-    subscripts, or None unless every edge is an object of three strings, no
-    slot repeats and ``id`` is doc's own string. ``intern`` takes an exact
-    str only, so it checks every name it interns; a missing field, or an
-    edge that is no object, raises KeyError or TypeError."""
+    """A prediction's edge map keyed by ``doc.slots`` themselves, or None
+    unless ``id`` is doc's own string and the edges name those slots, each
+    once and in order. Only parents are interned, and ``intern`` takes an
+    exact str only; a missing field, or an edge that is no object, raises
+    KeyError or TypeError."""
     links, doc_id = obj["edges"], obj["id"]
-    if type(links) is not list or type(doc_id) is not str or doc_id != doc.id:
+    slots = doc.slots
+    if type(links) is not list or type(doc_id) is not str or doc_id != doc.id \
+            or [(e["child"], e["slot"]) for e in links] != [*slots]:
         return None
-    edges = {_new_tuple(Slot, (intern(e["child"]), intern(e["slot"]))): intern(e["parent"])
-             for e in links}
+    edges = dict(zip(slots, [intern(e["parent"]) for e in links]))
     return edges if len(edges) == len(links) else None
 
 
@@ -358,8 +347,8 @@ def _edges_by_field(obj: dict, doc: Document) -> dict[Slot, str]:
     edges: dict[Slot, str] = {}
     for e in json_field(obj, "edges", list, "", dict):
         child, name = e["child"], e["slot"]
-        slot = _new_tuple(Slot, (intern(child) if type(child) is str else child,
-                                 intern(name) if type(name) is str else name))
+        slot = Slot(intern(child) if type(child) is str else child,
+                    intern(name) if type(name) is str else name)
         if slot in edges:
             raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
         parent = e["parent"]
@@ -373,9 +362,9 @@ def _edges_by_field(obj: dict, doc: Document) -> dict[Slot, str]:
 def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
     """Read a graph_to_json object back and validate it against doc.
 
-    The edge map is built by one typed pass (_typed_edges) when every edge
-    is an object of three strings, no slot repeats and ``id`` is doc's own
-    string; any other object is read again one edge at a time
+    The edge map is built by one typed pass (_typed_edges) when ``id`` is
+    doc's own string and the edges name ``doc.slots`` in order, each with a
+    string parent; any other object is read again one edge at a time
     (_edges_by_field), the path that words every error. A field of the
     wrong JSON type raises FieldError, and an ``id`` other than doc's raises
     GraphError naming both. Edge names are left to validate_graph, which

@@ -13,8 +13,9 @@ buckets included. The graph validator keeps the earlier package code: a
 colour-table depth-first search from every node, an explicit candidate
 list per slot and a walk over every mention for unfilled slots; the
 document validator keeps the earlier per-kind branches and per-mention edge
-counts; the analysis tables run one loop per table. The gold table's
-reference keeps the earlier package's gold-parent map.
+counts; the analysis tables run one loop per table. A document's slots are
+listed mention by mention with each kind's slots spelled out. The gold
+table's reference keeps the earlier package's gold-parent map.
 The JSON type check names each value's type and compares names; the
 prediction and corpus-line readers ask types by those names, build their
 graph or document themselves and hand it to the reference validators, and
@@ -449,6 +450,20 @@ def reference_find_cycle(node_ids: list[str],
                 path.pop()
                 stack.pop()
     return None
+
+
+def reference_slots(doc: Document) -> list[tuple[Slot, Mention]]:
+    """Each slot of doc and the mention that owns it, one mention at a time
+    in document order, each kind's slots spelled out: a timex fills a
+    reference-timex slot, an event that and then a reference-event slot, a
+    repeated id each time and a mention of another kind none."""
+    pairs = []
+    for m in sorted(doc.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id)):
+        if m.kind in ("timex", "event"):
+            pairs.append((Slot(m.id, "timex_ref"), m))
+        if m.kind == "event":
+            pairs.append((Slot(m.id, "event_ref"), m))
+    return pairs
 
 
 def reference_candidates(doc: Document) -> dict[Slot, list[str]]:

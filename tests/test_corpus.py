@@ -346,6 +346,34 @@ def test_only_corpus_writes_files():
     assert writers == {}
 
 
+def _reads_kind_slots(node: ast.AST) -> bool:
+    """Whether ``node`` subscripts KIND_SLOTS or calls KIND_SLOTS.get, by
+    its bare name or as a module attribute."""
+    if isinstance(node, ast.Subscript):
+        target = node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "get":
+        target = node.func.value
+    else:
+        return False
+    return getattr(target, "id", None) == "KIND_SLOTS" \
+        or getattr(target, "attr", None) == "KIND_SLOTS"
+
+
+def test_only_corpus_reads_a_kinds_slots():
+    """The order of a document's slots is decided in one place: no module of
+    the package but corpus.py, which builds Document.slots, subscripts
+    KIND_SLOTS or calls KIND_SLOTS.get. The scan finds corpus.py's own."""
+    readers = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _reads_kind_slots(node):
+                readers.setdefault(path.name, []).append(node.lineno)
+    assert "corpus.py" in readers
+    del readers["corpus.py"]
+    assert readers == {}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """Every name a module of the package imports (``from __future__`` aside)
     is read somewhere in that module, so a merge leaves no dead import."""

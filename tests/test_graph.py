@@ -68,7 +68,8 @@ def test_candidate_sets():
     with pytest.raises(GraphError):
         candidate_set(doc, Slot("t1", "event_ref"))
     layout = candidate_layout(doc)
-    assert layout.doc is doc and layout.slots == slot_instances(doc)
+    assert layout.doc is doc and layout.slots is doc.slots
+    assert list(layout.slots) == slot_instances(doc)
     assert layout.names == ("DCT", "ROOT", "NO_EVENT", "t1", "t2", "e1")
     assert layout.starts.tolist() == [0, 3, 6, 9]
     assert layout.cand.tolist() == [0, 1, 4, 0, 1, 3, 0, 3, 4, 2]

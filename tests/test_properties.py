@@ -25,6 +25,7 @@ from tdgparse.corpus import (
     Document,
     FieldError,
     GoldEdge,
+    Sentence,
     document_from_json,
     document_to_json,
     find_cycle,
@@ -42,12 +43,14 @@ from tdgparse.graph import (
     TemporalDependencyGraph,
     graph_from_json,
     graph_to_json,
+    greedy_decode,
+    slot_instances,
     validate_graph,
 )
 from tdgparse.scorer import ModelConfig, build_vocabulary, save_checkpoint
 from tdgparse.synth import SynthConfig, generate_synthetic_corpus
 
-from .conftest import initialized_model
+from .conftest import initialized_model, mixed_document
 from .oracles import (
     JSON_KINDS,
     brute_force_metrics,
@@ -55,6 +58,7 @@ from .oracles import (
     random_document,
     random_json_value,
     random_pred_graph,
+    random_scores,
     reference_checkpoint_ok,
     reference_corpus_line_ok,
     reference_dp_rows_ok,
@@ -62,6 +66,7 @@ from .oracles import (
     reference_is_json,
     reference_load_error,
     reference_prediction_ok,
+    reference_slots,
     reference_synth_config_ok,
     reference_tables,
     reference_train_config_ok,
@@ -574,12 +579,20 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
         else:
             counts["refused"] += 1
 
-    rng, doc_rng = random.Random(47), random.Random(53)
+    rng, doc_rng, order_rng = random.Random(47), random.Random(53), random.Random(59)
     for trial in range(200):
         doc = random_document(rng, max_mentions=7, doc_id=f"t{trial}")
         base = gold_graph(doc) if trial % 2 else random_pred_graph(rng, doc)
         clean = json.loads(json.dumps(graph_to_json(base, doc)))
         agree(clean, doc)
+        # the typed pass takes doc.slots in their order only: a valid
+        # prediction in another order, or one with an edge dropped or
+        # repeated, is read edge by edge to the same graph or error
+        links = clean["edges"]
+        agree(dict(clean, edges=order_rng.sample(links, len(links))), doc)
+        i = order_rng.randrange(len(links))
+        agree(dict(clean, edges=links[:i] + links[i + 1:]), doc)
+        agree(dict(clean, edges=links[:i] + [dict(links[i])] + links[i:]), doc)
         obj = copy.deepcopy(clean)
         for _ in range(rng.choice([1, 1, 2])):
             _mutate_prediction(rng, doc, obj, PREDICTION_FAULTS)
@@ -594,6 +607,46 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
                     _set(mutated, path, value)
                     agree(mutated, doc)
     assert counts["loaded"] >= 200 and counts["refused"] >= 2000, counts
+
+
+def test_a_canonical_prediction_is_keyed_by_the_documents_slots():
+    """A decoded graph, and a prediction read back in doc.slots order, key
+    their edges by the very Slot objects of doc.slots; read back in another
+    order, the keys are equal Slots in that order."""
+    rng = random.Random(61)
+    for trial in range(50):
+        doc = random_document(rng, max_mentions=7, doc_id=f"k{trial}")
+        scores = random_scores(rng, doc)
+        decoded = greedy_decode(doc, scores)
+        assert all(a is b for a, b in zip(decoded.edges, doc.slots, strict=True))
+        obj = json.loads(json.dumps(graph_to_json(decoded, doc)))
+        graph = graph_from_json(obj, doc)
+        assert all(a is b for a, b in zip(graph.edges, doc.slots, strict=True))
+        obj["edges"].reverse()
+        graph = graph_from_json(obj, doc)
+        assert list(graph.edges) == list(reversed(doc.slots))
+        assert all(type(slot) is Slot for slot in graph.edges)
+
+
+def test_document_slots_match_the_reference_walk():
+    """Document.slots, and the mention owning each, are reference_slots' on
+    seeded random documents, mixed_document, copies with each of
+    DOCUMENT_FAULTS (a repeated id, an unknown kind) and a document without
+    mentions; every slot is a Slot with an interned child."""
+    rng, doc_rng = random.Random(67), random.Random(71)
+    docs = [random_document(rng, max_mentions=9, doc_id=f"s{i}") for i in range(200)]
+    faulty = [_mutate_document(doc_rng, doc) for doc in docs[:100]]
+    assert {kind for _, kind in faulty} == set(DOCUMENT_FAULTS)
+    docs += [doc for doc, _ in faulty]
+    docs.append(mixed_document()[0])
+    docs.append(Document("empty", "DCT", [Sentence(0, ("calm",))], [], []))
+    for doc in docs:
+        want = reference_slots(doc)
+        assert doc.slots == tuple(slot for slot, _ in want), doc
+        assert all(a is b for a, b in zip(doc.slot_mentions, [m for _, m in want], strict=True))
+        assert all(type(slot) is Slot and slot.child is intern(slot.child) for slot in doc.slots)
+        assert slot_instances(doc) == list(doc.slots)
+    assert docs[-1].slots == ()
 
 
 def _sentence_indexes(line: str) -> list | None:

@@ -624,7 +624,7 @@ def test_candidate_layout_matches_reference():
         doc = random_document(rng, doc_id=f"c{trial}")
         want = reference_candidates(doc)
         layout = candidate_layout(doc)
-        assert layout.slots == list(want)
+        assert layout.slots == tuple(want)
         assert layout.names == META_NODES + tuple(m.id for m in doc.ordered_mentions())
         assert layout.starts.dtype == layout.cand.dtype == np.int32
         idx = _index_document(doc, build_vocabulary([doc]))
