@@ -11,7 +11,7 @@ are frozen dataclasses with ``__slots__``, so an instance carries no
 ``__dict__``. Every token, mention id, kind, slot, parent and label a corpus
 line holds is interned (``sys.intern``), one str object per distinct value
 however many documents repeat it: a parsed 2,000-document distill corpus
-holds 8.6 MB live, where one str object per occurrence took 25.1 MB. Equal
+holds 8.8 MB live, where one str object per occurrence took 25.1 MB. Equal
 names that are one object also compare, and find dict keys, by identity.
 
 document_from_json reads a line in one typed pass: each of its lists
@@ -22,13 +22,13 @@ again one json_field at a time, the path that words every error, so a valid
 line never calls json_field and an invalid one is refused in that path's
 words.
 
-A document orders its slots once, when built, as ``Document.slots``: every
-walk over slots reads them, and decoded and read-back graphs key their
-edges by those very objects. Its gold facts per slot, its parent and where
-that parent lies, are one GoldTable, ``Document.gold``: a tuple of names and
-one byte per slot, built on first read and cached, so that scoring a corpus
-again does not build them again. Parsing, validation and prediction never
-read it.
+A document orders its slots once, when built, as ``Document.slots``, each
+mention's in one tuple that the documents of one read share: every walk
+over slots reads them, and graphs key their edges by those objects. Its
+gold facts per slot, its parent and where that parent lies, are one
+GoldTable, ``Document.gold``: a tuple of names and one byte per slot, built
+on first read and cached, so that scoring a corpus again does not build
+them again. Parsing, validation and prediction never read it.
 edge_violations checks a gold or predicted graph in one pass over its
 edges, which allocates nothing per legal edge but the adjacency it hands
 find_cycle: each child's mention parents, in edge order.
@@ -41,7 +41,7 @@ import os
 import reprlib
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 from numbers import Real
@@ -100,21 +100,16 @@ PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
 KIND_SLOTS: dict[str, tuple[str, ...]] = {
     kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in MENTION_KINDS
 }
-# each (mention id, kind)'s slots, shared by every document with such a
-# mention as interned names are; a map that reaches _SHARED_IDS keys restarts
-_SHARED_SLOTS: dict[tuple[str, str], tuple[Slot, ...]] = {}
-_SHARED_IDS = 1 << 16
+# a document's slots, one tuple per (mention id, kind), shared by the documents
+# one call builds (a corpus read, a synthetic corpus), as interned names are
+SlotShare = dict[tuple[str, str], tuple[Slot, ...]]
 
 
-def _share_slots(m: Mention) -> tuple[Slot, ...]:
-    """m's slots (none for an unknown kind), kept to be shared, its id
-    interned as a per-edge read interns it; tuple.__new__ skips the
-    Python-level __new__ that NamedTuple generates."""
-    if len(_SHARED_SLOTS) >= _SHARED_IDS:
-        _SHARED_SLOTS.clear()
-    own = _SHARED_SLOTS[m.id, m.kind] = tuple([tuple.__new__(Slot, (intern(m.id), s))
-                                               for s in KIND_SLOTS.get(m.kind, ())])
-    return own
+def _own_slots(m: Mention, share: SlotShare) -> tuple[Slot, ...]:
+    """m's slots (none for an unknown kind), kept in ``share``, its id interned; tuple.__new__
+    skips the Python-level __new__ that NamedTuple generates."""
+    return share.setdefault((m.id, m.kind), tuple([tuple.__new__(Slot, (intern(m.id), s))
+                                                   for s in KIND_SLOTS.get(m.kind, ())]))
 
 
 class CorpusError(Exception):
@@ -176,19 +171,25 @@ class Document:
     sentences: list[Sentence]
     mentions: list[Mention]
     gold_edges: list[GoldEdge]
+    # the slots share this map with other documents of one call; None shares nothing
+    share: InitVar[SlotShare | None] = None
     # each mention by id, the last of a repeated one; hot loops read it directly
     by_id: dict[str, Mention] = field(init=False, repr=False, compare=False)
     _ordered: list[Mention] = field(init=False, repr=False, compare=False)
-    # each mention's KIND_SLOTS slots in document order, a repeated id's each time
+    # each mention's KIND_SLOTS slots, in document order (none for an unknown kind)
+    mention_slots: tuple[tuple[Slot, ...], ...] = field(init=False, repr=False, compare=False)
+    # those slots one after another, a repeated id's each time
     slots: tuple[Slot, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, share: SlotShare | None) -> None:
         self.by_id = {m.id: m for m in self.mentions}
         self._ordered = ordered = sorted(
             self.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id)
         )
-        self.slots = tuple([slot for m in ordered
-                            for slot in _SHARED_SLOTS.get((m.id, m.kind)) or _share_slots(m)])
+        share = {} if share is None else share
+        self.mention_slots = own = tuple([share.get((m.id, m.kind)) or _own_slots(m, share)
+                                          for m in ordered])
+        self.slots = tuple([slot for slots in own for slot in slots])
 
     def mention(self, mention_id: str) -> Mention:
         return self.by_id[mention_id]
@@ -200,7 +201,7 @@ class Document:
     @cached_property
     def slot_mentions(self) -> tuple[Mention, ...]:
         """The mention that owns each of ``slots``, built on first read."""
-        return tuple([m for m in self._ordered for _ in KIND_SLOTS.get(m.kind, ())])
+        return tuple([m for m, own in zip(self._ordered, self.mention_slots) for _ in own])
 
     @cached_property
     def gold(self) -> GoldTable:
@@ -208,7 +209,7 @@ class Document:
         parent: built on first read, kept while the document lives, and read
         by the scorer's gold positions and by evaluation. Parsing and
         prediction never read it. A mention of unknown kind raises CorpusError."""
-        if unknown := next((m for m in self._ordered if m.kind not in KIND_SLOTS), None):
+        if unknown := next((m for m in self._ordered if m.kind not in MENTION_KINDS), None):
             raise CorpusError(f"mention {unknown.id} has unknown kind {unknown.kind!r}")
         first = {(e.child, e.slot): e.parent for e in reversed(self.gold_edges)}
         parents = tuple(map(first.get, self.slots))  # a Slot hashes as its tuple
@@ -477,10 +478,10 @@ def _parts_by_field(obj: dict) -> _Parts:
     return doc_id, dct, sentences, mentions, edges
 
 
-def document_from_json(obj: dict) -> Document:
+def document_from_json(obj: dict, share: SlotShare | None = None) -> Document:
     """Build a Document from its JSON object, giving every event without an
     event_ref edge a NO_EVENT one; a missing field, or one whose JSON type is
-    not the documented one, raises FieldError. Every name is interned.
+    not the documented one, raises FieldError. Names are interned, slots shared via ``share``.
 
     One typed pass builds a line whose every field has its type; any other
     line is read again field by field, which words the error."""
@@ -493,7 +494,7 @@ def document_from_json(obj: dict) -> Document:
     edges += [GoldEdge(child=m.id, slot=EVENT_REF, parent=NO_EVENT)
               for m in mentions if m.kind == EVENT and m.id not in covered]
     return Document(id=doc_id, dct=dct, sentences=sentences, mentions=mentions,
-                    gold_edges=edges)
+                    gold_edges=edges, share=share)
 
 
 def decode_line(line: bytes) -> str:
@@ -511,10 +512,11 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[s
     document (not UTF-8, malformed JSON, a structural error, a duplicate
     id); its one violation then names the line itself. Otherwise
     ``violations`` is what validate_document finds in it. Blank lines are
-    skipped.
+    skipped. The documents of one read share their slots.
     """
     name = str(path)
     seen: set[str] = set()
+    share: SlotShare = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             where = f"{name}:{lineno}"
@@ -522,7 +524,7 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, Document | None, list[s
                 line = decode_line(raw)
                 if not line or line.isspace():
                     continue
-                doc = document_from_json(parse_object(line))
+                doc = document_from_json(parse_object(line), share)
             except FieldError as exc:
                 yield where, None, [f"{where}: {exc}"]
                 continue

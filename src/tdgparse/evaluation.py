@@ -142,17 +142,11 @@ def partitioned_prf(preds: dict[str, TemporalDependencyGraph], gold: Corpus,
     cats: dict[str, CategoryMetrics] = {}
     flags: list[str] = []
     for name, n_gold, n_pred, n_hit in zip(CATEGORIES, gold_n, pred_n, hit_n):
-        precision = recall = f1 = 0.0
-        if n_pred > 0:
-            precision = n_hit / n_pred
-        else:
-            flags.append(f"{name}:precision_undefined")
-        if n_gold > 0:
-            recall = n_hit / n_gold
-        else:
-            flags.append(f"{name}:recall_undefined")
-        if precision + recall > 0:
-            f1 = 2 * precision * recall / (precision + recall)
+        precision = n_hit / n_pred if n_pred else 0.0
+        recall = n_hit / n_gold if n_gold else 0.0
+        flags += [f"{name}:{rate}_undefined"
+                  for rate, n in (("precision", n_pred), ("recall", n_gold)) if not n]
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         cats[name] = CategoryMetrics(n_gold, n_pred, n_hit, precision, recall, f1)
     return MetricsReport(corpus=corpus_identity(gold), seed=seed,
                          accuracy=sum(hit_n) / total, total_slots=total,

@@ -6,11 +6,10 @@ candidate per slot; decoding fills slots one at a time, always taking the
 highest-ranked candidate that keeps the growing graph acyclic. Meta parents
 (DCT, ROOT, NO_EVENT) can never close a cycle, so decoding is total.
 
-Layouts and decoded graphs use the document's own ``Document.slots``, and
-graph_from_json keys a prediction by them in one typed pass when its id is
-the document's and its edges name those slots in order; any other is read
-again edge by edge, the path that words every error. Either way the map
-goes through validate_graph.
+Layouts and decoded graphs use the document's own ``Document.slots``, as
+does graph_from_json's typed pass on a prediction whose edges name them in
+order; any prediction the typed pass refuses is read again edge by edge, the
+path that words every error. Either way the map goes through validate_graph.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import eq, itemgetter
 from sys import intern
 from typing import NamedTuple
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import (
     EVENT_REF,
-    KIND_SLOTS,
+    MENTION_KINDS,
     META_NODES,
     PARENT_RULES,
     TIMEX,
@@ -33,6 +33,7 @@ from .corpus import (
     Document,
     Slot,
     edge_violations,
+    intern_str,
     json_field,
 )
 
@@ -67,10 +68,10 @@ class TemporalDependencyGraph:
     edges: dict[Slot, str]
 
 
-# each kind's slots in order, as (meta parents as META_NODES rows in a C int array, parent kind)
-_KIND_RULES = {kind: [(array("i", map(META_NODES.index, PARENT_RULES[kind, slot][0])),
-                       PARENT_RULES[kind, slot][1]) for slot in slots]
-               for kind, slots in KIND_SLOTS.items()}
+# kind -> slot -> (meta parents as META_NODES rows in a C int array, parent kind)
+_LAYOUT_RULES = {kind: {slot: (array("i", map(META_NODES.index, metas)), parent_kind)
+                        for (k, slot), (metas, parent_kind) in PARENT_RULES.items() if k == kind}
+                 for kind in MENTION_KINDS}
 
 
 def slot_instances(doc: Document) -> list[Slot]:
@@ -114,15 +115,17 @@ def candidate_layout(doc: Document) -> CandidateLayout:
     mentions = doc.ordered_mentions()
     n_meta = len(META_NODES)
     rows = {kind: array("i", [n_meta + i for i, m in enumerate(mentions) if m.kind == kind])
-            for kind in KIND_SLOTS}
-    seen = dict.fromkeys(KIND_SLOTS, 0)  # mentions of each kind before this one
+            for kind in MENTION_KINDS}
+    seen = dict.fromkeys(MENTION_KINDS, 0)  # mentions of each kind before this one
     starts: list[int] = []
     slot_child: list[int] = []
     cand = array("i")
-    for row, m in enumerate(mentions):
+    for row, (m, own) in enumerate(zip(mentions, doc.mention_slots)):
         i = seen[m.kind]
         seen[m.kind] = i + 1
-        for metas, kind in _KIND_RULES[m.kind]:
+        rules = _LAYOUT_RULES[m.kind]
+        for slot in own:
+            metas, kind = rules[slot[1]]
             starts.append(len(cand))
             slot_child.append(row)
             cand += metas
@@ -325,17 +328,19 @@ def graph_to_json(graph: TemporalDependencyGraph, doc: Document) -> dict:
 
 
 def _typed_edges(obj: dict, doc: Document) -> dict[Slot, str] | None:
-    """A prediction's edge map keyed by ``doc.slots`` themselves, or None
-    unless ``id`` is doc's own string and the edges name those slots, each
-    once and in order. Only parents are interned, and ``intern`` takes an
-    exact str only; a missing field, or an edge that is no object, raises
-    KeyError or TypeError."""
-    links, doc_id = obj["edges"], obj["id"]
-    slots = doc.slots
-    if type(links) is not list or type(doc_id) is not str or doc_id != doc.id \
-            or [(e["child"], e["slot"]) for e in links] != [*slots]:
+    """A prediction's edge map built by direct subscripts, or None unless ``id`` is
+    doc's own string, every edge an object of three strings and no slot repeats.
+    Edges naming ``doc.slots`` in order are keyed by them, others by new Slots
+    (tuple.__new__ skips NamedTuple's __new__); ``intern`` takes an exact str only.
+    A missing field, or an edge that is no object, raises KeyError or TypeError."""
+    links, doc_id, slots = obj["edges"], obj["id"], doc.slots
+    if type(links) is not list or type(doc_id) is not str or doc_id != doc.id:
         return None
-    edges = dict(zip(slots, [intern(e["parent"]) for e in links]))
+    if len(links) == len(slots) and all(map(eq, map(itemgetter("child", "slot"), links), slots)):
+        edges = dict(zip(slots, [intern(e["parent"]) for e in links]))
+    else:
+        edges = {tuple.__new__(Slot, (intern(e["child"]), intern(e["slot"]))):
+                 intern(e["parent"]) for e in links}
     return edges if len(edges) == len(links) else None
 
 
@@ -346,13 +351,10 @@ def _edges_by_field(obj: dict, doc: Document) -> dict[Slot, str]:
     unhashable name or a missing one raises TypeError or KeyError."""
     edges: dict[Slot, str] = {}
     for e in json_field(obj, "edges", list, "", dict):
-        child, name = e["child"], e["slot"]
-        slot = Slot(intern(child) if type(child) is str else child,
-                    intern(name) if type(name) is str else name)
+        slot = Slot(intern_str(e["child"]), intern_str(e["slot"]))
         if slot in edges:
             raise GraphError(f"document {doc.id}: duplicate edge for {slot}")
-        parent = e["parent"]
-        edges[slot] = intern(parent) if type(parent) is str else parent
+        edges[slot] = intern_str(e["parent"])
     doc_id = json_field(obj, "id", str)
     if doc_id != doc.id:
         raise GraphError(f"document {doc.id}: the prediction is for document {doc_id}")
@@ -362,9 +364,9 @@ def _edges_by_field(obj: dict, doc: Document) -> dict[Slot, str]:
 def graph_from_json(obj: dict, doc: Document) -> TemporalDependencyGraph:
     """Read a graph_to_json object back and validate it against doc.
 
-    The edge map is built by one typed pass (_typed_edges) when ``id`` is
-    doc's own string and the edges name ``doc.slots`` in order, each with a
-    string parent; any other object is read again one edge at a time
+    The edge map is built by one typed pass (_typed_edges) when every edge
+    is an object of three strings, no slot repeats and ``id`` is doc's own
+    string; any other object is read again one edge at a time
     (_edges_by_field), the path that words every error. A field of the
     wrong JSON type raises FieldError, and an ``id`` other than doc's raises
     GraphError naming both. Edge names are left to validate_graph, which

@@ -45,6 +45,7 @@ from .corpus import (
     GoldEdge,
     Mention,
     Sentence,
+    SlotShare,
     json_field,
 )
 
@@ -170,7 +171,8 @@ def generate_synthetic_corpus(config: SynthConfig,
     cdf = (weights / weights.sum()).cumsum()  # as rng.choice(..., p=weights) builds it
     cdf /= cdf[-1]
 
-    # every token, and every mention id, is one shared str object per value
+    # every token, mention id and slot is one shared object per value
+    share: SlotShare = {}
     cues = {ct: cue_token(ct) for ct in ContentType}
     mention_tokens = {TIMEX: [f"tx{i}" for i in range(config.timex_vocab_size)],
                       EVENT: [f"ev{i}" for i in range(config.event_vocab_size)]}
@@ -270,7 +272,7 @@ def generate_synthetic_corpus(config: SynthConfig,
                f"{1 + int(rng.integers(0, 12)):02d}-"
                f"{1 + int(rng.integers(0, 28)):02d}")
         docs.append(Document(id=doc_id, dct=dct, sentences=sentences,
-                             mentions=mentions, gold_edges=edges))
+                             mentions=mentions, gold_edges=edges, share=share))
         for s in range(n_sents):
             labels[(doc_id, s)] = sent_types[s]
     return docs, labels

@@ -346,28 +346,23 @@ def test_only_corpus_writes_files():
     assert writers == {}
 
 
-def _reads_kind_slots(node: ast.AST) -> bool:
-    """Whether ``node`` subscripts KIND_SLOTS or calls KIND_SLOTS.get, by
-    its bare name or as a module attribute."""
-    if isinstance(node, ast.Subscript):
-        target = node.value
-    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-            and node.func.attr == "get":
-        target = node.func.value
-    else:
-        return False
-    return getattr(target, "id", None) == "KIND_SLOTS" \
-        or getattr(target, "attr", None) == "KIND_SLOTS"
+def _names_kind_slots(node: ast.AST) -> bool:
+    """Whether ``node`` names KIND_SLOTS: reads it by its bare name or as a
+    module attribute, or imports it."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "KIND_SLOTS" for alias in node.names)
+    return getattr(node, "id", None) == "KIND_SLOTS" \
+        or isinstance(node, ast.Attribute) and node.attr == "KIND_SLOTS"
 
 
 def test_only_corpus_reads_a_kinds_slots():
     """The order of a document's slots is decided in one place: no module of
-    the package but corpus.py, which builds Document.slots, subscripts
-    KIND_SLOTS or calls KIND_SLOTS.get. The scan finds corpus.py's own."""
+    the package but corpus.py, which builds Document.slots, imports or reads
+    KIND_SLOTS in any way. The scan finds corpus.py's own."""
     readers = {}
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if _reads_kind_slots(node):
+            if _names_kind_slots(node):
                 readers.setdefault(path.name, []).append(node.lineno)
     assert "corpus.py" in readers
     del readers["corpus.py"]
@@ -509,6 +504,30 @@ def test_a_corpus_holds_one_object_per_distinct_name(tmp_path):
 
     synthetic, _ = generate_synthetic_corpus(SynthConfig(n_docs=6), seed=3)
     _assert_shares_names(synthetic)
+
+
+def test_the_documents_of_one_call_share_their_slots(tmp_path):
+    """The documents of one parse_corpus or generator call hold one tuple of
+    Slots per mention id and kind; another read, and a document built on its
+    own, hold their own, so no Slot outlives the documents that hold it."""
+    objs = [{**HAND_DOCS[0], "id": f"doc-{n}"} for n in ("one", "two")]
+    path = tmp_path / "two.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs), encoding="utf-8")
+    one, two = parse_corpus(path)
+    assert one.slots and all(a is b for a, b in zip(one.mention_slots, two.mention_slots,
+                                                    strict=True))
+    again = parse_corpus(path)[0]
+    alone = Document(one.id, one.dct, one.sentences, one.mentions, one.gold_edges)
+    for other in (again, alone):
+        assert other.slots == one.slots
+        assert not any(a is b for a, b in zip(other.slots, one.slots))
+
+    synthetic, _ = generate_synthetic_corpus(SynthConfig(n_docs=6), seed=3)
+    share: dict = {}
+    for doc in synthetic:
+        for m, own in zip(doc.ordered_mentions(), doc.mention_slots, strict=True):
+            assert share.setdefault((m.id, m.kind), own) is own
+    assert len(share) < sum(len(doc.mentions) for doc in synthetic)
 
 
 # each gold table category by the name reference_gold_table gives it

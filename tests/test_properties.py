@@ -585,9 +585,9 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
         base = gold_graph(doc) if trial % 2 else random_pred_graph(rng, doc)
         clean = json.loads(json.dumps(graph_to_json(base, doc)))
         agree(clean, doc)
-        # the typed pass takes doc.slots in their order only: a valid
-        # prediction in another order, or one with an edge dropped or
-        # repeated, is read edge by edge to the same graph or error
+        # the typed pass keys doc.slots themselves only in their order: a
+        # valid prediction in another order, or one with an edge dropped or
+        # repeated, gives the same graph or error either way
         links = clean["edges"]
         agree(dict(clean, edges=order_rng.sample(links, len(links))), doc)
         i = order_rng.randrange(len(links))
@@ -609,10 +609,15 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
     assert counts["loaded"] >= 200 and counts["refused"] >= 2000, counts
 
 
-def test_a_canonical_prediction_is_keyed_by_the_documents_slots():
+def test_a_canonical_prediction_is_keyed_by_the_documents_slots(monkeypatch):
     """A decoded graph, and a prediction read back in doc.slots order, key
     their edges by the very Slot objects of doc.slots; read back in another
-    order, the keys are equal Slots in that order."""
+    order, the keys are equal Slots in that order. Either order takes the
+    typed pass, never the per-edge path."""
+    def per_edge(obj, doc):
+        raise AssertionError("a valid prediction was read edge by edge")
+
+    monkeypatch.setattr(graph_module, "_edges_by_field", per_edge)
     rng = random.Random(61)
     for trial in range(50):
         doc = random_document(rng, max_mentions=7, doc_id=f"k{trial}")
