@@ -29,9 +29,11 @@ gold facts per slot, its parent and where that parent lies, are one
 GoldTable, ``Document.gold``: a tuple of names and one byte per slot, built
 on first read and cached, so that scoring a corpus again does not build
 them again. Parsing, validation and prediction never read it.
-edge_violations checks a gold or predicted graph in one pass over its
-edges, which allocates nothing per legal edge but the adjacency it hands
-find_cycle: each child's mention parents, in edge order.
+edge_violations checks a gold or predicted graph in one walk over the
+document's slots, which finds a cycle by walking up the timex and event
+chains, the only edges that can close one; only a graph that walk cannot
+pass is checked edge by edge, with find_cycle, the path that words every
+violation.
 """
 
 from __future__ import annotations
@@ -100,16 +102,20 @@ PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
 KIND_SLOTS: dict[str, tuple[str, ...]] = {
     kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in MENTION_KINDS
 }
-# a document's slots, one tuple per (mention id, kind), shared by the documents
-# one call builds (a corpus read, a synthetic corpus), as interned names are
-SlotShare = dict[tuple[str, str], tuple[Slot, ...]]
+# a document's slots, one tuple per mention id in a map per kind, shared by the
+# documents one call builds (a corpus read, a synthetic corpus), as interned names are
+SlotShare = dict[str, dict[str, tuple[Slot, ...]]]
+_NO_IDS: dict[str, tuple[Slot, ...]] = {}
 
 
 def _own_slots(m: Mention, share: SlotShare) -> tuple[Slot, ...]:
-    """m's slots (none for an unknown kind), kept in ``share``, its id interned; tuple.__new__
-    skips the Python-level __new__ that NamedTuple generates."""
-    return share.setdefault((m.id, m.kind), tuple([tuple.__new__(Slot, (intern(m.id), s))
-                                                   for s in KIND_SLOTS.get(m.kind, ())]))
+    """m's slots (none for an unknown kind), kept in its kind's map of ``share``, its id
+    interned; tuple.__new__ skips the Python-level __new__ that NamedTuple generates."""
+    ids = share.get(m.kind)
+    if ids is None:
+        ids = share[m.kind] = {}
+    return ids.setdefault(m.id, tuple([tuple.__new__(Slot, (intern(m.id), s))
+                                       for s in KIND_SLOTS.get(m.kind, ())]))
 
 
 class CorpusError(Exception):
@@ -187,8 +193,8 @@ class Document:
             self.mentions, key=lambda m: (m.sentence, m.start, m.end, m.id)
         )
         share = {} if share is None else share
-        self.mention_slots = own = tuple([share.get((m.id, m.kind)) or _own_slots(m, share)
-                                          for m in ordered])
+        self.mention_slots = own = tuple([share.get(m.kind, _NO_IDS).get(m.id)
+                                          or _own_slots(m, share) for m in ordered])
         self.slots = tuple([slot for slots in own for slot in slots])
 
     def mention(self, mention_id: str) -> Mention:
@@ -266,6 +272,51 @@ _SLOT_RULES: dict[str, dict[str, tuple[tuple[str, ...], str]]] = {
     kind: {slot: PARENT_RULES[kind, slot] for slot in slots} for kind, slots in KIND_SLOTS.items()
 }
 _NO_RULES: dict[str, tuple[tuple[str, ...], str]] = {}
+# each mention kind's rules in KIND_SLOTS order, as a mention's slots lie
+_KIND_RULES: dict[str, tuple[tuple[tuple[str, ...], str], ...]] = {
+    kind: tuple(rules.values()) for kind, rules in _SLOT_RULES.items()
+}
+
+
+def _walk_is_clean(doc: Document, edges: dict[tuple[str, str], str]) -> bool:
+    """Whether ``edges`` pass edge_violations, by one walk over ``doc``'s
+    mentions and slots; False whenever the walk cannot tell.
+
+    A mention's slots lie in ``doc.slots`` in KIND_SLOTS order, so its rules
+    come from its kind, one per slot, and each slot's parent from
+    ``edges.get``: the key order is free. A legal edge from a mention to a
+    mention of its own kind fills the mention's chain slot; an event's
+    timex_ref edge leads to a timex, which has no edge back to an event, so
+    only chain edges can close a cycle. As greedy_positions does on rows,
+    each chain edge walks up its parent's chain before it joins ``up``, and
+    reaching the child means a cycle. The walk holds only when mention ids
+    are distinct and none is a meta node's name, so ``doc.by_id`` gives each
+    slot's own mention; then every slot filled and as many edges as slots
+    means the edges fill exactly ``doc.slots``. A name that cannot be hashed
+    raises TypeError, which the caller takes as a fault.
+    """
+    by_id = doc.by_id
+    if len(by_id) != len(doc.mentions) or not by_id.keys().isdisjoint(META_NODES):
+        return False
+    parents = map(edges.get, doc.slots)
+    up: dict[str, str] = {}  # each mention's chain parent, among the slots walked so far
+    for m in doc._ordered:
+        kind = m.kind
+        for metas, parent_kind in _KIND_RULES.get(kind, ()):
+            parent = next(parents)
+            if parent in metas:
+                continue
+            target = by_id.get(parent)  # None too for an unfilled slot
+            if target is None or target.kind != parent_kind:
+                return False
+            if parent_kind == kind:
+                child, node = m.id, parent
+                while node is not None:
+                    if node == child:
+                        return False
+                    node = up.get(node)
+                up[child] = parent
+    return len(edges) == len(doc.slots)
 
 
 def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[str]:
@@ -279,13 +330,19 @@ def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[st
     cycle, go to find_cycle as its adjacency, a list of parents per child in
     edge order.
 
-    One pass over the edges checks them and counts those that belong. Each
-    fills a distinct slot of a mention id under the kind ``doc.by_id``
-    gives it, so they number ``len(doc.slots)`` only when every such slot
-    is filled and no earlier mention of a repeated id owns a slot; only when
-    they number fewer are the slots walked for unfilled ones. A legal
-    edge allocates nothing but its child's entry in the adjacency.
+    _walk_is_clean passes most graphs in one walk over the slots, without
+    find_cycle. Only a graph it cannot pass is checked edge by edge, the
+    path that words every violation. That pass checks each edge and counts
+    those that belong. Each fills a distinct slot of a mention id under the
+    kind ``doc.by_id`` gives it, so they number ``len(doc.slots)`` only when
+    every such slot is filled and no earlier mention of a repeated id owns a
+    slot; only when they number fewer are the slots walked for unfilled ones.
     """
+    try:
+        if _walk_is_clean(doc, edges):
+            return []
+    except TypeError:
+        pass
     by_id = doc.by_id
     illegal: list[str] = []
     succs: dict[str, list[str]] = {}

@@ -327,6 +327,9 @@ def graph_to_json(graph: TemporalDependencyGraph, doc: Document) -> dict:
                       for slot in doc.slots if slot in edges]}
 
 
+_CHILD_SLOT, _PARENT = itemgetter("child", "slot"), itemgetter("parent")
+
+
 def _typed_edges(obj: dict, doc: Document) -> dict[Slot, str] | None:
     """A prediction's edge map built by direct subscripts, or None unless ``id`` is
     doc's own string, every edge an object of three strings and no slot repeats.
@@ -336,8 +339,8 @@ def _typed_edges(obj: dict, doc: Document) -> dict[Slot, str] | None:
     links, doc_id, slots = obj["edges"], obj["id"], doc.slots
     if type(links) is not list or type(doc_id) is not str or doc_id != doc.id:
         return None
-    if len(links) == len(slots) and all(map(eq, map(itemgetter("child", "slot"), links), slots)):
-        edges = dict(zip(slots, [intern(e["parent"]) for e in links]))
+    if len(links) == len(slots) and all(map(eq, map(_CHILD_SLOT, links), slots)):
+        edges = dict(zip(slots, map(intern, map(_PARENT, links))))
     else:
         edges = {tuple.__new__(Slot, (intern(e["child"]), intern(e["slot"]))):
                  intern(e["parent"]) for e in links}

@@ -81,13 +81,18 @@ def _ids(doc: Document, kind: str) -> list[str]:
     return [m.id for m in doc.mentions if m.kind == kind]
 
 
+def _loop(edges: dict, ring: list[str], slot: str) -> dict:
+    """Point the slot of each mention of ring at the next, closing a loop; return edges."""
+    for child, parent in zip(ring, ring[1:] + ring[:1]):
+        edges[Slot(child, slot)] = parent
+    return edges
+
+
 def _cycle(rng: random.Random, edges: dict, ids: list[str], slot: str) -> bool:
     """Point the slot of a few shuffled mentions of ids at the next, closing a loop."""
     if len(ids) < 2:
         return False
-    ring = rng.sample(ids, rng.randint(2, len(ids)))
-    for child, parent in zip(ring, ring[1:] + ring[:1]):
-        edges[Slot(child, slot)] = parent
+    _loop(edges, rng.sample(ids, rng.randint(2, len(ids))), slot)
     return True
 
 
@@ -209,6 +214,63 @@ def test_validate_graph_matches_reference_on_mutated_graphs():
         "unfilled", "foreign", "self", "wrong_kind", "wrong_meta", "unknown_parent",
         "timex_cycle", "event_cycle", "duplicate", "unknown_slot", "bad_label")), applied
     assert flagged > N_DOCS * 0.9
+
+
+def _seeded_cycles(rng: random.Random, doc: Document) -> dict[str, dict[Slot, str]]:
+    """Parent changes that close one cycle in doc, by name: a chain ring of
+    two to four mentions (timex2 to event4), each edge legal, where doc has
+    the mentions; and "cross", an event's timex_ref on a timex whose own
+    timex_ref is, illegally, that event."""
+    timexes, events = _ids(doc, "timex"), _ids(doc, "event")
+    cycles = {}
+    for kind, ids, slot in (("timex", timexes, "timex_ref"), ("event", events, "event_ref")):
+        for length in range(2, min(4, len(ids)) + 1):
+            cycles[f"{kind}{length}"] = _loop({}, rng.sample(ids, length), slot)
+    if timexes and events:
+        t, e = rng.choice(timexes), rng.choice(events)
+        cycles["cross"] = {Slot(e, "timex_ref"): t, Slot(t, "timex_ref"): e}
+    return cycles
+
+
+def test_edge_violations_match_reference_on_seeded_cycles():
+    """Every seeded cycle of _seeded_cycles, over gold and random legal
+    graphs whose keys lie in doc.slots order or another, is worded as the
+    reference words it: a chain cycle as the one violation, a cross-kind one
+    after its illegal edge, with find_cycle's path. validate_document on the
+    same edges, as gold lines in a shuffled file order, says the same with
+    "gold " before each. A mention named like a meta node, whose legal meta
+    edge closes a cycle, is worded the same too."""
+    rng = random.Random(83)
+    seen: dict[str, int] = {}
+    for trial in range(N_DOCS // 2):
+        doc = random_document(rng, max_mentions=9, doc_id=f"c{trial}")
+        base = gold_graph(doc) if trial % 2 else random_pred_graph(rng, doc)
+        for kind, parents in _seeded_cycles(rng, doc).items():
+            edges = {**base.edges, **parents}
+            want = reference_validate_graph(TemporalDependencyGraph(doc.id, edges), doc)
+            assert want[-1].startswith("edges form a cycle: "), (kind, want)
+            assert len(want) == 1 + (kind == "cross"), (kind, want)
+            assert validate_graph(TemporalDependencyGraph(doc.id, edges), doc) == want, edges
+            gold = [GoldEdge(slot.child, slot.slot, parent) for slot, parent in edges.items()]
+            rng.shuffle(gold)
+            in_file_order = {Slot(e.child, e.slot): e.parent for e in gold}
+            want = reference_validate_graph(TemporalDependencyGraph(doc.id, in_file_order), doc)
+            mutated = Document(doc.id, doc.dct, doc.sentences, doc.mentions, gold)
+            assert validate_document(mutated) == ["gold " + v for v in want], gold
+            seen[kind] = seen.get(kind, 0) + 1
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+    doc = document_from_json({
+        "id": "meta-named", "dct": "2021-06-15",
+        "sentences": [{"index": 0, "tokens": ["then", "it"]}],
+        "mentions": [{"id": "t1", "kind": "timex", "sentence": 0, "start": 0, "end": 1},
+                     {"id": "DCT", "kind": "event", "sentence": 0, "start": 1, "end": 2}],
+        "edges": [{"child": "t1", "slot": "timex_ref", "parent": "DCT"},
+                  {"child": "DCT", "slot": "timex_ref", "parent": "t1"}]})
+    graph = TemporalDependencyGraph(doc.id, {Slot(e.child, e.slot): e.parent
+                                             for e in doc.gold_edges})
+    assert validate_graph(graph, doc) == reference_validate_graph(graph, doc) \
+        == ["edges form a cycle: t1 -> DCT -> t1"]
 
 
 def test_find_cycle_matches_reference_on_random_digraphs():
@@ -580,6 +642,7 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
             counts["refused"] += 1
 
     rng, doc_rng, order_rng = random.Random(47), random.Random(53), random.Random(59)
+    cycle_rng = random.Random(79)
     for trial in range(200):
         doc = random_document(rng, max_mentions=7, doc_id=f"t{trial}")
         base = gold_graph(doc) if trial % 2 else random_pred_graph(rng, doc)
@@ -597,6 +660,10 @@ def test_typed_edge_maps_match_the_per_edge_paths(monkeypatch):
         for _ in range(rng.choice([1, 1, 2])):
             _mutate_prediction(rng, doc, obj, PREDICTION_FAULTS)
         agree(obj, doc)
+        for parents in _seeded_cycles(cycle_rng, doc).values():
+            ringed = copy.deepcopy(clean)
+            assert _ring(ringed, [(*slot, parent) for slot, parent in parents.items()])
+            agree(ringed, doc)
         if trial % 3 == 2:
             agree(obj, _mutate_document(doc_rng, doc)[0])
         agree(json.loads(_mutate_line(rng, copy.deepcopy(clean))), doc)
@@ -631,6 +698,29 @@ def test_a_canonical_prediction_is_keyed_by_the_documents_slots(monkeypatch):
         graph = graph_from_json(obj, doc)
         assert list(graph.edges) == list(reversed(doc.slots))
         assert all(type(slot) is Slot for slot in graph.edges)
+
+
+def test_a_clean_graph_never_reaches_find_cycle(monkeypatch):
+    """edge_violations passes a legal acyclic graph in its one walk over the
+    slots: a decoded, gold or random legal prediction read back in its own
+    edge order or a shuffled one, and a valid document's gold edges in a
+    shuffled file order, never call find_cycle, which words a cycle."""
+    def search(node_ids, succs):
+        raise AssertionError("a clean graph reached find_cycle")
+
+    monkeypatch.setattr(corpus_module, "find_cycle", search)
+    rng = random.Random(89)
+    docs = [random_document(rng, max_mentions=9, doc_id=f"w{i}") for i in range(100)]
+    for doc in docs + [mixed_document()[0]]:
+        for base in (greedy_decode(doc, random_scores(rng, doc)), gold_graph(doc),
+                     random_pred_graph(rng, doc)):
+            obj = json.loads(json.dumps(graph_to_json(base, doc)))
+            for _ in range(3):
+                assert graph_from_json(obj, doc).edges == base.edges
+                obj["edges"] = rng.sample(obj["edges"], len(obj["edges"]))
+        gold = rng.sample(doc.gold_edges, len(doc.gold_edges))
+        assert validate_document(Document(doc.id, doc.dct, doc.sentences, doc.mentions,
+                                          gold)) == []
 
 
 def test_document_slots_match_the_reference_walk():
