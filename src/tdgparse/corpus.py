@@ -42,7 +42,7 @@ import json
 import os
 import reprlib
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -278,6 +278,24 @@ _KIND_RULES: dict[str, tuple[tuple[tuple[str, ...], str], ...]] = {
 }
 
 
+def chain_reaches(parent_of: Callable[[str], str | None], node: str | None, child: str,
+                  limit: int) -> bool | None:
+    """Whether walking up one kind's chain from ``node``, a parent at a time
+    through ``parent_of``, reaches ``child``: whether a chain edge from
+    ``child`` to ``node`` would close a cycle, the test greedy_positions
+    makes on mention rows, stated on names. The walk ends at None; one that
+    runs past ``limit`` nodes, which only a chain that already holds a cycle
+    does, gives None.
+    """
+    for _ in range(limit):
+        if node is None:
+            return False
+        if node == child:
+            return True
+        node = parent_of(node)
+    return None
+
+
 def _walk_is_clean(doc: Document, edges: dict[tuple[str, str], str]) -> bool:
     """Whether ``edges`` pass edge_violations, by one walk over ``doc``'s
     mentions and slots; False whenever the walk cannot tell.
@@ -289,17 +307,19 @@ def _walk_is_clean(doc: Document, edges: dict[tuple[str, str], str]) -> bool:
     timex_ref edge leads to a timex, which has no edge back to an event, so
     only chain edges can close a cycle. As greedy_positions does on rows,
     each chain edge walks up its parent's chain before it joins ``up``, and
-    reaching the child means a cycle. The walk holds only when mention ids
-    are distinct and none is a meta node's name, so ``doc.by_id`` gives each
-    slot's own mention; then every slot filled and as many edges as slots
-    means the edges fill exactly ``doc.slots``. A name that cannot be hashed
-    raises TypeError, which the caller takes as a fault.
+    reaching the child means a cycle (chain_reaches). The walk holds only
+    when mention ids are distinct and none is a meta node's name, so
+    ``doc.by_id`` gives each slot's own mention, and only when there are as
+    many edges as slots; then every slot filled means the edges fill exactly
+    ``doc.slots``, and a missing or extra edge is declined before the walk.
     """
     by_id = doc.by_id
-    if len(by_id) != len(doc.mentions) or not by_id.keys().isdisjoint(META_NODES):
+    if len(edges) != len(doc.slots) or len(by_id) != len(doc.mentions) \
+            or not by_id.keys().isdisjoint(META_NODES):
         return False
     parents = map(edges.get, doc.slots)
     up: dict[str, str] = {}  # each mention's chain parent, among the slots walked so far
+    limit = len(doc.mentions) + 2  # up holds no cycle, so no walk runs past it
     for m in doc._ordered:
         kind = m.kind
         for metas, parent_kind in _KIND_RULES.get(kind, ()):
@@ -310,13 +330,12 @@ def _walk_is_clean(doc: Document, edges: dict[tuple[str, str], str]) -> bool:
             if target is None or target.kind != parent_kind:
                 return False
             if parent_kind == kind:
-                child, node = m.id, parent
-                while node is not None:
-                    if node == child:
-                        return False
-                    node = up.get(node)
-                up[child] = parent
-    return len(edges) == len(doc.slots)
+                # a parent with no chain parent yet reaches only itself
+                if (parent in up or parent == m.id) and \
+                        chain_reaches(up.get, parent, m.id, limit) is not False:
+                    return False
+                up[m.id] = parent
+    return True
 
 
 def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[str]:
@@ -338,11 +357,8 @@ def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[st
     every such slot is filled and no earlier mention of a repeated id owns a
     slot; only when they number fewer are the slots walked for unfilled ones.
     """
-    try:
-        if _walk_is_clean(doc, edges):
-            return []
-    except TypeError:
-        pass
+    if _walk_is_clean(doc, edges):
+        return []
     by_id = doc.by_id
     illegal: list[str] = []
     succs: dict[str, list[str]] = {}

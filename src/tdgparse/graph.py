@@ -32,6 +32,7 @@ from .corpus import (
     TIMEX_REF,
     Document,
     Slot,
+    chain_reaches,
     edge_violations,
     intern_str,
     json_field,
@@ -204,22 +205,23 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
     the test greedy_positions makes on mention rows, stated on names.
 
     The new edge cycles exactly when walking up the parent's own chain
-    (timex_ref edges for a timex, event_ref for an event) reaches the child.
-    A walk longer than the edges allow means they already hold a cycle, and
-    raises GraphError.
+    (timex_ref edges for a timex, event_ref for an event) reaches the child:
+    corpus.chain_reaches, the walk validation makes. A walk longer than the
+    edges allow means they already hold a cycle, and raises GraphError.
     """
     if parent in META_NODES:
         return False
     chain = TIMEX_REF if doc.mention(parent).kind == TIMEX else EVENT_REF
-    node = parent
-    for _ in range(len(edges) + 2):
-        if node == child:
-            return True
-        node = edges.get((node, chain))  # a Slot hashes and compares as its tuple
-        if node is None or node in META_NODES:
-            return False
-    raise GraphError(f"document {doc.id}: the {chain} edges above {parent} "
-                     f"already form a cycle")
+
+    def chain_parent(node: str) -> str | None:
+        above = edges.get((node, chain))  # a Slot hashes and compares as its tuple
+        return None if above in META_NODES else above
+
+    reaches = chain_reaches(chain_parent, parent, child, len(edges) + 2)
+    if reaches is None:
+        raise GraphError(f"document {doc.id}: the {chain} edges above {parent} "
+                         f"already form a cycle")
+    return reaches
 
 
 def slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:

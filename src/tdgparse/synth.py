@@ -105,9 +105,6 @@ class SynthConfig:
     noise_tokens_per_sentence: tuple[int, int] = (2, 5)
     event_vocab_size: int = 40
     timex_vocab_size: int = 20
-    # documents are named <id_prefix>-0000 on; a prefix of its own keeps the
-    # ids of another corpus, say a validation one, apart from these
-    id_prefix: str = "synth"
 
     def __post_init__(self) -> None:
         for name in ("n_docs", "noise_vocab_size", "event_vocab_size", "timex_vocab_size"):
@@ -150,11 +147,6 @@ class SynthConfig:
                      "refevent_content_affinity"):
             if not 0.0 <= json_field(vars(self), name, float) <= 1.0:
                 raise ValueError(f"{name} must be a probability")
-        prefix = json_field(vars(self), "id_prefix", str)
-        if not prefix or any(c.isspace() for c in prefix):
-            # a label file's fields are tab-separated and its lines end at a newline
-            raise ValueError(f"id_prefix must be non-empty and hold no whitespace, "
-                             f"not {prefix!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthConfig":
@@ -189,7 +181,7 @@ def generate_synthetic_corpus(config: SynthConfig,
     docs: list[Document] = []
     labels: DpLabelMap = {}
     for doc_i in range(config.n_docs):
-        doc_id = f"{config.id_prefix}-{doc_i:04d}"
+        doc_id = f"synth-{doc_i:04d}"
         n_sents = _randint(rng, config.sentences_per_doc)
         sent_types = [ContentType(tags[i])
                       for i in cdf.searchsorted(rng.random(n_sents), side="right").tolist()]

@@ -493,14 +493,9 @@ def _with(key: str, tag: str, value) -> dict:
     ({"mentions_per_sentence": [2]}, "mentions_per_sentence must be a [low, high] pair, not [2]"),
     (_with("timex_parent_probs", "NA", [0.2, 0.3, 0.1]),
      "timex_parent_probs[NA] must be a pair of probabilities, not [0.2, 0.3, 0.1]"),
-    ({"id_prefix": ""}, "id_prefix must be non-empty and hold no whitespace, not ''"),
-    ({"id_prefix": "held\tout"},
-     "id_prefix must be non-empty and hold no whitespace, not 'held\\tout'"),
-    ({"id_prefix": 7}, "field 'id_prefix' must be a string, not 7"),
 ], ids=["nan_timex_parent_prob", "nan_event_timex_prob", "nan_content_weight",
         "float_n_docs", "float_sentence_bound", "float_vocab_size", "bool_share",
-        "triple_range", "single_range", "triple_probs", "empty_id_prefix",
-        "tab_in_id_prefix", "int_id_prefix"])
+        "triple_range", "single_range", "triple_probs"])
 def test_synth_rejects_wrong_typed_and_non_finite_values(tmp_path, capsys, changes,
                                                           message):
     config = tmp_path / "synth.json"
@@ -539,13 +534,17 @@ def test_analyze_flags_label_gaps(hand_corpus_path, tmp_path, capsys):
 
 @pytest.fixture
 def split_corpora(tmp_path):
-    """Two synth draws, the second's documents named valid-0000, ... by its
-    id_prefix; the labels file is the first draw's."""
+    """Two synth draws, the second's documents renamed valid-0000, ...; the
+    labels file is the first draw's."""
     config = tmp_path / "synth.json"
-    for seed, name, prefix in ((1, "A", "synth"), (2, "B", "valid")):
-        config.write_text(json.dumps({**SMALL_SYNTH, "id_prefix": prefix}), encoding="utf-8")
+    config.write_text(json.dumps(SMALL_SYNTH), encoding="utf-8")
+    for seed, name in ((1, "A"), (2, "B")):
         assert main(["synth", "--config", str(config), "--seed", str(seed),
                      "--out", str(tmp_path / name)]) == 0
+    valid = parse_corpus(tmp_path / "B" / "corpus.jsonl")
+    for i, doc in enumerate(valid):
+        doc.id = f"valid-{i:04d}"
+    write_corpus(valid, tmp_path / "B" / "corpus.jsonl")
     return tmp_path / "A" / "corpus.jsonl", tmp_path / "B" / "corpus.jsonl", \
         tmp_path / "A" / "dp_labels.tsv"
 

@@ -93,26 +93,8 @@ def test_config_validation():
         SynthConfig(refevent_prob=-0.1)
 
 
-def test_id_prefix_names_the_documents_and_nothing_else():
-    """A corpus drawn under another id_prefix is the default one with its
-    documents, and their labels, renamed; an empty prefix or one holding
-    whitespace, which would break a label file's line, is refused."""
-    plain, plain_labels = generate_synthetic_corpus(SynthConfig(n_docs=4), seed=5)
-    valid, valid_labels = generate_synthetic_corpus(SynthConfig(n_docs=4, id_prefix="valid"),
-                                                    seed=5)
-    assert [doc.id for doc in valid] == [f"valid-{i:04d}" for i in range(4)]
-    for a, b in zip(plain, valid, strict=True):
-        assert dataclasses.replace(b, id=a.id) == a
-    assert valid_labels == {(f"valid-{doc_id[6:]}", s): tag
-                            for (doc_id, s), tag in plain_labels.items()}
-    for prefix in ("", "held out", "a\tb", "v\n"):
-        with pytest.raises(ValueError, match="id_prefix must be non-empty and hold no "
-                                             "whitespace"):
-            SynthConfig(id_prefix=prefix)
-
-
 def test_config_json_round_trip():
-    config = SynthConfig(n_docs=7, timex_share=0.5, refevent_prob=0.9, id_prefix="valid")
+    config = SynthConfig(n_docs=7, timex_share=0.5, refevent_prob=0.9)
     again = SynthConfig.from_json(dataclasses.asdict(config))
     assert dataclasses.asdict(again) == dataclasses.asdict(config)
 
