@@ -102,6 +102,11 @@ PARENT_RULES: dict[tuple[str, str], tuple[tuple[str, ...], str]] = {
 KIND_SLOTS: dict[str, tuple[str, ...]] = {
     kind: tuple(slot for (k, slot) in PARENT_RULES if k == kind) for kind in MENTION_KINDS
 }
+# each kind's chain slot: the slot whose parents are mentions of the child's own
+# kind, the one slot whose edges can close a cycle
+CHAIN_SLOTS: dict[str, str] = {
+    kind: slot for (kind, slot), (_, parent_kind) in PARENT_RULES.items() if parent_kind == kind
+}
 # a document's slots, one tuple per mention id in a map per kind, shared by the
 # documents one call builds (a corpus read, a synthetic corpus), as interned names are
 SlotShare = dict[str, dict[str, tuple[Slot, ...]]]

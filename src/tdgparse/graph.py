@@ -24,12 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import (
-    EVENT_REF,
+    CHAIN_SLOTS,
     MENTION_KINDS,
     META_NODES,
     PARENT_RULES,
-    TIMEX,
-    TIMEX_REF,
     Document,
     Slot,
     chain_reaches,
@@ -204,14 +202,14 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
     """True iff adding child -> parent closes a directed cycle, for legal edges:
     the test greedy_positions makes on mention rows, stated on names.
 
-    The new edge cycles exactly when walking up the parent's own chain
-    (timex_ref edges for a timex, event_ref for an event) reaches the child:
+    The new edge cycles exactly when walking up the parent's own chain (the
+    edges of its kind's CHAIN_SLOTS slot) reaches the child:
     corpus.chain_reaches, the walk validation makes. A walk longer than the
     edges allow means they already hold a cycle, and raises GraphError.
     """
     if parent in META_NODES:
         return False
-    chain = TIMEX_REF if doc.mention(parent).kind == TIMEX else EVENT_REF
+    chain = CHAIN_SLOTS[doc.mention(parent).kind]
 
     def chain_parent(node: str) -> str | None:
         above = edges.get((node, chain))  # a Slot hashes and compares as its tuple
@@ -225,21 +223,20 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
 
 
 def slot_of(starts: np.ndarray, n_cand: int) -> np.ndarray:
-    """The slot of each of n_cand candidates, given each slot's first one."""
+    """The slot of each of n_cand candidates, given each slot's first one:
+    candidate_layout's ``cand_slot``, which every index and run carries on."""
     # each slot's candidate count; np.diff with append= costs several times this
     counts = np.concatenate((starts[1:], [n_cand])) - starts
     return np.repeat(np.arange(len(starts), dtype=np.int32), counts)
 
 
 def first_maxima(score: np.ndarray, starts: np.ndarray,
-                 cand_slot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 cand_slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each slot's top score and the position of its first maximum, for
     slots laid end to end: the first of its candidates (``starts[i]`` up to
-    the next start) to score the slot's top score. ``cand_slot`` is
-    slot_of(starts, len(score)), computed if not given. Every slot needs a
+    the next start) to score the slot's top score. ``cand_slot`` is each
+    candidate's slot, a CandidateLayout's column. Every slot needs a
     candidate, and every score must be finite."""
-    if cand_slot is None:
-        cand_slot = slot_of(starts, len(score))
     top = np.maximum.reduceat(score, starts)
     hits = np.flatnonzero(score == top[cand_slot])
     return top, hits[np.searchsorted(hits, starts)]

@@ -14,8 +14,9 @@ Three variants share this machinery:
 
 Each document is indexed into flat arrays: one token table, the token ids
 of every mention's segment and then of every sentence's, and the candidate
-layout ``graph.candidate_layout`` builds for its slots, with each
-candidate's key into one constant table of scalar features.
+layout ``graph.candidate_layout`` builds for its slots, its slot columns
+(``cand_slot``, ``slot_child``) included, which every batch carries on,
+with each candidate's key into one constant table of scalar features.
 Given discourse labels, the index also holds every sentence's content type,
 which dp_feature's markers and the dp head read; labels enter nowhere else,
 and a sentence without a label raises DpLabelError there. A slot's gold
@@ -81,7 +82,7 @@ from .corpus import (
     require_dp_coverage,
     write_atomic,
 )
-from .graph import CandidateLayout, SlotScores, candidate_layout, candidate_set, slot_of
+from .graph import CandidateLayout, SlotScores, candidate_layout, candidate_set
 
 
 class ScorerError(ValueError):
@@ -277,15 +278,16 @@ class _FlatIndex(NamedTuple):
     labels (and for a batch when any of its indexes was).
 
     Slots and their candidates are those of ``layout``, the document's
-    ``candidate_layout`` (None for a batch): ``starts`` is the position of
-    each slot's first candidate and ``cand`` each candidate's row in the
-    candidate table, whose rows are the META_NODES and then the mentions
-    (mention i at N_META + i). Per slot, ``gold`` is the position of its
+    ``candidate_layout`` (None for a batch), whose columns the index holds:
+    ``starts``, each slot's first candidate, ``slot_child``, its child
+    mention's row, and per candidate ``cand``, its row in the candidate
+    table (the META_NODES, then mention i at N_META + i), and ``cand_slot``,
+    its slot. ``feat`` is each candidate's scalar features' key, the row of
+    _FEATURE_ROWS that holds them. Per slot, ``gold`` is the position of its
     gold candidate or -1 when the gold parent is not a candidate; only
     _with_gold computes it, for training and validation, and it is None in
     an index made to predict (and for a batch when any of its indexes has
-    none). Per candidate, ``child`` is the child mention's row and ``feat``
-    its scalar features' key, the row of _FEATURE_ROWS that holds them.
+    none).
     """
 
     layout: CandidateLayout | None
@@ -295,8 +297,9 @@ class _FlatIndex(NamedTuple):
     mention_sent: np.ndarray
     starts: np.ndarray
     gold: np.ndarray | None
-    child: np.ndarray
+    slot_child: np.ndarray
     cand: np.ndarray
+    cand_slot: np.ndarray
     feat: np.ndarray
 
     @property
@@ -356,10 +359,10 @@ def _index_document(doc: Document, vocab: Vocabulary,
     sent = np.array([m.sentence for m in ordered], dtype=np.int32)
     layout = candidate_layout(doc)
     cand = layout.cand
-    child = layout.slot_child[layout.cand_slot]
 
     is_mention = cand >= N_META
-    c, r = child[is_mention], cand[is_mention] - N_META
+    # each mention candidate's child row and its own
+    c, r = layout.slot_child[layout.cand_slot[is_mention]], cand[is_mention] - N_META
     feat = (cand + _META_KEY).astype(np.uint8)
     # an int32 factor keeps the per-candidate temporaries int32, as a Python int would not
     feat[is_mention] = np.minimum(np.abs(sent[c] - sent[r]), _FAR) + np.int32(_FAR + 1) * (c < r)
@@ -369,8 +372,8 @@ def _index_document(doc: Document, vocab: Vocabulary,
         tok=np.array(list(chain.from_iterable(segments)), dtype=np.int32),
         tok_len=np.array(list(map(len, segments)), dtype=np.int32),
         ctype=None if dp_labels is None else _content_types(doc, dp_labels),
-        mention_sent=sent, starts=layout.starts, gold=None, child=child, cand=cand,
-        feat=feat)
+        mention_sent=sent, starts=layout.starts, gold=None, slot_child=layout.slot_child,
+        cand=cand, cand_slot=layout.cand_slot, feat=feat)
 
 
 def _with_gold(idx: _FlatIndex) -> _FlatIndex:
@@ -457,7 +460,6 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
                     np.stack([size.mention, size.sent], axis=1).ravel())
     tok_len = cat("tok_len")
     cand_first = np.repeat(first.cand, size.slot)
-    mention_first = np.repeat(first.mention, size.cand)
     cand = cat("cand")
     if any(g is None for g in columns["gold"]):
         gold = None
@@ -471,8 +473,9 @@ def _concat(indexes: list[_FlatIndex], run: int | None = None,
         ctype=None if any(c is None for c in columns["ctype"]) else cat("ctype"),
         mention_sent=cat("mention_sent") + np.repeat(first.sent, size.mention),
         starts=cat("starts") + cand_first, gold=gold,
-        child=cat("child") + mention_first,
-        cand=cand + np.where(cand >= N_META, mention_first, 0),
+        slot_child=cat("slot_child") + np.repeat(first.mention, size.slot),
+        cand=cand + np.where(cand >= N_META, np.repeat(first.mention, size.cand), 0),
+        cand_slot=cat("cand_slot") + np.repeat(first.slot, size.cand),
         feat=cat("feat"))
 
 
@@ -486,8 +489,8 @@ def _slice(batch: _FlatIndex, lo: _Offsets, hi: _Offsets) -> _FlatIndex:
         mention_sent=batch.mention_sent[lo.mention:hi.mention],
         starts=batch.starts[lo.slot:hi.slot],
         gold=None if batch.gold is None else batch.gold[lo.slot:hi.slot],
-        child=batch.child[lo.cand:hi.cand], cand=batch.cand[lo.cand:hi.cand],
-        feat=batch.feat[lo.cand:hi.cand])
+        slot_child=batch.slot_child[lo.slot:hi.slot], cand=batch.cand[lo.cand:hi.cand],
+        cand_slot=batch.cand_slot[lo.cand:hi.cand], feat=batch.feat[lo.cand:hi.cand])
 
 
 def _require_gold(indexes: Iterable[_FlatIndex]) -> None:
@@ -629,7 +632,7 @@ class RankingModel:
         ``x = [u*a, scalars]`` that the first layer multiplies per
         candidate, hidden pre-activations z, relu outputs r and scores s.
         """
-        child, cand = batch.child[lo:hi], batch.cand[lo:hi]
+        child, cand = batch.slot_child.take(batch.cand_slot[lo:hi]), batch.cand[lo:hi]
         u, a = layer.u.take(child, axis=0), layer.a.take(cand, axis=0)
         x = np.concatenate([u * a, _FEATURE_ROWS.take(batch.feat[lo:hi], axis=0)], axis=1)
         z = layer.c.take(child, axis=0)
@@ -700,7 +703,7 @@ class RankingModel:
             # ndarray.sum does for fewer than eight candidates
             starts = batch.starts[s_lo:s_hi] - c_lo
             gold = batch.gold[s_lo:s_hi] - c_lo
-            slot = slot_of(starts, c_hi - c_lo)
+            slot = batch.cand_slot[c_lo:c_hi] - s_lo
             e = np.exp(s - np.maximum.reduceat(s, starts)[slot])
             p = e / np.bincount(slot, weights=e)[slot]
             total -= np.log(p[gold]).sum()
@@ -716,7 +719,7 @@ class RankingModel:
             du_slot.append(np.add.reduceat(dx * a, starts))
             d_row += _scatter_rows(batch.cand[c_lo:c_hi],
                                    np.concatenate([dz, dx * u], axis=1), n_rows)
-        d_child = _scatter_rows(batch.child[batch.starts],
+        d_child = _scatter_rows(batch.slot_child,
                                 np.concatenate([_joined(dz_slot), _joined(du_slot)], axis=1),
                                 len(layer.u))
         dc, dt = d_child[:, :h], d_row[:, :h]

@@ -38,7 +38,6 @@ import signal
 import threading
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, Pipe
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .graph import (
     greedy_decode,
     greedy_positions,
     require_finite,
-    slot_of,
 )
 from .scorer import (
     ModelConfig,
@@ -258,25 +256,14 @@ class _NonFiniteRun(Exception):
     holds the run's scores. Validation names the document, slot and candidate."""
 
 
-class _Run(NamedTuple):
-    """One laid-out run of a validation corpus as arrays only: the run's
-    batch without a layout, each candidate's slot and each slot's child
-    mention row."""
-
-    batch: _FlatIndex
-    cand_slot: np.ndarray
-    slot_child: np.ndarray
-
-
-def _accuracy(model: RankingModel, runs: list[_Run], order: str) -> float:
+def _accuracy(model: RankingModel, runs: list[_FlatIndex], order: str) -> float:
     """The share of the runs' slots whose greedy_positions decode is their gold position."""
     correct = total = 0
-    for r, run in enumerate(runs):
-        batch = run.batch
+    for r, batch in enumerate(runs):
         values = model.run_scores(batch)
         if not np.isfinite(values).all():
             raise _NonFiniteRun(r, values)
-        chosen = greedy_positions(values, batch.starts, run.cand_slot, run.slot_child,
+        chosen = greedy_positions(values, batch.starts, batch.cand_slot, batch.slot_child,
                                   batch.cand, order)
         correct += int(np.count_nonzero(chosen == batch.gold))
         total += len(chosen)
@@ -290,22 +277,20 @@ class Validation:
     decode_corpus with the same model, labels and order. The documents'
     indexes, which train() makes (with content types under dp_feature), are
     given their gold positions and laid out once in lay_out's runs, each
-    kept as a _Run, which each call scores and decodes by
-    graph.greedy_positions, a run at a time. A slot is correct when its
-    decoded candidate is its gold candidate. A corpus without a slot is
-    refused with ValueError.
+    kept as its batch without a layout, which each call scores and decodes
+    by graph.greedy_positions on the batch's slot columns, a run at a time.
+    A slot is correct when its decoded candidate is its gold candidate. A
+    corpus without a slot is refused with ValueError.
     """
 
     def __init__(self, model: RankingModel, indexes: list[_FlatIndex]):
         self.model = model
-        self.runs: list[_Run] = []
+        self.runs: list[_FlatIndex] = []
         self.indexes: list[list[_FlatIndex]] = []  # each run's, to name a non-finite score
         for run, batch in lay_out(_with_gold(idx) for idx in indexes):
             self.indexes.append(run)
-            self.runs.append(_Run(batch._replace(layout=None),
-                                  slot_of(batch.starts, len(batch.cand)),
-                                  batch.child[batch.starts]))
-        if not any(len(run.batch.starts) for run in self.runs):
+            self.runs.append(batch._replace(layout=None))
+        if not any(len(batch.starts) for batch in self.runs):
             raise ValueError("validation corpus has no slots to evaluate")
 
     def accuracy(self, order: str = "score") -> float:

@@ -52,7 +52,6 @@ from tdgparse.graph import (
     candidate_set,
     greedy_decode,
     slot_instances,
-    slot_of,
     validate_graph,
 )
 from tdgparse.scorer import (
@@ -883,9 +882,10 @@ def reference_index_document(doc: Document, vocab: Vocabulary, dp_labels=None) -
     layout = candidate_layout(doc)
     table_row = {name: i for i, name in enumerate(layout.names)}
     cand = layout.cand
-    slot = slot_of(layout.starts, len(cand))
-    child = np.array([table_row[s.child] - N_META for s in layout.slots],
-                     dtype=np.int32)[slot]
+    # each candidate's slot: the last slot that starts at or before it
+    slot = (np.searchsorted(layout.starts, np.arange(len(cand)), side="right") - 1).astype(np.int32)
+    slot_child = np.array([table_row[s.child] - N_META for s in layout.slots], dtype=np.int32)
+    child = slot_child[slot]
 
     row = cand - N_META
     is_mention = row >= 0
@@ -911,8 +911,8 @@ def reference_index_document(doc: Document, vocab: Vocabulary, dp_labels=None) -
         tok=np.concatenate([mention_tok, sent_tok]),
         tok_len=np.concatenate([mention_len, sent_len]),
         ctype=None if dp_labels is None else _content_types(doc, dp_labels),
-        mention_sent=sent, starts=layout.starts, gold=gold, child=child, cand=cand,
-        feat=feat)
+        mention_sent=sent, starts=layout.starts, gold=gold, slot_child=slot_child,
+        cand=cand, cand_slot=slot, feat=feat)
 
 
 def reference_feature_bits(delta: np.ndarray, precedes: np.ndarray) -> np.ndarray:

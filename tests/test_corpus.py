@@ -346,13 +346,13 @@ def test_only_corpus_writes_files():
     assert writers == {}
 
 
-def _names_kind_slots(node: ast.AST) -> bool:
-    """Whether ``node`` names KIND_SLOTS: reads it by its bare name or as a
+def _names(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` names ``name``: reads it by its bare name or as a
     module attribute, or imports it."""
     if isinstance(node, ast.ImportFrom):
-        return any(alias.name == "KIND_SLOTS" for alias in node.names)
-    return getattr(node, "id", None) == "KIND_SLOTS" \
-        or isinstance(node, ast.Attribute) and node.attr == "KIND_SLOTS"
+        return any(alias.name == name for alias in node.names)
+    return getattr(node, "id", None) == name \
+        or isinstance(node, ast.Attribute) and node.attr == name
 
 
 def test_only_corpus_reads_a_kinds_slots():
@@ -362,11 +362,33 @@ def test_only_corpus_reads_a_kinds_slots():
     readers = {}
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if _names_kind_slots(node):
+            if _names(node, "KIND_SLOTS"):
                 readers.setdefault(path.name, []).append(node.lineno)
     assert "corpus.py" in readers
     del readers["corpus.py"]
     assert readers == {}
+
+
+def test_only_candidate_layout_derives_each_candidates_slot():
+    """graph.slot_of runs once per document, in graph.candidate_layout: no
+    other code of the package calls, imports or reads it, so every index and
+    laid-out run carries the layout's ``cand_slot`` rather than deriving it
+    again. Each use is named by its module and top-level definition."""
+    users = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tdgparse").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            users += [(path.name, getattr(top, "name", None))
+                      for node in ast.walk(top) if _names(node, "slot_of")]
+    assert users == [("graph.py", "candidate_layout")]
+
+
+def test_each_kinds_chain_slot_is_its_last():
+    """CHAIN_SLOTS names, for each kind, the slot whose parents are of that
+    kind, and it is the last of the kind's slots: greedy_positions skips all
+    but a mention's last slot when it looks for a cycle."""
+    assert corpus_module.CHAIN_SLOTS == {"timex": "timex_ref", "event": "event_ref"}
+    for kind, slot in corpus_module.CHAIN_SLOTS.items():
+        assert corpus_module.KIND_SLOTS[kind][-1] == slot
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -169,7 +169,7 @@ def test_slot_of_and_first_maxima_match_a_scan():
         starts_array = np.array(starts, dtype=np.int32)
         assert slot_of(starts_array, n).tolist() == reference_slot_of(starts, n)
         want = reference_first_maxima(score, starts)
-        top, first = first_maxima(np.array(score), starts_array)
+        top, first = first_maxima(np.array(score), starts_array, slot_of(starts_array, n))
         assert first.tolist() == want and top.tolist() == [score[k] for k in want]
         ties += sum(score.count(score[k]) > 1 for k in want)
     assert ties > 1000
@@ -345,8 +345,8 @@ def test_a_run_decodes_as_its_documents_do_alone():
         k = 0  # the run's first document
         for run, batch in runs:
             values = np.concatenate([flat.score for flat in scores[k:k + len(run)]])
-            got = greedy_positions(values, batch.starts, slot_of(batch.starts, len(values)),
-                                   batch.child[batch.starts], batch.cand, order)
+            got = greedy_positions(values, batch.starts, batch.cand_slot, batch.slot_child,
+                                   batch.cand, order)
             lo = s_lo = 0
             for doc, flat in zip(docs[k:k + len(run)], scores[k:k + len(run)]):
                 layout = flat.layout
@@ -357,7 +357,7 @@ def test_a_run_decodes_as_its_documents_do_alone():
                 want = reference_decode(doc, dict(flat.items()), order=order)
                 assert dict(zip(layout.slots, parents)) == want
                 overridden += int(np.count_nonzero(
-                    alone != first_maxima(flat.score, layout.starts)[1]))
+                    alone != first_maxima(flat.score, layout.starts, layout.cand_slot)[1]))
                 lo += len(flat.score)
                 s_lo += len(alone)
             k += len(run)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdgparse import cli, scorer, training
+from tdgparse import cli, graph, scorer, training
 from tdgparse.corpus import (
     ContentType,
     DpLabelError,
@@ -615,10 +615,10 @@ def test_validation_refuses_a_corpus_without_slots_and_lays_out_once(monkeypatch
         with pytest.raises(ValueError, match="validation corpus has no slots to evaluate"):
             Validation(model, [_index_document(doc, model.vocab) for doc in docs])
     validation = Validation(model, [_index_document(doc, model.vocab) for doc in corpus])
-    monkeypatch.setattr(training, "slot_of", lambda *args: pytest.fail("slot_of called"))
+    monkeypatch.setattr(graph, "slot_of", lambda *args: pytest.fail("slot_of called"))
     for order in DECODE_ORDERS:
         validation.accuracy(order)
-    assert len(validation.runs) > 1 and validation.runs[0].batch.layout is None
+    assert len(validation.runs) > 1 and validation.runs[0].layout is None
 
 
 def force_inline_validation(monkeypatch) -> None:
