@@ -29,11 +29,10 @@ gold facts per slot, its parent and where that parent lies, are one
 GoldTable, ``Document.gold``: a tuple of names and one byte per slot, built
 on first read and cached, so that scoring a corpus again does not build
 them again. Parsing, validation and prediction never read it.
-edge_violations checks a gold or predicted graph in one walk over the
-document's slots, which finds a cycle by walking up the timex and event
-chains, the only edges that can close one; only a graph that walk cannot
-pass is checked edge by edge, with find_cycle, the path that words every
-violation.
+edge_violations checks a gold or predicted graph in one pass over its
+edges, which finds a cycle by walking up the timex and event chains, the
+only legal edges that can close one; find_cycle words a cycle, and runs only
+when that pass finds one or an illegal edge, or a mention has a meta name.
 """
 
 from __future__ import annotations
@@ -277,10 +276,6 @@ _SLOT_RULES: dict[str, dict[str, tuple[tuple[str, ...], str]]] = {
     kind: {slot: PARENT_RULES[kind, slot] for slot in slots} for kind, slots in KIND_SLOTS.items()
 }
 _NO_RULES: dict[str, tuple[tuple[str, ...], str]] = {}
-# each mention kind's rules in KIND_SLOTS order, as a mention's slots lie
-_KIND_RULES: dict[str, tuple[tuple[tuple[str, ...], str], ...]] = {
-    kind: tuple(rules.values()) for kind, rules in _SLOT_RULES.items()
-}
 
 
 def chain_reaches(parent_of: Callable[[str], str | None], node: str | None, child: str,
@@ -288,9 +283,9 @@ def chain_reaches(parent_of: Callable[[str], str | None], node: str | None, chil
     """Whether walking up one kind's chain from ``node``, a parent at a time
     through ``parent_of``, reaches ``child``: whether a chain edge from
     ``child`` to ``node`` would close a cycle, the test greedy_positions
-    makes on mention rows, stated on names. The walk ends at None; one that
-    runs past ``limit`` nodes, which only a chain that already holds a cycle
-    does, gives None.
+    makes on mention rows and edge_violations on each legal chain edge,
+    stated on names. The walk ends at None; one that runs past ``limit``
+    nodes, which only a chain that already holds a cycle does, gives None.
     """
     for _ in range(limit):
         if node is None:
@@ -301,97 +296,60 @@ def chain_reaches(parent_of: Callable[[str], str | None], node: str | None, chil
     return None
 
 
-def _walk_is_clean(doc: Document, edges: dict[tuple[str, str], str]) -> bool:
-    """Whether ``edges`` pass edge_violations, by one walk over ``doc``'s
-    mentions and slots; False whenever the walk cannot tell.
-
-    A mention's slots lie in ``doc.slots`` in KIND_SLOTS order, so its rules
-    come from its kind, one per slot, and each slot's parent from
-    ``edges.get``: the key order is free. A legal edge from a mention to a
-    mention of its own kind fills the mention's chain slot; an event's
-    timex_ref edge leads to a timex, which has no edge back to an event, so
-    only chain edges can close a cycle. As greedy_positions does on rows,
-    each chain edge walks up its parent's chain before it joins ``up``, and
-    reaching the child means a cycle (chain_reaches). The walk holds only
-    when mention ids are distinct and none is a meta node's name, so
-    ``doc.by_id`` gives each slot's own mention, and only when there are as
-    many edges as slots; then every slot filled means the edges fill exactly
-    ``doc.slots``, and a missing or extra edge is declined before the walk.
-    """
-    by_id = doc.by_id
-    if len(edges) != len(doc.slots) or len(by_id) != len(doc.mentions) \
-            or not by_id.keys().isdisjoint(META_NODES):
-        return False
-    parents = map(edges.get, doc.slots)
-    up: dict[str, str] = {}  # each mention's chain parent, among the slots walked so far
-    limit = len(doc.mentions) + 2  # up holds no cycle, so no walk runs past it
-    for m in doc._ordered:
-        kind = m.kind
-        for metas, parent_kind in _KIND_RULES.get(kind, ()):
-            parent = next(parents)
-            if parent in metas:
-                continue
-            target = by_id.get(parent)  # None too for an unfilled slot
-            if target is None or target.kind != parent_kind:
-                return False
-            if parent_kind == kind:
-                # a parent with no chain parent yet reaches only itself
-                if (parent in up or parent == m.id) and \
-                        chain_reaches(up.get, parent, m.id, limit) is not False:
-                    return False
-                up[m.id] = parent
-    return True
-
-
 def edge_violations(doc: Document, edges: dict[tuple[str, str], str]) -> list[str]:
     """Check that ``edges`` fill every slot of ``doc`` legally and without a cycle.
 
     Violations list the unfilled slots in ``doc.slots`` order, then the
     edges that break PARENT_RULES in edge order, then one cycle. An edge
     whose child is no mention, or whose slot its child's kind does not have,
-    does not belong to the document. Kinds are read from ``doc.by_id``, and
-    the edges from a mention to a mention, the only ones that can close a
-    cycle, go to find_cycle as its adjacency, a list of parents per child in
-    edge order.
+    does not belong to the document. Kinds are read from ``doc.by_id``.
 
-    _walk_is_clean passes most graphs in one walk over the slots, without
-    find_cycle. Only a graph it cannot pass is checked edge by edge, the
-    path that words every violation. That pass checks each edge and counts
-    those that belong. Each fills a distinct slot of a mention id under the
-    kind ``doc.by_id`` gives it, so they number ``len(doc.slots)`` only when
-    every such slot is filled and no earlier mention of a repeated id owns a
+    One pass over the edges checks each and counts those that do not
+    belong. Each other fills a distinct slot of a mention id under its
+    ``doc.by_id`` kind, so they number ``len(doc.slots)`` only when every
+    such slot is filled and no earlier mention of a repeated id owns a
     slot; only when they number fewer are the slots walked for unfilled ones.
+    A legal edge closes a cycle only along one kind's chain (a parent of the
+    child's own kind), and a mention has at most one chain edge, so each
+    legal chain edge walks up those seen so far (chain_reaches): reaching
+    its child is a cycle, whatever the edge order. find_cycle words the
+    cycle, on each child's mention parents in edge order, and runs only when
+    the walk found one, an edge is illegal or a mention id names a meta
+    node, whose meta edges the walk does not follow.
     """
-    if _walk_is_clean(doc, edges):
-        return []
     by_id = doc.by_id
     illegal: list[str] = []
-    succs: dict[str, list[str]] = {}
-    belonging = 0
+    up: dict[str, str] = {}  # each mention's chain parent, among the edges seen so far
+    limit = len(doc.mentions) + 2  # a walk past it has entered a cycle already in up
+    cyclic = False
+    foreign = 0
     for (child, name), parent in edges.items():
         mention = by_id.get(child)
-        if mention is None:
-            rule = None
-        else:
-            rule = _SLOT_RULES.get(mention.kind, _NO_RULES).get(name)
-            target = by_id.get(parent)
-            if target is not None:
-                if child in succs:
-                    succs[child].append(parent)
-                else:
-                    succs[child] = [parent]
+        rule = None if mention is None else _SLOT_RULES.get(mention.kind, _NO_RULES).get(name)
         if rule is None:
             illegal.append(f"slot {Slot(child, name)} does not belong to document {doc.id}")
+            foreign += 1
             continue
-        belonging += 1
-        if parent not in rule[0] and (parent == child or target is None
-                                      or target.kind != rule[1]):
+        metas, parent_kind = rule
+        if parent in metas:
+            continue
+        target = by_id.get(parent)
+        if parent == child or target is None or target.kind != parent_kind:
             illegal.append(f"slot {Slot(child, name)}: parent {parent} is not a legal candidate")
+        elif parent_kind == mention.kind:
+            # parent is not child, so with no chain parent yet it reaches no other
+            if parent in up and chain_reaches(up.get, parent, child, limit) is not False:
+                cyclic = True
+            up[child] = parent
     violations: list[str] = []
-    if belonging < len(doc.slots):
+    if len(edges) - foreign < len(doc.slots):
         violations = [f"slot {slot} is unfilled" for slot in doc.slots if slot not in edges]
     violations += illegal
-    if succs:
+    if cyclic or illegal or not by_id.keys().isdisjoint(META_NODES):
+        succs: dict[str, list[str]] = {}
+        for (child, _), parent in edges.items():
+            if child in by_id and parent in by_id:
+                succs.setdefault(child, []).append(parent)
         cycle = find_cycle(by_id, succs)
         if cycle is not None:
             violations.append("edges form a cycle: " + " -> ".join(cycle))

@@ -204,8 +204,8 @@ def would_create_cycle(child: str, parent: str, edges: dict[Slot, str],
 
     The new edge cycles exactly when walking up the parent's own chain (the
     edges of its kind's CHAIN_SLOTS slot) reaches the child:
-    corpus.chain_reaches, the walk validation makes. A walk longer than the
-    edges allow means they already hold a cycle, and raises GraphError.
+    corpus.chain_reaches, run by edge_violations on each legal chain edge.
+    A walk longer than the edges allow means a cycle, and raises GraphError.
     """
     if parent in META_NODES:
         return False

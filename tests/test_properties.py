@@ -238,10 +238,13 @@ def test_edge_violations_match_reference_on_seeded_cycles():
     reference words it: a chain cycle as the one violation, a cross-kind one
     after its illegal edge, with find_cycle's path. validate_document on the
     same edges, as gold lines in a shuffled file order, says the same with
-    "gold " before each. A mention named like a meta node, whose legal meta
-    edge closes a cycle, is worded the same too."""
-    rng = random.Random(83)
+    "gold " before each. Both edge orders read against a _mutate_document
+    copy of doc, with a repeated mention id or an unknown kind, are worded as
+    the reference words them. A mention named like a meta node, whose legal
+    meta edge closes a cycle, is worded the same too."""
+    rng, doc_rng = random.Random(83), random.Random(97)
     seen: dict[str, int] = {}
+    faults: dict[str, int] = {}
     for trial in range(N_DOCS // 2):
         doc = random_document(rng, max_mentions=9, doc_id=f"c{trial}")
         base = gold_graph(doc) if trial % 2 else random_pred_graph(rng, doc)
@@ -258,7 +261,15 @@ def test_edge_violations_match_reference_on_seeded_cycles():
             mutated = Document(doc.id, doc.dct, doc.sentences, doc.mentions, gold)
             assert validate_document(mutated) == ["gold " + v for v in want], gold
             seen[kind] = seen.get(kind, 0) + 1
+            # the graphs come from the clean doc: candidate_set cannot lay out an unknown kind
+            faulty, fault = _mutate_document(doc_rng, doc)
+            for order in (edges, in_file_order):
+                graph = TemporalDependencyGraph(doc.id, order)
+                assert validate_graph(graph, faulty) == \
+                    reference_validate_graph(graph, faulty), (fault, faulty.mentions, order)
+            faults[fault] = faults.get(fault, 0) + 1
     assert len(seen) == 7 and min(seen.values()) >= 20, seen
+    assert set(faults) == set(DOCUMENT_FAULTS) and min(faults.values()) >= 20, faults
 
     doc = document_from_json({
         "id": "meta-named", "dct": "2021-06-15",
@@ -701,8 +712,8 @@ def test_a_canonical_prediction_is_keyed_by_the_documents_slots(monkeypatch):
 
 
 def test_a_clean_graph_never_reaches_find_cycle(monkeypatch):
-    """edge_violations passes a legal acyclic graph in its one walk over the
-    slots: a decoded, gold or random legal prediction read back in its own
+    """edge_violations passes a legal acyclic graph in its one pass over the
+    edges: a decoded, gold or random legal prediction read back in its own
     edge order or a shuffled one, and a valid document's gold edges in a
     shuffled file order, never call find_cycle, which words a cycle."""
     def search(node_ids, succs):
